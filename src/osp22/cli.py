@@ -89,7 +89,10 @@ def _collect_config(args) -> RunConfig:
             parts.extend(p for p in chunk.split(",") if p.strip())
         overrides["z_samples"] = tuple(parse_complex(p) for p in parts)
     if getattr(args, "t", None):
-        overrides["t_samples"] = tuple(float(p) for p in str(args.t).split(",") if p.strip())
+        try:
+            overrides["t_samples"] = tuple(float(p) for p in str(args.t).split(",") if p.strip())
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse t samples {args.t!r}") from exc
     if getattr(args, "alpha", None) is not None:
         overrides["alpha_coeff"] = parse_complex(args.alpha)
     if getattr(args, "out", None):
@@ -298,9 +301,30 @@ def cmd_trajectory(args) -> int:
     return 0
 
 
+# Flags whose values may be negative.  argparse takes a token such as "-3,0"
+# or "-0.3+0.2i" for an option, so it is attached as "--t=-3,0" first.
+_SIGNED_VALUE_FLAGS = ("--t", "--z", "--alpha")
+
+
+def _attach_signed_values(argv: list) -> list:
+    out = []
+    k = 0
+    while k < len(argv):
+        tok = argv[k]
+        nxt = argv[k + 1] if k + 1 < len(argv) else None
+        if tok in _SIGNED_VALUE_FLAGS and nxt and nxt.startswith("-") and not nxt.startswith("--"):
+            out.append(f"{tok}={nxt}")
+            k += 2
+        else:
+            out.append(tok)
+            k += 1
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_signed_values(argv))
     handlers = {
         "verify": cmd_verify,
         "profile": cmd_profile,

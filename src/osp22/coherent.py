@@ -241,12 +241,8 @@ def series_state(
             bound=bound,
         )
 
-    a = params.alpha(alg)
-    vec = SuperVector(
-        alg,
-        [alg.scalar(c) for c in even],
-        [complex(d) * a for d in odd],
-    )
+    zeros = np.zeros(n_max)
+    vec = SuperVector(alg, even, zeros) + params.alpha(alg) * SuperVector(alg, zeros, odd)
     gram = vec.super_inner(vec)
     return (closed_form_phase(z) * gram.power(-0.5)) * vec
 
@@ -300,13 +296,12 @@ def crosscheck(
 
     # slot-by-slot Grassmann defect against the closed-form packaging
     normalizer = cf.normalizer
-    alpha = params.alpha(alg)
-    coeff_defect = 0.0
-    for k in range(n):
-        want_even = (phase * complex(gamma_even[k])) * normalizer
-        coeff_defect = max(coeff_defect, (sv.even[k] - want_even).max_abs())
-        want_odd = (_SQRT2 * phase * complex(gamma_odd[k])) * (normalizer * alpha)
-        coeff_defect = max(coeff_defect, (sv.odd[k] - want_odd).max_abs())
+    zeros = np.zeros(n)
+    want = normalizer * SuperVector(alg, [phase * complex(g) for g in gamma_even], zeros)
+    want = want + (normalizer * params.alpha(alg)) * SuperVector(
+        alg, zeros, [_SQRT2 * phase * complex(g) for g in gamma_odd]
+    )
+    coeff_defect = (sv - want).max_abs()
 
     norm_defect = (sv.super_inner(sv) - 1.0).max_abs()
 

@@ -1,9 +1,21 @@
 """Finite-dimensional complex exterior algebra with Berezin integration.
 
-The algebra is generated by a fixed ordered list of anticommuting symbols,
+The algebra is generated by a fixed ordered list of g anticommuting symbols,
 by default (theta, theta_bar, alpha, alpha_bar), extensible with the pair
-(xi, xi_bar).  Monomials are stored in canonical (ascending) generator order
-and every sign comes from counting transpositions.
+(xi, xi_bar).  An element is a dense complex array of length 2^g indexed by
+monomial mask: bit k of the mask is set when generator k is a factor, and the
+monomial is taken in canonical (ascending) generator order.  Mask 0 is the
+body.  This module is the only one that knows that layout.
+
+Every sign comes from a ``ProductPlan``, built once per generator set (the
+precomputed-table approach of the ``clifford`` package,
+https://github.com/pygae/clifford): the disjoint mask pairs (a, b), their
+targets a|b and their exact +-1 signs.  A product gathers the pair
+coefficients, forms the real and imaginary parts as separate float
+products and accumulates them per target in a fixed order that mirrors
+under conjugation (see ``ProductPlan``).  Conjugation and Berezin
+integration are signed index permutations.  All plan operations act on
+arrays of shape (..., 2^g), so a batch of products costs one call.
 
 Two conventions are hard-wired:
 
@@ -28,7 +40,9 @@ __all__ = [
     "AlgebraMismatchError",
     "GrassmannAlgebra",
     "GrassmannElement",
+    "ProductPlan",
     "default_algebra",
+    "random_coefficients",
     "random_element",
 ]
 
@@ -53,25 +67,195 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _mul_sign(a: int, b: int) -> int:
-    """Sign of merging two ascending monomials a, b into one ascending monomial."""
-    swaps = 0
-    t = b
-    while t:
-        low = t & -t
-        j = low.bit_length() - 1
-        swaps += (a >> (j + 1)).bit_count()
-        t ^= low
-    return -1 if swaps & 1 else 1
+def _abs(x: np.ndarray) -> np.ndarray:
+    """Modulus through hypot, which rounds exactly as Python's abs(complex)."""
+    return np.hypot(x.real, x.imag)
 
 
-def _perm_sign(seq) -> int:
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
+class ProductPlan:
+    """Exact sign tables of one generator set with its conjugation pairing.
+
+    ``left``, ``right`` and ``sign`` list every disjoint mask pair (a, b) in
+    summation order; ``join[a][b]`` is ``(a|b, sign)`` for a
+    disjoint pair and None otherwise; ``parity[m]`` is the degree of mask m
+    modulo 2; and ``conj_table[m]`` is ``(mask, sign)`` of the conjugate of
+    monomial m.  Obtain plans through ``GrassmannAlgebra.plan``.
+
+    Summation order: with P the conjugation map on masks, the terms of one
+    target join the running sum in ascending order of min(a, P(a)), and a
+    term whose partner P(a) is also a left mask of the same target is first
+    added to the partner's term.  The order at a target is then the mirror
+    of the order at its conjugate, so conj(x * y) == conj(x) * conj(y) holds
+    bit for bit.  A plain ascending order would leave rounding-level
+    differences there.
+    """
+
+    __slots__ = (
+        "size",
+        "parity",
+        "parity_sign",
+        "left",
+        "right",
+        "sign",
+        "join",
+        "conj_table",
+        "_conj_perm",
+        "_conj_sign",
+        "_n_classes",
+        "_paired",
+        "_bins",
+        "_left_mul",
+        "_integrals",
+    )
+
+    def __init__(self, pair):
+        g = len(pair)
+        size = 1 << g
+        masks = np.arange(size)
+        degree = np.zeros(size, dtype=np.int64)
+        for k in range(g):
+            degree += (masks >> k) & 1
+        a = np.repeat(masks, size)
+        b = np.tile(masks, size)
+        keep = (a & b) == 0
+        a, b = a[keep], b[keep]
+        # merging ascending monomials a and b: each generator j of b passes
+        # every generator of a above it
+        swaps = np.zeros(a.size, dtype=np.int64)
+        for j in range(g):
+            swaps += ((b >> j) & 1) * degree[a >> (j + 1)]
+        sign = 1 - 2 * (swaps & 1)
+        target = a | b
+
+        self.size = size
+        self.parity = tuple(int(d) & 1 for d in degree)
+        self.parity_sign = 1.0 - 2.0 * (degree & 1)
+        join = [[None] * size for _ in range(size)]
+        for x, y, t, s in zip(a.tolist(), b.tolist(), target.tolist(), sign.tolist()):
+            join[x][y] = (t, s)
+        self.join = tuple(tuple(row) for row in join)
+
+        self.conj_table = tuple(
+            self.monomial([pair[k] for k in _bits(m)]) for m in range(size)
+        )
+        perm = np.array([m for m, _ in self.conj_table])
+        self._conj_perm = perm
+        self._conj_sign = np.array([float(s) for _, s in self.conj_table])
+
+        # classes of terms per target: a term and its conjugate partner, or a
+        # term alone, keyed by min(a, P(a)) and summed in (target, key) order
+        index = {(x, t): i for i, (x, t) in enumerate(zip(a.tolist(), target.tolist()))}
+        classes = []
+        for i, (x, t) in enumerate(zip(a.tolist(), target.tolist())):
+            px = int(perm[x])
+            j = index.get((px, t))
+            if j is None or px == x:
+                classes.append((t, min(x, px), i, -1))
+            elif x < px:
+                classes.append((t, x, i, j))
+        classes.sort()
+        paired = [k for k, c in enumerate(classes) if c[3] >= 0]
+        # term order: each class's first term in class order, then the
+        # partner terms of the paired classes
+        order = np.array([c[2] for c in classes] + [classes[k][3] for k in paired])
+        self.left = a[order]
+        self.right = b[order]
+        self.sign = sign[order].astype(float)
+        self._n_classes = len(classes)
+        self._paired = np.array(paired, dtype=np.int64)
+        # interleaved (real, imag) bins so one bincount accumulates both parts
+        class_target = np.array([c[0] for c in classes])
+        self._bins = (2 * class_target[:, None] + np.arange(2)).ravel()
+
+        self._left_mul = {}
+        for x in range(size):
+            sel = a == x
+            self._left_mul[x] = (b[sel], target[sel], sign[sel].astype(float))
+        self._integrals = []
+        for k in range(g):
+            bit = 1 << k
+            src = masks[(masks & bit) != 0]
+            after = degree[src >> (k + 1)]  # generators to the right of k
+            self._integrals.append((src, src ^ bit, 1.0 - 2.0 * (after & 1)))
+
+    def monomial(self, idx) -> tuple[int, int]:
+        """(mask, sign) of the product of generators ``idx`` in that order; sign 0 if it vanishes."""
+        mask, sign = 0, 1
+        for k in idx:
+            step = self.join[mask][1 << k]
+            if step is None:
+                return 0, 0
+            mask, s = step
+            sign *= s
+        return mask, sign
+
+    def _accumulate(self, terms) -> np.ndarray:
+        """Sum terms (..., P, 2) of (real, imag), in plan term order, into their targets."""
+        c = self._n_classes
+        w = terms[..., :c, :]
+        w[..., self._paired, :] += terms[..., c:, :]
+        lead = w.shape[:-2]
+        rows = w.size // self._bins.size
+        bins = self._bins
+        if rows > 1:
+            bins = (bins + (2 * self.size) * np.arange(rows)[:, None]).ravel()
+        flat = np.bincount(bins, w.reshape(-1), minlength=2 * self.size * rows)
+        return flat.view(complex).reshape(lead + (self.size,))
+
+    def mul(self, x, y) -> np.ndarray:
+        """Exterior product of coefficient arrays (..., 2^g), broadcasting.
+
+        Real and imaginary parts are separate float products: numpy's complex
+        multiply may fuse a multiply-add, which rounds differently from
+        Python's complex product.
+        """
+        a = x[..., self.left]
+        b = y[..., self.right]
+        shape = a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
+        terms = np.empty(shape + (2,))
+        # sign * (p - q) rounds exactly as (sign * p) - (sign * q)
+        terms[..., 0] = self.sign * (a.real * b.real - a.imag * b.imag)
+        terms[..., 1] = self.sign * (a.real * b.imag + a.imag * b.real)
+        return self._accumulate(terms)
+
+    def contract(self, gram) -> np.ndarray:
+        """sum over pairs of sign * gram[..., a, b] into mask a|b.
+
+        With gram[a, b] = sum_n x_n[a] y_n[b] this is sum_n x_n * y_n.
+        """
+        w = self.sign * gram[..., self.left, self.right]
+        return self._accumulate(np.stack([w.real, w.imag], axis=-1))
+
+    def conj(self, x) -> np.ndarray:
+        """Conjugation of coefficient arrays: a signed permutation of np.conj(x)."""
+        out = np.empty(np.shape(x), dtype=complex)
+        out[..., self._conj_perm] = self._conj_sign * np.conj(x)
+        return out
+
+    def left_mul(self, mask: int, x) -> np.ndarray:
+        """Product of the unit monomial ``mask`` with each coefficient row."""
+        src, dst, sign = self._left_mul[mask]
+        out = np.zeros(np.shape(x), dtype=complex)
+        out[..., dst] = sign * x[..., src]
+        return out
+
+    def grade(self, x) -> np.ndarray:
+        """Grade involution: odd monomials change sign."""
+        return self.parity_sign * x
+
+    def body(self, x) -> np.ndarray:
+        """The body (scalar) coefficients of arrays (..., 2^g), as a view."""
+        return x[..., 0]
+
+    def integrate(self, x, k: int) -> np.ndarray:
+        """Berezin integral over generator k: d/d(gen k) acting from the right."""
+        src, dst, sign = self._integrals[k]
+        out = np.zeros(np.shape(x), dtype=complex)
+        out[..., dst] = sign * x[..., src]
+        return out
+
+
+_PLANS: dict[tuple, ProductPlan] = {}
 
 
 class GrassmannAlgebra:
@@ -82,7 +266,7 @@ class GrassmannAlgebra:
     covering every generator.
     """
 
-    __slots__ = ("generators", "index", "pair", "drop_tol")
+    __slots__ = ("generators", "index", "pair", "size", "drop_tol", "_plan")
 
     def __init__(self, generators=GENERATORS_DEFAULT, drop_tol: float = 0.0):
         names = tuple(generators)
@@ -101,24 +285,50 @@ class GrassmannAlgebra:
         self.generators = names
         self.index = index
         self.pair = tuple(pair)
+        self.size = 1 << len(names)  # monomials: the length of a coefficient array
         self.drop_tol = float(drop_tol)
+        self._plan = None
 
     @property
     def n_generators(self) -> int:
         return len(self.generators)
 
+    @property
+    def plan(self) -> ProductPlan:
+        """The product plan of this generator set, built once per process."""
+        if self._plan is None:
+            plan = _PLANS.get(self.pair)
+            if plan is None:
+                plan = _PLANS[self.pair] = ProductPlan(self.pair)
+            self._plan = plan
+        return self._plan
+
     def compatible(self, other: "GrassmannAlgebra") -> bool:
         return self is other or self.generators == other.generators
 
     def _mask_of(self, mono) -> tuple[int, int]:
-        idx = [self.index[name] for name in mono]
-        mask = 0
-        for k in idx:
-            bit = 1 << k
-            if mask & bit:
-                return 0, 0
-            mask |= bit
-        return mask, _perm_sign(idx)
+        return self.plan.monomial([self.index[name] for name in mono])
+
+    def berezin_coeffs(self, x, over) -> np.ndarray:
+        """Iterated Berezin integral of coefficient arrays, innermost first."""
+        for name in over:
+            x = self.plan.integrate(x, self.index[name])
+        return x
+
+    def involves(self, names) -> np.ndarray:
+        """Boolean mask over monomials: True where any named generator is a factor."""
+        bits = 0
+        for name in names:
+            bits |= 1 << self.index[name]
+        return (np.arange(self.size) & bits) != 0
+
+    def monomials(self, parity=None, free_of=()) -> np.ndarray:
+        """Ascending masks of the given parity that avoid the named generators."""
+        keep = ~self.involves(free_of)
+        if parity is not None:
+            odd = self.plan.parity_sign < 0
+            keep &= odd if parity == ODD else ~odd
+        return np.flatnonzero(keep)
 
     def element(self, terms=None) -> "GrassmannElement":
         """Build an element from ``{monomial: coefficient}``.
@@ -126,27 +336,31 @@ class GrassmannAlgebra:
         Monomials are tuples of generator names in any order (the permutation
         sign is applied) or a single generator name; ``()`` is the scalar slot.
         """
-        data: dict[int, complex] = {}
+        data = [0j] * self.size
         for mono, coeff in (terms or {}).items():
             if isinstance(mono, str):
                 mono = (mono,)
             mask, sign = self._mask_of(tuple(mono))
             if sign == 0:
                 continue
-            data[mask] = data.get(mask, 0j) + sign * complex(coeff)
+            data[mask] = data[mask] + sign * complex(coeff)
         return GrassmannElement(self, data)
 
     def scalar(self, c) -> "GrassmannElement":
-        return GrassmannElement(self, {0: complex(c)})
+        data = np.zeros(self.size, dtype=complex)
+        data[0] = c
+        return GrassmannElement(self, data)
 
     def one(self) -> "GrassmannElement":
         return self.scalar(1.0)
 
     def zero(self) -> "GrassmannElement":
-        return GrassmannElement(self, {})
+        return GrassmannElement(self, np.zeros(self.size, dtype=complex))
 
     def gen(self, name: str) -> "GrassmannElement":
-        return GrassmannElement(self, {1 << self.index[name]: 1.0 + 0j})
+        data = np.zeros(self.size, dtype=complex)
+        data[1 << self.index[name]] = 1.0
+        return GrassmannElement(self, data)
 
     def monomial_name(self, mask: int) -> str:
         return "*".join(self.generators[k] for k in _bits(mask)) or "1"
@@ -156,17 +370,31 @@ class GrassmannAlgebra:
 
 
 class GrassmannElement:
-    """Sparse element of the exterior algebra; treat as immutable."""
+    """Element of the exterior algebra as a dense coefficient array; immutable.
+
+    ``GrassmannElement(algebra, coeffs)`` takes the 2^g coefficients in mask
+    order.  Arrays passed in or read through ``coeffs`` must not be mutated.
+    """
 
     __slots__ = ("algebra", "_data")
 
-    def __init__(self, algebra: GrassmannAlgebra, data: dict):
+    def __init__(self, algebra: GrassmannAlgebra, coeffs):
+        data = np.asarray(coeffs, dtype=complex)
+        if data.shape != (algebra.size,):
+            raise ValueError(f"expected {algebra.size} coefficients, got shape {data.shape}")
         tol = algebra.drop_tol
         if tol > 0.0:
-            self._data = {m: c for m, c in data.items() if abs(c) >= tol}
-        else:
-            self._data = {m: c for m, c in data.items() if c != 0}
+            data = np.where(_abs(data) >= tol, data, 0j)
+        self._data = data
         self.algebra = algebra
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """Coefficients in mask order (read-only by contract)."""
+        return self._data
+
+    def _new(self, data) -> "GrassmannElement":
+        return GrassmannElement(self.algebra, data)
 
     # -- coercion ----------------------------------------------------------
 
@@ -185,45 +413,40 @@ class GrassmannElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        data = dict(self._data)
-        for m, c in o._data.items():
-            data[m] = data.get(m, 0j) + c
-        return GrassmannElement(self.algebra, data)
+        return self._new(self._data + o._data)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GrassmannElement(self.algebra, {m: -c for m, c in self._data.items()})
+        return self._new(-self._data)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._new(self._data - o._data)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return self._new(o._data - self._data)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        data: dict[int, complex] = {}
-        for ma, ca in self._data.items():
-            for mb, cb in o._data.items():
-                if ma & mb:
-                    continue
-                m = ma | mb
-                data[m] = data.get(m, 0j) + _mul_sign(ma, mb) * ca * cb
-        return GrassmannElement(self.algebra, data)
+        return self._new(self.algebra.plan.mul(self._data, o._data))
 
     def __rmul__(self, other):
         if isinstance(other, _SCALAR_TYPES):
+            # separate float products, rounding as Python's complex product
             c = complex(other)
-            return GrassmannElement(self.algebra, {m: c * v for m, v in self._data.items()})
+            x = self._data
+            out = np.empty_like(x)
+            out.real = c.real * x.real - c.imag * x.imag
+            out.imag = c.real * x.imag + c.imag * x.real
+            return self._new(out)
         return NotImplemented
 
     def __truediv__(self, other):
@@ -237,44 +460,21 @@ class GrassmannElement:
 
     def conj(self) -> "GrassmannElement":
         """Order-preserving conjugation: partners swapped in place, then re-sorted."""
-        alg = self.algebra
-        data: dict[int, complex] = {}
-        for m, c in self._data.items():
-            idx = [alg.pair[k] for k in _bits(m)]
-            sign = _perm_sign(idx)
-            mm = 0
-            for k in idx:
-                mm |= 1 << k
-            data[mm] = data.get(mm, 0j) + sign * c.conjugate()
-        return GrassmannElement(alg, data)
+        return self._new(self.algebra.plan.conj(self._data))
 
     def berezin(self, over) -> "GrassmannElement":
         """Iterated Berezin integral over the named generators, innermost first."""
-        alg = self.algebra
-        data = dict(self._data)
-        for name in over:
-            gi = alg.index[name]
-            bit = 1 << gi
-            new: dict[int, complex] = {}
-            for m, c in data.items():
-                if not (m & bit):
-                    continue
-                deg = m.bit_count()
-                pos = (m & (bit - 1)).bit_count()
-                sign = -1 if (deg - 1 - pos) & 1 else 1
-                mm = m ^ bit
-                new[mm] = new.get(mm, 0j) + sign * c
-            data = new
-        return GrassmannElement(alg, data)
+        return self._new(self.algebra.berezin_coeffs(self._data, over))
 
     @property
     def parity(self) -> str:
-        if not self._data:
-            return EVEN
-        ps = {m.bit_count() & 1 for m in self._data}
-        if len(ps) > 1:
+        nz = self._data != 0
+        odd = self.algebra.plan.parity_sign < 0
+        has_odd = bool(np.any(nz & odd))
+        has_even = bool(np.any(nz & ~odd))
+        if has_odd and has_even:
             return MIXED
-        return ODD if ps.pop() else EVEN
+        return ODD if has_odd else EVEN
 
     @property
     def parity_bit(self) -> int:
@@ -284,21 +484,19 @@ class GrassmannElement:
         return 1 if p == ODD else 0
 
     def even_part(self) -> "GrassmannElement":
-        return GrassmannElement(
-            self.algebra, {m: c for m, c in self._data.items() if not m.bit_count() & 1}
-        )
+        return self._new(np.where(self.algebra.plan.parity_sign > 0, self._data, 0j))
 
     def odd_part(self) -> "GrassmannElement":
-        return GrassmannElement(
-            self.algebra, {m: c for m, c in self._data.items() if m.bit_count() & 1}
-        )
+        return self._new(np.where(self.algebra.plan.parity_sign < 0, self._data, 0j))
 
     @property
     def body(self) -> complex:
-        return self._data.get(0, 0j)
+        return complex(self._data[0])
 
     def soul(self) -> "GrassmannElement":
-        return GrassmannElement(self.algebra, {m: c for m, c in self._data.items() if m})
+        data = self._data.copy()
+        data[0] = 0j
+        return self._new(data)
 
     # -- analytic functions of even elements ---------------------------------
 
@@ -320,7 +518,7 @@ class GrassmannElement:
         for k in range(1, self.algebra.n_generators // 2 + 1):
             coef *= (p - (k - 1)) / k
             term = term * n
-            if not term._data:
+            if not term._data.any():
                 break
             acc = acc + coef * term
         return complex(b) ** p * acc
@@ -333,18 +531,18 @@ class GrassmannElement:
         mask, sign = self.algebra._mask_of(tuple(mono))
         if sign == 0:
             return 0j
-        return sign * self._data.get(mask, 0j)
+        return sign * complex(self._data[mask])
 
     def terms(self):
-        """Sorted list of (generator-name tuple, coefficient)."""
-        out = []
-        for m in sorted(self._data):
-            names = tuple(self.algebra.generators[k] for k in _bits(m))
-            out.append((names, self._data[m]))
-        return out
+        """Sorted list of (generator-name tuple, coefficient) over nonzero terms."""
+        gens = self.algebra.generators
+        return [
+            (tuple(gens[k] for k in _bits(m)), complex(self._data[m]))
+            for m in np.flatnonzero(self._data).tolist()
+        ]
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self._data.values()), default=0.0)
+        return float(_abs(self._data).max())
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return self.max_abs() <= tol
@@ -360,7 +558,7 @@ class GrassmannElement:
             return False
         if o is None:
             return NotImplemented
-        return self._data == o._data
+        return bool(np.array_equal(self._data, o._data))
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -369,11 +567,12 @@ class GrassmannElement:
     __hash__ = None
 
     def __repr__(self):
-        if not self._data:
+        masks = np.flatnonzero(self._data).tolist()
+        if not masks:
             return "<0>"
         parts = []
-        for m in sorted(self._data):
-            c = self._data[m]
+        for m in masks:
+            c = complex(self._data[m])
             name = self.algebra.monomial_name(m)
             parts.append(f"({c:.6g})" if m == 0 else f"({c:.6g})*{name}")
         return " + ".join(parts)
@@ -387,15 +586,23 @@ def default_algebra() -> GrassmannAlgebra:
     return _DEFAULT
 
 
+def random_coefficients(
+    algebra, rng, count: int = 1, parity=None, scale: float = 1.0, free_of=()
+) -> np.ndarray:
+    """(count, 2^g) iid complex-normal coefficients from one draw.
+
+    Only masks of the given parity that avoid the ``free_of`` generators are
+    filled.  The stream is the one a loop drawing ``standard_normal(2)`` per
+    mask, in ascending mask order and row after row, would consume.
+    """
+    masks = algebra.monomials(parity, free_of)
+    draws = rng.standard_normal(2 * count * masks.size).reshape(count, masks.size, 2)
+    vals = (scale * draws) / np.sqrt(2.0)
+    out = np.zeros((count, algebra.size), dtype=complex)
+    out[:, masks] = vals.view(complex)[..., 0]
+    return out
+
+
 def random_element(algebra, rng, parity=None, scale: float = 1.0) -> GrassmannElement:
     """Random element with iid complex-normal coefficients, optionally homogeneous."""
-    data = {}
-    for mask in range(1 << algebra.n_generators):
-        odd = mask.bit_count() & 1
-        if parity == EVEN and odd:
-            continue
-        if parity == ODD and not odd:
-            continue
-        re, im = rng.standard_normal(2)
-        data[mask] = scale * complex(re, im) / np.sqrt(2.0)
-    return GrassmannElement(algebra, data)
+    return GrassmannElement(algebra, random_coefficients(algebra, rng, 1, parity, scale)[0])

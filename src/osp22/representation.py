@@ -26,7 +26,6 @@ from .grassmann import (
     ODD,
     AlgebraMismatchError,
     GrassmannElement,
-    _mul_sign,
     default_algebra,
 )
 from .superspace import DimensionMismatchError, SuperVector
@@ -162,13 +161,15 @@ class SuperOperator:
             return SuperOperator(self.algebra, self.n_max, blocks, self.parity_bit)
         if isinstance(beta, GrassmannElement):
             pb = beta.parity_bit
+            join = self.algebra.plan.join
             blocks: dict[int, np.ndarray] = {}
-            for bm, coeff in beta._data.items():
+            for bm in np.flatnonzero(beta.coeffs).tolist():
+                coeff = complex(beta.coeffs[bm])
                 for am, mat in self.blocks.items():
-                    if bm & am:
+                    step = join[bm][am]
+                    if step is None:
                         continue
-                    sign = _mul_sign(bm, am)
-                    key = bm | am
+                    key, sign = step
                     blocks[key] = blocks.get(key, 0) + (sign * coeff) * mat
             return SuperOperator(
                 self.algebra, self.n_max, blocks, self.parity_bit ^ pb
@@ -184,39 +185,34 @@ class SuperOperator:
 
     def __matmul__(self, other):
         self._check(other)
+        plan = self.algebra.plan
         blocks: dict[int, np.ndarray] = {}
         for am, ma in self.blocks.items():
-            p_ma = self.parity_bit ^ (am.bit_count() & 1)
+            p_ma = self.parity_bit ^ plan.parity[am]
             for cm, mc in other.blocks.items():
-                if am & cm:
+                step = plan.join[am][cm]
+                if step is None:
                     continue
-                sign = _mul_sign(am, cm)
-                if p_ma and (cm.bit_count() & 1):
+                key, sign = step
+                if p_ma and plan.parity[cm]:
                     sign = -sign
-                key = am | cm
                 blocks[key] = blocks.get(key, 0) + sign * (ma @ mc)
         return SuperOperator(
             self.algebra, self.n_max, blocks, self.parity_bit ^ other.parity_bit
         )
 
     def apply(self, v: SuperVector) -> SuperVector:
+        """One ``mat @ coeffs`` per block, Koszul-signed, scattered to columns am|v."""
         if v.n_max != self.n_max:
             raise DimensionMismatchError("vector truncation differs from operator")
-        comps = v.component_masks()
-        out: dict[int, np.ndarray] = {}
+        plan = v.algebra.plan
+        out = np.zeros_like(v.coeffs)
         for am, mat in self.blocks.items():
-            p_ma = self.parity_bit ^ (am.bit_count() & 1)
-            for vm, vec in comps.items():
-                if am & vm:
-                    continue
-                sign = _mul_sign(am, vm)
-                if p_ma and (vm.bit_count() & 1):
-                    sign = -sign
-                key = am | vm
-                contrib = sign * (mat @ vec)
-                prev = out.get(key)
-                out[key] = contrib if prev is None else prev + contrib
-        return SuperVector.from_component_masks(v.algebra, self.n_max, out)
+            part = mat @ v.coeffs
+            if self.parity_bit ^ plan.parity[am]:
+                part = plan.grade(part)
+            out += plan.left_mul(am, part)
+        return SuperVector.from_coeffs(v.algebra, out)
 
     def supercommutator(self, other) -> "SuperOperator":
         """[A, C] = AC - (-1)^{p(A) p(C)} CA."""
@@ -231,14 +227,14 @@ class SuperOperator:
         p = _slot_parity(self.n_max)
         row = 1j**p
         blocks: dict[int, np.ndarray] = {}
+        plan = self.algebra.plan
         for am, mat in self.blocks.items():
-            p_ma = self.parity_bit ^ (am.bit_count() & 1)
+            p_ma = self.parity_bit ^ plan.parity[am]
             col = (-1j) ** p
             if p_ma:
                 col = col * ((-1.0) ** p)
             adj = row[:, None] * mat.conj().T * col[None, :]
-            mono = GrassmannElement(self.algebra, {am: 1.0 + 0j}).conj()
-            ((mm, c),) = mono._data.items()
+            mm, c = plan.conj_table[am]
             blocks[mm] = blocks.get(mm, 0) + c * adj
         return SuperOperator(
             self.algebra, self.n_max, blocks, self.parity_bit, name=f"({self.name})+"
@@ -257,9 +253,10 @@ class SuperOperator:
     def block_pattern_defect(self) -> float:
         """Largest entry violating the sector pattern implied by the parity."""
         p = _slot_parity(self.n_max)
+        parity = self.algebra.plan.parity
         worst = 0.0
         for am, mat in self.blocks.items():
-            p_ma = self.parity_bit ^ (am.bit_count() & 1)
+            p_ma = self.parity_bit ^ parity[am]
             bad = (p[:, None] ^ p[None, :]) != p_ma
             if np.any(bad):
                 worst = max(worst, float(np.abs(mat[bad]).max(initial=0.0)))

@@ -303,8 +303,8 @@ def suite_superspace(cfg: RunConfig) -> list:
         pb = EVEN if rng.integers(2) else ODD
         v1 = _ss.random_supervector(5, rng, alg, parity=p1)
         v2 = _ss.random_supervector(5, rng, alg)
-        b1 = _ss._lift(alg, random_element(_ss._sub_algebra(alg), rng))
-        b2 = _ss._lift(alg, random_element(_ss._sub_algebra(alg), rng, parity=pb))
+        b1 = _ss.random_coefficient(alg, rng)
+        b2 = _ss.random_coefficient(alg, rng, parity=pb)
         sign = -1.0 if (p1 == ODD and pb == ODD) else 1.0
         lhs = (b1 * v1).super_inner(b2 * v2)
         rhs = sign * (b1.conj() * b2 * v1.super_inner(v2))

@@ -85,6 +85,32 @@ class TestVerifyCommand:
         b = json.loads((tmp_path / "b" / "osp22_verify_grassmann.json").read_text())
         assert json.dumps(a["payload"], sort_keys=True) == json.dumps(b["payload"], sort_keys=True)
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--t", "-3,0"), ("--z", "-0.3+0.2i"), ("--alpha", "-0.8-0.3i")],
+    )
+    def test_negative_value_as_separate_token(self, tmp_path, flag, value):
+        joined = main(["verify", "basis", f"{flag}={value}", "--out", str(tmp_path / "a")])
+        spaced = main(["verify", "basis", flag, value, "--out", str(tmp_path / "b")])
+        assert joined == spaced == 0
+        a = json.loads((tmp_path / "a" / "osp22_verify_basis.json").read_text())
+        b = json.loads((tmp_path / "b" / "osp22_verify_basis.json").read_text())
+        assert json.dumps(a["payload"], sort_keys=True) == json.dumps(b["payload"], sort_keys=True)
+
+    def test_negative_t_reaches_the_config(self, tmp_path):
+        main(["verify", "basis", "--t", "-3,0", "--out", str(tmp_path)])
+        doc = json.loads((tmp_path / "osp22_verify_basis.json").read_text())
+        assert doc["payload"]["config"]["t_samples"] == [-3.0, 0.0]
+
+    def test_missing_value_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "basis", "--t", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    def test_unparsable_t_exits_2(self, tmp_path):
+        code = main(["verify", "basis", "--t", "-abc", "--out", str(tmp_path)])
+        assert code == 2
+
     def test_failing_tolerance_exits_1(self, tmp_path):
         code = main(
             ["verify", "grassmann", "--tol-grassmann", "1e-30", "--out", str(tmp_path)]

@@ -179,3 +179,201 @@ def test_drop_tolerance_prunes_small_terms():
     alg = GrassmannAlgebra(drop_tol=1e-10)
     elem = alg.element({(): 1.0, ("theta",): 1e-12})
     assert elem == alg.one()
+
+
+# -- first-principles reference for the product plan ---------------------------
+#
+# Elements are dicts {word: coefficient} over canonical words (tuples of
+# generator names in algebra order).  A product concatenates words and sorts
+# them back into canonical order, one sign per transposition; conjugation
+# swaps partners in place and re-sorts; Berezin integration over g moves g to
+# the right end of the word, one sign per letter passed, and drops it.
+
+_ALG6 = GrassmannAlgebra(GENERATORS_EXTENDED)
+_KERNEL_ALGEBRAS = {
+    (4, False): ALG,
+    (6, False): _ALG6,
+    (4, True): GrassmannAlgebra(drop_tol=1e-6),
+    (6, True): GrassmannAlgebra(GENERATORS_EXTENDED, drop_tol=1e-6),
+}
+
+
+def _canonical_words(alg):
+    from itertools import combinations
+
+    return [w for r in range(alg.n_generators + 1) for w in combinations(alg.generators, r)]
+
+
+def _sort_word(alg, word):
+    idx = [alg.index[name] for name in word]
+    if len(set(idx)) < len(idx):
+        return 0, ()
+    inversions = sum(1 for i in range(len(idx)) for j in range(i + 1, len(idx)) if idx[i] > idx[j])
+    return (-1) ** inversions, tuple(sorted(word, key=alg.index.get))
+
+
+def _ref_add(out, word, value):
+    out[word] = out.get(word, 0j) + value
+
+
+def _ref_mul(alg, x, y):
+    out = {}
+    for w1, c1 in x.items():
+        for w2, c2 in y.items():
+            sign, word = _sort_word(alg, w1 + w2)
+            if sign:
+                _ref_add(out, word, sign * c1 * c2)
+    return out
+
+
+def _partner(name):
+    return name[:-4] if name.endswith("_bar") else name + "_bar"
+
+
+def _ref_conj(alg, x):
+    out = {}
+    for w, c in x.items():
+        sign, word = _sort_word(alg, tuple(_partner(n) for n in w))
+        _ref_add(out, word, sign * c.conjugate())
+    return out
+
+
+def _ref_berezin(x, over):
+    for name in over:
+        out = {}
+        for w, c in x.items():
+            if name in w:
+                k = w.index(name)
+                _ref_add(out, w[:k] + w[k + 1 :], (-1) ** (len(w) - 1 - k) * c)
+        x = out
+    return x
+
+
+def _ref_drop(alg, x):
+    tol = alg.drop_tol
+    return {w: c for w, c in x.items() if c != 0 and abs(c) >= tol}
+
+
+def _as_dict(elem):
+    return dict(elem.terms())
+
+
+@st.composite
+def _kernel_case(draw, g, drop):
+    """(algebra, coefficient dict) on dense, sparse or homogeneous supports."""
+    alg = _KERNEL_ALGEBRAS[(g, drop)]
+    words = _canonical_words(alg)
+    kind = draw(st.sampled_from(["dense", "sparse", "even", "odd"]))
+    if kind == "sparse":
+        words = draw(st.lists(st.sampled_from(words), min_size=1, max_size=4, unique=True))
+    elif kind != "dense":
+        words = [w for w in words if len(w) % 2 == (kind == "odd")]
+    values = coeffs()
+    if drop:
+        values = st.one_of(coeffs(), coeffs().map(lambda c: 1e-8 * c))
+    cs = draw(st.lists(values, min_size=len(words), max_size=len(words)))
+    return alg, dict(zip(words, cs))
+
+
+def _close_to_reference(alg, got, ref, scale):
+    """Entries agree within a bound fixed from the dtype and the operand sizes.
+
+    With a drop tolerance, a reference entry within rounding of the
+    threshold may land on either side of it; only entries clear of it count.
+    """
+    bound = 4 * alg.size * np.finfo(float).eps * max(scale, 1.0)
+    tol = alg.drop_tol
+    for word in set(got) | set(ref):
+        want = ref.get(word, 0j)
+        if tol and abs(abs(want) - tol) <= bound:
+            continue
+        if tol and abs(want) < tol:
+            assert word not in got
+            continue
+        assert abs(got.get(word, 0j) - want) <= bound, word
+
+
+_KERNEL_KEYS = st.sampled_from([(4, False), (6, False), (4, True), (6, True)])
+
+
+def _kernel_pairs():
+    return _KERNEL_KEYS.flatmap(lambda key: st.tuples(_kernel_case(*key), _kernel_case(*key)))
+
+
+def _kernel_singles():
+    return _KERNEL_KEYS.flatmap(lambda key: _kernel_case(*key))
+
+
+class TestPlanAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(_kernel_pairs())
+    def test_product(self, case):
+        (alg, x), (_, y) = case
+        got = alg.element(x) * alg.element(y)
+        ref = _ref_mul(alg, _ref_drop(alg, x), _ref_drop(alg, y))
+        scale = sum(abs(c) for c in x.values()) * sum(abs(c) for c in y.values())
+        _close_to_reference(alg, _as_dict(got), ref, scale)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_kernel_singles())
+    def test_conj_exact(self, case):
+        alg, x = case
+        got = alg.element(x).conj()
+        assert _as_dict(got) == _ref_drop(alg, _ref_conj(alg, _ref_drop(alg, x)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(_kernel_singles(), st.data())
+    def test_berezin_exact(self, case, data):
+        alg, x = case
+        over = data.draw(st.lists(st.sampled_from(alg.generators), max_size=3, unique=True))
+        got = alg.element(x).berezin(tuple(over))
+        assert _as_dict(got) == _ref_drop(alg, _ref_berezin(_ref_drop(alg, x), over))
+
+    @settings(max_examples=30, deadline=None)
+    @given(_kernel_pairs())
+    def test_conj_homomorphism_exact(self, case):
+        (alg, x), (_, y) = case
+        a, b = alg.element(x), alg.element(y)
+        assert (a * b).conj() == a.conj() * b.conj()
+
+    def test_element_applies_permutation_sign(self):
+        for alg in (ALG, _ALG6):
+            for word in _canonical_words(alg):
+                for shuffled in (word[::-1], word[1:] + word[:1]):
+                    sign, canon = _sort_word(alg, shuffled)
+                    assert alg.element({shuffled: 1.0}).coeff(canon) == sign
+
+    def test_batched_product_matches_elementwise(self):
+        rng = np.random.default_rng(12)
+        for alg in (ALG, _ALG6):
+            xs = [random_element(alg, rng) for _ in range(5)]
+            ys = [random_element(alg, rng) for _ in range(5)]
+            batch = alg.plan.mul(
+                np.array([x.coeffs for x in xs])[:, None, :],
+                np.array([y.coeffs for y in ys])[None, :, :],
+            )
+            for i, x in enumerate(xs):
+                for j, y in enumerate(ys):
+                    assert np.array_equal(batch[i, j], (x * y).coeffs)
+
+    def test_plan_built_once_per_generator_set(self):
+        assert GrassmannAlgebra().plan is ALG.plan
+        assert GrassmannAlgebra(GENERATORS_EXTENDED).plan is _ALG6.plan
+
+
+@pytest.mark.parametrize("alg", [ALG, _ALG6], ids=["g4", "g6"])
+@pytest.mark.parametrize("parity", [None, EVEN, ODD])
+def test_random_element_draws_like_a_per_mask_loop(alg, parity):
+    """One batched draw consumes the seeded stream as one standard_normal(2) per mask did."""
+    rng = np.random.default_rng(41)
+    terms = {}
+    for mask in range(1 << alg.n_generators):
+        word = tuple(name for k, name in enumerate(alg.generators) if mask >> k & 1)
+        if (parity == EVEN and len(word) % 2) or (parity == ODD and not len(word) % 2):
+            continue
+        re, im = rng.standard_normal(2)
+        terms[word] = 0.5 * complex(re, im) / np.sqrt(2.0)
+    got_rng = np.random.default_rng(41)
+    got = random_element(alg, got_rng, parity=parity, scale=0.5)
+    assert got == alg.element(terms)
+    assert got_rng.standard_normal() == rng.standard_normal()

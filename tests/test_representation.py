@@ -65,6 +65,44 @@ class TestGenerators:
             build_generator("K0", 1, ALG)
 
 
+def _apply_per_slot(beta, name, v):
+    """(beta G) v slot by slot: beta G (v_j Psi_j) = (-1)^{p(G) p(v_j)} beta v_j G Psi_j."""
+    mat = op(name, v.n_max).body
+    odd_g = op(name, v.n_max).parity_bit
+    slots = v.even + v.odd
+    moved = [beta * ((c.even_part() - c.odd_part()) if odd_g else c) for c in slots]
+    out = []
+    for i in range(2 * v.n_max):
+        acc = ALG.zero()
+        for j, c in enumerate(moved):
+            if mat[i, j] != 0:
+                acc = acc + complex(mat[i, j]) * c
+        out.append(acc)
+    return SuperVector(ALG, out[: v.n_max], out[v.n_max :])
+
+
+class TestApplyAgainstSlots:
+    @pytest.mark.parametrize(
+        "beta_name, name", [("alpha", "V+"), ("alpha_bar", "W-"), ("alpha", "K+"), ("alpha_bar", "B")]
+    )
+    def test_grassmann_multiple(self, beta_name, name):
+        rng = np.random.default_rng(21)
+        beta = (0.7 - 0.4j) * ALG.gen(beta_name)
+        for _ in range(3):
+            v = random_supervector(N, rng, ALG, support=8)
+            got = (beta * op(name)).apply(v)
+            want = _apply_per_slot(beta, name, v)
+            assert (got - want).max_abs() < 1e-13
+
+    def test_odd_odd_koszul_sign(self):
+        # alpha V+ on alpha_bar Psi_0^0: the odd block passes the odd coefficient
+        vec = ALG.gen("alpha_bar") * SuperVector.basis_state(0, 0, N, ALG)
+        got = (ALG.gen("alpha") * op("V+")).apply(vec)
+        pair = ALG.gen("alpha") * ALG.gen("alpha_bar")
+        want = (-np.sqrt(0.5)) * (pair * SuperVector.basis_state(1, 0, N, ALG))
+        assert (got - want).max_abs() == 0.0
+
+
 class TestSupercommutator:
     def test_lowering_raising(self):
         got = op("K-").supercommutator(op("K+"))

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from osp22 import EVEN, ODD
-from osp22.grassmann import default_algebra, random_element
+from osp22.grassmann import GENERATORS_EXTENDED, GrassmannAlgebra, default_algebra
 from osp22.representation import build_generator
 from osp22.superspace import (
     DimensionMismatchError,
     SuperVector,
-    _lift,
-    _sub_algebra,
+    random_coefficient,
     random_supervector,
     super_inner_integral,
     superadjoint_defect,
@@ -35,11 +34,71 @@ class TestConstruction:
         with pytest.raises(DimensionMismatchError):
             SuperVector(ALG, [ALG.one()], [])
 
-    def test_component_round_trip(self):
+    def test_array_round_trip(self):
         rng = np.random.default_rng(2)
         v = random_supervector(5, rng, ALG)
-        back = SuperVector.from_component_masks(ALG, 5, v.component_masks())
-        assert (v - back).max_abs() < 1e-15
+        assert v.coeffs.shape == (10, ALG.size)
+        back = SuperVector.from_coeffs(ALG, v.coeffs)
+        assert (v - back).max_abs() == 0.0
+        again = SuperVector(ALG, v.even, v.odd)
+        assert np.array_equal(again.coeffs, v.coeffs)
+        for k in range(5):
+            assert v.even[k] == back.even[k] and v.odd[k] == back.odd[k]
+
+    def test_from_coeffs_rejects_bad_shapes(self):
+        with pytest.raises(DimensionMismatchError):
+            SuperVector.from_coeffs(ALG, np.zeros((3, ALG.size)))
+        with pytest.raises(ValueError):
+            SuperVector.from_coeffs(ALG, np.zeros((4, ALG.size + 1)))
+
+    def test_from_coeffs_rejects_structural_generators(self):
+        coeffs = np.zeros((2, ALG.size), dtype=complex)
+        coeffs[0] = ALG.gen("theta_bar").coeffs
+        with pytest.raises(ValueError):
+            SuperVector.from_coeffs(ALG, coeffs)
+
+
+def _loop_draw(alg, rng, parity=None):
+    """Reference stream: one standard_normal(2) per theta-free mask, ascending."""
+    data = {}
+    for mask in range(1 << alg.n_generators):
+        names = {alg.generators[k] for k in range(alg.n_generators) if mask >> k & 1}
+        if names & {"theta", "theta_bar"}:
+            continue
+        odd = len(names) % 2
+        if (parity == EVEN and odd) or (parity == ODD and not odd):
+            continue
+        re, im = rng.standard_normal(2)
+        data[tuple(sorted(names, key=alg.index.get))] = complex(re, im) / np.sqrt(2.0)
+    return alg.element(data)
+
+
+class TestRandomDraws:
+    """The batched draws consume the seeded stream exactly as a per-mask loop."""
+
+    @pytest.mark.parametrize("generators", [None, GENERATORS_EXTENDED])
+    @pytest.mark.parametrize("parity", [None, EVEN, ODD])
+    def test_coefficient_matches_loop(self, generators, parity):
+        alg = ALG if generators is None else GrassmannAlgebra(generators)
+        got = random_coefficient(alg, np.random.default_rng(31), parity=parity)
+        want = _loop_draw(alg, np.random.default_rng(31), parity=parity)
+        assert got == want
+
+    @pytest.mark.parametrize("parity", [None, EVEN, ODD])
+    @pytest.mark.parametrize("support", [None, 3])
+    def test_supervector_matches_loop(self, parity, support):
+        n = 5
+        top = n if support is None else support
+        got = random_supervector(n, np.random.default_rng(32), ALG, parity=parity, support=support)
+        rng = np.random.default_rng(32)
+        flip = {None: None, EVEN: ODD, ODD: EVEN}[parity]
+        even = [_loop_draw(ALG, rng, parity) if k < top else ALG.zero() for k in range(n)]
+        odd = [_loop_draw(ALG, rng, flip) if k < top else ALG.zero() for k in range(n)]
+        assert np.array_equal(got.coeffs, SuperVector(ALG, even, odd).coeffs)
+        # the stream continues where the loop would have left it
+        rng_got = np.random.default_rng(32)
+        random_supervector(n, rng_got, ALG, parity=parity, support=support)
+        assert rng_got.standard_normal() == rng.standard_normal()
 
 
 class TestInnerProduct:
@@ -79,8 +138,8 @@ class TestInnerProduct:
             pb = EVEN if rng.integers(2) else ODD
             v1 = random_supervector(5, rng, ALG, parity=p1)
             v2 = random_supervector(5, rng, ALG)
-            b1 = _lift(ALG, random_element(_sub_algebra(ALG), rng))
-            b2 = _lift(ALG, random_element(_sub_algebra(ALG), rng, parity=pb))
+            b1 = random_coefficient(ALG, rng)
+            b2 = random_coefficient(ALG, rng, parity=pb)
             sign = -1.0 if (p1 == ODD and pb == ODD) else 1.0
             lhs = (b1 * v1).super_inner(b2 * v2)
             rhs = sign * (b1.conj() * b2 * v1.super_inner(v2))
