@@ -12,13 +12,11 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import basis as _basis
 from . import coherent as _coh
-from . import representation as _rep
 from .config import (
     ConfigError,
     RunConfig,
@@ -27,10 +25,9 @@ from .config import (
     config_file_from_env,
     format_complex,
     load_config_file,
-    parse_complex,
 )
 from .grassmann import default_algebra
-from .suites import SUITE_NAMES, run_suite
+from .suites import SUITE_NAMES, run_suite, symbol_rows, trajectory_rows
 
 __all__ = ["main", "build_parser"]
 
@@ -84,17 +81,11 @@ def _collect_config(args) -> RunConfig:
         if val is not None:
             overrides[f"tol_{name}"] = val
     if getattr(args, "z", None):
-        parts = []
-        for chunk in args.z:
-            parts.extend(p for p in chunk.split(",") if p.strip())
-        overrides["z_samples"] = tuple(parse_complex(p) for p in parts)
+        overrides["z_samples"] = ",".join(args.z)
     if getattr(args, "t", None):
-        try:
-            overrides["t_samples"] = tuple(float(p) for p in str(args.t).split(",") if p.strip())
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse t samples {args.t!r}") from exc
+        overrides["t_samples"] = args.t
     if getattr(args, "alpha", None) is not None:
-        overrides["alpha_coeff"] = parse_complex(args.alpha)
+        overrides["alpha_coeff"] = args.alpha
     if getattr(args, "out", None):
         overrides["out_dir"] = args.out
     return build_config(file_values, overrides)
@@ -122,7 +113,11 @@ def cmd_verify(args) -> int:
     payload = report["payload"]
     for check in payload["checks"]:
         status = "PASS" if check["pass"] else "FAIL"
-        print(f"[{status}] {check['id']}: defect={check['defect']:.3e} tol={check['tolerance']:.1e}")
+        margin = check["tolerance"] / check["defect"] if check["defect"] else float("inf")
+        print(
+            f"[{status}] {check['id']}: defect={check['defect']:.3e} "
+            f"tol={check['tolerance']:.1e} margin={margin:.3g}"
+        )
     print(
         f"suite={args.suite} checks={payload['n_checks']} "
         f"pass={payload['overall_pass']} wall={report['wall_time_s']:.2f}s"
@@ -153,8 +148,6 @@ def cmd_profile(args) -> int:
     cfg = _collect_config(args)
     cfg.validate()
     z = cfg.z_samples[0]
-    if abs(z) >= 1.0:
-        raise ConfigError("|z| must be < 1")
     t = cfg.t_samples[0]
     params = _coh.CoherentParams(z, cfg.alpha_coeff)
     cf = _coh.closed_form(params)
@@ -193,33 +186,21 @@ def _grassmann_terms_json(elem) -> list:
 def cmd_symbols(args) -> int:
     cfg = _collect_config(args)
     cfg.validate("coherent")
-    alg = default_algebra()
-    cal_z = next((z for z in cfg.z_samples if abs(complex(z).imag) > 1e-9), 0.3 + 0.25j)
-    flag = _coh.calibrate_convention(cal_z, alg)
-    rows = []
-    worst = 0.0
-    for z in cfg.z_samples:
-        n = max(64, _coh.series_length_for(z, 1e-7))
-        ops = {name: _rep.build_generator(name, n, alg) for name in _rep.GENERATOR_NAMES}
-        for a in (0.0, cfg.alpha_coeff):
-            params = _coh.CoherentParams(z, a)
-            for name in _rep.GENERATOR_NAMES:
-                got = _coh.berezin_symbol(ops[name], params, alg)
-                want = _coh.expected_symbol(name, params, alg, flag)
-                defect = (got - want).max_abs()
-                worst = max(worst, defect)
-                rows.append(
-                    {
-                        "generator": name,
-                        "z": complex_to_json(z),
-                        "alpha_coeff": complex_to_json(a),
-                        "computed_body": complex_to_json(got.body),
-                        "computed_soul": _grassmann_terms_json(got.soul()),
-                        "expected_body": complex_to_json(want.body),
-                        "expected_soul": _grassmann_terms_json(want.soul()),
-                        "defect": defect,
-                    }
-                )
+    flag, records = symbol_rows(cfg)
+    rows = [
+        {
+            "generator": r["generator"],
+            "z": complex_to_json(r["z"]),
+            "alpha_coeff": complex_to_json(r["alpha_coeff"]),
+            "computed_body": complex_to_json(r["computed"].body),
+            "computed_soul": _grassmann_terms_json(r["computed"].soul()),
+            "expected_body": complex_to_json(r["expected"].body),
+            "expected_soul": _grassmann_terms_json(r["expected"].soul()),
+            "defect": r["defect"],
+        }
+        for r in records
+    ]
+    worst = max((r["defect"] for r in records), default=0.0)
     document = {
         "convention": flag,
         "rows": rows,
@@ -236,22 +217,17 @@ def cmd_symbols(args) -> int:
 def cmd_trajectory(args) -> int:
     cfg = _collect_config(args)
     cfg.validate("coherent")
-    alg = default_algebra()
     z = cfg.z_samples[0]
-    params = _coh.CoherentParams(z, cfg.alpha_coeff)
-    x0, p0 = _coh.trajectory_closed_form(params)
-    spec = _basis.QuadratureSpec(nodes=cfg.nodes)
     ts = list(cfg.t_samples)
     if len(ts) < 3:
         ts = [0.0, 1.0, 2.0, 3.0]
-    rows = []
-    sx = []
-    for t in ts:
-        rec = _coh.trajectory(params, t, alg, spec=spec)
-        sx.append(rec["x_theta"].coeff("alpha_bar"))
-        rows.append(rec)
-    coeffs = np.polyfit(ts, np.asarray(sx), 1)
-    fit_residual = float(np.abs(np.polyval(coeffs, ts) - np.asarray(sx)).max())
+    tr = trajectory_rows(
+        _coh.CoherentParams(z, cfg.alpha_coeff),
+        ts,
+        default_algebra(),
+        _basis.QuadratureSpec(nodes=cfg.nodes),
+    )
+    x0, p0 = tr["x0"], tr["p0"]
 
     path = _out_path(cfg, "osp22_trajectory.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -276,14 +252,11 @@ def cmd_trajectory(args) -> int:
                 "fit_residual",
             ]
         )
-        for t, rec in zip(ts, rows):
-            xth = rec["x_theta"].coeff("alpha_bar")
-            pth = rec["p_theta"].coeff("alpha_bar")
-            mean_x = max(abs(rec["mean_x_psi"]), abs(rec["mean_x_phi"]))
-            mean_p = max(abs(rec["mean_p_psi"]), abs(rec["mean_p_phi"]))
+        for row in tr["rows"]:
+            xth, pth = row["x_theta"], row["p_theta"]
             writer.writerow(
                 [
-                    repr(float(t)),
+                    repr(row["t"]),
                     repr(xth.real),
                     repr(xth.imag),
                     repr(pth.real),
@@ -292,12 +265,12 @@ def cmd_trajectory(args) -> int:
                     repr(x0.imag),
                     repr(p0.real),
                     repr(p0.imag),
-                    repr(mean_x),
-                    repr(mean_p),
-                    repr(fit_residual),
+                    repr(row["mean_x"]),
+                    repr(row["mean_p"]),
+                    repr(tr["fit_residual"]),
                 ]
             )
-    print(f"trajectory written to {path} (affine fit residual {fit_residual:.3e})")
+    print(f"trajectory written to {path} (affine fit residual {tr['fit_residual']:.3e})")
     return 0
 
 

@@ -145,7 +145,22 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-_LIST_KEYS = {"z_samples", "t_samples"}
+def _parse_list(val, conv):
+    if isinstance(val, (list, tuple)):
+        return tuple(conv(v) for v in val)
+    return tuple(conv(part) for part in str(val).split(",") if part.strip())
+
+
+_CONVERTERS = {
+    "n_max": int,
+    "nodes": int,
+    "seed": int,
+    "z_samples": lambda val: _parse_list(val, parse_complex),
+    "t_samples": lambda val: _parse_list(val, float),
+    "alpha_coeff": parse_complex,
+    "out_dir": str,
+    "out_format": str,
+}
 
 
 def build_config(file_values: dict | None = None, overrides: dict | None = None) -> RunConfig:
@@ -157,35 +172,20 @@ def build_config(file_values: dict | None = None, overrides: dict | None = None)
         for key, val in source.items():
             if val is None:
                 continue
-            if key.startswith("tol_"):
-                tols[key[4:]] = float(val)
-            elif key == "n_max":
-                updates["n_max"] = int(val)
-            elif key == "nodes":
-                updates["nodes"] = int(val)
-            elif key == "seed":
-                updates["seed"] = int(val)
-            elif key == "z_samples":
-                updates["z_samples"] = tuple(_parse_list(val, parse_complex))
-            elif key == "t_samples":
-                updates["t_samples"] = tuple(_parse_list(val, float))
-            elif key == "alpha_coeff":
-                updates["alpha_coeff"] = parse_complex(val)
-            elif key == "out_dir":
-                updates["out_dir"] = str(val)
-            elif key == "out_format":
-                updates["out_format"] = str(val)
-            else:
+            conv = float if key.startswith("tol_") else _CONVERTERS.get(key)
+            if conv is None:
                 raise ConfigError(f"unknown configuration key {key!r}")
+            try:
+                value = conv(val)
+            except ValueError as exc:
+                raise ConfigError(f"cannot parse {key} = {val!r}") from exc
+            if key.startswith("tol_"):
+                tols[key[4:]] = value
+            else:
+                updates[key] = value
         updates["tolerances"] = tols
         cfg = replace(cfg, **updates)
     return cfg
-
-
-def _parse_list(val, conv):
-    if isinstance(val, (list, tuple)):
-        return [conv(v) for v in val]
-    return [conv(part) for part in str(val).split(",") if part.strip()]
 
 
 def config_file_from_env() -> str | None:

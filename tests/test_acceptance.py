@@ -1,275 +1,175 @@
 """End-to-end acceptance gates.
 
-Each test pins one release criterion at a fixed tolerance and prints a
-PASS/FAIL line per gate; the module doubles as the release checklist.
+Each release criterion is a set of gates on the check records of
+``suites.suite_checks``: the suites are the one place a check is computed,
+and this module only reads their defects against the release tolerances.
+Each gate prints one PASS/FAIL line; the module doubles as the release
+checklist.
 """
 
-import numpy as np
-import pytest
 from dataclasses import replace
 
-from osp22 import basis as b
-from osp22 import coherent as coh
-from osp22 import representation as rep
-from osp22 import superspace as ss
-from osp22.grassmann import (
-    EVEN,
-    ODD,
-    GENERATORS_EXTENDED,
-    GrassmannAlgebra,
-    default_algebra,
-    random_element,
-)
+import pytest
 
-ALG = default_algebra()
-Z_SAMPLES = (0.3, 0.5j, -0.7, 0.8 * np.exp(1j * np.pi / 4.0))
-T_SAMPLES = (0.0, 1.0)
+from osp22.config import RunConfig
+from osp22.suites import SUITE_NAMES, suite_checks
 
+# Criterion 10a runs the coherent suite at a complex odd parameter as well.
+CONFIGS = {
+    "default": (RunConfig(), SUITE_NAMES),
+    "complex_alpha": (replace(RunConfig(), alpha_coeff=0.7 - 0.4j), ("coherent",)),
+}
 
-def _gate(name, defect, tol):
-    ok = defect < tol
-    print(f"[{'PASS' if ok else 'FAIL'}] {name}: defect={defect:.3e} tolerance={tol:.1e}")
-    assert ok, f"{name}: defect {defect:.3e} exceeds tolerance {tol:.1e}"
-
-
-def test_criterion_01_grassmann_axioms():
-    rng = np.random.default_rng(101)
-    algebras = (ALG, GrassmannAlgebra(GENERATORS_EXTENDED))
-    worst = 0.0
-    for k in range(250):
-        alg = algebras[k % 2]
-        a, bb, c = (random_element(alg, rng) for _ in range(3))
-        left = (a * bb) * c
-        worst = max(worst, (left - a * (bb * c)).max_abs() / max(1.0, left.max_abs()))
-    for k in range(250):
-        alg = algebras[k % 2]
-        pa = EVEN if rng.integers(2) else ODD
-        pb = EVEN if rng.integers(2) else ODD
-        a = random_element(alg, rng, parity=pa)
-        bb = random_element(alg, rng, parity=pb)
-        sign = -1.0 if (pa == ODD and pb == ODD) else 1.0
-        worst = max(worst, (a * bb - sign * (bb * a)).max_abs())
-    for k in range(250):
-        alg = algebras[k % 2]
-        a, bb = random_element(alg, rng), random_element(alg, rng)
-        worst = max(worst, ((a * bb).conj() - a.conj() * bb.conj()).max_abs())
-        worst = max(worst, (a.conj().conj() - a).max_abs())
-    for k in range(250):
-        alg = algebras[k % 2]
-        th, tb = alg.gen("theta"), alg.gen("theta_bar")
-        a, bb = random_element(alg, rng), random_element(alg, rng)
-        worst = max(worst, ((tb * th).berezin(("theta", "theta_bar")) - 1.0).max_abs())
-        lin = (a + 1.5 * bb).berezin(("theta", "theta_bar")) - (
-            a.berezin(("theta", "theta_bar")) + 1.5 * bb.berezin(("theta", "theta_bar"))
-        )
-        worst = max(worst, lin.max_abs())
-    _gate("1. Grassmann axioms (1000 randomized cases)", worst, 1e-14)
-
-
-def test_criterion_02_basis_integrity():
-    worst = 0.0
-    for t in (0.0, 0.5, 2.0):
-        G = b.gram_matrix(range(21), t)
-        worst = max(worst, float(np.abs(G - np.eye(21)).max()))
-    _gate("2a. orthonormality m,n <= 20 at t in {0, 0.5, 2}", worst, 1e-10)
-
-    worst = 0.0
-    for m in range(21):
-        ev = lambda x, t, m=m: b.eval_chi(m, x, t)
-        for x in np.linspace(-4.0, 4.0, 5):
-            for t in np.linspace(-2.0, 2.0, 5):
-                worst = max(worst, b.schrodinger_residual(ev, x, t))
-    _gate("2b. equation residual for m <= 20 on the 5x5 grid", worst, 1e-6)
-
-
-def test_criterion_03_ladder_derivation():
-    worst = 0.0
-    for t in (0.0, 1.0):
-        for m in range(21):
-            for sign in ("+", "-"):
-                coeff, target = b.apply_ladder(sign, m)
-                av = lambda x: b.ladder_pointwise(sign, m, x, t)
-                if target is None:
-                    worst = max(worst, abs(b.quad_inner(av, av, t)) ** 0.5)
-                else:
-                    got = b.quad_inner(b.chi_evaluator(target, t), av, t)
-                    worst = max(worst, abs(got - coeff))
-    _gate("3a. quadrature rederives the frozen ladder coefficients", worst, 1e-10)
-
-    worst = 0.0
-    for m in range(21):
-        got = b.quad_inner(
-            b.chi_evaluator(m, 0.0),
-            lambda x: b.symmetric_ladder_pointwise(m, x, 0.0),
-            0.0,
-        )
-        worst = max(worst, abs(got - (0.5 * m + 0.25)))
-    _gate("3b. sector weights 1/4 and 3/4 via the diagonal bilinear", worst, 1e-10)
-
-
-def test_criterion_04_supercommutator_table():
-    report = rep.verify_structure(32, ALG, n_triples=20, seed=7, tol=1e-12)
-    worst_table = max(
-        r["max_defect"] for r in report["records"] if not r["relation"].startswith("graded")
-    )
-    worst_jacobi = [r for r in report["records"] if r["relation"].startswith("graded")][0][
-        "max_defect"
-    ]
-    _gate("4a. full supercommutator table + vanishing pairs at n_max=32", worst_table, 1e-12)
-    _gate("4b. graded Jacobi identity on 20 random triples", worst_jacobi, 1e-12)
-
-
-def test_criterion_05_vacuum_atypicality():
-    n = 12
-    vac = ss.SuperVector.basis_state(0, 0, n, ALG)
-    ops = {name: rep.build_generator(name, n, ALG) for name in rep.GENERATOR_NAMES}
-    worst = (ops["K0"].apply(vac) - 0.25 * vac).max_abs()
-    worst = max(worst, (ops["B"].apply(vac) + 0.25 * vac).max_abs())
-    for name in ("K-", "V-", "W+", "W-"):
-        worst = max(worst, ops[name].apply(vac).max_abs())
-    _gate("5a. lowest-weight eigenvalues and annihilators (exact)", worst, 1e-300)
-    moved = ops["V+"].apply(vac).norm()
-    _gate("5b. V+ does not annihilate the vacuum", abs(moved - 2**-0.5), 1e-14)
-
-
-def test_criterion_06_superadjoints():
-    n = 32
-    ops = {name: rep.build_generator(name, n, ALG) for name in rep.GENERATOR_NAMES}
-    expect = {
-        "K0": ops["K0"],
-        "K+": ops["K-"],
-        "K-": ops["K+"],
-        "B": ops["B"],
-        "V+": 1j * ops["W-"],
-        "V-": 1j * ops["W+"],
-        "W+": 1j * ops["V-"],
-        "W-": 1j * ops["V+"],
-    }
-    worst = 0.0
-    for name, want in expect.items():
-        worst = max(worst, (ops[name].superadjoint() - want).max_abs())
-    rng = np.random.default_rng(106)
-    for _ in range(20):
-        a = ops[rep.GENERATOR_NAMES[rng.integers(0, 8)]]
-        c = ops[rep.GENERATOR_NAMES[rng.integers(0, 8)]]
-        sign = -1.0 if (a.parity_bit and c.parity_bit) else 1.0
-        worst = max(
-            worst, ((a @ c).superadjoint() - sign * (c.superadjoint() @ a.superadjoint())).max_abs()
-        )
-        worst = max(
-            worst,
+# criterion -> [(gate label, config, check ids, tolerance)]; the gate defect is
+# the largest defect of its checks, and a tolerance of None demands exactly 0.0.
+CRITERIA = {
+    "01": [
+        (
+            "1. Grassmann axioms (1000 randomized cases)",
+            "default",
             (
-                a.supercommutator(c).superadjoint()
-                + a.superadjoint().supercommutator(c.superadjoint())
-            ).max_abs(),
-        )
-    _gate("6a. superadjoint table, product and commutator rules", worst, 1e-12)
-
-    worst = 0.0
-    for _ in range(100):
-        v1 = ss.random_supervector(6, rng, ALG)
-        v2 = ss.random_supervector(6, rng, ALG)
-        worst = max(
-            worst, (v1.super_inner(v2) - ss.super_inner_integral(v1, v2, 0.0)).max_abs()
-        )
-    _gate("6b. Berezin-integral oracle = fast form on 100 random pairs", worst, 1e-10)
-
-
-def test_criterion_07_three_route_agreement():
-    worst_routes = 0.0
-    worst_norm = 0.0
-    for z in Z_SAMPLES:
-        for t in T_SAMPLES:
-            for a in (0.0, 1.0):
-                p = coh.CoherentParams(z, a)
-                r = coh.crosscheck(p, t)
-                worst_routes = max(
-                    worst_routes,
-                    r["max_pairwise_psi"],
-                    r["max_pairwise_phi"],
-                    r["coefficient_defect"],
-                )
-                worst_norm = max(worst_norm, r["norm_defect"])
-    _gate("7a. closed form / series / gamma expansion agree", worst_routes, 1e-8)
-    _gate("7b. (Psi|Psi) = 1 with the nilpotent cancellation", worst_norm, 1e-12)
-
-
-def test_criterion_08_berezin_symbols():
-    flag = coh.calibrate_convention(0.5j if abs((0.5j).imag) > 0 else 0.3 + 0.25j, ALG)
-    worst = 0.0
-    for z in Z_SAMPLES:
-        n = max(64, coh.series_length_for(z, 1e-7))
-        ops = {name: rep.build_generator(name, n, ALG) for name in rep.GENERATOR_NAMES}
-        for a in (0.0, 1.0):
-            p = coh.CoherentParams(z, a)
-            for name in rep.GENERATOR_NAMES:
-                got = coh.berezin_symbol(ops[name], p, ALG)
-                want = coh.expected_symbol(name, p, ALG, flag)
-                worst = max(worst, (got - want).max_abs())
-    _gate(f"8. all eight generator symbols under one convention ({flag})", worst, 1e-8)
-
-
-def test_criterion_09_trajectory():
-    worst_p = 0.0
-    worst_fit = 0.0
-    worst_mean = 0.0
-    ts = (0.0, 1.0, 2.0, 3.0)
-    for z in (0.3, 0.5j, -0.7):
-        p = coh.CoherentParams(z, 1.0)
-        x0, p0 = coh.trajectory_closed_form(p)
-        sx, sp = [], []
-        for t in ts:
-            r = coh.trajectory(p, t, ALG)
-            sx.append(r["x_theta"].coeff("alpha_bar"))
-            sp.append(r["p_theta"].coeff("alpha_bar"))
-            worst_mean = max(
-                worst_mean,
-                abs(r["mean_x_psi"]),
-                abs(r["mean_x_phi"]),
-                abs(r["mean_p_psi"]),
-                abs(r["mean_p_phi"]),
-            )
-        sp = np.asarray(sp)
-        worst_p = max(worst_p, float(np.abs(sp - sp[0]).max()), float(np.abs(sp[0] - p0).max()))
-        coef = np.polyfit(ts, np.asarray(sx), 1)
-        worst_fit = max(worst_fit, float(np.abs(np.polyval(coef, ts) - np.asarray(sx)).max()))
-        worst_fit = max(worst_fit, abs(coef[0] - 2.0 * p0), abs(coef[1] - x0))
-    _gate("9a. odd-sector momentum symbol constant in t", worst_p, 1e-10)
-    _gate("9b. odd-sector line: slope 2 p0, intercept x0", worst_fit, 1e-9)
-    _gate("9c. <x> = <p> = 0 on both components", worst_mean, 1e-10)
+                "grassmann.associativity",
+                "grassmann.supercommutativity",
+                "grassmann.conjugation",
+                "grassmann.berezin",
+            ),
+            1e-14,
+        ),
+    ],
+    "02": [
+        ("2a. orthonormality m,n <= 20 at t in {0, 0.5, 2}", "default", ("basis.orthonormality",), 1e-10),
+        ("2b. equation residual for m <= 20 on the 5x5 grid", "default", ("basis.residual",), 1e-6),
+    ],
+    "03": [
+        ("3a. quadrature rederives the frozen ladder coefficients", "default", ("basis.ladder",), 1e-10),
+        ("3b. sector weights 1/4 and 3/4 via the diagonal bilinear", "default", ("basis.sector_weights",), 1e-10),
+    ],
+    "04": [
+        (
+            "4a. full supercommutator table + vanishing pairs at n_max=32",
+            "default",
+            ("algebra.commutator_table", "algebra.unlisted_pairs"),
+            1e-12,
+        ),
+        ("4b. graded Jacobi identity on 20 random triples", "default", ("algebra.jacobi",), 1e-12),
+    ],
+    "05": [
+        ("5a. lowest-weight eigenvalues and annihilators (exact)", "default", ("algebra.vacuum",), None),
+        ("5b. V+ does not annihilate the vacuum", "default", ("algebra.atypicality",), 1e-14),
+    ],
+    "06": [
+        (
+            "6a. superadjoint table, product and commutator rules",
+            "default",
+            ("algebra.superadjoint_table", "algebra.adjoint_product", "algebra.adjoint_commutator"),
+            1e-12,
+        ),
+        ("6b. Berezin-integral oracle = fast form on 100 random pairs", "default", ("superspace.integral_oracle",), 1e-10),
+    ],
+    "07": [
+        ("7a. closed form / series / gamma expansion agree", "default", ("coherent.three_routes",), 1e-8),
+        ("7b. (Psi|Psi) = 1 with the nilpotent cancellation", "default", ("coherent.unit_super_norm",), 1e-12),
+    ],
+    "08": [
+        ("8. all eight generator symbols under one convention", "default", ("coherent.symbols",), 1e-8),
+    ],
+    "09": [
+        ("9a. odd-sector momentum symbol constant in t", "default", ("coherent.trajectory_momentum",), 1e-10),
+        ("9b. odd-sector line: slope 2 p0, intercept x0", "default", ("coherent.trajectory_line",), 1e-9),
+        ("9c. <x> = <p> = 0 on both components", "default", ("coherent.even_sector_rest",), 1e-10),
+    ],
+    "10": [
+        (
+            "10a. displacement superisometry (|z| <= 0.3, support n <= 8, alpha = 0.7-0.4i)",
+            "complex_alpha",
+            ("coherent.superisometry",),
+            1e-6,
+        ),
+        (
+            "10b. displaced vacuum = series state at the tanh disk coordinate",
+            "default",
+            ("coherent.displacement_vacuum",),
+            1e-6,
+        ),
+    ],
+    "11": [
+        ("11a. h = K+/2 + K-/2 + K0 = (a+ + a-)^2 on interior modes", "default", ("algebra.hamiltonian_matrix",), 1e-12),
+        (
+            "11b. quadrature and pointwise action match -d2/dx2 for m <= 6",
+            "default",
+            ("algebra.hamiltonian_quadrature",),
+            1e-8,
+        ),
+    ],
+}
 
 
-def test_criterion_10_displacement():
-    rng = np.random.default_rng(110)
-    n = 64
-    worst = 0.0
-    for z in (0.3, 0.2j, 0.15 - 0.25j):
-        d = coh.displacement_operator(coh.CoherentParams(z, 0.7 - 0.4j), n, ALG)
-        for _ in range(2):
-            v1 = ss.random_supervector(n, rng, ALG, support=9)
-            v2 = ss.random_supervector(n, rng, ALG, support=9)
-            worst = max(
-                worst, (d.apply(v1).super_inner(d.apply(v2)) - v1.super_inner(v2)).max_abs()
-            )
-    _gate("10a. displacement superisometry (|z| <= 0.3, support n <= 8)", worst, 1e-6)
+@pytest.fixture(scope="module")
+def records():
+    """Check records by config name and id; each config's suites run once."""
+    cache = {}
 
-    worst = 0.0
-    vac = ss.SuperVector.basis_state(0, 0, n, ALG)
-    for z in (0.3, 0.2j, 0.15 - 0.25j):
-        d = coh.displacement_operator(coh.CoherentParams(z), n, ALG)
-        w = coh.disk_parameter(z)
-        ref = coh.series_state(coh.CoherentParams(w), n, ALG, tail_tol=1e-10)
-        ov = ref.super_inner(d.apply(vac))
-        worst = max(worst, abs(abs(ov.body) - 1.0))
-    _gate("10b. displaced vacuum = series state at the tanh disk coordinate", worst, 1e-6)
+    def lookup(config, cid):
+        if config not in cache:
+            cfg, suites = CONFIGS[config]
+            cache[config] = {c["id"]: c for suite in suites for c in suite_checks(suite, cfg)}
+        return cache[config][cid]
+
+    return lookup
 
 
-def test_criterion_11_hamiltonian_element():
-    report = rep.hamiltonian_check(32, ALG, tol_matrix=1e-12, tol_quad=1e-8)
-    recs = report["records"]
-    _gate("11a. h = K+/2 + K-/2 + K0 = (a+ + a-)^2 on interior modes", recs[0]["defect"], 1e-12)
-    _gate(
-        "11b. quadrature and pointwise action match -d2/dx2 for m <= 6",
-        max(recs[2]["defect"], recs[3]["defect"]),
-        1e-8,
-    )
+def _gates(records, criterion):
+    failed = []
+    for label, config, ids, tol in CRITERIA[criterion]:
+        defect = max(records(config, cid)["defect"] for cid in ids)
+        ok = defect == 0.0 if tol is None else defect < tol
+        shown = "exact" if tol is None else f"{tol:.1e}"
+        print(f"[{'PASS' if ok else 'FAIL'}] {label}: defect={defect:.3e} tolerance={shown}")
+        if not ok:
+            failed.append(f"{label}: defect {defect:.3e} exceeds tolerance {shown}")
+    assert not failed, "; ".join(failed)
+
+
+def test_criterion_01_grassmann_axioms(records):
+    _gates(records, "01")
+
+
+def test_criterion_02_basis_integrity(records):
+    _gates(records, "02")
+
+
+def test_criterion_03_ladder_derivation(records):
+    _gates(records, "03")
+
+
+def test_criterion_04_supercommutator_table(records):
+    _gates(records, "04")
+
+
+def test_criterion_05_vacuum_atypicality(records):
+    _gates(records, "05")
+
+
+def test_criterion_06_superadjoints(records):
+    _gates(records, "06")
+
+
+def test_criterion_07_three_route_agreement(records):
+    _gates(records, "07")
+
+
+def test_criterion_08_berezin_symbols(records):
+    _gates(records, "08")
+
+
+def test_criterion_09_trajectory(records):
+    _gates(records, "09")
+
+
+def test_criterion_10_displacement(records):
+    _gates(records, "10")
+
+
+def test_criterion_11_hamiltonian_element(records):
+    _gates(records, "11")
+

@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
+from osp22.basis import QuadratureSpec
 from osp22.cli import main
+from osp22.coherent import CoherentParams
 from osp22.config import (
     ConfigError,
     build_config,
@@ -13,6 +15,8 @@ from osp22.config import (
     load_config_file,
     parse_complex,
 )
+from osp22.grassmann import default_algebra
+from osp22.suites import suite_checks, trajectory_rows
 
 
 class TestComplexParsing:
@@ -57,6 +61,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg.validate("coherent")
 
+    @pytest.mark.parametrize("line", ["n_max = abc", "t_samples = 0,x", "tol_algebra = x"])
+    def test_unparsable_file_value_exits_2(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError):
+            build_config(load_config_file(str(path)))
+        code = main(["verify", "basis", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+
     def test_env_var_config(self, tmp_path, monkeypatch):
         path = tmp_path / "env.cfg"
         path.write_text("seed = 7\n")
@@ -73,6 +86,20 @@ class TestVerifyCommand:
         doc = json.loads((tmp_path / "osp22_verify_grassmann.json").read_text())
         assert doc["payload"]["overall_pass"]
         assert doc["payload"]["n_checks"] >= 5
+
+    def test_check_lines_show_margin(self, tmp_path, capsys):
+        main(["verify", "grassmann", "--out", str(tmp_path)])
+        lines = capsys.readouterr().out.splitlines()
+        doc = json.loads((tmp_path / "osp22_verify_grassmann.json").read_text())
+        checks = {c["id"]: c for c in doc["payload"]["checks"]}
+        assert checks["grassmann.conjugation"]["defect"] == 0.0
+        assert "[PASS] grassmann.conjugation: defect=0.000e+00 tol=1.0e-14 margin=inf" in lines
+        assoc = checks["grassmann.associativity"]
+        margin = assoc["tolerance"] / assoc["defect"]
+        assert any(
+            line.startswith("[PASS] grassmann.associativity:") and line.endswith(f"margin={margin:.3g}")
+            for line in lines
+        )
 
     def test_boundary_z_exits_2(self, tmp_path, capsys):
         code = main(["verify", "coherent", "--z", "0.99", "--out", str(tmp_path)])
@@ -194,3 +221,28 @@ class TestTrajectoryCommand:
         assert np.abs(p_theta - p_theta[0]).max() < 1e-10
         assert data[:, cols["fit_residual"]].max() < 1e-9
         assert data[:, cols["mean_x"]].max() < 1e-10
+
+
+class TestExportsMatchSuites:
+    def test_symbols_and_trajectory_read_the_suite_records(self, tmp_path):
+        args = ["--z", "0.3,0.4i", "--alpha", "0.8-0.3i", "--t", "0,1,2"]
+        assert main(["symbols", *args, "--out", str(tmp_path)]) == 0
+        assert main(["trajectory", *args, "--out", str(tmp_path / "traj.csv")]) == 0
+        cfg = build_config(
+            overrides={"z_samples": "0.3,0.4i", "alpha_coeff": "0.8-0.3i", "t_samples": "0,1,2"}
+        )
+
+        doc = json.loads((tmp_path / "osp22_symbols.json").read_text())
+        (symbols,) = [c for c in suite_checks("coherent", cfg) if c["id"] == "coherent.symbols"]
+        assert doc["max_defect"] == symbols["defect"]
+
+        rows = [r for r in open(tmp_path / "traj.csv") if not r.startswith("#")]
+        table = list(csv.DictReader(rows))
+        p_theta = [complex(float(r["re_p_theta"]), float(r["im_p_theta"])) for r in table]
+        tr = trajectory_rows(
+            CoherentParams(cfg.z_samples[0], cfg.alpha_coeff),
+            cfg.t_samples,
+            default_algebra(),
+            QuadratureSpec(nodes=cfg.nodes),
+        )
+        assert p_theta == [r["p_theta"] for r in tr["rows"]]
