@@ -5,6 +5,19 @@ over the slot basis (Psi_0^0 .. Psi_{N-1}^0, Psi_0^1 .. Psi_{N-1}^1).  The
 eight basic generators have purely complex matrices; Grassmann content enters
 only through scalar multiples such as alpha * V+.
 
+Composition is quadrant-sparse.  The Z2 grading splits each block into four
+(N x N) sector quadrants (row sector, column sector); a block of even total
+parity fills only the diagonal ones, an odd block only the off-diagonal ones.
+Every operator keeps, per block, the 2x2 map of quadrants that hold nonzeros,
+read from the entries when the operator is made, and a block product forms
+output quadrant (i, j) as the sum over k of A[i, k] @ C[k, j] where both maps
+are set: two N x N products for a sector-patterned pair instead of one
+(2N x 2N) product.  Blocks that break the pattern get every quadrant product
+they need, through the same loop.  The superadjoint likewise transposes only
+the quadrants that hold nonzeros.  Stored blocks are read-only, so a map
+cannot go stale.  ``apply`` multiplies only the coefficient columns free of
+theta and theta_bar, the only ones a vector may fill.
+
 Sign conventions (Koszul rule): a component with operator-block parity p
 applied to a coefficient monomial of parity q picks up (-1)^{p q}, both in
 operator application and in operator composition.  Together with the
@@ -28,7 +41,7 @@ from .grassmann import (
     GrassmannElement,
     default_algebra,
 )
-from .superspace import DimensionMismatchError, SuperVector
+from .superspace import DimensionMismatchError, SuperVector, coefficient_columns
 
 __all__ = [
     "GENERATOR_NAMES",
@@ -64,6 +77,11 @@ def _slot_parity(n_max: int) -> np.ndarray:
     return np.concatenate([np.zeros(n_max, dtype=int), np.ones(n_max, dtype=int)])
 
 
+def _sectors(n_max: int) -> tuple[slice, slice]:
+    """Slot ranges of the even and the odd sector."""
+    return slice(0, n_max), slice(n_max, 2 * n_max)
+
+
 def interior_columns(n_max: int, drop: int = 2) -> np.ndarray:
     """Slot columns at least ``drop`` modes below the truncation, per sector."""
     keep = np.arange(max(n_max - drop, 0))
@@ -71,26 +89,49 @@ def interior_columns(n_max: int, drop: int = 2) -> np.ndarray:
 
 
 class SuperOperator:
-    """(2 N_max) x (2 N_max) operator with Grassmann-monomial block decomposition."""
+    """(2 N_max) x (2 N_max) operator with Grassmann-monomial block decomposition.
 
-    __slots__ = ("algebra", "n_max", "blocks", "parity_bit", "name")
+    ``blocks`` maps each monomial mask to a read-only complex matrix, and
+    ``quadrants`` maps the same masks to the 2x2 table of sector quadrants
+    (row sector, column sector) that hold a nonzero entry.
+    """
+
+    __slots__ = ("algebra", "n_max", "blocks", "quadrants", "parity_bit", "name")
 
     def __init__(self, algebra, n_max: int, blocks: dict, parity, name: str = ""):
+        """Copies the blocks: later writes to the caller's arrays cannot reach the operator."""
+        blocks = {m: np.array(mat, dtype=complex, order="C") for m, mat in blocks.items()}
+        self._store(algebra, n_max, blocks, parity, name)
+
+    @classmethod
+    def _wrap(cls, algebra, n_max: int, blocks: dict, parity, name: str = ""):
+        """Operator over arrays no caller holds writably: frozen in place, not copied."""
+        op = cls.__new__(cls)
+        op._store(algebra, n_max, blocks, parity, name)
+        return op
+
+    def _store(self, algebra, n_max, blocks, parity, name):
         if parity in (EVEN, ODD):
             parity = 1 if parity == ODD else 0
         if parity not in (0, 1):
             raise ValueError("parity must be 0/1 or 'even'/'odd'")
         size = 2 * n_max
-        clean = {}
+        clean, quadrants = {}, {}
         for mask, mat in blocks.items():
-            mat = np.asarray(mat, dtype=complex)
+            mat = np.ascontiguousarray(mat, dtype=complex)
             if mat.shape != (size, size):
                 raise DimensionMismatchError("block shape does not match truncation")
-            if np.any(mat):
+            # axes: row sector, row, column sector, (re, im) of the sector's columns
+            parts = mat.view(float).reshape(2, n_max, 2, 2 * n_max)
+            quads = (parts != 0).any(axis=3).any(axis=1)
+            if quads.any():
+                mat.flags.writeable = False
                 clean[int(mask)] = mat
+                quadrants[int(mask)] = tuple(map(tuple, quads.tolist()))
         self.algebra = algebra
         self.n_max = int(n_max)
         self.blocks = clean
+        self.quadrants = quadrants
         self.parity_bit = parity
         self.name = name
 
@@ -117,12 +158,12 @@ class SuperOperator:
     @classmethod
     def identity(cls, n_max: int, algebra=None) -> "SuperOperator":
         alg = algebra or default_algebra()
-        return cls(alg, n_max, {0: np.eye(2 * n_max, dtype=complex)}, 0, name="I")
+        return cls._wrap(alg, n_max, {0: np.eye(2 * n_max, dtype=complex)}, 0, name="I")
 
     @classmethod
     def zero(cls, n_max: int, algebra=None, parity=0) -> "SuperOperator":
         alg = algebra or default_algebra()
-        return cls(alg, n_max, {}, parity, name="0")
+        return cls._wrap(alg, n_max, {}, parity, name="0")
 
     def _check(self, other):
         if not isinstance(other, SuperOperator):
@@ -142,10 +183,10 @@ class SuperOperator:
             return self
         if other.parity_bit != self.parity_bit:
             raise ValueError("cannot add operators of different parity")
-        blocks = {m: mat.copy() for m, mat in self.blocks.items()}
+        blocks = dict(self.blocks)  # read-only, so blocks one operand holds are shared
         for m, mat in other.blocks.items():
-            blocks[m] = blocks.get(m, 0) + mat
-        return SuperOperator(self.algebra, self.n_max, blocks, self.parity_bit)
+            blocks[m] = blocks[m] + mat if m in blocks else mat
+        return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.parity_bit)
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -158,7 +199,7 @@ class SuperOperator:
         if isinstance(beta, _SCALARS):
             c = complex(beta)
             blocks = {m: c * mat for m, mat in self.blocks.items()}
-            return SuperOperator(self.algebra, self.n_max, blocks, self.parity_bit)
+            return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.parity_bit)
         if isinstance(beta, GrassmannElement):
             pb = beta.parity_bit
             join = self.algebra.plan.join
@@ -171,7 +212,7 @@ class SuperOperator:
                         continue
                     key, sign = step
                     blocks[key] = blocks.get(key, 0) + (sign * coeff) * mat
-            return SuperOperator(
+            return SuperOperator._wrap(
                 self.algebra, self.n_max, blocks, self.parity_bit ^ pb
             )
         return NotImplemented
@@ -184,11 +225,19 @@ class SuperOperator:
     # -- composition and application --------------------------------------------------
 
     def __matmul__(self, other):
+        """Block products over the sector quadrants both factors hold.
+
+        Output quadrant (i, j) of a block product gains ma[i, k] @ mc[k, j]
+        for each k where ma's quadrant (i, k) and mc's quadrant (k, j) hold
+        nonzeros, so a sector-patterned pair costs two N x N products.
+        """
         self._check(other)
         plan = self.algebra.plan
+        sectors = _sectors(self.n_max)
         blocks: dict[int, np.ndarray] = {}
         for am, ma in self.blocks.items():
             p_ma = self.parity_bit ^ plan.parity[am]
+            qa = self.quadrants[am]
             for cm, mc in other.blocks.items():
                 step = plan.join[am][cm]
                 if step is None:
@@ -196,22 +245,40 @@ class SuperOperator:
                 key, sign = step
                 if p_ma and plan.parity[cm]:
                     sign = -sign
-                blocks[key] = blocks.get(key, 0) + sign * (ma @ mc)
-        return SuperOperator(
+                qc = other.quadrants[cm]
+                out = blocks.get(key)
+                if out is None:
+                    out = blocks[key] = np.zeros((self.size, self.size), dtype=complex)
+                for i, rows in enumerate(sectors):
+                    for k, mid in enumerate(sectors):
+                        if not qa[i][k]:
+                            continue
+                        for j, cols in enumerate(sectors):
+                            if qc[k][j]:
+                                part = ma[rows, mid] @ mc[mid, cols]
+                                if sign > 0:
+                                    out[rows, cols] += part
+                                else:
+                                    out[rows, cols] -= part
+        return SuperOperator._wrap(
             self.algebra, self.n_max, blocks, self.parity_bit ^ other.parity_bit
         )
 
     def apply(self, v: SuperVector) -> SuperVector:
-        """One ``mat @ coeffs`` per block, Koszul-signed, scattered to columns am|v."""
+        """One ``mat @ coeffs`` per block on the theta-free columns, Koszul-signed,
+        scattered to columns am|v.
+        """
         if v.n_max != self.n_max:
             raise DimensionMismatchError("vector truncation differs from operator")
         plan = v.algebra.plan
+        free = coefficient_columns(v.algebra)
+        coeffs = v.coeffs[:, free]
         out = np.zeros_like(v.coeffs)
+        part = np.zeros_like(v.coeffs)
         for am, mat in self.blocks.items():
-            part = mat @ v.coeffs
-            if self.parity_bit ^ plan.parity[am]:
-                part = plan.grade(part)
-            out += plan.left_mul(am, part)
+            part[:, free] = mat @ coeffs
+            graded = plan.grade(part) if self.parity_bit ^ plan.parity[am] else part
+            out += plan.left_mul(am, graded)
         return SuperVector.from_coeffs(v.algebra, out)
 
     def supercommutator(self, other) -> "SuperOperator":
@@ -223,20 +290,27 @@ class SuperOperator:
     # -- superadjoint ------------------------------------------------------------------
 
     def superadjoint(self) -> "SuperOperator":
-        """Adjoint with respect to the super-Hermitian form (odd sector weight i)."""
-        p = _slot_parity(self.n_max)
-        row = 1j**p
+        """Adjoint with respect to the super-Hermitian form (odd sector weight i).
+
+        Output quadrant (i, j) is the conjugate transpose of input quadrant
+        (j, i) times one unit weight: the sector weights i^i and (-i)^j, the
+        Koszul sign of odd blocks on odd columns and the sign of the conjugate
+        monomial.  Unit weights multiply exactly.
+        """
+        sectors = _sectors(self.n_max)
         blocks: dict[int, np.ndarray] = {}
         plan = self.algebra.plan
         for am, mat in self.blocks.items():
             p_ma = self.parity_bit ^ plan.parity[am]
-            col = (-1j) ** p
-            if p_ma:
-                col = col * ((-1.0) ** p)
-            adj = row[:, None] * mat.conj().T * col[None, :]
-            mm, c = plan.conj_table[am]
-            blocks[mm] = blocks.get(mm, 0) + c * adj
-        return SuperOperator(
+            mm, c = plan.conj_table[am]  # conjugation permutes the masks
+            adj = np.zeros((self.size, self.size), dtype=complex)
+            for i, rows in enumerate(sectors):
+                for j, cols in enumerate(sectors):
+                    if self.quadrants[am][j][i]:
+                        weight = c * 1j**i * (-1j) ** j * ((-1.0) ** j if p_ma else 1.0)
+                        adj[rows, cols] = weight * mat[cols, rows].conj().T
+            blocks[mm] = adj
+        return SuperOperator._wrap(
             self.algebra, self.n_max, blocks, self.parity_bit, name=f"({self.name})+"
         )
 
@@ -335,7 +409,7 @@ def build_generator(name: str, n_max: int, algebra=None) -> SuperOperator:
     else:
         raise ValueError(f"unknown generator {name!r}")
 
-    return SuperOperator(alg, n_max, {0: mat}, generator_parity(name), name=name)
+    return SuperOperator._wrap(alg, n_max, {0: mat}, generator_parity(name), name=name)
 
 
 def chi_ladder_matrix(sign, size: int) -> np.ndarray:

@@ -43,6 +43,7 @@ from .grassmann import (
 __all__ = [
     "DimensionMismatchError",
     "SuperVector",
+    "coefficient_columns",
     "random_coefficient",
     "super_inner_integral",
     "superadjoint_defect",
@@ -55,6 +56,22 @@ STRUCTURAL = ("theta", "theta_bar")
 
 class DimensionMismatchError(ValueError):
     """Vectors or operators with different truncations were combined."""
+
+
+_COEFFICIENT_COLUMNS: dict[tuple, np.ndarray] = {}
+
+
+def coefficient_columns(algebra) -> np.ndarray:
+    """Ascending masks a slot coefficient may use: the monomials free of theta, theta_bar.
+
+    Every other column of ``SuperVector.coeffs`` is zero.
+    """
+    cols = _COEFFICIENT_COLUMNS.get(algebra.generators)
+    if cols is None:
+        cols = algebra.monomials(free_of=STRUCTURAL)
+        cols.flags.writeable = False
+        _COEFFICIENT_COLUMNS[algebra.generators] = cols
+    return cols
 
 
 def _flip(p: str) -> str:

@@ -1,7 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from osp22.grassmann import default_algebra
+from osp22.config import RunConfig
+from osp22.grassmann import GENERATORS_EXTENDED, GrassmannAlgebra, default_algebra
 from osp22.representation import (
     COMMUTATOR_TABLE,
     GENERATOR_NAMES,
@@ -18,6 +23,7 @@ from osp22.representation import (
     verify_structure,
     xtheta_operator,
 )
+from osp22.suites import suite_checks
 from osp22.superspace import SuperVector, random_supervector
 
 ALG = default_algebra()
@@ -103,6 +109,216 @@ class TestApplyAgainstSlots:
         assert (got - want).max_abs() == 0.0
 
 
+# -- quadrant-sparse composition ---------------------------------------------------
+
+ALG6 = GrassmannAlgebra(GENERATORS_EXTENDED)
+DIAGONAL = ((True, False), (False, True))
+ODD_TO_EVEN = ((False, True), (False, False))  # rows in the even sector, columns odd
+EVEN_TO_ODD = ((False, False), (True, False))
+BLOCK_KINDS = ("patterned", "single", "dense", "breaking")
+
+
+def _random_block(rng, n, p, kind, integer):
+    """A (2n x 2n) block; "patterned" fills the quadrants of sector parity p."""
+    if integer:
+        draw = lambda shape: rng.integers(-3, 4, shape) + 1j * rng.integers(-3, 4, shape)
+    else:
+        draw = lambda shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mat = np.zeros((2 * n, 2 * n), dtype=complex)
+    if kind == "dense":
+        mat[:] = draw((2 * n, 2 * n))
+        return mat
+    if kind == "single":
+        i, j = rng.integers(0, 2, size=2)
+        mat[i * n : (i + 1) * n, j * n : (j + 1) * n] = draw((n, n))
+        return mat
+    for i in (0, 1):
+        j = i ^ p
+        mat[i * n : (i + 1) * n, j * n : (j + 1) * n] = draw((n, n))
+    if kind == "breaking":
+        i = int(rng.integers(0, 2))
+        j = i ^ p ^ 1
+        r, c = rng.integers(0, n, size=2)
+        mat[i * n + r, j * n + c] = draw(())
+    return mat
+
+
+def _random_operator(alg, rng, n, parity, kind, integer):
+    plan = alg.plan
+    masks = rng.choice(alg.size, size=int(rng.integers(1, 4)), replace=False)
+    blocks = {
+        int(m): _random_block(rng, n, parity ^ plan.parity[m], kind, integer) for m in masks
+    }
+    return SuperOperator(alg, n, blocks, parity)
+
+
+def _quadrant_map(mat, n):
+    """Which (row sector, column sector) quadrants hold a nonzero, one slice at a time."""
+    return tuple(
+        tuple(bool(np.any(mat[i * n : (i + 1) * n, j * n : (j + 1) * n])) for j in (0, 1))
+        for i in (0, 1)
+    )
+
+
+def _dense_product(a, c):
+    """sum over block pairs of sign * (ma @ mc) with full (2N x 2N) products."""
+    plan = a.algebra.plan
+    out = {}
+    for am, ma in a.blocks.items():
+        for cm, mc in c.blocks.items():
+            step = plan.join[am][cm]
+            if step is None:
+                continue
+            key, sign = step
+            if (a.parity_bit ^ plan.parity[am]) and plan.parity[cm]:
+                sign = -sign
+            out[key] = out.get(key, 0) + sign * (ma @ mc)
+    return {k: v for k, v in out.items() if np.any(v)}
+
+
+@st.composite
+def _operator_pairs(draw):
+    alg = draw(st.sampled_from([ALG, ALG6]))
+    n = draw(st.sampled_from([3, 4, 6]))
+    kinds = draw(st.tuples(st.sampled_from(BLOCK_KINDS), st.sampled_from(BLOCK_KINDS)))
+    parities = draw(st.tuples(st.integers(0, 1), st.integers(0, 1)))
+    integer = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, c = (_random_operator(alg, rng, n, p, k, integer) for p, k in zip(parities, kinds))
+    return a, c, integer
+
+
+class TestQuadrantComposition:
+    @settings(max_examples=80, deadline=None)
+    @given(_operator_pairs())
+    def test_product_matches_dense_reference(self, pair):
+        """Integer-valued entries make every summation order exact, so those
+        products must agree bit for bit; float entries agree to rounding."""
+        a, c, integer = pair
+        got = a @ c
+        want = _dense_product(a, c)
+        assert got.parity_bit == a.parity_bit ^ c.parity_bit
+        for key in set(got.blocks) | set(want):
+            ref = want.get(key, np.zeros((a.size, a.size), dtype=complex))
+            if integer:
+                np.testing.assert_array_equal(got.block(key), ref)
+            else:
+                scale = max(1.0, float(np.abs(ref).max()))
+                assert np.abs(got.block(key) - ref).max() <= 1e-13 * a.size * scale
+        for key, mat in got.blocks.items():
+            assert got.quadrants[key] == _quadrant_map(mat, a.n_max)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_operator_pairs())
+    def test_superadjoint_matches_dense_formula(self, pair):
+        """Quadrant-wise adjoint against row weights * conj(mat)^T * column weights.
+
+        The weights are units, which multiply exactly, so the match is exact.
+        """
+        a = pair[0]
+        plan = a.algebra.plan
+        p = np.repeat([0, 1], a.n_max)
+        want = {}
+        for am, mat in a.blocks.items():
+            col = (-1j) ** p
+            if a.parity_bit ^ plan.parity[am]:
+                col = col * (-1.0) ** p
+            mm, c = plan.conj_table[am]
+            want[mm] = want.get(mm, 0) + c * (1j**p[:, None] * mat.conj().T * col[None, :])
+        got = a.superadjoint()
+        assert set(got.blocks) == {m for m, w in want.items() if np.any(w)}
+        for m, w in want.items():
+            np.testing.assert_array_equal(got.block(m), w)
+
+    def test_patterned_product_is_one_term_per_quadrant(self):
+        """Even times odd: each output quadrant is one N x N product, bit for bit."""
+        rng = np.random.default_rng(31)
+        n = 5
+        a = SuperOperator(ALG, n, {0: _random_block(rng, n, 0, "patterned", False)}, 0)
+        c = SuperOperator(ALG, n, {0: _random_block(rng, n, 1, "patterned", False)}, 1)
+        got = (a @ c).body
+        even, odd = slice(0, n), slice(n, 2 * n)
+        np.testing.assert_array_equal(got[even, odd], a.body[even, even] @ c.body[even, odd])
+        np.testing.assert_array_equal(got[odd, even], a.body[odd, odd] @ c.body[odd, even])
+        assert not np.any(got[even, even]) and not np.any(got[odd, odd])
+        assert (a @ c).quadrants == {0: ((False, True), (True, False))}
+
+    @pytest.mark.parametrize(
+        "name, want",
+        [
+            ("K0", DIAGONAL),
+            ("K+", DIAGONAL),
+            ("K-", DIAGONAL),
+            ("B", DIAGONAL),
+            ("V+", EVEN_TO_ODD),
+            ("V-", EVEN_TO_ODD),
+            ("W+", ODD_TO_EVEN),
+            ("W-", ODD_TO_EVEN),
+        ],
+    )
+    def test_generator_quadrants(self, name, want):
+        assert op(name).quadrants == {0: want}
+
+    def test_commutator_quadrants(self):
+        assert op("V+").supercommutator(op("W-")).quadrants == {0: DIAGONAL}
+        assert op("K+").supercommutator(op("V-")).quadrants == {0: EVEN_TO_ODD}
+
+    def test_stored_blocks_are_read_only(self):
+        with pytest.raises(ValueError):
+            op("K+").body[1, 0] = 1.0
+        with pytest.raises(ValueError):
+            (op("K0") @ op("K+")).body[0, 0] = 1.0
+
+    def test_caller_array_is_copied(self):
+        arr = np.zeros((8, 8), dtype=complex)
+        arr[0, 0] = 1.0
+        o = SuperOperator(ALG, 4, {0: arr}, 0)
+        assert o.body is not arr
+        arr[5, 0] = 7.0  # a write that would break the sector pattern
+        assert o.body[5, 0] == 0.0
+        assert o.quadrants == {0: ((True, False), (False, False))}
+        assert o.block_pattern_defect() == 0.0
+
+    def test_sum_shares_blocks_one_operand_holds(self):
+        left = op("K0")
+        right = (ALG.gen("alpha") * ALG.gen("alpha_bar")) * op("K+")
+        total = left + right
+        assert total.blocks[0] is left.blocks[0]
+        assert total.blocks[12] is right.blocks[12]
+        with pytest.raises(ValueError):
+            total.blocks[12][1, 0] = 0.0
+
+
+def _apply_all_columns(o, v):
+    """The all-column product: one mat @ coeffs per block over every monomial column."""
+    plan = v.algebra.plan
+    out = np.zeros_like(v.coeffs)
+    for am, mat in o.blocks.items():
+        part = mat @ v.coeffs
+        if o.parity_bit ^ plan.parity[am]:
+            part = plan.grade(part)
+        out += plan.left_mul(am, part)
+    return out
+
+
+class TestApplyColumns:
+    @pytest.mark.parametrize("alg", [ALG, ALG6], ids=["g4", "g6"])
+    def test_matches_all_column_product(self, alg):
+        rng = np.random.default_rng(41)
+        al, alb = alg.gen("alpha"), alg.gen("alpha_bar")
+        k_plus = build_generator("K+", N, alg)
+        ops = [
+            operator_exp(0.3 * k_plus - 0.3 * build_generator("K-", N, alg) + al * build_generator("V+", N, alg)
+                         - 1j * (alb * build_generator("W-", N, alg))),
+            al * build_generator("V+", N, alg) + alb * build_generator("W-", N, alg),
+            (al * alb) * k_plus + build_generator("B", N, alg),
+        ]
+        for o in ops:
+            for parity in (None, "even", "odd"):
+                v = random_supervector(N, rng, alg, parity=parity, support=7)
+                np.testing.assert_array_equal(o.apply(v).coeffs, _apply_all_columns(o, v))
+
+
 class TestSupercommutator:
     def test_lowering_raising(self):
         got = op("K-").supercommutator(op("K+"))
@@ -137,6 +353,16 @@ class TestSupercommutator:
     def test_needs_minimum_truncation(self):
         with pytest.raises(ValueError):
             verify_structure(4, ALG)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: algebra.jacobi gates an absolute defect that grows with "
+        "the operands; at seed 101 and n_max=32 it is 1.3642e-12 against 1e-12",
+    )
+    def test_jacobi_gate_at_seed_101(self):
+        checks = suite_checks("algebra", replace(RunConfig(), seed=101))
+        jacobi = next(c for c in checks if c["id"] == "algebra.jacobi")
+        assert jacobi["pass"], jacobi["defect"]
 
 
 class TestVacuum:
