@@ -1,37 +1,41 @@
 """Demo: the atypical osp(2/2) representation on the superspace.
 
-Builds the eight generators, verifies the complete supercommutator table and
+Builds the eight generators, measures the complete supercommutator table and
 the vacuum (lowest-weight) properties, shows the superadjoint table, and
 decomposes the Hamiltonian element h = K+/2 + K-/2 + K0 = (a+ + a-)^2.
+Each figure is a defect; `osp22 verify algebra` judges them against tolerances.
 Run with:  python3 demos/04_osp22_structure.py
 """
 
-import numpy as np
-
 from osp22 import (
+    GENERATOR_NAMES,
     SuperVector,
     build_generator,
     default_algebra,
-    hamiltonian_check,
-    vacuum_checks,
-    verify_structure,
+    hamiltonian_defects,
+    structure_defects,
+    vacuum_defects,
 )
 
 alg = default_algebra()
 N = 24
 
 print("== supercommutator table at n_max =", N, "==")
-report = verify_structure(N, alg)
-listed = [r for r in report["records"] if "= 0" not in r["relation"]]
-for rec in listed[:8]:
-    print(f"  {rec['relation']:<28} defect {rec['max_defect']:.2e}")
-print(f"  ... {len(report['records'])} relations total, all pass: {report['pass']}")
+ops = {name: build_generator(name, N, alg) for name in GENERATOR_NAMES}
+structure = structure_defects(ops)
+for relation, defect in list(structure["table"].items())[:8]:
+    print(f"  {relation:<28} defect {defect:.2e}")
+n_relations = len(structure["table"]) + len(structure["unlisted"])
+worst = max(*structure["table"].values(), *structure["unlisted"].values())
+print(f"  ... {n_relations} relations, largest defect {worst:.2e}")
+print(f"  graded Jacobi identity (20 random triples) defect {structure['jacobi']:.2e}")
 print()
 
 print("== lowest-weight vector ==")
-vac_report = vacuum_checks(12, alg)
-for rec in vac_report["records"]:
-    print(f"  {rec['check']:<42} defect {rec['defect']:.2e}")
+vacuum = vacuum_defects(ops)
+for prop, defect in vacuum["lowest_weight"].items():
+    print(f"  {prop:<42} defect {defect:.2e}")
+print(f"  {'|V+ vacuum| = 1/sqrt 2':<42} defect {vacuum['v_plus_norm']:.2e}")
 print()
 
 print("== atypicality: the one raising annihilator is W+ ==")
@@ -49,6 +53,5 @@ for name, expect in (("K+", "K-"), ("V+", "i W-"), ("W-", "i V+")):
 print()
 
 print("== Hamiltonian element ==")
-ham = hamiltonian_check(N, alg)
-for rec in ham["records"]:
-    print(f"  {rec['check']:<60} defect {rec['defect']:.2e}")
+for name, defect in hamiltonian_defects(N, alg).items():
+    print(f"  {name:<14} defect {defect:.2e}")

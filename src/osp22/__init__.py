@@ -39,10 +39,10 @@ from .representation import (
     HERMITIAN_BASE,
     SuperOperator,
     build_generator,
-    hamiltonian_check,
+    hamiltonian_defects,
     operator_exp,
-    vacuum_checks,
-    verify_structure,
+    structure_defects,
+    vacuum_defects,
 )
 from .coherent import (
     CalibrationError,

@@ -27,7 +27,7 @@ from .config import (
     load_config_file,
 )
 from .grassmann import default_algebra
-from .suites import SUITE_NAMES, run_suite, symbol_rows, trajectory_rows
+from .suites import SUITE_NAMES, run_suite, symbol_rows, symbols_check, trajectory_rows
 
 __all__ = ["main", "build_parser"]
 
@@ -200,17 +200,17 @@ def cmd_symbols(args) -> int:
         }
         for r in records
     ]
-    worst = max((r["defect"] for r in records), default=0.0)
+    check = symbols_check(cfg, records)
     document = {
         "convention": flag,
         "rows": rows,
-        "max_defect": worst,
-        "tolerance": cfg.tol("coherent"),
-        "pass": worst < cfg.tol("coherent"),
+        "max_defect": check["defect"],
+        "tolerance": check["tolerance"],
+        "pass": check["pass"],
     }
     path = _out_path(cfg, "osp22_symbols.json")
     _dump_json(path, document)
-    print(f"symbols written to {path} (convention={flag}, max defect {worst:.3e})")
+    print(f"symbols written to {path} (convention={flag}, max defect {check['defect']:.3e})")
     return 0 if document["pass"] else 1
 
 

@@ -337,9 +337,7 @@ def displacement_operator(params: CoherentParams, n_max: int, algebra=None):
         a = params.alpha(alg)
         gen = gen + a * _rep.build_generator("V+", n_max, alg)
         gen = gen + (-1j * a.conj()) * _rep.build_generator("W-", n_max, alg)
-    out = _rep.operator_exp(gen)
-    out.name = "D'"
-    return out
+    return _rep.operator_exp(gen).renamed("D'")
 
 
 def disk_parameter(zeta: complex) -> complex:

@@ -266,9 +266,9 @@ class GrassmannAlgebra:
     covering every generator.
     """
 
-    __slots__ = ("generators", "index", "pair", "size", "drop_tol", "_plan")
+    __slots__ = ("generators", "index", "pair", "size", "_plan")
 
-    def __init__(self, generators=GENERATORS_DEFAULT, drop_tol: float = 0.0):
+    def __init__(self, generators=GENERATORS_DEFAULT):
         names = tuple(generators)
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
@@ -286,7 +286,6 @@ class GrassmannAlgebra:
         self.index = index
         self.pair = tuple(pair)
         self.size = 1 << len(names)  # monomials: the length of a coefficient array
-        self.drop_tol = float(drop_tol)
         self._plan = None
 
     @property
@@ -382,9 +381,6 @@ class GrassmannElement:
         data = np.asarray(coeffs, dtype=complex)
         if data.shape != (algebra.size,):
             raise ValueError(f"expected {algebra.size} coefficients, got shape {data.shape}")
-        tol = algebra.drop_tol
-        if tol > 0.0:
-            data = np.where(_abs(data) >= tol, data, 0j)
         self._data = data
         self.algebra = algebra
 

@@ -27,6 +27,12 @@ identities.
 
 Truncation: raising entries that would leave the basis are dropped, so
 identity checks exclude the top two slots per sector ("interior modes").
+
+Operators are immutable, names included: ``renamed`` returns a new operator.
+
+``structure_defects``, ``vacuum_defects`` and ``hamiltonian_defects`` return
+named defects only; ``osp22.suites`` holds every tolerance and makes every
+pass decision.
 """
 
 from __future__ import annotations
@@ -56,9 +62,9 @@ __all__ = [
     "ptheta_operator",
     "xtheta_operator",
     "operator_exp",
-    "verify_structure",
-    "vacuum_checks",
-    "hamiltonian_check",
+    "structure_defects",
+    "vacuum_defects",
+    "hamiltonian_defects",
 ]
 
 GENERATOR_NAMES = ("K0", "K+", "K-", "B", "V+", "V-", "W+", "W-")
@@ -96,7 +102,7 @@ class SuperOperator:
     (row sector, column sector) that hold a nonzero entry.
     """
 
-    __slots__ = ("algebra", "n_max", "blocks", "quadrants", "parity_bit", "name")
+    __slots__ = ("algebra", "n_max", "blocks", "quadrants", "parity_bit", "_name")
 
     def __init__(self, algebra, n_max: int, blocks: dict, parity, name: str = ""):
         """Copies the blocks: later writes to the caller's arrays cannot reach the operator."""
@@ -133,9 +139,17 @@ class SuperOperator:
         self.blocks = clean
         self.quadrants = quadrants
         self.parity_bit = parity
-        self.name = name
+        self._name = name
 
     # -- basic views -------------------------------------------------------------
+
+    @property
+    def name(self) -> str:
+        return self._name
+
+    def renamed(self, name: str) -> "SuperOperator":
+        """The same operator under another name; the read-only blocks are shared."""
+        return SuperOperator._wrap(self.algebra, self.n_max, self.blocks, self.parity_bit, name)
 
     @property
     def size(self) -> int:
@@ -404,8 +418,7 @@ def build_generator(name: str, n_max: int, algebra=None) -> SuperOperator:
         acc = SuperOperator.zero(n_max, alg, parity=generator_parity(name))
         for base, coeff in combos[name].items():
             acc = acc + coeff * build_generator(base, n_max, alg)
-        acc.name = name
-        return acc
+        return acc.renamed(name)
     else:
         raise ValueError(f"unknown generator {name!r}")
 
@@ -435,8 +448,7 @@ def ptheta_operator(n_max: int, algebra=None) -> SuperOperator:
     op = (-1.0 / np.sqrt(2.0)) * (
         build_generator("V+", n_max, alg) + build_generator("V-", n_max, alg)
     )
-    op.name = "p_theta"
-    return op
+    return op.renamed("p_theta")
 
 
 def xtheta_operator(n_max: int, t: float, algebra=None) -> SuperOperator:
@@ -445,8 +457,7 @@ def xtheta_operator(n_max: int, t: float, algebra=None) -> SuperOperator:
     op = (2.0 * t) * ptheta_operator(n_max, alg) + (1j * np.sqrt(2.0)) * (
         build_generator("V+", n_max, alg) - build_generator("V-", n_max, alg)
     )
-    op.name = "x_theta"
-    return op
+    return op.renamed("x_theta")
 
 
 def operator_exp(op: SuperOperator, tol: float = 1e-16, max_terms: int = 80) -> SuperOperator:
@@ -475,8 +486,7 @@ def operator_exp(op: SuperOperator, tol: float = 1e-16, max_terms: int = 80) -> 
         raise RuntimeError("exponential series did not converge")
     for _ in range(s):
         acc = acc @ acc
-    acc.name = f"exp({op.name})"
-    return acc
+    return acc.renamed(f"exp({op.name})")
 
 
 # -- structure verification --------------------------------------------------------------
@@ -514,54 +524,36 @@ def _combo(names_coeffs: dict, ops: dict) -> SuperOperator:
     return acc
 
 
-def verify_structure(n_max: int = 32, algebra=None, n_triples: int = 20, seed: int = 7,
-                     tol: float = 1e-12) -> dict:
-    """Check every listed supercommutator, vanishing of unlisted pairs, and
-    the graded Jacobi identity on random triples.
+def structure_defects(ops: dict, n_triples: int = 20, seed: int = 7) -> dict:
+    """{"table": {relation: defect}, "unlisted": {relation: defect}, "jacobi": defect}.
 
-    Returns {"records": [{relation, max_defect, modes_checked, pass}, ...],
-    "pass": bool}; defects are measured on interior columns only.
+    ``ops`` maps GENERATOR_NAMES to operators at one n_max >= 8.  Pairs are
+    measured on interior columns, Jacobi sums of random triples one mode deeper.
     """
+    n_max = ops["K0"].n_max
     if n_max < 8:
         raise ValueError("structure verification needs n_max >= 8")
-    alg = algebra or default_algebra()
-    ops = {name: build_generator(name, n_max, alg) for name in GENERATOR_NAMES}
     cols_pair = interior_columns(n_max, 2)
     cols_triple = interior_columns(n_max, 3)
-    records = []
 
+    table = {}
     listed = set()
     for a, c, combo in COMMUTATOR_TABLE:
         listed.add((a, c))
         listed.add((c, a))
         got = ops[a].supercommutator(ops[c])
-        defect = (got - _combo(combo, ops)).max_abs(columns=cols_pair)
         rhs = " + ".join(f"{v:g}*{k}" for k, v in combo.items())
-        records.append(
-            {
-                "relation": f"[{a},{c}] = {rhs}",
-                "max_defect": defect,
-                "modes_checked": int(n_max - 2),
-                "pass": defect < tol,
-            }
-        )
+        table[f"[{a},{c}] = {rhs}"] = (got - _combo(combo, ops)).max_abs(columns=cols_pair)
 
+    unlisted = {}
     for i, a in enumerate(GENERATOR_NAMES):
         for c in GENERATOR_NAMES[i:]:
-            if (a, c) in listed:
-                continue
-            defect = ops[a].supercommutator(ops[c]).max_abs(columns=cols_pair)
-            records.append(
-                {
-                    "relation": f"[{a},{c}] = 0",
-                    "max_defect": defect,
-                    "modes_checked": int(n_max - 2),
-                    "pass": defect < tol,
-                }
-            )
+            if (a, c) not in listed:
+                defect = ops[a].supercommutator(ops[c]).max_abs(columns=cols_pair)
+                unlisted[f"[{a},{c}] = 0"] = defect
 
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    jacobi = 0.0
     for _ in range(n_triples):
         a, c, e = (ops[GENERATOR_NAMES[k]] for k in rng.integers(0, 8, size=3))
         sign = -1.0 if (a.parity_bit and c.parity_bit) else 1.0
@@ -570,92 +562,49 @@ def verify_structure(n_max: int = 32, algebra=None, n_triples: int = 20, seed: i
             - a.supercommutator(c).supercommutator(e)
             - sign * c.supercommutator(a.supercommutator(e))
         )
-        worst = max(worst, jac.max_abs(columns=cols_triple))
-    records.append(
-        {
-            "relation": f"graded Jacobi identity ({n_triples} random triples)",
-            "max_defect": worst,
-            "modes_checked": int(n_max - 3),
-            "pass": worst < tol,
-        }
-    )
-
-    return {"n_max": n_max, "records": records, "pass": all(r["pass"] for r in records)}
+        jacobi = max(jacobi, jac.max_abs(columns=cols_triple))
+    return {"table": table, "unlisted": unlisted, "jacobi": jacobi}
 
 
-def vacuum_checks(n_max: int = 8, algebra=None) -> dict:
-    """Lowest-weight properties of Psi_0^0, including the atypicality markers."""
-    alg = algebra or default_algebra()
-    vac = SuperVector.basis_state(0, 0, n_max, alg)
-    ops = {name: build_generator(name, n_max, alg) for name in GENERATOR_NAMES}
+def vacuum_defects(ops: dict) -> dict:
+    """{"lowest_weight": {property: defect}, "v_plus_norm": defect} of Psi_0^0.
 
-    records = []
-
-    def eig(name, value):
-        defect = (ops[name].apply(vac) - value * vac).max_abs()
-        records.append(
-            {"check": f"{name} vacuum eigenvalue {value}", "defect": defect,
-             "exact": defect == 0.0, "pass": defect == 0.0}
-        )
-
-    def annihilates(name):
-        defect = ops[name].apply(vac).max_abs()
-        records.append(
-            {"check": f"{name} annihilates the vacuum", "defect": defect,
-             "exact": defect == 0.0, "pass": defect == 0.0}
-        )
-
-    eig("K0", 0.25)
-    eig("B", -0.25)
+    Lowest weight: the K0 and B eigenvalues and the four annihilators, exact.
+    Atypicality: the one raising annihilator is W+, so |V+ Psi_0^0| = 1/sqrt 2.
+    """
+    k0 = ops["K0"]
+    vac = SuperVector.basis_state(0, 0, k0.n_max, k0.algebra)
+    lowest = {
+        "K0 eigenvalue 1/4": (k0.apply(vac) - 0.25 * vac).max_abs(),
+        "B eigenvalue -1/4": (ops["B"].apply(vac) + 0.25 * vac).max_abs(),
+    }
     for name in ("K-", "V-", "W+", "W-"):
-        annihilates(name)
-
-    # atypicality: the only raising annihilator is W+; V+ and K+ act nontrivially
-    vplus = ops["V+"].apply(vac).norm()
-    records.append(
-        {"check": "V+ vacuum image has norm 1/sqrt(2)", "defect": abs(vplus - 2**-0.5),
-         "exact": False, "pass": abs(vplus - 2**-0.5) < 1e-14}
-    )
-    kplus = ops["K+"].apply(vac).norm()
-    records.append(
-        {"check": "K+ vacuum image has norm sqrt(1/2)", "defect": abs(kplus - np.sqrt(0.5)),
-         "exact": False, "pass": abs(kplus - np.sqrt(0.5)) < 1e-14}
-    )
-
-    return {"n_max": n_max, "records": records, "pass": all(r["pass"] for r in records)}
+        lowest[f"{name} annihilates"] = ops[name].apply(vac).max_abs()
+    v_plus = ops["V+"].apply(vac).norm()
+    return {"lowest_weight": lowest, "v_plus_norm": abs(v_plus - 2**-0.5)}
 
 
-def hamiltonian_check(n_max: int = 32, algebra=None, tol_matrix: float = 1e-12,
-                      tol_quad: float = 1e-8, spec=None) -> dict:
-    """The Hamiltonian element h = K+/2 + K-/2 + K0 checked three ways.
+def hamiltonian_defects(n_max: int = 32, algebra=None, spec=None) -> dict:
+    """Defects of the Hamiltonian element h = K+/2 + K-/2 + K0, checked three ways.
 
-    (a) against the squared ladder sum (a+ + a-)^2 assembled on the raw chi
-    basis and reordered into slots; (b) matrix elements against quadrature of
-    -conj(chi_k) chi_m''; (c) pointwise reconstruction of h chi_m against the
-    analytic -chi_m''.
+    ``ladder_route``: h against (a+ + a-)^2 on the raw chi basis, reordered
+    into slots; ``block_pattern``: entries off the sector pattern;
+    ``quadrature`` and ``pointwise``: matrix elements and h chi_m against
+    -chi_m'' (m <= 6); ``vacuum``: <chi_0| h |chi_0> against 1/4.
     """
     alg = algebra or default_algebra()
     h = build_generator("h", n_max, alg)
 
     size = 2 * n_max
-    ap = chi_ladder_matrix("+", size)
-    am = chi_ladder_matrix("-", size)
-    ladder_sum = ap + am
+    ladder_sum = chi_ladder_matrix("+", size) + chi_ladder_matrix("-", size)
     h_chi = ladder_sum @ ladder_sum
     perm = chi_slot_permutation(n_max)
-    route_defect = float(
+    route = float(
         np.abs((h.body - h_chi[np.ix_(perm, perm)])[:, interior_columns(n_max, 2)]).max()
     )
 
-    records = [
-        {"check": "h = (a+ + a-)^2 on interior modes", "defect": route_defect,
-         "pass": route_defect < tol_matrix},
-        {"check": "h preserves the sector block pattern", "defect": h.block_pattern_defect(),
-         "pass": h.block_pattern_defect() == 0.0},
-    ]
-
     spec = spec or _basis.QuadratureSpec()
-    worst_quad = 0.0
+    quad = 0.0
     for t in (0.0, 1.0):
         x, w = _basis.quad_grid(t, spec)
         vals = _basis.chi_matrix(range(7), x, t)
@@ -663,33 +612,25 @@ def hamiltonian_check(n_max: int = 32, algebra=None, tol_matrix: float = 1e-12,
             [-_basis.eval_chi_derivatives(m, x, t)[2] for m in range(7)]
         )
         quad_elements = (vals.conj() * w) @ neg_d2.T
-        worst_quad = max(worst_quad, float(np.abs(quad_elements - h_chi[:7, :7]).max()))
-    records.append(
-        {"check": "quadrature of -chi_k* chi_m'' matches the matrix elements (m,k<=6)",
-         "defect": worst_quad, "pass": worst_quad < tol_quad}
-    )
+        quad = max(quad, float(np.abs(quad_elements - h_chi[:7, :7]).max()))
 
     grid = np.linspace(-3.0, 3.0, 7)
-    worst_point = 0.0
+    point = 0.0
     for t in (0.0, 0.7):
         vals = _basis.chi_matrix(range(9), grid, t)
         for m in range(7):
             recon = h_chi[:9, m] @ vals
             direct = -_basis.eval_chi_derivatives(m, grid, t)[2]
-            worst_point = max(worst_point, float(np.abs(recon - direct).max()))
-    records.append(
-        {"check": "pointwise h chi_m = -chi_m'' (m<=6)", "defect": worst_point,
-         "pass": worst_point < tol_quad}
-    )
+            point = max(point, float(np.abs(recon - direct).max()))
 
-    # vacuum expectation of h, an oracle-frozen value
     t = 0.0
     f = _basis.chi_evaluator(0, t)
     g = lambda x: -_basis.eval_chi_derivatives(0, x, t)[2]
     vac_h = _basis.quad_inner(f, g, t, spec)
-    records.append(
-        {"check": "<chi_0| h |chi_0> = 1/4", "defect": abs(vac_h - 0.25),
-         "pass": abs(vac_h - 0.25) < tol_quad}
-    )
-
-    return {"n_max": n_max, "records": records, "pass": all(r["pass"] for r in records)}
+    return {
+        "ladder_route": route,
+        "block_pattern": h.block_pattern_defect(),
+        "quadrature": quad,
+        "pointwise": point,
+        "vacuum": abs(vac_h - 0.25),
+    }

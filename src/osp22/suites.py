@@ -4,9 +4,13 @@ Each check is a dict {id, description, defect, tolerance, pass}; a suite
 report collects them with a config echo.  All randomness is seeded from the
 config, so reports are deterministic given (config, build).
 
-This module is the one place a check is computed: the acceptance tests
-assert on its records, and the ``symbols`` and ``trajectory`` commands only
-format the rows of ``symbol_rows`` and ``trajectory_rows``.
+This module is the one place a check is judged: it holds every tolerance
+and makes every pass decision.  Library modules report named defects, such
+as ``representation.structure_defects``, and carry no verdicts of their
+own.  The acceptance tests assert on the records made here, and the
+``symbols`` and ``trajectory`` commands only format the rows of
+``symbol_rows`` and ``trajectory_rows``; the ``symbols`` verdict is the
+``symbols_check`` record.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from . import superspace as _ss
 from .config import RunConfig
 from .grassmann import EVEN, ODD, GrassmannAlgebra, GENERATORS_EXTENDED, default_algebra, random_element
 
-__all__ = ["SUITE_NAMES", "run_suite", "suite_checks", "symbol_rows", "trajectory_rows"]
+__all__ = ["SUITE_NAMES", "run_suite", "suite_checks", "symbol_rows", "symbols_check", "trajectory_rows"]
 
 SUITE_NAMES = ("grassmann", "basis", "superspace", "algebra", "coherent")
 
@@ -370,17 +374,15 @@ def suite_algebra(cfg: RunConfig) -> list:
     alg = default_algebra()
     tol = cfg.tol("algebra")
     n_max = cfg.n_max
+    ops = {name: _rep.build_generator(name, n_max, alg) for name in _rep.GENERATOR_NAMES}
     checks = []
 
-    report = _rep.verify_structure(n_max, alg, n_triples=20, seed=cfg.seed, tol=tol)
-    table = [r for r in report["records"] if r["relation"].startswith("[") and "= 0" not in r["relation"]]
-    zeros = [r for r in report["records"] if "= 0" in r["relation"]]
-    jac = [r for r in report["records"] if r["relation"].startswith("graded")]
+    structure = _rep.structure_defects(ops, n_triples=20, seed=cfg.seed)
     checks.append(
         _check(
             "algebra.commutator_table",
             "all listed supercommutator relations on interior modes",
-            max(r["max_defect"] for r in table),
+            max(structure["table"].values()),
             tol,
         )
     )
@@ -388,25 +390,27 @@ def suite_algebra(cfg: RunConfig) -> list:
         _check(
             "algebra.unlisted_pairs",
             "every unlisted generator pair supercommutes",
-            max(r["max_defect"] for r in zeros),
+            max(structure["unlisted"].values()),
             tol,
         )
     )
     checks.append(
-        _check("algebra.jacobi", "graded Jacobi identity on 20 random triples", jac[0]["max_defect"], tol)
+        _check("algebra.jacobi", "graded Jacobi identity on 20 random triples", structure["jacobi"], tol)
     )
 
-    vac_report = _rep.vacuum_checks(max(8, min(n_max, 16)), alg)
-    exact = [r["defect"] for r in vac_report["records"] if "norm" not in r["check"]]
+    vacuum = _rep.vacuum_defects(ops)
     checks.append(
-        _check("algebra.vacuum", "lowest-weight eigenvalues and annihilators, exact", max(exact), tol)
+        _check(
+            "algebra.vacuum",
+            "lowest-weight eigenvalues and annihilators, exact",
+            max(vacuum["lowest_weight"].values()),
+            tol,
+        )
     )
-    atypical = next(r["defect"] for r in vac_report["records"] if r["check"].startswith("V+ "))
     checks.append(
-        _check("algebra.atypicality", "V+ moves the vacuum (norm exactly 1/sqrt 2)", atypical, tol)
+        _check("algebra.atypicality", "V+ moves the vacuum (norm exactly 1/sqrt 2)", vacuum["v_plus_norm"], tol)
     )
 
-    ops = {name: _rep.build_generator(name, n_max, alg) for name in _rep.GENERATOR_NAMES}
     adj_expect = {
         "K0": ops["K0"],
         "K+": ops["K-"],
@@ -468,12 +472,12 @@ def suite_algebra(cfg: RunConfig) -> list:
         _check("algebra.parity_bookkeeping", "p([A,C]) = p(A)+p(C) and sector block patterns", worst, tol)
     )
 
-    ham = _rep.hamiltonian_check(n_max, alg, tol_matrix=tol, tol_quad=1e-8)
+    ham = _rep.hamiltonian_defects(n_max, alg)
     checks.append(
         _check(
             "algebra.hamiltonian_matrix",
             "h = K+/2 + K-/2 + K0 equals the squared ladder sum on interior modes",
-            ham["records"][0]["defect"],
+            ham["ladder_route"],
             tol,
         )
     )
@@ -481,7 +485,7 @@ def suite_algebra(cfg: RunConfig) -> list:
         _check(
             "algebra.hamiltonian_blocks",
             "the Hamiltonian element preserves the sector block pattern",
-            ham["records"][1]["defect"],
+            ham["block_pattern"],
             tol,
         )
     )
@@ -489,7 +493,7 @@ def suite_algebra(cfg: RunConfig) -> list:
         _check(
             "algebra.hamiltonian_quadrature",
             "matrix elements and pointwise action match -d2/dx2 for m <= 6",
-            max(ham["records"][2]["defect"], ham["records"][3]["defect"]),
+            max(ham["quadrature"], ham["pointwise"]),
             1e-8,
         )
     )
@@ -497,7 +501,7 @@ def suite_algebra(cfg: RunConfig) -> list:
         _check(
             "algebra.hamiltonian_vacuum",
             "<chi_0| h |chi_0> = 1/4 by quadrature",
-            ham["records"][4]["defect"],
+            ham["vacuum"],
             cfg.tol("quadrature"),
         )
     )
@@ -588,14 +592,7 @@ def suite_coherent(cfg: RunConfig) -> list:
             1.0,
         )
     )
-    checks.append(
-        _check(
-            "coherent.symbols",
-            "all eight generator symbols match the closed forms under the calibrated flag",
-            max((r["defect"] for r in rows), default=0.0),
-            tol_c,
-        )
-    )
+    checks.append(symbols_check(cfg, rows))
 
     worst_p = 0.0
     worst_fit = 0.0
@@ -697,6 +694,16 @@ def symbol_rows(cfg: RunConfig) -> tuple:
                     }
                 )
     return flag, rows
+
+
+def symbols_check(cfg: RunConfig, rows: list) -> dict:
+    """The ``coherent.symbols`` record over the rows of ``symbol_rows``."""
+    return _check(
+        "coherent.symbols",
+        "all eight generator symbols match the closed forms under the calibrated flag",
+        max((r["defect"] for r in rows), default=0.0),
+        cfg.tol("coherent"),
+    )
 
 
 def trajectory_rows(params, ts, algebra, spec) -> dict:

@@ -228,13 +228,22 @@ class TestExportsMatchSuites:
         args = ["--z", "0.3,0.4i", "--alpha", "0.8-0.3i", "--t", "0,1,2"]
         assert main(["symbols", *args, "--out", str(tmp_path)]) == 0
         assert main(["trajectory", *args, "--out", str(tmp_path / "traj.csv")]) == 0
-        cfg = build_config(
-            overrides={"z_samples": "0.3,0.4i", "alpha_coeff": "0.8-0.3i", "t_samples": "0,1,2"}
-        )
+        # a tolerance below the defect: the export fails as the record does
+        strict = tmp_path / "strict"
+        assert main(["symbols", *args, "--tol-coherent", "1e-300", "--out", str(strict)]) == 1
+        overrides = {"z_samples": "0.3,0.4i", "alpha_coeff": "0.8-0.3i", "t_samples": "0,1,2"}
+        cfg = build_config(overrides={**overrides, "tol_coherent": "1e-300"})
 
-        doc = json.loads((tmp_path / "osp22_symbols.json").read_text())
         (symbols,) = [c for c in suite_checks("coherent", cfg) if c["id"] == "coherent.symbols"]
+        assert not symbols["pass"]
+        doc = json.loads((tmp_path / "osp22_symbols.json").read_text())
         assert doc["max_defect"] == symbols["defect"]
+        doc = json.loads((strict / "osp22_symbols.json").read_text())
+        assert (doc["max_defect"], doc["tolerance"], doc["pass"]) == (
+            symbols["defect"],
+            symbols["tolerance"],
+            symbols["pass"],
+        )
 
         rows = [r for r in open(tmp_path / "traj.csv") if not r.startswith("#")]
         table = list(csv.DictReader(rows))

@@ -175,12 +175,6 @@ def test_extended_algebra_has_three_pairs():
     assert xi.conj() == xb
 
 
-def test_drop_tolerance_prunes_small_terms():
-    alg = GrassmannAlgebra(drop_tol=1e-10)
-    elem = alg.element({(): 1.0, ("theta",): 1e-12})
-    assert elem == alg.one()
-
-
 # -- first-principles reference for the product plan ---------------------------
 #
 # Elements are dicts {word: coefficient} over canonical words (tuples of
@@ -190,12 +184,6 @@ def test_drop_tolerance_prunes_small_terms():
 # the right end of the word, one sign per letter passed, and drops it.
 
 _ALG6 = GrassmannAlgebra(GENERATORS_EXTENDED)
-_KERNEL_ALGEBRAS = {
-    (4, False): ALG,
-    (6, False): _ALG6,
-    (4, True): GrassmannAlgebra(drop_tol=1e-6),
-    (6, True): GrassmannAlgebra(GENERATORS_EXTENDED, drop_tol=1e-6),
-}
 
 
 def _canonical_words(alg):
@@ -249,9 +237,8 @@ def _ref_berezin(x, over):
     return x
 
 
-def _ref_drop(alg, x):
-    tol = alg.drop_tol
-    return {w: c for w, c in x.items() if c != 0 and abs(c) >= tol}
+def _nonzero(x):
+    return {w: c for w, c in x.items() if c != 0}
 
 
 def _as_dict(elem):
@@ -259,49 +246,34 @@ def _as_dict(elem):
 
 
 @st.composite
-def _kernel_case(draw, g, drop):
+def _kernel_case(draw, alg):
     """(algebra, coefficient dict) on dense, sparse or homogeneous supports."""
-    alg = _KERNEL_ALGEBRAS[(g, drop)]
     words = _canonical_words(alg)
     kind = draw(st.sampled_from(["dense", "sparse", "even", "odd"]))
     if kind == "sparse":
         words = draw(st.lists(st.sampled_from(words), min_size=1, max_size=4, unique=True))
     elif kind != "dense":
         words = [w for w in words if len(w) % 2 == (kind == "odd")]
-    values = coeffs()
-    if drop:
-        values = st.one_of(coeffs(), coeffs().map(lambda c: 1e-8 * c))
-    cs = draw(st.lists(values, min_size=len(words), max_size=len(words)))
+    cs = draw(st.lists(coeffs(), min_size=len(words), max_size=len(words)))
     return alg, dict(zip(words, cs))
 
 
 def _close_to_reference(alg, got, ref, scale):
-    """Entries agree within a bound fixed from the dtype and the operand sizes.
-
-    With a drop tolerance, a reference entry within rounding of the
-    threshold may land on either side of it; only entries clear of it count.
-    """
+    """Entries agree within a bound fixed from the dtype and the operand sizes."""
     bound = 4 * alg.size * np.finfo(float).eps * max(scale, 1.0)
-    tol = alg.drop_tol
     for word in set(got) | set(ref):
-        want = ref.get(word, 0j)
-        if tol and abs(abs(want) - tol) <= bound:
-            continue
-        if tol and abs(want) < tol:
-            assert word not in got
-            continue
-        assert abs(got.get(word, 0j) - want) <= bound, word
+        assert abs(got.get(word, 0j) - ref.get(word, 0j)) <= bound, word
 
 
-_KERNEL_KEYS = st.sampled_from([(4, False), (6, False), (4, True), (6, True)])
+_KERNEL_ALGEBRAS = st.sampled_from([ALG, _ALG6])
 
 
 def _kernel_pairs():
-    return _KERNEL_KEYS.flatmap(lambda key: st.tuples(_kernel_case(*key), _kernel_case(*key)))
+    return _KERNEL_ALGEBRAS.flatmap(lambda alg: st.tuples(_kernel_case(alg), _kernel_case(alg)))
 
 
 def _kernel_singles():
-    return _KERNEL_KEYS.flatmap(lambda key: _kernel_case(*key))
+    return _KERNEL_ALGEBRAS.flatmap(_kernel_case)
 
 
 class TestPlanAgainstReference:
@@ -310,7 +282,7 @@ class TestPlanAgainstReference:
     def test_product(self, case):
         (alg, x), (_, y) = case
         got = alg.element(x) * alg.element(y)
-        ref = _ref_mul(alg, _ref_drop(alg, x), _ref_drop(alg, y))
+        ref = _ref_mul(alg, x, y)
         scale = sum(abs(c) for c in x.values()) * sum(abs(c) for c in y.values())
         _close_to_reference(alg, _as_dict(got), ref, scale)
 
@@ -319,7 +291,7 @@ class TestPlanAgainstReference:
     def test_conj_exact(self, case):
         alg, x = case
         got = alg.element(x).conj()
-        assert _as_dict(got) == _ref_drop(alg, _ref_conj(alg, _ref_drop(alg, x)))
+        assert _as_dict(got) == _nonzero(_ref_conj(alg, x))
 
     @settings(max_examples=50, deadline=None)
     @given(_kernel_singles(), st.data())
@@ -327,7 +299,7 @@ class TestPlanAgainstReference:
         alg, x = case
         over = data.draw(st.lists(st.sampled_from(alg.generators), max_size=3, unique=True))
         got = alg.element(x).berezin(tuple(over))
-        assert _as_dict(got) == _ref_drop(alg, _ref_berezin(_ref_drop(alg, x), over))
+        assert _as_dict(got) == _nonzero(_ref_berezin(x, over))
 
     @settings(max_examples=30, deadline=None)
     @given(_kernel_pairs())

@@ -15,14 +15,15 @@ from osp22.representation import (
     build_generator,
     chi_ladder_matrix,
     chi_slot_permutation,
-    hamiltonian_check,
+    hamiltonian_defects,
     interior_columns,
     operator_exp,
     ptheta_operator,
-    vacuum_checks,
-    verify_structure,
+    structure_defects,
+    vacuum_defects,
     xtheta_operator,
 )
+from osp22.coherent import CoherentParams, displacement_operator
 from osp22.suites import suite_checks
 from osp22.superspace import SuperVector, random_supervector
 
@@ -32,6 +33,10 @@ N = 12
 
 def op(name, n=N):
     return build_generator(name, n, ALG)
+
+
+def generators(n):
+    return {name: op(name, n) for name in GENERATOR_NAMES}
 
 
 class TestGenerators:
@@ -69,6 +74,21 @@ class TestGenerators:
     def test_min_truncation(self):
         with pytest.raises(ValueError):
             build_generator("K0", 1, ALG)
+
+    def test_names_are_fixed_at_construction(self):
+        k_plus = op("K+", 8)
+        total = k_plus + SuperOperator.zero(8, ALG)  # the sum may be k_plus itself
+        with pytest.raises(AttributeError):
+            total.name = "x"
+        assert k_plus.name == "K+"
+        other = k_plus.renamed("x")
+        assert (other.name, k_plus.name) == ("x", "K+")
+        assert other.blocks[0] is k_plus.blocks[0]
+        assert op("h", 8).name == "h"
+        assert ptheta_operator(8, ALG).name == "p_theta"
+        assert xtheta_operator(8, 0.5, ALG).name == "x_theta"
+        assert operator_exp(op("K0", 8)).name == "exp(K0)"
+        assert displacement_operator(CoherentParams(0.2, 0.5), 8, ALG).name == "D'"
 
 
 def _apply_per_slot(beta, name, v):
@@ -342,17 +362,20 @@ class TestSupercommutator:
         assert op("K+").supercommutator(op("V-")).parity_bit == 1
 
     def test_full_table(self):
-        report = verify_structure(N, ALG, n_triples=10, seed=1)
-        assert report["pass"], [r for r in report["records"] if not r["pass"]]
+        defects = structure_defects(generators(N), n_triples=10, seed=1)
+        assert len(defects["table"]) == len(COMMUTATOR_TABLE)
+        assert len(defects["unlisted"]) == 36 - len(COMMUTATOR_TABLE)  # pairs A <= C
+        worst = {**defects["table"], **defects["unlisted"], "jacobi": defects["jacobi"]}
+        assert max(worst.values()) < 1e-12, worst
 
     def test_structure_at_32(self):
-        report = verify_structure(32, ALG, n_triples=20, seed=7)
-        worst = max(r["max_defect"] for r in report["records"])
+        defects = structure_defects(generators(32), n_triples=20, seed=7)
+        worst = max(*defects["table"].values(), *defects["unlisted"].values(), defects["jacobi"])
         assert worst < 1e-12
 
     def test_needs_minimum_truncation(self):
         with pytest.raises(ValueError):
-            verify_structure(4, ALG)
+            structure_defects(generators(4))
 
     @pytest.mark.xfail(
         strict=True,
@@ -367,10 +390,10 @@ class TestSupercommutator:
 
 class TestVacuum:
     def test_all_checks_exact(self):
-        report = vacuum_checks(8, ALG)
-        assert report["pass"]
-        for rec in report["records"][:6]:
-            assert rec["defect"] == 0.0
+        defects = vacuum_defects(generators(8))
+        assert len(defects["lowest_weight"]) == 6
+        assert set(defects["lowest_weight"].values()) == {0.0}
+        assert defects["v_plus_norm"] < 1e-14
 
     def test_atypicality_markers(self):
         vac = SuperVector.basis_state(0, 0, 8, ALG)
@@ -434,17 +457,16 @@ class TestSuperadjoint:
 
 class TestHamiltonian:
     def test_report(self):
-        report = hamiltonian_check(16, ALG)
-        assert report["pass"], report["records"]
+        defects = hamiltonian_defects(16, ALG)
+        assert defects["ladder_route"] < 1e-12
+        assert defects["block_pattern"] == 0.0
+        assert max(defects["quadrature"], defects["pointwise"], defects["vacuum"]) < 1e-8
 
     def test_route_equality_at_32(self):
-        report = hamiltonian_check(32, ALG)
-        assert report["records"][0]["defect"] < 1e-12
+        assert hamiltonian_defects(32, ALG)["ladder_route"] < 1e-12
 
     def test_vacuum_expectation_frozen(self):
-        report = hamiltonian_check(16, ALG)
-        rec = [r for r in report["records"] if "1/4" in r["check"]][0]
-        assert rec["defect"] < 1e-10
+        assert hamiltonian_defects(16, ALG)["vacuum"] < 1e-10
 
 
 class TestOperatorExp:
