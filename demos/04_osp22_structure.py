@@ -24,11 +24,11 @@ print("== supercommutator table at n_max =", N, "==")
 ops = {name: build_generator(name, N, alg) for name in GENERATOR_NAMES}
 structure = structure_defects(ops)
 for relation, defect in list(structure["table"].items())[:8]:
-    print(f"  {relation:<28} defect {defect:.2e}")
+    print(f"  {relation:<28} relative defect {defect:.2e}")
 n_relations = len(structure["table"]) + len(structure["unlisted"])
 worst = max(*structure["table"].values(), *structure["unlisted"].values())
-print(f"  ... {n_relations} relations, largest defect {worst:.2e}")
-print(f"  graded Jacobi identity (20 random triples) defect {structure['jacobi']:.2e}")
+print(f"  ... {n_relations} relations, largest relative defect {worst:.2e}")
+print(f"  graded Jacobi identity (20 random triples) relative defect {structure['jacobi']:.2e}")
 print()
 
 print("== lowest-weight vector ==")

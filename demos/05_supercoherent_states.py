@@ -8,8 +8,6 @@ cancellation, and the covariant symbols with the calibrated convention.
 Run with:  python3 demos/05_supercoherent_states.py
 """
 
-import numpy as np
-
 from osp22 import (
     CoherentParams,
     berezin_symbol,

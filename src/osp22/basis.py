@@ -7,6 +7,10 @@ complex width evolves through 1 + i t:
                   * exp(-i m arctan t - x^2 / (4 + 4 i t)) * He_m(x / sqrt(1 + t^2))
 
 with He_m(z) = 2^{-m/2} H_m(z / sqrt(2)).  The basis is orthonormal at every t.
+One private kernel, the normalized recurrence He_k / sqrt(k!), feeds
+``eval_chi``, ``eval_chi_derivatives`` and ``chi_matrix`` over broadcastable
+x and t; ``hermite_he`` is the unnormalized oracle.  ``schrodinger_residual``
+calls its state once on all stencils, so a state must broadcast over x and t.
 Ladder coefficients are frozen as a+ chi_m = (1/2) sqrt(m+1) chi_{m+1} and
 a- chi_m = (1/2) sqrt(m) chi_{m-1}; the test suite re-derives them from the
 quadrature matrix elements of the first-order operators
@@ -160,58 +164,55 @@ def hermite_he(n: int, z):
     return float(h1) if z_arr.ndim == 0 else h1
 
 
-def _scaled_he_triple(n: int, z):
-    """(He_n, He_{n-1}, He_{n-2}) each divided by sqrt of its factorial.
+def _packets(rows, x, t):
+    """chi_m(x, t) for each m in rows, stacked along a new leading axis.
 
-    The normalized recurrence keeps values bounded for large n where the bare
-    polynomials overflow.
+    One normalized recurrence He_k(z)/sqrt(k!) up to max(rows), bounded where
+    the bare polynomials overflow; x and t broadcast against each other.
     """
-    z = np.asarray(z, dtype=float)
-    hm2 = np.zeros_like(z)
-    hm1 = np.zeros_like(z)
-    h = np.ones_like(z)
-    for k in range(n):
-        hm2, hm1, h = hm1, h, (z * h - np.sqrt(k) * hm1) / np.sqrt(k + 1)
-    return h, hm1, hm2
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    one_it = 1.0 + 1j * t
+    z = x / np.sqrt(1.0 + t * t)
+    H = np.empty((max(rows) + 1,) + z.shape)
+    H[0] = 1.0
+    if len(H) > 1:
+        H[1] = z
+    for k in range(1, len(H) - 1):
+        H[k + 1] = (z * H[k] - np.sqrt(k) * H[k - 1]) / np.sqrt(k + 1)
+    angle = np.arctan(t)
+    env = np.exp(-x * x / (4.0 * one_it)) / (_ROOT4_2PI * np.sqrt(one_it))
+    out = np.empty((len(rows),) + z.shape, dtype=complex)
+    # row by row, so that a row's arithmetic does not depend on the other rows
+    for r, m in enumerate(rows):
+        out[r] = (_I_POWERS[m % 4] * np.exp(-1j * m * angle)) * env * H[m]
+    return out
 
 
 def eval_chi(m, x, t):
     """Value of chi_m(x, t); principal branches throughout."""
-    m = _mode_index(m)
-    x = np.asarray(x, dtype=float)
-    t = float(t)
-    one_it = 1.0 + 1j * t
-    s = np.sqrt(1.0 + t * t)
-    h, _, _ = _scaled_he_triple(m, x / s)
-    pref = _I_POWERS[m % 4] * np.exp(-1j * m * np.arctan(t)) / (_ROOT4_2PI * np.sqrt(one_it))
-    val = pref * np.exp(-x * x / (4.0 * one_it)) * h
+    val = _packets([_mode_index(m)], x, t)[0]
     return complex(val) if val.ndim == 0 else val
 
 
 def eval_chi_derivatives(m, x, t):
-    """(chi_m, d/dx chi_m, d2/dx2 chi_m) from the closed form.
+    """(chi_m, d/dx chi_m, d2/dx2 chi_m) from rows m, m-1 and m-2 of the kernel.
 
-    Uses He'_n = n He_{n-1} and the Gaussian chain rule; cross-checked against
-    finite differences in the test suite.
+    He'_n = n He_{n-1} gives d/dx chi_m = -x chi_m / (2 (1 + i t)) - i sqrt(m)
+    chi_{m-1} / (1 + i t); cross-checked against finite differences in the tests.
     """
     m = _mode_index(m)
-    x = np.asarray(x, dtype=float)
-    t = float(t)
-    one_it = 1.0 + 1j * t
-    s = np.sqrt(1.0 + t * t)
-    h, h1, h2 = _scaled_he_triple(m, x / s)
-    pref = _I_POWERS[m % 4] * np.exp(-1j * m * np.arctan(t)) / (_ROOT4_2PI * np.sqrt(one_it))
-    base = pref * np.exp(-x * x / (4.0 * one_it))
-    g1 = -x / (2.0 * one_it)
-    g2 = -1.0 / (2.0 * one_it)
-    rm = np.sqrt(m)
-    rmm = np.sqrt(m * (m - 1)) if m >= 2 else 0.0
-    val = base * h
-    d1 = base * (g1 * h + rm * h1 / s)
-    d2 = base * ((g2 + g1 * g1) * h + 2.0 * g1 * rm * h1 / s + rmm * h2 / (s * s))
-    if val.ndim == 0:
-        return complex(val), complex(d1), complex(d2)
-    return val, d1, d2
+    v, v1, v2 = _packets([m, max(m - 1, 0), max(m - 2, 0)], x, t)
+    one_it = 1.0 + 1j * np.asarray(t, dtype=float)
+    g1 = -np.asarray(x, dtype=float) / (2.0 * one_it)
+    down = -1j / one_it
+    r1 = down * (np.sqrt(m) * v1)
+    r2 = down * (down * (np.sqrt(m * (m - 1)) * v2))
+    d1 = g1 * v + r1
+    d2 = (g1 * g1 - 0.5 / one_it) * v + 2.0 * g1 * r1 + r2
+    if v.ndim == 0:
+        return complex(v), complex(d1), complex(d2)
+    return v, d1, d2
 
 
 def chi_evaluator(m, t):
@@ -223,24 +224,7 @@ def chi_evaluator(m, t):
 def chi_matrix(modes, x, t):
     """Array of chi_m(x, t) values, one row per requested mode."""
     modes = [_mode_index(m) for m in modes]
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    t = float(t)
-    top = max(modes) if modes else 0
-    one_it = 1.0 + 1j * t
-    s = np.sqrt(1.0 + t * t)
-    z = x / s
-    env = np.exp(-x * x / (4.0 * one_it)) / (_ROOT4_2PI * np.sqrt(one_it))
-    H = np.empty((top + 1, x.size))
-    H[0] = 1.0
-    if top >= 1:
-        H[1] = z
-    for k in range(1, top):
-        H[k + 1] = (z * H[k] - np.sqrt(k) * H[k - 1]) / np.sqrt(k + 1)
-    rot = np.exp(-1j * np.arctan(t))
-    out = np.empty((len(modes), x.size), dtype=complex)
-    for r, m in enumerate(modes):
-        out[r] = (_I_POWERS[m % 4] * rot**m) * env * H[m]
-    return out
+    return _packets(modes, np.atleast_1d(x), t)
 
 
 def quad_inner(f, g, t: float = 0.0, spec: QuadratureSpec | None = None) -> complex:
@@ -364,7 +348,6 @@ def apply_symmetry_op(name: str, m, x, t):
     """
     v, d1, d2 = eval_chi_derivatives(m, x, t)
     x = np.asarray(x, dtype=float)
-    t = float(t)
     if name == "K2":
         out = -t * t * (1j * d2) - t * x * d1 - 0.5 * t * v + 0.25j * x * x * v
     elif name == "K1":
@@ -383,23 +366,23 @@ def apply_symmetry_op(name: str, m, x, t):
 
 
 def schrodinger_residual(state, x, t, hx: float = 1e-3, ht: float = 1e-4) -> float:
-    """|i f_t + f_xx| / max sampled |f| with 4th-order central stencils.
+    """Largest |i f_t + f_xx| / max sampled |f| over broadcastable sample points.
 
-    ``state(x, t)`` must be defined on the stencil around (x, t).  The
-    normalization uses the largest magnitude among all sampled values so that
-    isolated zeros of the state do not blow up the ratio.  The t-step default
-    is finer than the x-step: focusing Gaussian packets (small sigma + i t)
-    have fifth t-derivatives large enough that 1e-3 would spoil the 1e-6 gate,
-    while round-off in the first-derivative stencil stays near 1e-12.
+    ``state`` must broadcast over arrays of x and t: it is called once, on the
+    4th-order central stencils of all points (x, t).  Each point is normalized
+    by the largest magnitude among its nine values, so isolated zeros of the
+    state do not blow up the ratio.  The default t-step is finer than the
+    x-step: focusing packets (small sigma + i t) have large fifth t-derivatives.
     """
-    x = float(x)
-    t = float(t)
-    if x + 2.0 * hx == x or t + 2.0 * ht == t:
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    if np.any(x + 2.0 * hx == x) or np.any(t + 2.0 * ht == t):
         raise ValueError("finite-difference step underflow")
-    ft = [complex(state(x, t + k * ht)) for k in (-2, -1, 0, 1, 2)]
-    fx = [complex(state(x + k * hx, t)) for k in (-2, -1, 1, 2)]
-    f0 = ft[2]
+    k = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]).reshape((5,) + (1,) * x.ndim)
+    xs = np.concatenate([np.broadcast_to(x, (5,) + x.shape), x + k[[0, 1, 3, 4]] * hx])
+    ts = np.concatenate([t + k * ht, np.broadcast_to(t, (4,) + t.shape)])
+    f = np.asarray(state(xs, ts), dtype=complex)
+    ft, fx = f[:5], f[5:]
     dfdt = (ft[0] - 8.0 * ft[1] + 8.0 * ft[3] - ft[4]) / (12.0 * ht)
-    d2fdx2 = (-fx[0] + 16.0 * fx[1] - 30.0 * f0 + 16.0 * fx[2] - fx[3]) / (12.0 * hx * hx)
-    scale = max(max(abs(v) for v in ft + fx), 1e-30)
-    return abs(1j * dfdt + d2fdx2) / scale
+    d2fdx2 = (-fx[0] + 16.0 * fx[1] - 30.0 * ft[2] + 16.0 * fx[2] - fx[3]) / (12.0 * hx * hx)
+    scale = np.maximum(np.abs(f).max(axis=0), 1e-30)
+    return float((np.abs(1j * dfdt + d2fdx2) / scale).max())

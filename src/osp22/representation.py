@@ -31,8 +31,8 @@ identity checks exclude the top two slots per sector ("interior modes").
 Operators are immutable, names included: ``renamed`` returns a new operator.
 
 ``structure_defects``, ``vacuum_defects`` and ``hamiltonian_defects`` return
-named defects only; ``osp22.suites`` holds every tolerance and makes every
-pass decision.
+named defects only, the structure defects relative to their operands'
+scale; ``osp22.suites`` holds every tolerance and makes every pass decision.
 """
 
 from __future__ import annotations
@@ -525,35 +525,41 @@ def _combo(names_coeffs: dict, ops: dict) -> SuperOperator:
 
 
 def structure_defects(ops: dict, n_triples: int = 20, seed: int = 7) -> dict:
-    """{"table": {relation: defect}, "unlisted": {relation: defect}, "jacobi": defect}.
+    """{"table"|"unlisted": {relation: defect}, "jacobi": defect}, each with an ``_abs`` twin.
 
     ``ops`` maps GENERATOR_NAMES to operators at one n_max >= 8.  Pairs are
-    measured on interior columns, Jacobi sums of random triples one mode deeper.
+    measured on interior columns, Jacobi sums of random triples one mode
+    deeper.  Products grow with n_max, so each defect is divided by its
+    operands' max-abs entries on the same columns (|A||C| or |A||C||E|); the
+    ``_abs`` twins keep the absolute figures.
     """
     n_max = ops["K0"].n_max
     if n_max < 8:
         raise ValueError("structure verification needs n_max >= 8")
     cols_pair = interior_columns(n_max, 2)
     cols_triple = interior_columns(n_max, 3)
+    size = {name: op.max_abs(columns=cols_pair) for name, op in ops.items()}
 
-    table = {}
+    table_abs, unlisted_abs, scale = {}, {}, {}
     listed = set()
     for a, c, combo in COMMUTATOR_TABLE:
         listed.add((a, c))
         listed.add((c, a))
         got = ops[a].supercommutator(ops[c])
         rhs = " + ".join(f"{v:g}*{k}" for k, v in combo.items())
-        table[f"[{a},{c}] = {rhs}"] = (got - _combo(combo, ops)).max_abs(columns=cols_pair)
+        key = f"[{a},{c}] = {rhs}"
+        table_abs[key] = (got - _combo(combo, ops)).max_abs(columns=cols_pair)
+        scale[key] = size[a] * size[c]
 
-    unlisted = {}
     for i, a in enumerate(GENERATOR_NAMES):
         for c in GENERATOR_NAMES[i:]:
             if (a, c) not in listed:
-                defect = ops[a].supercommutator(ops[c]).max_abs(columns=cols_pair)
-                unlisted[f"[{a},{c}] = 0"] = defect
+                key = f"[{a},{c}] = 0"
+                unlisted_abs[key] = ops[a].supercommutator(ops[c]).max_abs(columns=cols_pair)
+                scale[key] = size[a] * size[c]
 
     rng = np.random.default_rng(seed)
-    jacobi = 0.0
+    jacobi = jacobi_abs = 0.0
     for _ in range(n_triples):
         a, c, e = (ops[GENERATOR_NAMES[k]] for k in rng.integers(0, 8, size=3))
         sign = -1.0 if (a.parity_bit and c.parity_bit) else 1.0
@@ -562,8 +568,17 @@ def structure_defects(ops: dict, n_triples: int = 20, seed: int = 7) -> dict:
             - a.supercommutator(c).supercommutator(e)
             - sign * c.supercommutator(a.supercommutator(e))
         )
-        jacobi = max(jacobi, jac.max_abs(columns=cols_triple))
-    return {"table": table, "unlisted": unlisted, "jacobi": jacobi}
+        defect = jac.max_abs(columns=cols_triple)
+        jacobi_abs = max(jacobi_abs, defect)
+        jacobi = max(jacobi, defect / np.prod([op.max_abs(columns=cols_triple) for op in (a, c, e)]))
+    return {
+        "table": {key: v / scale[key] for key, v in table_abs.items()},
+        "unlisted": {key: v / scale[key] for key, v in unlisted_abs.items()},
+        "jacobi": jacobi,
+        "table_abs": table_abs,
+        "unlisted_abs": unlisted_abs,
+        "jacobi_abs": jacobi_abs,
+    }
 
 
 def vacuum_defects(ops: dict) -> dict:

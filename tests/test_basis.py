@@ -60,7 +60,17 @@ class TestEvalChi:
         for t in (0.0, 0.8):
             batch = b.chi_matrix(range(12), x, t)
             for m in range(12):
-                assert np.abs(batch[m] - b.eval_chi(m, x, t)).max() < 1e-14
+                assert np.array_equal(batch[m], b.eval_chi(m, x, t))
+
+    def test_t_array_matches_per_t_calls(self):
+        x, t = np.meshgrid(np.linspace(-3, 3, 7), np.linspace(-2, 2, 5))
+        for m in (0, 1, 2, 5, 13):
+            vals = b.eval_chi(m, x, t)
+            derivs = b.eval_chi_derivatives(m, x, t)
+            for j in range(len(t)):
+                assert np.array_equal(vals[j], b.eval_chi(m, x[j], t[j, 0]))
+                for got, want in zip(derivs, b.eval_chi_derivatives(m, x[j], t[j, 0])):
+                    assert np.array_equal(got[j], want)
 
     def test_large_mode_is_finite(self):
         vals = b.eval_chi(321, np.linspace(-5, 5, 9), 0.3)
@@ -208,6 +218,24 @@ class TestResidual:
             for x in np.linspace(-4, 4, 5):
                 for t in np.linspace(-2, 2, 5):
                     assert b.schrodinger_residual(ev, x, t) < 1e-6
+
+    def test_array_call_is_max_of_point_calls(self):
+        x, t = np.meshgrid(np.linspace(-4, 4, 5), np.linspace(-2, 2, 5))
+        for m in (0, 3, 11, 20):
+            ev = lambda xx, tt, m=m: b.eval_chi(m, xx, tt)
+            want = max(b.schrodinger_residual(ev, xx, tt) for xx, tt in zip(x.flat, t.flat))
+            assert b.schrodinger_residual(ev, x, t) == want
+
+    def test_state_called_once(self):
+        shapes = []
+
+        def state(x, t):
+            shapes.append(np.shape(x))
+            return b.eval_chi(3, x, t)
+
+        x, t = np.meshgrid(np.linspace(-4, 4, 5), np.linspace(-2, 2, 3))
+        b.schrodinger_residual(state, x, t)
+        assert shapes == [(9, 3, 5)]
 
     def test_step_underflow(self):
         with pytest.raises(ValueError):

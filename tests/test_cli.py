@@ -1,6 +1,5 @@
 import csv
 import json
-import os
 
 import numpy as np
 import pytest

@@ -117,6 +117,13 @@ class TestCrosscheck:
         assert r["norm_defect"] < 1e-12
         assert r["max_residual"] < 1e-6
 
+    @pytest.mark.parametrize("phase", [0.0, 0.25, 0.5, 1.0, 1.5])
+    def test_residual_on_the_z_09_ring(self, phase):
+        # the packet narrows to Re sigma = 0.053 at z = 0.9; fixed steps gave 3.6e-6 there
+        p = coh.CoherentParams(0.9 * np.exp(1j * np.pi * phase))
+        for t in (-5.0, 0.0, 5.0):
+            assert coh.crosscheck(p, t)["max_residual"] < 1e-6
+
     def test_z_zero_recovers_ground(self):
         r = coh.crosscheck(coh.CoherentParams(0.0), 0.0, n_max=8)
         assert r["max_pairwise_psi"] < 1e-14
