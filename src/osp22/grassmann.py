@@ -5,7 +5,9 @@ by default (theta, theta_bar, alpha, alpha_bar), extensible with the pair
 (xi, xi_bar).  An element is a dense complex array of length 2^g indexed by
 monomial mask: bit k of the mask is set when generator k is a factor, and the
 monomial is taken in canonical (ascending) generator order.  Mask 0 is the
-body.  This module is the only one that knows that layout.
+body.  Only this module and ``osp22.superspace`` know that layout; the latter
+stores slot coefficients over the algebra without theta, theta_bar, whose
+plan is this one restricted to ascending theta-free masks.
 
 Every sign comes from a ``ProductPlan``, built once per generator set (the
 precomputed-table approach of the ``clifford`` package,
@@ -243,10 +245,6 @@ class ProductPlan:
         """Grade involution: odd monomials change sign."""
         return self.parity_sign * x
 
-    def body(self, x) -> np.ndarray:
-        """The body (scalar) coefficients of arrays (..., 2^g), as a view."""
-        return x[..., 0]
-
     def integrate(self, x, k: int) -> np.ndarray:
         """Berezin integral over generator k: d/d(gen k) acting from the right."""
         src, dst, sign = self._integrals[k]
@@ -313,21 +311,6 @@ class GrassmannAlgebra:
         for name in over:
             x = self.plan.integrate(x, self.index[name])
         return x
-
-    def involves(self, names) -> np.ndarray:
-        """Boolean mask over monomials: True where any named generator is a factor."""
-        bits = 0
-        for name in names:
-            bits |= 1 << self.index[name]
-        return (np.arange(self.size) & bits) != 0
-
-    def monomials(self, parity=None, free_of=()) -> np.ndarray:
-        """Ascending masks of the given parity that avoid the named generators."""
-        keep = ~self.involves(free_of)
-        if parity is not None:
-            odd = self.plan.parity_sign < 0
-            keep &= odd if parity == ODD else ~odd
-        return np.flatnonzero(keep)
 
     def element(self, terms=None) -> "GrassmannElement":
         """Build an element from ``{monomial: coefficient}``.
@@ -582,16 +565,15 @@ def default_algebra() -> GrassmannAlgebra:
     return _DEFAULT
 
 
-def random_coefficients(
-    algebra, rng, count: int = 1, parity=None, scale: float = 1.0, free_of=()
-) -> np.ndarray:
+def random_coefficients(algebra, rng, count: int = 1, parity=None, scale: float = 1.0) -> np.ndarray:
     """(count, 2^g) iid complex-normal coefficients from one draw.
 
-    Only masks of the given parity that avoid the ``free_of`` generators are
-    filled.  The stream is the one a loop drawing ``standard_normal(2)`` per
-    mask, in ascending mask order and row after row, would consume.
+    Only masks of the given parity are filled.  The stream is the one a loop
+    drawing ``standard_normal(2)`` per mask, in ascending mask order and row
+    after row, would consume.
     """
-    masks = algebra.monomials(parity, free_of)
+    odd = algebra.plan.parity_sign < 0
+    masks = np.arange(algebra.size) if parity is None else np.flatnonzero(odd if parity == ODD else ~odd)
     draws = rng.standard_normal(2 * count * masks.size).reshape(count, masks.size, 2)
     vals = (scale * draws) / np.sqrt(2.0)
     out = np.zeros((count, algebra.size), dtype=complex)

@@ -1,9 +1,9 @@
 """Matrix realization of the osp(2/2) generators on the truncated superspace.
 
-Operators are stored as sums of Grassmann monomials times complex matrices
-over the slot basis (Psi_0^0 .. Psi_{N-1}^0, Psi_0^1 .. Psi_{N-1}^1).  The
-eight basic generators have purely complex matrices; Grassmann content enters
-only through scalar multiples such as alpha * V+.
+Operators are stored as sums of coefficient-algebra monomials, keyed as in
+vectors, times complex matrices over the slot basis (Psi_0^0 .. Psi_{N-1}^0,
+Psi_0^1 .. Psi_{N-1}^1).  The eight basic generators have purely complex
+matrices; Grassmann content enters only through theta-free scalar multiples.
 
 Composition is quadrant-sparse.  The Z2 grading splits each block into four
 (N x N) sector quadrants (row sector, column sector); a block of even total
@@ -15,8 +15,7 @@ are set: two N x N products for a sector-patterned pair instead of one
 (2N x 2N) product.  Blocks that break the pattern get every quadrant product
 they need, through the same loop.  The superadjoint likewise transposes only
 the quadrants that hold nonzeros.  Stored blocks are read-only, so a map
-cannot go stale.  ``apply`` multiplies only the coefficient columns free of
-theta and theta_bar, the only ones a vector may fill.
+cannot go stale, and a block that a sum or a rename shares keeps its map.
 
 Sign conventions (Koszul rule): a component with operator-block parity p
 applied to a coefficient monomial of parity q picks up (-1)^{p q}, both in
@@ -47,7 +46,7 @@ from .grassmann import (
     GrassmannElement,
     default_algebra,
 )
-from .superspace import DimensionMismatchError, SuperVector, coefficient_columns
+from .superspace import DimensionMismatchError, SuperVector, coefficient_algebra
 
 __all__ = [
     "GENERATOR_NAMES",
@@ -97,9 +96,9 @@ def interior_columns(n_max: int, drop: int = 2) -> np.ndarray:
 class SuperOperator:
     """(2 N_max) x (2 N_max) operator with Grassmann-monomial block decomposition.
 
-    ``blocks`` maps each monomial mask to a read-only complex matrix, and
-    ``quadrants`` maps the same masks to the 2x2 table of sector quadrants
-    (row sector, column sector) that hold a nonzero entry.
+    ``blocks`` maps each coefficient-algebra monomial mask to a read-only
+    complex matrix, and ``quadrants`` maps the same masks to the 2x2 table of
+    sector quadrants (row sector, column sector) that hold a nonzero entry.
     """
 
     __slots__ = ("algebra", "n_max", "blocks", "quadrants", "parity_bit", "_name")
@@ -107,16 +106,16 @@ class SuperOperator:
     def __init__(self, algebra, n_max: int, blocks: dict, parity, name: str = ""):
         """Copies the blocks: later writes to the caller's arrays cannot reach the operator."""
         blocks = {m: np.array(mat, dtype=complex, order="C") for m, mat in blocks.items()}
-        self._store(algebra, n_max, blocks, parity, name)
+        self._store(algebra, n_max, blocks, parity, name, {})
 
     @classmethod
-    def _wrap(cls, algebra, n_max: int, blocks: dict, parity, name: str = ""):
+    def _wrap(cls, algebra, n_max: int, blocks: dict, parity, name: str = "", known=None):
         """Operator over arrays no caller holds writably: frozen in place, not copied."""
         op = cls.__new__(cls)
-        op._store(algebra, n_max, blocks, parity, name)
+        op._store(algebra, n_max, blocks, parity, name, known or {})
         return op
 
-    def _store(self, algebra, n_max, blocks, parity, name):
+    def _store(self, algebra, n_max, blocks, parity, name, known):
         if parity in (EVEN, ODD):
             parity = 1 if parity == ODD else 0
         if parity not in (0, 1):
@@ -124,16 +123,20 @@ class SuperOperator:
         size = 2 * n_max
         clean, quadrants = {}, {}
         for mask, mat in blocks.items():
-            mat = np.ascontiguousarray(mat, dtype=complex)
-            if mat.shape != (size, size):
-                raise DimensionMismatchError("block shape does not match truncation")
-            # axes: row sector, row, column sector, (re, im) of the sector's columns
-            parts = mat.view(float).reshape(2, n_max, 2, 2 * n_max)
-            quads = (parts != 0).any(axis=3).any(axis=1)
-            if quads.any():
+            quads = known.get(mask)  # the map of a block shared unchanged
+            if quads is None:
+                mat = np.ascontiguousarray(mat, dtype=complex)
+                if mat.shape != (size, size):
+                    raise DimensionMismatchError("block shape does not match truncation")
+                # axes: row sector, row, column sector, (re, im) of the sector's columns
+                parts = mat.view(float).reshape(2, n_max, 2, 2 * n_max)
+                scan = (parts != 0).any(axis=3).any(axis=1)
+                if not scan.any():
+                    continue
                 mat.flags.writeable = False
-                clean[int(mask)] = mat
-                quadrants[int(mask)] = tuple(map(tuple, quads.tolist()))
+                quads = tuple(map(tuple, scan.tolist()))
+            clean[int(mask)] = mat
+            quadrants[int(mask)] = quads
         self.algebra = algebra
         self.n_max = int(n_max)
         self.blocks = clean
@@ -148,8 +151,9 @@ class SuperOperator:
         return self._name
 
     def renamed(self, name: str) -> "SuperOperator":
-        """The same operator under another name; the read-only blocks are shared."""
-        return SuperOperator._wrap(self.algebra, self.n_max, self.blocks, self.parity_bit, name)
+        """The same operator under another name, sharing the read-only blocks and their maps."""
+        blocks, maps = self.blocks, self.quadrants
+        return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.parity_bit, name, maps)
 
     @property
     def size(self) -> int:
@@ -197,10 +201,12 @@ class SuperOperator:
             return self
         if other.parity_bit != self.parity_bit:
             raise ValueError("cannot add operators of different parity")
-        blocks = dict(self.blocks)  # read-only, so blocks one operand holds are shared
-        for m, mat in other.blocks.items():
-            blocks[m] = blocks[m] + mat if m in blocks else mat
-        return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.parity_bit)
+        blocks = {**self.blocks, **other.blocks}  # read-only, so blocks one operand holds are shared
+        known = {**self.quadrants, **other.quadrants}  # and so are their quadrant maps
+        for m in self.blocks.keys() & other.blocks.keys():
+            blocks[m] = self.blocks[m] + other.blocks[m]
+            del known[m]
+        return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.parity_bit, known=known)
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -209,17 +215,19 @@ class SuperOperator:
         return (-1.0) * self
 
     def __rmul__(self, beta):
-        """Left multiplication by a complex number or homogeneous Grassmann scalar."""
+        """Left multiplication by a complex number or homogeneous theta-free Grassmann scalar."""
         if isinstance(beta, _SCALARS):
-            c = complex(beta)
+            c = complex(beta)  # the blocks are rescanned: c can underflow an entry to zero
             blocks = {m: c * mat for m, mat in self.blocks.items()}
             return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.parity_bit)
         if isinstance(beta, GrassmannElement):
+            space = coefficient_algebra(self.algebra)
+            row = space.restrict(beta)
             pb = beta.parity_bit
-            join = self.algebra.plan.join
+            join = space.plan.join
             blocks: dict[int, np.ndarray] = {}
-            for bm in np.flatnonzero(beta.coeffs).tolist():
-                coeff = complex(beta.coeffs[bm])
+            for bm in np.flatnonzero(row).tolist():
+                coeff = complex(row[bm])
                 for am, mat in self.blocks.items():
                     step = join[bm][am]
                     if step is None:
@@ -246,7 +254,7 @@ class SuperOperator:
         nonzeros, so a sector-patterned pair costs two N x N products.
         """
         self._check(other)
-        plan = self.algebra.plan
+        plan = coefficient_algebra(self.algebra).plan
         sectors = _sectors(self.n_max)
         blocks: dict[int, np.ndarray] = {}
         for am, ma in self.blocks.items():
@@ -279,18 +287,13 @@ class SuperOperator:
         )
 
     def apply(self, v: SuperVector) -> SuperVector:
-        """One ``mat @ coeffs`` per block on the theta-free columns, Koszul-signed,
-        scattered to columns am|v.
-        """
+        """One ``mat @ coeffs`` per block, Koszul-signed, scattered to columns am|v."""
         if v.n_max != self.n_max:
             raise DimensionMismatchError("vector truncation differs from operator")
-        plan = v.algebra.plan
-        free = coefficient_columns(v.algebra)
-        coeffs = v.coeffs[:, free]
+        plan = coefficient_algebra(v.algebra).plan
         out = np.zeros_like(v.coeffs)
-        part = np.zeros_like(v.coeffs)
         for am, mat in self.blocks.items():
-            part[:, free] = mat @ coeffs
+            part = mat @ v.coeffs
             graded = plan.grade(part) if self.parity_bit ^ plan.parity[am] else part
             out += plan.left_mul(am, graded)
         return SuperVector.from_coeffs(v.algebra, out)
@@ -313,7 +316,7 @@ class SuperOperator:
         """
         sectors = _sectors(self.n_max)
         blocks: dict[int, np.ndarray] = {}
-        plan = self.algebra.plan
+        plan = coefficient_algebra(self.algebra).plan
         for am, mat in self.blocks.items():
             p_ma = self.parity_bit ^ plan.parity[am]
             mm, c = plan.conj_table[am]  # conjugation permutes the masks
@@ -341,7 +344,7 @@ class SuperOperator:
     def block_pattern_defect(self) -> float:
         """Largest entry violating the sector pattern implied by the parity."""
         p = _slot_parity(self.n_max)
-        parity = self.algebra.plan.parity
+        parity = coefficient_algebra(self.algebra).plan.parity
         worst = 0.0
         for am, mat in self.blocks.items():
             p_ma = self.parity_bit ^ parity[am]
@@ -428,12 +431,10 @@ def build_generator(name: str, n_max: int, algebra=None) -> SuperOperator:
 def chi_ladder_matrix(sign, size: int) -> np.ndarray:
     """a+- on the raw chi basis (chi_0 .. chi_{size-1})."""
     mat = np.zeros((size, size), dtype=complex)
-    if _basis._ladder_plus(sign):
-        for m in range(size - 1):
-            mat[m + 1, m] = 0.5 * np.sqrt(m + 1)
-    else:
-        for m in range(1, size):
-            mat[m - 1, m] = 0.5 * np.sqrt(m)
+    for m in range(size):
+        coeff, target = _basis.apply_ladder(sign, m)
+        if target is not None and target < size:
+            mat[target, m] = coeff
     return mat
 
 

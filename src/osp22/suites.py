@@ -153,16 +153,20 @@ def suite_basis(cfg: RunConfig) -> list:
         _check("basis.orthonormality", "<chi_m|chi_n> = delta_mn for m,n <= 20, t in {0, 0.5, 2}", worst, tol_q)
     )
 
+    # one grid and one bra block per t; kets stay pointwise, the independent route
+    grids = {t: _basis.quad_grid(t, spec) for t in (0.0, 1.0)}
+    bras = {t: _basis.chi_matrix(range(22), x, t) for t, (x, _) in grids.items()}
+
     worst = 0.0
-    for t in (0.0, 1.0):
+    for t, (x, w) in grids.items():
         for m in range(21):
             for sign in ("+", "-"):
                 coeff, target = _basis.apply_ladder(sign, m)
-                av = lambda x: _basis.ladder_pointwise(sign, m, x, t)
+                av = _basis.ladder_pointwise(sign, m, x, t)
                 if target is None:
-                    worst = max(worst, abs(_basis.quad_inner(av, av, t, spec)) ** 0.5)
+                    worst = max(worst, abs(complex(np.sum(w * np.conjugate(av) * av))) ** 0.5)
                 else:
-                    got = _basis.quad_inner(_basis.chi_evaluator(target, t), av, t, spec)
+                    got = complex(np.sum(w * np.conjugate(bras[t][target]) * av))
                     worst = max(worst, abs(got - coeff))
     checks.append(
         _check("basis.ladder", "quadrature matrix elements reproduce the frozen ladder coefficients", worst, tol_q)
@@ -170,14 +174,10 @@ def suite_basis(cfg: RunConfig) -> list:
 
     worst = 0.0
     grid = np.linspace(-4.0, 4.0, 9)
-    for t in (0.0, 1.0):
+    for t, (x, w) in grids.items():
         for m in range(21):
-            diag = _basis.quad_inner(
-                _basis.chi_evaluator(m, t),
-                lambda x: _basis.symmetric_ladder_pointwise(m, x, t),
-                t,
-                spec,
-            )
+            sym = _basis.symmetric_ladder_pointwise(m, x, t)
+            diag = complex(np.sum(w * np.conjugate(bras[t][m]) * sym))
             worst = max(worst, abs(diag - (0.5 * m + 0.25)))
             point = np.abs(
                 _basis.symmetric_ladder_pointwise(m, grid, t)

@@ -2,14 +2,15 @@
 
 Vectors carry exterior-algebra coefficients over the basis
 Psi_n^0 = psi_n (even sector) and Psi_n^1 = theta * phi_n (odd sector); the
-structural generators theta, theta_bar never appear inside coefficients.
+structural generators theta, theta_bar never appear inside coefficients, so
+they are stored over ``coefficient_algebra``, the algebra on the others.
 
 A vector stores all its coefficients as one complex array ``coeffs`` of
-shape (2 n_max, 2^g): row n is the coefficient of Psi_n^0, row n_max + n
-that of Psi_n^1, and each row is a Grassmann coefficient array in the
-algebra's mask order.  Linear structure is array arithmetic, and Grassmann
-products go through the algebra's product plan, one batched call per
-operation; ``even`` and ``odd`` expose the rows as elements.
+shape (2 n_max, 2^(g-2)): row n is the coefficient of Psi_n^0, row n_max + n
+that of Psi_n^1, each row in that algebra's mask order.  Linear structure
+is array arithmetic, and Grassmann products go through its plan, one batched
+call per operation; ``even`` and ``odd`` lift the rows to elements, and a
+scalar with theta or theta_bar raises ValueError where one enters.
 
 The super-Hermitian form restricts to the ordinary L2 product on the even
 sector and to i times it on the odd sector, and Grassmann scalars move
@@ -20,9 +21,10 @@ through it by the rule
 
 `super_inner` is the fast route built on basis orthonormality: one
 conj(A)^T B product of coefficient arrays, contracted through the plan.
-`super_inner_integral` is the independent oracle that assembles the full
-integrand conj(Phi1) (Phi2 * i exp(-i theta_bar theta)) for every slot pair,
-Berezin-integrates the pair (theta, theta_bar) and quadrature-integrates x.
+`super_inner_integral` is the independent oracle and the one computation in
+the superspace algebra: it assembles the full integrand conj(Phi1) (Phi2 * i
+exp(-i theta_bar theta)) for every slot pair, Berezin-integrates the pair
+(theta, theta_bar) and quadrature-integrates x.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .grassmann import (
     MIXED,
     ODD,
     AlgebraMismatchError,
+    GrassmannAlgebra,
     GrassmannElement,
     default_algebra,
     random_coefficients,
@@ -43,7 +46,7 @@ from .grassmann import (
 __all__ = [
     "DimensionMismatchError",
     "SuperVector",
-    "coefficient_columns",
+    "coefficient_algebra",
     "random_coefficient",
     "super_inner_integral",
     "superadjoint_defect",
@@ -58,20 +61,47 @@ class DimensionMismatchError(ValueError):
     """Vectors or operators with different truncations were combined."""
 
 
-_COEFFICIENT_COLUMNS: dict[tuple, np.ndarray] = {}
+class CoefficientAlgebra(GrassmannAlgebra):
+    """Algebra on the superspace algebra's generators but theta, theta_bar, in order.
 
-
-def coefficient_columns(algebra) -> np.ndarray:
-    """Ascending masks a slot coefficient may use: the monomials free of theta, theta_bar.
-
-    Every other column of ``SuperVector.coeffs`` is zero.
+    ``columns[m]`` is the superspace mask of monomial m; they ascend, so the
+    plan is the superspace plan restricted to them.
     """
-    cols = _COEFFICIENT_COLUMNS.get(algebra.generators)
-    if cols is None:
-        cols = algebra.monomials(free_of=STRUCTURAL)
-        cols.flags.writeable = False
-        _COEFFICIENT_COLUMNS[algebra.generators] = cols
-    return cols
+
+    __slots__ = ("superspace", "columns")
+
+    def __init__(self, superspace):
+        super().__init__(name for name in superspace.generators if name not in STRUCTURAL)
+        structural = sum(1 << superspace.index[name] for name in STRUCTURAL)
+        self.superspace = superspace
+        self.columns = np.flatnonzero((np.arange(superspace.size) & structural) == 0)
+        self.columns.flags.writeable = False
+
+    def restrict(self, scalar: GrassmannElement) -> np.ndarray:
+        """Coefficient array of a superspace scalar; ValueError if it carries theta or theta_bar."""
+        if not self.superspace.compatible(scalar.algebra):
+            raise AlgebraMismatchError("scalar from an incompatible algebra")
+        row = scalar.coeffs[self.columns]
+        if np.count_nonzero(row) != np.count_nonzero(scalar.coeffs):
+            raise ValueError("coefficients must not contain theta or theta_bar")
+        return row
+
+    def lift(self, coeffs) -> np.ndarray:
+        """Superspace coefficient arrays (..., 2^g) of coefficient arrays (..., 2^(g-2))."""
+        out = np.zeros(np.shape(coeffs)[:-1] + (self.superspace.size,), dtype=complex)
+        out[..., self.columns] = coeffs
+        return out
+
+
+_COEFFICIENT_ALGEBRAS: dict[tuple, CoefficientAlgebra] = {}
+
+
+def coefficient_algebra(algebra) -> CoefficientAlgebra:
+    """The coefficient algebra of a superspace algebra, built once per generator set."""
+    space = _COEFFICIENT_ALGEBRAS.get(algebra.generators)
+    if space is None:
+        space = _COEFFICIENT_ALGEBRAS[algebra.generators] = CoefficientAlgebra(algebra)
+    return space
 
 
 def _flip(p: str) -> str:
@@ -81,7 +111,7 @@ def _flip(p: str) -> str:
 class SuperVector:
     """Truncated expansion sum_n c_n Psi_n^0 + sum_n d_n Psi_n^1."""
 
-    __slots__ = ("algebra", "coeffs", "_rows")
+    __slots__ = ("algebra", "coeffs")
 
     def __init__(self, algebra, even, odd):
         even = tuple(even)
@@ -90,36 +120,27 @@ class SuperVector:
             raise DimensionMismatchError("even and odd slot counts must match")
         if not even:
             raise DimensionMismatchError("truncation must be at least 1")
-        coeffs = np.zeros((2 * len(even), algebra.size), dtype=complex)
-        body = algebra.plan.body(coeffs)
+        space = coefficient_algebra(algebra)
+        coeffs = np.zeros((2 * len(even), space.size), dtype=complex)
         for row, c in enumerate(even + odd):
             if isinstance(c, GrassmannElement):
-                if not algebra.compatible(c.algebra):
-                    raise AlgebraMismatchError("coefficient from an incompatible algebra")
-                coeffs[row] = c.coeffs
+                coeffs[row] = space.restrict(c)
             elif isinstance(c, _SCALARS):
-                body[row] = complex(c)
+                coeffs[row, 0] = complex(c)
             else:
                 raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
-        self._set(algebra, coeffs)
-
-    def _set(self, algebra, coeffs):
-        if np.any(coeffs[:, algebra.involves(STRUCTURAL)]):
-            raise ValueError("coefficients must not contain theta or theta_bar")
-        self.algebra = algebra
-        self.coeffs = coeffs
-        self._rows = None
+        self.algebra, self.coeffs = algebra, coeffs
 
     @classmethod
     def from_coeffs(cls, algebra, coeffs) -> "SuperVector":
-        """Vector over a (2 n_max, 2^g) coefficient array, even slots first."""
+        """Vector over a (2 n_max, 2^(g-2)) coefficient-algebra array, even slots first."""
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.ndim != 2 or coeffs.shape[0] % 2 or not coeffs.shape[0]:
-            raise DimensionMismatchError("expected an array of shape (2 n_max, 2^g)")
-        if coeffs.shape[1] != algebra.size:
-            raise AlgebraMismatchError("coefficient rows do not match the algebra")
+            raise DimensionMismatchError("expected an array of shape (2 n_max, 2^(g-2))")
+        if coeffs.shape[1] != coefficient_algebra(algebra).size:
+            raise AlgebraMismatchError("coefficient rows do not match the coefficient algebra")
         vec = cls.__new__(cls)
-        vec._set(algebra, coeffs)
+        vec.algebra, vec.coeffs = algebra, coeffs
         return vec
 
     # -- constructors --------------------------------------------------------
@@ -127,7 +148,7 @@ class SuperVector:
     @classmethod
     def zero(cls, n_max: int, algebra=None) -> "SuperVector":
         alg = algebra or default_algebra()
-        return cls.from_coeffs(alg, np.zeros((2 * n_max, alg.size), dtype=complex))
+        return cls.from_coeffs(alg, np.zeros((2 * n_max, coefficient_algebra(alg).size), dtype=complex))
 
     @classmethod
     def basis_state(cls, sector: int, n: int, n_max: int, algebra=None) -> "SuperVector":
@@ -137,28 +158,27 @@ class SuperVector:
             raise ValueError("sector must be 0 or 1")
         if not 0 <= n < n_max:
             raise ValueError("slot index outside the truncation")
-        coeffs = np.zeros((2 * n_max, alg.size), dtype=complex)
-        coeffs[sector * n_max + n] = alg.one().coeffs
-        return cls.from_coeffs(alg, coeffs)
+        vec = cls.zero(n_max, alg)
+        vec.coeffs[sector * n_max + n, 0] = 1.0
+        return vec
 
     @property
     def n_max(self) -> int:
         return self.coeffs.shape[0] // 2
 
-    def _elements(self) -> tuple:
-        if self._rows is None:
-            self._rows = tuple(GrassmannElement(self.algebra, row) for row in self.coeffs)
-        return self._rows
+    def _elements(self, rows) -> tuple:
+        lifted = coefficient_algebra(self.algebra).lift(self.coeffs[rows])
+        return tuple(GrassmannElement(self.algebra, row) for row in lifted)
 
     @property
     def even(self) -> tuple:
         """Coefficients c_n of the even sector, as elements."""
-        return self._elements()[: self.n_max]
+        return self._elements(slice(None, self.n_max))
 
     @property
     def odd(self) -> tuple:
         """Coefficients d_n of the odd sector, as elements."""
-        return self._elements()[self.n_max :]
+        return self._elements(slice(self.n_max, None))
 
     # -- linear structure ------------------------------------------------------
 
@@ -182,16 +202,13 @@ class SuperVector:
         return SuperVector.from_coeffs(self.algebra, -self.coeffs)
 
     def __rmul__(self, beta):
-        """Left multiplication by a complex number or Grassmann scalar."""
+        """Left multiplication by a complex number or theta-free Grassmann scalar."""
         if isinstance(beta, _SCALARS):
             beta = self.algebra.scalar(complex(beta))
         if not isinstance(beta, GrassmannElement):
             return NotImplemented
-        if not self.algebra.compatible(beta.algebra):
-            raise AlgebraMismatchError("scalar from an incompatible algebra")
-        return SuperVector.from_coeffs(
-            self.algebra, self.algebra.plan.mul(beta.coeffs, self.coeffs)
-        )
+        space = coefficient_algebra(self.algebra)
+        return SuperVector.from_coeffs(self.algebra, space.plan.mul(space.restrict(beta), self.coeffs))
 
     def __mul__(self, scalar):
         if isinstance(scalar, _SCALARS):
@@ -204,7 +221,7 @@ class SuperVector:
     def total_parity(self) -> str:
         """Envelope parity: coefficient parity plus slot parity, or "mixed"."""
         nz = self.coeffs != 0
-        odd = self.algebra.plan.parity_sign < 0
+        odd = coefficient_algebra(self.algebra).plan.parity_sign < 0
         has_odd = np.any(nz & odd, axis=1)
         has_even = np.any(nz & ~odd, axis=1)
         if np.any(has_odd & has_even):
@@ -227,16 +244,16 @@ class SuperVector:
         odd-sector weight i and the grade involution.
         """
         self._check(other)
-        alg = self.algebra
-        n = self.n_max
+        space = coefficient_algebra(self.algebra)
+        plan, n = space.plan, self.n_max
         ket = other.coeffs.copy()
-        ket[n:] = 1j * alg.plan.grade(ket[n:])
-        gram = alg.plan.conj(self.coeffs).T @ ket
-        return GrassmannElement(alg, alg.plan.contract(gram))
+        ket[n:] = 1j * plan.grade(ket[n:])
+        gram = plan.conj(self.coeffs).T @ ket
+        return GrassmannElement(self.algebra, space.lift(plan.contract(gram)))
 
     def norm(self) -> float:
         """Body-level norm sqrt(sum |c_n|^2 + sum |d_n|^2); nilpotents do not enter."""
-        body = self.algebra.plan.body(self.coeffs)
+        body = self.coeffs[:, 0]
         return float(np.sqrt(np.sum(np.hypot(body.real, body.imag) ** 2)))
 
     def max_abs(self) -> float:
@@ -271,7 +288,7 @@ def super_inner_integral(v1: SuperVector, v2: SuperVector, t: float = 0.0, spec=
 
     def with_theta(vec):
         """Slot coefficients times their theta: c_n for Psi_n^0, d_n theta for Psi_n^1."""
-        rows = vec.coeffs.copy()
+        rows = coefficient_algebra(alg).lift(vec.coeffs)
         rows[n:] = plan.mul(rows[n:], theta.coeffs)
         return rows
 
@@ -294,10 +311,9 @@ def superadjoint_defect(op, claimed_adjoint, v1: SuperVector, v2: SuperVector):
 
 
 def random_coefficient(algebra, rng, parity=None) -> GrassmannElement:
-    """Random theta-free coefficient: iid complex normals on the allowed monomials."""
-    return GrassmannElement(
-        algebra, random_coefficients(algebra, rng, 1, parity, free_of=STRUCTURAL)[0]
-    )
+    """Random theta-free coefficient: iid complex normals on the coefficient algebra's monomials."""
+    space = coefficient_algebra(algebra)
+    return GrassmannElement(algebra, space.lift(random_coefficients(space, rng, 1, parity)[0]))
 
 
 def random_supervector(
@@ -311,11 +327,11 @@ def random_supervector(
     """
     alg = algebra or default_algebra()
     top = n_max if support is None else min(support, n_max)
-    coeffs = np.zeros((2 * n_max, alg.size), dtype=complex)
+    vec = SuperVector.zero(n_max, alg)
     for sector in (0, 1):
         want = None
         if parity is not None:
             want = parity if sector == 0 else _flip(parity)
         rows = slice(sector * n_max, sector * n_max + top)
-        coeffs[rows] = random_coefficients(alg, rng, top, want, free_of=STRUCTURAL)
-    return SuperVector.from_coeffs(alg, coeffs)
+        vec.coeffs[rows] = random_coefficients(coefficient_algebra(alg), rng, top, want)
+    return vec

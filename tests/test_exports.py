@@ -1,4 +1,8 @@
-"""Every exported name resolves: a stale ``__all__`` entry only breaks ``import *``."""
+"""Every exported name resolves, and no module imports a name it never uses.
+
+A stale ``__all__`` entry only breaks ``import *``; a stale import breaks
+nothing, so both are caught here.
+"""
 
 import ast
 import importlib
@@ -9,6 +13,14 @@ import pytest
 
 import osp22
 
+ROOT = Path(__file__).resolve().parents[1]
+# the package __init__ only re-exports, so every name it imports counts as used
+SCANNED = sorted(
+    path.relative_to(ROOT).as_posix()
+    for folder in ("src/osp22", "tests", "demos")
+    for path in (ROOT / folder).glob("*.py")
+    if path.name != "__init__.py"
+)
 MODULES = sorted(m.name for m in pkgutil.iter_modules(osp22.__path__) if m.name != "__main__")
 
 
@@ -34,3 +46,44 @@ def test_package_imports_resolve():
         if not hasattr(importlib.import_module(f"osp22.{module}"), name) or not hasattr(osp22, name)
     ]
     assert not missing
+
+
+def _reexported(path: str) -> set:
+    """Names the package ``__init__`` imports from the module at ``path``."""
+    tree = ast.parse(Path(osp22.__file__).read_text(encoding="utf-8"))
+    return {
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == Path(path).stem
+        for alias in node.names
+    }
+
+
+def _unused_imports(source: str, reexported=()) -> list:
+    """Names a module imports but never reads; ``__all__`` entries and re-exports count as reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used - set(reexported))
+
+
+@pytest.mark.parametrize("path", SCANNED)
+def test_no_unused_imports(path):
+    reexported = _reexported(path) if path.startswith("src/") else ()
+    assert not _unused_imports((ROOT / path).read_text(encoding="utf-8"), reexported)
+
+
+def test_unused_import_scan_catches_a_stale_import():
+    source = "import os\nfrom numpy import pi, e\n__all__ = ['e']\nprint(pi)\n"
+    assert _unused_imports(source) == ["os"]
+    assert _unused_imports(source, reexported={"os"}) == []

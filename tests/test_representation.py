@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osp22.config import RunConfig
-from osp22.grassmann import GENERATORS_EXTENDED, GrassmannAlgebra, default_algebra
+from osp22.grassmann import GENERATORS_EXTENDED, AlgebraMismatchError, GrassmannAlgebra, default_algebra
 from osp22.representation import (
     COMMUTATOR_TABLE,
     GENERATOR_NAMES,
@@ -25,7 +25,7 @@ from osp22.representation import (
 )
 from osp22.coherent import CoherentParams, displacement_operator
 from osp22.suites import suite_checks
-from osp22.superspace import SuperVector, random_supervector
+from osp22.superspace import SuperVector, coefficient_algebra, random_supervector
 
 ALG = default_algebra()
 N = 12
@@ -164,8 +164,9 @@ def _random_block(rng, n, p, kind, integer):
 
 
 def _random_operator(alg, rng, n, parity, kind, integer):
-    plan = alg.plan
-    masks = rng.choice(alg.size, size=int(rng.integers(1, 4)), replace=False)
+    space = coefficient_algebra(alg)
+    plan = space.plan
+    masks = rng.choice(space.size, size=int(rng.integers(1, 4)), replace=False)
     blocks = {
         int(m): _random_block(rng, n, parity ^ plan.parity[m], kind, integer) for m in masks
     }
@@ -182,7 +183,7 @@ def _quadrant_map(mat, n):
 
 def _dense_product(a, c):
     """sum over block pairs of sign * (ma @ mc) with full (2N x 2N) products."""
-    plan = a.algebra.plan
+    plan = coefficient_algebra(a.algebra).plan
     out = {}
     for am, ma in a.blocks.items():
         for cm, mc in c.blocks.items():
@@ -236,7 +237,7 @@ class TestQuadrantComposition:
         The weights are units, which multiply exactly, so the match is exact.
         """
         a = pair[0]
-        plan = a.algebra.plan
+        plan = coefficient_algebra(a.algebra).plan
         p = np.repeat([0, 1], a.n_max)
         want = {}
         for am, mat in a.blocks.items():
@@ -303,21 +304,58 @@ class TestQuadrantComposition:
         left = op("K0")
         right = (ALG.gen("alpha") * ALG.gen("alpha_bar")) * op("K+")
         total = left + right
+        pair = 0b11  # alpha * alpha_bar in the coefficient algebra
         assert total.blocks[0] is left.blocks[0]
-        assert total.blocks[12] is right.blocks[12]
+        assert total.blocks[pair] is right.blocks[pair]
         with pytest.raises(ValueError):
-            total.blocks[12][1, 0] = 0.0
+            total.blocks[pair][1, 0] = 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(_operator_pairs())
+    def test_kept_maps_equal_a_fresh_scan(self, pair):
+        """Sums and renames keep the maps of the blocks they share, and every map is right."""
+        a, c, _ = pair
+        sums = [a.renamed("r")]
+        if a.parity_bit == c.parity_bit:
+            sums += [a + c, c + a, a - c, a + a]
+        for got in sums:
+            for key, mat in got.blocks.items():
+                assert got.quadrants[key] == _quadrant_map(mat, a.n_max)
+        renamed = sums[0]
+        assert all(renamed.blocks[m] is mat for m, mat in a.blocks.items())
+        if len(sums) > 1:
+            total = sums[1]
+            for m, mat in a.blocks.items():
+                if m not in c.blocks:
+                    assert total.blocks[m] is mat
+            for m, mat in c.blocks.items():
+                if m not in a.blocks:
+                    assert total.blocks[m] is mat
+
+    def test_theta_scalar_rejected(self):
+        with pytest.raises(ValueError):
+            ALG.gen("theta") * op("K+")
+        with pytest.raises(ValueError):
+            (ALG.gen("alpha") + ALG.gen("theta_bar")) * op("V+")
+
+    def test_incompatible_scalar_rejected(self):
+        with pytest.raises(AlgebraMismatchError):
+            ALG6.gen("alpha") * op("K+")
 
 
 def _apply_all_columns(o, v):
-    """The all-column product: one mat @ coeffs per block over every monomial column."""
+    """The all-column product over the superspace algebra, one mat @ coeffs per block
+    over every monomial column, its block masks lifted into that algebra."""
+    space = coefficient_algebra(v.algebra)
     plan = v.algebra.plan
-    out = np.zeros_like(v.coeffs)
+    coeffs = space.lift(v.coeffs)
+    out = np.zeros_like(coeffs)
     for am, mat in o.blocks.items():
-        part = mat @ v.coeffs
-        if o.parity_bit ^ plan.parity[am]:
+        mask = int(space.columns[am])
+        part = mat @ coeffs
+        if o.parity_bit ^ plan.parity[mask]:
             part = plan.grade(part)
-        out += plan.left_mul(am, part)
+        out += plan.left_mul(mask, part)
     return out
 
 
@@ -336,7 +374,8 @@ class TestApplyColumns:
         for o in ops:
             for parity in (None, "even", "odd"):
                 v = random_supervector(N, rng, alg, parity=parity, support=7)
-                np.testing.assert_array_equal(o.apply(v).coeffs, _apply_all_columns(o, v))
+                got = coefficient_algebra(alg).lift(o.apply(v).coeffs)
+                np.testing.assert_array_equal(got, _apply_all_columns(o, v))
 
 
 class TestSupercommutator:

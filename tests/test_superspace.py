@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osp22 import EVEN, ODD
-from osp22.grassmann import GENERATORS_EXTENDED, GrassmannAlgebra, default_algebra
+from osp22.grassmann import GENERATORS_EXTENDED, AlgebraMismatchError, GrassmannAlgebra, default_algebra
 from osp22.representation import build_generator
 from osp22.superspace import (
     DimensionMismatchError,
     SuperVector,
+    coefficient_algebra,
     random_coefficient,
     random_supervector,
     super_inner_integral,
@@ -14,6 +17,7 @@ from osp22.superspace import (
 )
 
 ALG = default_algebra()
+ALG6 = GrassmannAlgebra(GENERATORS_EXTENDED)
 
 
 def vac(n=4):
@@ -29,6 +33,21 @@ class TestConstruction:
         theta = ALG.gen("theta")
         with pytest.raises(ValueError):
             SuperVector(ALG, [theta], [ALG.zero()])
+        with pytest.raises(ValueError):
+            SuperVector(ALG, [ALG.one()], [ALG.gen("alpha") * ALG.gen("theta_bar")])
+
+    def test_theta_scalar_times_vector_rejected(self):
+        with pytest.raises(ValueError):
+            ALG.gen("theta") * vac()
+        with pytest.raises(ValueError):
+            (1.0 + ALG.gen("theta_bar") * ALG.gen("alpha")) * odd0()
+
+    def test_incompatible_scalar_rejected(self):
+        alpha6 = ALG6.gen("alpha")
+        with pytest.raises(AlgebraMismatchError):
+            SuperVector(ALG, [alpha6], [ALG.zero()])
+        with pytest.raises(AlgebraMismatchError):
+            alpha6 * vac()
 
     def test_slot_count_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -37,7 +56,8 @@ class TestConstruction:
     def test_array_round_trip(self):
         rng = np.random.default_rng(2)
         v = random_supervector(5, rng, ALG)
-        assert v.coeffs.shape == (10, ALG.size)
+        assert v.coeffs.shape == (10, 4)  # 2 n_max rows over (alpha, alpha_bar)
+        assert random_supervector(3, rng, ALG6).coeffs.shape == (6, 16)
         back = SuperVector.from_coeffs(ALG, v.coeffs)
         assert (v - back).max_abs() == 0.0
         again = SuperVector(ALG, v.even, v.odd)
@@ -52,7 +72,10 @@ class TestConstruction:
             SuperVector.from_coeffs(ALG, np.zeros((4, ALG.size + 1)))
 
     def test_from_coeffs_rejects_structural_generators(self):
+        """Superspace-width rows, the only ones that could hold theta, do not fit."""
         coeffs = np.zeros((2, ALG.size), dtype=complex)
+        with pytest.raises(ValueError):
+            SuperVector.from_coeffs(ALG, coeffs)
         coeffs[0] = ALG.gen("theta_bar").coeffs
         with pytest.raises(ValueError):
             SuperVector.from_coeffs(ALG, coeffs)
@@ -94,11 +117,66 @@ class TestRandomDraws:
         flip = {None: None, EVEN: ODD, ODD: EVEN}[parity]
         even = [_loop_draw(ALG, rng, parity) if k < top else ALG.zero() for k in range(n)]
         odd = [_loop_draw(ALG, rng, flip) if k < top else ALG.zero() for k in range(n)]
-        assert np.array_equal(got.coeffs, SuperVector(ALG, even, odd).coeffs)
+        want = np.array([c.coeffs for c in even + odd])
+        assert np.array_equal(coefficient_algebra(ALG).lift(got.coeffs), want)
         # the stream continues where the loop would have left it
         rng_got = np.random.default_rng(32)
         random_supervector(n, rng_got, ALG, parity=parity, support=support)
         assert rng_got.standard_normal() == rng.standard_normal()
+
+
+def _bits(x):
+    """Exact bit patterns, so that a signed zero counts as a difference."""
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@st.composite
+def _coefficient_rows(draw):
+    """Coefficient-algebra rows at g=4 or g=6, some entries exact zeros or small integers."""
+    space = coefficient_algebra(draw(st.sampled_from([ALG, ALG6])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (2, int(rng.integers(1, 8)), space.size)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x[rng.random(shape) < 0.3] = 0.0
+    if draw(st.booleans()):
+        x = np.round(4 * x)
+    return space, x[0], x[1]
+
+
+class TestCoefficientAlgebra:
+    """The coefficient plan is the superspace plan restricted to theta-free columns."""
+
+    def test_layout(self):
+        for alg, names in ((ALG, ("alpha", "alpha_bar")), (ALG6, ("alpha", "alpha_bar", "xi", "xi_bar"))):
+            space = coefficient_algebra(alg)
+            assert space.generators == names
+            assert space is coefficient_algebra(GrassmannAlgebra(alg.generators))
+            assert space.plan is GrassmannAlgebra(names).plan
+            free = [m for m in range(alg.size) if not m & 0b11]
+            assert space.columns.tolist() == free
+
+    @settings(max_examples=150, deadline=None)
+    @given(_coefficient_rows())
+    def test_plan_operations_bit_identical(self, rows):
+        space, x, y = rows
+        full, sub = space.superspace.plan, space.plan
+        cols = space.columns
+        fx, fy = space.lift(x), space.lift(y)
+
+        def same(full_result, sub_result):
+            assert not np.any(np.delete(full_result, cols, axis=-1))
+            np.testing.assert_array_equal(_bits(full_result[..., cols]), _bits(sub_result))
+
+        same(full.mul(fx, fy), sub.mul(x, y))
+        same(full.mul(fx[:, None, :], fy[None, :, :]), sub.mul(x[:, None, :], y[None, :, :]))
+        same(full.conj(fx), sub.conj(x))
+        same(full.grade(fx), sub.grade(x))
+        for m in range(space.size):
+            same(full.left_mul(int(cols[m]), fx), sub.left_mul(m, x))
+        gram = x.conj().T @ y
+        full_gram = np.zeros((full.size, full.size), dtype=complex)
+        full_gram[np.ix_(cols, cols)] = gram
+        same(full.contract(full_gram), sub.contract(gram))
 
 
 class TestInnerProduct:
