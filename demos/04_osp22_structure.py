@@ -9,6 +9,7 @@ Run with:  python3 demos/04_osp22_structure.py
 
 from osp22 import (
     GENERATOR_NAMES,
+    SUPERADJOINTS,
     SuperVector,
     build_generator,
     default_algebra,
@@ -46,9 +47,11 @@ for name in ("K+", "V+", "W+"):
 print()
 
 print("== superadjoints ==")
-for name, expect in (("K+", "K-"), ("V+", "i W-"), ("W-", "i V+")):
+for name, (coeff, adjoint) in SUPERADJOINTS.items():
     a = build_generator(name, 12, alg)
-    print(f"  ({name})+ -> {expect};  involution defect "
+    table = (a.superadjoint() - coeff * build_generator(adjoint, 12, alg)).max_abs()
+    rhs = ("i " if coeff == 1j else "") + adjoint
+    print(f"  {f'({name})+':<5} = {rhs:<5}  table defect {table:.2e};  involution defect "
           f"{(a.superadjoint().superadjoint() - a).max_abs():.2e}")
 print()
 

@@ -37,6 +37,7 @@ from .representation import (
     COMMUTATOR_TABLE,
     GENERATOR_NAMES,
     HERMITIAN_BASE,
+    SUPERADJOINTS,
     SuperOperator,
     build_generator,
     hamiltonian_defects,

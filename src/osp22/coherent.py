@@ -30,7 +30,7 @@ import numpy as np
 from . import basis as _basis
 from . import representation as _rep
 from .grassmann import GrassmannElement, default_algebra
-from .superspace import SuperVector
+from .superspace import SuperVector, coefficient_algebra
 
 __all__ = [
     "CoherentParams",
@@ -272,7 +272,7 @@ def crosscheck(
     even_vals, odd_vals = vals[0::2], vals[1::2]
     phase = closed_form_phase(params.z)
 
-    body_even = np.array([c.body for c in sv.even])
+    body_even = sv.coeffs[:n, 0].copy()  # contiguous: a strided operand changes BLAS's sum order
     psi_series = body_even @ even_vals
     psi_gamma = phase * (gamma_even @ even_vals)
     psi_closed = cf.psi(grid, t)
@@ -286,7 +286,7 @@ def crosscheck(
     phi_closed = cf.phi(grid, t)
     phi_diff = float(np.abs(phi_gamma - phi_closed).max())
     if params.alpha_coeff != 0:
-        alpha_slot = np.array([d.coeff("alpha") for d in sv.odd])
+        alpha_slot = sv.coeffs[n:, 1 << coefficient_algebra(alg).index["alpha"]]
         phi_series = (alpha_slot / (params.alpha_coeff * _SQRT2)) @ odd_vals
         phi_diff = max(
             phi_diff,

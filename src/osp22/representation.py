@@ -17,12 +17,20 @@ they need, through the same loop.  The superadjoint likewise transposes only
 the quadrants that hold nonzeros.  Stored blocks are read-only, so a map
 cannot go stale, and a block that a sum or a rename shares keeps its map.
 
+The generators are declared once, in three tables.  ``_STENCILS`` gives
+each basic generator (and "I") as entries (target sector, source sector,
+mode shift, coefficient of the source mode j), each filled by one array
+assignment; a generator is odd when its entries cross the sectors.  A
+coefficient is one expression in j, a half and sqrt, evaluated on numpy
+arrays here and exactly in sympy by tests/test_exact_algebra.py, which
+composes the stencils to prove COMMUTATOR_TABLE at every mode.  ``_COMBOS``
+holds X1..X8, h and p_theta, each built by ``_combo``, and
+``SUPERADJOINTS`` pairs each basic generator with its superadjoint.
+
 Sign conventions (Koszul rule): a component with operator-block parity p
 applied to a coefficient monomial of parity q picks up (-1)^{p q}, both in
 operator application and in operator composition.  Together with the
-order-preserving conjugation this reproduces the superadjoint table
-K0+ = K0, K+- + = K-+, B+ = B, V+-+ = i W-+, W+-+ = i V-+ as exact matrix
-identities.
+order-preserving conjugation this makes SUPERADJOINTS exact matrix identities.
 
 Truncation: raising entries that would leave the basis are dropped, so
 identity checks exclude the top two slots per sector ("interior modes").
@@ -52,6 +60,7 @@ __all__ = [
     "GENERATOR_NAMES",
     "HERMITIAN_BASE",
     "COMMUTATOR_TABLE",
+    "SUPERADJOINTS",
     "SuperOperator",
     "build_generator",
     "generator_parity",
@@ -69,13 +78,46 @@ __all__ = [
 GENERATOR_NAMES = ("K0", "K+", "K-", "B", "V+", "V-", "W+", "W-")
 HERMITIAN_BASE = ("X1", "X2", "X3", "X4", "X5", "X6", "X7", "X8")
 
-_ODD_NAMES = {"V+", "V-", "W+", "W-", "X5", "X6", "X7", "X8"}
+# (target sector, source sector, shift, coefficient): Psi_j^source -> coefficient(j) Psi_{j+shift}^target,
+# with h = 0.5 and np.sqrt on mode arrays, or h = Rational(1, 2) and sympy.sqrt exactly.
+_STENCILS = {
+    "I": ((0, 0, 0, lambda j, h, sqrt: 1), (1, 1, 0, lambda j, h, sqrt: 1)),
+    "K0": ((0, 0, 0, lambda j, h, sqrt: j + h / 2), (1, 1, 0, lambda j, h, sqrt: j + 3 * h / 2)),
+    "K+": ((0, 0, 1, lambda j, h, sqrt: sqrt((j + 1) * (j + h))),
+           (1, 1, 1, lambda j, h, sqrt: sqrt((j + 1) * (j + 3 * h)))),
+    "K-": ((0, 0, -1, lambda j, h, sqrt: sqrt(j * (j - h))),
+           (1, 1, -1, lambda j, h, sqrt: sqrt(j * (j + h)))),
+    "B": ((0, 0, 0, lambda j, h, sqrt: -h / 2), (1, 1, 0, lambda j, h, sqrt: h / 2)),
+    "V+": ((1, 0, 0, lambda j, h, sqrt: sqrt(j + h)),),
+    "V-": ((1, 0, -1, lambda j, h, sqrt: sqrt(j)),),
+    "W+": ((0, 1, 1, lambda j, h, sqrt: sqrt(j + 1)),),
+    "W-": ((0, 1, 0, lambda j, h, sqrt: sqrt(j + h)),),
+}
+
+# Fixed linear combinations of the basic generators, each built by ``_combo``.
+_COMBOS = {
+    "X1": {"K0": 1.0},
+    "X2": {"B": 1.0},
+    "X3": {"K+": 1.0, "K-": 1.0},
+    "X4": {"K+": 1j, "K-": -1j},
+    "X5": {"V+": 1.0, "W-": -1j},
+    "X6": {"V-": 1.0, "W+": -1j},
+    "X7": {"W+": 1.0, "V-": -1j},
+    "X8": {"W-": 1.0, "V+": -1j},
+    "h": {"K+": 0.5, "K-": 0.5, "K0": 1.0},
+    "p_theta": {"V+": -1.0 / np.sqrt(2.0), "V-": -1.0 / np.sqrt(2.0)},
+}
 
 _SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
 
 
 def generator_parity(name: str) -> int:
-    return 1 if name in _ODD_NAMES else 0
+    """1 if the named generator or combination is odd: its stencils cross the sectors."""
+    base = next(iter(_COMBOS[name])) if name in _COMBOS else name
+    if base not in _STENCILS:
+        raise ValueError(f"unknown generator {name!r}")
+    target, source = _STENCILS[base][0][:2]
+    return int(target != source)
 
 
 def _slot_parity(n_max: int) -> np.ndarray:
@@ -290,6 +332,8 @@ class SuperOperator:
         """One ``mat @ coeffs`` per block, Koszul-signed, scattered to columns am|v."""
         if v.n_max != self.n_max:
             raise DimensionMismatchError("vector truncation differs from operator")
+        if not self.algebra.compatible(v.algebra):
+            raise AlgebraMismatchError("vector over an incompatible algebra")
         plan = coefficient_algebra(v.algebra).plan
         out = np.zeros_like(v.coeffs)
         for am, mat in self.blocks.items():
@@ -364,68 +408,35 @@ class SuperOperator:
 # -- generator construction ----------------------------------------------------------
 
 
+def _combo(names_coeffs: dict, ops: dict) -> SuperOperator:
+    items = iter(names_coeffs.items())
+    name, coeff = next(items)
+    acc = coeff * ops[name]
+    for name, coeff in items:
+        acc = acc + coeff * ops[name]
+    return acc
+
+
 def build_generator(name: str, n_max: int, algebra=None) -> SuperOperator:
     """Matrix of a named generator at the given truncation.
 
-    Accepts the eight basic names K0, K+, K-, B, V+, V-, W+, W-, the
-    super-Hermitian combinations X1..X8, the Hamiltonian element "h"
-    (= K+/2 + K-/2 + K0) and "I".
+    Accepts the eight basic names K0, K+, K-, B, V+, V-, W+, W- and "I", whose
+    matrices are filled from ``_STENCILS``, and the combinations of
+    ``_COMBOS``: the super-Hermitian base X1..X8, the Hamiltonian element "h"
+    (= K+/2 + K-/2 + K0) and "p_theta".
     """
     alg = algebra or default_algebra()
     if n_max < 2:
         raise ValueError("truncation must be at least 2")
-    n = np.arange(n_max, dtype=float)
-    size = 2 * n_max
-    mat = np.zeros((size, size), dtype=complex)
-
-    if name == "I":
-        return SuperOperator.identity(n_max, alg)
-    if name == "K0":
-        np.fill_diagonal(mat[:n_max, :n_max], n + 0.25)
-        np.fill_diagonal(mat[n_max:, n_max:], n + 0.75)
-    elif name == "K+":
-        for k in range(n_max - 1):
-            mat[k + 1, k] = np.sqrt((k + 1) * (k + 0.5))
-            mat[n_max + k + 1, n_max + k] = np.sqrt((k + 1) * (k + 1.5))
-    elif name == "K-":
-        for k in range(n_max - 1):
-            mat[k, k + 1] = np.sqrt((k + 1) * (k + 0.5))
-            mat[n_max + k, n_max + k + 1] = np.sqrt((k + 1) * (k + 1.5))
-    elif name == "B":
-        np.fill_diagonal(mat[:n_max, :n_max], -0.25)
-        np.fill_diagonal(mat[n_max:, n_max:], 0.25)
-    elif name == "V+":
-        for k in range(n_max):
-            mat[n_max + k, k] = np.sqrt(k + 0.5)
-    elif name == "V-":
-        for k in range(1, n_max):
-            mat[n_max + k - 1, k] = np.sqrt(k)
-    elif name == "W+":
-        for k in range(n_max - 1):
-            mat[k + 1, n_max + k] = np.sqrt(k + 1)
-    elif name == "W-":
-        for k in range(n_max):
-            mat[k, n_max + k] = np.sqrt(k + 0.5)
-    elif name in ("X1", "X2", "X3", "X4", "X5", "X6", "X7", "X8", "h"):
-        combos = {
-            "X1": {"K0": 1.0},
-            "X2": {"B": 1.0},
-            "X3": {"K+": 1.0, "K-": 1.0},
-            "X4": {"K+": 1j, "K-": -1j},
-            "X5": {"V+": 1.0, "W-": -1j},
-            "X6": {"V-": 1.0, "W+": -1j},
-            "X7": {"W+": 1.0, "V-": -1j},
-            "X8": {"W-": 1.0, "V+": -1j},
-            "h": {"K+": 0.5, "K-": 0.5, "K0": 1.0},
-        }
-        acc = SuperOperator.zero(n_max, alg, parity=generator_parity(name))
-        for base, coeff in combos[name].items():
-            acc = acc + coeff * build_generator(base, n_max, alg)
-        return acc.renamed(name)
-    else:
-        raise ValueError(f"unknown generator {name!r}")
-
-    return SuperOperator._wrap(alg, n_max, {0: mat}, generator_parity(name), name=name)
+    if name in _COMBOS:
+        ops = {base: build_generator(base, n_max, alg) for base in _COMBOS[name]}
+        return _combo(_COMBOS[name], ops).renamed(name)
+    parity = generator_parity(name)
+    mat = np.zeros((2 * n_max, 2 * n_max), dtype=complex)
+    for target, source, shift, coeff in _STENCILS[name]:
+        j = np.arange(max(0, -shift), n_max - max(0, shift))  # source modes whose target is kept
+        mat[target * n_max + j + shift, source * n_max + j] = coeff(j.astype(float), 0.5, np.sqrt)
+    return SuperOperator._wrap(alg, n_max, {0: mat}, parity, name=name)
 
 
 def chi_ladder_matrix(sign, size: int) -> np.ndarray:
@@ -445,11 +456,7 @@ def chi_slot_permutation(n_max: int) -> np.ndarray:
 
 def ptheta_operator(n_max: int, algebra=None) -> SuperOperator:
     """p * theta = -(1/sqrt 2)(V+ + V-); odd operator."""
-    alg = algebra or default_algebra()
-    op = (-1.0 / np.sqrt(2.0)) * (
-        build_generator("V+", n_max, alg) + build_generator("V-", n_max, alg)
-    )
-    return op.renamed("p_theta")
+    return build_generator("p_theta", n_max, algebra)
 
 
 def xtheta_operator(n_max: int, t: float, algebra=None) -> SuperOperator:
@@ -515,14 +522,11 @@ COMMUTATOR_TABLE = (
     ("V-", "W+", {"K0": 1.0, "B": 1.0}),
 )
 
-
-def _combo(names_coeffs: dict, ops: dict) -> SuperOperator:
-    items = iter(names_coeffs.items())
-    name, coeff = next(items)
-    acc = coeff * ops[name]
-    for name, coeff in items:
-        acc = acc + coeff * ops[name]
-    return acc
+# (G)+ = coefficient * generator under the super-Hermitian form, as exact matrix identities.
+SUPERADJOINTS = {
+    "K0": (1.0, "K0"), "K+": (1.0, "K-"), "K-": (1.0, "K+"), "B": (1.0, "B"),
+    "V+": (1j, "W-"), "V-": (1j, "W+"), "W+": (1j, "V-"), "W-": (1j, "V+"),
+}
 
 
 def structure_defects(ops: dict, n_triples: int = 20, seed: int = 7) -> dict:

@@ -336,24 +336,23 @@ def suite_superspace(cfg: RunConfig) -> list:
     checks.append(_check("superspace.sector_orthogonality", "even and odd sectors are orthogonal", worst, tol_a))
 
     n = 8
-    k0 = _rep.build_generator("K0", n, alg)
-    kp = _rep.build_generator("K+", n, alg)
-    km = _rep.build_generator("K-", n, alg)
-    vp = _rep.build_generator("V+", n, alg)
-    wm = _rep.build_generator("W-", n, alg)
+    claims = []
+    for name in ("K0", "K+", "V+"):
+        coeff, adjoint = _rep.SUPERADJOINTS[name]
+        claims.append((_rep.build_generator(name, n, alg), coeff * _rep.build_generator(adjoint, n, alg)))
     worst = 0.0
     for p1 in (EVEN, ODD):
         v1 = _ss.random_supervector(n, rng, alg, parity=p1, support=6)
         v2 = _ss.random_supervector(n, rng, alg, support=6)
-        worst = max(worst, _ss.superadjoint_defect(k0, k0, v1, v2).max_abs())
-        worst = max(worst, _ss.superadjoint_defect(kp, km, v1, v2).max_abs())
-        worst = max(worst, _ss.superadjoint_defect(vp, 1j * wm, v1, v2).max_abs())
+        for gen, claimed in claims:
+            worst = max(worst, _ss.superadjoint_defect(gen, claimed, v1, v2).max_abs())
     checks.append(
         _check("superspace.superadjoint", "claimed adjoints satisfy the defining identity", worst, tol_a)
     )
 
     v1 = _ss.random_supervector(n, rng, alg, parity=EVEN, support=6)
     v2 = _ss.random_supervector(n, rng, alg, support=6)
+    kp = _rep.build_generator("K+", n, alg)
     bad = _ss.superadjoint_defect(kp, kp, v1, v2).max_abs()
     checks.append(
         _check(
@@ -410,19 +409,9 @@ def suite_algebra(cfg: RunConfig) -> list:
         _check("algebra.atypicality", "V+ moves the vacuum (norm exactly 1/sqrt 2)", vacuum["v_plus_norm"], tol)
     )
 
-    adj_expect = {
-        "K0": ops["K0"],
-        "K+": ops["K-"],
-        "K-": ops["K+"],
-        "B": ops["B"],
-        "V+": 1j * ops["W-"],
-        "V-": 1j * ops["W+"],
-        "W+": 1j * ops["V-"],
-        "W-": 1j * ops["V+"],
-    }
     worst = 0.0
-    for name, want in adj_expect.items():
-        worst = max(worst, (ops[name].superadjoint() - want).max_abs())
+    for name, (coeff, adjoint) in _rep.SUPERADJOINTS.items():
+        worst = max(worst, (ops[name].superadjoint() - coeff * ops[adjoint]).max_abs())
         worst = max(worst, (ops[name].superadjoint().superadjoint() - ops[name]).max_abs())
     checks.append(_check("algebra.superadjoint_table", "adjoint table and involution", worst, tol))
 

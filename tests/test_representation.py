@@ -11,10 +11,12 @@ from osp22.representation import (
     COMMUTATOR_TABLE,
     GENERATOR_NAMES,
     HERMITIAN_BASE,
+    SUPERADJOINTS,
     SuperOperator,
     build_generator,
     chi_ladder_matrix,
     chi_slot_permutation,
+    generator_parity,
     hamiltonian_defects,
     interior_columns,
     operator_exp,
@@ -29,6 +31,10 @@ from osp22.superspace import SuperVector, coefficient_algebra, random_supervecto
 
 ALG = default_algebra()
 N = 12
+
+
+ALL_NAMES = GENERATOR_NAMES + HERMITIAN_BASE + ("h", "p_theta")
+ODD_NAMES = {"V+", "V-", "W+", "W-", "X5", "X6", "X7", "X8", "p_theta"}
 
 
 def op(name, n=N):
@@ -64,8 +70,12 @@ class TestGenerators:
         assert op("V-").apply(odd3).max_abs() == 0.0
 
     def test_block_patterns(self):
-        for name in GENERATOR_NAMES:
+        for name in ALL_NAMES:
             assert op(name).block_pattern_defect() == 0.0
+
+    def test_parities(self):
+        for name in ALL_NAMES:
+            assert op(name).parity_bit == generator_parity(name) == (name in ODD_NAMES)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -377,6 +387,13 @@ class TestApplyColumns:
                 got = coefficient_algebra(alg).lift(o.apply(v).coeffs)
                 np.testing.assert_array_equal(got, _apply_all_columns(o, v))
 
+    def test_incompatible_vector_rejected(self):
+        vac = SuperVector.basis_state(0, 0, N, ALG)
+        with pytest.raises(AlgebraMismatchError):
+            (ALG6.gen("alpha") * build_generator("V+", N, ALG6)).apply(vac)
+        with pytest.raises(AlgebraMismatchError):  # xi has no column over four generators
+            (ALG6.gen("xi") * build_generator("V+", N, ALG6)).apply(vac)
+
 
 class TestSupercommutator:
     def test_lowering_raising(self):
@@ -458,18 +475,9 @@ class TestVacuum:
 
 class TestSuperadjoint:
     def test_table(self):
-        pairs = {
-            "K0": op("K0"),
-            "K+": op("K-"),
-            "K-": op("K+"),
-            "B": op("B"),
-            "V+": 1j * op("W-"),
-            "V-": 1j * op("W+"),
-            "W+": 1j * op("V-"),
-            "W-": 1j * op("V+"),
-        }
-        for name, want in pairs.items():
-            assert (op(name).superadjoint() - want).max_abs() < 1e-14
+        assert set(SUPERADJOINTS) == set(GENERATOR_NAMES)
+        for name, (coeff, adjoint) in SUPERADJOINTS.items():
+            assert (op(name).superadjoint() - coeff * op(adjoint)).max_abs() < 1e-14
 
     def test_involution(self):
         for name in GENERATOR_NAMES:
