@@ -18,6 +18,7 @@ import numpy as np
 from . import basis as _basis
 from . import coherent as _coh
 from .config import (
+    DEFAULT_TOLERANCES,
     ConfigError,
     RunConfig,
     build_config,
@@ -51,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--t", help="comma-separated t samples")
     common.add_argument("--out", help="output file or directory")
     common.add_argument("--format", choices=("json", "csv"), dest="out_format")
-    for name in ("grassmann", "algebra", "quadrature", "coherent", "residual", "isometry"):
+    for name in DEFAULT_TOLERANCES:
         common.add_argument(f"--tol-{name}", type=float, dest=f"tol_{name}")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -72,14 +73,10 @@ def _collect_config(args) -> RunConfig:
     path = args.config or config_file_from_env()
     file_values = load_config_file(path) if path else {}
     overrides: dict = {}
-    for key in ("n_max", "nodes", "seed", "out_format"):
+    for key in ("n_max", "nodes", "seed", "out_format", *(f"tol_{name}" for name in DEFAULT_TOLERANCES)):
         val = getattr(args, key, None)
         if val is not None:
             overrides[key] = val
-    for name in ("grassmann", "algebra", "quadrature", "coherent", "residual", "isometry"):
-        val = getattr(args, f"tol_{name}", None)
-        if val is not None:
-            overrides[f"tol_{name}"] = val
     if getattr(args, "z", None):
         overrides["z_samples"] = ",".join(args.z)
     if getattr(args, "t", None):

@@ -4,13 +4,16 @@ Each check is a dict {id, description, defect, tolerance, pass}; a suite
 report collects them with a config echo.  All randomness is seeded from the
 config, so reports are deterministic given (config, build).
 
-This module is the one place a check is judged: it holds every tolerance
-and makes every pass decision.  Library modules report named defects, such
-as ``representation.structure_defects``, and carry no verdicts of their
-own.  The acceptance tests assert on the records made here, and the
-``symbols`` and ``trajectory`` commands only format the rows of
-``symbol_rows`` and ``trajectory_rows``; the ``symbols`` verdict is the
-``symbols_check`` record.
+This module is the one place a check is judged.  ``CHECKS`` declares every
+check once, in report order: its id, its gate and its description.  A gate
+is either a ``DEFAULT_TOLERANCES`` key, read through ``RunConfig.tol``, or a
+literal tolerance that no config key reaches; both kinds are listed there.
+The suites compute defects and ``_check`` judges them against the table.
+Library modules report named defects, such as
+``representation.structure_defects``, and carry no verdicts of their own.
+The acceptance tests assert on the records made here, and the ``symbols``
+and ``trajectory`` commands only format the rows of ``symbol_rows`` and
+``trajectory_rows``; the ``symbols`` verdict is the ``symbols_check`` record.
 """
 
 from __future__ import annotations
@@ -27,16 +30,107 @@ from . import superspace as _ss
 from .config import RunConfig
 from .grassmann import EVEN, ODD, GrassmannAlgebra, GENERATORS_EXTENDED, default_algebra, random_element
 
-__all__ = ["SUITE_NAMES", "run_suite", "suite_checks", "symbol_rows", "symbols_check", "trajectory_rows"]
+__all__ = ["CHECKS", "SUITE_NAMES", "run_suite", "suite_checks", "symbol_rows", "symbols_check", "trajectory_rows"]
 
 SUITE_NAMES = ("grassmann", "basis", "superspace", "algebra", "coherent")
 
+# id -> (gate, description), in report order.  A str gate names a tolerance
+# in DEFAULT_TOLERANCES; a float gate is a fixed literal.
+CHECKS = {
+    "grassmann.associativity": ("grassmann", "(ab)c = a(bc), 250 random triples, relative"),
+    "grassmann.supercommutativity": ("grassmann", "ab = (-1)^{pq} ba on homogeneous pairs"),
+    "grassmann.conjugation": ("grassmann", "conj(ab) = conj(a) conj(b) and conj is an involution"),
+    "grassmann.berezin": (
+        "grassmann",
+        "pair normalization, linearity, and vanishing without the integrated generator",
+    ),
+    "grassmann.nilpotency": ("grassmann", "theta^2 = 0 and anticommutation"),
+    "grassmann.parity": ("grassmann", "p(ab) = p(a) + p(b) mod 2"),
+    "basis.orthonormality": ("quadrature", "<chi_m|chi_n> = delta_mn for m,n <= 20, t in {0, 0.5, 2}"),
+    "basis.ladder": ("quadrature", "quadrature matrix elements reproduce the frozen ladder coefficients"),
+    "basis.sector_weights": (
+        "quadrature",
+        "a+a- + a-a+ is diagonal with eigenvalue m/2 + 1/4 (weights 1/4 and 3/4)",
+    ),
+    "basis.residual": ("residual", "equation residual < tol on the 5x5 grid for m <= 20"),
+    "basis.hermite": (1e-12, "recurrence values against scipy eval_hermitenorm"),
+    "basis.derivatives": (1e-7, "analytic x-derivatives against 4th-order finite differences"),
+    "basis.symmetry_span": (1e-8, "dilation operator leaks nothing outside modes {1,3,5}"),
+    "basis.negative_control": (
+        1.0,
+        "non-solution exp(-x^2) fails the residual gate (defect = gate/residual)",
+    ),
+    "superspace.examples": ("algebra", "unit, odd-weight i, scalar rule, and norm examples"),
+    "superspace.integral_oracle": (
+        "quadrature",
+        "direct Berezin+quadrature integral matches the fast form on 100 random pairs",
+    ),
+    "superspace.conjugate_symmetry": ("algebra", "conj(Phi1|Phi2) = (-1)^{pq} (Phi2|Phi1)"),
+    "superspace.scalar_rule": (
+        "algebra",
+        "(b1 Phi1 | b2 Phi2) = (-1)^{p(Phi1) p(b2)} conj(b1) b2 (Phi1|Phi2)",
+    ),
+    "superspace.sector_orthogonality": ("algebra", "even and odd sectors are orthogonal"),
+    "superspace.superadjoint": ("algebra", "claimed adjoints satisfy the defining identity"),
+    "superspace.negative_control": (
+        1.0,
+        "claiming K+ as its own adjoint fails (defect = tol/defect_found)",
+    ),
+    "algebra.commutator_table": ("algebra", "all listed supercommutator relations on interior modes, relative"),
+    "algebra.unlisted_pairs": ("algebra", "every unlisted generator pair supercommutes, relative"),
+    "algebra.jacobi": ("algebra", "graded Jacobi identity on 20 random triples, relative"),
+    "algebra.vacuum": ("algebra", "lowest-weight eigenvalues and annihilators, exact"),
+    "algebra.atypicality": ("algebra", "V+ moves the vacuum (norm exactly 1/sqrt 2)"),
+    "algebra.superadjoint_table": ("algebra", "adjoint table and involution"),
+    "algebra.adjoint_product": ("algebra", "(AC)+ = (-1)^{pq} C+ A+ on random pairs"),
+    "algebra.adjoint_commutator": ("algebra", "[A,C]+ = -[A+, C+] on random pairs"),
+    "algebra.hermitian_base": ("algebra", "X_j+ = (-1)^{p(X_j)} X_j for the eight combinations"),
+    "algebra.parity_bookkeeping": ("algebra", "p([A,C]) = p(A)+p(C) and sector block patterns"),
+    "algebra.hamiltonian_matrix": (
+        "algebra",
+        "h = K+/2 + K-/2 + K0 equals the squared ladder sum on interior modes",
+    ),
+    "algebra.hamiltonian_blocks": ("algebra", "the Hamiltonian element preserves the sector block pattern"),
+    "algebra.hamiltonian_quadrature": (1e-8, "matrix elements and pointwise action match -d2/dx2 for m <= 6"),
+    "algebra.hamiltonian_vacuum": ("quadrature", "<chi_0| h |chi_0> = 1/4 by quadrature"),
+    "coherent.three_routes": ("coherent", "closed form / raising series / gamma expansion agree"),
+    "coherent.unit_super_norm": (1e-12, "(Psi|Psi) = 1 exactly (nilpotent cancellation)"),
+    "coherent.residual": ("residual", "both wave-function components solve the equation"),
+    "coherent.unit_l2_norm": ("quadrature", "<psi_z|psi_z> = 1 by quadrature"),
+    "coherent.phi_norm": ("quadrature", "|phi_z|^2 integrates to 1/(4 (1 - |z|^2))"),
+    "coherent.closed_norm_identity": (1e-11, "closed-form normalizer cancels the odd-sector nilpotent exactly"),
+    "coherent.calibration": (1.0, "symbol convention calibrates to a single flag ({flag})"),
+    "coherent.symbols": (
+        "coherent",
+        "all eight generator symbols match the closed forms under the calibrated flag",
+    ),
+    "coherent.trajectory_momentum": (1e-10, "odd-sector momentum is constant and equals p0 conj(alpha)"),
+    "coherent.trajectory_line": (
+        1e-9,
+        "odd-sector position is affine in t with slope 2 p0 and intercept x0",
+    ),
+    "coherent.even_sector_rest": (1e-10, "<x> = <p> = 0 on both components by quadrature"),
+    "coherent.superisometry": ("isometry", "displacement preserves the super-Hermitian form"),
+    "coherent.displacement_vacuum": (
+        "isometry",
+        "displaced vacuum matches the series state at the tanh disk coordinate",
+    ),
+    "coherent.expansion_values": (1e-12, "leading gamma-expansion coefficients and ratios"),
+}
 
-def _check(cid: str, description: str, defect: float, tolerance: float) -> dict:
+
+def _check(cfg: RunConfig, cid: str, defect: float, **fmt) -> dict:
+    """The record of check ``cid``.
+
+    ``fmt`` fills a templated description; without it the description is
+    taken as written, so braces such as ``{1,3,5}`` stay literal.
+    """
+    gate, description = CHECKS[cid]
+    tolerance = cfg.tol(gate) if isinstance(gate, str) else gate
     defect = float(defect)
     return {
         "id": cid,
-        "description": description,
+        "description": description.format(**fmt) if fmt else description,
         "defect": defect,
         "tolerance": float(tolerance),
         "pass": bool(defect < tolerance),
@@ -47,7 +141,6 @@ def _check(cid: str, description: str, defect: float, tolerance: float) -> dict:
 
 
 def suite_grassmann(cfg: RunConfig) -> list:
-    tol = cfg.tol("grassmann")
     rng = np.random.default_rng(cfg.seed)
     algebras = (default_algebra(), GrassmannAlgebra(GENERATORS_EXTENDED))
     checks = []
@@ -59,9 +152,7 @@ def suite_grassmann(cfg: RunConfig) -> list:
         left = (a * b) * c
         scale = max(1.0, left.max_abs())
         worst = max(worst, (left - a * (b * c)).max_abs() / scale)
-    checks.append(
-        _check("grassmann.associativity", "(ab)c = a(bc), 250 random triples, relative", worst, tol)
-    )
+    checks.append(_check(cfg, "grassmann.associativity", worst))
 
     worst = 0.0
     for k in range(250):
@@ -71,9 +162,7 @@ def suite_grassmann(cfg: RunConfig) -> list:
         b = random_element(alg, rng, parity=pb)
         sign = -1.0 if (pa == ODD and pb == ODD) else 1.0
         worst = max(worst, (a * b - sign * (b * a)).max_abs())
-    checks.append(
-        _check("grassmann.supercommutativity", "ab = (-1)^{pq} ba on homogeneous pairs", worst, tol)
-    )
+    checks.append(_check(cfg, "grassmann.supercommutativity", worst))
 
     worst = 0.0
     for k in range(250):
@@ -82,14 +171,7 @@ def suite_grassmann(cfg: RunConfig) -> list:
         b = random_element(alg, rng)
         worst = max(worst, ((a * b).conj() - a.conj() * b.conj()).max_abs())
         worst = max(worst, (a.conj().conj() - a).max_abs())
-    checks.append(
-        _check(
-            "grassmann.conjugation",
-            "conj(ab) = conj(a) conj(b) and conj is an involution",
-            worst,
-            tol,
-        )
-    )
+    checks.append(_check(cfg, "grassmann.conjugation", worst))
 
     alg = default_algebra()
     th, tb = alg.gen("theta"), alg.gen("theta_bar")
@@ -110,17 +192,10 @@ def suite_grassmann(cfg: RunConfig) -> list:
         # anything missing an integrated generator integrates to zero
         no_theta = ak.element({names: c for names, c in a.terms() if "theta" not in names})
         worst = max(worst, no_theta.berezin(("theta",)).max_abs())
-    checks.append(
-        _check(
-            "grassmann.berezin",
-            "pair normalization, linearity, and vanishing without the integrated generator",
-            worst,
-            tol,
-        )
-    )
+    checks.append(_check(cfg, "grassmann.berezin", worst))
 
     worst = max((th * th).max_abs(), (tb * th + th * tb).max_abs())
-    checks.append(_check("grassmann.nilpotency", "theta^2 = 0 and anticommutation", worst, tol))
+    checks.append(_check(cfg, "grassmann.nilpotency", worst))
 
     worst = 0.0
     for _ in range(100):
@@ -132,7 +207,7 @@ def suite_grassmann(cfg: RunConfig) -> list:
             expect = EVEN if pa == pb else ODD
             if prod.parity != expect:
                 worst = 1.0
-    checks.append(_check("grassmann.parity", "p(ab) = p(a) + p(b) mod 2", worst, tol))
+    checks.append(_check(cfg, "grassmann.parity", worst))
     return checks
 
 
@@ -140,8 +215,6 @@ def suite_grassmann(cfg: RunConfig) -> list:
 
 
 def suite_basis(cfg: RunConfig) -> list:
-    tol_q = cfg.tol("quadrature")
-    tol_r = cfg.tol("residual")
     spec = _basis.QuadratureSpec(nodes=cfg.nodes)
     checks = []
 
@@ -149,9 +222,7 @@ def suite_basis(cfg: RunConfig) -> list:
     for t in (0.0, 0.5, 2.0):
         G = _basis.gram_matrix(range(21), t, spec)
         worst = max(worst, float(np.abs(G - np.eye(21)).max()))
-    checks.append(
-        _check("basis.orthonormality", "<chi_m|chi_n> = delta_mn for m,n <= 20, t in {0, 0.5, 2}", worst, tol_q)
-    )
+    checks.append(_check(cfg, "basis.orthonormality", worst))
 
     # one grid and one bra block per t; kets stay pointwise, the independent route
     grids = {t: _basis.quad_grid(t, spec) for t in (0.0, 1.0)}
@@ -168,9 +239,7 @@ def suite_basis(cfg: RunConfig) -> list:
                 else:
                     got = complex(np.sum(w * np.conjugate(bras[t][target]) * av))
                     worst = max(worst, abs(got - coeff))
-    checks.append(
-        _check("basis.ladder", "quadrature matrix elements reproduce the frozen ladder coefficients", worst, tol_q)
-    )
+    checks.append(_check(cfg, "basis.ladder", worst))
 
     worst = 0.0
     grid = np.linspace(-4.0, 4.0, 9)
@@ -184,23 +253,14 @@ def suite_basis(cfg: RunConfig) -> list:
                 - (0.5 * m + 0.25) * _basis.eval_chi(m, grid, t)
             ).max()
             worst = max(worst, float(point))
-    checks.append(
-        _check(
-            "basis.sector_weights",
-            "a+a- + a-a+ is diagonal with eigenvalue m/2 + 1/4 (weights 1/4 and 3/4)",
-            worst,
-            tol_q,
-        )
-    )
+    checks.append(_check(cfg, "basis.sector_weights", worst))
 
     xs, ts = np.meshgrid(np.linspace(-4.0, 4.0, 5), np.linspace(-2.0, 2.0, 5))
     worst = max(
         _basis.schrodinger_residual(lambda x, t, m=m: _basis.eval_chi(m, x, t), xs, ts)
         for m in range(21)
     )
-    checks.append(
-        _check("basis.residual", "equation residual < tol on the 5x5 grid for m <= 20", worst, tol_r)
-    )
+    checks.append(_check(cfg, "basis.residual", worst))
 
     from scipy.special import eval_hermitenorm
 
@@ -216,7 +276,7 @@ def suite_basis(cfg: RunConfig) -> list:
         ref = float(eval_hermitenorm(n, z))
         scale = max(1.0, abs(ref))
         worst = max(worst, abs(_basis.hermite_he(n, z) - ref) / scale)
-    checks.append(_check("basis.hermite", "recurrence values against scipy eval_hermitenorm", worst, 1e-12))
+    checks.append(_check(cfg, "basis.hermite", worst))
 
     worst = 0.0
     rng = np.random.default_rng(cfg.seed + 2)
@@ -233,9 +293,7 @@ def suite_basis(cfg: RunConfig) -> list:
         )
         scale = max(abs(v), 1.0)
         worst = max(worst, abs(a1 - fd1) / max(abs(a1), scale), abs(a2 - fd2) / max(abs(a2), scale))
-    checks.append(
-        _check("basis.derivatives", "analytic x-derivatives against 4th-order finite differences", worst, 1e-7)
-    )
+    checks.append(_check(cfg, "basis.derivatives", worst))
 
     # the dilation-type operator maps chi_3 into span{chi_1, chi_3, chi_5}
     keep = {1, 3, 5}
@@ -243,19 +301,10 @@ def suite_basis(cfg: RunConfig) -> list:
     f = lambda x: _basis.apply_symmetry_op("K0", 3, x, 0.5)
     coeffs = _basis.project_onto_modes(f, probe, 0.5, spec)
     leak = float(np.sqrt(np.sum(np.abs(coeffs) ** 2)))
-    checks.append(
-        _check("basis.symmetry_span", "dilation operator leaks nothing outside modes {1,3,5}", leak, 1e-8)
-    )
+    checks.append(_check(cfg, "basis.symmetry_span", leak))
 
     neg = _basis.schrodinger_residual(lambda x, t: np.exp(-x * x), 1.0, 0.0)
-    checks.append(
-        _check(
-            "basis.negative_control",
-            "non-solution exp(-x^2) fails the residual gate (defect = gate/residual)",
-            1e-2 / neg,
-            1.0,
-        )
-    )
+    checks.append(_check(cfg, "basis.negative_control", 1e-2 / neg))
     return checks
 
 
@@ -264,8 +313,6 @@ def suite_basis(cfg: RunConfig) -> list:
 
 def suite_superspace(cfg: RunConfig) -> list:
     alg = default_algebra()
-    tol_q = cfg.tol("quadrature")
-    tol_a = cfg.tol("algebra")
     spec = _basis.QuadratureSpec(nodes=cfg.nodes)
     rng = np.random.default_rng(cfg.seed + 3)
     checks = []
@@ -279,7 +326,7 @@ def suite_superspace(cfg: RunConfig) -> list:
     worst = max(worst, (av.super_inner(av) - (-1j) * (al.conj() * al)).max_abs())
     worst = max(worst, abs((vac + odd0).norm() ** 2 - 2.0))
     worst = max(worst, abs(_ss.SuperVector.zero(4, alg).norm()))
-    checks.append(_check("superspace.examples", "unit, odd-weight i, scalar rule, and norm examples", worst, tol_a))
+    checks.append(_check(cfg, "superspace.examples", worst))
 
     worst = 0.0
     for _ in range(100):
@@ -287,14 +334,7 @@ def suite_superspace(cfg: RunConfig) -> list:
         v2 = _ss.random_supervector(6, rng, alg)
         d = (v1.super_inner(v2) - _ss.super_inner_integral(v1, v2, 0.0, spec)).max_abs()
         worst = max(worst, d)
-    checks.append(
-        _check(
-            "superspace.integral_oracle",
-            "direct Berezin+quadrature integral matches the fast form on 100 random pairs",
-            worst,
-            tol_q,
-        )
-    )
+    checks.append(_check(cfg, "superspace.integral_oracle", worst))
 
     worst = 0.0
     for _ in range(50):
@@ -303,9 +343,7 @@ def suite_superspace(cfg: RunConfig) -> list:
         v2 = _ss.random_supervector(5, rng, alg, parity=p2)
         sign = -1.0 if (p1 == ODD and p2 == ODD) else 1.0
         worst = max(worst, (v1.super_inner(v2).conj() - sign * v2.super_inner(v1)).max_abs())
-    checks.append(
-        _check("superspace.conjugate_symmetry", "conj(Phi1|Phi2) = (-1)^{pq} (Phi2|Phi1)", worst, tol_a)
-    )
+    checks.append(_check(cfg, "superspace.conjugate_symmetry", worst))
 
     worst = 0.0
     for _ in range(50):
@@ -319,49 +357,33 @@ def suite_superspace(cfg: RunConfig) -> list:
         lhs = (b1 * v1).super_inner(b2 * v2)
         rhs = sign * (b1.conj() * b2 * v1.super_inner(v2))
         worst = max(worst, (lhs - rhs).max_abs())
-    checks.append(
-        _check(
-            "superspace.scalar_rule",
-            "(b1 Phi1 | b2 Phi2) = (-1)^{p(Phi1) p(b2)} conj(b1) b2 (Phi1|Phi2)",
-            worst,
-            tol_a,
-        )
-    )
+    checks.append(_check(cfg, "superspace.scalar_rule", worst))
 
     v_even = _ss.random_supervector(5, rng, alg)
     v_odd = _ss.random_supervector(5, rng, alg)
     pure_even = _ss.SuperVector(alg, v_even.even, [alg.zero()] * 5)
     pure_odd = _ss.SuperVector(alg, [alg.zero()] * 5, v_odd.odd)
     worst = pure_even.super_inner(pure_odd).max_abs()
-    checks.append(_check("superspace.sector_orthogonality", "even and odd sectors are orthogonal", worst, tol_a))
+    checks.append(_check(cfg, "superspace.sector_orthogonality", worst))
 
     n = 8
-    claims = []
-    for name in ("K0", "K+", "V+"):
-        coeff, adjoint = _rep.SUPERADJOINTS[name]
-        claims.append((_rep.build_generator(name, n, alg), coeff * _rep.build_generator(adjoint, n, alg)))
+    claims = [
+        (_rep.build_generator(name, n, alg), coeff * _rep.build_generator(adjoint, n, alg))
+        for name, (coeff, adjoint) in _rep.SUPERADJOINTS.items()
+    ]
     worst = 0.0
     for p1 in (EVEN, ODD):
         v1 = _ss.random_supervector(n, rng, alg, parity=p1, support=6)
         v2 = _ss.random_supervector(n, rng, alg, support=6)
         for gen, claimed in claims:
             worst = max(worst, _ss.superadjoint_defect(gen, claimed, v1, v2).max_abs())
-    checks.append(
-        _check("superspace.superadjoint", "claimed adjoints satisfy the defining identity", worst, tol_a)
-    )
+    checks.append(_check(cfg, "superspace.superadjoint", worst))
 
     v1 = _ss.random_supervector(n, rng, alg, parity=EVEN, support=6)
     v2 = _ss.random_supervector(n, rng, alg, support=6)
     kp = _rep.build_generator("K+", n, alg)
     bad = _ss.superadjoint_defect(kp, kp, v1, v2).max_abs()
-    checks.append(
-        _check(
-            "superspace.negative_control",
-            "claiming K+ as its own adjoint fails (defect = tol/defect_found)",
-            tol_a / max(bad, 1e-300),
-            1.0,
-        )
-    )
+    checks.append(_check(cfg, "superspace.negative_control", cfg.tol("algebra") / max(bad, 1e-300)))
     return checks
 
 
@@ -370,50 +392,24 @@ def suite_superspace(cfg: RunConfig) -> list:
 
 def suite_algebra(cfg: RunConfig) -> list:
     alg = default_algebra()
-    tol = cfg.tol("algebra")
     n_max = cfg.n_max
     ops = {name: _rep.build_generator(name, n_max, alg) for name in _rep.GENERATOR_NAMES}
     checks = []
 
     structure = _rep.structure_defects(ops, n_triples=20, seed=cfg.seed)
-    checks.append(
-        _check(
-            "algebra.commutator_table",
-            "all listed supercommutator relations on interior modes, relative",
-            max(structure["table"].values()),
-            tol,
-        )
-    )
-    checks.append(
-        _check(
-            "algebra.unlisted_pairs",
-            "every unlisted generator pair supercommutes, relative",
-            max(structure["unlisted"].values()),
-            tol,
-        )
-    )
-    checks.append(
-        _check("algebra.jacobi", "graded Jacobi identity on 20 random triples, relative", structure["jacobi"], tol)
-    )
+    checks.append(_check(cfg, "algebra.commutator_table", max(structure["table"].values())))
+    checks.append(_check(cfg, "algebra.unlisted_pairs", max(structure["unlisted"].values())))
+    checks.append(_check(cfg, "algebra.jacobi", structure["jacobi"]))
 
     vacuum = _rep.vacuum_defects(ops)
-    checks.append(
-        _check(
-            "algebra.vacuum",
-            "lowest-weight eigenvalues and annihilators, exact",
-            max(vacuum["lowest_weight"].values()),
-            tol,
-        )
-    )
-    checks.append(
-        _check("algebra.atypicality", "V+ moves the vacuum (norm exactly 1/sqrt 2)", vacuum["v_plus_norm"], tol)
-    )
+    checks.append(_check(cfg, "algebra.vacuum", max(vacuum["lowest_weight"].values())))
+    checks.append(_check(cfg, "algebra.atypicality", vacuum["v_plus_norm"]))
 
     worst = 0.0
     for name, (coeff, adjoint) in _rep.SUPERADJOINTS.items():
         worst = max(worst, (ops[name].superadjoint() - coeff * ops[adjoint]).max_abs())
         worst = max(worst, (ops[name].superadjoint().superadjoint() - ops[name]).max_abs())
-    checks.append(_check("algebra.superadjoint_table", "adjoint table and involution", worst, tol))
+    checks.append(_check(cfg, "algebra.superadjoint_table", worst))
 
     rng = np.random.default_rng(cfg.seed + 4)
     worst_prod = 0.0
@@ -432,21 +428,15 @@ def suite_algebra(cfg: RunConfig) -> list:
                 + a.superadjoint().supercommutator(c.superadjoint())
             ).max_abs(),
         )
-    checks.append(
-        _check("algebra.adjoint_product", "(AC)+ = (-1)^{pq} C+ A+ on random pairs", worst_prod, tol)
-    )
-    checks.append(
-        _check("algebra.adjoint_commutator", "[A,C]+ = -[A+, C+] on random pairs", worst_comm, tol)
-    )
+    checks.append(_check(cfg, "algebra.adjoint_product", worst_prod))
+    checks.append(_check(cfg, "algebra.adjoint_commutator", worst_comm))
 
     worst = 0.0
     for j, name in enumerate(_rep.HERMITIAN_BASE, start=1):
         x = _rep.build_generator(name, n_max, alg)
         sign = -1.0 if x.parity_bit else 1.0
         worst = max(worst, (x.superadjoint() - sign * x).max_abs())
-    checks.append(
-        _check("algebra.hermitian_base", "X_j+ = (-1)^{p(X_j)} X_j for the eight combinations", worst, tol)
-    )
+    checks.append(_check(cfg, "algebra.hermitian_base", worst))
 
     worst = 0.0
     for a_name in _rep.GENERATOR_NAMES:
@@ -456,43 +446,13 @@ def suite_algebra(cfg: RunConfig) -> list:
             if comm.parity_bit != expect:
                 worst = 1.0
             worst = max(worst, comm.block_pattern_defect())
-    checks.append(
-        _check("algebra.parity_bookkeeping", "p([A,C]) = p(A)+p(C) and sector block patterns", worst, tol)
-    )
+    checks.append(_check(cfg, "algebra.parity_bookkeeping", worst))
 
     ham = _rep.hamiltonian_defects(n_max, alg)
-    checks.append(
-        _check(
-            "algebra.hamiltonian_matrix",
-            "h = K+/2 + K-/2 + K0 equals the squared ladder sum on interior modes",
-            ham["ladder_route"],
-            tol,
-        )
-    )
-    checks.append(
-        _check(
-            "algebra.hamiltonian_blocks",
-            "the Hamiltonian element preserves the sector block pattern",
-            ham["block_pattern"],
-            tol,
-        )
-    )
-    checks.append(
-        _check(
-            "algebra.hamiltonian_quadrature",
-            "matrix elements and pointwise action match -d2/dx2 for m <= 6",
-            max(ham["quadrature"], ham["pointwise"]),
-            1e-8,
-        )
-    )
-    checks.append(
-        _check(
-            "algebra.hamiltonian_vacuum",
-            "<chi_0| h |chi_0> = 1/4 by quadrature",
-            ham["vacuum"],
-            cfg.tol("quadrature"),
-        )
-    )
+    checks.append(_check(cfg, "algebra.hamiltonian_matrix", ham["ladder_route"]))
+    checks.append(_check(cfg, "algebra.hamiltonian_blocks", ham["block_pattern"]))
+    checks.append(_check(cfg, "algebra.hamiltonian_quadrature", max(ham["quadrature"], ham["pointwise"])))
+    checks.append(_check(cfg, "algebra.hamiltonian_vacuum", ham["vacuum"]))
     return checks
 
 
@@ -501,10 +461,6 @@ def suite_algebra(cfg: RunConfig) -> list:
 
 def suite_coherent(cfg: RunConfig) -> list:
     alg = default_algebra()
-    tol_c = cfg.tol("coherent")
-    tol_q = cfg.tol("quadrature")
-    tol_r = cfg.tol("residual")
-    tol_i = cfg.tol("isometry")
     spec = _basis.QuadratureSpec(nodes=cfg.nodes)
     checks = []
 
@@ -524,15 +480,9 @@ def suite_coherent(cfg: RunConfig) -> list:
                 )
                 worst_norm = max(worst_norm, r["norm_defect"])
                 worst_res = max(worst_res, r["max_residual"])
-    checks.append(
-        _check("coherent.three_routes", "closed form / raising series / gamma expansion agree", worst_routes, tol_c)
-    )
-    checks.append(
-        _check("coherent.unit_super_norm", "(Psi|Psi) = 1 exactly (nilpotent cancellation)", worst_norm, 1e-12)
-    )
-    checks.append(
-        _check("coherent.residual", "both wave-function components solve the equation", worst_res, tol_r)
-    )
+    checks.append(_check(cfg, "coherent.three_routes", worst_routes))
+    checks.append(_check(cfg, "coherent.unit_super_norm", worst_norm))
+    checks.append(_check(cfg, "coherent.residual", worst_res))
 
     worst = 0.0
     worst_phi = 0.0
@@ -546,15 +496,8 @@ def suite_coherent(cfg: RunConfig) -> list:
             worst = max(worst, abs(_basis.quad_inner(psi, psi, t, qspec) - 1.0))
             nphi = _basis.quad_inner(phi, phi, t, qspec).real
             worst_phi = max(worst_phi, abs(nphi - 0.25 / (1.0 - abs(z) ** 2)))
-    checks.append(_check("coherent.unit_l2_norm", "<psi_z|psi_z> = 1 by quadrature", worst, tol_q))
-    checks.append(
-        _check(
-            "coherent.phi_norm",
-            "|phi_z|^2 integrates to 1/(4 (1 - |z|^2))",
-            worst_phi,
-            tol_q,
-        )
-    )
+    checks.append(_check(cfg, "coherent.unit_l2_norm", worst))
+    checks.append(_check(cfg, "coherent.phi_norm", worst_phi))
 
     worst = 0.0
     for z in cfg.z_samples:
@@ -562,24 +505,11 @@ def suite_coherent(cfg: RunConfig) -> list:
         cf = _coh.closed_form(p, alg)
         for t in cfg.t_samples:
             worst = max(worst, (cf.norm_sq(t, spec) - 1.0).max_abs())
-    checks.append(
-        _check(
-            "coherent.closed_norm_identity",
-            "closed-form normalizer cancels the odd-sector nilpotent exactly",
-            worst,
-            1e-11,
-        )
-    )
+    checks.append(_check(cfg, "coherent.closed_norm_identity", worst))
 
     flag, rows = symbol_rows(cfg)
-    checks.append(
-        _check(
-            "coherent.calibration",
-            f"symbol convention calibrates to a single flag ({flag})",
-            0.0 if flag in ("identity", "conjugate") else 1.0,
-            1.0,
-        )
-    )
+    calibrated = flag in ("identity", "conjugate")
+    checks.append(_check(cfg, "coherent.calibration", 0.0 if calibrated else 1.0, flag=flag))
     checks.append(symbols_check(cfg, rows))
 
     worst_p = 0.0
@@ -598,20 +528,9 @@ def suite_coherent(cfg: RunConfig) -> list:
             abs(intercept - tr["x0"] * abar),
         )
         worst_mean = max(worst_mean, *(max(r["mean_x"], r["mean_p"]) for r in tr["rows"]))
-    checks.append(
-        _check("coherent.trajectory_momentum", "odd-sector momentum is constant and equals p0 conj(alpha)", worst_p, 1e-10)
-    )
-    checks.append(
-        _check(
-            "coherent.trajectory_line",
-            "odd-sector position is affine in t with slope 2 p0 and intercept x0",
-            worst_fit,
-            1e-9,
-        )
-    )
-    checks.append(
-        _check("coherent.even_sector_rest", "<x> = <p> = 0 on both components by quadrature", worst_mean, 1e-10)
-    )
+    checks.append(_check(cfg, "coherent.trajectory_momentum", worst_p))
+    checks.append(_check(cfg, "coherent.trajectory_line", worst_fit))
+    checks.append(_check(cfg, "coherent.even_sector_rest", worst_mean))
 
     rng = np.random.default_rng(cfg.seed + 5)
     n_iso = 64
@@ -629,17 +548,8 @@ def suite_coherent(cfg: RunConfig) -> list:
         ref = _coh.series_state(_coh.CoherentParams(_coh.disk_parameter(z)), n_iso, alg, tail_tol=1e-10)
         ov = ref.super_inner(dis.apply(vac))
         worst_vac = max(worst_vac, abs(abs(ov.body) - 1.0))
-    checks.append(
-        _check("coherent.superisometry", "displacement preserves the super-Hermitian form", worst_iso, tol_i)
-    )
-    checks.append(
-        _check(
-            "coherent.displacement_vacuum",
-            "displaced vacuum matches the series state at the tanh disk coordinate",
-            worst_vac,
-            tol_i,
-        )
-    )
+    checks.append(_check(cfg, "coherent.superisometry", worst_iso))
+    checks.append(_check(cfg, "coherent.displacement_vacuum", worst_vac))
 
     worst = 0.0
     for z in cfg.z_samples:
@@ -647,9 +557,7 @@ def suite_coherent(cfg: RunConfig) -> list:
         pref = (1.0 - abs(z) ** 2) ** 0.25
         worst = max(worst, abs(ge[0] - pref), abs(go[0] - 0.5 * pref))
         worst = max(worst, abs(ge[1] / ge[0] - z * np.sqrt(0.5)))
-    checks.append(
-        _check("coherent.expansion_values", "leading gamma-expansion coefficients and ratios", worst, 1e-12)
-    )
+    checks.append(_check(cfg, "coherent.expansion_values", worst))
     return checks
 
 
@@ -686,12 +594,7 @@ def symbol_rows(cfg: RunConfig) -> tuple:
 
 def symbols_check(cfg: RunConfig, rows: list) -> dict:
     """The ``coherent.symbols`` record over the rows of ``symbol_rows``."""
-    return _check(
-        "coherent.symbols",
-        "all eight generator symbols match the closed forms under the calibrated flag",
-        max((r["defect"] for r in rows), default=0.0),
-        cfg.tol("coherent"),
-    )
+    return _check(cfg, "coherent.symbols", max((r["defect"] for r in rows), default=0.0))
 
 
 def trajectory_rows(params, ts, algebra, spec) -> dict:

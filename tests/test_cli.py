@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from osp22.basis import QuadratureSpec
-from osp22.cli import main
+from osp22.cli import _collect_config, build_parser, main
 from osp22.coherent import CoherentParams
 from osp22.config import (
+    DEFAULT_TOLERANCES,
     ConfigError,
     build_config,
     format_complex,
@@ -49,6 +50,12 @@ class TestConfig:
         assert cfg.n_max == 16
         assert cfg.nodes == 150  # CLI flag wins
         assert cfg.tol("algebra") == 1e-11
+
+    @pytest.mark.parametrize("key", list(DEFAULT_TOLERANCES))
+    def test_tol_flag_reaches_the_config(self, key, monkeypatch):
+        monkeypatch.delenv("OSP22_CONFIG", raising=False)
+        cfg = _collect_config(build_parser().parse_args(["verify", "basis", f"--tol-{key}", "3.5e-5"]))
+        assert cfg.tolerances == {**DEFAULT_TOLERANCES, key: 3.5e-5}
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from osp22 import EVEN, ODD
 from osp22.grassmann import GENERATORS_EXTENDED, AlgebraMismatchError, GrassmannAlgebra, default_algebra
-from osp22.representation import build_generator
+from osp22.representation import SUPERADJOINTS, build_generator
 from osp22.superspace import (
     DimensionMismatchError,
     SuperVector,
@@ -270,22 +270,18 @@ class TestIntegralOracle:
 
 
 class TestSuperadjointDefect:
-    def test_self_adjoint_K0(self):
+    @pytest.mark.parametrize("name", list(SUPERADJOINTS))
+    def test_claimed_adjoint(self, name):
         rng = np.random.default_rng(7)
-        k0 = build_generator("K0", 6, ALG)
+        coeff, adjoint = SUPERADJOINTS[name]
+        op = build_generator(name, 6, ALG)
+        claimed = coeff * build_generator(adjoint, 6, ALG)
         for p in (EVEN, ODD):
             v1 = random_supervector(6, rng, ALG, parity=p, support=4)
             v2 = random_supervector(6, rng, ALG, support=4)
-            assert superadjoint_defect(k0, k0, v1, v2).max_abs() < 1e-12
-
-    def test_odd_pair(self):
-        rng = np.random.default_rng(8)
-        vp = build_generator("V+", 6, ALG)
-        wm = build_generator("W-", 6, ALG)
-        for p in (EVEN, ODD):
-            v1 = random_supervector(6, rng, ALG, parity=p, support=4)
-            v2 = random_supervector(6, rng, ALG, support=4)
-            assert superadjoint_defect(vp, 1j * wm, v1, v2).max_abs() < 1e-12
+            assert superadjoint_defect(op, claimed, v1, v2).max_abs() < 1e-12
+            # a sign-flipped claim misses by twice (A+ v1 | v2), far from rounding
+            assert superadjoint_defect(op, -1.0 * claimed, v1, v2).max_abs() > 1e-3
 
     def test_negative_control(self):
         rng = np.random.default_rng(9)
