@@ -172,15 +172,16 @@ def build_config(file_values: dict | None = None, overrides: dict | None = None)
         for key, val in source.items():
             if val is None:
                 continue
-            conv = float if key.startswith("tol_") else _CONVERTERS.get(key)
+            tol_name = key[4:] if key.startswith("tol_") else None
+            conv = float if tol_name in DEFAULT_TOLERANCES else _CONVERTERS.get(key)
             if conv is None:
                 raise ConfigError(f"unknown configuration key {key!r}")
             try:
                 value = conv(val)
             except ValueError as exc:
                 raise ConfigError(f"cannot parse {key} = {val!r}") from exc
-            if key.startswith("tol_"):
-                tols[key[4:]] = value
+            if tol_name:
+                tols[tol_name] = value
             else:
                 updates[key] = value
         updates["tolerances"] = tols

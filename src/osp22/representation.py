@@ -8,14 +8,16 @@ matrices; Grassmann content enters only through theta-free scalar multiples.
 Composition is quadrant-sparse.  The Z2 grading splits each block into four
 (N x N) sector quadrants (row sector, column sector); a block of even total
 parity fills only the diagonal ones, an odd block only the off-diagonal ones.
-Every operator keeps, per block, the 2x2 map of quadrants that hold nonzeros,
-read from the entries when the operator is made, and a block product forms
-output quadrant (i, j) as the sum over k of A[i, k] @ C[k, j] where both maps
-are set: two N x N products for a sector-patterned pair instead of one
-(2N x 2N) product.  Blocks that break the pattern get every quadrant product
-they need, through the same loop.  The superadjoint likewise transposes only
-the quadrants that hold nonzeros.  Stored blocks are read-only, so a map
-cannot go stale, and a block that a sum or a rename shares keeps its map.
+A block is stored as the quadrants it holds, {(row sector, column sector):
+read-only N x N array}, and a missing quadrant is zero.  Every operation acts
+quadrant by quadrant: a block product forms output quadrant (i, j) as the sum
+over k of A[i, k] @ C[k, j] where both are held, two N x N products for a
+sector-patterned pair instead of one (2N x 2N) product, and blocks that break
+the pattern get every quadrant product they need through the same loop.  The
+quadrants a result holds follow from its operands, not from its entries, so a
+quadrant that cancels to zero stays held.  Only the public constructor reads
+entries, to keep the nonzero quadrants of the (2N x 2N) arrays it copies;
+``block`` assembles one (2N x 2N) block.
 
 The generators are declared once, in three tables.  ``_STENCILS`` gives
 each basic generator (and "I") as entries (target sector, source sector,
@@ -120,15 +122,6 @@ def generator_parity(name: str) -> int:
     return int(target != source)
 
 
-def _slot_parity(n_max: int) -> np.ndarray:
-    return np.concatenate([np.zeros(n_max, dtype=int), np.ones(n_max, dtype=int)])
-
-
-def _sectors(n_max: int) -> tuple[slice, slice]:
-    """Slot ranges of the even and the odd sector."""
-    return slice(0, n_max), slice(n_max, 2 * n_max)
-
-
 def interior_columns(n_max: int, drop: int = 2) -> np.ndarray:
     """Slot columns at least ``drop`` modes below the truncation, per sector."""
     keep = np.arange(max(n_max - drop, 0))
@@ -138,51 +131,46 @@ def interior_columns(n_max: int, drop: int = 2) -> np.ndarray:
 class SuperOperator:
     """(2 N_max) x (2 N_max) operator with Grassmann-monomial block decomposition.
 
-    ``blocks`` maps each coefficient-algebra monomial mask to a read-only
-    complex matrix, and ``quadrants`` maps the same masks to the 2x2 table of
-    sector quadrants (row sector, column sector) that hold a nonzero entry.
+    ``blocks`` maps each coefficient-algebra monomial mask to the block's
+    sector quadrants: {(row sector, column sector): read-only (N x N) array},
+    where a missing quadrant is zero.  ``block(mask)`` assembles one block.
     """
 
-    __slots__ = ("algebra", "n_max", "blocks", "quadrants", "parity_bit", "_name")
+    __slots__ = ("algebra", "n_max", "blocks", "parity_bit", "_name")
 
     def __init__(self, algebra, n_max: int, blocks: dict, parity, name: str = ""):
-        """Copies the blocks: later writes to the caller's arrays cannot reach the operator."""
-        blocks = {m: np.array(mat, dtype=complex, order="C") for m, mat in blocks.items()}
-        self._store(algebra, n_max, blocks, parity, name, {})
+        """Copies the nonzero quadrants of each (2N x 2N) block: later writes to
+        the caller's arrays cannot reach the operator."""
+        n = int(n_max)
+        quadrants = {}
+        for mask, mat in blocks.items():
+            mat = np.asarray(mat, dtype=complex)
+            if mat.shape != (2 * n, 2 * n):
+                raise DimensionMismatchError("block shape does not match truncation")
+            parts = mat.reshape(2, n, 2, n)  # row sector, row, column sector, column
+            kept = {(i, j): parts[i, :, j].copy() for i in (0, 1) for j in (0, 1) if parts[i, :, j].any()}
+            if kept:
+                quadrants[int(mask)] = kept
+        self._store(algebra, n, quadrants, parity, name)
 
     @classmethod
-    def _wrap(cls, algebra, n_max: int, blocks: dict, parity, name: str = "", known=None):
-        """Operator over arrays no caller holds writably: frozen in place, not copied."""
+    def _wrap(cls, algebra, n_max: int, blocks: dict, parity, name: str = ""):
+        """Operator over quadrant arrays no caller holds writably: frozen in place, not copied."""
         op = cls.__new__(cls)
-        op._store(algebra, n_max, blocks, parity, name, known or {})
+        op._store(algebra, n_max, blocks, parity, name)
         return op
 
-    def _store(self, algebra, n_max, blocks, parity, name, known):
+    def _store(self, algebra, n_max, blocks, parity, name):
         if parity in (EVEN, ODD):
             parity = 1 if parity == ODD else 0
         if parity not in (0, 1):
             raise ValueError("parity must be 0/1 or 'even'/'odd'")
-        size = 2 * n_max
-        clean, quadrants = {}, {}
-        for mask, mat in blocks.items():
-            quads = known.get(mask)  # the map of a block shared unchanged
-            if quads is None:
-                mat = np.ascontiguousarray(mat, dtype=complex)
-                if mat.shape != (size, size):
-                    raise DimensionMismatchError("block shape does not match truncation")
-                # axes: row sector, row, column sector, (re, im) of the sector's columns
-                parts = mat.view(float).reshape(2, n_max, 2, 2 * n_max)
-                scan = (parts != 0).any(axis=3).any(axis=1)
-                if not scan.any():
-                    continue
-                mat.flags.writeable = False
-                quads = tuple(map(tuple, scan.tolist()))
-            clean[int(mask)] = mat
-            quadrants[int(mask)] = quads
+        for quads in blocks.values():
+            for part in quads.values():
+                part.flags.writeable = False
         self.algebra = algebra
         self.n_max = int(n_max)
-        self.blocks = clean
-        self.quadrants = quadrants
+        self.blocks = blocks
         self.parity_bit = parity
         self._name = name
 
@@ -193,9 +181,8 @@ class SuperOperator:
         return self._name
 
     def renamed(self, name: str) -> "SuperOperator":
-        """The same operator under another name, sharing the read-only blocks and their maps."""
-        blocks, maps = self.blocks, self.quadrants
-        return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.parity_bit, name, maps)
+        """The same operator under another name, sharing its read-only quadrants."""
+        return SuperOperator._wrap(self.algebra, self.n_max, self.blocks, self.parity_bit, name)
 
     @property
     def size(self) -> int:
@@ -206,9 +193,13 @@ class SuperOperator:
         return ODD if self.parity_bit else EVEN
 
     def block(self, mask: int = 0) -> np.ndarray:
-        mat = self.blocks.get(mask)
-        if mat is None:
-            return np.zeros((self.size, self.size), dtype=complex)
+        """The (2N x 2N) block of a monomial, assembled from its quadrants; read-only."""
+        n = self.n_max
+        parts = np.zeros((2, n, 2, n), dtype=complex)
+        for (i, j), part in self.blocks.get(mask, {}).items():
+            parts[i, :, j] = part
+        mat = parts.reshape(2 * n, 2 * n)
+        mat.flags.writeable = False
         return mat
 
     @property
@@ -218,7 +209,8 @@ class SuperOperator:
     @classmethod
     def identity(cls, n_max: int, algebra=None) -> "SuperOperator":
         alg = algebra or default_algebra()
-        return cls._wrap(alg, n_max, {0: np.eye(2 * n_max, dtype=complex)}, 0, name="I")
+        eye = {(s, s): np.eye(n_max, dtype=complex) for s in (0, 1)}
+        return cls._wrap(alg, n_max, {0: eye}, 0, name="I")
 
     @classmethod
     def zero(cls, n_max: int, algebra=None, parity=0) -> "SuperOperator":
@@ -243,12 +235,11 @@ class SuperOperator:
             return self
         if other.parity_bit != self.parity_bit:
             raise ValueError("cannot add operators of different parity")
-        blocks = {**self.blocks, **other.blocks}  # read-only, so blocks one operand holds are shared
-        known = {**self.quadrants, **other.quadrants}  # and so are their quadrant maps
-        for m in self.blocks.keys() & other.blocks.keys():
-            blocks[m] = self.blocks[m] + other.blocks[m]
-            del known[m]
-        return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.parity_bit, known=known)
+        blocks = dict(self.blocks)  # read-only, so quadrants one operand holds are shared
+        for m, qc in other.blocks.items():
+            qa = blocks.get(m, {})
+            blocks[m] = {**qa, **qc, **{ij: qa[ij] + qc[ij] for ij in qa.keys() & qc.keys()}}
+        return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.parity_bit)
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -259,23 +250,25 @@ class SuperOperator:
     def __rmul__(self, beta):
         """Left multiplication by a complex number or homogeneous theta-free Grassmann scalar."""
         if isinstance(beta, _SCALARS):
-            c = complex(beta)  # the blocks are rescanned: c can underflow an entry to zero
-            blocks = {m: c * mat for m, mat in self.blocks.items()}
+            c = complex(beta)
+            blocks = {m: {ij: c * q for ij, q in quads.items()} for m, quads in self.blocks.items()}
             return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.parity_bit)
         if isinstance(beta, GrassmannElement):
             space = coefficient_algebra(self.algebra)
             row = space.restrict(beta)
             pb = beta.parity_bit
             join = space.plan.join
-            blocks: dict[int, np.ndarray] = {}
+            blocks: dict[int, dict] = {}
             for bm in np.flatnonzero(row).tolist():
                 coeff = complex(row[bm])
-                for am, mat in self.blocks.items():
+                for am, quads in self.blocks.items():
                     step = join[bm][am]
                     if step is None:
                         continue
                     key, sign = step
-                    blocks[key] = blocks.get(key, 0) + (sign * coeff) * mat
+                    out = blocks.setdefault(key, {})
+                    for ij, part in quads.items():
+                        out[ij] = out.get(ij, 0) + (sign * coeff) * part
             return SuperOperator._wrap(
                 self.algebra, self.n_max, blocks, self.parity_bit ^ pb
             )
@@ -291,56 +284,57 @@ class SuperOperator:
     def __matmul__(self, other):
         """Block products over the sector quadrants both factors hold.
 
-        Output quadrant (i, j) of a block product gains ma[i, k] @ mc[k, j]
-        for each k where ma's quadrant (i, k) and mc's quadrant (k, j) hold
-        nonzeros, so a sector-patterned pair costs two N x N products.
+        Output quadrant (i, j) of a block product gains a[i, k] @ c[k, j] for
+        each k, in increasing order, where both quadrants are held, so a
+        sector-patterned pair costs two N x N products.
         """
         self._check(other)
         plan = coefficient_algebra(self.algebra).plan
-        sectors = _sectors(self.n_max)
-        blocks: dict[int, np.ndarray] = {}
-        for am, ma in self.blocks.items():
+        n = self.n_max
+        blocks: dict[int, dict] = {}
+        for am, qa in self.blocks.items():
             p_ma = self.parity_bit ^ plan.parity[am]
-            qa = self.quadrants[am]
-            for cm, mc in other.blocks.items():
+            qa = sorted(qa.items())
+            for cm, qc in other.blocks.items():
                 step = plan.join[am][cm]
                 if step is None:
                     continue
                 key, sign = step
                 if p_ma and plan.parity[cm]:
                     sign = -sign
-                qc = other.quadrants[cm]
-                out = blocks.get(key)
-                if out is None:
-                    out = blocks[key] = np.zeros((self.size, self.size), dtype=complex)
-                for i, rows in enumerate(sectors):
-                    for k, mid in enumerate(sectors):
-                        if not qa[i][k]:
+                out = blocks.setdefault(key, {})
+                for (i, k), a in qa:
+                    for j in (0, 1):
+                        c = qc.get((k, j))
+                        if c is None:
                             continue
-                        for j, cols in enumerate(sectors):
-                            if qc[k][j]:
-                                part = ma[rows, mid] @ mc[mid, cols]
-                                if sign > 0:
-                                    out[rows, cols] += part
-                                else:
-                                    out[rows, cols] -= part
+                        acc = out.get((i, j))
+                        if acc is None:
+                            acc = out[(i, j)] = np.zeros((n, n), dtype=complex)
+                        if sign > 0:
+                            acc += a @ c
+                        else:
+                            acc -= a @ c
         return SuperOperator._wrap(
             self.algebra, self.n_max, blocks, self.parity_bit ^ other.parity_bit
         )
 
     def apply(self, v: SuperVector) -> SuperVector:
-        """One ``mat @ coeffs`` per block, Koszul-signed, scattered to columns am|v."""
+        """Quadrant products per block, Koszul-signed, scattered to columns am|v."""
         if v.n_max != self.n_max:
             raise DimensionMismatchError("vector truncation differs from operator")
         if not self.algebra.compatible(v.algebra):
             raise AlgebraMismatchError("vector over an incompatible algebra")
         plan = coefficient_algebra(v.algebra).plan
-        out = np.zeros_like(v.coeffs)
-        for am, mat in self.blocks.items():
-            part = mat @ v.coeffs
+        coeffs = v.coeffs.reshape(2, self.n_max, -1)  # sector, mode, monomial column
+        out = np.zeros_like(coeffs)
+        for am, quads in self.blocks.items():
+            part = np.zeros_like(coeffs)
+            for (i, j), mat in sorted(quads.items()):
+                part[i] += mat @ coeffs[j]
             graded = plan.grade(part) if self.parity_bit ^ plan.parity[am] else part
             out += plan.left_mul(am, graded)
-        return SuperVector.from_coeffs(v.algebra, out)
+        return SuperVector.from_coeffs(v.algebra, out.reshape(v.coeffs.shape))
 
     def supercommutator(self, other) -> "SuperOperator":
         """[A, C] = AC - (-1)^{p(A) p(C)} CA."""
@@ -358,19 +352,15 @@ class SuperOperator:
         Koszul sign of odd blocks on odd columns and the sign of the conjugate
         monomial.  Unit weights multiply exactly.
         """
-        sectors = _sectors(self.n_max)
-        blocks: dict[int, np.ndarray] = {}
+        blocks: dict[int, dict] = {}
         plan = coefficient_algebra(self.algebra).plan
-        for am, mat in self.blocks.items():
+        for am, quads in self.blocks.items():
             p_ma = self.parity_bit ^ plan.parity[am]
             mm, c = plan.conj_table[am]  # conjugation permutes the masks
-            adj = np.zeros((self.size, self.size), dtype=complex)
-            for i, rows in enumerate(sectors):
-                for j, cols in enumerate(sectors):
-                    if self.quadrants[am][j][i]:
-                        weight = c * 1j**i * (-1j) ** j * ((-1.0) ** j if p_ma else 1.0)
-                        adj[rows, cols] = weight * mat[cols, rows].conj().T
-            blocks[mm] = adj
+            blocks[mm] = adj = {}
+            for (j, i), part in quads.items():
+                weight = c * 1j**i * (-1j) ** j * ((-1.0) ** j if p_ma else 1.0)
+                adj[(i, j)] = weight * part.conj().T
         return SuperOperator._wrap(
             self.algebra, self.n_max, blocks, self.parity_bit, name=f"({self.name})+"
         )
@@ -378,23 +368,27 @@ class SuperOperator:
     # -- diagnostics -------------------------------------------------------------------
 
     def max_abs(self, columns=None) -> float:
+        n = self.n_max
+        if columns is not None:
+            columns = np.arange(2 * n)[columns]  # slot indices, as ``block(m)[:, columns]`` reads them
+            columns = [columns[columns // n == j] - j * n for j in (0, 1)]
         best = 0.0
-        for mat in self.blocks.values():
-            view = mat if columns is None else mat[:, columns]
-            if view.size:
-                best = max(best, float(np.abs(view).max()))
+        for quads in self.blocks.values():
+            for (_, j), part in quads.items():
+                view = part if columns is None else part[:, columns[j]]
+                if view.size:
+                    best = max(best, float(np.abs(view).max()))
         return best
 
     def block_pattern_defect(self) -> float:
-        """Largest entry violating the sector pattern implied by the parity."""
-        p = _slot_parity(self.n_max)
+        """Largest entry in a quadrant off the sector pattern implied by the parity."""
         parity = coefficient_algebra(self.algebra).plan.parity
         worst = 0.0
-        for am, mat in self.blocks.items():
+        for am, quads in self.blocks.items():
             p_ma = self.parity_bit ^ parity[am]
-            bad = (p[:, None] ^ p[None, :]) != p_ma
-            if np.any(bad):
-                worst = max(worst, float(np.abs(mat[bad]).max(initial=0.0)))
+            for (i, j), part in quads.items():
+                if i ^ j != p_ma:
+                    worst = max(worst, float(np.abs(part).max(initial=0.0)))
         return worst
 
     def __repr__(self):
@@ -432,11 +426,12 @@ def build_generator(name: str, n_max: int, algebra=None) -> SuperOperator:
         ops = {base: build_generator(base, n_max, alg) for base in _COMBOS[name]}
         return _combo(_COMBOS[name], ops).renamed(name)
     parity = generator_parity(name)
-    mat = np.zeros((2 * n_max, 2 * n_max), dtype=complex)
+    quadrants = {}
     for target, source, shift, coeff in _STENCILS[name]:
         j = np.arange(max(0, -shift), n_max - max(0, shift))  # source modes whose target is kept
-        mat[target * n_max + j + shift, source * n_max + j] = coeff(j.astype(float), 0.5, np.sqrt)
-    return SuperOperator._wrap(alg, n_max, {0: mat}, parity, name=name)
+        part = quadrants[(target, source)] = np.zeros((n_max, n_max), dtype=complex)
+        part[j + shift, j] = coeff(j.astype(float), 0.5, np.sqrt)
+    return SuperOperator._wrap(alg, n_max, {0: quadrants}, parity, name=name)
 
 
 def chi_ladder_matrix(sign, size: int) -> np.ndarray:
@@ -477,8 +472,7 @@ def operator_exp(op: SuperOperator, tol: float = 1e-16, max_terms: int = 80) -> 
     """
     if op.parity_bit:
         raise ValueError("exponent must have even total parity")
-    body = op.blocks.get(0)
-    n1 = float(np.linalg.norm(body, 1)) if body is not None else 0.0
+    n1 = float(np.linalg.norm(op.body, 1))
     s = max(0, int(np.ceil(np.log2(n1 / 0.5)))) if n1 > 0.5 else 0
     scaled = (0.5**s) * op
     acc = SuperOperator.identity(op.n_max, op.algebra)

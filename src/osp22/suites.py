@@ -304,7 +304,7 @@ def suite_basis(cfg: RunConfig) -> list:
     checks.append(_check(cfg, "basis.symmetry_span", leak))
 
     neg = _basis.schrodinger_residual(lambda x, t: np.exp(-x * x), 1.0, 0.0)
-    checks.append(_check(cfg, "basis.negative_control", 1e-2 / neg))
+    checks.append(_check(cfg, "basis.negative_control", cfg.tol("residual") / neg))
     return checks
 
 

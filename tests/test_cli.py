@@ -67,7 +67,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg.validate("coherent")
 
-    @pytest.mark.parametrize("line", ["n_max = abc", "t_samples = 0,x", "tol_algebra = x"])
+    @pytest.mark.parametrize(
+        "line",
+        # the last three name no tolerance, so they must not add one that no check reads
+        [
+            "n_max = abc",
+            "t_samples = 0,x",
+            "tol_algebra = x",
+            "tol_quadature = 1e-20",
+            "tol_ = 1",
+            "tol_tol_algebra = 1",
+        ],
+    )
     def test_unparsable_file_value_exits_2(self, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(line + "\n")

@@ -1,7 +1,9 @@
-"""Every exported name resolves, and no module imports a name it never uses.
+"""Every exported name resolves, every name the benchmark trace wraps exists,
+and no module imports a name it never uses.
 
 A stale ``__all__`` entry only breaks ``import *``; a stale import breaks
-nothing, so both are caught here.
+nothing; a renamed traced method breaks only traced benchmark runs, which
+Tier-1 does not collect; so all three are caught here.
 """
 
 import ast
@@ -87,3 +89,29 @@ def test_unused_import_scan_catches_a_stale_import():
     source = "import os\nfrom numpy import pi, e\n__all__ = ['e']\nprint(pi)\n"
     assert _unused_imports(source) == ["os"]
     assert _unused_imports(source, reexported={"os"}) == []
+
+
+def _traced_targets() -> tuple:
+    """``TARGETS`` of the benchmark's layer trace, read from its source without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py defines no TARGETS")
+
+
+def test_traced_names_resolve():
+    """Every (owner, attribute) the benchmark trace wraps exists, so a rename shows here."""
+    targets = _traced_targets()
+    assert targets
+    missing = []
+    for _layer, _span, owner, attribute in targets:
+        module, _, cls = owner.partition(":")
+        holder = importlib.import_module(module)
+        if cls:
+            holder = getattr(holder, cls, None)
+        if not callable(getattr(holder, attribute, None)):
+            missing.append((owner, attribute))
+    assert not missing

@@ -13,6 +13,7 @@ from osp22.representation import (
     HERMITIAN_BASE,
     SUPERADJOINTS,
     SuperOperator,
+    _STENCILS,
     build_generator,
     chi_ladder_matrix,
     chi_slot_permutation,
@@ -142,9 +143,9 @@ class TestApplyAgainstSlots:
 # -- quadrant-sparse composition ---------------------------------------------------
 
 ALG6 = GrassmannAlgebra(GENERATORS_EXTENDED)
-DIAGONAL = ((True, False), (False, True))
-ODD_TO_EVEN = ((False, True), (False, False))  # rows in the even sector, columns odd
-EVEN_TO_ODD = ((False, False), (True, False))
+DIAGONAL = {(0, 0), (1, 1)}
+ODD_TO_EVEN = {(0, 1)}  # (row sector, column sector): rows in the even sector, columns odd
+EVEN_TO_ODD = {(1, 0)}
 BLOCK_KINDS = ("patterned", "single", "dense", "breaking")
 
 
@@ -183,20 +184,20 @@ def _random_operator(alg, rng, n, parity, kind, integer):
     return SuperOperator(alg, n, blocks, parity)
 
 
-def _quadrant_map(mat, n):
-    """Which (row sector, column sector) quadrants hold a nonzero, one slice at a time."""
-    return tuple(
-        tuple(bool(np.any(mat[i * n : (i + 1) * n, j * n : (j + 1) * n])) for j in (0, 1))
-        for i in (0, 1)
-    )
+def _nonzero_quadrants(mat, n):
+    """The (row sector, column sector) pairs of a (2n x 2n) block that hold a nonzero."""
+    quadrant = lambda i, j: mat[i * n : (i + 1) * n, j * n : (j + 1) * n]
+    return {(i, j) for i in (0, 1) for j in (0, 1) if np.any(quadrant(i, j))}
 
 
 def _dense_product(a, c):
     """sum over block pairs of sign * (ma @ mc) with full (2N x 2N) products."""
     plan = coefficient_algebra(a.algebra).plan
     out = {}
-    for am, ma in a.blocks.items():
-        for cm, mc in c.blocks.items():
+    for am in a.blocks:
+        ma = a.block(am)
+        for cm in c.blocks:
+            mc = c.block(cm)
             step = plan.join[am][cm]
             if step is None:
                 continue
@@ -236,8 +237,6 @@ class TestQuadrantComposition:
             else:
                 scale = max(1.0, float(np.abs(ref).max()))
                 assert np.abs(got.block(key) - ref).max() <= 1e-13 * a.size * scale
-        for key, mat in got.blocks.items():
-            assert got.quadrants[key] == _quadrant_map(mat, a.n_max)
 
     @settings(max_examples=40, deadline=None)
     @given(_operator_pairs())
@@ -250,7 +249,8 @@ class TestQuadrantComposition:
         plan = coefficient_algebra(a.algebra).plan
         p = np.repeat([0, 1], a.n_max)
         want = {}
-        for am, mat in a.blocks.items():
+        for am in a.blocks:
+            mat = a.block(am)
             col = (-1j) ** p
             if a.parity_bit ^ plan.parity[am]:
                 col = col * (-1.0) ** p
@@ -272,7 +272,7 @@ class TestQuadrantComposition:
         np.testing.assert_array_equal(got[even, odd], a.body[even, even] @ c.body[even, odd])
         np.testing.assert_array_equal(got[odd, even], a.body[odd, odd] @ c.body[odd, even])
         assert not np.any(got[even, even]) and not np.any(got[odd, odd])
-        assert (a @ c).quadrants == {0: ((False, True), (True, False))}
+        assert set((a @ c).blocks[0]) == {(0, 1), (1, 0)}
 
     @pytest.mark.parametrize(
         "name, want",
@@ -288,11 +288,12 @@ class TestQuadrantComposition:
         ],
     )
     def test_generator_quadrants(self, name, want):
-        assert op(name).quadrants == {0: want}
+        assert set(op(name).blocks) == {0}
+        assert set(op(name).blocks[0]) == want == {(t, s) for t, s, _, _ in _STENCILS[name]}
 
     def test_commutator_quadrants(self):
-        assert op("V+").supercommutator(op("W-")).quadrants == {0: DIAGONAL}
-        assert op("K+").supercommutator(op("V-")).quadrants == {0: EVEN_TO_ODD}
+        assert set(op("V+").supercommutator(op("W-")).blocks[0]) == DIAGONAL
+        assert set(op("K+").supercommutator(op("V-")).blocks[0]) == EVEN_TO_ODD
 
     def test_stored_blocks_are_read_only(self):
         with pytest.raises(ValueError):
@@ -307,7 +308,7 @@ class TestQuadrantComposition:
         assert o.body is not arr
         arr[5, 0] = 7.0  # a write that would break the sector pattern
         assert o.body[5, 0] == 0.0
-        assert o.quadrants == {0: ((True, False), (False, False))}
+        assert set(o.blocks) == {0} and set(o.blocks[0]) == {(0, 0)}
         assert o.block_pattern_defect() == 0.0
 
     def test_sum_shares_blocks_one_operand_holds(self):
@@ -315,32 +316,64 @@ class TestQuadrantComposition:
         right = (ALG.gen("alpha") * ALG.gen("alpha_bar")) * op("K+")
         total = left + right
         pair = 0b11  # alpha * alpha_bar in the coefficient algebra
-        assert total.blocks[0] is left.blocks[0]
-        assert total.blocks[pair] is right.blocks[pair]
+        assert set(total.blocks) == {0, pair}
+        for operand, mask in ((left, 0), (right, pair)):
+            assert total.blocks[mask].keys() == operand.blocks[mask].keys()
+            assert all(total.blocks[mask][ij] is part for ij, part in operand.blocks[mask].items())
         with pytest.raises(ValueError):
-            total.blocks[pair][1, 0] = 0.0
+            total.blocks[pair][(0, 0)][1, 0] = 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(_operator_pairs())
-    def test_kept_maps_equal_a_fresh_scan(self, pair):
-        """Sums and renames keep the maps of the blocks they share, and every map is right."""
+    def test_sum_matches_dense_sum(self, pair):
+        """Quadrant-wise sums equal the sums of the assembled blocks, bit for bit."""
         a, c, _ = pair
-        sums = [a.renamed("r")]
-        if a.parity_bit == c.parity_bit:
-            sums += [a + c, c + a, a - c, a + a]
-        for got in sums:
-            for key, mat in got.blocks.items():
-                assert got.quadrants[key] == _quadrant_map(mat, a.n_max)
-        renamed = sums[0]
-        assert all(renamed.blocks[m] is mat for m, mat in a.blocks.items())
-        if len(sums) > 1:
-            total = sums[1]
-            for m, mat in a.blocks.items():
-                if m not in c.blocks:
-                    assert total.blocks[m] is mat
-            for m, mat in c.blocks.items():
-                if m not in a.blocks:
-                    assert total.blocks[m] is mat
+        # relabel c with a's parity so the two can be added; the sum ignores the pattern
+        c = SuperOperator(c.algebra, c.n_max, {m: c.block(m) for m in c.blocks}, a.parity_bit)
+        for got, sign in ((a + c, 1.0), (a - c, -1.0)):
+            assert set(got.blocks) == set(a.blocks) | set(c.blocks)
+            for m in got.blocks:
+                np.testing.assert_array_equal(got.block(m), a.block(m) + sign * c.block(m))
+
+    @pytest.mark.parametrize("kind", BLOCK_KINDS)
+    @settings(max_examples=15, deadline=None)
+    @given(
+        alg=st.sampled_from([ALG, ALG6]),
+        n=st.sampled_from([2, 3, 5]),
+        parity=st.integers(0, 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_constructor_keeps_the_nonzero_quadrants(self, kind, alg, n, parity, seed):
+        """SuperOperator(alg, n, {m: op.block(m)}, p) holds exactly the nonzero quadrants,
+        also of an operator whose quadrants cancel to zero."""
+        a = _random_operator(alg, np.random.default_rng(seed), n, parity, kind, False)
+        for o in (a, a - a):
+            for m in o.blocks:
+                mat = o.block(m)
+                back = SuperOperator(alg, n, {m: mat}, parity)
+                assert set(back.blocks.get(m, {})) == _nonzero_quadrants(mat, n)
+                np.testing.assert_array_equal(back.block(m), mat)
+        assert set((a - a).blocks) == set(a.blocks)  # cancellation keeps the zero quadrants
+        assert (a - a).max_abs() == 0.0
+
+    def test_max_abs_columns_match_dense_columns(self):
+        o = _random_operator(ALG6, np.random.default_rng(3), 4, 0, "dense", False)
+        for cols in (interior_columns(4, 2), [-1, 0], slice(2, 7), np.arange(8) % 3 == 0):
+            want = max(float(np.abs(o.block(m)[:, cols]).max()) for m in o.blocks)
+            assert o.max_abs(columns=cols) == want
+        with pytest.raises(IndexError):
+            o.max_abs(columns=[8])
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_block_pattern_defect_matches_dense_mask(self, parity):
+        """The largest entry off the sector pattern, against a dense mask of every block."""
+        o = _random_operator(ALG6, np.random.default_rng(5 + parity), 4, parity, "breaking", False)
+        plan = coefficient_algebra(ALG6).plan
+        p = np.repeat([0, 1], 4)
+        off = lambda m: (p[:, None] ^ p[None, :]) != parity ^ plan.parity[m]
+        want = max(float(np.abs(o.block(m)[off(m)]).max()) for m in o.blocks)
+        assert want > 0.0
+        assert o.block_pattern_defect() == want
 
     def test_theta_scalar_rejected(self):
         with pytest.raises(ValueError):
@@ -360,9 +393,9 @@ def _apply_all_columns(o, v):
     plan = v.algebra.plan
     coeffs = space.lift(v.coeffs)
     out = np.zeros_like(coeffs)
-    for am, mat in o.blocks.items():
+    for am in o.blocks:
         mask = int(space.columns[am])
-        part = mat @ coeffs
+        part = o.block(am) @ coeffs
         if o.parity_bit ^ plan.parity[mask]:
             part = plan.grade(part)
         out += plan.left_mul(mask, part)
@@ -557,6 +590,21 @@ class TestOperatorExp:
         got = operator_exp(x)
         want = SuperOperator.identity(6, ALG) + x
         assert (got - want).max_abs() < 1e-15
+
+    def test_series_at_zero_z_is_exact(self):
+        # at z = 0 the body block is exactly zero, so exp(X) = 1 + X + X^2/2 with X^3 = 0
+        params = CoherentParams(0.0, 0.7 - 0.4j)
+        a = params.alpha(ALG)
+        x = (
+            0.0 * op("K+", 6)
+            - 0.0 * op("K-", 6)
+            + a * op("V+", 6)
+            + (-1j * a.conj()) * op("W-", 6)
+        )
+        want = SuperOperator.identity(6, ALG) + x + 0.5 * (x @ x)
+        assert (x @ x).max_abs() > 0.1
+        for got in (operator_exp(x), displacement_operator(params, 6, ALG)):
+            assert (got - want).max_abs() == 0.0
 
     def test_odd_exponent_rejected(self):
         with pytest.raises(ValueError):

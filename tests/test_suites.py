@@ -42,3 +42,14 @@ def test_record_tolerance_is_the_gate(suite):
     for record in suite_checks(suite, cfg):
         gate, _ = CHECKS[record["id"]]
         assert record["tolerance"] == (cfg.tol(gate) if isinstance(gate, str) else gate), record["id"]
+
+
+def test_basis_negative_control_follows_the_residual_gate():
+    """defect = gate / residual of the non-solution exp(-x^2), at the configured residual gate."""
+    defects = {}
+    for tol in (1e-6, 1e-3):
+        cfg = replace(RunConfig(), tolerances={**DEFAULT_TOLERANCES, "residual": tol})
+        (record,) = [c for c in suite_checks("basis", cfg) if c["id"] == "basis.negative_control"]
+        defects[tol] = record["defect"]
+    assert defects[1e-6] == pytest.approx(5.02e-7, rel=1e-3)
+    assert defects[1e-3] == pytest.approx(1e3 * defects[1e-6], rel=1e-12)
