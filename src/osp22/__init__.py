@@ -14,7 +14,6 @@ from .grassmann import (
 )
 from .basis import (
     BasisMode,
-    QuadratureError,
     QuadratureSpec,
     apply_ladder,
     apply_symmetry_op,

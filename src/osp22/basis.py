@@ -16,9 +16,9 @@ a- chi_m = (1/2) sqrt(m) chi_{m-1}; the test suite re-derives them from the
 quadrature matrix elements of the first-order operators
 a+- = (1/2)(i d/dx +- (t d/dx - i x/2)).
 
-Inner products use Gauss-Hermite quadrature on the rescaled variable
+Every inner product is one Gauss-Hermite sum on the rescaled variable
 x = scale * u (scale defaults to sqrt(2 (1 + t^2)), matching the squared
-envelope of the basis), with an adaptive fallback for non-Gaussian tails.
+envelope of the basis); the rule comes from numpy's ``hermgauss``.
 """
 
 from __future__ import annotations
@@ -27,13 +27,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
-from scipy.special import roots_hermite
+from numpy.polynomial.hermite import hermgauss
 
 __all__ = [
     "BasisMode",
     "QuadratureSpec",
-    "QuadratureError",
     "SYMMETRY_OPERATORS",
     "hermite_he",
     "eval_chi",
@@ -54,15 +52,6 @@ __all__ = [
 
 _ROOT4_2PI = (2.0 * np.pi) ** 0.25
 _I_POWERS = (1, -1j, -1, 1j)  # (-i)^m for m mod 4
-
-
-class QuadratureError(RuntimeError):
-    """Quadrature failed to reach the requested tolerance."""
-
-    def __init__(self, message, value=None, error=None):
-        super().__init__(message)
-        self.value = value
-        self.error = error
 
 
 @dataclass(frozen=True)
@@ -87,12 +76,6 @@ class BasisMode:
     def n(self) -> int:
         return self.m // 2
 
-    @classmethod
-    def from_sector(cls, sector: int, n: int) -> "BasisMode":
-        if sector not in (0, 1):
-            raise ValueError("sector must be 0 or 1")
-        return cls(2 * n + sector)
-
 
 def _mode_index(m) -> int:
     m = m.m if isinstance(m, BasisMode) else int(m)
@@ -103,33 +86,26 @@ def _mode_index(m) -> int:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Inner-product quadrature configuration.
+    """Gauss-Hermite rule: node count and the scale of x = scale * u.
 
-    Gauss-Hermite on x = scale*u is exact (to round-off) for integrands of the
-    form polynomial * exp(-x^2/scale^2); a basis-function product of top mode
-    M needs nodes >= M + 1, so the default 200 covers modes well past 20.
+    The rule is exact (to round-off) for integrands of the form
+    polynomial * exp(-x^2/scale^2); a basis-function product of top mode M
+    needs nodes >= M + 1, so the default 200 covers modes well past 20.
     """
 
     nodes: int = 200
     scale: float | None = None        # default sqrt(2 (1 + t^2)) at call time
-    method: str = "hermite"           # "hermite" | "adaptive"
-    half_width: float | None = None   # adaptive window, default 6.5 * scale
-    atol: float = 1e-12
 
     def __post_init__(self):
         if self.nodes < 2:
             raise ValueError("need at least two quadrature nodes")
         if self.nodes > 320:
             raise ValueError("node count too large for stable Gauss-Hermite weights")
-        if self.method not in ("hermite", "adaptive"):
-            raise ValueError(f"unknown quadrature method {self.method!r}")
-        if self.atol <= 0:
-            raise ValueError("atol must be positive")
 
 
 @lru_cache(maxsize=32)
 def _hermite_rule(n: int):
-    u, w = roots_hermite(n)
+    u, w = hermgauss(n)
     return u, np.log(w)
 
 
@@ -140,8 +116,6 @@ def _default_scale(t: float) -> float:
 def quad_grid(t: float = 0.0, spec: QuadratureSpec | None = None):
     """Nodes and total weights so that ``sum(w * F(x))`` approximates ``int F dx``."""
     spec = spec or QuadratureSpec()
-    if spec.method != "hermite":
-        raise ValueError("quad_grid is only defined for the Gauss-Hermite method")
     u, logw = _hermite_rule(spec.nodes)
     c = spec.scale if spec.scale is not None else _default_scale(t)
     x = c * u
@@ -233,48 +207,20 @@ def quad_inner(f, g, t: float = 0.0, spec: QuadratureSpec | None = None) -> comp
     f and g must accept numpy arrays and decay like Gaussians; pass an explicit
     ``spec.scale`` when the envelope differs from the basis one.
     """
-    spec = spec or QuadratureSpec()
-    if spec.method == "hermite":
-        x, w = quad_grid(t, spec)
-        return complex(np.sum(w * np.conjugate(f(x)) * g(x)))
-    return _quad_adaptive(f, g, t, spec)
-
-
-def _quad_adaptive(f, g, t, spec) -> complex:
-    c = spec.scale if spec.scale is not None else _default_scale(t)
-    width = spec.half_width if spec.half_width is not None else 6.5 * c
-
-    def integrand(xx, take):
-        v = np.conjugate(f(np.asarray([xx]))) * g(np.asarray([xx]))
-        return float(take(v[0]))
-
-    re, re_err = integrate.quad(
-        integrand, -width, width, args=(np.real,), limit=200, epsabs=spec.atol, epsrel=0.0
-    )
-    im, im_err = integrate.quad(
-        integrand, -width, width, args=(np.imag,), limit=200, epsabs=spec.atol, epsrel=0.0
-    )
-    value = complex(re, im)
-    err = re_err + im_err
-    if err > max(100.0 * spec.atol, 1e-9):
-        raise QuadratureError(
-            f"adaptive quadrature error estimate {err:.3e} exceeds tolerance",
-            value=value,
-            error=err,
-        )
-    return value
+    x, w = quad_grid(t, spec)
+    return complex(np.sum(w * np.conjugate(f(x)) * g(x)))
 
 
 def gram_matrix(modes, t: float = 0.0, spec: QuadratureSpec | None = None):
     """Quadrature Gram matrix of the requested modes at time t."""
-    x, w = quad_grid(t, spec or QuadratureSpec())
+    x, w = quad_grid(t, spec)
     V = chi_matrix(modes, x, t)
     return (V.conj() * w) @ V.T
 
 
 def project_onto_modes(f, modes, t: float = 0.0, spec: QuadratureSpec | None = None):
     """Quadrature coefficients <chi_m | f> for each requested mode."""
-    x, w = quad_grid(t, spec or QuadratureSpec())
+    x, w = quad_grid(t, spec)
     V = chi_matrix(modes, x, t)
     return V.conj() @ (w * f(x))
 

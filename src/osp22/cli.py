@@ -306,7 +306,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (_coh.CalibrationError, _coh.TruncationError, _basis.QuadratureError) as exc:
+    except (_coh.CalibrationError, _coh.TruncationError) as exc:
         print(f"check failure: {exc}", file=sys.stderr)
         return 1
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import basis as _basis
 from . import representation as _rep
+from .config import DISK_RADIUS
 from .grassmann import GrassmannElement, default_algebra
 from .superspace import SuperVector, coefficient_algebra
 
@@ -376,8 +377,8 @@ def calibrate_convention(z: complex, algebra=None, tol: float = 1e-8) -> str:
     coincide otherwise); with this representation the answer is "conjugate".
     """
     z = complex(z)
-    if not 0.0 < abs(z) < 0.9:
-        raise ValueError("calibration needs 0 < |z| < 0.9")
+    if not 0.0 < abs(z) <= DISK_RADIUS:
+        raise ValueError(f"calibration needs 0 < |z| <= {DISK_RADIUS}")
     if abs(z.imag) < 1e-9 * max(1.0, abs(z)):
         raise ValueError("calibration requires a non-real z")
     alg = algebra or default_algebra()

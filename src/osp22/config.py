@@ -20,7 +20,10 @@ __all__ = [
     "complex_to_json",
     "load_config_file",
     "DEFAULT_TOLERANCES",
+    "DISK_RADIUS",
     "ENV_CONFIG_VAR",
+    "MIN_NODES",
+    "TOP_QUADRATURE_MODE",
 ]
 
 ENV_CONFIG_VAR = "OSP22_CONFIG"
@@ -33,6 +36,16 @@ DEFAULT_TOLERANCES = {
     "residual": 1e-6,
     "isometry": 1e-6,
 }
+
+
+# certified series truncation at the default depths, and the symbol
+# calibration, hold for every z with |z| <= DISK_RADIUS
+DISK_RADIUS = 0.9
+
+# the basis suite integrates chi_m against a+- chi_m for m up to this mode, so
+# Gauss-Hermite needs at least one node more than it (QuadratureSpec)
+TOP_QUADRATURE_MODE = 21
+MIN_NODES = TOP_QUADRATURE_MODE + 1
 
 
 class ConfigError(ValueError):
@@ -95,8 +108,11 @@ class RunConfig:
     def validate(self, suite: str | None = None) -> None:
         if self.n_max < 8:
             raise ConfigError("n_max must be at least 8")
-        if not 2 <= self.nodes <= 320:
-            raise ConfigError("nodes must lie in [2, 320]")
+        if not MIN_NODES <= self.nodes <= 320:
+            raise ConfigError(
+                f"nodes must lie in [{MIN_NODES}, 320]: the suites integrate modes up to "
+                f"{TOP_QUADRATURE_MODE}"
+            )
         if self.out_format not in ("json", "csv"):
             raise ConfigError("format must be 'json' or 'csv'")
         for name, value in self.tolerances.items():
@@ -106,12 +122,11 @@ class RunConfig:
             if abs(z) >= 1.0:
                 raise ConfigError(f"z sample {format_complex(z)} must satisfy |z| < 1")
         if suite in ("coherent", "all"):
-            # certified series truncation at the default depths needs |z| <= 0.9
             for z in self.z_samples:
-                if abs(z) > 0.9:
+                if abs(z) > DISK_RADIUS:
                     raise ConfigError(
                         f"z sample {format_complex(z)} too close to the unit circle "
-                        "for certified truncation (need |z| <= 0.9)"
+                        f"for certified truncation (need |z| <= {DISK_RADIUS})"
                     )
 
     def echo(self) -> dict:

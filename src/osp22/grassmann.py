@@ -462,12 +462,6 @@ class GrassmannElement:
             raise ValueError("element is not homogeneous")
         return 1 if p == ODD else 0
 
-    def even_part(self) -> "GrassmannElement":
-        return self._new(np.where(self.algebra.plan.parity_sign > 0, self._data, 0j))
-
-    def odd_part(self) -> "GrassmannElement":
-        return self._new(np.where(self.algebra.plan.parity_sign < 0, self._data, 0j))
-
     @property
     def body(self) -> complex:
         return complex(self._data[0])
@@ -523,13 +517,6 @@ class GrassmannElement:
     def max_abs(self) -> float:
         return float(_abs(self._data).max())
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.max_abs() <= tol
-
-    def isclose(self, other, tol: float = 1e-12) -> bool:
-        o = self._coerce(other)
-        return (self - o).max_abs() <= tol
-
     def __eq__(self, other):
         try:
             o = self._coerce(other)
@@ -538,10 +525,6 @@ class GrassmannElement:
         if o is None:
             return NotImplemented
         return bool(np.array_equal(self._data, o._data))
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     __hash__ = None
 

@@ -617,7 +617,6 @@ def hamiltonian_defects(n_max: int = 32, algebra=None, spec=None) -> dict:
         np.abs((h.body - h_chi[np.ix_(perm, perm)])[:, interior_columns(n_max, 2)]).max()
     )
 
-    spec = spec or _basis.QuadratureSpec()
     quad = 0.0
     for t in (0.0, 1.0):
         x, w = _basis.quad_grid(t, spec)

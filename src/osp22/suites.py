@@ -27,7 +27,7 @@ from . import basis as _basis
 from . import coherent as _coh
 from . import representation as _rep
 from . import superspace as _ss
-from .config import RunConfig
+from .config import TOP_QUADRATURE_MODE, RunConfig
 from .grassmann import EVEN, ODD, GrassmannAlgebra, GENERATORS_EXTENDED, default_algebra, random_element
 
 __all__ = ["CHECKS", "SUITE_NAMES", "run_suite", "suite_checks", "symbol_rows", "symbols_check", "trajectory_rows"]
@@ -216,21 +216,22 @@ def suite_grassmann(cfg: RunConfig) -> list:
 
 def suite_basis(cfg: RunConfig) -> list:
     spec = _basis.QuadratureSpec(nodes=cfg.nodes)
+    top = TOP_QUADRATURE_MODE  # the ladder raises mode top - 1 onto it
     checks = []
 
     worst = 0.0
     for t in (0.0, 0.5, 2.0):
-        G = _basis.gram_matrix(range(21), t, spec)
-        worst = max(worst, float(np.abs(G - np.eye(21)).max()))
+        G = _basis.gram_matrix(range(top), t, spec)
+        worst = max(worst, float(np.abs(G - np.eye(top)).max()))
     checks.append(_check(cfg, "basis.orthonormality", worst))
 
     # one grid and one bra block per t; kets stay pointwise, the independent route
     grids = {t: _basis.quad_grid(t, spec) for t in (0.0, 1.0)}
-    bras = {t: _basis.chi_matrix(range(22), x, t) for t, (x, _) in grids.items()}
+    bras = {t: _basis.chi_matrix(range(top + 1), x, t) for t, (x, _) in grids.items()}
 
     worst = 0.0
     for t, (x, w) in grids.items():
-        for m in range(21):
+        for m in range(top):
             for sign in ("+", "-"):
                 coeff, target = _basis.apply_ladder(sign, m)
                 av = _basis.ladder_pointwise(sign, m, x, t)
@@ -244,7 +245,7 @@ def suite_basis(cfg: RunConfig) -> list:
     worst = 0.0
     grid = np.linspace(-4.0, 4.0, 9)
     for t, (x, w) in grids.items():
-        for m in range(21):
+        for m in range(top):
             sym = _basis.symmetric_ladder_pointwise(m, x, t)
             diag = complex(np.sum(w * np.conjugate(bras[t][m]) * sym))
             worst = max(worst, abs(diag - (0.5 * m + 0.25)))
@@ -448,7 +449,7 @@ def suite_algebra(cfg: RunConfig) -> list:
             worst = max(worst, comm.block_pattern_defect())
     checks.append(_check(cfg, "algebra.parity_bookkeeping", worst))
 
-    ham = _rep.hamiltonian_defects(n_max, alg)
+    ham = _rep.hamiltonian_defects(n_max, alg, _basis.QuadratureSpec(nodes=cfg.nodes))
     checks.append(_check(cfg, "algebra.hamiltonian_matrix", ham["ladder_route"]))
     checks.append(_check(cfg, "algebra.hamiltonian_blocks", ham["block_pattern"]))
     checks.append(_check(cfg, "algebra.hamiltonian_quadrature", max(ham["quadrature"], ham["pointwise"])))

@@ -278,10 +278,7 @@ def super_inner_integral(v1: SuperVector, v2: SuperVector, t: float = 0.0, spec=
     plan = alg.plan
     n = v1.n_max
     chi_order = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
-    spec = spec or _basis.QuadratureSpec()
-    x, w = _basis.quad_grid(t, spec)
-    vals = _basis.chi_matrix(chi_order, x, t)
-    gram = (vals.conj() * w) @ vals.T
+    gram = _basis.gram_matrix(chi_order, t, spec)
 
     theta = alg.gen("theta")
     weight = 1j * (alg.one() - 1j * (alg.gen("theta_bar") * theta))

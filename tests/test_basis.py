@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from scipy.special import eval_hermitenorm
+from scipy import integrate
+from scipy.special import eval_hermitenorm, roots_hermite
 
 from osp22 import basis as b
 
@@ -11,7 +12,7 @@ class TestBasisMode:
     def test_round_trip(self):
         for m in range(10):
             mode = b.BasisMode(m)
-            assert b.BasisMode.from_sector(mode.sector, mode.n).m == m
+            assert 2 * mode.n + mode.sector == m
 
     def test_sector_split(self):
         assert b.BasisMode(7).sector == 1
@@ -120,21 +121,34 @@ class TestQuadrature:
         assert abs(val) < 1e-12
 
     def test_adaptive_agrees_with_hermite(self):
-        spec = b.QuadratureSpec(method="adaptive")
-        f = b.chi_evaluator(2, 0.5)
-        g = b.chi_evaluator(2, 0.5)
-        val = b.quad_inner(f, g, 0.5, spec)
-        assert abs(val - 1.0) < 1e-9
+        """scipy's adaptive quad over [-6.5 c, 6.5 c] is the oracle for one Gauss-Hermite sum."""
+        t = 0.5
+        width = 6.5 * np.sqrt(2.0 * (1.0 + t * t))
+        for mg, want in ((2, 1.0), (3, 0.0)):
+            f, g = b.chi_evaluator(2, t), b.chi_evaluator(mg, t)
+            (re, re_err), (im, im_err) = (
+                integrate.quad(
+                    lambda x: take(np.conjugate(f(x)) * g(x)), -width, width, epsabs=1e-12, epsrel=0.0
+                )
+                for take in (np.real, np.imag)
+            )
+            assert max(re_err, im_err) < 1e-10
+            assert abs(complex(re, im) - want) < 1e-9
+            assert abs(b.quad_inner(f, g, t) - complex(re, im)) < 1e-9
+
+    @pytest.mark.parametrize("nodes", [2, 22, 200, 320])
+    def test_rule_matches_scipy(self, nodes):
+        """The numpy rule against scipy's roots_hermite, nodes absolute and weights relative."""
+        want_u, want_w = roots_hermite(nodes)
+        u, logw = b._hermite_rule(nodes)
+        assert np.abs(u - want_u).max() < 1e-13
+        assert np.abs(np.exp(logw) / want_w - 1.0).max() < 1e-12
 
     def test_node_count_validation(self):
         with pytest.raises(ValueError):
             b.QuadratureSpec(nodes=1)
         with pytest.raises(ValueError):
             b.QuadratureSpec(nodes=1000)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            b.QuadratureSpec(method="simpson")
 
 
 class TestLadder:

@@ -9,6 +9,8 @@ from osp22.cli import _collect_config, build_parser, main
 from osp22.coherent import CoherentParams
 from osp22.config import (
     DEFAULT_TOLERANCES,
+    MIN_NODES,
+    TOP_QUADRATURE_MODE,
     ConfigError,
     build_config,
     format_complex,
@@ -121,6 +123,21 @@ class TestVerifyCommand:
     def test_boundary_z_exits_2(self, tmp_path, capsys):
         code = main(["verify", "coherent", "--z", "0.99", "--out", str(tmp_path)])
         assert code == 2
+
+    # every z on the ring |z| = DISK_RADIUS; the first non-real one calibrates the symbols
+    RING_Z = ("--z", "0.9i", "--z=-0.9i", "--z", "0.9,0.8598028402130454+0.2659681859952056i")
+
+    def test_ring_z_set_passes(self, tmp_path):
+        assert main(["verify", "coherent", *self.RING_Z, "--out", str(tmp_path)]) == 0
+        assert main(["symbols", *self.RING_Z, "--out", str(tmp_path)]) == 0
+
+    def test_nodes_below_the_floor_exit_2(self, tmp_path, capsys):
+        assert main(["verify", "basis", "--nodes", str(MIN_NODES - 1), "--out", str(tmp_path)]) == 2
+        assert f"[{MIN_NODES}, 320]" in capsys.readouterr().err
+
+    def test_nodes_at_the_floor_pass(self, tmp_path):
+        assert MIN_NODES == TOP_QUADRATURE_MODE + 1 == 22
+        assert main(["verify", "basis", "--nodes", str(MIN_NODES), "--out", str(tmp_path)]) == 0
 
     def test_report_payload_deterministic(self, tmp_path):
         main(["verify", "grassmann", "--out", str(tmp_path / "a")])

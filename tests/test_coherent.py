@@ -4,6 +4,7 @@ from dataclasses import replace
 
 from osp22 import basis as b
 from osp22 import coherent as coh
+from osp22.config import DISK_RADIUS
 from osp22.grassmann import default_algebra
 from osp22.representation import GENERATOR_NAMES, SuperOperator, build_generator
 from osp22.superspace import SuperVector, random_supervector
@@ -171,6 +172,15 @@ class TestDisplacement:
 class TestSymbols:
     def test_calibration_flag(self):
         assert coh.calibrate_convention(0.3 + 0.25j, ALG) == "conjugate"
+
+    @pytest.mark.parametrize("z", [0.9j, -0.9j, 0.9 * np.exp(0.3j)])
+    def test_calibration_on_the_ring(self, z):
+        """|z| = DISK_RADIUS is inside the validated disk, so calibration must accept it."""
+        assert abs(z) == pytest.approx(DISK_RADIUS, rel=1e-15)
+        assert coh.calibrate_convention(z, ALG) == "conjugate"
+        n = max(48, coh.series_length_for(z, 1e-9))
+        body = coh.berezin_symbol(build_generator("K+", n, ALG), coh.CoherentParams(z), ALG).body
+        assert abs(body - np.conjugate(z) / (2.0 * (1.0 - abs(z) ** 2))) < 1e-13
 
     def test_calibration_needs_nonreal(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Every exported name resolves, every name the benchmark trace wraps exists,
-and no module imports a name it never uses.
+no module imports a name it never uses, and importing the package loads no
+scipy.
 
 A stale ``__all__`` entry only breaks ``import *``; a stale import breaks
 nothing; a renamed traced method breaks only traced benchmark runs, which
@@ -8,7 +9,10 @@ Tier-1 does not collect; so all three are caught here.
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,3 +119,12 @@ def test_traced_names_resolve():
         if not callable(getattr(holder, attribute, None)):
             missing.append((owner, attribute))
     assert not missing
+
+
+def test_import_loads_no_scipy():
+    """scipy is an oracle of the tests and of ``suite_basis`` only; the library runs on numpy."""
+    src = str(Path(osp22.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import osp22, osp22.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

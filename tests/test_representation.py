@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osp22.config import RunConfig
-from osp22.grassmann import GENERATORS_EXTENDED, AlgebraMismatchError, GrassmannAlgebra, default_algebra
+from osp22.grassmann import (
+    GENERATORS_EXTENDED,
+    AlgebraMismatchError,
+    GrassmannAlgebra,
+    GrassmannElement,
+    default_algebra,
+)
 from osp22.representation import (
     COMMUTATOR_TABLE,
     GENERATOR_NAMES,
@@ -107,7 +113,8 @@ def _apply_per_slot(beta, name, v):
     mat = op(name, v.n_max).body
     odd_g = op(name, v.n_max).parity_bit
     slots = v.even + v.odd
-    moved = [beta * ((c.even_part() - c.odd_part()) if odd_g else c) for c in slots]
+    # an odd G moving past c flips the sign of c's odd part
+    moved = [beta * (GrassmannElement(ALG, ALG.plan.parity_sign * c.coeffs) if odd_g else c) for c in slots]
     out = []
     for i in range(2 * v.n_max):
         acc = ALG.zero()

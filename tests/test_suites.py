@@ -9,7 +9,10 @@ from dataclasses import replace
 
 import pytest
 
+from osp22.basis import QuadratureSpec
 from osp22.config import DEFAULT_TOLERANCES, RunConfig
+from osp22.grassmann import default_algebra
+from osp22.representation import hamiltonian_defects
 from osp22.suites import CHECKS, SUITE_NAMES, suite_checks
 
 # six distinct values, none equal to a default or to a literal gate, so a
@@ -53,3 +56,13 @@ def test_basis_negative_control_follows_the_residual_gate():
         defects[tol] = record["defect"]
     assert defects[1e-6] == pytest.approx(5.02e-7, rel=1e-3)
     assert defects[1e-3] == pytest.approx(1e3 * defects[1e-6], rel=1e-12)
+
+
+def test_algebra_quadrature_reads_the_node_count():
+    cfg = replace(RunConfig(), nodes=22)
+    ham = hamiltonian_defects(cfg.n_max, default_algebra(), QuadratureSpec(nodes=22))
+    records = {c["id"]: c["defect"] for c in suite_checks("algebra", cfg)}
+    assert records["algebra.hamiltonian_quadrature"] == max(ham["quadrature"], ham["pointwise"])
+    assert records["algebra.hamiltonian_vacuum"] == ham["vacuum"]
+    # the default rule gives other figures, so the node count did reach the suite
+    assert hamiltonian_defects(cfg.n_max, default_algebra())["vacuum"] != ham["vacuum"]
