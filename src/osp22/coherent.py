@@ -211,6 +211,15 @@ def series_length_for(z: complex, tol: float = 1e-13) -> int:
     return max(n, 8)
 
 
+def _sector_vectors(alg, even, odd) -> tuple:
+    """The vectors sum_n even[n] Psi_n^0 and sum_n odd[n] Psi_n^1 of complex coefficients."""
+    n = len(even)
+    coeffs = np.zeros((2, 2 * n, coefficient_algebra(alg).size), dtype=complex)
+    coeffs[0, :n, 0] = even
+    coeffs[1, n:, 0] = odd
+    return SuperVector.from_coeffs(alg, coeffs[0]), SuperVector.from_coeffs(alg, coeffs[1])
+
+
 def series_state(
     params: CoherentParams, n_max: int, algebra=None, tail_tol: float = 1e-12
 ) -> SuperVector:
@@ -226,13 +235,15 @@ def series_state(
     z = params.z
     even = np.zeros(n_max, dtype=complex)
     odd = np.zeros(n_max, dtype=complex)
+    k = np.arange(1.0, n_max + 1.0)
+    roots_even, roots_odd = np.sqrt(k * np.stack([k - 0.5, k + 0.5]))
     u = 1.0 + 0j
     v = 1.0 / _SQRT2 + 0j
     for n in range(n_max):
         even[n] = u
         odd[n] = v
-        u *= z * np.sqrt((n + 1.0) * (n + 0.5)) / (n + 1.0)
-        v *= z * np.sqrt((n + 1.0) * (n + 1.5)) / (n + 1.0)
+        u *= z * roots_even[n] / (n + 1.0)
+        v *= z * roots_odd[n] / (n + 1.0)
 
     q = abs(z) * np.sqrt((n_max + 1.5) / (n_max + 1.0))
     bound = np.inf if q >= 1.0 else max(abs(u), abs(v)) / (1.0 - q)
@@ -242,8 +253,8 @@ def series_state(
             bound=bound,
         )
 
-    zeros = np.zeros(n_max)
-    vec = SuperVector(alg, even, zeros) + params.alpha(alg) * SuperVector(alg, zeros, odd)
+    even, odd = _sector_vectors(alg, even, odd)
+    vec = even + params.alpha(alg) * odd
     gram = vec.super_inner(vec)
     return (closed_form_phase(z) * gram.power(-0.5)) * vec
 
@@ -297,11 +308,10 @@ def crosscheck(
 
     # slot-by-slot Grassmann defect against the closed-form packaging
     normalizer = cf.normalizer
-    zeros = np.zeros(n)
-    want = normalizer * SuperVector(alg, [phase * complex(g) for g in gamma_even], zeros)
-    want = want + (normalizer * params.alpha(alg)) * SuperVector(
-        alg, zeros, [_SQRT2 * phase * complex(g) for g in gamma_odd]
+    even, odd = _sector_vectors(
+        alg, [phase * complex(g) for g in gamma_even], [_SQRT2 * phase * complex(g) for g in gamma_odd]
     )
+    want = normalizer * even + (normalizer * params.alpha(alg)) * odd
     coeff_defect = (sv - want).max_abs()
 
     norm_defect = (sv.super_inner(sv) - 1.0).max_abs()

@@ -13,11 +13,22 @@ read-only N x N array}, and a missing quadrant is zero.  Every operation acts
 quadrant by quadrant: a block product forms output quadrant (i, j) as the sum
 over k of A[i, k] @ C[k, j] where both are held, two N x N products for a
 sector-patterned pair instead of one (2N x 2N) product, and blocks that break
-the pattern get every quadrant product they need through the same loop.  The
-quadrants a result holds follow from its operands, not from its entries, so a
-quadrant that cancels to zero stays held.  Only the public constructor reads
-entries, to keep the nonzero quadrants of the (2N x 2N) arrays it copies;
-``block`` assembles one (2N x 2N) block.
+the pattern get every quadrant product they need through the same loop.
+
+Each generator moves the basis by a fixed mode shift, so each of its
+quadrants lies on one diagonal, and so does every quadrant of their products
+and supercommutators.  ``offsets`` records, beside each held quadrant, the
+offset d = row - column of all its nonzeros, or None when it is not known to
+be one diagonal.  A product of two one-diagonal quadrants is one elementwise
+product of their diagonals, added into diagonal d1 + d2 of the output
+quadrant; every other quadrant pair is an N x N matrix product.
+
+The quadrants a result holds and their offsets follow from its operands, not
+from its entries: a product adds the offsets, the superadjoint negates them, a
+multiple keeps them and a sum keeps an offset both terms share.  A quadrant
+that cancels to zero stays held.  Only the public constructor reads entries,
+to keep the nonzero quadrants of the (2N x 2N) arrays it copies and find
+their offsets; ``block`` assembles one (2N x 2N) block.
 
 The generators are declared once, in three tables.  ``_STENCILS`` gives
 each basic generator (and "I") as entries (target sector, source sector,
@@ -133,16 +144,18 @@ class SuperOperator:
 
     ``blocks`` maps each coefficient-algebra monomial mask to the block's
     sector quadrants: {(row sector, column sector): read-only (N x N) array},
-    where a missing quadrant is zero.  ``block(mask)`` assembles one block.
+    where a missing quadrant is zero.  ``offsets`` is keyed like ``blocks``
+    and gives each held quadrant's diagonal: the offset row - column of all
+    its nonzeros, or None.  ``block(mask)`` assembles one block.
     """
 
-    __slots__ = ("algebra", "n_max", "blocks", "parity_bit", "_name")
+    __slots__ = ("algebra", "n_max", "blocks", "offsets", "parity_bit", "_name")
 
     def __init__(self, algebra, n_max: int, blocks: dict, parity, name: str = ""):
         """Copies the nonzero quadrants of each (2N x 2N) block: later writes to
         the caller's arrays cannot reach the operator."""
         n = int(n_max)
-        quadrants = {}
+        quadrants, offsets = {}, {}
         for mask, mat in blocks.items():
             mat = np.asarray(mat, dtype=complex)
             if mat.shape != (2 * n, 2 * n):
@@ -151,16 +164,17 @@ class SuperOperator:
             kept = {(i, j): parts[i, :, j].copy() for i in (0, 1) for j in (0, 1) if parts[i, :, j].any()}
             if kept:
                 quadrants[int(mask)] = kept
-        self._store(algebra, n, quadrants, parity, name)
+                offsets[int(mask)] = {ij: _scan_offset(part) for ij, part in kept.items()}
+        self._store(algebra, n, quadrants, offsets, parity, name)
 
     @classmethod
-    def _wrap(cls, algebra, n_max: int, blocks: dict, parity, name: str = ""):
+    def _wrap(cls, algebra, n_max: int, blocks: dict, offsets: dict, parity, name: str = ""):
         """Operator over quadrant arrays no caller holds writably: frozen in place, not copied."""
         op = cls.__new__(cls)
-        op._store(algebra, n_max, blocks, parity, name)
+        op._store(algebra, n_max, blocks, offsets, parity, name)
         return op
 
-    def _store(self, algebra, n_max, blocks, parity, name):
+    def _store(self, algebra, n_max, blocks, offsets, parity, name):
         if parity in (EVEN, ODD):
             parity = 1 if parity == ODD else 0
         if parity not in (0, 1):
@@ -171,6 +185,7 @@ class SuperOperator:
         self.algebra = algebra
         self.n_max = int(n_max)
         self.blocks = blocks
+        self.offsets = offsets
         self.parity_bit = parity
         self._name = name
 
@@ -182,7 +197,7 @@ class SuperOperator:
 
     def renamed(self, name: str) -> "SuperOperator":
         """The same operator under another name, sharing its read-only quadrants."""
-        return SuperOperator._wrap(self.algebra, self.n_max, self.blocks, self.parity_bit, name)
+        return SuperOperator._wrap(self.algebra, self.n_max, self.blocks, self.offsets, self.parity_bit, name)
 
     @property
     def size(self) -> int:
@@ -210,12 +225,12 @@ class SuperOperator:
     def identity(cls, n_max: int, algebra=None) -> "SuperOperator":
         alg = algebra or default_algebra()
         eye = {(s, s): np.eye(n_max, dtype=complex) for s in (0, 1)}
-        return cls._wrap(alg, n_max, {0: eye}, 0, name="I")
+        return cls._wrap(alg, n_max, {0: eye}, {0: dict.fromkeys(eye, 0)}, 0, name="I")
 
     @classmethod
     def zero(cls, n_max: int, algebra=None, parity=0) -> "SuperOperator":
         alg = algebra or default_algebra()
-        return cls._wrap(alg, n_max, {}, parity, name="0")
+        return cls._wrap(alg, n_max, {}, {}, parity, name="0")
 
     def _check(self, other):
         if not isinstance(other, SuperOperator):
@@ -236,10 +251,13 @@ class SuperOperator:
         if other.parity_bit != self.parity_bit:
             raise ValueError("cannot add operators of different parity")
         blocks = dict(self.blocks)  # read-only, so quadrants one operand holds are shared
+        offsets = dict(self.offsets)
         for m, qc in other.blocks.items():
-            qa = blocks.get(m, {})
-            blocks[m] = {**qa, **qc, **{ij: qa[ij] + qc[ij] for ij in qa.keys() & qc.keys()}}
-        return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.parity_bit)
+            qa, da, dc = blocks.get(m, {}), offsets.get(m, {}), other.offsets[m]
+            both = qa.keys() & qc.keys()
+            blocks[m] = {**qa, **qc, **{ij: qa[ij] + qc[ij] for ij in both}}
+            offsets[m] = {**da, **dc, **{ij: _shared(da[ij], dc[ij]) for ij in both}}
+        return SuperOperator._wrap(self.algebra, self.n_max, blocks, offsets, self.parity_bit)
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -252,13 +270,14 @@ class SuperOperator:
         if isinstance(beta, _SCALARS):
             c = complex(beta)
             blocks = {m: {ij: c * q for ij, q in quads.items()} for m, quads in self.blocks.items()}
-            return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.parity_bit)
+            return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.offsets, self.parity_bit)
         if isinstance(beta, GrassmannElement):
             space = coefficient_algebra(self.algebra)
             row = space.restrict(beta)
             pb = beta.parity_bit
             join = space.plan.join
             blocks: dict[int, dict] = {}
+            offsets: dict[int, dict] = {}
             for bm in np.flatnonzero(row).tolist():
                 coeff = complex(row[bm])
                 for am, quads in self.blocks.items():
@@ -267,10 +286,13 @@ class SuperOperator:
                         continue
                     key, sign = step
                     out = blocks.setdefault(key, {})
+                    out_d = offsets.setdefault(key, {})
                     for ij, part in quads.items():
+                        d = self.offsets[am][ij]
+                        out_d[ij] = _shared(out_d[ij], d) if ij in out else d
                         out[ij] = out.get(ij, 0) + (sign * coeff) * part
             return SuperOperator._wrap(
-                self.algebra, self.n_max, blocks, self.parity_bit ^ pb
+                self.algebra, self.n_max, blocks, offsets, self.parity_bit ^ pb
             )
         return NotImplemented
 
@@ -286,14 +308,18 @@ class SuperOperator:
 
         Output quadrant (i, j) of a block product gains a[i, k] @ c[k, j] for
         each k, in increasing order, where both quadrants are held, so a
-        sector-patterned pair costs two N x N products.
+        sector-patterned pair costs two N x N products.  When a[i, k] and
+        c[k, j] each lie on one diagonal, their product is the elementwise
+        product of those diagonals, added into one diagonal of the output.
         """
         self._check(other)
         plan = coefficient_algebra(self.algebra).plan
         n = self.n_max
         blocks: dict[int, dict] = {}
+        offsets: dict[int, dict] = {}
         for am, qa in self.blocks.items():
             p_ma = self.parity_bit ^ plan.parity[am]
+            da = self.offsets[am]
             qa = sorted(qa.items())
             for cm, qc in other.blocks.items():
                 step = plan.join[am][cm]
@@ -302,21 +328,32 @@ class SuperOperator:
                 key, sign = step
                 if p_ma and plan.parity[cm]:
                     sign = -sign
+                dc = other.offsets[cm]
                 out = blocks.setdefault(key, {})
+                out_d = offsets.setdefault(key, {})
                 for (i, k), a in qa:
                     for j in (0, 1):
                         c = qc.get((k, j))
                         if c is None:
                             continue
+                        d1, d2 = da[(i, k)], dc[(k, j)]
+                        d = None if d1 is None or d2 is None else d1 + d2
                         acc = out.get((i, j))
                         if acc is None:
                             acc = out[(i, j)] = np.zeros((n, n), dtype=complex)
-                        if sign > 0:
-                            acc += a @ c
+                            out_d[(i, j)] = d
                         else:
-                            acc -= a @ c
+                            out_d[(i, j)] = _shared(out_d[(i, j)], d)
+                        if d is None:
+                            target, term = acc, a @ c
+                        else:
+                            target, term = _diagonal_product(acc, a, d1, c, d2)
+                        if sign > 0:
+                            target += term
+                        else:
+                            target -= term
         return SuperOperator._wrap(
-            self.algebra, self.n_max, blocks, self.parity_bit ^ other.parity_bit
+            self.algebra, self.n_max, blocks, offsets, self.parity_bit ^ other.parity_bit
         )
 
     def apply(self, v: SuperVector) -> SuperVector:
@@ -353,16 +390,20 @@ class SuperOperator:
         monomial.  Unit weights multiply exactly.
         """
         blocks: dict[int, dict] = {}
+        offsets: dict[int, dict] = {}
         plan = coefficient_algebra(self.algebra).plan
         for am, quads in self.blocks.items():
             p_ma = self.parity_bit ^ plan.parity[am]
             mm, c = plan.conj_table[am]  # conjugation permutes the masks
             blocks[mm] = adj = {}
+            offsets[mm] = adj_d = {}
             for (j, i), part in quads.items():
                 weight = c * 1j**i * (-1j) ** j * ((-1.0) ** j if p_ma else 1.0)
                 adj[(i, j)] = weight * part.conj().T
+                d = self.offsets[am][(j, i)]
+                adj_d[(i, j)] = None if d is None else -d
         return SuperOperator._wrap(
-            self.algebra, self.n_max, blocks, self.parity_bit, name=f"({self.name})+"
+            self.algebra, self.n_max, blocks, offsets, self.parity_bit, name=f"({self.name})+"
         )
 
     # -- diagnostics -------------------------------------------------------------------
@@ -399,6 +440,34 @@ class SuperOperator:
         )
 
 
+def _scan_offset(part: np.ndarray):
+    """The offset row - column shared by all nonzeros of a nonzero quadrant, or None."""
+    rows, cols = np.nonzero(part)
+    d = rows - cols
+    return int(d[0]) if (d == d[0]).all() else None
+
+
+def _shared(d1, d2):
+    """The offset of a sum of quadrants with offsets d1 and d2."""
+    return d1 if d1 == d2 else None
+
+
+def _diagonal_product(out: np.ndarray, a: np.ndarray, d1: int, c: np.ndarray, d2: int):
+    """(view, term): ``a @ c`` is ``term`` on the ``view`` of C-contiguous ``out``'s diagonal d1 + d2.
+
+    With a on diagonal d1 and c on d2, (a @ c)[r, r - d] = a[r, r - d1] * c[r - d1, r - d]
+    for d = d1 + d2: one term, on the rows r where all three entries exist.
+    """
+    n = out.shape[0]
+    d = d1 + d2
+    lo = max(0, d1, d)
+    hi = max(lo, n + min(0, d1, d))  # lo == hi: the product is zero
+    view = out.reshape(-1)[lo * (n + 1) - d : hi * (n + 1) - d : n + 1]
+    a_diag = a.diagonal(-d1)[lo - max(0, d1) : hi - max(0, d1)]
+    c_diag = c.diagonal(-d2)[lo - d1 - max(0, d2) : hi - d1 - max(0, d2)]
+    return view, a_diag * c_diag
+
+
 # -- generator construction ----------------------------------------------------------
 
 
@@ -426,12 +495,13 @@ def build_generator(name: str, n_max: int, algebra=None) -> SuperOperator:
         ops = {base: build_generator(base, n_max, alg) for base in _COMBOS[name]}
         return _combo(_COMBOS[name], ops).renamed(name)
     parity = generator_parity(name)
-    quadrants = {}
+    quadrants, offsets = {}, {}
     for target, source, shift, coeff in _STENCILS[name]:
         j = np.arange(max(0, -shift), n_max - max(0, shift))  # source modes whose target is kept
         part = quadrants[(target, source)] = np.zeros((n_max, n_max), dtype=complex)
         part[j + shift, j] = coeff(j.astype(float), 0.5, np.sqrt)
-    return SuperOperator._wrap(alg, n_max, {0: quadrants}, parity, name=name)
+        offsets[(target, source)] = shift
+    return SuperOperator._wrap(alg, n_max, {0: quadrants}, {0: offsets}, parity, name=name)
 
 
 def chi_ladder_matrix(sign, size: int) -> np.ndarray:

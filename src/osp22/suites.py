@@ -28,7 +28,7 @@ from . import coherent as _coh
 from . import representation as _rep
 from . import superspace as _ss
 from .config import TOP_QUADRATURE_MODE, RunConfig
-from .grassmann import EVEN, ODD, GrassmannAlgebra, GENERATORS_EXTENDED, default_algebra, random_element
+from .grassmann import EVEN, ODD, GrassmannAlgebra, GrassmannElement, GENERATORS_EXTENDED, default_algebra, random_element
 
 __all__ = ["CHECKS", "SUITE_NAMES", "run_suite", "suite_checks", "symbol_rows", "symbols_check", "trajectory_rows"]
 
@@ -38,7 +38,7 @@ SUITE_NAMES = ("grassmann", "basis", "superspace", "algebra", "coherent")
 # in DEFAULT_TOLERANCES; a float gate is a fixed literal.
 CHECKS = {
     "grassmann.associativity": ("grassmann", "(ab)c = a(bc), 250 random triples, relative"),
-    "grassmann.supercommutativity": ("grassmann", "ab = (-1)^{pq} ba on homogeneous pairs"),
+    "grassmann.supercommutativity": ("grassmann", "ab = (-1)^{pq} ba on homogeneous pairs, relative"),
     "grassmann.conjugation": ("grassmann", "conj(ab) = conj(a) conj(b) and conj is an involution"),
     "grassmann.berezin": (
         "grassmann",
@@ -161,7 +161,7 @@ def suite_grassmann(cfg: RunConfig) -> list:
         a = random_element(alg, rng, parity=pa)
         b = random_element(alg, rng, parity=pb)
         sign = -1.0 if (pa == ODD and pb == ODD) else 1.0
-        worst = max(worst, (a * b - sign * (b * a)).max_abs())
+        worst = max(worst, (a * b - sign * (b * a)).max_abs() / (a.max_abs() * b.max_abs()))
     checks.append(_check(cfg, "grassmann.supercommutativity", worst))
 
     worst = 0.0
@@ -181,6 +181,7 @@ def suite_grassmann(cfg: RunConfig) -> list:
     worst = max(worst, ((ab * al).berezin(("alpha", "alpha_bar")) - 1.0).max_abs())
     xt, xtb = algebras[1].gen("theta"), algebras[1].gen("theta_bar")
     worst = max(worst, ((xtb * xt).berezin(("theta", "theta_bar")) - 1.0).max_abs())
+    with_theta = [(np.arange(x.size) & (1 << x.index["theta"])) != 0 for x in algebras]
     for k in range(250):
         ak = algebras[k % 2]
         a = random_element(ak, rng)
@@ -190,7 +191,7 @@ def suite_grassmann(cfg: RunConfig) -> list:
         )
         worst = max(worst, lin.max_abs())
         # anything missing an integrated generator integrates to zero
-        no_theta = ak.element({names: c for names, c in a.terms() if "theta" not in names})
+        no_theta = GrassmannElement(ak, np.where(with_theta[k % 2], 0j, a.coeffs))
         worst = max(worst, no_theta.berezin(("theta",)).max_abs())
     checks.append(_check(cfg, "grassmann.berezin", worst))
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osp22 import representation
 from osp22.config import RunConfig
 from osp22.grassmann import (
     GENERATORS_EXTENDED,
@@ -153,11 +154,12 @@ ALG6 = GrassmannAlgebra(GENERATORS_EXTENDED)
 DIAGONAL = {(0, 0), (1, 1)}
 ODD_TO_EVEN = {(0, 1)}  # (row sector, column sector): rows in the even sector, columns odd
 EVEN_TO_ODD = {(1, 0)}
-BLOCK_KINDS = ("patterned", "single", "dense", "breaking")
+BLOCK_KINDS = ("patterned", "single", "dense", "breaking", "diagonal")
 
 
 def _random_block(rng, n, p, kind, integer):
-    """A (2n x 2n) block; "patterned" fills the quadrants of sector parity p."""
+    """A (2n x 2n) block; "patterned" fills the quadrants of sector parity p,
+    "diagonal" fills one diagonal row - column = d of each, d drawn from [-n, n]."""
     if integer:
         draw = lambda shape: rng.integers(-3, 4, shape) + 1j * rng.integers(-3, 4, shape)
     else:
@@ -172,7 +174,12 @@ def _random_block(rng, n, p, kind, integer):
         return mat
     for i in (0, 1):
         j = i ^ p
-        mat[i * n : (i + 1) * n, j * n : (j + 1) * n] = draw((n, n))
+        if kind == "diagonal":
+            d = int(rng.integers(-n, n + 1))  # |d| = n leaves the quadrant empty
+            rows = np.arange(max(0, d), n + min(0, d))
+            mat[i * n + rows, j * n + rows - d] = draw(rows.shape)
+        else:
+            mat[i * n : (i + 1) * n, j * n : (j + 1) * n] = draw((n, n))
     if kind == "breaking":
         i = int(rng.integers(0, 2))
         j = i ^ p ^ 1
@@ -197,6 +204,29 @@ def _nonzero_quadrants(mat, n):
     return {(i, j) for i in (0, 1) for j in (0, 1) if np.any(quadrant(i, j))}
 
 
+def _scanned_offsets(mat, n):
+    """{(row sector, column sector): the offset row - column shared by all nonzeros of
+    that quadrant, or None}, over the nonzero quadrants of a (2n x 2n) block."""
+    out = {}
+    for i, j in _nonzero_quadrants(mat, n):
+        rows, cols = np.nonzero(mat[i * n : (i + 1) * n, j * n : (j + 1) * n])
+        diffs = set((rows - cols).tolist())
+        out[(i, j)] = diffs.pop() if len(diffs) == 1 else None
+    return out
+
+
+def _assert_offsets_hold(o):
+    """Every recorded offset holds all nonzeros of its quadrant on that diagonal,
+    against a fresh scan of the assembled blocks by the public constructor."""
+    assert o.offsets.keys() == o.blocks.keys()
+    for m, quads in o.blocks.items():
+        assert o.offsets[m].keys() == quads.keys()
+        fresh = SuperOperator(o.algebra, o.n_max, {m: o.block(m)}, o.parity_bit).offsets.get(m, {})
+        for ij, d in o.offsets[m].items():
+            if d is not None and ij in fresh:  # a quadrant that cancelled to zero fits any offset
+                assert fresh[ij] == d, (m, ij, d, fresh[ij])
+
+
 def _dense_product(a, c):
     """sum over block pairs of sign * (ma @ mc) with full (2N x 2N) products."""
     plan = coefficient_algebra(a.algebra).plan
@@ -218,7 +248,7 @@ def _dense_product(a, c):
 @st.composite
 def _operator_pairs(draw):
     alg = draw(st.sampled_from([ALG, ALG6]))
-    n = draw(st.sampled_from([3, 4, 6]))
+    n = draw(st.sampled_from([2, 3, 4, 5, 6]))
     kinds = draw(st.tuples(st.sampled_from(BLOCK_KINDS), st.sampled_from(BLOCK_KINDS)))
     parities = draw(st.tuples(st.integers(0, 1), st.integers(0, 1)))
     integer = draw(st.booleans())
@@ -244,6 +274,61 @@ class TestQuadrantComposition:
             else:
                 scale = max(1.0, float(np.abs(ref).max()))
                 assert np.abs(got.block(key) - ref).max() <= 1e-13 * a.size * scale
+
+    @settings(max_examples=80, deadline=None)
+    @given(_operator_pairs(), st.integers(0, 2**32 - 1))
+    def test_offsets_follow_the_operations(self, pair, seed):
+        """Sums, scalar and Grassmann multiples, products and superadjoints record
+        offsets that a fresh scan of their entries confirms."""
+        a, c, _ = pair
+        alg = a.algebra
+        space = coefficient_algebra(alg)
+        rng = np.random.default_rng(seed)
+        # a homogeneous theta-free scalar with several monomials, so that blocks meet in sums
+        row = rng.standard_normal(space.size) * (np.array(space.plan.parity) == rng.integers(0, 2))
+        beta = GrassmannElement(alg, space.lift(row))
+        same = SuperOperator(alg, c.n_max, {m: c.block(m) for m in c.blocks}, a.parity_bit)
+        product = a @ c
+        for o in (
+            a + same,
+            a - same,
+            (0.5 - 2j) * a,
+            beta * a,
+            beta * product,
+            product,
+            product @ a,
+            (a + same) @ c,
+            a.superadjoint(),
+            product.superadjoint(),
+            product.superadjoint() @ a.superadjoint(),
+        ):
+            _assert_offsets_hold(o)
+
+    def test_generators_and_supercommutators_are_one_diagonal(self, monkeypatch):
+        """Every held quadrant of the 8 generators and their 64 supercommutators has
+        an offset, and each of their quadrant products is a diagonal product."""
+        ops = generators(16)
+        shifts = {name: {(t, s): shift for t, s, shift, _ in _STENCILS[name]} for name in ops}
+        for name, g in ops.items():
+            assert g.offsets == {0: shifts[name]}
+        diagonal_products = []
+        product = representation._diagonal_product
+
+        def counted(*args):
+            diagonal_products.append(args)
+            return product(*args)
+
+        monkeypatch.setattr(representation, "_diagonal_product", counted)
+        pairs = lambda x, y: sum(1 for (_, k) in x.blocks[0] for (kk, _) in y.blocks[0] if k == kk)
+        for a in ops.values():
+            for c in ops.values():
+                before = len(diagonal_products)
+                bracket = a.supercommutator(c)
+                assert len(diagonal_products) - before == pairs(a, c) + pairs(c, a)
+                assert bracket.blocks
+                for m, offsets in bracket.offsets.items():
+                    assert None not in offsets.values(), (a.name, c.name, m, offsets)
+                _assert_offsets_hold(bracket)
 
     @settings(max_examples=40, deadline=None)
     @given(_operator_pairs())
@@ -359,6 +444,7 @@ class TestQuadrantComposition:
                 mat = o.block(m)
                 back = SuperOperator(alg, n, {m: mat}, parity)
                 assert set(back.blocks.get(m, {})) == _nonzero_quadrants(mat, n)
+                assert back.offsets.get(m, {}) == _scanned_offsets(mat, n)
                 np.testing.assert_array_equal(back.block(m), mat)
         assert set((a - a).blocks) == set(a.blocks)  # cancellation keeps the zero quadrants
         assert (a - a).max_abs() == 0.0
