@@ -13,7 +13,6 @@ from .grassmann import (
     random_element,
 )
 from .basis import (
-    BasisMode,
     QuadratureSpec,
     apply_ladder,
     apply_symmetry_op,

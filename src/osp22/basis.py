@@ -30,7 +30,6 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 __all__ = [
-    "BasisMode",
     "QuadratureSpec",
     "SYMMETRY_OPERATORS",
     "hermite_he",
@@ -54,31 +53,8 @@ _ROOT4_2PI = (2.0 * np.pi) ** 0.25
 _I_POWERS = (1, -1j, -1, 1j)  # (-i)^m for m mod 4
 
 
-@dataclass(frozen=True)
-class BasisMode:
-    """Raw basis index m; the derived view splits it into (sector, n).
-
-    Even modes (sector 0) are the even-in-x functions, odd modes (sector 1)
-    the odd ones, with m = 2n + sector.
-    """
-
-    m: int
-
-    def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("mode index must be nonnegative")
-
-    @property
-    def sector(self) -> int:
-        return self.m & 1
-
-    @property
-    def n(self) -> int:
-        return self.m // 2
-
-
 def _mode_index(m) -> int:
-    m = m.m if isinstance(m, BasisMode) else int(m)
+    m = int(m)
     if m < 0:
         raise ValueError("mode index must be nonnegative")
     return m

@@ -144,6 +144,8 @@ def cmd_verify(args) -> int:
 def cmd_profile(args) -> int:
     cfg = _collect_config(args)
     cfg.validate()
+    if args.xpoints < 1:
+        raise ConfigError("xpoints must be at least 1")
     z = cfg.z_samples[0]
     t = cfg.t_samples[0]
     params = _coh.CoherentParams(z, cfg.alpha_coeff)

@@ -118,6 +118,15 @@ class RunConfig:
         for name, value in self.tolerances.items():
             if value <= 0:
                 raise ConfigError(f"tolerance {name!r} must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        if not self.z_samples or not self.t_samples:
+            raise ConfigError("z and t samples must not be empty")
+        samples = {"z": self.z_samples, "t": self.t_samples, "alpha": (self.alpha_coeff,)}
+        for name, values in samples.items():
+            for value in values:
+                if not np.isfinite(value):
+                    raise ConfigError(f"{name} value {format_complex(value)} must be finite")
         for z in self.z_samples:
             if abs(z) >= 1.0:
                 raise ConfigError(f"z sample {format_complex(z)} must satisfy |z| < 1")

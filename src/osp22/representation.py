@@ -51,8 +51,10 @@ identity checks exclude the top two slots per sector ("interior modes").
 Operators are immutable, names included: ``renamed`` returns a new operator.
 
 ``structure_defects``, ``vacuum_defects`` and ``hamiltonian_defects`` return
-named defects only, the structure defects relative to their operands'
-scale; ``osp22.suites`` holds every tolerance and makes every pass decision.
+named defects only, the structure defects and the Hamiltonian ladder route
+relative to their operands' scale; ``osp22.suites`` holds every tolerance and
+makes every pass decision.  Their maxima, like ``max_abs``, are numpy
+reductions, so a NaN entry reads as NaN rather than being dropped.
 """
 
 from __future__ import annotations
@@ -413,24 +415,24 @@ class SuperOperator:
         if columns is not None:
             columns = np.arange(2 * n)[columns]  # slot indices, as ``block(m)[:, columns]`` reads them
             columns = [columns[columns // n == j] - j * n for j in (0, 1)]
-        best = 0.0
-        for quads in self.blocks.values():
-            for (_, j), part in quads.items():
-                view = part if columns is None else part[:, columns[j]]
-                if view.size:
-                    best = max(best, float(np.abs(view).max()))
-        return best
+        parts = [
+            np.abs(part if columns is None else part[:, columns[j]]).max(initial=0.0)
+            for quads in self.blocks.values()
+            for (_, j), part in quads.items()
+        ]
+        # the ufunc keeps a NaN, as np.max does, without np.max's dispatch cost per call
+        return float(np.maximum.reduce(parts, initial=0.0))
 
     def block_pattern_defect(self) -> float:
         """Largest entry in a quadrant off the sector pattern implied by the parity."""
         parity = coefficient_algebra(self.algebra).plan.parity
-        worst = 0.0
-        for am, quads in self.blocks.items():
-            p_ma = self.parity_bit ^ parity[am]
-            for (i, j), part in quads.items():
-                if i ^ j != p_ma:
-                    worst = max(worst, float(np.abs(part).max(initial=0.0)))
-        return worst
+        parts = [
+            np.abs(part).max(initial=0.0)
+            for am, quads in self.blocks.items()
+            for (i, j), part in quads.items()
+            if i ^ j != self.parity_bit ^ parity[am]
+        ]
+        return float(np.maximum.reduce(parts, initial=0.0))
 
     def __repr__(self):
         label = self.name or "?"
@@ -628,7 +630,7 @@ def structure_defects(ops: dict, n_triples: int = 20, seed: int = 7) -> dict:
                 scale[key] = size[a] * size[c]
 
     rng = np.random.default_rng(seed)
-    jacobi = jacobi_abs = 0.0
+    jacobi, jacobi_abs = [], []
     for _ in range(n_triples):
         a, c, e = (ops[GENERATOR_NAMES[k]] for k in rng.integers(0, 8, size=3))
         sign = -1.0 if (a.parity_bit and c.parity_bit) else 1.0
@@ -637,16 +639,15 @@ def structure_defects(ops: dict, n_triples: int = 20, seed: int = 7) -> dict:
             - a.supercommutator(c).supercommutator(e)
             - sign * c.supercommutator(a.supercommutator(e))
         )
-        defect = jac.max_abs(columns=cols_triple)
-        jacobi_abs = max(jacobi_abs, defect)
-        jacobi = max(jacobi, defect / np.prod([op.max_abs(columns=cols_triple) for op in (a, c, e)]))
+        jacobi_abs.append(jac.max_abs(columns=cols_triple))
+        jacobi.append(jacobi_abs[-1] / np.prod([op.max_abs(columns=cols_triple) for op in (a, c, e)]))
     return {
         "table": {key: v / scale[key] for key, v in table_abs.items()},
         "unlisted": {key: v / scale[key] for key, v in unlisted_abs.items()},
-        "jacobi": jacobi,
+        "jacobi": float(np.max(jacobi, initial=0.0)),
         "table_abs": table_abs,
         "unlisted_abs": unlisted_abs,
-        "jacobi_abs": jacobi_abs,
+        "jacobi_abs": float(np.max(jacobi_abs, initial=0.0)),
     }
 
 
@@ -672,7 +673,9 @@ def hamiltonian_defects(n_max: int = 32, algebra=None, spec=None) -> dict:
     """Defects of the Hamiltonian element h = K+/2 + K-/2 + K0, checked three ways.
 
     ``ladder_route``: h against (a+ + a-)^2 on the raw chi basis, reordered
-    into slots; ``block_pattern``: entries off the sector pattern;
+    into slots, on interior columns and divided by h's max-abs entry there
+    (``ladder_route_abs`` keeps the absolute figure); ``block_pattern``:
+    entries off the sector pattern;
     ``quadrature`` and ``pointwise``: matrix elements and h chi_m against
     -chi_m'' (m <= 6); ``vacuum``: <chi_0| h |chi_0> against 1/4.
     """
@@ -683,11 +686,10 @@ def hamiltonian_defects(n_max: int = 32, algebra=None, spec=None) -> dict:
     ladder_sum = chi_ladder_matrix("+", size) + chi_ladder_matrix("-", size)
     h_chi = ladder_sum @ ladder_sum
     perm = chi_slot_permutation(n_max)
-    route = float(
-        np.abs((h.body - h_chi[np.ix_(perm, perm)])[:, interior_columns(n_max, 2)]).max()
-    )
+    cols = interior_columns(n_max, 2)
+    route = float(np.abs((h.body - h_chi[np.ix_(perm, perm)])[:, cols]).max())
 
-    quad = 0.0
+    quad = []
     for t in (0.0, 1.0):
         x, w = _basis.quad_grid(t, spec)
         vals = _basis.chi_matrix(range(7), x, t)
@@ -695,25 +697,26 @@ def hamiltonian_defects(n_max: int = 32, algebra=None, spec=None) -> dict:
             [-_basis.eval_chi_derivatives(m, x, t)[2] for m in range(7)]
         )
         quad_elements = (vals.conj() * w) @ neg_d2.T
-        quad = max(quad, float(np.abs(quad_elements - h_chi[:7, :7]).max()))
+        quad.append(np.abs(quad_elements - h_chi[:7, :7]).max())
 
     grid = np.linspace(-3.0, 3.0, 7)
-    point = 0.0
+    point = []
     for t in (0.0, 0.7):
         vals = _basis.chi_matrix(range(9), grid, t)
         for m in range(7):
             recon = h_chi[:9, m] @ vals
             direct = -_basis.eval_chi_derivatives(m, grid, t)[2]
-            point = max(point, float(np.abs(recon - direct).max()))
+            point.append(np.abs(recon - direct).max())
 
     t = 0.0
     f = _basis.chi_evaluator(0, t)
     g = lambda x: -_basis.eval_chi_derivatives(0, x, t)[2]
     vac_h = _basis.quad_inner(f, g, t, spec)
     return {
-        "ladder_route": route,
+        "ladder_route": route / h.max_abs(columns=cols),
+        "ladder_route_abs": route,
         "block_pattern": h.block_pattern_defect(),
-        "quadrature": quad,
-        "pointwise": point,
+        "quadrature": float(np.max(quad)),
+        "pointwise": float(np.max(point)),
         "vacuum": abs(vac_h - 0.25),
     }

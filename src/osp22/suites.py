@@ -8,7 +8,8 @@ This module is the one place a check is judged.  ``CHECKS`` declares every
 check once, in report order: its id, its gate and its description.  A gate
 is either a ``DEFAULT_TOLERANCES`` key, read through ``RunConfig.tol``, or a
 literal tolerance that no config key reaches; both kinds are listed there.
-The suites compute defects and ``_check`` judges them against the table.
+The suites hand all of a check's defects to ``_check``, which takes their
+maximum once, keeping a NaN, and judges it against the table.
 Library modules report named defects, such as
 ``representation.structure_defects``, and carry no verdicts of their own.
 The acceptance tests assert on the records made here, and the ``symbols``
@@ -88,7 +89,7 @@ CHECKS = {
     "algebra.parity_bookkeeping": ("algebra", "p([A,C]) = p(A)+p(C) and sector block patterns"),
     "algebra.hamiltonian_matrix": (
         "algebra",
-        "h = K+/2 + K-/2 + K0 equals the squared ladder sum on interior modes",
+        "h = K+/2 + K-/2 + K0 equals the squared ladder sum on interior modes, relative",
     ),
     "algebra.hamiltonian_blocks": ("algebra", "the Hamiltonian element preserves the sector block pattern"),
     "algebra.hamiltonian_quadrature": (1e-8, "matrix elements and pointwise action match -d2/dx2 for m <= 6"),
@@ -119,15 +120,17 @@ CHECKS = {
 }
 
 
-def _check(cfg: RunConfig, cid: str, defect: float, **fmt) -> dict:
-    """The record of check ``cid``.
+def _check(cfg: RunConfig, cid: str, defects, **fmt) -> dict:
+    """The record of check ``cid`` over its iterable of ``defects``.
 
+    The defect is their maximum, taken once by numpy, so a NaN among them
+    makes the defect NaN and fails the check; an empty iterable reads 0.0.
     ``fmt`` fills a templated description; without it the description is
     taken as written, so braces such as ``{1,3,5}`` stay literal.
     """
     gate, description = CHECKS[cid]
     tolerance = cfg.tol(gate) if isinstance(gate, str) else gate
-    defect = float(defect)
+    defect = float(np.max(np.fromiter(defects, dtype=float), initial=0.0))
     return {
         "id": cid,
         "description": description.format(**fmt) if fmt else description,
@@ -145,42 +148,44 @@ def suite_grassmann(cfg: RunConfig) -> list:
     algebras = (default_algebra(), GrassmannAlgebra(GENERATORS_EXTENDED))
     checks = []
 
-    worst = 0.0
+    defects = []
     for k in range(250):
         alg = algebras[k % 2]
         a, b, c = (random_element(alg, rng) for _ in range(3))
         left = (a * b) * c
         scale = max(1.0, left.max_abs())
-        worst = max(worst, (left - a * (b * c)).max_abs() / scale)
-    checks.append(_check(cfg, "grassmann.associativity", worst))
+        defects.append((left - a * (b * c)).max_abs() / scale)
+    checks.append(_check(cfg, "grassmann.associativity", defects))
 
-    worst = 0.0
+    defects = []
     for k in range(250):
         alg = algebras[k % 2]
         pa, pb = (EVEN if rng.integers(2) else ODD for _ in range(2))
         a = random_element(alg, rng, parity=pa)
         b = random_element(alg, rng, parity=pb)
         sign = -1.0 if (pa == ODD and pb == ODD) else 1.0
-        worst = max(worst, (a * b - sign * (b * a)).max_abs() / (a.max_abs() * b.max_abs()))
-    checks.append(_check(cfg, "grassmann.supercommutativity", worst))
+        defects.append((a * b - sign * (b * a)).max_abs() / (a.max_abs() * b.max_abs()))
+    checks.append(_check(cfg, "grassmann.supercommutativity", defects))
 
-    worst = 0.0
+    defects = []
     for k in range(250):
         alg = algebras[k % 2]
         a = random_element(alg, rng)
         b = random_element(alg, rng)
-        worst = max(worst, ((a * b).conj() - a.conj() * b.conj()).max_abs())
-        worst = max(worst, (a.conj().conj() - a).max_abs())
-    checks.append(_check(cfg, "grassmann.conjugation", worst))
+        defects.append(((a * b).conj() - a.conj() * b.conj()).max_abs())
+        defects.append((a.conj().conj() - a).max_abs())
+    checks.append(_check(cfg, "grassmann.conjugation", defects))
 
     alg = default_algebra()
     th, tb = alg.gen("theta"), alg.gen("theta_bar")
-    worst = ((tb * th).berezin(("theta", "theta_bar")) - 1.0).max_abs()
-    worst = max(worst, alg.one().berezin(("theta", "theta_bar")).max_abs())
     al, ab = alg.gen("alpha"), alg.gen("alpha_bar")
-    worst = max(worst, ((ab * al).berezin(("alpha", "alpha_bar")) - 1.0).max_abs())
     xt, xtb = algebras[1].gen("theta"), algebras[1].gen("theta_bar")
-    worst = max(worst, ((xtb * xt).berezin(("theta", "theta_bar")) - 1.0).max_abs())
+    defects = [
+        ((tb * th).berezin(("theta", "theta_bar")) - 1.0).max_abs(),
+        alg.one().berezin(("theta", "theta_bar")).max_abs(),
+        ((ab * al).berezin(("alpha", "alpha_bar")) - 1.0).max_abs(),
+        ((xtb * xt).berezin(("theta", "theta_bar")) - 1.0).max_abs(),
+    ]
     with_theta = [(np.arange(x.size) & (1 << x.index["theta"])) != 0 for x in algebras]
     for k in range(250):
         ak = algebras[k % 2]
@@ -189,26 +194,23 @@ def suite_grassmann(cfg: RunConfig) -> list:
         lin = (a + 2.5 * b).berezin(("theta", "theta_bar")) - (
             a.berezin(("theta", "theta_bar")) + 2.5 * b.berezin(("theta", "theta_bar"))
         )
-        worst = max(worst, lin.max_abs())
+        defects.append(lin.max_abs())
         # anything missing an integrated generator integrates to zero
         no_theta = GrassmannElement(ak, np.where(with_theta[k % 2], 0j, a.coeffs))
-        worst = max(worst, no_theta.berezin(("theta",)).max_abs())
-    checks.append(_check(cfg, "grassmann.berezin", worst))
+        defects.append(no_theta.berezin(("theta",)).max_abs())
+    checks.append(_check(cfg, "grassmann.berezin", defects))
 
-    worst = max((th * th).max_abs(), (tb * th + th * tb).max_abs())
-    checks.append(_check(cfg, "grassmann.nilpotency", worst))
+    checks.append(_check(cfg, "grassmann.nilpotency", [(th * th).max_abs(), (tb * th + th * tb).max_abs()]))
 
-    worst = 0.0
+    defects = []
     for _ in range(100):
         pa, pb = (EVEN if rng.integers(2) else ODD for _ in range(2))
         a = random_element(alg, rng, parity=pa)
         b = random_element(alg, rng, parity=pb)
         prod = a * b
         if prod.max_abs() > 0:
-            expect = EVEN if pa == pb else ODD
-            if prod.parity != expect:
-                worst = 1.0
-    checks.append(_check(cfg, "grassmann.parity", worst))
+            defects.append(float(prod.parity != (EVEN if pa == pb else ODD)))
+    checks.append(_check(cfg, "grassmann.parity", defects))
     return checks
 
 
@@ -220,67 +222,64 @@ def suite_basis(cfg: RunConfig) -> list:
     top = TOP_QUADRATURE_MODE  # the ladder raises mode top - 1 onto it
     checks = []
 
-    worst = 0.0
-    for t in (0.0, 0.5, 2.0):
-        G = _basis.gram_matrix(range(top), t, spec)
-        worst = max(worst, float(np.abs(G - np.eye(top)).max()))
-    checks.append(_check(cfg, "basis.orthonormality", worst))
+    defects = (np.abs(_basis.gram_matrix(range(top), t, spec) - np.eye(top)).max() for t in (0.0, 0.5, 2.0))
+    checks.append(_check(cfg, "basis.orthonormality", defects))
 
     # one grid and one bra block per t; kets stay pointwise, the independent route
     grids = {t: _basis.quad_grid(t, spec) for t in (0.0, 1.0)}
     bras = {t: _basis.chi_matrix(range(top + 1), x, t) for t, (x, _) in grids.items()}
 
-    worst = 0.0
+    defects = []
     for t, (x, w) in grids.items():
         for m in range(top):
             for sign in ("+", "-"):
                 coeff, target = _basis.apply_ladder(sign, m)
                 av = _basis.ladder_pointwise(sign, m, x, t)
                 if target is None:
-                    worst = max(worst, abs(complex(np.sum(w * np.conjugate(av) * av))) ** 0.5)
+                    defects.append(abs(complex(np.sum(w * np.conjugate(av) * av))) ** 0.5)
                 else:
                     got = complex(np.sum(w * np.conjugate(bras[t][target]) * av))
-                    worst = max(worst, abs(got - coeff))
-    checks.append(_check(cfg, "basis.ladder", worst))
+                    defects.append(abs(got - coeff))
+    checks.append(_check(cfg, "basis.ladder", defects))
 
-    worst = 0.0
+    defects = []
     grid = np.linspace(-4.0, 4.0, 9)
     for t, (x, w) in grids.items():
         for m in range(top):
             sym = _basis.symmetric_ladder_pointwise(m, x, t)
             diag = complex(np.sum(w * np.conjugate(bras[t][m]) * sym))
-            worst = max(worst, abs(diag - (0.5 * m + 0.25)))
+            defects.append(abs(diag - (0.5 * m + 0.25)))
             point = np.abs(
                 _basis.symmetric_ladder_pointwise(m, grid, t)
                 - (0.5 * m + 0.25) * _basis.eval_chi(m, grid, t)
             ).max()
-            worst = max(worst, float(point))
-    checks.append(_check(cfg, "basis.sector_weights", worst))
+            defects.append(point)
+    checks.append(_check(cfg, "basis.sector_weights", defects))
 
     xs, ts = np.meshgrid(np.linspace(-4.0, 4.0, 5), np.linspace(-2.0, 2.0, 5))
-    worst = max(
+    defects = (
         _basis.schrodinger_residual(lambda x, t, m=m: _basis.eval_chi(m, x, t), xs, ts)
         for m in range(21)
     )
-    checks.append(_check(cfg, "basis.residual", worst))
+    checks.append(_check(cfg, "basis.residual", defects))
 
     from scipy.special import eval_hermitenorm
 
     rng = np.random.default_rng(cfg.seed + 1)
-    worst = max(
+    defects = [
         abs(_basis.hermite_he(2, 0.0) + 1.0),
         abs(_basis.hermite_he(3, 2.0) - 2.0),
         abs(_basis.hermite_he(0, 5.0) - 1.0),
-    )
+    ]
     for _ in range(50):
         n = int(rng.integers(0, 26))
         z = float(rng.uniform(-5, 5))
         ref = float(eval_hermitenorm(n, z))
         scale = max(1.0, abs(ref))
-        worst = max(worst, abs(_basis.hermite_he(n, z) - ref) / scale)
-    checks.append(_check(cfg, "basis.hermite", worst))
+        defects.append(abs(_basis.hermite_he(n, z) - ref) / scale)
+    checks.append(_check(cfg, "basis.hermite", defects))
 
-    worst = 0.0
+    defects = []
     rng = np.random.default_rng(cfg.seed + 2)
     for _ in range(30):
         m = int(rng.integers(0, 11))
@@ -294,19 +293,18 @@ def suite_basis(cfg: RunConfig) -> list:
             12 * h * h
         )
         scale = max(abs(v), 1.0)
-        worst = max(worst, abs(a1 - fd1) / max(abs(a1), scale), abs(a2 - fd2) / max(abs(a2), scale))
-    checks.append(_check(cfg, "basis.derivatives", worst))
+        defects += [abs(a1 - fd1) / max(abs(a1), scale), abs(a2 - fd2) / max(abs(a2), scale)]
+    checks.append(_check(cfg, "basis.derivatives", defects))
 
     # the dilation-type operator maps chi_3 into span{chi_1, chi_3, chi_5}
     keep = {1, 3, 5}
     probe = [m for m in range(12) if m not in keep]
     f = lambda x: _basis.apply_symmetry_op("K0", 3, x, 0.5)
     coeffs = _basis.project_onto_modes(f, probe, 0.5, spec)
-    leak = float(np.sqrt(np.sum(np.abs(coeffs) ** 2)))
-    checks.append(_check(cfg, "basis.symmetry_span", leak))
+    checks.append(_check(cfg, "basis.symmetry_span", [np.sqrt(np.sum(np.abs(coeffs) ** 2))]))
 
     neg = _basis.schrodinger_residual(lambda x, t: np.exp(-x * x), 1.0, 0.0)
-    checks.append(_check(cfg, "basis.negative_control", cfg.tol("residual") / neg))
+    checks.append(_check(cfg, "basis.negative_control", [cfg.tol("residual") / neg]))
     return checks
 
 
@@ -322,32 +320,33 @@ def suite_superspace(cfg: RunConfig) -> list:
     vac = _ss.SuperVector.basis_state(0, 0, 4, alg)
     odd0 = _ss.SuperVector.basis_state(1, 0, 4, alg)
     al = alg.gen("alpha")
-    worst = (vac.super_inner(vac) - 1.0).max_abs()
-    worst = max(worst, (odd0.super_inner(odd0) - 1j).max_abs())
     av = al * odd0
-    worst = max(worst, (av.super_inner(av) - (-1j) * (al.conj() * al)).max_abs())
-    worst = max(worst, abs((vac + odd0).norm() ** 2 - 2.0))
-    worst = max(worst, abs(_ss.SuperVector.zero(4, alg).norm()))
-    checks.append(_check(cfg, "superspace.examples", worst))
+    defects = [
+        (vac.super_inner(vac) - 1.0).max_abs(),
+        (odd0.super_inner(odd0) - 1j).max_abs(),
+        (av.super_inner(av) - (-1j) * (al.conj() * al)).max_abs(),
+        abs((vac + odd0).norm() ** 2 - 2.0),
+        abs(_ss.SuperVector.zero(4, alg).norm()),
+    ]
+    checks.append(_check(cfg, "superspace.examples", defects))
 
-    worst = 0.0
+    defects = []
     for _ in range(100):
         v1 = _ss.random_supervector(6, rng, alg)
         v2 = _ss.random_supervector(6, rng, alg)
-        d = (v1.super_inner(v2) - _ss.super_inner_integral(v1, v2, 0.0, spec)).max_abs()
-        worst = max(worst, d)
-    checks.append(_check(cfg, "superspace.integral_oracle", worst))
+        defects.append((v1.super_inner(v2) - _ss.super_inner_integral(v1, v2, 0.0, spec)).max_abs())
+    checks.append(_check(cfg, "superspace.integral_oracle", defects))
 
-    worst = 0.0
+    defects = []
     for _ in range(50):
         p1, p2 = (EVEN if rng.integers(2) else ODD for _ in range(2))
         v1 = _ss.random_supervector(5, rng, alg, parity=p1)
         v2 = _ss.random_supervector(5, rng, alg, parity=p2)
         sign = -1.0 if (p1 == ODD and p2 == ODD) else 1.0
-        worst = max(worst, (v1.super_inner(v2).conj() - sign * v2.super_inner(v1)).max_abs())
-    checks.append(_check(cfg, "superspace.conjugate_symmetry", worst))
+        defects.append((v1.super_inner(v2).conj() - sign * v2.super_inner(v1)).max_abs())
+    checks.append(_check(cfg, "superspace.conjugate_symmetry", defects))
 
-    worst = 0.0
+    defects = []
     for _ in range(50):
         p1 = EVEN if rng.integers(2) else ODD
         pb = EVEN if rng.integers(2) else ODD
@@ -358,34 +357,32 @@ def suite_superspace(cfg: RunConfig) -> list:
         sign = -1.0 if (p1 == ODD and pb == ODD) else 1.0
         lhs = (b1 * v1).super_inner(b2 * v2)
         rhs = sign * (b1.conj() * b2 * v1.super_inner(v2))
-        worst = max(worst, (lhs - rhs).max_abs())
-    checks.append(_check(cfg, "superspace.scalar_rule", worst))
+        defects.append((lhs - rhs).max_abs())
+    checks.append(_check(cfg, "superspace.scalar_rule", defects))
 
     v_even = _ss.random_supervector(5, rng, alg)
     v_odd = _ss.random_supervector(5, rng, alg)
     pure_even = _ss.SuperVector(alg, v_even.even, [alg.zero()] * 5)
     pure_odd = _ss.SuperVector(alg, [alg.zero()] * 5, v_odd.odd)
-    worst = pure_even.super_inner(pure_odd).max_abs()
-    checks.append(_check(cfg, "superspace.sector_orthogonality", worst))
+    checks.append(_check(cfg, "superspace.sector_orthogonality", [pure_even.super_inner(pure_odd).max_abs()]))
 
     n = 8
     claims = [
         (_rep.build_generator(name, n, alg), coeff * _rep.build_generator(adjoint, n, alg))
         for name, (coeff, adjoint) in _rep.SUPERADJOINTS.items()
     ]
-    worst = 0.0
+    defects = []
     for p1 in (EVEN, ODD):
         v1 = _ss.random_supervector(n, rng, alg, parity=p1, support=6)
         v2 = _ss.random_supervector(n, rng, alg, support=6)
-        for gen, claimed in claims:
-            worst = max(worst, _ss.superadjoint_defect(gen, claimed, v1, v2).max_abs())
-    checks.append(_check(cfg, "superspace.superadjoint", worst))
+        defects += [_ss.superadjoint_defect(gen, claimed, v1, v2).max_abs() for gen, claimed in claims]
+    checks.append(_check(cfg, "superspace.superadjoint", defects))
 
     v1 = _ss.random_supervector(n, rng, alg, parity=EVEN, support=6)
     v2 = _ss.random_supervector(n, rng, alg, support=6)
     kp = _rep.build_generator("K+", n, alg)
     bad = _ss.superadjoint_defect(kp, kp, v1, v2).max_abs()
-    checks.append(_check(cfg, "superspace.negative_control", cfg.tol("algebra") / max(bad, 1e-300)))
+    checks.append(_check(cfg, "superspace.negative_control", [cfg.tol("algebra") / max(bad, 1e-300)]))
     return checks
 
 
@@ -399,62 +396,55 @@ def suite_algebra(cfg: RunConfig) -> list:
     checks = []
 
     structure = _rep.structure_defects(ops, n_triples=20, seed=cfg.seed)
-    checks.append(_check(cfg, "algebra.commutator_table", max(structure["table"].values())))
-    checks.append(_check(cfg, "algebra.unlisted_pairs", max(structure["unlisted"].values())))
-    checks.append(_check(cfg, "algebra.jacobi", structure["jacobi"]))
+    checks.append(_check(cfg, "algebra.commutator_table", structure["table"].values()))
+    checks.append(_check(cfg, "algebra.unlisted_pairs", structure["unlisted"].values()))
+    checks.append(_check(cfg, "algebra.jacobi", [structure["jacobi"]]))
 
     vacuum = _rep.vacuum_defects(ops)
-    checks.append(_check(cfg, "algebra.vacuum", max(vacuum["lowest_weight"].values())))
-    checks.append(_check(cfg, "algebra.atypicality", vacuum["v_plus_norm"]))
+    checks.append(_check(cfg, "algebra.vacuum", vacuum["lowest_weight"].values()))
+    checks.append(_check(cfg, "algebra.atypicality", [vacuum["v_plus_norm"]]))
 
-    worst = 0.0
+    defects = []
     for name, (coeff, adjoint) in _rep.SUPERADJOINTS.items():
-        worst = max(worst, (ops[name].superadjoint() - coeff * ops[adjoint]).max_abs())
-        worst = max(worst, (ops[name].superadjoint().superadjoint() - ops[name]).max_abs())
-    checks.append(_check(cfg, "algebra.superadjoint_table", worst))
+        defects.append((ops[name].superadjoint() - coeff * ops[adjoint]).max_abs())
+        defects.append((ops[name].superadjoint().superadjoint() - ops[name]).max_abs())
+    checks.append(_check(cfg, "algebra.superadjoint_table", defects))
 
     rng = np.random.default_rng(cfg.seed + 4)
-    worst_prod = 0.0
-    worst_comm = 0.0
+    products, commutators = [], []
     for _ in range(20):
         a, c = (ops[_rep.GENERATOR_NAMES[k]] for k in rng.integers(0, 8, size=2))
         sign = -1.0 if (a.parity_bit and c.parity_bit) else 1.0
-        worst_prod = max(
-            worst_prod,
-            ((a @ c).superadjoint() - sign * (c.superadjoint() @ a.superadjoint())).max_abs(),
-        )
-        worst_comm = max(
-            worst_comm,
+        products.append(((a @ c).superadjoint() - sign * (c.superadjoint() @ a.superadjoint())).max_abs())
+        commutators.append(
             (
                 a.supercommutator(c).superadjoint()
                 + a.superadjoint().supercommutator(c.superadjoint())
-            ).max_abs(),
+            ).max_abs()
         )
-    checks.append(_check(cfg, "algebra.adjoint_product", worst_prod))
-    checks.append(_check(cfg, "algebra.adjoint_commutator", worst_comm))
+    checks.append(_check(cfg, "algebra.adjoint_product", products))
+    checks.append(_check(cfg, "algebra.adjoint_commutator", commutators))
 
-    worst = 0.0
-    for j, name in enumerate(_rep.HERMITIAN_BASE, start=1):
+    defects = []
+    for name in _rep.HERMITIAN_BASE:
         x = _rep.build_generator(name, n_max, alg)
         sign = -1.0 if x.parity_bit else 1.0
-        worst = max(worst, (x.superadjoint() - sign * x).max_abs())
-    checks.append(_check(cfg, "algebra.hermitian_base", worst))
+        defects.append((x.superadjoint() - sign * x).max_abs())
+    checks.append(_check(cfg, "algebra.hermitian_base", defects))
 
-    worst = 0.0
+    defects = []
     for a_name in _rep.GENERATOR_NAMES:
         for c_name in _rep.GENERATOR_NAMES:
             comm = ops[a_name].supercommutator(ops[c_name])
             expect = ops[a_name].parity_bit ^ ops[c_name].parity_bit
-            if comm.parity_bit != expect:
-                worst = 1.0
-            worst = max(worst, comm.block_pattern_defect())
-    checks.append(_check(cfg, "algebra.parity_bookkeeping", worst))
+            defects += [float(comm.parity_bit != expect), comm.block_pattern_defect()]
+    checks.append(_check(cfg, "algebra.parity_bookkeeping", defects))
 
     ham = _rep.hamiltonian_defects(n_max, alg, _basis.QuadratureSpec(nodes=cfg.nodes))
-    checks.append(_check(cfg, "algebra.hamiltonian_matrix", ham["ladder_route"]))
-    checks.append(_check(cfg, "algebra.hamiltonian_blocks", ham["block_pattern"]))
-    checks.append(_check(cfg, "algebra.hamiltonian_quadrature", max(ham["quadrature"], ham["pointwise"])))
-    checks.append(_check(cfg, "algebra.hamiltonian_vacuum", ham["vacuum"]))
+    checks.append(_check(cfg, "algebra.hamiltonian_matrix", [ham["ladder_route"]]))
+    checks.append(_check(cfg, "algebra.hamiltonian_blocks", [ham["block_pattern"]]))
+    checks.append(_check(cfg, "algebra.hamiltonian_quadrature", [ham["quadrature"], ham["pointwise"]]))
+    checks.append(_check(cfg, "algebra.hamiltonian_vacuum", [ham["vacuum"]]))
     return checks
 
 
@@ -466,28 +456,20 @@ def suite_coherent(cfg: RunConfig) -> list:
     spec = _basis.QuadratureSpec(nodes=cfg.nodes)
     checks = []
 
-    worst_routes = 0.0
-    worst_norm = 0.0
-    worst_res = 0.0
+    routes, norms, residuals = [], [], []
     for z in cfg.z_samples:
         for t in cfg.t_samples:
             for a in (0.0, cfg.alpha_coeff):
                 p = _coh.CoherentParams(z, a)
                 r = _coh.crosscheck(p, t, spec=spec)
-                worst_routes = max(
-                    worst_routes,
-                    r["max_pairwise_psi"],
-                    r["max_pairwise_phi"],
-                    r["coefficient_defect"],
-                )
-                worst_norm = max(worst_norm, r["norm_defect"])
-                worst_res = max(worst_res, r["max_residual"])
-    checks.append(_check(cfg, "coherent.three_routes", worst_routes))
-    checks.append(_check(cfg, "coherent.unit_super_norm", worst_norm))
-    checks.append(_check(cfg, "coherent.residual", worst_res))
+                routes += [r["max_pairwise_psi"], r["max_pairwise_phi"], r["coefficient_defect"]]
+                norms.append(r["norm_defect"])
+                residuals.append(r["max_residual"])
+    checks.append(_check(cfg, "coherent.three_routes", routes))
+    checks.append(_check(cfg, "coherent.unit_super_norm", norms))
+    checks.append(_check(cfg, "coherent.residual", residuals))
 
-    worst = 0.0
-    worst_phi = 0.0
+    psi_norms, phi_norms = [], []
     for z in cfg.z_samples:
         p = _coh.CoherentParams(z)
         cf = _coh.closed_form(p, alg)
@@ -495,71 +477,59 @@ def suite_coherent(cfg: RunConfig) -> list:
             qspec = replace(spec, scale=_coh.quad_scale(z, t))
             psi = lambda x: cf.psi(x, t)
             phi = lambda x: cf.phi(x, t)
-            worst = max(worst, abs(_basis.quad_inner(psi, psi, t, qspec) - 1.0))
+            psi_norms.append(abs(_basis.quad_inner(psi, psi, t, qspec) - 1.0))
             nphi = _basis.quad_inner(phi, phi, t, qspec).real
-            worst_phi = max(worst_phi, abs(nphi - 0.25 / (1.0 - abs(z) ** 2)))
-    checks.append(_check(cfg, "coherent.unit_l2_norm", worst))
-    checks.append(_check(cfg, "coherent.phi_norm", worst_phi))
+            phi_norms.append(abs(nphi - 0.25 / (1.0 - abs(z) ** 2)))
+    checks.append(_check(cfg, "coherent.unit_l2_norm", psi_norms))
+    checks.append(_check(cfg, "coherent.phi_norm", phi_norms))
 
-    worst = 0.0
+    defects = []
     for z in cfg.z_samples:
-        p = _coh.CoherentParams(z, cfg.alpha_coeff)
-        cf = _coh.closed_form(p, alg)
-        for t in cfg.t_samples:
-            worst = max(worst, (cf.norm_sq(t, spec) - 1.0).max_abs())
-    checks.append(_check(cfg, "coherent.closed_norm_identity", worst))
+        cf = _coh.closed_form(_coh.CoherentParams(z, cfg.alpha_coeff), alg)
+        defects += [(cf.norm_sq(t, spec) - 1.0).max_abs() for t in cfg.t_samples]
+    checks.append(_check(cfg, "coherent.closed_norm_identity", defects))
 
     flag, rows = symbol_rows(cfg)
     calibrated = flag in ("identity", "conjugate")
-    checks.append(_check(cfg, "coherent.calibration", 0.0 if calibrated else 1.0, flag=flag))
+    checks.append(_check(cfg, "coherent.calibration", [0.0 if calibrated else 1.0], flag=flag))
     checks.append(symbols_check(cfg, rows))
 
-    worst_p = 0.0
-    worst_fit = 0.0
-    worst_mean = 0.0
+    momenta, lines, rests = [], [], []
     abar = np.conjugate(cfg.alpha_coeff)
     for z in cfg.z_samples[:3]:
         tr = trajectory_rows(_coh.CoherentParams(z, cfg.alpha_coeff), (0.0, 1.0, 2.0, 3.0), alg, spec)
         sp = np.asarray([r["p_theta"] for r in tr["rows"]])
-        worst_p = max(worst_p, float(np.abs(sp - tr["p0"] * abar).max()))
+        momenta.extend(np.abs(sp - tr["p0"] * abar))
         slope, intercept = tr["fit"]
-        worst_fit = max(
-            worst_fit,
-            tr["fit_residual"],
-            abs(slope - 2.0 * tr["p0"] * abar),
-            abs(intercept - tr["x0"] * abar),
-        )
-        worst_mean = max(worst_mean, *(max(r["mean_x"], r["mean_p"]) for r in tr["rows"]))
-    checks.append(_check(cfg, "coherent.trajectory_momentum", worst_p))
-    checks.append(_check(cfg, "coherent.trajectory_line", worst_fit))
-    checks.append(_check(cfg, "coherent.even_sector_rest", worst_mean))
+        lines += [tr["fit_residual"], abs(slope - 2.0 * tr["p0"] * abar), abs(intercept - tr["x0"] * abar)]
+        rests += [r[key] for r in tr["rows"] for key in ("mean_x", "mean_p")]
+    checks.append(_check(cfg, "coherent.trajectory_momentum", momenta))
+    checks.append(_check(cfg, "coherent.trajectory_line", lines))
+    checks.append(_check(cfg, "coherent.even_sector_rest", rests))
 
     rng = np.random.default_rng(cfg.seed + 5)
     n_iso = 64
     vac = _ss.SuperVector.basis_state(0, 0, n_iso, alg)
-    worst_iso = 0.0
-    worst_vac = 0.0
+    isometries, vacua = [], []
     for z in (0.3, 0.2j, 0.15 - 0.25j):
         dis = _coh.displacement_operator(_coh.CoherentParams(z, cfg.alpha_coeff), n_iso, alg)
         for _ in range(2):
             v1 = _ss.random_supervector(n_iso, rng, alg, support=9)
             v2 = _ss.random_supervector(n_iso, rng, alg, support=9)
-            d = (dis.apply(v1).super_inner(dis.apply(v2)) - v1.super_inner(v2)).max_abs()
-            worst_iso = max(worst_iso, d)
+            isometries.append((dis.apply(v1).super_inner(dis.apply(v2)) - v1.super_inner(v2)).max_abs())
         # the body of exp(X) is exp(body X), so alpha leaves the body overlap alone
         ref = _coh.series_state(_coh.CoherentParams(_coh.disk_parameter(z)), n_iso, alg, tail_tol=1e-10)
         ov = ref.super_inner(dis.apply(vac))
-        worst_vac = max(worst_vac, abs(abs(ov.body) - 1.0))
-    checks.append(_check(cfg, "coherent.superisometry", worst_iso))
-    checks.append(_check(cfg, "coherent.displacement_vacuum", worst_vac))
+        vacua.append(abs(abs(ov.body) - 1.0))
+    checks.append(_check(cfg, "coherent.superisometry", isometries))
+    checks.append(_check(cfg, "coherent.displacement_vacuum", vacua))
 
-    worst = 0.0
+    defects = []
     for z in cfg.z_samples:
         ge, go = _coh.expansion_coefficients(z, 3)
         pref = (1.0 - abs(z) ** 2) ** 0.25
-        worst = max(worst, abs(ge[0] - pref), abs(go[0] - 0.5 * pref))
-        worst = max(worst, abs(ge[1] / ge[0] - z * np.sqrt(0.5)))
-    checks.append(_check(cfg, "coherent.expansion_values", worst))
+        defects += [abs(ge[0] - pref), abs(go[0] - 0.5 * pref), abs(ge[1] / ge[0] - z * np.sqrt(0.5))]
+    checks.append(_check(cfg, "coherent.expansion_values", defects))
     return checks
 
 
@@ -596,7 +566,7 @@ def symbol_rows(cfg: RunConfig) -> tuple:
 
 def symbols_check(cfg: RunConfig, rows: list) -> dict:
     """The ``coherent.symbols`` record over the rows of ``symbol_rows``."""
-    return _check(cfg, "coherent.symbols", max((r["defect"] for r in rows), default=0.0))
+    return _check(cfg, "coherent.symbols", (r["defect"] for r in rows))
 
 
 def trajectory_rows(params, ts, algebra, spec) -> dict:
@@ -616,8 +586,8 @@ def trajectory_rows(params, ts, algebra, spec) -> dict:
                 "t": float(t),
                 "x_theta": r["x_theta"].coeff("alpha_bar"),
                 "p_theta": r["p_theta"].coeff("alpha_bar"),
-                "mean_x": max(abs(r["mean_x_psi"]), abs(r["mean_x_phi"])),
-                "mean_p": max(abs(r["mean_p_psi"]), abs(r["mean_p_phi"])),
+                "mean_x": float(np.max([abs(r["mean_x_psi"]), abs(r["mean_x_phi"])])),
+                "mean_p": float(np.max([abs(r["mean_p_psi"]), abs(r["mean_p_phi"])])),
             }
         )
     sx = np.asarray([r["x_theta"] for r in rows])

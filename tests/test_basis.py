@@ -8,21 +8,6 @@ from osp22 import basis as b
 ROOT4 = (2.0 * np.pi) ** -0.25
 
 
-class TestBasisMode:
-    def test_round_trip(self):
-        for m in range(10):
-            mode = b.BasisMode(m)
-            assert 2 * mode.n + mode.sector == m
-
-    def test_sector_split(self):
-        assert b.BasisMode(7).sector == 1
-        assert b.BasisMode(7).n == 3
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            b.BasisMode(-1)
-
-
 class TestHermite:
     def test_frozen_values(self):
         assert b.hermite_he(2, 0.0) == -1.0
@@ -45,6 +30,10 @@ class TestHermite:
 class TestEvalChi:
     def test_ground_value(self):
         assert abs(b.eval_chi(0, 0.0, 0.0) - ROOT4) < 1e-15
+
+    def test_negative_mode_rejected(self):
+        with pytest.raises(ValueError):
+            b.eval_chi(-1, 0.0, 0.0)
 
     def test_odd_mode_vanishes_at_origin(self):
         for t in (0.0, 0.5, -1.3):

@@ -179,6 +179,29 @@ class TestVerifyCommand:
         assert code == 1
 
 
+class TestValidatedDomain:
+    """Inputs outside the validated domain exit 2 before any check runs."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "all", "--t=,"], "must not be empty"),
+            (["verify", "coherent", "--z=,"], "must not be empty"),
+            (["verify", "coherent", "--t=nan"], "t value nan must be finite"),
+            (["verify", "coherent", "--z=nan"], "z value nan must be finite"),
+            (["verify", "coherent", "--alpha=nan"], "alpha value nan must be finite"),
+            (["verify", "grassmann", "--seed=-1"], "seed must be nonnegative"),
+            (["profile", "--z=,"], "must not be empty"),
+            (["trajectory", "--z=,"], "must not be empty"),
+            (["profile", "--xpoints=-1"], "xpoints must be at least 1"),
+        ],
+    )
+    def test_exits_2(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
 class TestProfileCommand:
     def _read(self, path):
         rows = [r for r in open(path) if not r.startswith("#")]

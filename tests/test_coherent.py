@@ -1,6 +1,8 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from osp22 import basis as b
 from osp22 import coherent as coh
@@ -249,3 +251,17 @@ class TestTrajectory:
         r = coh.trajectory(coh.CoherentParams(0.5j, 1.0), 1.0, ALG)
         for key in ("mean_x_psi", "mean_x_phi", "mean_p_psi", "mean_p_phi"):
             assert abs(r[key]) < 1e-10
+
+
+def test_crosscheck_keeps_a_nan_route(poison_call):
+    """A NaN series state reaches the later route pairs, not only the first one."""
+    poison_call(coh, "series_state", 1, lambda sv: math.nan * sv)
+    r = coh.crosscheck(coh.CoherentParams(0.3, 1.0), 0.5)
+    assert math.isnan(r["max_pairwise_psi"]) and math.isnan(r["max_pairwise_phi"])
+
+
+def test_crosscheck_keeps_a_nan_residual(poison_call):
+    """The residual of the second component (phi) is not dropped when it is NaN."""
+    poison_call(b, "schrodinger_residual", 2, lambda r: math.nan)
+    r = coh.crosscheck(coh.CoherentParams(0.3), 0.5)
+    assert math.isnan(r["max_residual"]) and r["max_pairwise_phi"] < 1e-8

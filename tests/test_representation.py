@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osp22 import representation
+from osp22 import basis, representation
 from osp22.config import RunConfig
 from osp22.grassmann import (
     GENERATORS_EXTENDED,
@@ -468,6 +468,27 @@ class TestQuadrantComposition:
         assert want > 0.0
         assert o.block_pattern_defect() == want
 
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_a_nan_in_any_quadrant_reads_nan(self, parity):
+        """max_abs and block_pattern_defect return NaN for a NaN in any held quadrant of
+        any monomial, the first one or a later one, not the largest finite entry."""
+        n = 4
+        rng = np.random.default_rng(11 + parity)
+        blocks = {m: _random_block(rng, n, 0, "dense", False) for m in range(3)}
+        plan = coefficient_algebra(ALG6).plan
+        clean = SuperOperator(ALG6, n, blocks, parity).block_pattern_defect()
+        for m in blocks:
+            for i in (0, 1):
+                for j in (0, 1):
+                    poisoned = {k: mat.copy() for k, mat in blocks.items()}
+                    poisoned[m][i * n + 2, j * n + 1] = np.nan  # an interior column, not the first entry
+                    o = SuperOperator(ALG6, n, poisoned, parity)
+                    assert np.isnan(o.max_abs())
+                    assert np.isnan(o.max_abs(columns=interior_columns(n, 2)))
+                    off_pattern = i ^ j != parity ^ plan.parity[m]
+                    pattern = o.block_pattern_defect()
+                    assert np.isnan(pattern) if off_pattern else pattern == clean
+
     def test_theta_scalar_rejected(self):
         with pytest.raises(ValueError):
             ALG.gen("theta") * op("K+")
@@ -584,6 +605,14 @@ class TestSupercommutator:
         assert defects["table_abs"][key] > 0.0
         assert defects["table"][key] == defects["table_abs"][key] / scale
 
+    def test_a_nan_jacobi_sum_reads_nan(self, poison_call):
+        """A NaN in the second Jacobi triple reaches both Jacobi figures; the pairs stay finite."""
+        # the listed and unlisted pairs take 36 supercommutators, each triple 6 more
+        poison_call(SuperOperator, "supercommutator", 36 + 6 + 2, lambda r: np.nan * r)
+        defects = structure_defects(generators(16), n_triples=4, seed=3)
+        assert np.isnan(defects["jacobi"]) and np.isnan(defects["jacobi_abs"])
+        assert all(np.isfinite(v) for part in ("table", "unlisted") for v in defects[part].values())
+
 
 class TestVacuum:
     def test_all_checks_exact(self):
@@ -652,6 +681,25 @@ class TestHamiltonian:
 
     def test_route_equality_at_32(self):
         assert hamiltonian_defects(32, ALG)["ladder_route"] < 1e-12
+
+    def test_ladder_route_is_relative(self):
+        """ladder_route is the absolute figure over h's max-abs entry on the same interior
+        columns; the absolute figure grows with n_max, the relative one does not."""
+        defects = {n: hamiltonian_defects(n, ALG) for n in (128, 512)}
+        for n, d in defects.items():
+            scale = op("h", n).max_abs(columns=interior_columns(n, 2))
+            assert d["ladder_route"] == d["ladder_route_abs"] / scale
+        assert defects[512]["ladder_route_abs"] > defects[128]["ladder_route_abs"]
+        assert defects[512]["ladder_route"] <= defects[128]["ladder_route"]
+
+    @pytest.mark.parametrize("call, key", [(3, "quadrature"), (20, "pointwise")])
+    def test_a_nan_sample_reads_nan(self, poison_call, call, key):
+        """A NaN second derivative at a non-first mode reaches its figure; the other stays finite."""
+        # the quadrature route takes calls 1-14 (t, m), the pointwise route 15-28
+        poison_call(basis, "eval_chi_derivatives", call, lambda r: (*r[:2], np.nan * r[2]))
+        defects = hamiltonian_defects(16, ALG)
+        other = {"quadrature": "pointwise", "pointwise": "quadrature"}[key]
+        assert np.isnan(defects[key]) and defects[other] < 1e-8
 
     def test_vacuum_expectation_frozen(self):
         assert hamiltonian_defects(16, ALG)["vacuum"] < 1e-10

@@ -2,18 +2,26 @@
 
 Each suite emits exactly its rows of the table, in table order, and each
 record's tolerance is the row's gate: a config tolerance read through
-``RunConfig.tol`` or the row's literal.
+``RunConfig.tol`` or the row's literal.  A NaN among a check's defects makes
+its record NaN and failing.
 """
 
+import json
+import math
 from dataclasses import replace
 
 import pytest
 
+from osp22 import basis as _basis
+from osp22 import coherent as _coh
+from osp22 import representation as _rep
+from osp22 import superspace as _ss
 from osp22.basis import QuadratureSpec
+from osp22.cli import main
 from osp22.config import DEFAULT_TOLERANCES, RunConfig
-from osp22.grassmann import default_algebra
+from osp22.grassmann import GrassmannElement, default_algebra
 from osp22.representation import hamiltonian_defects
-from osp22.suites import CHECKS, SUITE_NAMES, suite_checks
+from osp22.suites import CHECKS, SUITE_NAMES, _check, suite_checks, symbols_check, trajectory_rows
 
 # six distinct values, none equal to a default or to a literal gate, so a
 # record read through the wrong key shows
@@ -66,3 +74,62 @@ def test_algebra_quadrature_reads_the_node_count():
     assert records["algebra.hamiltonian_vacuum"] == ham["vacuum"]
     # the default rule gives other figures, so the node count did reach the suite
     assert hamiltonian_defects(cfg.n_max, default_algebra())["vacuum"] != ham["vacuum"]
+
+
+NAN = float("nan")
+
+
+def _nan_at(index):
+    """Poison for a dict of named defects: its ``index``-th value becomes NaN."""
+    return lambda values: {k: NAN if i == index else v for i, (k, v) in enumerate(values.items())}
+
+
+# (suite, owner, library call, poisoned call, poison, the check it feeds): at least one
+# check per suite, each poisoned at a sample after its first
+POISONED = [
+    ("grassmann", GrassmannElement, "berezin", 7, lambda r: NAN * r, "grassmann.berezin"),
+    ("basis", _basis, "schrodinger_residual", 3, lambda r: NAN, "basis.residual"),
+    ("superspace", _ss, "super_inner_integral", 3, lambda r: NAN * r, "superspace.integral_oracle"),
+    (
+        "algebra",
+        _rep,
+        "structure_defects",
+        1,
+        lambda r: {**r, "table": _nan_at(3)(r["table"])},
+        "algebra.commutator_table",
+    ),
+    ("algebra", _rep, "hamiltonian_defects", 1, lambda r: {**r, "pointwise": NAN}, "algebra.hamiltonian_quadrature"),
+    ("algebra", _rep, "vacuum_defects", 1, lambda r: {**r, "lowest_weight": _nan_at(2)(r["lowest_weight"])}, "algebra.vacuum"),
+    ("coherent", _basis, "schrodinger_residual", 4, lambda r: NAN, "coherent.residual"),
+]
+
+
+@pytest.mark.parametrize("suite, owner, name, call, poison, cid", POISONED, ids=[p[-1] for p in POISONED])
+def test_a_nan_defect_fails_its_check(suite, owner, name, call, poison, cid, poison_call, tmp_path):
+    """A NaN at a non-first sample reaches the record as NaN, fails it and exits 1."""
+    poison_call(owner, name, call, poison)
+    assert main(["verify", suite, "--out", str(tmp_path)]) == 1
+    doc = json.loads((tmp_path / f"osp22_verify_{suite}.json").read_text())
+    records = {c["id"]: c for c in doc["payload"]["checks"]}
+    assert math.isnan(records[cid]["defect"])
+    assert [c for c, r in records.items() if not r["pass"]] == [cid]
+    assert not doc["payload"]["overall_pass"]
+
+
+def test_empty_defects_read_zero():
+    assert _check(RunConfig(), "basis.residual", [])["defect"] == 0.0
+
+
+def test_symbols_check_keeps_a_nan_row():
+    rows = [{"defect": 1e-12}, {"defect": NAN}, {"defect": 2e-12}]
+    record = symbols_check(RunConfig(), rows)
+    assert math.isnan(record["defect"]) and not record["pass"]
+
+
+def test_trajectory_rows_keep_a_nan_mean(poison_call):
+    """mean_x and mean_p are the larger of two components; a NaN component is not dropped."""
+    poison_call(_coh, "trajectory", 2, lambda r: {**r, "mean_x_phi": complex(NAN), "mean_p_phi": complex(NAN)})
+    tr = trajectory_rows(_coh.CoherentParams(0.3, 1.0), (0.0, 1.0, 2.0), default_algebra(), QuadratureSpec())
+    means = [(r["mean_x"], r["mean_p"]) for r in tr["rows"]]
+    assert all(math.isnan(v) for v in means[1])
+    assert all(v < 1e-10 for k in (0, 2) for v in means[k])
