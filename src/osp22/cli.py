@@ -146,6 +146,8 @@ def cmd_profile(args) -> int:
     cfg.validate()
     if args.xpoints < 1:
         raise ConfigError("xpoints must be at least 1")
+    if not (np.isfinite(args.xmax) and args.xmax > 0):
+        raise ConfigError(f"xmax value {args.xmax} must be finite and positive")
     z = cfg.z_samples[0]
     t = cfg.t_samples[0]
     params = _coh.CoherentParams(z, cfg.alpha_coeff)

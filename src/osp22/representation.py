@@ -9,9 +9,9 @@ Composition is quadrant-sparse.  The Z2 grading splits each block into four
 (N x N) sector quadrants (row sector, column sector); a block of even total
 parity fills only the diagonal ones, an odd block only the off-diagonal ones.
 A block is stored as the quadrants it holds, {(row sector, column sector):
-read-only N x N array}, and a missing quadrant is zero.  Every operation acts
+read-only array}, and a missing quadrant is zero.  Every operation acts
 quadrant by quadrant: a block product forms output quadrant (i, j) as the sum
-over k of A[i, k] @ C[k, j] where both are held, two N x N products for a
+over k of A[i, k] @ C[k, j] where both are held, two quadrant products for a
 sector-patterned pair instead of one (2N x 2N) product, and blocks that break
 the pattern get every quadrant product they need through the same loop.
 
@@ -19,16 +19,24 @@ Each generator moves the basis by a fixed mode shift, so each of its
 quadrants lies on one diagonal, and so does every quadrant of their products
 and supercommutators.  ``offsets`` records, beside each held quadrant, the
 offset d = row - column of all its nonzeros, or None when it is not known to
-be one diagonal.  A product of two one-diagonal quadrants is one elementwise
-product of their diagonals, added into diagonal d1 + d2 of the output
-quadrant; every other quadrant pair is an N x N matrix product.
+be one diagonal.  A quadrant with an int offset d is stored as that diagonal
+alone: a 1-D array of its max(0, N - |d|) entries (r, r - d) in increasing
+row r, so sums, multiples, superadjoints and the diagnostics read O(N)
+entries.  A quadrant with offset None is an N x N array.  A product of two
+one-diagonal quadrants is one elementwise product of their diagonals, added
+into diagonal d1 + d2 of the output quadrant; every other quadrant pair is an
+N x N matrix product.  A diagonal meets dense arithmetic (a mixed sum, a
+mixed product, ``apply``) only through ``_expand``, which places it in an
+N x N array of zeros, so every such number comes from the same matrix product
+as when every quadrant was stored dense.
 
 The quadrants a result holds and their offsets follow from its operands, not
 from its entries: a product adds the offsets, the superadjoint negates them, a
-multiple keeps them and a sum keeps an offset both terms share.  A quadrant
-that cancels to zero stays held.  Only the public constructor reads entries,
-to keep the nonzero quadrants of the (2N x 2N) arrays it copies and find
-their offsets; ``block`` assembles one (2N x 2N) block.
+multiple keeps them and a sum keeps an offset both terms share, expanding
+both terms when they differ.  A quadrant that cancels to zero stays held.
+Only the public constructor reads entries, to keep the nonzero quadrants of
+the (2N x 2N) arrays it copies and find their offsets; ``block`` assembles
+one (2N x 2N) block.
 
 The generators are declared once, in three tables.  ``_STENCILS`` gives
 each basic generator (and "I") as entries (target sector, source sector,
@@ -145,17 +153,20 @@ class SuperOperator:
     """(2 N_max) x (2 N_max) operator with Grassmann-monomial block decomposition.
 
     ``blocks`` maps each coefficient-algebra monomial mask to the block's
-    sector quadrants: {(row sector, column sector): read-only (N x N) array},
-    where a missing quadrant is zero.  ``offsets`` is keyed like ``blocks``
-    and gives each held quadrant's diagonal: the offset row - column of all
-    its nonzeros, or None.  ``block(mask)`` assembles one block.
+    sector quadrants: {(row sector, column sector): read-only array}, where a
+    missing quadrant is zero.  ``offsets`` is keyed like ``blocks`` and gives
+    each held quadrant's diagonal: the offset d = row - column of all its
+    nonzeros, or None.  A quadrant is 1-D exactly when its offset is an int:
+    its max(0, N - |d|) diagonal entries in increasing row order; otherwise it
+    is an (N x N) array.  ``block(mask)`` assembles one block.
     """
 
-    __slots__ = ("algebra", "n_max", "blocks", "offsets", "parity_bit", "_name")
+    __slots__ = ("algebra", "n_max", "blocks", "offsets", "parity_bit", "_name", "_expanded")
 
     def __init__(self, algebra, n_max: int, blocks: dict, parity, name: str = ""):
-        """Copies the nonzero quadrants of each (2N x 2N) block: later writes to
-        the caller's arrays cannot reach the operator."""
+        """Copies the nonzero quadrants of each (2N x 2N) block, a one-diagonal
+        quadrant as its diagonal: later writes to the caller's arrays cannot
+        reach the operator."""
         n = int(n_max)
         quadrants, offsets = {}, {}
         for mask, mat in blocks.items():
@@ -163,10 +174,13 @@ class SuperOperator:
             if mat.shape != (2 * n, 2 * n):
                 raise DimensionMismatchError("block shape does not match truncation")
             parts = mat.reshape(2, n, 2, n)  # row sector, row, column sector, column
-            kept = {(i, j): parts[i, :, j].copy() for i in (0, 1) for j in (0, 1) if parts[i, :, j].any()}
+            kept = {(i, j): parts[i, :, j] for i in (0, 1) for j in (0, 1) if parts[i, :, j].any()}
             if kept:
-                quadrants[int(mask)] = kept
-                offsets[int(mask)] = {ij: _scan_offset(part) for ij, part in kept.items()}
+                offsets[int(mask)] = found = {ij: _scan_offset(part) for ij, part in kept.items()}
+                quadrants[int(mask)] = {
+                    ij: part.copy() if found[ij] is None else part.diagonal(-found[ij]).copy()
+                    for ij, part in kept.items()
+                }
         self._store(algebra, n, quadrants, offsets, parity, name)
 
     @classmethod
@@ -190,6 +204,7 @@ class SuperOperator:
         self.offsets = offsets
         self.parity_bit = parity
         self._name = name
+        self._expanded = {}
 
     # -- basic views -------------------------------------------------------------
 
@@ -214,9 +229,26 @@ class SuperOperator:
         n = self.n_max
         parts = np.zeros((2, n, 2, n), dtype=complex)
         for (i, j), part in self.blocks.get(mask, {}).items():
-            parts[i, :, j] = part
+            d = self.offsets[mask][(i, j)]
+            if d is None:
+                parts[i, :, j] = part
+            else:
+                rows = np.arange(*_rows(n, d))
+                parts[i, rows, j, rows - d] = part
         mat = parts.reshape(2 * n, 2 * n)
         mat.flags.writeable = False
+        return mat
+
+    def _dense(self, mask: int, ij: tuple) -> np.ndarray:
+        """Held quadrant ``ij`` of block ``mask`` as an N x N array.  A diagonal is
+        expanded once per operator: ``operator_exp`` multiplies by the same operator
+        on every Taylor term."""
+        part = self.blocks[mask][ij]
+        if part.ndim == 2:
+            return part
+        mat = self._expanded.get((mask, ij))
+        if mat is None:
+            mat = self._expanded[(mask, ij)] = _expand(part, self.offsets[mask][ij], self.n_max)
         return mat
 
     @property
@@ -226,7 +258,7 @@ class SuperOperator:
     @classmethod
     def identity(cls, n_max: int, algebra=None) -> "SuperOperator":
         alg = algebra or default_algebra()
-        eye = {(s, s): np.eye(n_max, dtype=complex) for s in (0, 1)}
+        eye = {(s, s): np.ones(n_max, dtype=complex) for s in (0, 1)}
         return cls._wrap(alg, n_max, {0: eye}, {0: dict.fromkeys(eye, 0)}, 0, name="I")
 
     @classmethod
@@ -256,9 +288,9 @@ class SuperOperator:
         offsets = dict(self.offsets)
         for m, qc in other.blocks.items():
             qa, da, dc = blocks.get(m, {}), offsets.get(m, {}), other.offsets[m]
-            both = qa.keys() & qc.keys()
-            blocks[m] = {**qa, **qc, **{ij: qa[ij] + qc[ij] for ij in both}}
-            offsets[m] = {**da, **dc, **{ij: _shared(da[ij], dc[ij]) for ij in both}}
+            sums = {ij: _add(qa[ij], da[ij], qc[ij], dc[ij], self.n_max) for ij in qa.keys() & qc.keys()}
+            blocks[m] = {**qa, **qc, **{ij: total for ij, (total, _) in sums.items()}}
+            offsets[m] = {**da, **dc, **{ij: d for ij, (_, d) in sums.items()}}
         return SuperOperator._wrap(self.algebra, self.n_max, blocks, offsets, self.parity_bit)
 
     def __sub__(self, other):
@@ -290,9 +322,10 @@ class SuperOperator:
                     out = blocks.setdefault(key, {})
                     out_d = offsets.setdefault(key, {})
                     for ij, part in quads.items():
-                        d = self.offsets[am][ij]
-                        out_d[ij] = _shared(out_d[ij], d) if ij in out else d
-                        out[ij] = out.get(ij, 0) + (sign * coeff) * part
+                        term, d = (sign * coeff) * part, self.offsets[am][ij]
+                        if ij in out:
+                            term, d = _add(out[ij], out_d[ij], term, d, self.n_max)
+                        out[ij], out_d[ij] = term, d
             return SuperOperator._wrap(
                 self.algebra, self.n_max, blocks, offsets, self.parity_bit ^ pb
             )
@@ -310,9 +343,12 @@ class SuperOperator:
 
         Output quadrant (i, j) of a block product gains a[i, k] @ c[k, j] for
         each k, in increasing order, where both quadrants are held, so a
-        sector-patterned pair costs two N x N products.  When a[i, k] and
+        sector-patterned pair costs two quadrant products.  When a[i, k] and
         c[k, j] each lie on one diagonal, their product is the elementwise
-        product of those diagonals, added into one diagonal of the output.
+        product of those diagonals, added into diagonal d1 + d2 of the output,
+        which stays 1-D while every term lands on that diagonal and is
+        expanded to N x N before a term on another diagonal, or a dense one,
+        is added.
         """
         self._check(other)
         plan = coefficient_algebra(self.algebra).plan
@@ -340,16 +376,18 @@ class SuperOperator:
                             continue
                         d1, d2 = da[(i, k)], dc[(k, j)]
                         d = None if d1 is None or d2 is None else d1 + d2
-                        acc = out.get((i, j))
-                        if acc is None:
-                            acc = out[(i, j)] = np.zeros((n, n), dtype=complex)
+                        if (i, j) not in out:
+                            out[(i, j)] = np.zeros((n, n) if d is None else max(0, n - abs(d)), dtype=complex)
                             out_d[(i, j)] = d
-                        else:
-                            out_d[(i, j)] = _shared(out_d[(i, j)], d)
+                        elif out_d[(i, j)] not in (None, d):
+                            out[(i, j)] = _expand(out[(i, j)], out_d[(i, j)], n)
+                            out_d[(i, j)] = None
+                        acc = out[(i, j)]
                         if d is None:
-                            target, term = acc, a @ c
+                            target, term = acc, self._dense(am, (i, k)) @ other._dense(cm, (k, j))
                         else:
-                            target, term = _diagonal_product(acc, a, d1, c, d2)
+                            start, term = _diagonal_product(a, d1, c, d2, n)
+                            target = _diagonal(acc, d)[start : start + len(term)]
                         if sign > 0:
                             target += term
                         else:
@@ -365,12 +403,13 @@ class SuperOperator:
         if not self.algebra.compatible(v.algebra):
             raise AlgebraMismatchError("vector over an incompatible algebra")
         plan = coefficient_algebra(v.algebra).plan
-        coeffs = v.coeffs.reshape(2, self.n_max, -1)  # sector, mode, monomial column
+        n = self.n_max
+        coeffs = v.coeffs.reshape(2, n, -1)  # sector, mode, monomial column
         out = np.zeros_like(coeffs)
         for am, quads in self.blocks.items():
             part = np.zeros_like(coeffs)
-            for (i, j), mat in sorted(quads.items()):
-                part[i] += mat @ coeffs[j]
+            for i, j in sorted(quads):
+                part[i] += self._dense(am, (i, j)) @ coeffs[j]
             graded = plan.grade(part) if self.parity_bit ^ plan.parity[am] else part
             out += plan.left_mul(am, graded)
         return SuperVector.from_coeffs(v.algebra, out.reshape(v.coeffs.shape))
@@ -389,7 +428,9 @@ class SuperOperator:
         Output quadrant (i, j) is the conjugate transpose of input quadrant
         (j, i) times one unit weight: the sector weights i^i and (-i)^j, the
         Koszul sign of odd blocks on odd columns and the sign of the conjugate
-        monomial.  Unit weights multiply exactly.
+        monomial.  Unit weights multiply exactly.  Transposing moves diagonal d
+        to -d with its entries in the same order, so a diagonal is only
+        conjugated and weighted.
         """
         blocks: dict[int, dict] = {}
         offsets: dict[int, dict] = {}
@@ -401,8 +442,8 @@ class SuperOperator:
             offsets[mm] = adj_d = {}
             for (j, i), part in quads.items():
                 weight = c * 1j**i * (-1j) ** j * ((-1.0) ** j if p_ma else 1.0)
-                adj[(i, j)] = weight * part.conj().T
                 d = self.offsets[am][(j, i)]
+                adj[(i, j)] = weight * (part.conj().T if d is None else part.conj())
                 adj_d[(i, j)] = None if d is None else -d
         return SuperOperator._wrap(
             self.algebra, self.n_max, blocks, offsets, self.parity_bit, name=f"({self.name})+"
@@ -416,9 +457,11 @@ class SuperOperator:
             columns = np.arange(2 * n)[columns]  # slot indices, as ``block(m)[:, columns]`` reads them
             columns = [columns[columns // n == j] - j * n for j in (0, 1)]
         parts = [
-            np.abs(part if columns is None else part[:, columns[j]]).max(initial=0.0)
-            for quads in self.blocks.values()
-            for (_, j), part in quads.items()
+            np.abs(
+                part if columns is None else _columns(part, self.offsets[m][(i, j)], columns[j])
+            ).max(initial=0.0)
+            for m, quads in self.blocks.items()
+            for (i, j), part in quads.items()
         ]
         # the ufunc keeps a NaN, as np.max does, without np.max's dispatch cost per call
         return float(np.maximum.reduce(parts, initial=0.0))
@@ -449,25 +492,60 @@ def _scan_offset(part: np.ndarray):
     return int(d[0]) if (d == d[0]).all() else None
 
 
-def _shared(d1, d2):
-    """The offset of a sum of quadrants with offsets d1 and d2."""
-    return d1 if d1 == d2 else None
+def _rows(n: int, d: int) -> tuple:
+    """(lo, hi): diagonal d of an N x N quadrant holds the entries (r, r - d) for lo <= r < hi."""
+    lo = max(0, d)
+    return lo, max(lo, n + min(0, d))
 
 
-def _diagonal_product(out: np.ndarray, a: np.ndarray, d1: int, c: np.ndarray, d2: int):
-    """(view, term): ``a @ c`` is ``term`` on the ``view`` of C-contiguous ``out``'s diagonal d1 + d2.
+def _diagonal(quadrant: np.ndarray, d: int) -> np.ndarray:
+    """Diagonal d of a quadrant as a writable view in increasing row order: a 1-D
+    quadrant itself, or the entries (r, r - d) of a C-contiguous N x N array."""
+    if quadrant.ndim == 1:
+        return quadrant
+    n = quadrant.shape[0]
+    lo, hi = _rows(n, d)
+    return quadrant.reshape(-1)[lo * (n + 1) - d : hi * (n + 1) - d : n + 1]
 
-    With a on diagonal d1 and c on d2, (a @ c)[r, r - d] = a[r, r - d1] * c[r - d1, r - d]
-    for d = d1 + d2: one term, on the rows r where all three entries exist.
+
+def _expand(part: np.ndarray, d, n: int) -> np.ndarray:
+    """The N x N array of a held quadrant: an N x N one as it is, a 1-D one placed on diagonal d."""
+    if part.ndim == 2:
+        return part
+    mat = np.zeros((n, n), dtype=complex)
+    _diagonal(mat, d)[:] = part
+    return mat
+
+
+def _add(x: np.ndarray, dx, y: np.ndarray, dy, n: int) -> tuple:
+    """(x + y, its offset) for held quadrants x on offset dx and y on dy."""
+    if dx == dy:
+        return x + y, dx
+    return _expand(x, dx, n) + _expand(y, dy, n), None
+
+
+def _columns(part: np.ndarray, d, cols: np.ndarray) -> np.ndarray:
+    """The entries of a held quadrant in the given columns: a 1-D quadrant's entry in
+    column r - d sits at r - max(0, d), so only the columns its diagonal reaches count."""
+    if d is None:
+        return part[:, cols]
+    k = cols - max(0, -d)
+    return part[k[(k >= 0) & (k < part.size)]]
+
+
+def _diagonal_product(a: np.ndarray, d1: int, c: np.ndarray, d2: int, n: int) -> tuple:
+    """(start, term): diagonal a on d1 times diagonal c on d2 is ``term`` on the entries
+    start, start + 1, .. of diagonal d1 + d2.
+
+    (a @ c)[r, r - d] = a[r, r - d1] * c[r - d1, r - d] for d = d1 + d2: one term, on the rows r
+    where all three entries exist.
     """
-    n = out.shape[0]
     d = d1 + d2
     lo = max(0, d1, d)
     hi = max(lo, n + min(0, d1, d))  # lo == hi: the product is zero
-    view = out.reshape(-1)[lo * (n + 1) - d : hi * (n + 1) - d : n + 1]
-    a_diag = a.diagonal(-d1)[lo - max(0, d1) : hi - max(0, d1)]
-    c_diag = c.diagonal(-d2)[lo - d1 - max(0, d2) : hi - d1 - max(0, d2)]
-    return view, a_diag * c_diag
+    a_diag = a[lo - max(0, d1) : hi - max(0, d1)]
+    c_diag = c[lo - d1 - max(0, d2) : hi - d1 - max(0, d2)]
+    return lo - max(0, d), a_diag * c_diag
 
 
 # -- generator construction ----------------------------------------------------------
@@ -500,8 +578,7 @@ def build_generator(name: str, n_max: int, algebra=None) -> SuperOperator:
     quadrants, offsets = {}, {}
     for target, source, shift, coeff in _STENCILS[name]:
         j = np.arange(max(0, -shift), n_max - max(0, shift))  # source modes whose target is kept
-        part = quadrants[(target, source)] = np.zeros((n_max, n_max), dtype=complex)
-        part[j + shift, j] = coeff(j.astype(float), 0.5, np.sqrt)
+        quadrants[(target, source)] = np.full(j.shape, coeff(j.astype(float), 0.5, np.sqrt), dtype=complex)
         offsets[(target, source)] = shift
     return SuperOperator._wrap(alg, n_max, {0: quadrants}, {0: offsets}, parity, name=name)
 

@@ -29,6 +29,8 @@ exp(-i theta_bar theta)) for every slot pair, Berezin-integrates the pair
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import basis as _basis
@@ -277,8 +279,7 @@ def super_inner_integral(v1: SuperVector, v2: SuperVector, t: float = 0.0, spec=
     alg = v1.algebra
     plan = alg.plan
     n = v1.n_max
-    chi_order = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
-    gram = _basis.gram_matrix(chi_order, t, spec)
+    gram = _slot_gram(n, t, spec)
 
     theta = alg.gen("theta")
     weight = 1j * (alg.one() - 1j * (alg.gen("theta_bar") * theta))
@@ -294,6 +295,15 @@ def super_inner_integral(v1: SuperVector, v2: SuperVector, t: float = 0.0, spec=
     integrand = plan.mul(bra[:, None, :], ket[None, :, :])
     terms = alg.berezin_coeffs(integrand, STRUCTURAL)
     return GrassmannElement(alg, np.einsum("ij,ijm->m", gram, terms))
+
+
+@lru_cache(maxsize=32)
+def _slot_gram(n_max: int, t: float, spec) -> np.ndarray:
+    """Read-only quadrature Gram of the slot basis functions (chi_0, chi_2, .., chi_1, chi_3, ..)."""
+    chi_order = [2 * k for k in range(n_max)] + [2 * k + 1 for k in range(n_max)]
+    gram = _basis.gram_matrix(chi_order, t, spec)
+    gram.flags.writeable = False
+    return gram
 
 
 def superadjoint_defect(op, claimed_adjoint, v1: SuperVector, v2: SuperVector):

@@ -194,6 +194,11 @@ class TestValidatedDomain:
             (["profile", "--z=,"], "must not be empty"),
             (["trajectory", "--z=,"], "must not be empty"),
             (["profile", "--xpoints=-1"], "xpoints must be at least 1"),
+            (["profile", "--xmax=nan"], "xmax value nan must be finite and positive"),
+            (["profile", "--xmax=inf"], "xmax value inf must be finite and positive"),
+            (["profile", "--xmax=-inf"], "xmax value -inf must be finite and positive"),
+            (["profile", "--xmax=0"], "xmax value 0.0 must be finite and positive"),
+            (["profile", "--xmax=-3"], "xmax value -3.0 must be finite and positive"),
         ],
     )
     def test_exits_2(self, tmp_path, capsys, argv, message):

@@ -245,11 +245,65 @@ def _dense_product(a, c):
     return {k: v for k, v in out.items() if np.any(v)}
 
 
+def _dense_superadjoint(a):
+    """Row weights * conj(mat)^T * column weights, summed per conjugate monomial."""
+    plan = coefficient_algebra(a.algebra).plan
+    p = np.repeat([0, 1], a.n_max)
+    out = {}
+    for am in a.blocks:
+        mat = a.block(am)
+        col = (-1j) ** p
+        if a.parity_bit ^ plan.parity[am]:
+            col = col * (-1.0) ** p
+        mm, c = plan.conj_table[am]
+        out[mm] = out.get(mm, 0) + c * (1j**p[:, None] * mat.conj().T * col[None, :])
+    return out
+
+
+def _dense_multiple(beta, a):
+    """beta * a over the assembled blocks, in the order ``__rmul__`` adds them."""
+    space = coefficient_algebra(a.algebra)
+    row = space.restrict(beta)
+    out = {}
+    for bm in np.flatnonzero(row).tolist():
+        for am in a.blocks:
+            step = space.plan.join[bm][am]
+            if step is not None:
+                key, sign = step
+                out[key] = out.get(key, 0) + (sign * complex(row[bm])) * a.block(am)
+    return out
+
+
+def _assert_diagonal_layout(o):
+    """A held quadrant is 1-D exactly when its offset d is an int, of length max(0, N - |d|)."""
+    n = o.n_max
+    for m, quads in o.blocks.items():
+        for ij, part in quads.items():
+            d = o.offsets[m][ij]
+            assert (part.ndim == 1) == isinstance(d, int), (m, ij, d, part.shape)
+            assert part.shape == ((n, n) if d is None else (max(0, n - abs(d)),))
+            assert not part.flags.writeable
+
+
+def _assert_diagnostics_match_blocks(o):
+    """max_abs, with and without columns, and block_pattern_defect against the assembled blocks."""
+    n = o.n_max
+    plan = coefficient_algebra(o.algebra).plan
+    p = np.repeat([0, 1], n)
+    dense = [o.block(m) for m in o.blocks]
+    assert o.max_abs() == max((float(np.abs(b).max()) for b in dense), default=0.0)
+    for cols in (interior_columns(n, 1), np.arange(2 * n) % 3 == 1, [-1, 0]):
+        assert o.max_abs(columns=cols) == max((float(np.abs(b[:, cols]).max()) for b in dense), default=0.0)
+    off = [(p[:, None] ^ p[None, :]) != o.parity_bit ^ plan.parity[m] for m in o.blocks]
+    want = max((float(np.abs(b[mask]).max()) for b, mask in zip(dense, off)), default=0.0)
+    assert o.block_pattern_defect() == want
+
+
 @st.composite
-def _operator_pairs(draw):
+def _operator_pairs(draw, kinds=BLOCK_KINDS):
     alg = draw(st.sampled_from([ALG, ALG6]))
     n = draw(st.sampled_from([2, 3, 4, 5, 6]))
-    kinds = draw(st.tuples(st.sampled_from(BLOCK_KINDS), st.sampled_from(BLOCK_KINDS)))
+    kinds = draw(st.tuples(st.sampled_from(kinds), st.sampled_from(kinds)))
     parities = draw(st.tuples(st.integers(0, 1), st.integers(0, 1)))
     integer = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -330,6 +384,57 @@ class TestQuadrantComposition:
                     assert None not in offsets.values(), (a.name, c.name, m, offsets)
                 _assert_offsets_hold(bracket)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(_operator_pairs(), _operator_pairs(kinds=("diagonal",))), st.integers(0, 2**32 - 1))
+    def test_diagonal_storage_matches_dense_reference(self, pair, seed):
+        """Operands, sums, differences, scalar and Grassmann multiples, products and
+        superadjoints store a quadrant as its diagonal exactly when its offset is an
+        int, and their blocks equal the same operations on assembled dense blocks.
+        Integer-valued entries and multipliers make those bit for bit.  Half the
+        pairs are one-diagonal throughout, so that products reach diagonals
+        |d1 + d2| >= N, which hold no entry."""
+        a, c, integer = pair
+        alg = a.algebra
+        space = coefficient_algebra(alg)
+        rng = np.random.default_rng(seed)
+        row = rng.integers(-3, 4, space.size) if integer else rng.standard_normal(space.size)
+        beta = GrassmannElement(alg, space.lift(row * (np.array(space.plan.parity) == rng.integers(0, 2))))
+        same = SuperOperator(alg, c.n_max, {m: c.block(m) for m in c.blocks}, a.parity_bit)
+        dense = lambda o: {m: o.block(m) for m in o.blocks}
+        plus = lambda x, y, sign: {m: x.get(m, 0) + sign * y.get(m, 0) for m in x.keys() | y.keys()}
+        product, want_product = a @ c, _dense_product(a, c)
+        cases = [
+            (a, dense(a)),
+            (a + same, plus(dense(a), dense(same), 1.0)),
+            (a - same, plus(dense(a), dense(same), -1.0)),
+            ((2 - 3j) * a, {m: (2 - 3j) * b for m, b in dense(a).items()}),
+            (beta * a, _dense_multiple(beta, a)),
+            (beta * product, _dense_multiple(beta, product)),
+            (product, want_product),
+            (a.superadjoint(), _dense_superadjoint(a)),
+            (product.superadjoint(), _dense_superadjoint(product)),
+        ]
+        for got, want in cases:
+            _assert_diagonal_layout(got)
+            _assert_diagnostics_match_blocks(got)
+            for m in got.blocks.keys() | want.keys():
+                ref = want.get(m, 0) + np.zeros((a.size, a.size), dtype=complex)
+                if integer:
+                    np.testing.assert_array_equal(got.block(m), ref)
+                else:
+                    scale = max(1.0, float(np.abs(ref).max()))
+                    assert np.abs(got.block(m) - ref).max() <= 1e-13 * a.size * scale
+
+    def test_generators_and_supercommutators_hold_no_dense_quadrant(self):
+        """At N = 128 the 8 generators and their 64 supercommutators store every
+        held quadrant as its diagonal."""
+        n = 128
+        ops = generators(n)
+        for a in ops.values():
+            for o in [a] + [a.supercommutator(c) for c in ops.values()]:
+                _assert_diagonal_layout(o)
+                assert all(part.ndim == 1 for quads in o.blocks.values() for part in quads.values()), o
+
     @settings(max_examples=40, deadline=None)
     @given(_operator_pairs())
     def test_superadjoint_matches_dense_formula(self, pair):
@@ -338,16 +443,7 @@ class TestQuadrantComposition:
         The weights are units, which multiply exactly, so the match is exact.
         """
         a = pair[0]
-        plan = coefficient_algebra(a.algebra).plan
-        p = np.repeat([0, 1], a.n_max)
-        want = {}
-        for am in a.blocks:
-            mat = a.block(am)
-            col = (-1j) ** p
-            if a.parity_bit ^ plan.parity[am]:
-                col = col * (-1.0) ** p
-            mm, c = plan.conj_table[am]
-            want[mm] = want.get(mm, 0) + c * (1j**p[:, None] * mat.conj().T * col[None, :])
+        want = _dense_superadjoint(a)
         got = a.superadjoint()
         assert set(got.blocks) == {m for m, w in want.items() if np.any(w)}
         for m, w in want.items():
@@ -413,7 +509,7 @@ class TestQuadrantComposition:
             assert total.blocks[mask].keys() == operand.blocks[mask].keys()
             assert all(total.blocks[mask][ij] is part for ij, part in operand.blocks[mask].items())
         with pytest.raises(ValueError):
-            total.blocks[pair][(0, 0)][1, 0] = 0.0
+            total.blocks[pair][(0, 0)][1] = 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(_operator_pairs())
@@ -450,10 +546,11 @@ class TestQuadrantComposition:
         assert (a - a).max_abs() == 0.0
 
     def test_max_abs_columns_match_dense_columns(self):
-        o = _random_operator(ALG6, np.random.default_rng(3), 4, 0, "dense", False)
-        for cols in (interior_columns(4, 2), [-1, 0], slice(2, 7), np.arange(8) % 3 == 0):
-            want = max(float(np.abs(o.block(m)[:, cols]).max()) for m in o.blocks)
-            assert o.max_abs(columns=cols) == want
+        for kind in ("dense", "diagonal"):
+            o = _random_operator(ALG6, np.random.default_rng(3), 4, 0, kind, False)
+            for cols in (interior_columns(4, 2), [-1, 0], slice(2, 7), np.arange(8) % 3 == 0):
+                want = max(float(np.abs(o.block(m)[:, cols]).max()) for m in o.blocks)
+                assert o.max_abs(columns=cols) == want
         with pytest.raises(IndexError):
             o.max_abs(columns=[8])
 
