@@ -28,7 +28,8 @@ into diagonal d1 + d2 of the output quadrant; every other quadrant pair is an
 N x N matrix product.  A diagonal meets dense arithmetic (a mixed sum, a
 mixed product, ``apply``) only through ``_expand``, which places it in an
 N x N array of zeros, so every such number comes from the same matrix product
-as when every quadrant was stored dense.
+as when every quadrant was stored dense; products and ``apply`` keep that
+expansion on the operator, so each diagonal is expanded at most once there.
 
 The quadrants a result holds and their offsets follow from its operands, not
 from its entries: a product adds the offsets, the superadjoint negates them, a
@@ -403,8 +404,7 @@ class SuperOperator:
         if not self.algebra.compatible(v.algebra):
             raise AlgebraMismatchError("vector over an incompatible algebra")
         plan = coefficient_algebra(v.algebra).plan
-        n = self.n_max
-        coeffs = v.coeffs.reshape(2, n, -1)  # sector, mode, monomial column
+        coeffs = v.coeffs.reshape(2, self.n_max, -1)  # sector, mode, monomial column
         out = np.zeros_like(coeffs)
         for am, quads in self.blocks.items():
             part = np.zeros_like(coeffs)
