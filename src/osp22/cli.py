@@ -32,6 +32,8 @@ from .suites import SUITE_NAMES, run_suite, symbol_rows, symbols_check, trajecto
 
 __all__ = ["main", "build_parser"]
 
+TRAJECTORY_TIMES = (0.0, 1.0, 2.0, 3.0)  # trajectory t samples when neither --t nor a config file sets them
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -69,9 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _collect_config(args) -> RunConfig:
+def _collect_config(args, defaults: dict | None = None) -> RunConfig:
+    """The command's ``defaults``, then the config file, then the flags, each winning over the last."""
     path = args.config or config_file_from_env()
-    file_values = load_config_file(path) if path else {}
+    file_values = {**(defaults or {}), **(load_config_file(path) if path else {})}
     overrides: dict = {}
     for key in ("n_max", "nodes", "seed", "out_format", *(f"tol_{name}" for name in DEFAULT_TOLERANCES)):
         val = getattr(args, key, None)
@@ -216,15 +219,14 @@ def cmd_symbols(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
-    cfg = _collect_config(args)
+    cfg = _collect_config(args, {"t_samples": TRAJECTORY_TIMES})
     cfg.validate("coherent")
+    if len(cfg.t_samples) < 3:
+        raise ConfigError(f"the trajectory's affine fit needs at least 3 t samples, got {len(cfg.t_samples)}")
     z = cfg.z_samples[0]
-    ts = list(cfg.t_samples)
-    if len(ts) < 3:
-        ts = [0.0, 1.0, 2.0, 3.0]
     tr = trajectory_rows(
         _coh.CoherentParams(z, cfg.alpha_coeff),
-        ts,
+        list(cfg.t_samples),
         default_algebra(),
         _basis.QuadratureSpec(nodes=cfg.nodes),
     )

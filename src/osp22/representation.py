@@ -8,36 +8,31 @@ matrices; Grassmann content enters only through theta-free scalar multiples.
 Composition is quadrant-sparse.  The Z2 grading splits each block into four
 (N x N) sector quadrants (row sector, column sector); a block of even total
 parity fills only the diagonal ones, an odd block only the off-diagonal ones.
-A block is stored as the quadrants it holds, {(row sector, column sector):
-read-only array}, and a missing quadrant is zero.  Every operation acts
-quadrant by quadrant: a block product forms output quadrant (i, j) as the sum
-over k of A[i, k] @ C[k, j] where both are held, two quadrant products for a
-sector-patterned pair instead of one (2N x 2N) product, and blocks that break
-the pattern get every quadrant product they need through the same loop.
+A block holds only the quadrants that are present, and a missing quadrant is
+zero.  A block product forms output quadrant (i, j) as the sum over k of
+A[i, k] @ C[k, j] where both are held: two quadrant products for a
+sector-patterned pair instead of one (2N x 2N) product.
 
 Each generator moves the basis by a fixed mode shift, so each of its
 quadrants lies on one diagonal, and so does every quadrant of their products
-and supercommutators.  ``offsets`` records, beside each held quadrant, the
-offset d = row - column of all its nonzeros, or None when it is not known to
-be one diagonal.  A quadrant with an int offset d is stored as that diagonal
-alone: a 1-D array of its max(0, N - |d|) entries (r, r - d) in increasing
-row r, so sums, multiples, superadjoints and the diagnostics read O(N)
-entries.  A quadrant with offset None is an N x N array.  A product of two
-one-diagonal quadrants is one elementwise product of their diagonals, added
-into diagonal d1 + d2 of the output quadrant; every other quadrant pair is an
-N x N matrix product.  A diagonal meets dense arithmetic (a mixed sum, a
-mixed product, ``apply``) only through ``_expand``, which places it in an
-N x N array of zeros, so every such number comes from the same matrix product
-as when every quadrant was stored dense; products and ``apply`` keep that
-expansion on the operator, so each diagonal is expanded at most once there.
+and supercommutators.  A held quadrant is one read-only record (d, part).
+When d is an int, all its nonzeros lie on diagonal d = row - column and part
+is that diagonal alone: its max(0, N - |d|) entries (r, r - d) in increasing
+row r.  When d is None, part is the N x N array.  Every quadrant sum goes
+through one rule, ``_add``: two records on the same diagonal add as 1-D
+arrays, and any other pair is expanded to N x N and added.  A product of two
+diagonals is one elementwise product on diagonal d1 + d2; any other pair is
+one N x N matrix product of the expansions, which ``_dense`` keeps on the
+operator.  A diagonal meets dense arithmetic only through ``_expand``, which
+places it in an N x N array of zeros, so every such number comes from the
+same matrix product as when every quadrant was stored dense.
 
-The quadrants a result holds and their offsets follow from its operands, not
-from its entries: a product adds the offsets, the superadjoint negates them, a
-multiple keeps them and a sum keeps an offset both terms share, expanding
-both terms when they differ.  A quadrant that cancels to zero stays held.
-Only the public constructor reads entries, to keep the nonzero quadrants of
-the (2N x 2N) arrays it copies and find their offsets; ``block`` assembles
-one (2N x 2N) block.
+The records a result holds follow from its operands, not from its entries: a
+product adds the offsets, the superadjoint negates them, a multiple keeps them
+and a sum keeps an offset both terms share.  A quadrant that cancels to zero
+stays held.  Only the public constructor reads entries, to keep the nonzero
+quadrants of the (2N x 2N) arrays it copies and find their diagonals;
+``block`` assembles one (2N x 2N) block.
 
 The generators are declared once, in three tables.  ``_STENCILS`` gives
 each basic generator (and "I") as entries (target sector, source sector,
@@ -153,56 +148,57 @@ def interior_columns(n_max: int, drop: int = 2) -> np.ndarray:
 class SuperOperator:
     """(2 N_max) x (2 N_max) operator with Grassmann-monomial block decomposition.
 
-    ``blocks`` maps each coefficient-algebra monomial mask to the block's
-    sector quadrants: {(row sector, column sector): read-only array}, where a
-    missing quadrant is zero.  ``offsets`` is keyed like ``blocks`` and gives
-    each held quadrant's diagonal: the offset d = row - column of all its
-    nonzeros, or None.  A quadrant is 1-D exactly when its offset is an int:
-    its max(0, N - |d|) diagonal entries in increasing row order; otherwise it
-    is an (N x N) array.  ``block(mask)`` assembles one block.
+    ``blocks`` maps each coefficient-algebra monomial mask to the block's held
+    sector quadrants, {(row sector, column sector): (d, part)}, where a
+    missing quadrant is zero.  When d is an int, part is the read-only 1-D
+    diagonal d = row - column, its max(0, N - |d|) entries in increasing row
+    order; when d is None, part is the read-only (N x N) array.
+    ``block(mask)`` assembles one block.
     """
 
-    __slots__ = ("algebra", "n_max", "blocks", "offsets", "parity_bit", "_name", "_expanded")
+    __slots__ = ("algebra", "n_max", "blocks", "parity_bit", "_name", "_expanded")
 
     def __init__(self, algebra, n_max: int, blocks: dict, parity, name: str = ""):
         """Copies the nonzero quadrants of each (2N x 2N) block, a one-diagonal
         quadrant as its diagonal: later writes to the caller's arrays cannot
         reach the operator."""
         n = int(n_max)
-        quadrants, offsets = {}, {}
+        quadrants = {}
         for mask, mat in blocks.items():
             mat = np.asarray(mat, dtype=complex)
             if mat.shape != (2 * n, 2 * n):
                 raise DimensionMismatchError("block shape does not match truncation")
             parts = mat.reshape(2, n, 2, n)  # row sector, row, column sector, column
-            kept = {(i, j): parts[i, :, j] for i in (0, 1) for j in (0, 1) if parts[i, :, j].any()}
-            if kept:
-                offsets[int(mask)] = found = {ij: _scan_offset(part) for ij, part in kept.items()}
-                quadrants[int(mask)] = {
-                    ij: part.copy() if found[ij] is None else part.diagonal(-found[ij]).copy()
-                    for ij, part in kept.items()
-                }
-        self._store(algebra, n, quadrants, offsets, parity, name)
+            quads = {}
+            for i, j in np.ndindex(2, 2):
+                part = parts[i, :, j]
+                rows, cols = np.nonzero(part)
+                if rows.size:
+                    d = int(rows[0] - cols[0])
+                    one = (rows - cols == d).all()
+                    quads[(i, j)] = (d, part.diagonal(-d).copy()) if one else (None, part.copy())
+            if quads:
+                quadrants[int(mask)] = quads
+        self._store(algebra, n, quadrants, parity, name)
 
     @classmethod
-    def _wrap(cls, algebra, n_max: int, blocks: dict, offsets: dict, parity, name: str = ""):
-        """Operator over quadrant arrays no caller holds writably: frozen in place, not copied."""
+    def _wrap(cls, algebra, n_max: int, blocks: dict, parity, name: str = ""):
+        """Operator over quadrant records no caller holds writably: frozen in place, not copied."""
         op = cls.__new__(cls)
-        op._store(algebra, n_max, blocks, offsets, parity, name)
+        op._store(algebra, n_max, blocks, parity, name)
         return op
 
-    def _store(self, algebra, n_max, blocks, offsets, parity, name):
+    def _store(self, algebra, n_max, blocks, parity, name):
         if parity in (EVEN, ODD):
             parity = 1 if parity == ODD else 0
         if parity not in (0, 1):
             raise ValueError("parity must be 0/1 or 'even'/'odd'")
         for quads in blocks.values():
-            for part in quads.values():
+            for _, part in quads.values():
                 part.flags.writeable = False
         self.algebra = algebra
         self.n_max = int(n_max)
         self.blocks = blocks
-        self.offsets = offsets
         self.parity_bit = parity
         self._name = name
         self._expanded = {}
@@ -215,7 +211,7 @@ class SuperOperator:
 
     def renamed(self, name: str) -> "SuperOperator":
         """The same operator under another name, sharing its read-only quadrants."""
-        return SuperOperator._wrap(self.algebra, self.n_max, self.blocks, self.offsets, self.parity_bit, name)
+        return SuperOperator._wrap(self.algebra, self.n_max, self.blocks, self.parity_bit, name)
 
     @property
     def size(self) -> int:
@@ -229,13 +225,8 @@ class SuperOperator:
         """The (2N x 2N) block of a monomial, assembled from its quadrants; read-only."""
         n = self.n_max
         parts = np.zeros((2, n, 2, n), dtype=complex)
-        for (i, j), part in self.blocks.get(mask, {}).items():
-            d = self.offsets[mask][(i, j)]
-            if d is None:
-                parts[i, :, j] = part
-            else:
-                rows = np.arange(*_rows(n, d))
-                parts[i, rows, j, rows - d] = part
+        for (i, j), record in self.blocks.get(mask, {}).items():
+            parts[i, :, j] = _expand(record, n)
         mat = parts.reshape(2 * n, 2 * n)
         mat.flags.writeable = False
         return mat
@@ -244,12 +235,12 @@ class SuperOperator:
         """Held quadrant ``ij`` of block ``mask`` as an N x N array.  A diagonal is
         expanded once per operator: ``operator_exp`` multiplies by the same operator
         on every Taylor term."""
-        part = self.blocks[mask][ij]
-        if part.ndim == 2:
-            return part
+        record = self.blocks[mask][ij]
+        if record[0] is None:
+            return record[1]
         mat = self._expanded.get((mask, ij))
         if mat is None:
-            mat = self._expanded[(mask, ij)] = _expand(part, self.offsets[mask][ij], self.n_max)
+            mat = self._expanded[(mask, ij)] = _expand(record, self.n_max)
         return mat
 
     @property
@@ -259,13 +250,13 @@ class SuperOperator:
     @classmethod
     def identity(cls, n_max: int, algebra=None) -> "SuperOperator":
         alg = algebra or default_algebra()
-        eye = {(s, s): np.ones(n_max, dtype=complex) for s in (0, 1)}
-        return cls._wrap(alg, n_max, {0: eye}, {0: dict.fromkeys(eye, 0)}, 0, name="I")
+        eye = {(s, s): (0, np.ones(n_max, dtype=complex)) for s in (0, 1)}
+        return cls._wrap(alg, n_max, {0: eye}, 0, name="I")
 
     @classmethod
     def zero(cls, n_max: int, algebra=None, parity=0) -> "SuperOperator":
         alg = algebra or default_algebra()
-        return cls._wrap(alg, n_max, {}, {}, parity, name="0")
+        return cls._wrap(alg, n_max, {}, parity, name="0")
 
     def _check(self, other):
         if not isinstance(other, SuperOperator):
@@ -286,13 +277,11 @@ class SuperOperator:
         if other.parity_bit != self.parity_bit:
             raise ValueError("cannot add operators of different parity")
         blocks = dict(self.blocks)  # read-only, so quadrants one operand holds are shared
-        offsets = dict(self.offsets)
         for m, qc in other.blocks.items():
-            qa, da, dc = blocks.get(m, {}), offsets.get(m, {}), other.offsets[m]
-            sums = {ij: _add(qa[ij], da[ij], qc[ij], dc[ij], self.n_max) for ij in qa.keys() & qc.keys()}
-            blocks[m] = {**qa, **qc, **{ij: total for ij, (total, _) in sums.items()}}
-            offsets[m] = {**da, **dc, **{ij: d for ij, (_, d) in sums.items()}}
-        return SuperOperator._wrap(self.algebra, self.n_max, blocks, offsets, self.parity_bit)
+            qa = blocks.get(m, {})
+            sums = {ij: _add(qa[ij], qc[ij], self.n_max) for ij in qa.keys() & qc.keys()}
+            blocks[m] = {**qa, **qc, **sums}
+        return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.parity_bit)
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -304,15 +293,16 @@ class SuperOperator:
         """Left multiplication by a complex number or homogeneous theta-free Grassmann scalar."""
         if isinstance(beta, _SCALARS):
             c = complex(beta)
-            blocks = {m: {ij: c * q for ij, q in quads.items()} for m, quads in self.blocks.items()}
-            return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.offsets, self.parity_bit)
+            blocks = {
+                m: {ij: (d, c * part) for ij, (d, part) in quads.items()} for m, quads in self.blocks.items()
+            }
+            return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.parity_bit)
         if isinstance(beta, GrassmannElement):
             space = coefficient_algebra(self.algebra)
             row = space.restrict(beta)
             pb = beta.parity_bit
             join = space.plan.join
             blocks: dict[int, dict] = {}
-            offsets: dict[int, dict] = {}
             for bm in np.flatnonzero(row).tolist():
                 coeff = complex(row[bm])
                 for am, quads in self.blocks.items():
@@ -321,15 +311,10 @@ class SuperOperator:
                         continue
                     key, sign = step
                     out = blocks.setdefault(key, {})
-                    out_d = offsets.setdefault(key, {})
-                    for ij, part in quads.items():
-                        term, d = (sign * coeff) * part, self.offsets[am][ij]
-                        if ij in out:
-                            term, d = _add(out[ij], out_d[ij], term, d, self.n_max)
-                        out[ij], out_d[ij] = term, d
-            return SuperOperator._wrap(
-                self.algebra, self.n_max, blocks, offsets, self.parity_bit ^ pb
-            )
+                    for ij, (d, part) in quads.items():
+                        term = (d, (sign * coeff) * part)
+                        out[ij] = _add(out[ij], term, self.n_max) if ij in out else term
+            return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.parity_bit ^ pb)
         return NotImplemented
 
     def __mul__(self, scalar):
@@ -344,21 +329,17 @@ class SuperOperator:
 
         Output quadrant (i, j) of a block product gains a[i, k] @ c[k, j] for
         each k, in increasing order, where both quadrants are held, so a
-        sector-patterned pair costs two quadrant products.  When a[i, k] and
-        c[k, j] each lie on one diagonal, their product is the elementwise
-        product of those diagonals, added into diagonal d1 + d2 of the output,
-        which stays 1-D while every term lands on that diagonal and is
-        expanded to N x N before a term on another diagonal, or a dense one,
-        is added.
+        sector-patterned pair costs two quadrant products.  Each term is a
+        record: the elementwise product of two diagonals on diagonal d1 + d2,
+        or else the matrix product of the N x N expansions.  It is negated for
+        a negative sign, then stored or added to the output through ``_add``.
         """
         self._check(other)
         plan = coefficient_algebra(self.algebra).plan
         n = self.n_max
         blocks: dict[int, dict] = {}
-        offsets: dict[int, dict] = {}
         for am, qa in self.blocks.items():
             p_ma = self.parity_bit ^ plan.parity[am]
-            da = self.offsets[am]
             qa = sorted(qa.items())
             for cm, qc in other.blocks.items():
                 step = plan.join[am][cm]
@@ -367,35 +348,20 @@ class SuperOperator:
                 key, sign = step
                 if p_ma and plan.parity[cm]:
                     sign = -sign
-                dc = other.offsets[cm]
                 out = blocks.setdefault(key, {})
-                out_d = offsets.setdefault(key, {})
-                for (i, k), a in qa:
+                for (i, k), x in qa:
                     for j in (0, 1):
-                        c = qc.get((k, j))
-                        if c is None:
+                        y = qc.get((k, j))
+                        if y is None:
                             continue
-                        d1, d2 = da[(i, k)], dc[(k, j)]
-                        d = None if d1 is None or d2 is None else d1 + d2
-                        if (i, j) not in out:
-                            out[(i, j)] = np.zeros((n, n) if d is None else max(0, n - abs(d)), dtype=complex)
-                            out_d[(i, j)] = d
-                        elif out_d[(i, j)] not in (None, d):
-                            out[(i, j)] = _expand(out[(i, j)], out_d[(i, j)], n)
-                            out_d[(i, j)] = None
-                        acc = out[(i, j)]
-                        if d is None:
-                            target, term = acc, self._dense(am, (i, k)) @ other._dense(cm, (k, j))
+                        if x[0] is None or y[0] is None:
+                            term = (None, self._dense(am, (i, k)) @ other._dense(cm, (k, j)))
                         else:
-                            start, term = _diagonal_product(a, d1, c, d2, n)
-                            target = _diagonal(acc, d)[start : start + len(term)]
-                        if sign > 0:
-                            target += term
-                        else:
-                            target -= term
-        return SuperOperator._wrap(
-            self.algebra, self.n_max, blocks, offsets, self.parity_bit ^ other.parity_bit
-        )
+                            term = _diagonal_product(x, y, n)
+                        if sign < 0:
+                            term = (term[0], -term[1])
+                        out[(i, j)] = _add(out[(i, j)], term, n) if (i, j) in out else term
+        return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.parity_bit ^ other.parity_bit)
 
     def apply(self, v: SuperVector) -> SuperVector:
         """Quadrant products per block, Koszul-signed, scattered to columns am|v."""
@@ -433,20 +399,16 @@ class SuperOperator:
         conjugated and weighted.
         """
         blocks: dict[int, dict] = {}
-        offsets: dict[int, dict] = {}
         plan = coefficient_algebra(self.algebra).plan
         for am, quads in self.blocks.items():
             p_ma = self.parity_bit ^ plan.parity[am]
             mm, c = plan.conj_table[am]  # conjugation permutes the masks
             blocks[mm] = adj = {}
-            offsets[mm] = adj_d = {}
-            for (j, i), part in quads.items():
+            for (j, i), (d, part) in quads.items():
                 weight = c * 1j**i * (-1j) ** j * ((-1.0) ** j if p_ma else 1.0)
-                d = self.offsets[am][(j, i)]
-                adj[(i, j)] = weight * (part.conj().T if d is None else part.conj())
-                adj_d[(i, j)] = None if d is None else -d
+                adj[(i, j)] = (None, weight * part.conj().T) if d is None else (-d, weight * part.conj())
         return SuperOperator._wrap(
-            self.algebra, self.n_max, blocks, offsets, self.parity_bit, name=f"({self.name})+"
+            self.algebra, self.n_max, blocks, self.parity_bit, name=f"({self.name})+"
         )
 
     # -- diagnostics -------------------------------------------------------------------
@@ -457,11 +419,9 @@ class SuperOperator:
             columns = np.arange(2 * n)[columns]  # slot indices, as ``block(m)[:, columns]`` reads them
             columns = [columns[columns // n == j] - j * n for j in (0, 1)]
         parts = [
-            np.abs(
-                part if columns is None else _columns(part, self.offsets[m][(i, j)], columns[j])
-            ).max(initial=0.0)
-            for m, quads in self.blocks.items()
-            for (i, j), part in quads.items()
+            np.abs(part if columns is None else _columns(part, d, columns[j])).max(initial=0.0)
+            for quads in self.blocks.values()
+            for (_, j), (d, part) in quads.items()
         ]
         # the ufunc keeps a NaN, as np.max does, without np.max's dispatch cost per call
         return float(np.maximum.reduce(parts, initial=0.0))
@@ -472,7 +432,7 @@ class SuperOperator:
         parts = [
             np.abs(part).max(initial=0.0)
             for am, quads in self.blocks.items()
-            for (i, j), part in quads.items()
+            for (i, j), (_, part) in quads.items()
             if i ^ j != self.parity_bit ^ parity[am]
         ]
         return float(np.maximum.reduce(parts, initial=0.0))
@@ -485,43 +445,23 @@ class SuperOperator:
         )
 
 
-def _scan_offset(part: np.ndarray):
-    """The offset row - column shared by all nonzeros of a nonzero quadrant, or None."""
-    rows, cols = np.nonzero(part)
-    d = rows - cols
-    return int(d[0]) if (d == d[0]).all() else None
-
-
-def _rows(n: int, d: int) -> tuple:
-    """(lo, hi): diagonal d of an N x N quadrant holds the entries (r, r - d) for lo <= r < hi."""
-    lo = max(0, d)
-    return lo, max(lo, n + min(0, d))
-
-
-def _diagonal(quadrant: np.ndarray, d: int) -> np.ndarray:
-    """Diagonal d of a quadrant as a writable view in increasing row order: a 1-D
-    quadrant itself, or the entries (r, r - d) of a C-contiguous N x N array."""
-    if quadrant.ndim == 1:
-        return quadrant
-    n = quadrant.shape[0]
-    lo, hi = _rows(n, d)
-    return quadrant.reshape(-1)[lo * (n + 1) - d : hi * (n + 1) - d : n + 1]
-
-
-def _expand(part: np.ndarray, d, n: int) -> np.ndarray:
-    """The N x N array of a held quadrant: an N x N one as it is, a 1-D one placed on diagonal d."""
-    if part.ndim == 2:
+def _expand(record: tuple, n: int) -> np.ndarray:
+    """The N x N array of a quadrant record (d, part): part itself when d is None, else
+    part placed on diagonal d, the entries (r, r - d), of an N x N array of zeros."""
+    d, part = record
+    if d is None:
         return part
     mat = np.zeros((n, n), dtype=complex)
-    _diagonal(mat, d)[:] = part
+    rows = np.arange(max(0, d), n + min(0, d))
+    mat[rows, rows - d] = part
     return mat
 
 
-def _add(x: np.ndarray, dx, y: np.ndarray, dy, n: int) -> tuple:
-    """(x + y, its offset) for held quadrants x on offset dx and y on dy."""
-    if dx == dy:
-        return x + y, dx
-    return _expand(x, dx, n) + _expand(y, dy, n), None
+def _add(x: tuple, y: tuple, n: int) -> tuple:
+    """The record of x + y for quadrant records x and y: 1-D when both lie on one diagonal."""
+    if x[0] == y[0]:
+        return x[0], x[1] + y[1]
+    return None, _expand(x, n) + _expand(y, n)
 
 
 def _columns(part: np.ndarray, d, cols: np.ndarray) -> np.ndarray:
@@ -533,19 +473,21 @@ def _columns(part: np.ndarray, d, cols: np.ndarray) -> np.ndarray:
     return part[k[(k >= 0) & (k < part.size)]]
 
 
-def _diagonal_product(a: np.ndarray, d1: int, c: np.ndarray, d2: int, n: int) -> tuple:
-    """(start, term): diagonal a on d1 times diagonal c on d2 is ``term`` on the entries
-    start, start + 1, .. of diagonal d1 + d2.
+def _diagonal_product(x: tuple, y: tuple, n: int) -> tuple:
+    """The record of x @ y for diagonal records x = (d1, a) and y = (d2, c): diagonal d1 + d2.
 
-    (a @ c)[r, r - d] = a[r, r - d1] * c[r - d1, r - d] for d = d1 + d2: one term, on the rows r
-    where all three entries exist.
+    (x @ y)[r, r - d] = a[r, r - d1] * c[r - d1, r - d] for d = d1 + d2: one term, on the rows r
+    where all three entries exist, and zero on the rest of the diagonal.
     """
+    (d1, a), (d2, c) = x, y
     d = d1 + d2
     lo = max(0, d1, d)
     hi = max(lo, n + min(0, d1, d))  # lo == hi: the product is zero
-    a_diag = a[lo - max(0, d1) : hi - max(0, d1)]
-    c_diag = c[lo - d1 - max(0, d2) : hi - d1 - max(0, d2)]
-    return lo - max(0, d), a_diag * c_diag
+    out = np.zeros(max(0, n - abs(d)), dtype=complex)
+    out[lo - max(0, d) : hi - max(0, d)] = (
+        a[lo - max(0, d1) : hi - max(0, d1)] * c[lo - d1 - max(0, d2) : hi - d1 - max(0, d2)]
+    )
+    return d, out
 
 
 # -- generator construction ----------------------------------------------------------
@@ -575,22 +517,20 @@ def build_generator(name: str, n_max: int, algebra=None) -> SuperOperator:
         ops = {base: build_generator(base, n_max, alg) for base in _COMBOS[name]}
         return _combo(_COMBOS[name], ops).renamed(name)
     parity = generator_parity(name)
-    quadrants, offsets = {}, {}
+    quadrants = {}
     for target, source, shift, coeff in _STENCILS[name]:
         j = np.arange(max(0, -shift), n_max - max(0, shift))  # source modes whose target is kept
-        quadrants[(target, source)] = np.full(j.shape, coeff(j.astype(float), 0.5, np.sqrt), dtype=complex)
-        offsets[(target, source)] = shift
-    return SuperOperator._wrap(alg, n_max, {0: quadrants}, {0: offsets}, parity, name=name)
+        values = np.full(j.shape, coeff(j.astype(float), 0.5, np.sqrt), dtype=complex)
+        quadrants[(target, source)] = (shift, values)
+    return SuperOperator._wrap(alg, n_max, {0: quadrants}, parity, name=name)
 
 
 def chi_ladder_matrix(sign, size: int) -> np.ndarray:
-    """a+- on the raw chi basis (chi_0 .. chi_{size-1})."""
-    mat = np.zeros((size, size), dtype=complex)
-    for m in range(size):
-        coeff, target = _basis.apply_ladder(sign, m)
-        if target is not None and target < size:
-            mat[target, m] = coeff
-    return mat
+    """a+- on the raw chi basis (chi_0 .. chi_{size-1}): a+ maps chi_m to chi_{m+1}, filling
+    the subdiagonal, and a- maps it to chi_{m-1}, filling the superdiagonal."""
+    shift = _basis.apply_ladder(sign, 1)[1] - 1  # +1 raising, -1 lowering; rejects a bad sign
+    modes = range(max(0, -shift), size - max(0, shift))  # source modes whose target is kept
+    return np.diag(np.array([_basis.ladder_coefficient(sign, m) for m in modes], dtype=complex), -shift)
 
 
 def chi_slot_permutation(n_max: int) -> np.ndarray:

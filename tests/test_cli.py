@@ -199,6 +199,8 @@ class TestValidatedDomain:
             (["profile", "--xmax=-inf"], "xmax value -inf must be finite and positive"),
             (["profile", "--xmax=0"], "xmax value 0.0 must be finite and positive"),
             (["profile", "--xmax=-3"], "xmax value -3.0 must be finite and positive"),
+            (["trajectory", "--z", "0.3", "--t", "0.5"], "affine fit needs at least 3 t samples, got 1"),
+            (["trajectory", "--z", "0.3", "--t", "0,1"], "affine fit needs at least 3 t samples, got 2"),
         ],
     )
     def test_exits_2(self, tmp_path, capsys, argv, message):
@@ -283,6 +285,29 @@ class TestTrajectoryCommand:
         assert np.abs(p_theta - p_theta[0]).max() < 1e-10
         assert data[:, cols["fit_residual"]].max() < 1e-9
         assert data[:, cols["mean_x"]].max() < 1e-10
+
+    def _times(self, path):
+        rows = [r for r in open(path) if not r.startswith("#")]
+        return [float(row["t"]) for row in csv.DictReader(rows)]
+
+    def test_default_times_when_no_t_is_given(self, tmp_path):
+        out = tmp_path / "traj.csv"
+        assert main(["trajectory", "--z", "0.3", "--out", str(out)]) == 0
+        assert self._times(out) == [0.0, 1.0, 2.0, 3.0]
+
+    def test_config_file_times(self, tmp_path, capsys):
+        """t_samples from a config file count as given: they are used, and too few exit 2."""
+        for times, code in (("0, 0.5, 2", 0), ("0.5", 2)):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"z_samples = 0.3\nt_samples = {times}\n")
+            out = tmp_path / "traj.csv"
+            assert main(["trajectory", "--config", str(cfg), "--out", str(out)]) == code
+            if code == 0:
+                assert self._times(out) == [0.0, 0.5, 2.0]
+                out.unlink()
+            else:
+                assert "affine fit needs at least 3 t samples, got 1" in capsys.readouterr().err
+                assert not out.exists()
 
 
 class TestExportsMatchSuites:

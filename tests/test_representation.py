@@ -215,14 +215,17 @@ def _scanned_offsets(mat, n):
     return out
 
 
+def _offsets(quads):
+    """{(row sector, column sector): d} of one block's quadrant records (d, part)."""
+    return {ij: d for ij, (d, _) in quads.items()}
+
+
 def _assert_offsets_hold(o):
     """Every recorded offset holds all nonzeros of its quadrant on that diagonal,
-    against a fresh scan of the assembled blocks by the public constructor."""
-    assert o.offsets.keys() == o.blocks.keys()
+    against a fresh scan of the assembled block."""
     for m, quads in o.blocks.items():
-        assert o.offsets[m].keys() == quads.keys()
-        fresh = SuperOperator(o.algebra, o.n_max, {m: o.block(m)}, o.parity_bit).offsets.get(m, {})
-        for ij, d in o.offsets[m].items():
+        fresh = _scanned_offsets(o.block(m), o.n_max)
+        for ij, d in _offsets(quads).items():
             if d is not None and ij in fresh:  # a quadrant that cancelled to zero fits any offset
                 assert fresh[ij] == d, (m, ij, d, fresh[ij])
 
@@ -275,11 +278,12 @@ def _dense_multiple(beta, a):
 
 
 def _assert_diagonal_layout(o):
-    """A held quadrant is 1-D exactly when its offset d is an int, of length max(0, N - |d|)."""
+    """A held quadrant record (d, part) is 1-D exactly when d is an int, of length
+    max(0, N - |d|), and N x N when d is None; its storage is read-only."""
     n = o.n_max
     for m, quads in o.blocks.items():
-        for ij, part in quads.items():
-            d = o.offsets[m][ij]
+        for ij, (d, part) in quads.items():
+            assert d is None or type(d) is int, (m, ij, d)
             assert (part.ndim == 1) == isinstance(d, int), (m, ij, d, part.shape)
             assert part.shape == ((n, n) if d is None else (max(0, n - abs(d)),))
             assert not part.flags.writeable
@@ -364,7 +368,7 @@ class TestQuadrantComposition:
         ops = generators(16)
         shifts = {name: {(t, s): shift for t, s, shift, _ in _STENCILS[name]} for name in ops}
         for name, g in ops.items():
-            assert g.offsets == {0: shifts[name]}
+            assert set(g.blocks) == {0} and _offsets(g.blocks[0]) == shifts[name]
         diagonal_products = []
         product = representation._diagonal_product
 
@@ -380,8 +384,8 @@ class TestQuadrantComposition:
                 bracket = a.supercommutator(c)
                 assert len(diagonal_products) - before == pairs(a, c) + pairs(c, a)
                 assert bracket.blocks
-                for m, offsets in bracket.offsets.items():
-                    assert None not in offsets.values(), (a.name, c.name, m, offsets)
+                for m, quads in bracket.blocks.items():
+                    assert None not in _offsets(quads).values(), (a.name, c.name, m, _offsets(quads))
                 _assert_offsets_hold(bracket)
 
     @settings(max_examples=80, deadline=None)
@@ -433,7 +437,7 @@ class TestQuadrantComposition:
         for a in ops.values():
             for o in [a] + [a.supercommutator(c) for c in ops.values()]:
                 _assert_diagonal_layout(o)
-                assert all(part.ndim == 1 for quads in o.blocks.values() for part in quads.values()), o
+                assert all(part.ndim == 1 for quads in o.blocks.values() for _, part in quads.values()), o
 
     @settings(max_examples=40, deadline=None)
     @given(_operator_pairs())
@@ -507,9 +511,9 @@ class TestQuadrantComposition:
         assert set(total.blocks) == {0, pair}
         for operand, mask in ((left, 0), (right, pair)):
             assert total.blocks[mask].keys() == operand.blocks[mask].keys()
-            assert all(total.blocks[mask][ij] is part for ij, part in operand.blocks[mask].items())
+            assert all(total.blocks[mask][ij] is record for ij, record in operand.blocks[mask].items())
         with pytest.raises(ValueError):
-            total.blocks[pair][(0, 0)][1] = 0.0
+            total.blocks[pair][(0, 0)][1][1] = 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(_operator_pairs())
@@ -540,7 +544,7 @@ class TestQuadrantComposition:
                 mat = o.block(m)
                 back = SuperOperator(alg, n, {m: mat}, parity)
                 assert set(back.blocks.get(m, {})) == _nonzero_quadrants(mat, n)
-                assert back.offsets.get(m, {}) == _scanned_offsets(mat, n)
+                assert _offsets(back.blocks.get(m, {})) == _scanned_offsets(mat, n)
                 np.testing.assert_array_equal(back.block(m), mat)
         assert set((a - a).blocks) == set(a.blocks)  # cancellation keeps the zero quadrants
         assert (a - a).max_abs() == 0.0

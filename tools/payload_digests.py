@@ -1,0 +1,57 @@
+"""Print one ``<name> <sha256>`` line per deterministic osp22 payload.
+
+Each digest is the SHA-256 of a payload serialized as sorted JSON, so two
+source trees produce the same lines exactly when their payloads are
+byte-identical.  Run from the root of a checkout, with osp22 taken from
+``PYTHONPATH``, which may point at another checkout's ``src/``:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/payload_digests.py
+
+The payloads are ``verify all`` at ``RunConfig()``; the algebra suite at
+n_max 8, 17, 40, 128 and 512 and at seed 101; the coherent suite at
+alpha = 0.7-0.4i; and the 16 job records of the benchmark's
+``coherent_sweep`` workload at seed 1201, built by this checkout's
+``perfbench/workloads.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+from osp22.config import RunConfig
+from osp22.suites import run_suite
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402  (perfbench/ is a directory of scripts, not a package)
+
+BASE = RunConfig()
+SUITE_RUNS = {
+    "all": ("all", BASE),
+    **{f"algebra.n_max={n}": ("algebra", replace(BASE, n_max=n)) for n in (8, 17, 40, 128, 512)},
+    "algebra.seed=101": ("algebra", replace(BASE, seed=101)),
+    "coherent.alpha=0.7-0.4i": ("coherent", replace(BASE, alpha_coeff=0.7 - 0.4j)),
+}
+SWEEP_SEED = 1201
+
+
+def payloads():
+    """(name, payload) pairs, in the order they are printed."""
+    for name, (suite, cfg) in SUITE_RUNS.items():
+        cfg.validate(suite)
+        yield name, run_suite(suite, cfg)["payload"]
+    sweep = workloads.build("coherent_sweep", SWEEP_SEED)
+    yield f"coherent_sweep.seed={SWEEP_SEED}", [unit.run()[0] for unit in sweep.units]
+
+
+def main() -> None:
+    for name, payload in payloads():
+        digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        print(name, digest, flush=True)
+
+
+if __name__ == "__main__":
+    main()
