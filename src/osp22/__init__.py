@@ -20,6 +20,7 @@ from .basis import (
     eval_chi,
     eval_chi_derivatives,
     hermite_he,
+    hermite_he_scale,
     ladder_coefficient,
     quad_inner,
     schrodinger_residual,
@@ -48,6 +49,7 @@ from .coherent import (
     CoherentParams,
     TruncationError,
     berezin_symbol,
+    berezin_symbols,
     calibrate_convention,
     closed_form,
     crosscheck,

@@ -33,6 +33,7 @@ __all__ = [
     "QuadratureSpec",
     "SYMMETRY_OPERATORS",
     "hermite_he",
+    "hermite_he_scale",
     "eval_chi",
     "eval_chi_derivatives",
     "chi_evaluator",
@@ -101,16 +102,30 @@ def quad_grid(t: float = 0.0, spec: QuadratureSpec | None = None):
 
 def hermite_he(n: int, z):
     """Probabilists' Hermite polynomial He_n by the three-term recurrence."""
+    return _hermite_recurrence(n, np.asarray(z, dtype=float), 1)
+
+
+def hermite_he_scale(n: int, z):
+    """The recurrence of ``hermite_he`` run on |z| with every term added.
+
+    He_{k+1} = |z| He_k + k He_{k-1} bounds the magnitudes the signed recurrence
+    meets, so the rounding error of ``hermite_he`` is a small multiple of machine
+    epsilon times this scale (Gautschi, SIAM Review 9 (1967) 24); max(1, |He_n|)
+    is no such bound where the terms cancel.
+    """
+    return _hermite_recurrence(n, np.abs(np.asarray(z, dtype=float)), -1)
+
+
+def _hermite_recurrence(n, z_arr, sign):
     n = int(n)
     if n < 0:
         raise ValueError("Hermite degree must be nonnegative")
-    z_arr = np.asarray(z, dtype=float)
     h0 = np.ones_like(z_arr)
     if n == 0:
         return float(h0) if z_arr.ndim == 0 else h0
     h1 = z_arr.copy()
     for k in range(1, n):
-        h0, h1 = h1, z_arr * h1 - k * h0
+        h0, h1 = h1, z_arr * h1 - (sign * k) * h0
     return float(h1) if z_arr.ndim == 0 else h1
 
 
@@ -212,9 +227,18 @@ def _ladder_plus(sign) -> bool:
     raise ValueError(f"ladder sign must be +1 or -1, got {sign!r}")
 
 
-def ladder_coefficient(sign, m) -> float:
-    """Frozen ladder coefficient: (1/2) sqrt(m+1) raising, (1/2) sqrt(m) lowering."""
-    m = _mode_index(m)
+def ladder_coefficient(sign, m):
+    """Frozen ladder coefficient: (1/2) sqrt(m+1) raising, (1/2) sqrt(m) lowering.
+
+    ``m`` may be an array of modes, each truncated to an integer as a single mode
+    is; the result is then the array of their coefficients.
+    """
+    if np.ndim(m):
+        m = np.asarray(m).astype(int)
+        if (m < 0).any():
+            raise ValueError("mode index must be nonnegative")
+    else:
+        m = _mode_index(m)
     return 0.5 * np.sqrt(m + 1) if _ladder_plus(sign) else 0.5 * np.sqrt(m)
 
 

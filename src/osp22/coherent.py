@@ -16,9 +16,13 @@ parameter alpha = a * alpha_gen.  The three routes are
 * the half-integer-gamma coefficient formulas of the disk expansion.
 
 Also provided: the superisometric displacement exp(z K+ - conj(z) K- +
-alpha V+ - i conj(alpha) W-), covariant (lowest-weight expectation) symbols
-of all eight generators with a single calibrated conjugation convention, and
-the odd-sector straight-line trajectory data.
+alpha V+ - i conj(alpha) W-), exponentiated spectrally from one
+eigendecomposition of its anti-Hermitian body per sector
+(``representation._spectral_exp``; ``representation.operator_exp`` is its
+test oracle); covariant (lowest-weight expectation) symbols of all eight
+generators with a single calibrated conjugation convention, where
+``berezin_symbols`` serves a set of operators from one series state; and the
+odd-sector straight-line trajectory data.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ __all__ = [
     "disk_parameter",
     "quad_scale",
     "berezin_symbol",
+    "berezin_symbols",
     "calibrate_convention",
     "expected_symbol",
     "trajectory",
@@ -330,8 +335,11 @@ def crosscheck(
 def displacement_operator(params: CoherentParams, n_max: int, algebra=None):
     """exp(z K+ - conj(z) K- + alpha V+ - i conj(alpha) W-), superisometric.
 
-    Exponentiated numerically on the monomial-block representation; the
-    Grassmann parts terminate their own Taylor series.
+    The exponent is built from the generators and exponentiated spectrally: one
+    eigendecomposition of the anti-Hermitian body z K+ - conj(z) K- per sector,
+    with the alpha and conj(alpha) blocks and their product as the first and
+    second divided differences of exp on its eigenvalues.  Since alpha^2 = 0 the
+    Grassmann series stops at second order, so nothing is truncated but the modes.
     """
     alg = algebra or default_algebra()
     z = params.z
@@ -343,7 +351,7 @@ def displacement_operator(params: CoherentParams, n_max: int, algebra=None):
         a = params.alpha(alg)
         gen = gen + a * _rep.build_generator("V+", n_max, alg)
         gen = gen + (-1j * a.conj()) * _rep.build_generator("W-", n_max, alg)
-    return _rep.operator_exp(gen).renamed("D'")
+    return _rep._spectral_exp(gen).renamed("D'")
 
 
 def disk_parameter(zeta: complex) -> complex:
@@ -361,17 +369,25 @@ def disk_parameter(zeta: complex) -> complex:
 def berezin_symbol(
     op, params: CoherentParams, algebra=None, tail_tol: float = 1e-7
 ) -> GrassmannElement:
-    """Covariant symbol (Psi | op Psi) / (Psi | Psi) over the series state.
+    """Covariant symbol (Psi | op Psi) / (Psi | Psi) over the series state; see ``berezin_symbols``."""
+    return berezin_symbols([op], params, algebra, tail_tol)[0]
 
-    The state is built at the operator's truncation; symbol errors scale with
-    the square of the series tail, so tail_tol = 1e-7 keeps symbols well below
-    1e-8 defect.
+
+def berezin_symbols(ops, params: CoherentParams, algebra=None, tail_tol: float = 1e-7) -> list:
+    """Covariant symbols (Psi | op Psi) / (Psi | Psi) of operators of one truncation, in order.
+
+    One series state is built at that truncation and serves every operator;
+    symbol errors scale with the square of the series tail, so tail_tol = 1e-7
+    keeps symbols well below 1e-8 defect.
     """
     alg = algebra or default_algebra()
-    state = series_state(params, op.n_max, alg, tail_tol=tail_tol)
-    num = state.super_inner(op.apply(state))
-    den = state.super_inner(state)
-    return num * den.power(-1.0)
+    ops = list(ops)
+    sizes = {op.n_max for op in ops}
+    if len(sizes) != 1:
+        raise ValueError(f"berezin_symbols needs operators of one truncation, got {sorted(sizes)}")
+    state = series_state(params, sizes.pop(), alg, tail_tol=tail_tol)
+    inverse_norm = state.super_inner(state).power(-1.0)
+    return [state.super_inner(op.apply(state)) * inverse_norm for op in ops]
 
 
 def calibrate_convention(z: complex, algebra=None, tol: float = 1e-8) -> str:
@@ -470,8 +486,7 @@ def trajectory(
     n = n_max or max(64, series_length_for(params.z, 1e-7))
     p_theta = _rep.ptheta_operator(n, alg)
     x_theta = _rep.xtheta_operator(n, t, alg)
-    s_p = berezin_symbol(p_theta, params, alg)
-    s_x = berezin_symbol(x_theta, params, alg)
+    s_p, s_x = berezin_symbols([p_theta, x_theta], params, alg)
     x0, p0 = trajectory_closed_form(params)
 
     cf = ClosedFormState(params, alg)

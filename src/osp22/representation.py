@@ -23,9 +23,15 @@ through one rule, ``_add``: two records on the same diagonal add as 1-D
 arrays, and any other pair is expanded to N x N and added.  A product of two
 diagonals is one elementwise product on diagonal d1 + d2; any other pair is
 one N x N matrix product of the expansions, which ``_dense`` keeps on the
-operator.  A diagonal meets dense arithmetic only through ``_expand``, which
-places it in an N x N array of zeros, so every such number comes from the
-same matrix product as when every quadrant was stored dense.
+operator for the next product or ``apply``: the superspace suite applies the
+same generators to vector after vector.  A diagonal meets dense arithmetic
+only through ``_expand``, which places it in an N x N array of zeros, so
+every such number comes from the same matrix product as when every quadrant
+was stored dense.
+
+``_spectral_exp`` exponentiates the displacement exponent from one
+eigendecomposition of its body per sector; ``operator_exp``, scaling and
+squaring over these products, is its test oracle.
 
 The records a result holds follow from its operands, not from its entries: a
 product adds the offsets, the superadjoint negates them, a multiple keeps them
@@ -233,8 +239,8 @@ class SuperOperator:
 
     def _dense(self, mask: int, ij: tuple) -> np.ndarray:
         """Held quadrant ``ij`` of block ``mask`` as an N x N array.  A diagonal is
-        expanded once per operator: ``operator_exp`` multiplies by the same operator
-        on every Taylor term."""
+        expanded once per operator, which pays where one operator meets many
+        vectors or factors, as in ``superspace.superadjoint_defect``."""
         record = self.blocks[mask][ij]
         if record[0] is None:
             return record[1]
@@ -529,8 +535,8 @@ def chi_ladder_matrix(sign, size: int) -> np.ndarray:
     """a+- on the raw chi basis (chi_0 .. chi_{size-1}): a+ maps chi_m to chi_{m+1}, filling
     the subdiagonal, and a- maps it to chi_{m-1}, filling the superdiagonal."""
     shift = _basis.apply_ladder(sign, 1)[1] - 1  # +1 raising, -1 lowering; rejects a bad sign
-    modes = range(max(0, -shift), size - max(0, shift))  # source modes whose target is kept
-    return np.diag(np.array([_basis.ladder_coefficient(sign, m) for m in modes], dtype=complex), -shift)
+    modes = np.arange(max(0, -shift), size - max(0, shift))  # source modes whose target is kept
+    return np.diag(_basis.ladder_coefficient(sign, modes).astype(complex), -shift)
 
 
 def chi_slot_permutation(n_max: int) -> np.ndarray:
@@ -578,6 +584,153 @@ def operator_exp(op: SuperOperator, tol: float = 1e-16, max_terms: int = 80) -> 
     for _ in range(s):
         acc = acc @ acc
     return acc.renamed(f"exp({op.name})")
+
+
+# Switches between a quotient and a series, each set from an error curve against 50-digit
+# values in CHANGES.md.  Entry (i, j) of a second-order term is summed as its Taylor series
+# in lam_i - lam_j below this gap; the quotient by lam_i - lam_j errs by about 3e-16 / gap.
+_CONFLUENT = 0.1
+# |d| below which phi_n(d) is summed as a series and recurred downward rather than upward.
+_PHI_SERIES = 2.0
+_PHI_TERMS = 24  # Horner terms of that series; the first omitted one is below 1e-20 there
+
+
+def _first_differences(x, y) -> tuple:
+    """(f[x, y], x - y) of f = exp on broadcast arrays: e^y expm1(x - y) / (x - y), and e^y
+    where x == y, so no difference of two exponentials is ever formed."""
+    d = x - y
+    ratio = np.divide(np.expm1(d), d, out=np.ones(d.shape, dtype=complex), where=d != 0)
+    return ratio * np.exp(y), d
+
+
+def _phi(d: np.ndarray, top: int) -> list:
+    """[phi_2(d), .., phi_top(d)], phi_n(d) = sum_m d^m / (m + n)!: f[w, .., w, w + d] = e^w phi_n(d)
+    for f = exp with w taken n times.
+
+    Where |d| >= _PHI_SERIES they come from phi_1 = expm1(d) / d by phi_{n+1} = (phi_n - 1/n!) / d,
+    which divides the rounding error by |d| at each step.  Elsewhere phi_top is summed by
+    Horner's rule and phi_n = 1/n! + d phi_{n+1} runs downward, multiplying it by |d|.
+    """
+    small = np.abs(d) < _PHI_SERIES
+    step = np.where(small, 1.0, d)  # the small entries are overwritten below
+    phi = np.expm1(d) / step
+    out, factorial = [], 1.0
+    for n in range(1, top):
+        phi = (phi - 1.0 / factorial) / step
+        factorial *= n + 1
+        out.append(phi)
+    if small.any():
+        ds = d[small]
+        series = np.ones_like(ds)
+        for m in range(_PHI_TERMS, 0, -1):
+            series = 1.0 + ds * series / (top + m)
+        series = series / factorial
+        for n in range(top, 1, -1):
+            out[n - 2][small] = series
+            factorial /= n
+            series = 1.0 / factorial + ds * series
+    return out
+
+
+def _taylor_order(u_max: float) -> int:
+    """Highest power of lam_i - lam_j kept: the first omitted term, at most u_max^(p + 1) /
+    (p + 3)! relative to the factors, is below 1e-18; 0 when only lam_i = lam_j occurs."""
+    p, bound = 0, u_max / 6.0
+    while bound > 1e-18:
+        p += 1
+        bound *= u_max / (p + 3)
+    return p
+
+
+def _spectral_exp(op: SuperOperator) -> SuperOperator:
+    """exp(op) from one eigendecomposition per sector, for exponents A + sum_m e_m G_m.
+
+    The body A (mask 0) must sit on the sector diagonal and be anti-Hermitian there,
+    so ``eigh(1j A_s)`` gives A_s = V_s diag(lam_s) V_s^H with imaginary lam_s.  Every
+    other mask e_m is one odd generator, at most two of them, whose block G_m is odd.
+    Because e_m^2 = 0 the series stops at second order (Higham, Functions of Matrices,
+    SIAM 2008, ch. 3 and 10; Najfeld and Havel, Adv. Appl. Math. 16 (1995) 321):
+
+    * mask 0: V_s e^lam_s V_s^H on each sector;
+    * mask m: the Frechet derivative of exp at A along G_m, quadrant (s, t) being
+      V_s (F1 o G~) V_t^H with G~ = V_s^H G_m V_t and F1[i, k] = f[lam_s,i, lam_t,k];
+    * mask a | b, for each ordered pair with (a | b, sign) = plan.join[a][b]: the
+      second-order term, negated because mask b passes the odd block G_a as in ``@``,
+      quadrant (s, s) being V_s M V_s^H with M[i, j] = sum_k f[lam_i, lam_k, lam_j]
+      Ga~[i, k] Gb~[k, j] over the other sector's k.  Away from lam_i = lam_j that is
+      ((F1 o Ga~) Gb~ - Ga~ (F1 o Gb~)) / (lam_i - lam_j), two matrix products.  Within
+      _CONFLUENT of it, it is the Taylor series sum_p (lam_i - lam_j)^p Ga~ (Dp^T o Gb~)
+      with Dp[j, k] = f[lam_j taken p + 2 times, lam_k] = e^lam_j phi_{p+2}(lam_k - lam_j),
+      one matrix product per power; on the diagonal only p = 0 remains, summed over k
+      entry by entry.
+
+    Every held quadrant of the result is an N x N record.
+    """
+    if op.parity_bit:
+        raise ValueError("exponent must have even total parity")
+    plan = coefficient_algebra(op.algebra).plan
+    n = op.n_max
+    body = op.blocks.get(0, {})
+    odd = {m: quads for m, quads in op.blocks.items() if m}
+    if (
+        any(i != j for i, j in body)
+        or len(odd) > 2
+        or any(m & (m - 1) or not plan.parity[m] for m in odd)
+        or any(i == k for quads in odd.values() for i, k in quads)
+    ):
+        raise ValueError("spectral exponent needs a sector-diagonal body and at most two odd generator masks")
+    lam, vec = [], []
+    for s in (0, 1):
+        a = _expand(body[(s, s)], n) if (s, s) in body else np.zeros((n, n), dtype=complex)
+        if np.abs(a + a.conj().T).max() > 1e-14 * max(1.0, np.abs(a).max()):
+            raise ValueError("spectral exponent needs an anti-Hermitian body")
+        mu, v = np.linalg.eigh(1j * a)
+        lam.append(-1j * mu)
+        vec.append(v)
+    f1, gap = _first_differences(lam[0][:, None], lam[1][None, :])
+    cross = {(0, 1): (f1, gap), (1, 0): (f1.T, -gap.T)}  # (F1, lam_s - lam_t) across the sectors
+
+    blocks = {0: {(s, s): (None, (vec[s] * np.exp(lam[s])) @ vec[s].conj().T) for s in (0, 1)}}
+    tilde, weighted = {}, {}
+    for m, quads in odd.items():
+        blocks[m] = {}
+        for (s, t), (d, part) in quads.items():
+            if d is None:
+                g = vec[s].conj().T @ part @ vec[t]
+            else:
+                rows = np.arange(max(0, d), n + min(0, d))
+                g = (vec[s].conj().T[:, rows] * part) @ vec[t][rows - d, :]
+            tilde[(m, s)] = g
+            weighted[(m, s)] = cross[(s, t)][0] * g
+            blocks[m][(s, t)] = (None, vec[s] @ weighted[(m, s)] @ vec[t].conj().T)
+
+    for a in odd:
+        for b in odd:
+            step = plan.join[a][b]
+            if step is None:
+                continue
+            key, sign = step
+            out = blocks.setdefault(key, {})
+            for s in (0, 1):
+                t = 1 - s
+                if (a, s) not in tilde or (b, t) not in tilde:
+                    continue
+                ga, gb = tilde[(a, s)], tilde[(b, t)]
+                gap = lam[s][:, None] - lam[s][None, :]
+                close = np.abs(gap) < _CONFLUENT
+                mid = (weighted[(a, s)] @ gb - ga @ weighted[(b, t)]) / np.where(close, 1.0, gap)
+                u = np.where(close, gap, 0.0)
+                order = _taylor_order(float(np.abs(u).max()))
+                d = [np.exp(lam[s])[:, None] * phi for phi in _phi(-cross[(s, t)][1], order + 2)]
+                if np.count_nonzero(close) > n:  # close pairs off the diagonal
+                    taylor = 0.0
+                    for p in range(order, -1, -1):
+                        taylor = taylor * u + ga @ (d[p].T * gb)
+                    mid = np.where(close, taylor, mid)
+                mid[np.diag_indices(n)] = np.sum(ga * d[0] * gb.T, axis=1)  # u = 0: the p = 0 term
+                term = (None, (-sign) * (vec[s] @ mid @ vec[s].conj().T))
+                out[(s, s)] = _add(out[(s, s)], term, n) if (s, s) in out else term
+    return SuperOperator._wrap(op.algebra, n, blocks, 0, name=f"exp({op.name})")
 
 
 # -- structure verification --------------------------------------------------------------

@@ -26,6 +26,28 @@ class TestHermite:
         z = np.linspace(-2, 2, 7)
         assert np.allclose(b.hermite_he(2, z), z * z - 1.0)
 
+    def test_whole_draw_domain_against_scipy(self):
+        """basis.hermite's gate over every degree it draws and a 2001-point grid of its x range.
+
+        Each difference is divided by the sign-free recurrence, which bounds the
+        rounding the three-term recurrence amplifies; it is 0 only at x = 0 for odd
+        n, where both routes give exactly 0.
+        """
+        x = np.linspace(-5.0, 5.0, 2001)
+        for n in range(26):
+            diff = np.abs(b.hermite_he(n, x) - eval_hermitenorm(n, x))
+            scale = b.hermite_he_scale(n, x)
+            assert np.all(scale >= np.abs(b.hermite_he(n, x)))
+            assert np.all(diff[scale == 0.0] == 0.0)
+            assert np.max(diff / np.where(scale == 0.0, 1.0, scale)) <= 1e-12
+
+    def test_scale_is_the_sign_free_recurrence(self):
+        assert b.hermite_he_scale(0, -3.0) == 1.0
+        assert b.hermite_he_scale(2, -2.0) == 5.0  # |z|^2 + 1
+        assert b.hermite_he_scale(3, -2.0) == 14.0  # |z|^3 + 3|z|
+        with pytest.raises(ValueError):
+            b.hermite_he_scale(-1, 0.5)
+
 
 class TestEvalChi:
     def test_ground_value(self):
@@ -170,6 +192,16 @@ class TestLadder:
             down, tgt = b.apply_ladder("-", m)
             up_after_down = b.apply_ladder("+", tgt)[0] if tgt is not None else 0.0
             assert abs(down_after_up * up - down * up_after_down - 0.25) < 1e-14
+
+    def test_coefficient_of_a_mode_array(self):
+        modes = np.arange(40)
+        for sign in ("+", "-"):
+            got = b.ladder_coefficient(sign, modes)
+            assert got.tolist() == [b.ladder_coefficient(sign, int(m)) for m in modes]
+        with pytest.raises(ValueError):
+            b.ladder_coefficient("+", np.array([0, 3, -1]))
+        with pytest.raises(ValueError):
+            b.ladder_coefficient("up", modes)
 
     def test_symmetric_ladder_diagonal(self):
         grid = np.linspace(-4, 4, 9)

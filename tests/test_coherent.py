@@ -7,12 +7,37 @@ import pytest
 from osp22 import basis as b
 from osp22 import coherent as coh
 from osp22.config import DISK_RADIUS
-from osp22.grassmann import default_algebra
-from osp22.representation import GENERATOR_NAMES, SuperOperator, build_generator
-from osp22.superspace import SuperVector, random_supervector
+from osp22.grassmann import GENERATORS_EXTENDED, GrassmannAlgebra, default_algebra
+from osp22.representation import GENERATOR_NAMES, SuperOperator, build_generator, operator_exp
+from osp22.superspace import SuperVector, coefficient_algebra, random_supervector
 
 ALG = default_algebra()
+ALG6 = GrassmannAlgebra(GENERATORS_EXTENDED)
 ROOT4 = (2.0 * np.pi) ** -0.25
+
+
+def _ring(phase):
+    """DISK_RADIUS * e^{i phase}, moved inward an ulp at a time until |z| <= DISK_RADIUS holds."""
+    z = DISK_RADIUS * np.exp(1j * phase)
+    while abs(z) > DISK_RADIUS:
+        z *= 1.0 - 2.0**-53
+    return complex(z)
+
+
+# small |z| puts every eigenvalue of the body within |z| * 134 of the others, where a plain
+# divided-difference quotient loses digits like eps / |z|
+ORACLE_Z = (0.0, 1e-8, 1e-5, 1e-3, 1e-2j, 0.1, 0.5 + 0.3j, _ring(0.7), _ring(2.4), _ring(-1.9))
+
+
+def _exponent(params, n, alg):
+    """z K+ - conj(z) K- + alpha V+ - i conj(alpha) W-, summed from the generators."""
+    a = params.alpha(alg)
+    return (
+        params.z * build_generator("K+", n, alg)
+        - np.conjugate(params.z) * build_generator("K-", n, alg)
+        + a * build_generator("V+", n, alg)
+        + (-1j * a.conj()) * build_generator("W-", n, alg)
+    )
 
 
 class TestParams:
@@ -171,6 +196,38 @@ class TestDisplacement:
         assert abs(coh.disk_parameter(0.3) - np.tanh(0.3)) < 1e-15
 
 
+class TestSpectralDisplacement:
+    """The spectral displacement against ``operator_exp`` of the same exponent."""
+
+    def test_ring_points_are_in_the_validated_disk(self):
+        for z in ORACLE_Z[-3:]:
+            assert DISK_RADIUS - 1e-15 < abs(z) <= DISK_RADIUS
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.7 - 0.4j], ids=["alpha0", "alpha"])
+    @pytest.mark.parametrize("z", ORACLE_Z, ids=[f"z{k}" for k in range(len(ORACLE_Z))])
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("alg", [ALG, ALG6], ids=["g4", "g6"])
+    def test_matches_operator_exp(self, alg, n, z, alpha):
+        p = coh.CoherentParams(z, alpha)
+        want = operator_exp(_exponent(p, n, alg))
+        got = coh.displacement_operator(p, n, alg)
+        assert set(got.blocks) == set(want.blocks)
+        assert (got - want).max_abs() <= 1e-12 * max(1.0, want.max_abs())
+
+    def test_holds_dense_quadrants_on_four_masks(self):
+        d = coh.displacement_operator(coh.CoherentParams(0.4 - 0.2j, 0.7 - 0.4j), 16, ALG)
+        alpha, alpha_bar = (1 << coefficient_algebra(ALG).index[g] for g in ("alpha", "alpha_bar"))
+        assert {m: sorted(q) for m, q in d.blocks.items()} == {
+            0: [(0, 0), (1, 1)],
+            alpha: [(1, 0)],
+            alpha_bar: [(0, 1)],
+            alpha | alpha_bar: [(0, 0), (1, 1)],
+        }
+        for quads in d.blocks.values():
+            for dd, part in quads.values():
+                assert dd is None and part.shape == (16, 16) and not part.flags.writeable
+
+
 class TestSymbols:
     def test_calibration_flag(self):
         assert coh.calibrate_convention(0.3 + 0.25j, ALG) == "conjugate"
@@ -214,6 +271,26 @@ class TestSymbols:
                 got = coh.berezin_symbol(o, p, ALG)
                 want = coh.expected_symbol(name, p, ALG, "conjugate")
                 assert (got - want).max_abs() < 1e-8
+
+    def test_symbols_share_one_state(self, monkeypatch):
+        states = []
+        build = coh.series_state
+        monkeypatch.setattr(coh, "series_state", lambda *args, **kw: states.append(build(*args, **kw)) or states[-1])
+        p = coh.CoherentParams(0.3 - 0.35j, 0.5 + 0.5j)
+        ops = [build_generator(name, 64, ALG) for name in GENERATOR_NAMES]
+        got = coh.berezin_symbols(ops, p, ALG)
+        assert len(states) == 1
+        for o, symbol in zip(ops, got):
+            np.testing.assert_array_equal(symbol.coeffs, coh.berezin_symbol(o, p, ALG).coeffs)
+        coh.trajectory(p, 0.5, ALG)
+        assert len(states) == 1 + len(ops) + 1
+
+    def test_symbols_need_one_truncation(self):
+        p = coh.CoherentParams(0.3)
+        with pytest.raises(ValueError):
+            coh.berezin_symbols([build_generator("K0", 16, ALG), build_generator("K0", 32, ALG)], p, ALG)
+        with pytest.raises(ValueError):
+            coh.berezin_symbols([], p, ALG)
 
     def test_Kplus_Kminus_related_by_conjugation(self):
         z = 0.4 + 0.2j

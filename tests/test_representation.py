@@ -853,6 +853,52 @@ class TestOperatorExp:
             operator_exp(op("V+", 6))
 
 
+class TestSpectralExp:
+    """The divided differences behind ``coherent.displacement_operator`` and what it accepts."""
+
+    @staticmethod
+    def _phi_reference(n, d):
+        """phi_n(d) = sum_m d^m / (m + n)! to 40 digits: the series near 0, the closed form
+        (e^d - sum_{m < n} d^m / m!) / d^n elsewhere."""
+        import mpmath
+
+        with mpmath.workdps(40):
+            d = mpmath.mpc(d)
+            if abs(d) < 2:
+                return complex(mpmath.nsum(lambda m: d**m / mpmath.factorial(m + n), [0, mpmath.inf]))
+            head = sum(d**m / mpmath.factorial(m) for m in range(n))
+            return complex((mpmath.exp(d) - head) / d**n)
+
+    @pytest.mark.parametrize("radius", [0.0, 1e-9, 1e-3, 0.5, 1.99, 2.01, 5.0, 40.0, 130.0])
+    def test_phi_on_both_sides_of_the_switch(self, radius):
+        """The divided differences f[w, .., w, w + d] = e^w phi_n(d) of every order the
+        Taylor route uses, on imaginary d like the eigenvalue gaps."""
+        assert representation._PHI_SERIES == 2.0  # the radii straddle it
+        d = 1j * radius * np.random.default_rng(17).choice([-1.0, 1.0], 6)
+        got = representation._phi(d, 11)
+        for n, phi in zip(range(2, 12), got):
+            want = np.array([self._phi_reference(n, x) for x in d])
+            assert np.abs(phi - want).max() < 1e-15
+
+    def test_first_differences_are_exact_at_a_double_point(self):
+        lam = 1j * np.array([0.0, 0.3, -2.0])
+        f, d = representation._first_differences(lam, lam)
+        assert np.array_equal(f, np.exp(lam)) and not d.any()
+
+    def test_unsupported_exponents_rejected(self):
+        al, alb, xi = (ALG6.gen(g) for g in ("alpha", "alpha_bar", "xi"))
+        g6 = {name: build_generator(name, 8, ALG6) for name in ("K+", "K-", "K0", "V+", "W-", "W+")}
+        body = 0.3 * g6["K+"] - 0.3 * g6["K-"]
+        for bad in (
+            g6["V+"],  # odd exponent
+            0.3 * g6["K+"] + 0.3 * g6["K-"],  # body not anti-Hermitian
+            body + (al * alb) * g6["K0"],  # an even mask
+            body + al * g6["V+"] + alb * g6["W-"] + xi * g6["W+"],  # a third-order term
+        ):
+            with pytest.raises(ValueError):
+                representation._spectral_exp(bad)
+
+
 class TestChiBasisRoutes:
     def test_ladder_matrices(self):
         ap = chi_ladder_matrix("+", 6)
