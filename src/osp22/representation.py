@@ -687,8 +687,8 @@ def _spectral_exp(op: SuperOperator) -> SuperOperator:
         mu, v = np.linalg.eigh(1j * a)
         lam.append(-1j * mu)
         vec.append(v)
-    f1, gap = _first_differences(lam[0][:, None], lam[1][None, :])
-    cross = {(0, 1): (f1, gap), (1, 0): (f1.T, -gap.T)}  # (F1, lam_s - lam_t) across the sectors
+    f1, split = _first_differences(lam[0][:, None], lam[1][None, :])
+    cross = {(0, 1): (f1, split), (1, 0): (f1.T, -split.T)}  # (F1, lam_s - lam_t) across the sectors
 
     blocks = {0: {(s, s): (None, (vec[s] * np.exp(lam[s])) @ vec[s].conj().T) for s in (0, 1)}}
     tilde, weighted = {}, {}
@@ -721,13 +721,13 @@ def _spectral_exp(op: SuperOperator) -> SuperOperator:
                 mid = (weighted[(a, s)] @ gb - ga @ weighted[(b, t)]) / np.where(close, 1.0, gap)
                 u = np.where(close, gap, 0.0)
                 order = _taylor_order(float(np.abs(u).max()))
-                d = [np.exp(lam[s])[:, None] * phi for phi in _phi(-cross[(s, t)][1], order + 2)]
+                dp = [np.exp(lam[s])[:, None] * phi for phi in _phi(-cross[(s, t)][1], order + 2)]
                 if np.count_nonzero(close) > n:  # close pairs off the diagonal
                     taylor = 0.0
                     for p in range(order, -1, -1):
-                        taylor = taylor * u + ga @ (d[p].T * gb)
+                        taylor = taylor * u + ga @ (dp[p].T * gb)
                     mid = np.where(close, taylor, mid)
-                mid[np.diag_indices(n)] = np.sum(ga * d[0] * gb.T, axis=1)  # u = 0: the p = 0 term
+                mid[np.diag_indices(n)] = np.sum(ga * dp[0] * gb.T, axis=1)  # u = 0: the p = 0 term
                 term = (None, (-sign) * (vec[s] @ mid @ vec[s].conj().T))
                 out[(s, s)] = _add(out[(s, s)], term, n) if (s, s) in out else term
     return SuperOperator._wrap(op.algebra, n, blocks, 0, name=f"exp({op.name})")

@@ -133,3 +133,11 @@ def test_trajectory_rows_keep_a_nan_mean(poison_call):
     means = [(r["mean_x"], r["mean_p"]) for r in tr["rows"]]
     assert all(math.isnan(v) for v in means[1])
     assert all(v < 1e-10 for k in (0, 2) for v in means[k])
+
+
+@pytest.mark.parametrize("seed", [97, 1193])
+def test_hermite_passes_where_cancellation_is_worst(seed):
+    """Seeds whose draws hit the recurrence's cancellation: 1.255e-12 and 7.208e-12 against the
+    1e-12 gate while each difference was divided by max(1, |He_n|)."""
+    record = next(r for r in suite_checks("basis", replace(RunConfig(), seed=seed)) if r["id"] == "basis.hermite")
+    assert record["pass"] and record["defect"] < 1e-15
