@@ -29,6 +29,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
+from .config import MAX_NODES
+
 __all__ = [
     "QuadratureSpec",
     "SYMMETRY_OPERATORS",
@@ -76,7 +78,7 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.nodes < 2:
             raise ValueError("need at least two quadrature nodes")
-        if self.nodes > 320:
+        if self.nodes > MAX_NODES:
             raise ValueError("node count too large for stable Gauss-Hermite weights")
 
 

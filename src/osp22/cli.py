@@ -156,8 +156,7 @@ def cmd_profile(args) -> int:
     params = _coh.CoherentParams(z, cfg.alpha_coeff)
     cf = _coh.closed_form(params)
     x = np.linspace(-args.xmax, args.xmax, args.xpoints)
-    psi = cf.psi(x, t)
-    phi = cf.phi(x, t)
+    psi, phi = cf.fields(x, t)[:2]
     path = _out_path(cfg, "osp22_profile.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# z = {format_complex(z)}\n")

@@ -8,7 +8,8 @@ parameter alpha = a * alpha_gen.  The three routes are
               exp(-x^2 / (4 (sigma + i t)))
       phi_z = a+ psi_z = -(i x / 4) (1 + sigma)/(sigma + i t) psi_z
   packaged as N (psi_z + sqrt(2) alpha theta phi_z) with the nilpotent
-  normalizer N = 1 + i conj(alpha) alpha / (4 (1 - |z|^2));
+  normalizer N = 1 + i conj(alpha) alpha / (4 (1 - |z|^2)); every caller
+  reads one evaluation (``fields``) and one quadrature pass (``moments``);
 * the raising series exp(z K+)(1 + alpha V+) applied to the vacuum, summed
   with a certified geometric tail and renormalized through the super inner
   product (exact, the factorization holds because [K+, V+] = 0 and
@@ -127,48 +128,62 @@ class ClosedFormState:
         coeff = 1j / (4.0 * (1.0 - self.params.rho))
         return self.algebra.one() + coeff * (a.conj() * a)
 
-    def _width(self, t: float) -> complex:
-        return self.sigma + 1j * t
+    def fields(self, x, t: float) -> tuple:
+        """(psi, phi, d/dx psi, d/dx phi) at (x, t) from one psi; Python complex for a scalar x."""
+        x = np.asarray(x, dtype=float)
+        w = self.sigma + 1j * t
+        q = (1.0 + self.sigma) / w
+        amp = ((self.sigma + np.conjugate(self.sigma)).real / (4.0 * np.pi)) ** 0.25
+        psi = amp / np.sqrt(w) * np.exp(-x * x / (4.0 * w))
+        phi = -0.25j * x * q * psi
+        dpsi = -x / (2.0 * w) * psi
+        dphi = -0.25j * q * (psi + x * dpsi)
+        vals = (psi, phi, dpsi, dphi)
+        return vals if x.ndim else tuple(map(complex, vals))
 
     def psi(self, x, t: float):
-        x = np.asarray(x, dtype=float)
-        w = self._width(t)
-        amp = ((self.sigma + np.conjugate(self.sigma)).real / (4.0 * np.pi)) ** 0.25
-        val = amp / np.sqrt(w) * np.exp(-x * x / (4.0 * w))
-        return complex(val) if val.ndim == 0 else val
+        return self.fields(x, t)[0]
 
     def phi(self, x, t: float):
-        x = np.asarray(x, dtype=float)
-        q = (1.0 + self.sigma) / self._width(t)
-        val = -0.25j * x * q * self.psi(x, t)
-        return complex(val) if val.ndim == 0 else val
+        return self.fields(x, t)[1]
 
     def dpsi(self, x, t: float):
-        x = np.asarray(x, dtype=float)
-        val = -x / (2.0 * self._width(t)) * self.psi(x, t)
-        return complex(val) if val.ndim == 0 else val
+        return self.fields(x, t)[2]
 
     def dphi(self, x, t: float):
-        x = np.asarray(x, dtype=float)
-        q = (1.0 + self.sigma) / self._width(t)
-        val = -0.25j * q * (self.psi(x, t) + x * self.dpsi(x, t))
-        return complex(val) if val.ndim == 0 else val
+        return self.fields(x, t)[3]
+
+    def moments(self, t: float = 0.0, spec=None) -> dict:
+        """Real norms and means <x>, <p> of psi_z and phi_z at t, from one ``fields`` pass.
+
+        The rule of ``spec`` is rescaled by ``quad_scale``; each mean is divided
+        by its norm, and each sum is the one ``basis.quad_inner`` forms, bit for bit.
+        """
+        spec = replace(spec or _basis.QuadratureSpec(), scale=quad_scale(self.params.z, t))
+        x, w = _basis.quad_grid(t, spec)
+        psi, phi, dpsi, dphi = self.fields(x, t)
+        def inner(f, g):
+            return complex(np.sum(w * np.conjugate(f) * g))
+        norm_psi, norm_phi = inner(psi, psi).real, inner(phi, phi).real
+        return {
+            "mean_x_psi": inner(psi, x * psi) / norm_psi,
+            "mean_x_phi": inner(phi, x * phi) / norm_phi,
+            "mean_p_psi": inner(psi, -1j * dpsi) / norm_psi,
+            "mean_p_phi": inner(phi, -1j * dphi) / norm_phi,
+            "norm_psi": norm_psi,
+            "norm_phi": norm_phi,
+        }
 
     def norm_sq(self, t: float = 0.0, spec=None) -> GrassmannElement:
-        """(Psi | Psi) assembled from quadrature norms and the normalizer.
+        """(Psi | Psi) assembled from the ``moments`` norms and the normalizer.
 
         Equals 1 exactly up to quadrature round-off: the nilpotent parts of
         N^2 and of the odd-sector norm cancel.
         """
-        spec = spec or _basis.QuadratureSpec()
-        spec = replace(spec, scale=quad_scale(self.params.z, t))
-        psi = lambda x: self.psi(x, t)
-        phi = lambda x: self.phi(x, t)
-        npsi = _basis.quad_inner(psi, psi, t, spec).real
-        nphi = _basis.quad_inner(phi, phi, t, spec).real
+        m = self.moments(t, spec)
         a = self.params.alpha(self.algebra)
         n2 = self.normalizer.power(2.0)
-        return n2 * (self.algebra.scalar(npsi) - 2j * nphi * (a.conj() * a))
+        return n2 * (self.algebra.scalar(m["norm_psi"]) - 2j * m["norm_phi"] * (a.conj() * a))
 
 
 def closed_form(params: CoherentParams, algebra=None) -> ClosedFormState:
@@ -292,13 +307,12 @@ def crosscheck(
     body_even = sv.coeffs[:n, 0].copy()  # contiguous: a strided operand changes BLAS's sum order
     psi_series = body_even @ even_vals
     psi_gamma = phase * (gamma_even @ even_vals)
-    psi_closed = cf.psi(grid, t)
+    psi_closed, phi_closed = cf.fields(grid, t)[:2]
     psi_diff = np.max(
         np.abs([psi_series - psi_closed, psi_gamma - psi_closed, psi_series - psi_gamma])
     )
 
     phi_gamma = phase * (gamma_odd @ odd_vals)
-    phi_closed = cf.phi(grid, t)
     phi_pairs = [phi_gamma - phi_closed]
     if params.alpha_coeff != 0:
         alpha_slot = sv.coeffs[n:, 1 << coefficient_algebra(alg).index["alpha"]]
@@ -394,23 +408,24 @@ def calibrate_convention(z: complex, algebra=None, tol: float = 1e-8) -> str:
     """Resolve the bra-labeling ambiguity of the symbols on K+.
 
     Returns "identity" when the computed symbol body follows z, "conjugate"
-    when it follows conj(z).  Requires a non-real z (the two candidates
-    coincide otherwise); with this representation the answer is "conjugate".
+    when it follows conj(z).  Raises ValueError unless these two candidates lie
+    more than 2 tol apart; with this representation the answer is "conjugate".
     """
     z = complex(z)
     if not 0.0 < abs(z) <= DISK_RADIUS:
         raise ValueError(f"calibration needs 0 < |z| <= {DISK_RADIUS}")
-    if abs(z.imag) < 1e-9 * max(1.0, abs(z)):
-        raise ValueError("calibration requires a non-real z")
+    denom = 2.0 * (1.0 - abs(z) ** 2)
+    identity, conjugate = z / denom, np.conjugate(z) / denom
+    if not abs(identity - conjugate) > 2.0 * tol:
+        raise ValueError(f"calibration needs candidates more than {2.0 * tol:.1e} apart at z = {z}")
     alg = algebra or default_algebra()
     params = CoherentParams(z)
     n = max(48, series_length_for(z, 1e-9))
     kplus = _rep.build_generator("K+", n, alg)
     body = berezin_symbol(kplus, params, alg).body
-    denom = 2.0 * (1.0 - abs(z) ** 2)
-    if abs(body - z / denom) < tol:
+    if abs(body - identity) < tol:
         return "identity"
-    if abs(body - np.conjugate(z) / denom) < tol:
+    if abs(body - conjugate) < tol:
         return "conjugate"
     raise CalibrationError(
         f"symbol body {body} matches neither z nor conj(z) candidate"
@@ -479,8 +494,8 @@ def trajectory(
     """Odd-sector expectations at time t plus the even-sector quadrature means.
 
     Returns the symbols of p*theta and x*theta (Grassmann elements supported
-    on conj(alpha)), the closed-form line parameters (x0, p0), and
-    <x>, <p> evaluated by quadrature on psi_z and phi_z separately.
+    on conj(alpha)), the closed-form line parameters (x0, p0), and the
+    ``ClosedFormState.moments`` entries: <x>, <p> and norms of psi_z and phi_z.
     """
     alg = algebra or default_algebra()
     n = n_max or max(64, series_length_for(params.z, 1e-7))
@@ -489,32 +504,11 @@ def trajectory(
     s_p, s_x = berezin_symbols([p_theta, x_theta], params, alg)
     x0, p0 = trajectory_closed_form(params)
 
-    cf = ClosedFormState(params, alg)
-    spec = spec or _basis.QuadratureSpec()
-    spec = replace(spec, scale=quad_scale(params.z, t))
-    psi = lambda x: cf.psi(x, t)
-    phi = lambda x: cf.phi(x, t)
-    dpsi = lambda x: cf.dpsi(x, t)
-    dphi = lambda x: cf.dphi(x, t)
-    norm_psi = _basis.quad_inner(psi, psi, t, spec).real
-    norm_phi = _basis.quad_inner(phi, phi, t, spec).real
-    x_psi = lambda x: x * psi(x)
-    x_phi = lambda x: x * phi(x)
-    mean_x_psi = _basis.quad_inner(psi, x_psi, t, spec) / norm_psi
-    mean_x_phi = _basis.quad_inner(phi, x_phi, t, spec) / norm_phi
-    mean_p_psi = _basis.quad_inner(psi, lambda x: -1j * dpsi(x), t, spec) / norm_psi
-    mean_p_phi = _basis.quad_inner(phi, lambda x: -1j * dphi(x), t, spec) / norm_phi
-
     return {
         "t": float(t),
         "p_theta": s_p,
         "x_theta": s_x,
         "x0": x0,
         "p0": p0,
-        "mean_x_psi": complex(mean_x_psi),
-        "mean_x_phi": complex(mean_x_phi),
-        "mean_p_psi": complex(mean_p_psi),
-        "mean_p_phi": complex(mean_p_phi),
-        "norm_psi": float(norm_psi),
-        "norm_phi": float(norm_phi),
+        **ClosedFormState(params, alg).moments(t, spec),
     }

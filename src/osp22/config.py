@@ -22,6 +22,7 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "DISK_RADIUS",
     "ENV_CONFIG_VAR",
+    "MAX_NODES",
     "MIN_NODES",
     "TOP_QUADRATURE_MODE",
 ]
@@ -43,9 +44,11 @@ DEFAULT_TOLERANCES = {
 DISK_RADIUS = 0.9
 
 # the basis suite integrates chi_m against a+- chi_m for m up to this mode, so
-# Gauss-Hermite needs at least one node more than it (QuadratureSpec)
+# Gauss-Hermite needs at least one node more than it; above MAX_NODES its
+# weights lose stability (QuadratureSpec)
 TOP_QUADRATURE_MODE = 21
 MIN_NODES = TOP_QUADRATURE_MODE + 1
+MAX_NODES = 320
 
 
 class ConfigError(ValueError):
@@ -108,9 +111,9 @@ class RunConfig:
     def validate(self, suite: str | None = None) -> None:
         if self.n_max < 8:
             raise ConfigError("n_max must be at least 8")
-        if not MIN_NODES <= self.nodes <= 320:
+        if not MIN_NODES <= self.nodes <= MAX_NODES:
             raise ConfigError(
-                f"nodes must lie in [{MIN_NODES}, 320]: the suites integrate modes up to "
+                f"nodes must lie in [{MIN_NODES}, {MAX_NODES}]: the suites integrate modes up to "
                 f"{TOP_QUADRATURE_MODE}"
             )
         if self.out_format not in ("json", "csv"):

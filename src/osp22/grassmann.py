@@ -16,8 +16,9 @@ targets a|b and their exact +-1 signs.  A product gathers the pair
 coefficients, forms the real and imaginary parts as separate float
 products and accumulates them per target in a fixed order that mirrors
 under conjugation (see ``ProductPlan``).  Conjugation and Berezin
-integration are signed index permutations.  All plan operations act on
-arrays of shape (..., 2^g), so a batch of products costs one call.
+integration are signed index permutations.  All plan operations but
+``sign_free_mul``, a scale for tests of rounding, act on arrays of shape
+(..., 2^g), so a batch of products costs one call.
 
 Two conventions are hard-wired:
 
@@ -219,6 +220,11 @@ class ProductPlan:
         terms[..., 0] = self.sign * (a.real * b.real - a.imag * b.imag)
         terms[..., 1] = self.sign * (a.real * b.imag + a.imag * b.real)
         return self._accumulate(terms)
+
+    def sign_free_mul(self, x, y) -> np.ndarray:
+        """sum over pairs of |x[a]| |y[b]| into mask a|b, for two arrays (2^g,): a real bound on
+        |x * y| and on the rounding of ``mul``, which |x * y| is not where its terms cancel."""
+        return np.bincount(self.left | self.right, _abs(x)[self.left] * _abs(y)[self.right], self.size)
 
     def contract(self, gram) -> np.ndarray:
         """sum over pairs of sign * gram[..., a, b] into mask a|b.

@@ -9,6 +9,7 @@ from osp22.cli import _collect_config, build_parser, main
 from osp22.coherent import CoherentParams
 from osp22.config import (
     DEFAULT_TOLERANCES,
+    MAX_NODES,
     MIN_NODES,
     TOP_QUADRATURE_MODE,
     ConfigError,
@@ -139,6 +140,21 @@ class TestVerifyCommand:
         assert MIN_NODES == TOP_QUADRATURE_MODE + 1 == 22
         assert main(["verify", "basis", "--nodes", str(MIN_NODES), "--out", str(tmp_path)]) == 0
 
+    def test_one_node_ceiling(self, tmp_path, capsys):
+        """The config and the quadrature rule reject the same node counts, each with its own error."""
+        assert main(["verify", "basis", "--nodes", str(MAX_NODES + 1), "--out", str(tmp_path)]) == 2
+        assert f"[{MIN_NODES}, {MAX_NODES}]" in capsys.readouterr().err
+        assert QuadratureSpec(nodes=MAX_NODES).nodes == MAX_NODES
+        with pytest.raises(ValueError, match="node count too large"):
+            QuadratureSpec(nodes=MAX_NODES + 1)
+
+    def test_near_real_z_before_a_calibration_point(self, tmp_path):
+        """The first z is too close to real to calibrate on, so 0.5i is used and all checks pass."""
+        assert main(["verify", "coherent", "--z", "1e-10+2e-9i,0.5i", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "osp22_verify_coherent.json").read_text())
+        (record,) = [c for c in doc["payload"]["checks"] if c["id"] == "coherent.calibration"]
+        assert record["pass"] and record["description"].endswith("(conjugate)")
+
     def test_report_payload_deterministic(self, tmp_path):
         main(["verify", "grassmann", "--out", str(tmp_path / "a")])
         main(["verify", "grassmann", "--out", str(tmp_path / "b")])
@@ -267,6 +283,13 @@ class TestSymbolsCommand:
         body = k0_rows[0]["computed_body"]
         assert abs(complex(body["re"], body["im"]) - 0.25 * 1.09 / 0.91) < 1e-10
         assert k0_rows[0]["computed_soul"] == []
+
+
+    def test_near_real_z_is_not_a_calibration_point(self, tmp_path):
+        """3e-9i puts both candidate bodies within tol; calibration moves to 0.3+0.25i."""
+        assert main(["symbols", "--z", "3e-9i", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "osp22_symbols.json").read_text())
+        assert doc["convention"] == "conjugate" and doc["pass"]
 
 
 class TestTrajectoryCommand:

@@ -79,6 +79,9 @@ class TestClosedForm:
             d1 = cf.dpsi(x, t)
             raised = 0.5 * (1j + t) * d1 - 0.25j * x * v
             assert np.abs(raised - cf.phi(x, t)).max() < 1e-14
+            h = 1e-5
+            central = (cf.phi(x + h, t) - cf.phi(x - h, t)) / (2 * h)
+            assert np.abs(central - cf.dphi(x, t)).max() < 1e-9
 
     def test_phi_norm_value(self):
         z = 0.5j
@@ -91,6 +94,37 @@ class TestClosedForm:
     def test_norm_sq_identity(self):
         cf = coh.closed_form(coh.CoherentParams(0.5j, 0.7 - 0.2j))
         assert (cf.norm_sq(0.5) - 1.0).max_abs() < 1e-12
+
+    @pytest.mark.parametrize(
+        "z, t", [(0.0, 0.0), (0.3, 1.0), (0.5j, -5.0), (-0.7, 0.5), (_ring(0.7), 2.0), (0.2 - 0.4j, 50.0)]
+    )
+    def test_moments_match_the_quad_inner_route(self, z, t):
+        """Each moment equals its basis.quad_inner integral bit for bit."""
+        cf = coh.closed_form(coh.CoherentParams(z))
+        spec = replace(b.QuadratureSpec(nodes=120), scale=coh.quad_scale(z, t))
+        psi, phi = (lambda x: cf.psi(x, t)), (lambda x: cf.phi(x, t))
+        norm_psi = b.quad_inner(psi, psi, t, spec).real
+        norm_phi = b.quad_inner(phi, phi, t, spec).real
+        want = {
+            "mean_x_psi": b.quad_inner(psi, lambda x: x * psi(x), t, spec) / norm_psi,
+            "mean_x_phi": b.quad_inner(phi, lambda x: x * phi(x), t, spec) / norm_phi,
+            "mean_p_psi": b.quad_inner(psi, lambda x: -1j * cf.dpsi(x, t), t, spec) / norm_psi,
+            "mean_p_phi": b.quad_inner(phi, lambda x: -1j * cf.dphi(x, t), t, spec) / norm_phi,
+            "norm_psi": norm_psi,
+            "norm_phi": norm_phi,
+        }
+        got = cf.moments(t, b.QuadratureSpec(nodes=120))
+        assert got == want
+        assert type(got["norm_psi"]) is float and type(got["mean_p_phi"]) is complex
+
+    def test_fields_of_a_scalar_are_python_complex(self):
+        cf = coh.closed_form(coh.CoherentParams(0.4 - 0.3j))
+        scalar = cf.fields(0.7, 1.5)
+        assert all(type(v) is complex for v in scalar)
+        grid = cf.fields(np.array([-0.7, 0.7]), 1.5)
+        assert all(v.shape == (2,) for v in grid)
+        np.testing.assert_allclose(scalar, [v[1] for v in grid], rtol=1e-15)
+        assert scalar == (cf.psi(0.7, 1.5), cf.phi(0.7, 1.5), cf.dpsi(0.7, 1.5), cf.dphi(0.7, 1.5))
 
 
 class TestExpansionCoefficients:
@@ -242,8 +276,13 @@ class TestSymbols:
         assert abs(body - np.conjugate(z) / (2.0 * (1.0 - abs(z) ** 2))) < 1e-13
 
     def test_calibration_needs_nonreal(self):
-        with pytest.raises(ValueError):
-            coh.calibrate_convention(0.5, ALG)
+        """A real z, or one whose two candidate bodies lie within 2 tol, cannot tell the conventions apart."""
+        for z in (0.5, 2e-9j, 1e-10 + 2e-9j, 0.3 + 5e-9j):
+            with pytest.raises(ValueError, match="candidates"):
+                coh.calibrate_convention(z, ALG)
+
+    def test_calibration_just_past_the_separation(self):
+        assert coh.calibrate_convention(3e-8j, ALG) == "conjugate"
 
     def test_identity_symbol(self):
         p = coh.CoherentParams(0.5, 1.0)
@@ -323,6 +362,22 @@ class TestTrajectory:
         assert np.abs(np.polyval(coef, ts) - np.asarray(sx)).max() < 1e-9
         assert abs(coef[0] - 2 * p0 * abar) < 1e-9
         assert abs(coef[1] - x0 * abar) < 1e-9
+
+    def test_keys(self):
+        r = coh.trajectory(coh.CoherentParams(0.3 - 0.2j, 0.5), 0.5, ALG)
+        assert list(r) == [
+            "t",
+            "p_theta",
+            "x_theta",
+            "x0",
+            "p0",
+            "mean_x_psi",
+            "mean_x_phi",
+            "mean_p_psi",
+            "mean_p_phi",
+            "norm_psi",
+            "norm_phi",
+        ]
 
     def test_even_sector_is_at_rest(self):
         r = coh.trajectory(coh.CoherentParams(0.5j, 1.0), 1.0, ALG)

@@ -32,17 +32,6 @@ def elements():
     )
 
 
-def _sign_free_product(*factors):
-    """Coefficients of the product of the factors with every plan sign +1 and every
-    coefficient replaced by its modulus."""
-    plan = ALG.plan
-    out = np.abs(factors[0].coeffs)
-    for f in factors[1:]:
-        weights = out[plan.left] * np.abs(f.coeffs)[plan.right]
-        out = np.bincount(plan.left | plan.right, weights=weights, minlength=out.size)
-    return out
-
-
 def _mono(mask):
     out = ALG.one()
     for k, name in enumerate(ALG.generators):
@@ -73,7 +62,19 @@ class TestProduct:
         """The defect is scaled by the sign-free triple product |a| |b| |c|, which bounds the
         rounding of both groupings; |(ab)c| does not where their terms cancel."""
         defect = ((a * b) * c - a * (b * c)).max_abs()
-        assert defect <= 1e-14 * _sign_free_product(a, b, c).max()
+        scale = ALG.plan.sign_free_mul(ALG.plan.sign_free_mul(a.coeffs, b.coeffs), c.coeffs)
+        assert defect <= 1e-14 * scale.max()
+
+    def test_sign_free_mul_bounds_the_product(self):
+        rng = np.random.default_rng(3)
+        for alg in (ALG, GrassmannAlgebra(GENERATORS_EXTENDED)):
+            for _ in range(20):
+                x, y = random_element(alg, rng), random_element(alg, rng)
+                bound = alg.plan.sign_free_mul(x.coeffs, y.coeffs)
+                assert bound.shape == (alg.size,) and bound.dtype == float
+                assert np.all(np.abs((x * y).coeffs) <= bound * (1 + 1e-15))
+        # theta_bar theta = -theta theta_bar: the sign is dropped, the modulus kept
+        assert ALG.plan.sign_free_mul(THETA_BAR.coeffs, THETA.coeffs)[3] == 1.0
 
     def test_supercommutativity_random(self):
         rng = np.random.default_rng(11)

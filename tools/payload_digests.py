@@ -9,19 +9,25 @@ byte-identical.  Run from the root of a checkout, with osp22 taken from
 
 The payloads are ``verify all`` at ``RunConfig()``; the algebra suite at
 n_max 8, 17, 40, 128 and 512 and at seed 101; the coherent suite at
-alpha = 0.7-0.4i; and the 16 job records of the benchmark's
-``coherent_sweep`` workload at seed 1201, built by this checkout's
-``perfbench/workloads.py``.
+alpha = 0.7-0.4i; the 16 job records of the benchmark's ``coherent_sweep``
+workload at seed 1201, built by this checkout's ``perfbench/workloads.py``;
+and the files that the ``profile``, ``symbols`` and ``trajectory`` commands
+export at their defaults, written to a temporary directory through
+``osp22.cli.main`` and digested as written.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+from osp22.cli import main as cli_main
 from osp22.config import RunConfig
 from osp22.suites import run_suite
 
@@ -36,6 +42,11 @@ SUITE_RUNS = {
     "coherent.alpha=0.7-0.4i": ("coherent", replace(BASE, alpha_coeff=0.7 - 0.4j)),
 }
 SWEEP_SEED = 1201
+EXPORTS = {
+    "profile": "osp22_profile.csv",
+    "symbols": "osp22_symbols.json",
+    "trajectory": "osp22_trajectory.csv",
+}
 
 
 def payloads():
@@ -47,10 +58,21 @@ def payloads():
     yield f"coherent_sweep.seed={SWEEP_SEED}", [unit.run()[0] for unit in sweep.units]
 
 
+def exports():
+    """(command, file bytes) pairs of each export command run at its defaults."""
+    with tempfile.TemporaryDirectory() as out:
+        for command, filename in EXPORTS.items():
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli_main([command, "--out", out])
+            yield command, (Path(out) / filename).read_bytes()
+
+
 def main() -> None:
     for name, payload in payloads():
         digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
         print(name, digest, flush=True)
+    for name, data in exports():
+        print(name, hashlib.sha256(data).hexdigest(), flush=True)
 
 
 if __name__ == "__main__":
