@@ -119,8 +119,8 @@ class RunConfig:
         if self.out_format not in ("json", "csv"):
             raise ConfigError("format must be 'json' or 'csv'")
         for name, value in self.tolerances.items():
-            if value <= 0:
-                raise ConfigError(f"tolerance {name!r} must be positive")
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"tolerance {name!r} value {value!r} must be finite and positive")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if not self.z_samples or not self.t_samples:

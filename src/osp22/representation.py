@@ -21,13 +21,13 @@ is that diagonal alone: its max(0, N - |d|) entries (r, r - d) in increasing
 row r.  When d is None, part is the N x N array.  Every quadrant sum goes
 through one rule, ``_add``: two records on the same diagonal add as 1-D
 arrays, and any other pair is expanded to N x N and added.  A product of two
-diagonals is one elementwise product on diagonal d1 + d2; any other pair is
-one N x N matrix product of the expansions, which ``_dense`` keeps on the
-operator for the next product or ``apply``: the superspace suite applies the
-same generators to vector after vector.  A diagonal meets dense arithmetic
-only through ``_expand``, which places it in an N x N array of zeros, so
-every such number comes from the same matrix product as when every quadrant
-was stored dense.
+diagonals is one elementwise product on diagonal d1 + d2, and ``apply``
+multiplies a diagonal onto the rows it reaches.  A diagonal is expanded to
+N x N only by ``_expand``, which places it in a temporary array of zeros, and
+only where it meets an N x N record or dense arithmetic: ``_add`` across two
+diagonals, a product with an N x N quadrant, ``block`` and the body in
+``_spectral_exp``.  Each such number comes from the same matrix product as
+when every quadrant was stored dense.
 
 ``_spectral_exp`` exponentiates the displacement exponent from one
 eigendecomposition of its body per sector; ``operator_exp``, scaling and
@@ -162,7 +162,7 @@ class SuperOperator:
     ``block(mask)`` assembles one block.
     """
 
-    __slots__ = ("algebra", "n_max", "blocks", "parity_bit", "_name", "_expanded")
+    __slots__ = ("algebra", "n_max", "blocks", "parity_bit", "_name")
 
     def __init__(self, algebra, n_max: int, blocks: dict, parity, name: str = ""):
         """Copies the nonzero quadrants of each (2N x 2N) block, a one-diagonal
@@ -207,7 +207,6 @@ class SuperOperator:
         self.blocks = blocks
         self.parity_bit = parity
         self._name = name
-        self._expanded = {}
 
     # -- basic views -------------------------------------------------------------
 
@@ -235,18 +234,6 @@ class SuperOperator:
             parts[i, :, j] = _expand(record, n)
         mat = parts.reshape(2 * n, 2 * n)
         mat.flags.writeable = False
-        return mat
-
-    def _dense(self, mask: int, ij: tuple) -> np.ndarray:
-        """Held quadrant ``ij`` of block ``mask`` as an N x N array.  A diagonal is
-        expanded once per operator, which pays where one operator meets many
-        vectors or factors, as in ``superspace.superadjoint_defect``."""
-        record = self.blocks[mask][ij]
-        if record[0] is None:
-            return record[1]
-        mat = self._expanded.get((mask, ij))
-        if mat is None:
-            mat = self._expanded[(mask, ij)] = _expand(record, self.n_max)
         return mat
 
     @property
@@ -361,7 +348,7 @@ class SuperOperator:
                         if y is None:
                             continue
                         if x[0] is None or y[0] is None:
-                            term = (None, self._dense(am, (i, k)) @ other._dense(cm, (k, j)))
+                            term = (None, _expand(x, n) @ _expand(y, n))
                         else:
                             term = _diagonal_product(x, y, n)
                         if sign < 0:
@@ -370,19 +357,31 @@ class SuperOperator:
         return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.parity_bit ^ other.parity_bit)
 
     def apply(self, v: SuperVector) -> SuperVector:
-        """Quadrant products per block, Koszul-signed, scattered to columns am|v."""
+        """Quadrant products per block, Koszul-signed, scattered to columns am|v.
+
+        A diagonal record (d, part) of quadrant (i, j) acts on the rows it
+        reaches, lo <= r < hi with lo, hi = max(0, d), N + min(0, d): row r of
+        sector i gains part[r - lo] times row r - d of sector j, one slice
+        product for all rows.  An N x N record is one matrix product.
+        """
         if v.n_max != self.n_max:
             raise DimensionMismatchError("vector truncation differs from operator")
         if not self.algebra.compatible(v.algebra):
             raise AlgebraMismatchError("vector over an incompatible algebra")
         plan = coefficient_algebra(v.algebra).plan
-        coeffs = v.coeffs.reshape(2, self.n_max, -1)  # sector, mode, monomial column
+        n = self.n_max
+        coeffs = v.coeffs.reshape(2, n, -1)  # sector, mode, monomial column
         out = np.zeros_like(coeffs)
         for am, quads in self.blocks.items():
-            part = np.zeros_like(coeffs)
-            for i, j in sorted(quads):
-                part[i] += self._dense(am, (i, j)) @ coeffs[j]
-            graded = plan.grade(part) if self.parity_bit ^ plan.parity[am] else part
+            acc = np.zeros_like(coeffs)
+            for (i, j), (d, part) in sorted(quads.items()):
+                if d is None:
+                    acc[i] += part @ coeffs[j]
+                else:
+                    lo = max(0, d)
+                    hi = max(lo, n + min(0, d))  # lo == hi: the diagonal lies outside the quadrant
+                    acc[i, lo:hi] += part[:, None] * coeffs[j, lo - d : hi - d]
+            graded = plan.grade(acc) if self.parity_bit ^ plan.parity[am] else acc
             out += plan.left_mul(am, graded)
         return SuperVector.from_coeffs(v.algebra, out.reshape(v.coeffs.shape))
 

@@ -217,12 +217,24 @@ class TestValidatedDomain:
             (["profile", "--xmax=-3"], "xmax value -3.0 must be finite and positive"),
             (["trajectory", "--z", "0.3", "--t", "0.5"], "affine fit needs at least 3 t samples, got 1"),
             (["trajectory", "--z", "0.3", "--t", "0,1"], "affine fit needs at least 3 t samples, got 2"),
+            (["verify", "grassmann", "--tol-grassmann=nan"], "tolerance 'grassmann' value nan must be finite"),
+            (["verify", "grassmann", "--tol-grassmann=inf"], "tolerance 'grassmann' value inf must be finite"),
+            (["verify", "grassmann", "--tol-grassmann=0"], "tolerance 'grassmann' value 0.0 must be finite"),
         ],
     )
     def test_exits_2(self, tmp_path, capsys, argv, message):
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_non_finite_tolerance_in_a_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("tol_algebra = nan\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["verify", "algebra", "--config", str(path), "--out", str(out)]) == 2
+        assert "tolerance 'algebra' value nan must be finite and positive" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
 
 class TestProfileCommand:

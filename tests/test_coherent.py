@@ -190,6 +190,14 @@ class TestCrosscheck:
         r = coh.crosscheck(coh.CoherentParams(0.0), 0.0, n_max=8)
         assert r["max_pairwise_psi"] < 1e-14
 
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-310j, -3e-300 + 1e-300j, 2.0])
+    def test_phi_series_route_at_any_alpha(self, alpha):
+        """The phi series route reads the alpha-free series, so an alpha whose products with the
+        series coefficients are subnormal cannot make its quotient NaN (5e-324 did)."""
+        r = coh.crosscheck(coh.CoherentParams(0.8 + 0.2j, alpha), 1.0)
+        assert r["max_pairwise_phi"] < 1e-8
+        assert r["max_pairwise_phi"] == coh.crosscheck(coh.CoherentParams(0.8 + 0.2j, 1.0), 1.0)["max_pairwise_phi"]
+
 
 class TestDisplacement:
     def test_identity_at_origin(self):

@@ -635,6 +635,38 @@ class TestApplyColumns:
                 got = coefficient_algebra(alg).lift(o.apply(v).coeffs)
                 np.testing.assert_array_equal(got, _apply_all_columns(o, v))
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 128])
+    @pytest.mark.parametrize("alg", [ALG, ALG6], ids=["g4", "g6"])
+    def test_diagonals_apply_without_expansion(self, alg, n, monkeypatch):
+        """``apply`` never expands a record: a diagonal acts by one slice product, also where it
+        lies partly or wholly outside the quadrant (K+- cubed at N = 2 sit on diagonals +-3), and
+        an N x N record, as in X3, X4, h and p_theta, by its matrix product.  Where each entry
+        of a diagonal is real or imaginary, as in every generator, both give the all-column
+        product bit for bit.  Entries with both parts nonzero, as in (0.7 - 0.4i) alpha V+,
+        may round differently in the BLAS product, so that operator agrees to rounding."""
+        rng = np.random.default_rng(43)
+        al, alb = alg.gen("alpha"), alg.gen("alpha_bar")
+        gen = {name: build_generator(name, n, alg) for name in ALL_NAMES}
+        ops = [*gen.values(), xtheta_operator(n, 0.7, alg), al * gen["V+"], (al * alb) * gen["K-"],
+               gen["K+"] @ gen["K+"] @ gen["K+"], gen["K-"] @ gen["K-"] @ gen["K-"], gen["V-"] @ gen["K-"],
+               (0.7 - 0.4j) * al * gen["V+"]]
+        expand = representation._expand
+
+        def refuse(record, size):
+            raise AssertionError("apply expanded a quadrant record")
+
+        for o in ops:
+            for parity in (None, "even", "odd"):
+                v = random_supervector(n, rng, alg, parity=parity)
+                monkeypatch.setattr(representation, "_expand", refuse)
+                got = coefficient_algebra(alg).lift(o.apply(v).coeffs)
+                monkeypatch.setattr(representation, "_expand", expand)
+                want = _apply_all_columns(o, v)
+                if o is ops[-1]:
+                    np.testing.assert_allclose(got, want, rtol=0, atol=4e-16 * np.abs(want).max())
+                else:
+                    np.testing.assert_array_equal(got, want, err_msg=o.name)
+
     def test_incompatible_vector_rejected(self):
         vac = SuperVector.basis_state(0, 0, N, ALG)
         with pytest.raises(AlgebraMismatchError):

@@ -10,7 +10,10 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osp22 import basis as _basis
 from osp22 import coherent as _coh
@@ -18,7 +21,7 @@ from osp22 import representation as _rep
 from osp22 import superspace as _ss
 from osp22.basis import QuadratureSpec
 from osp22.cli import main
-from osp22.config import DEFAULT_TOLERANCES, RunConfig
+from osp22.config import DEFAULT_TOLERANCES, DISK_RADIUS, RunConfig
 from osp22.grassmann import GrassmannElement, default_algebra
 from osp22.representation import hamiltonian_defects
 from osp22.suites import CHECKS, SUITE_NAMES, _check, suite_checks, symbols_check, trajectory_rows
@@ -141,3 +144,39 @@ def test_hermite_passes_where_cancellation_is_worst(seed):
     1e-12 gate while each difference was divided by max(1, |He_n|)."""
     record = next(r for r in suite_checks("basis", replace(RunConfig(), seed=seed)) if r["id"] == "basis.hermite")
     assert record["pass"] and record["defect"] < 1e-15
+
+
+def _disk_point(radius, phase):
+    """radius * e^{i phase}, moved inward an ulp at a time until it lies in the closed disk, so
+    a ring point drawn at DISK_RADIUS is one that ``validate`` accepts."""
+    z = radius * np.exp(1j * phase)
+    while abs(z) > DISK_RADIUS:
+        z *= 1.0 - 2.0**-53
+    return complex(z)
+
+
+_PHASES = st.floats(-np.pi, np.pi)
+_RADII = st.one_of(st.just(DISK_RADIUS), st.floats(0.0, DISK_RADIUS))
+# the validated domain: n_max >= 8, nodes in [22, 320], |z| <= 0.9, any real t, any seed;
+# alpha stays in |alpha| <= 2 because the absolute coherent gates fail at large alpha
+SWEEP = st.builds(
+    RunConfig,
+    n_max=st.sampled_from([8, 17, 32, 64, 128]),
+    nodes=st.sampled_from([22, 200, 320]),
+    z_samples=st.lists(st.builds(_disk_point, _RADII, _PHASES), min_size=1, max_size=3).map(tuple),
+    t_samples=st.lists(
+        st.one_of(st.floats(-5.0, 5.0), st.sampled_from([50.0, 1e3])), min_size=1, max_size=3
+    ).map(tuple),
+    alpha_coeff=st.builds(lambda r, phase: complex(r * np.exp(1j * phase)), st.floats(0.0, 2.0), _PHASES),
+    seed=st.integers(min_value=0),
+)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(cfg=SWEEP, suites=st.lists(st.sampled_from(SUITE_NAMES), min_size=1, max_size=2, unique=True))
+def test_every_check_passes_over_the_validated_domain(cfg, suites):
+    """Each drawn point lies in the domain ``validate`` accepts, and there every record passes."""
+    for suite in suites:
+        cfg.validate(suite)
+        failed = [(r["id"], r["defect"], r["tolerance"]) for r in suite_checks(suite, cfg) if not r["pass"]]
+        assert not failed, (suite, cfg)

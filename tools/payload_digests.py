@@ -11,8 +11,10 @@ The payloads are ``verify all`` at ``RunConfig()``; the algebra suite at
 n_max 8, 17, 40, 128 and 512 and at seed 101; the coherent suite at
 alpha = 0.7-0.4i; the 16 job records of the benchmark's ``coherent_sweep``
 workload at seed 1201, built by this checkout's ``perfbench/workloads.py``;
-and the files that the ``profile``, ``symbols`` and ``trajectory`` commands
-export at their defaults, written to a temporary directory through
+the files that the ``profile``, ``symbols`` and ``trajectory`` commands
+export at their defaults; and, as ``verify-csv``, the check table that
+``verify all --format csv`` writes to ``osp22_verify_all.csv`` with its own
+CSV writer.  Each file is written to a temporary directory through
 ``osp22.cli.main`` and digested as written.
 """
 
@@ -42,10 +44,11 @@ SUITE_RUNS = {
     "coherent.alpha=0.7-0.4i": ("coherent", replace(BASE, alpha_coeff=0.7 - 0.4j)),
 }
 SWEEP_SEED = 1201
-EXPORTS = {
-    "profile": "osp22_profile.csv",
-    "symbols": "osp22_symbols.json",
-    "trajectory": "osp22_trajectory.csv",
+EXPORTS = {  # name: (command line, file it writes)
+    "profile": (["profile"], "osp22_profile.csv"),
+    "symbols": (["symbols"], "osp22_symbols.json"),
+    "trajectory": (["trajectory"], "osp22_trajectory.csv"),
+    "verify-csv": (["verify", "all", "--format", "csv"], "osp22_verify_all.csv"),
 }
 
 
@@ -59,12 +62,12 @@ def payloads():
 
 
 def exports():
-    """(command, file bytes) pairs of each export command run at its defaults."""
+    """(name, file bytes) pairs of each export command line run at its defaults."""
     with tempfile.TemporaryDirectory() as out:
-        for command, filename in EXPORTS.items():
+        for name, (argv, filename) in EXPORTS.items():
             with contextlib.redirect_stdout(io.StringIO()):
-                cli_main([command, "--out", out])
-            yield command, (Path(out) / filename).read_bytes()
+                cli_main([*argv, "--out", out])
+            yield name, (Path(out) / filename).read_bytes()
 
 
 def main() -> None:
