@@ -1,6 +1,11 @@
 """Command-line front end: verification suites, wave-function profiles,
 generator symbols, and trajectory exports.
 
+Each command takes only the flags whose settings it reads, as ``_COMMANDS``
+lists them, and any other flag is a usage error.  ``_FLAGS`` declares each flag
+once, with the ``RunConfig`` field it sets as its dest.  A config file may set
+any ``RunConfig`` key for every command.
+
 Exit codes: 0 all checks pass / output written, 1 check failure,
 2 usage or configuration error.
 """
@@ -12,6 +17,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -34,60 +40,20 @@ __all__ = ["main", "build_parser"]
 
 TRAJECTORY_TIMES = (0.0, 1.0, 2.0, 3.0)  # trajectory t samples when neither --t nor a config file sets them
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="osp22",
-        description=(
-            "Verification harness for the Grassmann/superspace free-particle "
-            "library: run check suites, export wave-function profiles, "
-            "generator symbols, and odd-sector trajectories."
-        ),
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to a key=value config file")
-    common.add_argument("--nmax", type=int, dest="n_max", help="truncation (default 32)")
-    common.add_argument("--nodes", type=int, help="quadrature node count (default 200)")
-    common.add_argument("--seed", type=int, help="seed for randomized checks")
-    common.add_argument("--z", action="append", help="z sample 'a+bi' (repeatable or comma list)")
-    common.add_argument("--alpha", help="odd-parameter coefficient 'a+bi'")
-    common.add_argument("--t", help="comma-separated t samples")
-    common.add_argument("--out", help="output file or directory")
-    common.add_argument("--format", choices=("json", "csv"), dest="out_format")
-    for name in DEFAULT_TOLERANCES:
-        common.add_argument(f"--tol-{name}", type=float, dest=f"tol_{name}")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-    p_verify = sub.add_parser("verify", parents=[common], help="run a verification suite")
-    p_verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
-
-    p_profile = sub.add_parser("profile", parents=[common], help="export psi_z, phi_z on a grid")
-    p_profile.add_argument("--xmax", type=float, default=10.0)
-    p_profile.add_argument("--xpoints", type=int, default=201)
-
-    sub.add_parser("symbols", parents=[common], help="export generator symbols vs closed forms")
-
-    sub.add_parser("trajectory", parents=[common], help="export the odd-sector trajectory")
-    return parser
+_CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
 
 
 def _collect_config(args, defaults: dict | None = None) -> RunConfig:
     """The command's ``defaults``, then the config file, then the flags, each winning over the last."""
     path = args.config or config_file_from_env()
     file_values = {**(defaults or {}), **(load_config_file(path) if path else {})}
-    overrides: dict = {}
-    for key in ("n_max", "nodes", "seed", "out_format", *(f"tol_{name}" for name in DEFAULT_TOLERANCES)):
-        val = getattr(args, key, None)
-        if val is not None:
-            overrides[key] = val
-    if getattr(args, "z", None):
-        overrides["z_samples"] = ",".join(args.z)
-    if getattr(args, "t", None):
-        overrides["t_samples"] = args.t
-    if getattr(args, "alpha", None) is not None:
-        overrides["alpha_coeff"] = args.alpha
-    if getattr(args, "out", None):
-        overrides["out_dir"] = args.out
+    overrides = {
+        key: val
+        for key, val in vars(args).items()
+        if val is not None and (key in _CONFIG_FIELDS or key.startswith("tol_"))
+    }
+    if "z_samples" in overrides:
+        overrides["z_samples"] = ",".join(overrides["z_samples"])
     return build_config(file_values, overrides)
 
 
@@ -104,6 +70,18 @@ def _dump_json(path: str, document: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(document, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_csv(path: str, comments: dict, header: list, rows) -> None:
+    """One ``# key = value`` line per comment, then the header and rows through ``csv.writer``.
+
+    A float cell is written as its repr, which is its str.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(f"# {key} = {value}\n" for key, value in comments.items())
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_verify(args) -> int:
@@ -127,19 +105,8 @@ def cmd_verify(args) -> int:
     print(f"report written to {path}")
     if cfg.out_format == "csv":
         csv_path = os.path.splitext(path)[0] + ".csv"
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id", "description", "defect", "tolerance", "pass"])
-            for check in payload["checks"]:
-                writer.writerow(
-                    [
-                        check["id"],
-                        check["description"],
-                        repr(check["defect"]),
-                        repr(check["tolerance"]),
-                        check["pass"],
-                    ]
-                )
+        keys = ["id", "description", "defect", "tolerance", "pass"]
+        _write_csv(csv_path, {}, keys, [[check[k] for k in keys] for check in payload["checks"]])
         print(f"check table written to {csv_path}")
     return 0 if payload["overall_pass"] else 1
 
@@ -158,23 +125,12 @@ def cmd_profile(args) -> int:
     x = np.linspace(-args.xmax, args.xmax, args.xpoints)
     psi, phi = cf.fields(x, t)[:2]
     path = _out_path(cfg, "osp22_profile.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# z = {format_complex(z)}\n")
-        fh.write(f"# t = {t!r}\n")
-        fh.write(f"# n_max = {cfg.n_max}\n")
-        fh.write(f"# sigma = {format_complex(cf.sigma)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["x", "re_psi", "im_psi", "re_phi", "im_phi"])
-        for k in range(x.size):
-            writer.writerow(
-                [
-                    repr(float(x[k])),
-                    repr(float(psi[k].real)),
-                    repr(float(psi[k].imag)),
-                    repr(float(phi[k].real)),
-                    repr(float(phi[k].imag)),
-                ]
-            )
+    _write_csv(
+        path,
+        {"z": format_complex(z), "t": repr(t), "sigma": format_complex(cf.sigma)},
+        ["x", "re_psi", "im_psi", "re_phi", "im_phi"],
+        np.column_stack([x, psi.real, psi.imag, phi.real, phi.imag]).tolist(),
+    )
     print(f"profile written to {path}")
     return 0
 
@@ -232,48 +188,81 @@ def cmd_trajectory(args) -> int:
     x0, p0 = tr["x0"], tr["p0"]
 
     path = _out_path(cfg, "osp22_trajectory.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# z = {format_complex(z)}\n")
-        fh.write(f"# alpha = {format_complex(cfg.alpha_coeff)}\n")
-        fh.write(f"# x0 = {format_complex(x0)}\n")
-        fh.write(f"# p0 = {format_complex(p0)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "t",
-                "re_x_theta",
-                "im_x_theta",
-                "re_p_theta",
-                "im_p_theta",
-                "re_x0",
-                "im_x0",
-                "re_p0",
-                "im_p0",
-                "mean_x",
-                "mean_p",
-                "fit_residual",
-            ]
-        )
-        for row in tr["rows"]:
-            xth, pth = row["x_theta"], row["p_theta"]
-            writer.writerow(
-                [
-                    repr(row["t"]),
-                    repr(xth.real),
-                    repr(xth.imag),
-                    repr(pth.real),
-                    repr(pth.imag),
-                    repr(x0.real),
-                    repr(x0.imag),
-                    repr(p0.real),
-                    repr(p0.imag),
-                    repr(row["mean_x"]),
-                    repr(row["mean_p"]),
-                    repr(tr["fit_residual"]),
-                ]
-            )
+    header = ["t", "re_x_theta", "im_x_theta", "re_p_theta", "im_p_theta", "re_x0", "im_x0", "re_p0", "im_p0"]
+    header += ["mean_x", "mean_p", "fit_residual"]
+    fixed = [x0.real, x0.imag, p0.real, p0.imag]
+    rows = [
+        [r["t"], r["x_theta"].real, r["x_theta"].imag, r["p_theta"].real, r["p_theta"].imag, *fixed]
+        + [r["mean_x"], r["mean_p"], tr["fit_residual"]]
+        for r in tr["rows"]
+    ]
+    comments = {"z": z, "alpha": cfg.alpha_coeff, "x0": x0, "p0": p0}
+    _write_csv(path, {k: format_complex(v) for k, v in comments.items()}, header, rows)
     print(f"trajectory written to {path} (affine fit residual {tr['fit_residual']:.3e})")
     return 0
+
+
+# Every flag, declared once.  A flag that sets a RunConfig field has that
+# field's name as its dest (tol_<name> for a tolerance), so _collect_config
+# reads the overrides straight off the parsed namespace.
+_FLAGS = {
+    "suite": dict(choices=SUITE_NAMES + ("all",)),
+    "--config": dict(help="path to a key=value config file"),
+    "--nmax": dict(type=int, dest="n_max", help="truncation (default 32)"),
+    "--nodes": dict(type=int, help="quadrature node count (default 200)"),
+    "--seed": dict(type=int, help="seed for randomized checks"),
+    "--z": dict(action="append", dest="z_samples", help="z sample 'a+bi' (repeatable or comma list)"),
+    "--alpha": dict(dest="alpha_coeff", help="odd-parameter coefficient 'a+bi'"),
+    "--t": dict(dest="t_samples", help="comma-separated t samples"),
+    "--out": dict(dest="out_dir", help="output file or directory"),
+    "--format": dict(choices=("json", "csv"), dest="out_format"),
+    **{f"--tol-{name}": dict(type=float, dest=f"tol_{name}") for name in DEFAULT_TOLERANCES},
+    "--xmax": dict(type=float, default=10.0),
+    "--xpoints": dict(type=int, default=201),
+}
+
+_COMMANDS = {  # name: (handler, help, the flags whose settings it reads)
+    "verify": (
+        cmd_verify,
+        "run a verification suite",
+        ("suite", "--config", "--nmax", "--nodes", "--seed", "--z", "--alpha", "--t", "--out", "--format")
+        + tuple(f"--tol-{name}" for name in DEFAULT_TOLERANCES),
+    ),
+    "profile": (
+        cmd_profile,
+        "export psi_z, phi_z on a grid",
+        ("--config", "--z", "--alpha", "--t", "--out", "--xmax", "--xpoints"),
+    ),
+    "symbols": (
+        cmd_symbols,
+        "export generator symbols vs closed forms",
+        ("--config", "--z", "--alpha", "--out", "--tol-coherent"),
+    ),
+    "trajectory": (
+        cmd_trajectory,
+        "export the odd-sector trajectory",
+        ("--config", "--z", "--alpha", "--t", "--nodes", "--out"),
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="osp22",
+        description=(
+            "Verification harness for the Grassmann/superspace free-particle "
+            "library: run check suites, export wave-function profiles, "
+            "generator symbols, and odd-sector trajectories."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, help_text, flags) in _COMMANDS.items():
+        # no abbreviations: "--t" must not reach --tol-coherent on a command without --t
+        command = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags:
+            command.add_argument(flag, **_FLAGS[flag])
+        command.set_defaults(run=handler)
+    return parser
 
 
 # Flags whose values may be negative.  argparse takes a token such as "-3,0"
@@ -300,14 +289,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_attach_signed_values(argv))
-    handlers = {
-        "verify": cmd_verify,
-        "profile": cmd_profile,
-        "symbols": cmd_symbols,
-        "trajectory": cmd_trajectory,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

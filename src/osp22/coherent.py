@@ -313,15 +313,12 @@ def crosscheck(
     )
 
     phi_gamma = phase * (gamma_odd @ odd_vals)
-    phi_pairs = [phi_gamma - phi_closed]
-    if params.alpha_coeff != 0:
-        # the alpha slot is alpha times an alpha-free series, read at alpha = 1: a tiny alpha
-        # would leave it subnormal, and its quotient by alpha inexact or NaN
-        unit = sv if params.alpha_coeff == 1 else series_state(replace(params, alpha_coeff=1.0), n, alg, 1e-9)
-        alpha_slot = unit.coeffs[n:, 1 << coefficient_algebra(alg).index["alpha"]]
-        phi_series = (alpha_slot / _SQRT2) @ odd_vals
-        phi_pairs += [phi_series - phi_closed, phi_series - phi_gamma]
-    phi_diff = np.max(np.abs(phi_pairs))
+    # the alpha slot is alpha times an alpha-free series, read at alpha = 1 for every alpha:
+    # at alpha = 0 it is empty, and a tiny alpha would leave it subnormal
+    unit = sv if params.alpha_coeff == 1 else series_state(replace(params, alpha_coeff=1.0), n, alg, 1e-9)
+    alpha_slot = unit.coeffs[n:, 1 << coefficient_algebra(alg).index["alpha"]]
+    phi_series = (alpha_slot / _SQRT2) @ odd_vals
+    phi_diff = np.max(np.abs([phi_series - phi_closed, phi_gamma - phi_closed, phi_series - phi_gamma]))
 
     # slot-by-slot Grassmann defect against the closed-form packaging
     normalizer = cf.normalizer

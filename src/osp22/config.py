@@ -116,6 +116,8 @@ class RunConfig:
                 f"nodes must lie in [{MIN_NODES}, {MAX_NODES}]: the suites integrate modes up to "
                 f"{TOP_QUADRATURE_MODE}"
             )
+        if not self.out_dir:
+            raise ConfigError("out must name a file or directory")
         if self.out_format not in ("json", "csv"):
             raise ConfigError("format must be 'json' or 'csv'")
         for name, value in self.tolerances.items():

@@ -846,7 +846,8 @@ def hamiltonian_defects(n_max: int = 32, algebra=None, spec=None) -> dict:
     (``ladder_route_abs`` keeps the absolute figure); ``block_pattern``:
     entries off the sector pattern;
     ``quadrature`` and ``pointwise``: matrix elements and h chi_m against
-    -chi_m'' (m <= 6); ``vacuum``: <chi_0| h |chi_0> against 1/4.
+    -chi_m'' (m <= 6); ``vacuum``: <chi_0| h |chi_0> against 1/4, read from the
+    t = 0 quadrature matrix.
     """
     alg = algebra or default_algebra()
     h = build_generator("h", n_max, alg)
@@ -867,6 +868,8 @@ def hamiltonian_defects(n_max: int = 32, algebra=None, spec=None) -> dict:
         )
         quad_elements = (vals.conj() * w) @ neg_d2.T
         quad.append(np.abs(quad_elements - h_chi[:7, :7]).max())
+        if t == 0.0:
+            vac_h = complex(quad_elements[0, 0])  # <chi_0| h |chi_0>
 
     grid = np.linspace(-3.0, 3.0, 7)
     point = []
@@ -877,10 +880,6 @@ def hamiltonian_defects(n_max: int = 32, algebra=None, spec=None) -> dict:
             direct = -_basis.eval_chi_derivatives(m, grid, t)[2]
             point.append(np.abs(recon - direct).max())
 
-    t = 0.0
-    f = _basis.chi_evaluator(0, t)
-    g = lambda x: -_basis.eval_chi_derivatives(0, x, t)[2]
-    vac_h = _basis.quad_inner(f, g, t, spec)
     return {
         "ladder_route": route / h.max_abs(columns=cols),
         "ladder_route_abs": route,

@@ -1,11 +1,14 @@
 import csv
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from osp22.basis import QuadratureSpec
-from osp22.cli import _collect_config, build_parser, main
+from osp22.cli import _attach_signed_values, _collect_config, build_parser, main
 from osp22.coherent import CoherentParams
 from osp22.config import (
     DEFAULT_TOLERANCES,
@@ -60,6 +63,10 @@ class TestConfig:
         cfg = _collect_config(build_parser().parse_args(["verify", "basis", f"--tol-{key}", "3.5e-5"]))
         assert cfg.tolerances == {**DEFAULT_TOLERANCES, key: 3.5e-5}
 
+    def test_empty_out_exits_2(self, capsys):
+        assert main(["verify", "grassmann", "--out="]) == 2
+        assert "out must name a file or directory" in capsys.readouterr().err
+
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
             build_config({"mystery": "1"})
@@ -97,6 +104,60 @@ class TestConfig:
         from osp22.config import config_file_from_env
 
         assert config_file_from_env() == str(path)
+
+
+TOLERANCE_FLAGS = tuple(f"--tol-{name}" for name in DEFAULT_TOLERANCES)
+# the flags every command took when all of them shared one parent
+SHARED_FLAGS = ("--config", "--nmax", "--nodes", "--seed", "--z", "--alpha", "--t", "--out", "--format")
+SHARED_FLAGS += TOLERANCE_FLAGS
+COMMAND_FLAGS = {  # the flags whose settings each command reads
+    "verify": SHARED_FLAGS,
+    "profile": ("--config", "--z", "--alpha", "--t", "--out", "--xmax", "--xpoints"),
+    "symbols": ("--config", "--z", "--alpha", "--out", "--tol-coherent"),
+    "trajectory": ("--config", "--z", "--alpha", "--t", "--nodes", "--out"),
+}
+REMOVED = [(cmd, flag) for cmd, flags in COMMAND_FLAGS.items() for flag in SHARED_FLAGS if flag not in flags]
+VALID_VALUES = {"--nmax": "16", "--nodes": "100", "--seed": "3", "--t": "0,1,2", "--format": "csv"}
+
+
+def _help_flags(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    return set(re.findall(r"--[a-z][\w-]*", capsys.readouterr().out)) - {"--help"}
+
+
+class TestCommandFlags:
+    def test_removed_pairs_are_counted(self):
+        assert len(REMOVED) == 29
+
+    @pytest.mark.parametrize("command, flag", REMOVED, ids=[f"{c}{f}" for c, f in REMOVED])
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(self, tmp_path, capsys, command, flag):
+        """A valid value for a flag the command ignores exits 2 and writes nothing."""
+        value = VALID_VALUES.get(flag, "1")
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+    def test_help_lists_exactly_the_flags_read(self, capsys, command):
+        assert _help_flags(command, capsys) == set(COMMAND_FLAGS[command])
+
+    def test_readme_command_lines_parse(self, capsys):
+        """Every ``osp22`` line of README's command-line section parses, and its list of
+        each command's flags is the command's --help."""
+        section = (Path(__file__).resolve().parents[1] / "README.md").read_text().split("## Command line")[1]
+        section = section.split("\n## ")[0]
+        lines = re.findall(r"^osp22 (.*?)(?:\s+#.*)?$", section, flags=re.M)
+        assert {shlex.split(line)[0] for line in lines} == set(COMMAND_FLAGS)
+        for line in lines:
+            build_parser().parse_args(_attach_signed_values(shlex.split(line)))
+        listed = dict(re.findall(r"^- `osp22 (\w+)[^`]*`: (.*)$", section, flags=re.M))
+        assert set(listed) == set(COMMAND_FLAGS)
+        for command, flags in listed.items():
+            assert set(re.findall(r"--[a-z][\w-]*", flags)) == _help_flags(command, capsys), command
 
 
 class TestVerifyCommand:
@@ -272,6 +333,17 @@ class TestProfileCommand:
         k = np.argmin(np.abs(data[:, 0]))
         assert abs(complex(data[k, 3], data[k, 4])) < 1e-15
 
+    def test_csv_layout(self, tmp_path):
+        """Comment lines end in \\n and csv rows in \\r\\n; profile reads no truncation, so it names none."""
+        out = tmp_path / "prof.csv"
+        assert main(["profile", "--z", "0.3", "--t", "0", "--xpoints", "3", "--out", str(out)]) == 0
+        data = out.read_bytes()
+        comments, table = data[: data.index(b"x,")], data[data.index(b"x,") :]
+        assert comments.startswith(b"# z = 0.3\n# t = 0.0\n# sigma = ") and comments.count(b"\n") == 3
+        assert b"\r" not in comments and b"n_max" not in comments
+        assert table.startswith(b"x,re_psi,im_psi,re_phi,im_phi\r\n-10.0,")
+        assert table.endswith(b"\r\n") and table.count(b"\r\n") == 4
+
     def test_boundary_rejected(self, tmp_path):
         code = main(["profile", "--z", "1.2", "--t", "0", "--out", str(tmp_path)])
         assert code == 2
@@ -347,9 +419,9 @@ class TestTrajectoryCommand:
 
 class TestExportsMatchSuites:
     def test_symbols_and_trajectory_read_the_suite_records(self, tmp_path):
-        args = ["--z", "0.3,0.4i", "--alpha", "0.8-0.3i", "--t", "0,1,2"]
+        args = ["--z", "0.3,0.4i", "--alpha", "0.8-0.3i"]
         assert main(["symbols", *args, "--out", str(tmp_path)]) == 0
-        assert main(["trajectory", *args, "--out", str(tmp_path / "traj.csv")]) == 0
+        assert main(["trajectory", *args, "--t", "0,1,2", "--out", str(tmp_path / "traj.csv")]) == 0
         # a tolerance below the defect: the export fails as the record does
         strict = tmp_path / "strict"
         assert main(["symbols", *args, "--tol-coherent", "1e-300", "--out", str(strict)]) == 1

@@ -400,6 +400,14 @@ def test_crosscheck_keeps_a_nan_route(poison_call):
     assert math.isnan(r["max_pairwise_psi"]) and math.isnan(r["max_pairwise_phi"])
 
 
+def test_crosscheck_compares_three_phi_routes_at_alpha_zero(poison_call):
+    """At alpha = 0 the phi series route still runs, on the alpha slot of the alpha = 1 state."""
+    p = coh.CoherentParams(0.3, 0.0)
+    assert coh.crosscheck(p, 0.5)["max_pairwise_phi"] < 1e-8
+    poison_call(coh, "series_state", 2, lambda sv: 2.0 * sv)
+    assert coh.crosscheck(p, 0.5)["max_pairwise_phi"] > 1e-3
+
+
 def test_crosscheck_keeps_a_nan_residual(poison_call):
     """The residual of the second component (phi) is not dropped when it is NaN."""
     poison_call(b, "schrodinger_residual", 2, lambda r: math.nan)

@@ -13,9 +13,9 @@ alpha = 0.7-0.4i; the 16 job records of the benchmark's ``coherent_sweep``
 workload at seed 1201, built by this checkout's ``perfbench/workloads.py``;
 the files that the ``profile``, ``symbols`` and ``trajectory`` commands
 export at their defaults; and, as ``verify-csv``, the check table that
-``verify all --format csv`` writes to ``osp22_verify_all.csv`` with its own
-CSV writer.  Each file is written to a temporary directory through
-``osp22.cli.main`` and digested as written.
+``verify all --format csv`` writes to ``osp22_verify_all.csv``.  Each file
+is written to a temporary directory through ``osp22.cli.main`` and digested
+as written.
 """
 
 from __future__ import annotations
