@@ -1,7 +1,10 @@
 """Demo: the truncated Hilbert superspace and its super-Hermitian form.
 
 The even sector carries the plain L2 product, the odd sector the weight i,
-and Grassmann scalars move through the form with a parity sign.  The fast
+and Grassmann scalars move through the form with a parity sign.  theta and
+theta_bar are superspace coordinates (Psi_n^1 = theta phi_n), so scalars,
+like the vectors' coefficients, are elements of the algebra on the other
+generators, ``coefficient_algebra(alg)``.  The fast
 orthonormality-based formula is cross-checked against the independent
 Berezin-plus-quadrature integral of the full super integrand.
 Run with:  python3 demos/03_hilbert_superspace.py
@@ -10,9 +13,10 @@ Run with:  python3 demos/03_hilbert_superspace.py
 import numpy as np
 
 from osp22 import SuperVector, default_algebra, random_supervector, super_inner_integral
+from osp22.superspace import coefficient_algebra
 
 alg = default_algebra()
-alpha = alg.gen("alpha")
+alpha = coefficient_algebra(alg).gen("alpha")
 
 vac = SuperVector.basis_state(0, 0, 6, alg)
 odd0 = SuperVector.basis_state(1, 0, 6, alg)

@@ -5,6 +5,9 @@ image sigma = (1-z)/(1+z), (b) the normalized raising series
 exp(z K+)(1 + alpha V+) on the vacuum, and (c) the half-integer-gamma disk
 expansion; the demo shows their agreement, the exact nilpotent normalizer
 cancellation, and the covariant symbols with the calibrated convention.
+The demo passes the algebra with theta, theta_bar; since those are
+superspace coordinates, the normalizer, the norm and every symbol come back
+as elements of its coefficient algebra on (alpha, alpha_bar).
 Run with:  python3 demos/05_supercoherent_states.py
 """
 
@@ -27,6 +30,7 @@ print(f"state parameters: z = {z}, alpha coefficient = {params.alpha_coeff}")
 cf = closed_form(params)
 print("Cayley image sigma =", cf.sigma)
 print("nilpotent normalizer N =", cf.normalizer)
+print("superspace scalars live in", cf.normalizer.algebra)
 print()
 
 print("== three routes ==")

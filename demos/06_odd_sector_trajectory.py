@@ -3,7 +3,10 @@ line in the odd sector.
 
 <x> and <p> vanish on both wave-function components by parity, while the odd
 observables x*theta and p*theta have symbols (2 p0 t + x0) conj(alpha) and
-p0 conj(alpha).  Also demonstrates the superisometric displacement operator.
+p0 conj(alpha).  The symbols are elements of the algebra on (alpha,
+alpha_bar), the one algebra of superspace scalars, and are read through
+their conj(alpha) = alpha_bar coefficient.  Also demonstrates the
+superisometric displacement operator.
 Run with:  python3 demos/06_odd_sector_trajectory.py
 """
 

@@ -101,8 +101,8 @@ class CoherentParams:
             raise ValueError("|z| must be strictly less than 1")
 
     def alpha(self, algebra=None) -> GrassmannElement:
-        alg = algebra or default_algebra()
-        return self.alpha_coeff * alg.gen("alpha")
+        """a * alpha_gen in the coefficient algebra of ``algebra``."""
+        return self.alpha_coeff * coefficient_algebra(algebra or default_algebra()).gen("alpha")
 
     @property
     def rho(self) -> float:
@@ -118,7 +118,7 @@ class ClosedFormState:
 
     def __init__(self, params: CoherentParams, algebra=None):
         self.params = params
-        self.algebra = algebra or default_algebra()
+        self.algebra = coefficient_algebra(algebra or default_algebra())
         self.sigma = (1.0 - params.z) / (1.0 + params.z)
 
     @property
@@ -234,7 +234,7 @@ def series_length_for(z: complex, tol: float = 1e-13) -> int:
 def _sector_vectors(alg, even, odd) -> tuple:
     """The vectors sum_n even[n] Psi_n^0 and sum_n odd[n] Psi_n^1 of complex coefficients."""
     n = len(even)
-    coeffs = np.zeros((2, 2 * n, coefficient_algebra(alg).size), dtype=complex)
+    coeffs = np.zeros((2, 2 * n, alg.size), dtype=complex)
     coeffs[0, :n, 0] = even
     coeffs[1, n:, 0] = odd
     return SuperVector.from_coeffs(alg, coeffs[0]), SuperVector.from_coeffs(alg, coeffs[1])
@@ -251,7 +251,7 @@ def series_state(
     closed-form phase so the state coincides with the closed-form evaluators
     rather than just being proportional to them.
     """
-    alg = algebra or default_algebra()
+    alg = coefficient_algebra(algebra or default_algebra())
     z = params.z
     even = np.zeros(n_max, dtype=complex)
     odd = np.zeros(n_max, dtype=complex)
@@ -284,7 +284,6 @@ def crosscheck(
     t: float,
     n_max: int | None = None,
     algebra=None,
-    x_grid=None,
     spec=None,
 ) -> dict:
     """Three-route agreement report for one (z, alpha, t).
@@ -293,12 +292,12 @@ def crosscheck(
     contracted against the basis, and the gamma-coefficient reconstruction,
     plus per-slot coefficient defects and equation residuals.
     """
-    alg = algebra or default_algebra()
+    alg = coefficient_algebra(algebra or default_algebra())
     n = n_max or series_length_for(params.z, 1e-12)
     cf = ClosedFormState(params, alg)
     sv = series_state(params, n, alg, tail_tol=1e-9)
     gamma_even, gamma_odd = expansion_coefficients(params.z, n)
-    grid = np.linspace(-6.0, 6.0, 41) if x_grid is None else np.asarray(x_grid, float)
+    grid = np.linspace(-6.0, 6.0, 41)
 
     vals = _basis.chi_matrix(range(2 * n), grid, t)
     even_vals, odd_vals = vals[0::2], vals[1::2]
@@ -316,7 +315,7 @@ def crosscheck(
     # the alpha slot is alpha times an alpha-free series, read at alpha = 1 for every alpha:
     # at alpha = 0 it is empty, and a tiny alpha would leave it subnormal
     unit = sv if params.alpha_coeff == 1 else series_state(replace(params, alpha_coeff=1.0), n, alg, 1e-9)
-    alpha_slot = unit.coeffs[n:, 1 << coefficient_algebra(alg).index["alpha"]]
+    alpha_slot = unit.coeffs[n:, 1 << alg.index["alpha"]]
     phi_series = (alpha_slot / _SQRT2) @ odd_vals
     phi_diff = np.max(np.abs([phi_series - phi_closed, phi_gamma - phi_closed, phi_series - phi_gamma]))
 
@@ -442,7 +441,7 @@ def expected_symbol(
     part of the standard list and is derived here from the series route:
     B^cl = -(1/4)(1 + i A conj(A)/(1 - |z|^2)) in swapped variables.
     """
-    alg = algebra or default_algebra()
+    alg = coefficient_algebra(algebra or default_algebra())
     if convention not in ("identity", "conjugate"):
         raise ValueError("convention must be 'identity' or 'conjugate'")
     rho = params.rho

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .grassmann import _SCALAR_TYPES
+
 __all__ = [
     "ConfigError",
     "RunConfig",
@@ -57,7 +59,7 @@ class ConfigError(ValueError):
 
 def parse_complex(text) -> complex:
     """Parse "a+bi" (or "a+bj") strings; plain floats pass through."""
-    if isinstance(text, (int, float, complex, np.integer, np.floating, np.complexfloating)):
+    if isinstance(text, _SCALAR_TYPES):
         return complex(text)
     s = str(text).strip().replace(" ", "")
     if not s:

@@ -6,8 +6,8 @@ by default (theta, theta_bar, alpha, alpha_bar), extensible with the pair
 monomial mask: bit k of the mask is set when generator k is a factor, and the
 monomial is taken in canonical (ascending) generator order.  Mask 0 is the
 body.  Only this module and ``osp22.superspace`` know that layout; the latter
-stores slot coefficients over the algebra without theta, theta_bar, whose
-plan is this one restricted to ascending theta-free masks.
+holds every superspace scalar over the algebra without theta, theta_bar, and
+meets theta only in its integral oracle, where scalar mask m is mask 4 m.
 
 Every sign comes from a ``ProductPlan``, built once per generator set (the
 precomputed-table approach of the ``clifford`` package,

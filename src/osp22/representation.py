@@ -1,9 +1,12 @@
 """Matrix realization of the osp(2/2) generators on the truncated superspace.
 
-Operators are stored as sums of coefficient-algebra monomials, keyed as in
-vectors, times complex matrices over the slot basis (Psi_0^0 .. Psi_{N-1}^0,
-Psi_0^1 .. Psi_{N-1}^1).  The eight basic generators have purely complex
-matrices; Grassmann content enters only through theta-free scalar multiples.
+Operators are stored as sums of monomials of the coefficient algebra (the
+algebra without theta, theta_bar; see ``osp22.superspace``), keyed by the
+same masks as vectors, times complex matrices over the slot basis
+(Psi_0^0 .. Psi_{N-1}^0, Psi_0^1 .. Psi_{N-1}^1).  An operator's ``algebra``
+is that coefficient algebra, whatever algebra it was built with.  The eight
+basic generators have purely complex matrices; Grassmann content enters only
+through multiples by elements of that algebra.
 
 Composition is quadrant-sparse.  The Z2 grading splits each block into four
 (N x N) sector quadrants (row sector, column sector); a block of even total
@@ -75,11 +78,12 @@ from . import basis as _basis
 from .grassmann import (
     EVEN,
     ODD,
+    _SCALAR_TYPES,
     AlgebraMismatchError,
     GrassmannElement,
     default_algebra,
 )
-from .superspace import DimensionMismatchError, SuperVector, coefficient_algebra
+from .superspace import DimensionMismatchError, SuperVector, _scalar_row, coefficient_algebra
 
 __all__ = [
     "GENERATOR_NAMES",
@@ -133,9 +137,6 @@ _COMBOS = {
     "p_theta": {"V+": -1.0 / np.sqrt(2.0), "V-": -1.0 / np.sqrt(2.0)},
 }
 
-_SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
-
-
 def generator_parity(name: str) -> int:
     """1 if the named generator or combination is odd: its stencils cross the sectors."""
     base = next(iter(_COMBOS[name])) if name in _COMBOS else name
@@ -159,7 +160,8 @@ class SuperOperator:
     missing quadrant is zero.  When d is an int, part is the read-only 1-D
     diagonal d = row - column, its max(0, N - |d|) entries in increasing row
     order; when d is None, part is the read-only (N x N) array.
-    ``block(mask)`` assembles one block.
+    ``block(mask)`` assembles one block.  ``algebra`` is
+    ``coefficient_algebra`` of the algebra the operator was built with.
     """
 
     __slots__ = ("algebra", "n_max", "blocks", "parity_bit", "_name")
@@ -185,7 +187,7 @@ class SuperOperator:
                     quads[(i, j)] = (d, part.diagonal(-d).copy()) if one else (None, part.copy())
             if quads:
                 quadrants[int(mask)] = quads
-        self._store(algebra, n, quadrants, parity, name)
+        self._store(coefficient_algebra(algebra), n, quadrants, parity, name)
 
     @classmethod
     def _wrap(cls, algebra, n_max: int, blocks: dict, parity, name: str = ""):
@@ -242,13 +244,13 @@ class SuperOperator:
 
     @classmethod
     def identity(cls, n_max: int, algebra=None) -> "SuperOperator":
-        alg = algebra or default_algebra()
+        alg = coefficient_algebra(algebra or default_algebra())
         eye = {(s, s): (0, np.ones(n_max, dtype=complex)) for s in (0, 1)}
         return cls._wrap(alg, n_max, {0: eye}, 0, name="I")
 
     @classmethod
     def zero(cls, n_max: int, algebra=None, parity=0) -> "SuperOperator":
-        alg = algebra or default_algebra()
+        alg = coefficient_algebra(algebra or default_algebra())
         return cls._wrap(alg, n_max, {}, parity, name="0")
 
     def _check(self, other):
@@ -283,18 +285,17 @@ class SuperOperator:
         return (-1.0) * self
 
     def __rmul__(self, beta):
-        """Left multiplication by a complex number or homogeneous theta-free Grassmann scalar."""
-        if isinstance(beta, _SCALARS):
+        """Left multiplication by a complex number or a homogeneous element of the operator's algebra."""
+        if isinstance(beta, _SCALAR_TYPES):
             c = complex(beta)
             blocks = {
                 m: {ij: (d, c * part) for ij, (d, part) in quads.items()} for m, quads in self.blocks.items()
             }
             return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.parity_bit)
         if isinstance(beta, GrassmannElement):
-            space = coefficient_algebra(self.algebra)
-            row = space.restrict(beta)
+            row = _scalar_row(self.algebra, beta)
             pb = beta.parity_bit
-            join = space.plan.join
+            join = self.algebra.plan.join
             blocks: dict[int, dict] = {}
             for bm in np.flatnonzero(row).tolist():
                 coeff = complex(row[bm])
@@ -311,7 +312,7 @@ class SuperOperator:
         return NotImplemented
 
     def __mul__(self, scalar):
-        if isinstance(scalar, _SCALARS):
+        if isinstance(scalar, _SCALAR_TYPES):
             return self.__rmul__(scalar)
         return NotImplemented
 
@@ -328,7 +329,7 @@ class SuperOperator:
         a negative sign, then stored or added to the output through ``_add``.
         """
         self._check(other)
-        plan = coefficient_algebra(self.algebra).plan
+        plan = self.algebra.plan
         n = self.n_max
         blocks: dict[int, dict] = {}
         for am, qa in self.blocks.items():
@@ -368,7 +369,7 @@ class SuperOperator:
             raise DimensionMismatchError("vector truncation differs from operator")
         if not self.algebra.compatible(v.algebra):
             raise AlgebraMismatchError("vector over an incompatible algebra")
-        plan = coefficient_algebra(v.algebra).plan
+        plan = v.algebra.plan
         n = self.n_max
         coeffs = v.coeffs.reshape(2, n, -1)  # sector, mode, monomial column
         out = np.zeros_like(coeffs)
@@ -404,7 +405,7 @@ class SuperOperator:
         conjugated and weighted.
         """
         blocks: dict[int, dict] = {}
-        plan = coefficient_algebra(self.algebra).plan
+        plan = self.algebra.plan
         for am, quads in self.blocks.items():
             p_ma = self.parity_bit ^ plan.parity[am]
             mm, c = plan.conj_table[am]  # conjugation permutes the masks
@@ -433,7 +434,7 @@ class SuperOperator:
 
     def block_pattern_defect(self) -> float:
         """Largest entry in a quadrant off the sector pattern implied by the parity."""
-        parity = coefficient_algebra(self.algebra).plan.parity
+        parity = self.algebra.plan.parity
         parts = [
             np.abs(part).max(initial=0.0)
             for am, quads in self.blocks.items()
@@ -515,7 +516,7 @@ def build_generator(name: str, n_max: int, algebra=None) -> SuperOperator:
     ``_COMBOS``: the super-Hermitian base X1..X8, the Hamiltonian element "h"
     (= K+/2 + K-/2 + K0) and "p_theta".
     """
-    alg = algebra or default_algebra()
+    alg = coefficient_algebra(algebra or default_algebra())
     if n_max < 2:
         raise ValueError("truncation must be at least 2")
     if name in _COMBOS:
@@ -557,7 +558,13 @@ def xtheta_operator(n_max: int, t: float, algebra=None) -> SuperOperator:
     return op.renamed("x_theta")
 
 
-def operator_exp(op: SuperOperator, tol: float = 1e-16, max_terms: int = 80) -> SuperOperator:
+# The Taylor core of ``operator_exp`` stops at the first term whose largest entry is at most
+# _EXP_TOL times max(1, the sum's largest entry), and raises if that takes over _EXP_TERMS terms.
+_EXP_TOL = 1e-16
+_EXP_TERMS = 80
+
+
+def operator_exp(op: SuperOperator) -> SuperOperator:
     """Matrix exponential by scaling and squaring with a Taylor core.
 
     The squaring count is chosen from the 1-norm of the body block; nilpotent
@@ -571,12 +578,12 @@ def operator_exp(op: SuperOperator, tol: float = 1e-16, max_terms: int = 80) -> 
     scaled = (0.5**s) * op
     acc = SuperOperator.identity(op.n_max, op.algebra)
     term = SuperOperator.identity(op.n_max, op.algebra)
-    for k in range(1, max_terms + 1):
+    for k in range(1, _EXP_TERMS + 1):
         term = (1.0 / k) * (term @ scaled)
         if not term.blocks:
             break
         acc = acc + term
-        if term.max_abs() <= tol * max(1.0, acc.max_abs()):
+        if term.max_abs() <= _EXP_TOL * max(1.0, acc.max_abs()):
             break
     else:
         raise RuntimeError("exponential series did not converge")
@@ -667,7 +674,7 @@ def _spectral_exp(op: SuperOperator) -> SuperOperator:
     """
     if op.parity_bit:
         raise ValueError("exponent must have even total parity")
-    plan = coefficient_algebra(op.algebra).plan
+    plan = op.algebra.plan
     n = op.n_max
     body = op.blocks.get(0, {})
     odd = {m: quads for m, quads in op.blocks.items() if m}

@@ -313,7 +313,7 @@ def suite_basis(cfg: RunConfig) -> list:
 
 
 def suite_superspace(cfg: RunConfig) -> list:
-    alg = default_algebra()
+    alg = _ss.coefficient_algebra(default_algebra())
     spec = _basis.QuadratureSpec(nodes=cfg.nodes)
     rng = np.random.default_rng(cfg.seed + 3)
     checks = []

@@ -1,16 +1,19 @@
 """Truncated Hilbert superspace over the even/odd solution sectors.
 
 Vectors carry exterior-algebra coefficients over the basis
-Psi_n^0 = psi_n (even sector) and Psi_n^1 = theta * phi_n (odd sector); the
-structural generators theta, theta_bar never appear inside coefficients, so
-they are stored over ``coefficient_algebra``, the algebra on the others.
+Psi_n^0 = psi_n (even sector) and Psi_n^1 = theta * phi_n (odd sector).
+theta and theta_bar are coordinates of the superspace, never scalars, so
+every superspace scalar lives in ``coefficient_algebra(alg)``, the algebra on
+the generators of ``alg`` other than theta, theta_bar: vectors, operators,
+the scalars they take and every scalar they return.  Public functions take
+any ``algebra=`` and map it there; a scalar from another algebra, one that
+could carry theta, raises AlgebraMismatchError (a ValueError).
 
 A vector stores all its coefficients as one complex array ``coeffs`` of
 shape (2 n_max, 2^(g-2)): row n is the coefficient of Psi_n^0, row n_max + n
 that of Psi_n^1, each row in that algebra's mask order.  Linear structure
 is array arithmetic, and Grassmann products go through its plan, one batched
-call per operation; ``even`` and ``odd`` lift the rows to elements, and a
-scalar with theta or theta_bar raises ValueError where one enters.
+call per operation; ``even`` and ``odd`` copy the rows into elements.
 
 The super-Hermitian form restricts to the ordinary L2 product on the even
 sector and to i times it on the odd sector, and Grassmann scalars move
@@ -21,10 +24,11 @@ through it by the rule
 
 `super_inner` is the fast route built on basis orthonormality: one
 conj(A)^T B product of coefficient arrays, contracted through the plan.
-`super_inner_integral` is the independent oracle and the one computation in
-the superspace algebra: it assembles the full integrand conj(Phi1) (Phi2 * i
-exp(-i theta_bar theta)) for every slot pair, Berezin-integrates the pair
-(theta, theta_bar) and quadrature-integrates x.
+`super_inner_integral` is the independent oracle and the one computation
+that needs theta: it assembles the full integrand conj(Phi1) (Phi2 * i
+exp(-i theta_bar theta)) for every slot pair in the algebra with theta,
+theta_bar prepended, Berezin-integrates the pair (theta, theta_bar) and
+quadrature-integrates x.
 """
 
 from __future__ import annotations
@@ -38,11 +42,13 @@ from .grassmann import (
     EVEN,
     MIXED,
     ODD,
+    _SCALAR_TYPES,
     AlgebraMismatchError,
     GrassmannAlgebra,
     GrassmannElement,
     default_algebra,
     random_coefficients,
+    random_element,
 )
 
 __all__ = [
@@ -55,7 +61,6 @@ __all__ = [
     "random_supervector",
 ]
 
-_SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
 STRUCTURAL = ("theta", "theta_bar")
 
 
@@ -63,47 +68,24 @@ class DimensionMismatchError(ValueError):
     """Vectors or operators with different truncations were combined."""
 
 
-class CoefficientAlgebra(GrassmannAlgebra):
-    """Algebra on the superspace algebra's generators but theta, theta_bar, in order.
-
-    ``columns[m]`` is the superspace mask of monomial m; they ascend, so the
-    plan is the superspace plan restricted to them.
-    """
-
-    __slots__ = ("superspace", "columns")
-
-    def __init__(self, superspace):
-        super().__init__(name for name in superspace.generators if name not in STRUCTURAL)
-        structural = sum(1 << superspace.index[name] for name in STRUCTURAL)
-        self.superspace = superspace
-        self.columns = np.flatnonzero((np.arange(superspace.size) & structural) == 0)
-        self.columns.flags.writeable = False
-
-    def restrict(self, scalar: GrassmannElement) -> np.ndarray:
-        """Coefficient array of a superspace scalar; ValueError if it carries theta or theta_bar."""
-        if not self.superspace.compatible(scalar.algebra):
-            raise AlgebraMismatchError("scalar from an incompatible algebra")
-        row = scalar.coeffs[self.columns]
-        if np.count_nonzero(row) != np.count_nonzero(scalar.coeffs):
-            raise ValueError("coefficients must not contain theta or theta_bar")
-        return row
-
-    def lift(self, coeffs) -> np.ndarray:
-        """Superspace coefficient arrays (..., 2^g) of coefficient arrays (..., 2^(g-2))."""
-        out = np.zeros(np.shape(coeffs)[:-1] + (self.superspace.size,), dtype=complex)
-        out[..., self.columns] = coeffs
-        return out
+def coefficient_algebra(algebra) -> GrassmannAlgebra:
+    """The algebra on ``algebra``'s generators other than theta, theta_bar, in the same order:
+    ``algebra`` itself when it has neither, else one instance per generator set."""
+    if STRUCTURAL[0] not in algebra.index:
+        return algebra
+    return _theta_free(algebra.generators)
 
 
-_COEFFICIENT_ALGEBRAS: dict[tuple, CoefficientAlgebra] = {}
+@lru_cache(maxsize=None)
+def _theta_free(generators: tuple) -> GrassmannAlgebra:
+    return GrassmannAlgebra(name for name in generators if name not in STRUCTURAL)
 
 
-def coefficient_algebra(algebra) -> CoefficientAlgebra:
-    """The coefficient algebra of a superspace algebra, built once per generator set."""
-    space = _COEFFICIENT_ALGEBRAS.get(algebra.generators)
-    if space is None:
-        space = _COEFFICIENT_ALGEBRAS[algebra.generators] = CoefficientAlgebra(algebra)
-    return space
+def _scalar_row(space, scalar: GrassmannElement) -> np.ndarray:
+    """Coefficients of a superspace scalar; AlgebraMismatchError if it belongs to another algebra."""
+    if not space.compatible(scalar.algebra):
+        raise AlgebraMismatchError("scalar outside the coefficient algebra, or carrying theta")
+    return scalar.coeffs
 
 
 def _flip(p: str) -> str:
@@ -111,7 +93,11 @@ def _flip(p: str) -> str:
 
 
 class SuperVector:
-    """Truncated expansion sum_n c_n Psi_n^0 + sum_n d_n Psi_n^1."""
+    """Truncated expansion sum_n c_n Psi_n^0 + sum_n d_n Psi_n^1.
+
+    ``SuperVector(algebra, even, odd)`` takes the c_n and d_n as numbers or
+    elements of ``coefficient_algebra(algebra)``, which becomes ``algebra``.
+    """
 
     __slots__ = ("algebra", "coeffs")
 
@@ -126,41 +112,41 @@ class SuperVector:
         coeffs = np.zeros((2 * len(even), space.size), dtype=complex)
         for row, c in enumerate(even + odd):
             if isinstance(c, GrassmannElement):
-                coeffs[row] = space.restrict(c)
-            elif isinstance(c, _SCALARS):
+                coeffs[row] = _scalar_row(space, c)
+            elif isinstance(c, _SCALAR_TYPES):
                 coeffs[row, 0] = complex(c)
             else:
                 raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
-        self.algebra, self.coeffs = algebra, coeffs
+        self.algebra, self.coeffs = space, coeffs
 
     @classmethod
     def from_coeffs(cls, algebra, coeffs) -> "SuperVector":
         """Vector over a (2 n_max, 2^(g-2)) coefficient-algebra array, even slots first."""
+        space = coefficient_algebra(algebra)
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.ndim != 2 or coeffs.shape[0] % 2 or not coeffs.shape[0]:
             raise DimensionMismatchError("expected an array of shape (2 n_max, 2^(g-2))")
-        if coeffs.shape[1] != coefficient_algebra(algebra).size:
+        if coeffs.shape[1] != space.size:
             raise AlgebraMismatchError("coefficient rows do not match the coefficient algebra")
         vec = cls.__new__(cls)
-        vec.algebra, vec.coeffs = algebra, coeffs
+        vec.algebra, vec.coeffs = space, coeffs
         return vec
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, n_max: int, algebra=None) -> "SuperVector":
-        alg = algebra or default_algebra()
-        return cls.from_coeffs(alg, np.zeros((2 * n_max, coefficient_algebra(alg).size), dtype=complex))
+        space = coefficient_algebra(algebra or default_algebra())
+        return cls.from_coeffs(space, np.zeros((2 * n_max, space.size), dtype=complex))
 
     @classmethod
     def basis_state(cls, sector: int, n: int, n_max: int, algebra=None) -> "SuperVector":
         """Psi_n^sector as a unit vector."""
-        alg = algebra or default_algebra()
         if sector not in (0, 1):
             raise ValueError("sector must be 0 or 1")
         if not 0 <= n < n_max:
             raise ValueError("slot index outside the truncation")
-        vec = cls.zero(n_max, alg)
+        vec = cls.zero(n_max, algebra)
         vec.coeffs[sector * n_max + n, 0] = 1.0
         return vec
 
@@ -169,17 +155,16 @@ class SuperVector:
         return self.coeffs.shape[0] // 2
 
     def _elements(self, rows) -> tuple:
-        lifted = coefficient_algebra(self.algebra).lift(self.coeffs[rows])
-        return tuple(GrassmannElement(self.algebra, row) for row in lifted)
+        return tuple(GrassmannElement(self.algebra, row) for row in self.coeffs[rows].copy())
 
     @property
     def even(self) -> tuple:
-        """Coefficients c_n of the even sector, as elements."""
+        """Coefficients c_n of the even sector, as elements of a copy of their rows."""
         return self._elements(slice(None, self.n_max))
 
     @property
     def odd(self) -> tuple:
-        """Coefficients d_n of the odd sector, as elements."""
+        """Coefficients d_n of the odd sector, as elements of a copy of their rows."""
         return self._elements(slice(self.n_max, None))
 
     # -- linear structure ------------------------------------------------------
@@ -204,16 +189,16 @@ class SuperVector:
         return SuperVector.from_coeffs(self.algebra, -self.coeffs)
 
     def __rmul__(self, beta):
-        """Left multiplication by a complex number or theta-free Grassmann scalar."""
-        if isinstance(beta, _SCALARS):
+        """Left multiplication by a complex number or an element of the vector's algebra."""
+        if isinstance(beta, _SCALAR_TYPES):
             beta = self.algebra.scalar(complex(beta))
         if not isinstance(beta, GrassmannElement):
             return NotImplemented
-        space = coefficient_algebra(self.algebra)
-        return SuperVector.from_coeffs(self.algebra, space.plan.mul(space.restrict(beta), self.coeffs))
+        row = _scalar_row(self.algebra, beta)
+        return SuperVector.from_coeffs(self.algebra, self.algebra.plan.mul(row, self.coeffs))
 
     def __mul__(self, scalar):
-        if isinstance(scalar, _SCALARS):
+        if isinstance(scalar, _SCALAR_TYPES):
             return self.__rmul__(scalar)
         return NotImplemented
 
@@ -223,7 +208,7 @@ class SuperVector:
     def total_parity(self) -> str:
         """Envelope parity: coefficient parity plus slot parity, or "mixed"."""
         nz = self.coeffs != 0
-        odd = coefficient_algebra(self.algebra).plan.parity_sign < 0
+        odd = self.algebra.plan.parity_sign < 0
         has_odd = np.any(nz & odd, axis=1)
         has_even = np.any(nz & ~odd, axis=1)
         if np.any(has_odd & has_even):
@@ -246,12 +231,11 @@ class SuperVector:
         odd-sector weight i and the grade involution.
         """
         self._check(other)
-        space = coefficient_algebra(self.algebra)
-        plan, n = space.plan, self.n_max
+        plan, n = self.algebra.plan, self.n_max
         ket = other.coeffs.copy()
         ket[n:] = 1j * plan.grade(ket[n:])
         gram = plan.conj(self.coeffs).T @ ket
-        return GrassmannElement(self.algebra, space.lift(plan.contract(gram)))
+        return GrassmannElement(self.algebra, plan.contract(gram))
 
     def norm(self) -> float:
         """Body-level norm sqrt(sum |c_n|^2 + sum |d_n|^2); nilpotents do not enter."""
@@ -276,7 +260,11 @@ def super_inner_integral(v1: SuperVector, v2: SuperVector, t: float = 0.0, spec=
     matrix entries of the underlying basis functions.
     """
     v1._check(v2)
-    alg = v1.algebra
+    space = v1.algebra
+    # theta, theta_bar are the two low bits of the integrand's algebra, so scalar mask m is
+    # its mask 4 m: the one place where a superspace scalar meets theta
+    alg = GrassmannAlgebra(STRUCTURAL + space.generators)
+    embed = 4 * np.arange(space.size)
     plan = alg.plan
     n = v1.n_max
     gram = _slot_gram(n, t, spec)
@@ -286,7 +274,8 @@ def super_inner_integral(v1: SuperVector, v2: SuperVector, t: float = 0.0, spec=
 
     def with_theta(vec):
         """Slot coefficients times their theta: c_n for Psi_n^0, d_n theta for Psi_n^1."""
-        rows = coefficient_algebra(alg).lift(vec.coeffs)
+        rows = np.zeros((2 * n, alg.size), dtype=complex)
+        rows[:, embed] = vec.coeffs
         rows[n:] = plan.mul(rows[n:], theta.coeffs)
         return rows
 
@@ -294,7 +283,8 @@ def super_inner_integral(v1: SuperVector, v2: SuperVector, t: float = 0.0, spec=
     ket = plan.mul(with_theta(v2), weight.coeffs)
     integrand = plan.mul(bra[:, None, :], ket[None, :, :])
     terms = alg.berezin_coeffs(integrand, STRUCTURAL)
-    return GrassmannElement(alg, np.einsum("ij,ijm->m", gram, terms))
+    # integrating out theta and theta_bar leaves only the masks 4 m, so reading them back is lossless
+    return GrassmannElement(space, np.einsum("ij,ijm->m", gram, terms)[embed])
 
 
 @lru_cache(maxsize=32)
@@ -318,9 +308,8 @@ def superadjoint_defect(op, claimed_adjoint, v1: SuperVector, v2: SuperVector):
 
 
 def random_coefficient(algebra, rng, parity=None) -> GrassmannElement:
-    """Random theta-free coefficient: iid complex normals on the coefficient algebra's monomials."""
-    space = coefficient_algebra(algebra)
-    return GrassmannElement(algebra, space.lift(random_coefficients(space, rng, 1, parity)[0]))
+    """Random superspace scalar: iid complex normals on the coefficient algebra's monomials."""
+    return random_element(coefficient_algebra(algebra), rng, parity)
 
 
 def random_supervector(
@@ -332,13 +321,12 @@ def random_supervector(
     is homogeneous.  ``support`` limits the nonzero slots to n < support.
     Each sector is one draw, slot after slot, in ascending monomial order.
     """
-    alg = algebra or default_algebra()
     top = n_max if support is None else min(support, n_max)
-    vec = SuperVector.zero(n_max, alg)
+    vec = SuperVector.zero(n_max, algebra)
     for sector in (0, 1):
         want = None
         if parity is not None:
             want = parity if sector == 0 else _flip(parity)
         rows = slice(sector * n_max, sector * n_max + top)
-        vec.coeffs[rows] = random_coefficients(coefficient_algebra(alg), rng, top, want)
+        vec.coeffs[rows] = random_coefficients(vec.algebra, rng, top, want)
     return vec

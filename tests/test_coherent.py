@@ -13,6 +13,7 @@ from osp22.superspace import SuperVector, coefficient_algebra, random_supervecto
 
 ALG = default_algebra()
 ALG6 = GrassmannAlgebra(GENERATORS_EXTENDED)
+SCALARS = coefficient_algebra(ALG)  # superspace scalars: the algebra without theta, theta_bar
 ROOT4 = (2.0 * np.pi) ** -0.25
 
 
@@ -49,7 +50,7 @@ class TestParams:
 
     def test_alpha_element(self):
         p = coh.CoherentParams(0.2, 2j)
-        assert p.alpha(ALG) == 2j * ALG.gen("alpha")
+        assert p.alpha(ALG) == 2j * SCALARS.gen("alpha")
 
 
 class TestClosedForm:
@@ -60,7 +61,7 @@ class TestClosedForm:
 
     def test_normalizer_without_alpha(self):
         cf = coh.closed_form(coh.CoherentParams(0.4j, 0.0))
-        assert cf.normalizer == ALG.one()
+        assert cf.normalizer == SCALARS.one()
 
     def test_unit_norm_by_quadrature(self):
         for z in (0.3, 0.5j, -0.7):
@@ -258,7 +259,7 @@ class TestSpectralDisplacement:
 
     def test_holds_dense_quadrants_on_four_masks(self):
         d = coh.displacement_operator(coh.CoherentParams(0.4 - 0.2j, 0.7 - 0.4j), 16, ALG)
-        alpha, alpha_bar = (1 << coefficient_algebra(ALG).index[g] for g in ("alpha", "alpha_bar"))
+        alpha, alpha_bar = (1 << SCALARS.index[g] for g in ("alpha", "alpha_bar"))
         assert {m: sorted(q) for m, q in d.blocks.items()} == {
             0: [(0, 0), (1, 1)],
             alpha: [(1, 0)],

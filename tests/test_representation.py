@@ -38,6 +38,7 @@ from osp22.suites import suite_checks
 from osp22.superspace import SuperVector, coefficient_algebra, random_supervector
 
 ALG = default_algebra()
+SCALARS = coefficient_algebra(ALG)  # superspace scalars: the algebra without theta, theta_bar
 N = 12
 
 
@@ -115,10 +116,10 @@ def _apply_per_slot(beta, name, v):
     odd_g = op(name, v.n_max).parity_bit
     slots = v.even + v.odd
     # an odd G moving past c flips the sign of c's odd part
-    moved = [beta * (GrassmannElement(ALG, ALG.plan.parity_sign * c.coeffs) if odd_g else c) for c in slots]
+    moved = [beta * (GrassmannElement(SCALARS, SCALARS.plan.parity_sign * c.coeffs) if odd_g else c) for c in slots]
     out = []
     for i in range(2 * v.n_max):
-        acc = ALG.zero()
+        acc = SCALARS.zero()
         for j, c in enumerate(moved):
             if mat[i, j] != 0:
                 acc = acc + complex(mat[i, j]) * c
@@ -132,7 +133,7 @@ class TestApplyAgainstSlots:
     )
     def test_grassmann_multiple(self, beta_name, name):
         rng = np.random.default_rng(21)
-        beta = (0.7 - 0.4j) * ALG.gen(beta_name)
+        beta = (0.7 - 0.4j) * SCALARS.gen(beta_name)
         for _ in range(3):
             v = random_supervector(N, rng, ALG, support=8)
             got = (beta * op(name)).apply(v)
@@ -141,9 +142,9 @@ class TestApplyAgainstSlots:
 
     def test_odd_odd_koszul_sign(self):
         # alpha V+ on alpha_bar Psi_0^0: the odd block passes the odd coefficient
-        vec = ALG.gen("alpha_bar") * SuperVector.basis_state(0, 0, N, ALG)
-        got = (ALG.gen("alpha") * op("V+")).apply(vec)
-        pair = ALG.gen("alpha") * ALG.gen("alpha_bar")
+        vec = SCALARS.gen("alpha_bar") * SuperVector.basis_state(0, 0, N, ALG)
+        got = (SCALARS.gen("alpha") * op("V+")).apply(vec)
+        pair = SCALARS.gen("alpha") * SCALARS.gen("alpha_bar")
         want = (-np.sqrt(0.5)) * (pair * SuperVector.basis_state(1, 0, N, ALG))
         assert (got - want).max_abs() == 0.0
 
@@ -151,6 +152,7 @@ class TestApplyAgainstSlots:
 # -- quadrant-sparse composition ---------------------------------------------------
 
 ALG6 = GrassmannAlgebra(GENERATORS_EXTENDED)
+SCALARS6 = coefficient_algebra(ALG6)
 DIAGONAL = {(0, 0), (1, 1)}
 ODD_TO_EVEN = {(0, 1)}  # (row sector, column sector): rows in the even sector, columns odd
 EVEN_TO_ODD = {(1, 0)}
@@ -265,8 +267,8 @@ def _dense_superadjoint(a):
 
 def _dense_multiple(beta, a):
     """beta * a over the assembled blocks, in the order ``__rmul__`` adds them."""
-    space = coefficient_algebra(a.algebra)
-    row = space.restrict(beta)
+    space = a.algebra
+    row = beta.coeffs
     out = {}
     for bm in np.flatnonzero(row).tolist():
         for am in a.blocks:
@@ -344,7 +346,7 @@ class TestQuadrantComposition:
         rng = np.random.default_rng(seed)
         # a homogeneous theta-free scalar with several monomials, so that blocks meet in sums
         row = rng.standard_normal(space.size) * (np.array(space.plan.parity) == rng.integers(0, 2))
-        beta = GrassmannElement(alg, space.lift(row))
+        beta = GrassmannElement(space, row)
         same = SuperOperator(alg, c.n_max, {m: c.block(m) for m in c.blocks}, a.parity_bit)
         product = a @ c
         for o in (
@@ -402,7 +404,7 @@ class TestQuadrantComposition:
         space = coefficient_algebra(alg)
         rng = np.random.default_rng(seed)
         row = rng.integers(-3, 4, space.size) if integer else rng.standard_normal(space.size)
-        beta = GrassmannElement(alg, space.lift(row * (np.array(space.plan.parity) == rng.integers(0, 2))))
+        beta = GrassmannElement(space, row * (np.array(space.plan.parity) == rng.integers(0, 2)))
         same = SuperOperator(alg, c.n_max, {m: c.block(m) for m in c.blocks}, a.parity_bit)
         dense = lambda o: {m: o.block(m) for m in o.blocks}
         plus = lambda x, y, sign: {m: x.get(m, 0) + sign * y.get(m, 0) for m in x.keys() | y.keys()}
@@ -505,7 +507,7 @@ class TestQuadrantComposition:
 
     def test_sum_shares_blocks_one_operand_holds(self):
         left = op("K0")
-        right = (ALG.gen("alpha") * ALG.gen("alpha_bar")) * op("K+")
+        right = (SCALARS.gen("alpha") * SCALARS.gen("alpha_bar")) * op("K+")
         total = left + right
         pair = 0b11  # alpha * alpha_bar in the coefficient algebra
         assert set(total.blocks) == {0, pair}
@@ -602,18 +604,15 @@ class TestQuadrantComposition:
 
 
 def _apply_all_columns(o, v):
-    """The all-column product over the superspace algebra, one mat @ coeffs per block
-    over every monomial column, its block masks lifted into that algebra."""
-    space = coefficient_algebra(v.algebra)
+    """The all-column product, one assembled (2N x 2N) block @ coeffs per block over
+    every monomial column of the vector's algebra."""
     plan = v.algebra.plan
-    coeffs = space.lift(v.coeffs)
-    out = np.zeros_like(coeffs)
+    out = np.zeros_like(v.coeffs)
     for am in o.blocks:
-        mask = int(space.columns[am])
-        part = o.block(am) @ coeffs
-        if o.parity_bit ^ plan.parity[mask]:
+        part = o.block(am) @ v.coeffs
+        if o.parity_bit ^ plan.parity[am]:
             part = plan.grade(part)
-        out += plan.left_mul(mask, part)
+        out += plan.left_mul(am, part)
     return out
 
 
@@ -621,7 +620,7 @@ class TestApplyColumns:
     @pytest.mark.parametrize("alg", [ALG, ALG6], ids=["g4", "g6"])
     def test_matches_all_column_product(self, alg):
         rng = np.random.default_rng(41)
-        al, alb = alg.gen("alpha"), alg.gen("alpha_bar")
+        al, alb = coefficient_algebra(alg).gen("alpha"), coefficient_algebra(alg).gen("alpha_bar")
         k_plus = build_generator("K+", N, alg)
         ops = [
             operator_exp(0.3 * k_plus - 0.3 * build_generator("K-", N, alg) + al * build_generator("V+", N, alg)
@@ -632,7 +631,7 @@ class TestApplyColumns:
         for o in ops:
             for parity in (None, "even", "odd"):
                 v = random_supervector(N, rng, alg, parity=parity, support=7)
-                got = coefficient_algebra(alg).lift(o.apply(v).coeffs)
+                got = o.apply(v).coeffs
                 np.testing.assert_array_equal(got, _apply_all_columns(o, v))
 
     @pytest.mark.parametrize("n", [2, 3, 8, 128])
@@ -645,7 +644,7 @@ class TestApplyColumns:
         product bit for bit.  Entries with both parts nonzero, as in (0.7 - 0.4i) alpha V+,
         may round differently in the BLAS product, so that operator agrees to rounding."""
         rng = np.random.default_rng(43)
-        al, alb = alg.gen("alpha"), alg.gen("alpha_bar")
+        al, alb = coefficient_algebra(alg).gen("alpha"), coefficient_algebra(alg).gen("alpha_bar")
         gen = {name: build_generator(name, n, alg) for name in ALL_NAMES}
         ops = [*gen.values(), xtheta_operator(n, 0.7, alg), al * gen["V+"], (al * alb) * gen["K-"],
                gen["K+"] @ gen["K+"] @ gen["K+"], gen["K-"] @ gen["K-"] @ gen["K-"], gen["V-"] @ gen["K-"],
@@ -659,7 +658,7 @@ class TestApplyColumns:
             for parity in (None, "even", "odd"):
                 v = random_supervector(n, rng, alg, parity=parity)
                 monkeypatch.setattr(representation, "_expand", refuse)
-                got = coefficient_algebra(alg).lift(o.apply(v).coeffs)
+                got = o.apply(v).coeffs
                 monkeypatch.setattr(representation, "_expand", expand)
                 want = _apply_all_columns(o, v)
                 if o is ops[-1]:
@@ -670,9 +669,9 @@ class TestApplyColumns:
     def test_incompatible_vector_rejected(self):
         vac = SuperVector.basis_state(0, 0, N, ALG)
         with pytest.raises(AlgebraMismatchError):
-            (ALG6.gen("alpha") * build_generator("V+", N, ALG6)).apply(vac)
+            (SCALARS6.gen("alpha") * build_generator("V+", N, ALG6)).apply(vac)
         with pytest.raises(AlgebraMismatchError):  # xi has no column over four generators
-            (ALG6.gen("xi") * build_generator("V+", N, ALG6)).apply(vac)
+            (SCALARS6.gen("xi") * build_generator("V+", N, ALG6)).apply(vac)
 
 
 class TestSupercommutator:
@@ -799,7 +798,7 @@ class TestSuperadjoint:
 
     def test_grassmann_scaled_adjoint(self):
         # (alpha V+)+ = conj(alpha) (V+)+ = alpha_bar i W-
-        al = ALG.gen("alpha")
+        al = SCALARS.gen("alpha")
         lhs = (al * op("V+")).superadjoint()
         rhs = al.conj() * (1j * op("W-"))
         assert (lhs - rhs).max_abs() < 1e-14
@@ -859,7 +858,7 @@ class TestOperatorExp:
 
     def test_nilpotent_part_exact(self):
         # exp(alpha V+) = 1 + alpha V+ since (alpha V+)^2 = 0
-        al = ALG.gen("alpha")
+        al = SCALARS.gen("alpha")
         x = al * op("V+", 6)
         got = operator_exp(x)
         want = SuperOperator.identity(6, ALG) + x
@@ -918,7 +917,7 @@ class TestSpectralExp:
         assert np.array_equal(f, np.exp(lam)) and not d.any()
 
     def test_unsupported_exponents_rejected(self):
-        al, alb, xi = (ALG6.gen(g) for g in ("alpha", "alpha_bar", "xi"))
+        al, alb, xi = (SCALARS6.gen(g) for g in ("alpha", "alpha_bar", "xi"))
         g6 = {name: build_generator(name, 8, ALG6) for name in ("K+", "K-", "K0", "V+", "W-", "W+")}
         body = 0.3 * g6["K+"] - 0.3 * g6["K-"]
         for bad in (

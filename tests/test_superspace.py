@@ -4,9 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osp22 import EVEN, ODD
-from osp22.grassmann import GENERATORS_EXTENDED, AlgebraMismatchError, GrassmannAlgebra, default_algebra
-from osp22.representation import SUPERADJOINTS, build_generator
+from osp22 import coherent as coh
+from osp22.grassmann import (
+    GENERATORS_EXTENDED,
+    AlgebraMismatchError,
+    GrassmannAlgebra,
+    default_algebra,
+    random_coefficients,
+)
+from osp22.representation import GENERATOR_NAMES, SUPERADJOINTS, build_generator
 from osp22.superspace import (
+    STRUCTURAL,
     DimensionMismatchError,
     SuperVector,
     coefficient_algebra,
@@ -18,6 +26,8 @@ from osp22.superspace import (
 
 ALG = default_algebra()
 ALG6 = GrassmannAlgebra(GENERATORS_EXTENDED)
+SCALARS = coefficient_algebra(ALG)  # superspace scalars: the algebra without theta, theta_bar
+SCALARS6 = coefficient_algebra(ALG6)
 
 
 def vac(n=4):
@@ -34,7 +44,7 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SuperVector(ALG, [theta], [ALG.zero()])
         with pytest.raises(ValueError):
-            SuperVector(ALG, [ALG.one()], [ALG.gen("alpha") * ALG.gen("theta_bar")])
+            SuperVector(ALG, [SCALARS.one()], [ALG.gen("alpha") * ALG.gen("theta_bar")])
 
     def test_theta_scalar_times_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -43,9 +53,9 @@ class TestConstruction:
             (1.0 + ALG.gen("theta_bar") * ALG.gen("alpha")) * odd0()
 
     def test_incompatible_scalar_rejected(self):
-        alpha6 = ALG6.gen("alpha")
+        alpha6 = SCALARS6.gen("alpha")
         with pytest.raises(AlgebraMismatchError):
-            SuperVector(ALG, [alpha6], [ALG.zero()])
+            SuperVector(ALG, [alpha6], [SCALARS.zero()])
         with pytest.raises(AlgebraMismatchError):
             alpha6 * vac()
 
@@ -82,7 +92,7 @@ class TestConstruction:
 
 
 def _loop_draw(alg, rng, parity=None):
-    """Reference stream: one standard_normal(2) per theta-free mask, ascending."""
+    """Reference stream: one standard_normal(2) per theta-free mask, ascending, as a scalar."""
     data = {}
     for mask in range(1 << alg.n_generators):
         names = {alg.generators[k] for k in range(alg.n_generators) if mask >> k & 1}
@@ -93,7 +103,7 @@ def _loop_draw(alg, rng, parity=None):
             continue
         re, im = rng.standard_normal(2)
         data[tuple(sorted(names, key=alg.index.get))] = complex(re, im) / np.sqrt(2.0)
-    return alg.element(data)
+    return coefficient_algebra(alg).element(data)
 
 
 class TestRandomDraws:
@@ -115,10 +125,10 @@ class TestRandomDraws:
         got = random_supervector(n, np.random.default_rng(32), ALG, parity=parity, support=support)
         rng = np.random.default_rng(32)
         flip = {None: None, EVEN: ODD, ODD: EVEN}[parity]
-        even = [_loop_draw(ALG, rng, parity) if k < top else ALG.zero() for k in range(n)]
-        odd = [_loop_draw(ALG, rng, flip) if k < top else ALG.zero() for k in range(n)]
+        even = [_loop_draw(ALG, rng, parity) if k < top else SCALARS.zero() for k in range(n)]
+        odd = [_loop_draw(ALG, rng, flip) if k < top else SCALARS.zero() for k in range(n)]
         want = np.array([c.coeffs for c in even + odd])
-        assert np.array_equal(coefficient_algebra(ALG).lift(got.coeffs), want)
+        assert np.array_equal(got.coeffs, want)
         # the stream continues where the loop would have left it
         rng_got = np.random.default_rng(32)
         random_supervector(n, rng_got, ALG, parity=parity, support=support)
@@ -144,7 +154,8 @@ def _coefficient_rows(draw):
 
 
 class TestCoefficientAlgebra:
-    """The coefficient plan is the superspace plan restricted to theta-free columns."""
+    """Superspace scalars live in the algebra without theta, theta_bar; the integral
+    oracle embeds its mask m as mask 4 m of the algebra with theta, theta_bar prepended."""
 
     def test_layout(self):
         for alg, names in ((ALG, ("alpha", "alpha_bar")), (ALG6, ("alpha", "alpha_bar", "xi", "xi_bar"))):
@@ -152,31 +163,76 @@ class TestCoefficientAlgebra:
             assert space.generators == names
             assert space is coefficient_algebra(GrassmannAlgebra(alg.generators))
             assert space.plan is GrassmannAlgebra(names).plan
-            free = [m for m in range(alg.size) if not m & 0b11]
-            assert space.columns.tolist() == free
+            assert coefficient_algebra(space) is space
+            full = GrassmannAlgebra(STRUCTURAL + names)
+            assert [full.monomial_name(4 * m) for m in range(space.size)] == [
+                space.monomial_name(m) for m in range(space.size)
+            ]
 
     @settings(max_examples=150, deadline=None)
     @given(_coefficient_rows())
     def test_plan_operations_bit_identical(self, rows):
         space, x, y = rows
-        full, sub = space.superspace.plan, space.plan
-        cols = space.columns
-        fx, fy = space.lift(x), space.lift(y)
+        full, sub = GrassmannAlgebra(STRUCTURAL + space.generators).plan, space.plan
+        embed = 4 * np.arange(space.size)
+
+        def lift(rows):
+            out = np.zeros(rows.shape[:-1] + (full.size,), dtype=complex)
+            out[..., embed] = rows
+            return out
 
         def same(full_result, sub_result):
-            assert not np.any(np.delete(full_result, cols, axis=-1))
-            np.testing.assert_array_equal(_bits(full_result[..., cols]), _bits(sub_result))
+            assert not np.any(np.delete(full_result, embed, axis=-1))
+            np.testing.assert_array_equal(_bits(full_result[..., embed]), _bits(sub_result))
 
+        fx, fy = lift(x), lift(y)
         same(full.mul(fx, fy), sub.mul(x, y))
         same(full.mul(fx[:, None, :], fy[None, :, :]), sub.mul(x[:, None, :], y[None, :, :]))
         same(full.conj(fx), sub.conj(x))
         same(full.grade(fx), sub.grade(x))
         for m in range(space.size):
-            same(full.left_mul(int(cols[m]), fx), sub.left_mul(m, x))
+            same(full.left_mul(int(embed[m]), fx), sub.left_mul(m, x))
         gram = x.conj().T @ y
         full_gram = np.zeros((full.size, full.size), dtype=complex)
-        full_gram[np.ix_(cols, cols)] = gram
+        full_gram[np.ix_(embed, embed)] = gram
         same(full.contract(full_gram), sub.contract(gram))
+
+    @pytest.mark.parametrize("alg", [ALG, ALG6], ids=["g4", "g6"])
+    def test_every_scalar_is_over_the_vector_algebra(self, alg):
+        """Scalars going in and coming out of vectors, operators and coherent states are
+        elements of ``v.algebra``, with 2^(g-2) coefficients, whatever algebra was passed."""
+        rng = np.random.default_rng(11)
+        v = random_supervector(6, rng, alg)
+        space = v.algebra
+        assert space is coefficient_algebra(alg) and space.size == alg.size // 4
+        b = random_coefficient(alg, rng)
+        p = coh.CoherentParams(0.3 - 0.2j, 0.6 + 0.1j)
+        cf = coh.closed_form(p, alg)
+        ops = [build_generator(name, 64, alg) for name in GENERATOR_NAMES]
+        trajectory = coh.trajectory(p, 0.5, alg)
+        scalars = [
+            v.super_inner(v),
+            super_inner_integral(v, v),
+            (b * v).even[0],
+            *v.even,
+            *v.odd,
+            b,
+            p.alpha(alg),
+            cf.normalizer,
+            cf.norm_sq(),
+            *coh.berezin_symbols(ops, p, alg),
+            *(coh.expected_symbol(name, p, alg) for name in GENERATOR_NAMES),
+            trajectory["p_theta"],
+            trajectory["x_theta"],
+        ]
+        for scalar in scalars:
+            assert scalar.algebra is space and scalar.coeffs.shape == (space.size,)
+        assert ops[0].algebra is space and (p.alpha(alg) * ops[0]).algebra is space
+
+    def test_slot_elements_do_not_alias_the_coefficients(self):
+        v = random_supervector(3, np.random.default_rng(12), ALG)
+        for element in v.even + v.odd:
+            assert not np.shares_memory(element.coeffs, v.coeffs)
 
 
 class TestInnerProduct:
@@ -187,7 +243,7 @@ class TestInnerProduct:
         assert odd0().super_inner(odd0()) == 1j
 
     def test_odd_scalar_rule_example(self):
-        al = ALG.gen("alpha")
+        al = SCALARS.gen("alpha")
         v = al * odd0()
         want = -1j * (al.conj() * al)
         assert (v.super_inner(v) - want).max_abs() == 0.0
@@ -235,8 +291,8 @@ class TestNorm:
         assert SuperVector.zero(4, ALG).norm() == 0.0
 
     def test_nilpotent_coefficients_do_not_enter(self):
-        al = ALG.gen("alpha")
-        v = SuperVector(ALG, [1 + al * ALG.gen("alpha_bar")], [ALG.zero()])
+        al = SCALARS.gen("alpha")
+        v = SuperVector(ALG, [1 + al * SCALARS.gen("alpha_bar")], [SCALARS.zero()])
         assert v.norm() == 1.0
 
 
@@ -246,13 +302,23 @@ class TestParity:
         assert odd0().total_parity == ODD
 
     def test_odd_coefficient_flips(self):
-        assert (ALG.gen("alpha") * odd0()).total_parity == EVEN
+        assert (SCALARS.gen("alpha") * odd0()).total_parity == EVEN
 
     def test_mixed_flagged(self):
         assert (vac() + odd0()).total_parity == "mixed"
 
 
 class TestIntegralOracle:
+    @pytest.mark.parametrize("alg", [ALG, ALG6], ids=["g4", "g6"])
+    def test_berezin_over_theta_leaves_only_scalar_masks(self, alg):
+        """Integrating out theta, theta_bar (the two low bits) leaves every theta- or
+        theta_bar-carrying mask exactly 0.0, so the oracle reads its result back losslessly."""
+        x = random_coefficients(alg, np.random.default_rng(13), 64)
+        out = alg.berezin_coeffs(x, STRUCTURAL)
+        assert np.any(out[:, ::4])
+        carrying = (np.arange(alg.size) & 0b11) != 0
+        assert np.all(out[:, carrying] == 0.0)  # signed zeros included: -0.0 == 0.0
+
     def test_matches_fast_path(self):
         rng = np.random.default_rng(5)
         for _ in range(30):

@@ -44,6 +44,7 @@ SUITE_RUNS = {
     "coherent.alpha=0.7-0.4i": ("coherent", replace(BASE, alpha_coeff=0.7 - 0.4j)),
 }
 SWEEP_SEED = 1201
+SWEEP_NAME = f"coherent_sweep.seed={SWEEP_SEED}"
 EXPORTS = {  # name: (command line, file it writes)
     "profile": (["profile"], "osp22_profile.csv"),
     "symbols": (["symbols"], "osp22_symbols.json"),
@@ -58,7 +59,7 @@ def payloads():
         cfg.validate(suite)
         yield name, run_suite(suite, cfg)["payload"]
     sweep = workloads.build("coherent_sweep", SWEEP_SEED)
-    yield f"coherent_sweep.seed={SWEEP_SEED}", [unit.run()[0] for unit in sweep.units]
+    yield SWEEP_NAME, [unit.run()[0] for unit in sweep.units]
 
 
 def exports():
