@@ -16,9 +16,8 @@ targets a|b and their exact +-1 signs.  A product gathers the pair
 coefficients, forms the real and imaginary parts as separate float
 products and accumulates them per target in a fixed order that mirrors
 under conjugation (see ``ProductPlan``).  Conjugation and Berezin
-integration are signed index permutations.  All plan operations but
-``sign_free_mul``, a scale for tests of rounding, act on arrays of shape
-(..., 2^g), so a batch of products costs one call.
+integration are signed index permutations.  Every plan operation acts on
+arrays of shape (..., 2^g), so a batch of products costs one call.
 
 Two conventions are hard-wired:
 
@@ -75,6 +74,16 @@ def _abs(x: np.ndarray) -> np.ndarray:
     return np.hypot(x.real, x.imag)
 
 
+def _row_bincount(bins, weights, size: int) -> np.ndarray:
+    """Per-row ``np.bincount(bins, row, size)`` of ``weights`` (..., len(bins)), as one bincount
+    whose row r bins are offset by r * size; each bin sums in the order a per-row call would."""
+    lead = weights.shape[:-1]
+    rows = weights.size // bins.size
+    if rows > 1:
+        bins = (bins + size * np.arange(rows)[:, None]).ravel()
+    return np.bincount(bins, weights.reshape(-1), size * rows).reshape(lead + (size,))
+
+
 class ProductPlan:
     """Exact sign tables of one generator set with its conjugation pairing.
 
@@ -107,6 +116,7 @@ class ProductPlan:
         "_n_classes",
         "_paired",
         "_bins",
+        "_targets",
         "_left_mul",
         "_integrals",
     )
@@ -169,6 +179,7 @@ class ProductPlan:
         # interleaved (real, imag) bins so one bincount accumulates both parts
         class_target = np.array([c[0] for c in classes])
         self._bins = (2 * class_target[:, None] + np.arange(2)).ravel()
+        self._targets = self.left | self.right
 
         self._left_mul = {}
         for x in range(size):
@@ -197,13 +208,8 @@ class ProductPlan:
         c = self._n_classes
         w = terms[..., :c, :]
         w[..., self._paired, :] += terms[..., c:, :]
-        lead = w.shape[:-2]
-        rows = w.size // self._bins.size
-        bins = self._bins
-        if rows > 1:
-            bins = (bins + (2 * self.size) * np.arange(rows)[:, None]).ravel()
-        flat = np.bincount(bins, w.reshape(-1), minlength=2 * self.size * rows)
-        return flat.view(complex).reshape(lead + (self.size,))
+        flat = _row_bincount(self._bins, w.reshape(w.shape[:-2] + (-1,)), 2 * self.size)
+        return flat.view(complex)
 
     def mul(self, x, y) -> np.ndarray:
         """Exterior product of coefficient arrays (..., 2^g), broadcasting.
@@ -222,9 +228,10 @@ class ProductPlan:
         return self._accumulate(terms)
 
     def sign_free_mul(self, x, y) -> np.ndarray:
-        """sum over pairs of |x[a]| |y[b]| into mask a|b, for two arrays (2^g,): a real bound on
+        """sum over pairs of |x[..., a]| |y[..., b]| into mask a|b, broadcasting: a real bound on
         |x * y| and on the rounding of ``mul``, which |x * y| is not where its terms cancel."""
-        return np.bincount(self.left | self.right, _abs(x)[self.left] * _abs(y)[self.right], self.size)
+        w = _abs(x)[..., self.left] * _abs(y)[..., self.right]
+        return _row_bincount(self._targets, w, self.size)
 
     def contract(self, gram) -> np.ndarray:
         """sum over pairs of sign * gram[..., a, b] into mask a|b.

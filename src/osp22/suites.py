@@ -28,7 +28,16 @@ from . import coherent as _coh
 from . import representation as _rep
 from . import superspace as _ss
 from .config import TOP_QUADRATURE_MODE, RunConfig
-from .grassmann import EVEN, ODD, GrassmannAlgebra, GrassmannElement, GENERATORS_EXTENDED, default_algebra, random_element
+from .grassmann import (
+    EVEN,
+    GENERATORS_EXTENDED,
+    ODD,
+    GrassmannAlgebra,
+    GrassmannElement,
+    _abs,
+    default_algebra,
+    random_coefficients,
+)
 
 __all__ = ["CHECKS", "SUITE_NAMES", "run_suite", "suite_checks", "symbol_rows", "symbols_check", "trajectory_rows"]
 
@@ -145,72 +154,109 @@ def _check(cfg: RunConfig, cid: str, defects, **fmt) -> dict:
 # -- grassmann ------------------------------------------------------------------
 
 
+# rows per batched plan call: a g = 6 product's temporaries stay under about 1 MiB
+BATCH_ROWS = 16
+
+
+def _alternating_draws(rng, algebras, rounds: int, count: int) -> list:
+    """Per algebra, ``count`` coefficient arrays (rounds / len(algebras), 2^g): the elements of
+    ``rounds`` rounds that cycle through ``algebras`` and draw ``count`` random elements each.
+    One draw, split by round, consumes the stream as that loop of random_element calls does."""
+    sizes = [2 * count * alg.size for alg in algebras]
+    draws = rng.standard_normal(rounds * sum(sizes) // len(algebras)).reshape(rounds // len(algebras), -1)
+    blocks = np.split(draws, np.cumsum(sizes)[:-1], axis=1)
+    return [
+        np.moveaxis((b / np.sqrt(2.0)).view(complex).reshape(len(b), count, alg.size), 1, 0)
+        for alg, b in zip(algebras, blocks)
+    ]
+
+
+def _homogeneous_pairs(rng, algebras, rounds: int) -> list:
+    """Per algebra, arrays (a, b, a odd, b odd) over ``rounds`` rounds cycling through
+    ``algebras``; each round draws two parities, then an element of each parity."""
+    drawn = [[] for _ in algebras]
+    for k in range(rounds):
+        alg = algebras[k % len(algebras)]
+        pa, pb = (EVEN if rng.integers(2) else ODD for _ in range(2))
+        a, b = (random_coefficients(alg, rng, 1, p)[0] for p in (pa, pb))
+        drawn[k % len(algebras)].append((a, b, pa == ODD, pb == ODD))
+    return [tuple(np.array(column) for column in zip(*rows)) for rows in drawn]
+
+
+def _in_blocks(*rows):
+    """The aligned arrays ``rows``, cut into blocks of at most BATCH_ROWS rows."""
+    for start in range(0, len(rows[0]), BATCH_ROWS):
+        yield tuple(r[start : start + BATCH_ROWS] for r in rows)
+
+
+def _row_max_abs(x) -> np.ndarray:
+    """GrassmannElement.max_abs of each row."""
+    return _abs(x).max(axis=-1)
+
+
 def suite_grassmann(cfg: RunConfig) -> list:
+    """Each check multiplies its samples in blocks of rows, one plan call per block."""
     rng = np.random.default_rng(cfg.seed)
     algebras = (default_algebra(), GrassmannAlgebra(GENERATORS_EXTENDED))
     checks = []
 
     defects = []
-    for k in range(250):
-        alg = algebras[k % 2]
-        a, b, c = (random_element(alg, rng) for _ in range(3))
-        scale = alg.plan.sign_free_mul(alg.plan.sign_free_mul(a.coeffs, b.coeffs), c.coeffs).max()
-        defects.append(((a * b) * c - a * (b * c)).max_abs() / scale)
-    checks.append(_check(cfg, "grassmann.associativity", defects))
+    for alg, draws in zip(algebras, _alternating_draws(rng, algebras, 250, 3)):
+        mul, bound = alg.plan.mul, alg.plan.sign_free_mul
+        for a, b, c in _in_blocks(*draws):
+            scale = bound(bound(a, b), c).max(axis=-1)
+            defects.append(_row_max_abs(mul(mul(a, b), c) - mul(a, mul(b, c))) / scale)
+    checks.append(_check(cfg, "grassmann.associativity", np.concatenate(defects)))
 
     defects = []
-    for k in range(250):
-        alg = algebras[k % 2]
-        pa, pb = (EVEN if rng.integers(2) else ODD for _ in range(2))
-        a = random_element(alg, rng, parity=pa)
-        b = random_element(alg, rng, parity=pb)
-        sign = -1.0 if (pa == ODD and pb == ODD) else 1.0
-        defects.append((a * b - sign * (b * a)).max_abs() / (a.max_abs() * b.max_abs()))
-    checks.append(_check(cfg, "grassmann.supercommutativity", defects))
+    for alg, pairs in zip(algebras, _homogeneous_pairs(rng, algebras, 250)):
+        for a, b, odd_a, odd_b in _in_blocks(*pairs):
+            sign = np.where(odd_a & odd_b, -1.0, 1.0)[:, None]
+            diff = alg.plan.mul(a, b) - sign * alg.plan.mul(b, a)
+            defects.append(_row_max_abs(diff) / (_row_max_abs(a) * _row_max_abs(b)))
+    checks.append(_check(cfg, "grassmann.supercommutativity", np.concatenate(defects)))
 
     defects = []
-    for k in range(250):
-        alg = algebras[k % 2]
-        a = random_element(alg, rng)
-        b = random_element(alg, rng)
-        defects.append(((a * b).conj() - a.conj() * b.conj()).max_abs())
-        defects.append((a.conj().conj() - a).max_abs())
-    checks.append(_check(cfg, "grassmann.conjugation", defects))
+    for alg, draws in zip(algebras, _alternating_draws(rng, algebras, 250, 2)):
+        plan = alg.plan
+        for a, b in _in_blocks(*draws):
+            defects.append(_row_max_abs(plan.conj(plan.mul(a, b)) - plan.mul(plan.conj(a), plan.conj(b))))
+            defects.append(_row_max_abs(plan.conj(plan.conj(a)) - a))
+    checks.append(_check(cfg, "grassmann.conjugation", np.concatenate(defects)))
 
     alg = default_algebra()
     th, tb = alg.gen("theta"), alg.gen("theta_bar")
     al, ab = alg.gen("alpha"), alg.gen("alpha_bar")
     xt, xtb = algebras[1].gen("theta"), algebras[1].gen("theta_bar")
+    over = ("theta", "theta_bar")
     defects = [
-        ((tb * th).berezin(("theta", "theta_bar")) - 1.0).max_abs(),
-        alg.one().berezin(("theta", "theta_bar")).max_abs(),
-        ((ab * al).berezin(("alpha", "alpha_bar")) - 1.0).max_abs(),
-        ((xtb * xt).berezin(("theta", "theta_bar")) - 1.0).max_abs(),
+        [
+            ((tb * th).berezin(over) - 1.0).max_abs(),
+            alg.one().berezin(over).max_abs(),
+            ((ab * al).berezin(("alpha", "alpha_bar")) - 1.0).max_abs(),
+            ((xtb * xt).berezin(over) - 1.0).max_abs(),
+        ]
     ]
-    with_theta = [(np.arange(x.size) & (1 << x.index["theta"])) != 0 for x in algebras]
-    for k in range(250):
-        ak = algebras[k % 2]
-        a = random_element(ak, rng)
-        b = random_element(ak, rng)
-        lin = (a + 2.5 * b).berezin(("theta", "theta_bar")) - (
-            a.berezin(("theta", "theta_bar")) + 2.5 * b.berezin(("theta", "theta_bar"))
-        )
-        defects.append(lin.max_abs())
-        # anything missing an integrated generator integrates to zero
-        no_theta = GrassmannElement(ak, np.where(with_theta[k % 2], 0j, a.coeffs))
-        defects.append(no_theta.berezin(("theta",)).max_abs())
-    checks.append(_check(cfg, "grassmann.berezin", defects))
+    for ak, draws in zip(algebras, _alternating_draws(rng, algebras, 250, 2)):
+        with_theta = (np.arange(ak.size) & (1 << ak.index["theta"])) != 0
+        for a, b in _in_blocks(*draws):
+            lin = ak.berezin_coeffs(a + 2.5 * b, over) - (
+                ak.berezin_coeffs(a, over) + 2.5 * ak.berezin_coeffs(b, over)
+            )
+            defects.append(_row_max_abs(lin))
+            # anything missing an integrated generator integrates to zero
+            defects.append(_row_max_abs(ak.berezin_coeffs(np.where(with_theta, 0j, a), ("theta",))))
+    checks.append(_check(cfg, "grassmann.berezin", np.concatenate(defects)))
 
     checks.append(_check(cfg, "grassmann.nilpotency", [(th * th).max_abs(), (tb * th + th * tb).max_abs()]))
 
     defects = []
-    for _ in range(100):
-        pa, pb = (EVEN if rng.integers(2) else ODD for _ in range(2))
-        a = random_element(alg, rng, parity=pa)
-        b = random_element(alg, rng, parity=pb)
-        prod = a * b
-        if prod.max_abs() > 0:
-            defects.append(float(prod.parity != (EVEN if pa == pb else ODD)))
+    (pairs,) = _homogeneous_pairs(rng, (alg,), 100)
+    for a, b, odd_a, odd_b in _in_blocks(*pairs):
+        for row, want in zip(alg.plan.mul(a, b), np.where(odd_a == odd_b, EVEN, ODD)):
+            prod = GrassmannElement(alg, row)
+            if prod.max_abs() > 0:
+                defects.append(float(prod.parity != want))
     checks.append(_check(cfg, "grassmann.parity", defects))
     return checks
 

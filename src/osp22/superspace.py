@@ -25,10 +25,10 @@ through it by the rule
 `super_inner` is the fast route built on basis orthonormality: one
 conj(A)^T B product of coefficient arrays, contracted through the plan.
 `super_inner_integral` is the independent oracle and the one computation
-that needs theta: it assembles the full integrand conj(Phi1) (Phi2 * i
-exp(-i theta_bar theta)) for every slot pair in the algebra with theta,
-theta_bar prepended, Berezin-integrates the pair (theta, theta_bar) and
-quadrature-integrates x.
+that needs theta: in the algebra with theta, theta_bar prepended, it pairs
+conj(Phi1) with Phi2 * i exp(-i theta_bar theta) through the quadrature Gram
+of the slot basis functions, Berezin-integrates the pair (theta, theta_bar)
+and so integrates x by quadrature.
 """
 
 from __future__ import annotations
@@ -253,38 +253,50 @@ class SuperVector:
 def super_inner_integral(v1: SuperVector, v2: SuperVector, t: float = 0.0, spec=None):
     """Direct-integral oracle for the super-Hermitian form.
 
-    Builds conj(Phi1) (Phi2 * i exp(-i theta_bar theta)) in the exterior
-    algebra (expanding the exponential as 1 - i theta_bar theta) for every
-    slot pair in one batched product, Berezin-integrates over
-    (theta, theta_bar), and pairs the x-dependence through quadrature Gram
-    matrix entries of the underlying basis functions.
+    In the exterior algebra with theta, theta_bar, the integrand of slot pair
+    (i, j) is bra_i ket_j, with bra_i = conj(Phi1_i) and ket_j = Phi2_j * i
+    exp(-i theta_bar theta) (the exponential expanded as 1 - i theta_bar
+    theta); its x-dependence integrates to the quadrature Gram entry gram_ij
+    of the underlying basis functions.  The form is bilinear, so
+    sum_ij gram_ij bra_i ket_j = sum_i bra_i (gram @ ket)_i: Gram first, then
+    one batched product per slot, summed and Berezin-integrated over
+    (theta, theta_bar).
     """
     v1._check(v2)
     space = v1.algebra
-    # theta, theta_bar are the two low bits of the integrand's algebra, so scalar mask m is
-    # its mask 4 m: the one place where a superspace scalar meets theta
-    alg = GrassmannAlgebra(STRUCTURAL + space.generators)
-    embed = 4 * np.arange(space.size)
+    alg, embed, theta, weight = _integrand_algebra(space.generators)
     plan = alg.plan
     n = v1.n_max
-    gram = _slot_gram(n, t, spec)
-
-    theta = alg.gen("theta")
-    weight = 1j * (alg.one() - 1j * (alg.gen("theta_bar") * theta))
 
     def with_theta(vec):
         """Slot coefficients times their theta: c_n for Psi_n^0, d_n theta for Psi_n^1."""
         rows = np.zeros((2 * n, alg.size), dtype=complex)
         rows[:, embed] = vec.coeffs
-        rows[n:] = plan.mul(rows[n:], theta.coeffs)
+        rows[n:] = plan.mul(rows[n:], theta)
         return rows
 
     bra = plan.conj(with_theta(v1))
-    ket = plan.mul(with_theta(v2), weight.coeffs)
-    integrand = plan.mul(bra[:, None, :], ket[None, :, :])
-    terms = alg.berezin_coeffs(integrand, STRUCTURAL)
+    ket = _slot_gram(n, t, spec) @ plan.mul(with_theta(v2), weight)
+    integral = alg.berezin_coeffs(plan.mul(bra, ket).sum(axis=0), STRUCTURAL)
     # integrating out theta and theta_bar leaves only the masks 4 m, so reading them back is lossless
-    return GrassmannElement(space, np.einsum("ij,ijm->m", gram, terms)[embed])
+    return GrassmannElement(space, integral[embed])
+
+
+@lru_cache(maxsize=None)
+def _integrand_algebra(generators: tuple) -> tuple:
+    """The oracle's algebra, theta and theta_bar prepended to ``generators``, with read-only
+    arrays: the embedding of scalar masks, and the coefficients of theta and of the weight
+    i exp(-i theta_bar theta)."""
+    alg = GrassmannAlgebra(STRUCTURAL + generators)
+    # theta, theta_bar are the two low bits of the integrand's algebra, so scalar mask m is
+    # its mask 4 m: the one place where a superspace scalar meets theta
+    embed = 4 * np.arange(1 << len(generators))
+    theta = alg.gen("theta")
+    weight = 1j * (alg.one() - 1j * (alg.gen("theta_bar") * theta))
+    arrays = (embed, theta.coeffs, weight.coeffs)
+    for x in arrays:
+        x.flags.writeable = False
+    return (alg,) + arrays
 
 
 @lru_cache(maxsize=32)

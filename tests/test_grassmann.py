@@ -11,6 +11,7 @@ from osp22.grassmann import (
     GENERATORS_EXTENDED,
     GrassmannAlgebra,
     default_algebra,
+    random_coefficients,
     random_element,
 )
 
@@ -73,6 +74,12 @@ class TestProduct:
                 bound = alg.plan.sign_free_mul(x.coeffs, y.coeffs)
                 assert bound.shape == (alg.size,) and bound.dtype == float
                 assert np.all(np.abs((x * y).coeffs) <= bound * (1 + 1e-15))
+            # on (..., 2^g) arrays, every row is bit for bit the per-row bound
+            x, y = random_coefficients(alg, rng, 6), random_coefficients(alg, rng, 6)
+            rows = np.array([alg.plan.sign_free_mul(a, b) for a, b in zip(x, y)])
+            assert np.array_equal(alg.plan.sign_free_mul(x, y), rows)
+            by_y0 = np.array([alg.plan.sign_free_mul(a, y[0]) for a in x]).reshape(2, 3, -1)
+            assert np.array_equal(alg.plan.sign_free_mul(x.reshape(2, 3, -1), y[0]), by_y0)
         # theta_bar theta = -theta theta_bar: the sign is dropped, the modulus kept
         assert ALG.plan.sign_free_mul(THETA_BAR.coeffs, THETA.coeffs)[3] == 1.0
 

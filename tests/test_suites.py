@@ -22,7 +22,7 @@ from osp22 import superspace as _ss
 from osp22.basis import QuadratureSpec
 from osp22.cli import main
 from osp22.config import DEFAULT_TOLERANCES, DISK_RADIUS, RunConfig
-from osp22.grassmann import GrassmannElement, default_algebra
+from osp22.grassmann import GrassmannAlgebra, default_algebra
 from osp22.representation import hamiltonian_defects
 from osp22.suites import CHECKS, SUITE_NAMES, _check, suite_checks, symbols_check, trajectory_rows
 
@@ -87,10 +87,22 @@ def _nan_at(index):
     return lambda values: {k: NAN if i == index else v for i, (k, v) in enumerate(values.items())}
 
 
+def _nan_at_row(row):
+    """The poison that makes one row of a batched result NaN."""
+
+    def poison(r):
+        r = r.copy()
+        r[row] = NAN
+        return r
+
+    return poison
+
+
 # (suite, owner, library call, poisoned call, poison, the check it feeds): at least one
-# check per suite, each poisoned at a sample after its first
+# check per suite, each poisoned at a sample after its first.  The Berezin check integrates
+# its random samples in blocks of rows; call 7 is the first block's b, and row 1 is its second sample
 POISONED = [
-    ("grassmann", GrassmannElement, "berezin", 7, lambda r: NAN * r, "grassmann.berezin"),
+    ("grassmann", GrassmannAlgebra, "berezin_coeffs", 7, _nan_at_row(1), "grassmann.berezin"),
     ("basis", _basis, "schrodinger_residual", 3, lambda r: NAN, "basis.residual"),
     ("superspace", _ss, "super_inner_integral", 3, lambda r: NAN * r, "superspace.integral_oracle"),
     (

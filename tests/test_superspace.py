@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from osp22 import EVEN, ODD
 from osp22 import coherent as coh
+from osp22.basis import gram_matrix
 from osp22.grassmann import (
     GENERATORS_EXTENDED,
     AlgebraMismatchError,
@@ -333,6 +334,35 @@ class TestIntegralOracle:
         v2 = random_supervector(5, rng, ALG)
         d = (v1.super_inner(v2) - super_inner_integral(v1, v2, 1.5)).max_abs()
         assert d < 1e-10
+
+    @pytest.mark.parametrize("t", [0.0, 1.5])
+    def test_gram_first_matches_the_pairwise_integrand(self, t):
+        """The oracle contracts the Gram with the kets first; the reference forms every slot
+        pair's integrand bra_i ket_j and then contracts it with the Gram.  Only the summation
+        order differs, so they agree to rounding."""
+        alg = GrassmannAlgebra(STRUCTURAL + SCALARS.generators)
+        plan, embed = alg.plan, 4 * np.arange(SCALARS.size)
+        theta = alg.gen("theta").coeffs
+        weight = (1j * (alg.one() - 1j * (alg.gen("theta_bar") * alg.gen("theta")))).coeffs
+        n = 6
+        gram = gram_matrix([2 * k for k in range(n)] + [2 * k + 1 for k in range(n)], t)
+
+        def with_theta(vec):
+            rows = np.zeros((2 * n, alg.size), dtype=complex)
+            rows[:, embed] = vec.coeffs
+            rows[n:] = plan.mul(rows[n:], theta)
+            return rows
+
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            v1 = random_supervector(n, rng, ALG)
+            v2 = random_supervector(n, rng, ALG)
+            bra = plan.conj(with_theta(v1))
+            ket = plan.mul(with_theta(v2), weight)
+            integrand = plan.mul(bra[:, None, :], ket[None, :, :])
+            terms = alg.berezin_coeffs(integrand, STRUCTURAL)
+            pairwise = np.einsum("ij,ijm->m", gram, terms)[embed]
+            assert np.abs(super_inner_integral(v1, v2, t).coeffs - pairwise).max() <= 1e-13
 
 
 class TestSuperadjointDefect:
