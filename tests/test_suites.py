@@ -22,7 +22,15 @@ from osp22 import superspace as _ss
 from osp22.basis import QuadratureSpec
 from osp22.cli import main
 from osp22.config import DEFAULT_TOLERANCES, DISK_RADIUS, RunConfig
-from osp22.grassmann import GrassmannAlgebra, default_algebra
+from osp22.grassmann import (
+    EVEN,
+    GENERATORS_EXTENDED,
+    ODD,
+    GrassmannAlgebra,
+    GrassmannElement,
+    default_algebra,
+    random_element,
+)
 from osp22.representation import hamiltonian_defects
 from osp22.suites import CHECKS, SUITE_NAMES, _check, suite_checks, symbols_check, trajectory_rows
 
@@ -148,6 +156,77 @@ def test_trajectory_rows_keep_a_nan_mean(poison_call):
     means = [(r["mean_x"], r["mean_p"]) for r in tr["rows"]]
     assert all(math.isnan(v) for v in means[1])
     assert all(v < 1e-10 for k in (0, 2) for v in means[k])
+
+
+def _grassmann_loop_defects(cfg):
+    """The grassmann suite's defects drawn and multiplied one element at a time: the reference
+    for the suite's blocks of rows, which must draw the same stream and round the same way."""
+    rng = np.random.default_rng(cfg.seed)
+    algebras = (default_algebra(), GrassmannAlgebra(GENERATORS_EXTENDED))
+    out = {}
+
+    defects = []
+    for k in range(250):
+        alg = algebras[k % 2]
+        a, b, c = (random_element(alg, rng) for _ in range(3))
+        scale = alg.plan.sign_free_mul(alg.plan.sign_free_mul(a.coeffs, b.coeffs), c.coeffs).max()
+        defects.append(((a * b) * c - a * (b * c)).max_abs() / scale)
+    out["grassmann.associativity"] = defects
+
+    defects = []
+    for k in range(250):
+        alg = algebras[k % 2]
+        pa, pb = (EVEN if rng.integers(2) else ODD for _ in range(2))
+        a = random_element(alg, rng, parity=pa)
+        b = random_element(alg, rng, parity=pb)
+        sign = -1.0 if (pa == ODD and pb == ODD) else 1.0
+        defects.append((a * b - sign * (b * a)).max_abs() / (a.max_abs() * b.max_abs()))
+    out["grassmann.supercommutativity"] = defects
+
+    defects = []
+    for k in range(250):
+        alg = algebras[k % 2]
+        a = random_element(alg, rng)
+        b = random_element(alg, rng)
+        defects.append(((a * b).conj() - a.conj() * b.conj()).max_abs())
+        defects.append((a.conj().conj() - a).max_abs())
+    out["grassmann.conjugation"] = defects
+
+    over = ("theta", "theta_bar")
+    alg, ext = algebras
+    defects = [
+        ((alg.gen("theta_bar") * alg.gen("theta")).berezin(over) - 1.0).max_abs(),
+        alg.one().berezin(over).max_abs(),
+        ((alg.gen("alpha_bar") * alg.gen("alpha")).berezin(("alpha", "alpha_bar")) - 1.0).max_abs(),
+        ((ext.gen("theta_bar") * ext.gen("theta")).berezin(over) - 1.0).max_abs(),
+    ]
+    for k in range(250):
+        ak = algebras[k % 2]
+        a = random_element(ak, rng)
+        b = random_element(ak, rng)
+        defects.append(((a + 2.5 * b).berezin(over) - (a.berezin(over) + 2.5 * b.berezin(over))).max_abs())
+        with_theta = (np.arange(ak.size) & (1 << ak.index["theta"])) != 0
+        defects.append(GrassmannElement(ak, np.where(with_theta, 0j, a.coeffs)).berezin(("theta",)).max_abs())
+    out["grassmann.berezin"] = defects
+
+    defects = []
+    for _ in range(100):
+        pa, pb = (EVEN if rng.integers(2) else ODD for _ in range(2))
+        prod = random_element(algebras[0], rng, parity=pa) * random_element(algebras[0], rng, parity=pb)
+        if prod.max_abs() > 0:
+            defects.append(float(prod.parity != (EVEN if pa == pb else ODD)))
+    out["grassmann.parity"] = defects
+    return out
+
+
+@pytest.mark.parametrize("seed", [RunConfig().seed, 7])
+def test_grassmann_blocks_match_the_element_loop(seed):
+    """Every sampled grassmann check reads bit for bit the defect of the one-element-at-a-time
+    loop; nilpotency draws nothing, and the loop omits it."""
+    cfg = replace(RunConfig(), seed=seed)
+    records = {r["id"]: r["defect"] for r in suite_checks("grassmann", cfg)}
+    for cid, defects in _grassmann_loop_defects(cfg).items():
+        assert records[cid] == _check(cfg, cid, defects)["defect"], cid
 
 
 @pytest.mark.parametrize("seed", [97, 1193])
