@@ -145,8 +145,9 @@ def _packets(rows, x, t):
     H[0] = 1.0
     if len(H) > 1:
         H[1] = z
+    root = np.sqrt(np.arange(len(H)))
     for k in range(1, len(H) - 1):
-        H[k + 1] = (z * H[k] - np.sqrt(k) * H[k - 1]) / np.sqrt(k + 1)
+        H[k + 1] = (z * H[k] - root[k] * H[k - 1]) / root[k + 1]
     angle = np.arctan(t)
     env = np.exp(-x * x / (4.0 * one_it)) / (_ROOT4_2PI * np.sqrt(one_it))
     out = np.empty((len(rows),) + z.shape, dtype=complex)

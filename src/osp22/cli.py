@@ -25,6 +25,7 @@ from . import basis as _basis
 from . import coherent as _coh
 from .config import (
     DEFAULT_TOLERANCES,
+    MAX_N_MAX,
     ConfigError,
     RunConfig,
     build_config,
@@ -208,7 +209,7 @@ def cmd_trajectory(args) -> int:
 _FLAGS = {
     "suite": dict(choices=SUITE_NAMES + ("all",)),
     "--config": dict(help="path to a key=value config file"),
-    "--nmax": dict(type=int, dest="n_max", help="truncation (default 32)"),
+    "--nmax": dict(type=int, dest="n_max", help=f"truncation, 8 to {MAX_N_MAX} (default 32)"),
     "--nodes": dict(type=int, help="quadrature node count (default 200)"),
     "--seed": dict(type=int, help="seed for randomized checks"),
     "--z": dict(action="append", dest="z_samples", help="z sample 'a+bi' (repeatable or comma list)"),

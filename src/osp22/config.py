@@ -25,6 +25,7 @@ __all__ = [
     "DISK_RADIUS",
     "ENV_CONFIG_VAR",
     "MAX_NODES",
+    "MAX_N_MAX",
     "MIN_NODES",
     "TOP_QUADRATURE_MODE",
 ]
@@ -51,6 +52,10 @@ DISK_RADIUS = 0.9
 TOP_QUADRATURE_MODE = 21
 MIN_NODES = TOP_QUADRATURE_MODE + 1
 MAX_NODES = 320
+
+# the largest truncation measured: the algebra suite's time and memory grow
+# linearly in n_max, and at 4096 one pass took 0.1 s and 43 MiB peak RSS
+MAX_N_MAX = 4096
 
 
 class ConfigError(ValueError):
@@ -111,8 +116,8 @@ class RunConfig:
         return float(self.tolerances[name])
 
     def validate(self, suite: str | None = None) -> None:
-        if self.n_max < 8:
-            raise ConfigError("n_max must be at least 8")
+        if not 8 <= self.n_max <= MAX_N_MAX:
+            raise ConfigError(f"n_max must lie in [8, {MAX_N_MAX}]")
         if not MIN_NODES <= self.nodes <= MAX_NODES:
             raise ConfigError(
                 f"nodes must lie in [{MIN_NODES}, {MAX_NODES}]: the suites integrate modes up to "

@@ -17,20 +17,27 @@ A[i, k] @ C[k, j] where both are held: two quadrant products for a
 sector-patterned pair instead of one (2N x 2N) product.
 
 Each generator moves the basis by a fixed mode shift, so each of its
-quadrants lies on one diagonal, and so does every quadrant of their products
-and supercommutators.  A held quadrant is one read-only record (d, part).
-When d is an int, all its nonzeros lie on diagonal d = row - column and part
-is that diagonal alone: its max(0, N - |d|) entries (r, r - d) in increasing
-row r.  When d is None, part is the N x N array.  Every quadrant sum goes
-through one rule, ``_add``: two records on the same diagonal add as 1-D
-arrays, and any other pair is expanded to N x N and added.  A product of two
-diagonals is one elementwise product on diagonal d1 + d2, and ``apply``
-multiplies a diagonal onto the rows it reaches.  A diagonal is expanded to
-N x N only by ``_expand``, which places it in a temporary array of zeros, and
-only where it meets an N x N record or dense arithmetic: ``_add`` across two
-diagonals, a product with an N x N quadrant, ``block`` and the body in
-``_spectral_exp``.  Each such number comes from the same matrix product as
-when every quadrant was stored dense.
+quadrants lies on one diagonal; a fixed combination such as h or x_theta, and
+a product of a few of them, lies on a few.  A held quadrant is one read-only
+record: a tuple of (d, part) entries.  A diagonal record holds one entry per
+diagonal, at most ``_MAX_DIAGONALS`` of them, sorted by increasing d; d is the
+int row - column and part is that diagonal alone, its max(0, N - |d|) entries
+(r, r - d) in increasing row r.  A one-diagonal quadrant is the one-entry case.
+A dense record is the one entry (None, part) with part the N x N array.  Every
+quadrant sum goes through one rule, ``_add``: two diagonal records merge their
+offsets, adding the 1-D arrays of a diagonal both hold, and any other pair, or
+a merge past ``_MAX_DIAGONALS`` diagonals, is expanded to N x N and added.  A
+product of two diagonal records convolves their offsets: each pair of entries
+is one elementwise product on diagonal d1 + d2 (``_diagonal_product``), and
+products landing on one diagonal add in the order of the entries.  ``apply``
+multiplies each diagonal onto the rows it reaches.  A diagonal is expanded to
+N x N only by ``_expand``, which places the entries in a temporary array of
+zeros, and only where it meets an N x N record or dense arithmetic: ``_add``
+or ``@`` with a dense record or past ``_MAX_DIAGONALS``, ``block`` and the
+body in ``_spectral_exp``.  Each such number comes from the same matrix
+product as when every quadrant was stored dense.  Dense records come only from
+dense input to the constructor, from growth past ``_MAX_DIAGONALS`` and from
+the output of ``_spectral_exp``; no generator or fixed combination holds one.
 
 ``_spectral_exp`` exponentiates the displacement exponent from one
 eigendecomposition of its body per sector; ``operator_exp``, scaling and
@@ -38,10 +45,10 @@ squaring over these products, is its test oracle.
 
 The records a result holds follow from its operands, not from its entries: a
 product adds the offsets, the superadjoint negates them, a multiple keeps them
-and a sum keeps an offset both terms share.  A quadrant that cancels to zero
-stays held.  Only the public constructor reads entries, to keep the nonzero
-quadrants of the (2N x 2N) arrays it copies and find their diagonals;
-``block`` assembles one (2N x 2N) block.
+and a sum takes the union of its terms' offsets.  A quadrant or diagonal that
+cancels to zero stays held.  Only the public constructor reads entries, to
+keep the nonzero quadrants of the (2N x 2N) arrays it copies and find their
+diagonals; ``block`` assembles one (2N x 2N) block.
 
 The generators are declared once, in three tables.  ``_STENCILS`` gives
 each basic generator (and "I") as entries (target sector, source sector,
@@ -94,7 +101,6 @@ __all__ = [
     "build_generator",
     "generator_parity",
     "interior_columns",
-    "chi_ladder_matrix",
     "chi_slot_permutation",
     "ptheta_operator",
     "xtheta_operator",
@@ -156,10 +162,11 @@ class SuperOperator:
     """(2 N_max) x (2 N_max) operator with Grassmann-monomial block decomposition.
 
     ``blocks`` maps each coefficient-algebra monomial mask to the block's held
-    sector quadrants, {(row sector, column sector): (d, part)}, where a
-    missing quadrant is zero.  When d is an int, part is the read-only 1-D
-    diagonal d = row - column, its max(0, N - |d|) entries in increasing row
-    order; when d is None, part is the read-only (N x N) array.
+    sector quadrants, {(row sector, column sector): record}, where a missing
+    quadrant is zero.  A record is a tuple of (d, part) entries: one per
+    diagonal d = row - column, sorted by d, each part the read-only 1-D
+    diagonal of max(0, N - |d|) entries in increasing row order; or the one
+    entry (None, part) with part the read-only (N x N) array.
     ``block(mask)`` assembles one block.  ``algebra`` is
     ``coefficient_algebra`` of the algebra the operator was built with.
     """
@@ -167,9 +174,9 @@ class SuperOperator:
     __slots__ = ("algebra", "n_max", "blocks", "parity_bit", "_name")
 
     def __init__(self, algebra, n_max: int, blocks: dict, parity, name: str = ""):
-        """Copies the nonzero quadrants of each (2N x 2N) block, a one-diagonal
-        quadrant as its diagonal: later writes to the caller's arrays cannot
-        reach the operator."""
+        """Copies the nonzero quadrants of each (2N x 2N) block, one whose nonzeros lie on
+        at most ``_MAX_DIAGONALS`` diagonals as those diagonals: later writes to the
+        caller's arrays cannot reach the operator."""
         n = int(n_max)
         quadrants = {}
         for mask, mat in blocks.items():
@@ -182,9 +189,11 @@ class SuperOperator:
                 part = parts[i, :, j]
                 rows, cols = np.nonzero(part)
                 if rows.size:
-                    d = int(rows[0] - cols[0])
-                    one = (rows - cols == d).all()
-                    quads[(i, j)] = (d, part.diagonal(-d).copy()) if one else (None, part.copy())
+                    offsets = np.unique(rows - cols).tolist()
+                    if len(offsets) <= _MAX_DIAGONALS:
+                        quads[(i, j)] = tuple((d, part.diagonal(-d).copy()) for d in offsets)
+                    else:
+                        quads[(i, j)] = ((None, part.copy()),)
             if quads:
                 quadrants[int(mask)] = quads
         self._store(coefficient_algebra(algebra), n, quadrants, parity, name)
@@ -202,8 +211,9 @@ class SuperOperator:
         if parity not in (0, 1):
             raise ValueError("parity must be 0/1 or 'even'/'odd'")
         for quads in blocks.values():
-            for _, part in quads.values():
-                part.flags.writeable = False
+            for record in quads.values():
+                for _, part in record:
+                    part.flags.writeable = False
         self.algebra = algebra
         self.n_max = int(n_max)
         self.blocks = blocks
@@ -245,7 +255,7 @@ class SuperOperator:
     @classmethod
     def identity(cls, n_max: int, algebra=None) -> "SuperOperator":
         alg = coefficient_algebra(algebra or default_algebra())
-        eye = {(s, s): (0, np.ones(n_max, dtype=complex)) for s in (0, 1)}
+        eye = {(s, s): ((0, np.ones(n_max, dtype=complex)),) for s in (0, 1)}
         return cls._wrap(alg, n_max, {0: eye}, 0, name="I")
 
     @classmethod
@@ -288,9 +298,7 @@ class SuperOperator:
         """Left multiplication by a complex number or a homogeneous element of the operator's algebra."""
         if isinstance(beta, _SCALAR_TYPES):
             c = complex(beta)
-            blocks = {
-                m: {ij: (d, c * part) for ij, (d, part) in quads.items()} for m, quads in self.blocks.items()
-            }
+            blocks = {m: {ij: _scaled(r, c) for ij, r in quads.items()} for m, quads in self.blocks.items()}
             return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.parity_bit)
         if isinstance(beta, GrassmannElement):
             row = _scalar_row(self.algebra, beta)
@@ -305,8 +313,8 @@ class SuperOperator:
                         continue
                     key, sign = step
                     out = blocks.setdefault(key, {})
-                    for ij, (d, part) in quads.items():
-                        term = (d, (sign * coeff) * part)
+                    for ij, record in quads.items():
+                        term = _scaled(record, sign * coeff)
                         out[ij] = _add(out[ij], term, self.n_max) if ij in out else term
             return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.parity_bit ^ pb)
         return NotImplemented
@@ -324,9 +332,8 @@ class SuperOperator:
         Output quadrant (i, j) of a block product gains a[i, k] @ c[k, j] for
         each k, in increasing order, where both quadrants are held, so a
         sector-patterned pair costs two quadrant products.  Each term is a
-        record: the elementwise product of two diagonals on diagonal d1 + d2,
-        or else the matrix product of the N x N expansions.  It is negated for
-        a negative sign, then stored or added to the output through ``_add``.
+        record, ``_product`` of the two.  It is negated for a negative sign,
+        then stored or added to the output through ``_add``.
         """
         self._check(other)
         plan = self.algebra.plan
@@ -348,19 +355,16 @@ class SuperOperator:
                         y = qc.get((k, j))
                         if y is None:
                             continue
-                        if x[0] is None or y[0] is None:
-                            term = (None, _expand(x, n) @ _expand(y, n))
-                        else:
-                            term = _diagonal_product(x, y, n)
+                        term = _product(x, y, n)
                         if sign < 0:
-                            term = (term[0], -term[1])
+                            term = tuple([(d, -part) for d, part in term])
                         out[(i, j)] = _add(out[(i, j)], term, n) if (i, j) in out else term
         return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.parity_bit ^ other.parity_bit)
 
     def apply(self, v: SuperVector) -> SuperVector:
         """Quadrant products per block, Koszul-signed, scattered to columns am|v.
 
-        A diagonal record (d, part) of quadrant (i, j) acts on the rows it
+        Each diagonal (d, part) of quadrant (i, j) acts on the rows it
         reaches, lo <= r < hi with lo, hi = max(0, d), N + min(0, d): row r of
         sector i gains part[r - lo] times row r - d of sector j, one slice
         product for all rows.  An N x N record is one matrix product.
@@ -375,13 +379,14 @@ class SuperOperator:
         out = np.zeros_like(coeffs)
         for am, quads in self.blocks.items():
             acc = np.zeros_like(coeffs)
-            for (i, j), (d, part) in sorted(quads.items()):
-                if d is None:
-                    acc[i] += part @ coeffs[j]
-                else:
-                    lo = max(0, d)
-                    hi = max(lo, n + min(0, d))  # lo == hi: the diagonal lies outside the quadrant
-                    acc[i, lo:hi] += part[:, None] * coeffs[j, lo - d : hi - d]
+            for (i, j), record in sorted(quads.items()):
+                for d, part in record:
+                    if d is None:
+                        acc[i] += part @ coeffs[j]
+                    else:
+                        lo = max(0, d)
+                        hi = max(lo, n + min(0, d))  # lo == hi: the diagonal lies outside the quadrant
+                        acc[i, lo:hi] += part[:, None] * coeffs[j, lo - d : hi - d]
             graded = plan.grade(acc) if self.parity_bit ^ plan.parity[am] else acc
             out += plan.left_mul(am, graded)
         return SuperVector.from_coeffs(v.algebra, out.reshape(v.coeffs.shape))
@@ -402,7 +407,8 @@ class SuperOperator:
         Koszul sign of odd blocks on odd columns and the sign of the conjugate
         monomial.  Unit weights multiply exactly.  Transposing moves diagonal d
         to -d with its entries in the same order, so a diagonal is only
-        conjugated and weighted.
+        conjugated and weighted, and the entries are taken in reverse to stay
+        sorted.
         """
         blocks: dict[int, dict] = {}
         plan = self.algebra.plan
@@ -410,9 +416,12 @@ class SuperOperator:
             p_ma = self.parity_bit ^ plan.parity[am]
             mm, c = plan.conj_table[am]  # conjugation permutes the masks
             blocks[mm] = adj = {}
-            for (j, i), (d, part) in quads.items():
+            for (j, i), record in quads.items():
                 weight = c * 1j**i * (-1j) ** j * ((-1.0) ** j if p_ma else 1.0)
-                adj[(i, j)] = (None, weight * part.conj().T) if d is None else (-d, weight * part.conj())
+                adj[(i, j)] = tuple(
+                    (None, weight * part.conj().T) if d is None else (-d, weight * part.conj())
+                    for d, part in reversed(record)
+                )
         return SuperOperator._wrap(
             self.algebra, self.n_max, blocks, self.parity_bit, name=f"({self.name})+"
         )
@@ -427,7 +436,8 @@ class SuperOperator:
         parts = [
             np.abs(part if columns is None else _columns(part, d, columns[j])).max(initial=0.0)
             for quads in self.blocks.values()
-            for (_, j), (d, part) in quads.items()
+            for (_, j), record in quads.items()
+            for d, part in record
         ]
         # the ufunc keeps a NaN, as np.max does, without np.max's dispatch cost per call
         return float(np.maximum.reduce(parts, initial=0.0))
@@ -438,8 +448,9 @@ class SuperOperator:
         parts = [
             np.abs(part).max(initial=0.0)
             for am, quads in self.blocks.items()
-            for (i, j), (_, part) in quads.items()
+            for (i, j), record in quads.items()
             if i ^ j != self.parity_bit ^ parity[am]
+            for _, part in record
         ]
         return float(np.maximum.reduce(parts, initial=0.0))
 
@@ -451,23 +462,66 @@ class SuperOperator:
         )
 
 
+# A diagonal record holds at most this many diagonals; a sum or product that would hold more
+# is stored N x N.  That bounds a product of two records at 64 diagonal products.  The widest
+# record of a fixed combination, a sector quadrant of h, holds 3, and a product of two of them 5.
+_MAX_DIAGONALS = 8
+
+
 def _expand(record: tuple, n: int) -> np.ndarray:
-    """The N x N array of a quadrant record (d, part): part itself when d is None, else
-    part placed on diagonal d, the entries (r, r - d), of an N x N array of zeros."""
-    d, part = record
-    if d is None:
-        return part
+    """The N x N array of a quadrant record: the part of a dense record itself, else each
+    diagonal (d, part) placed on the entries (r, r - d) of an N x N array of zeros."""
+    if record[0][0] is None:
+        return record[0][1]
     mat = np.zeros((n, n), dtype=complex)
-    rows = np.arange(max(0, d), n + min(0, d))
-    mat[rows, rows - d] = part
+    for d, part in record:
+        rows = np.arange(max(0, d), n + min(0, d))
+        mat[rows, rows - d] = part
     return mat
 
 
+def _scaled(record: tuple, c) -> tuple:
+    """The record of c * x for a quadrant record x and a complex number c."""
+    return tuple([(d, c * part) for d, part in record])
+
+
 def _add(x: tuple, y: tuple, n: int) -> tuple:
-    """The record of x + y for quadrant records x and y: 1-D when both lie on one diagonal."""
-    if x[0] == y[0]:
-        return x[0], x[1] + y[1]
-    return None, _expand(x, n) + _expand(y, n)
+    """The record of x + y for quadrant records x and y.
+
+    Two diagonal records merge their offsets, a diagonal both hold adding as x's part plus
+    y's; past ``_MAX_DIAGONALS`` diagonals, or with a dense record, the sum is N x N.
+    """
+    if len(x) == len(y) == 1 and x[0][0] == y[0][0]:  # the same diagonal, or both N x N: no merge
+        return ((x[0][0], x[0][1] + y[0][1]),)
+    if x[0][0] is not None and y[0][0] is not None:
+        merged = dict(x)
+        for d, part in y:
+            merged[d] = merged[d] + part if d in merged else part
+        if len(merged) <= _MAX_DIAGONALS:
+            return tuple(sorted(merged.items()))
+    return ((None, _expand(x, n) + _expand(y, n)),)
+
+
+def _product(x: tuple, y: tuple, n: int) -> tuple:
+    """The record of x @ y for quadrant records x and y.
+
+    Two diagonal records convolve their offsets: each pair of entries, x's in order and for
+    each y's in order, is one ``_diagonal_product`` on diagonal d1 + d2, and the products
+    landing on one diagonal add in that order.  With a dense record, or when the convolution
+    lands on more than ``_MAX_DIAGONALS`` diagonals, the product is instead that of the N x N
+    expansions.
+    """
+    if x[0][0] is not None and y[0][0] is not None:
+        if len(x) == len(y) == 1:  # one diagonal each: one product, no merge
+            return (_diagonal_product(x[0], y[0], n),)
+        out = {}
+        for a in x:
+            for c in y:
+                d, part = _diagonal_product(a, c, n)
+                out[d] = out[d] + part if d in out else part
+        if len(out) <= _MAX_DIAGONALS:
+            return tuple(sorted(out.items()))
+    return ((None, _expand(x, n) @ _expand(y, n)),)
 
 
 def _columns(part: np.ndarray, d, cols: np.ndarray) -> np.ndarray:
@@ -480,7 +534,7 @@ def _columns(part: np.ndarray, d, cols: np.ndarray) -> np.ndarray:
 
 
 def _diagonal_product(x: tuple, y: tuple, n: int) -> tuple:
-    """The record of x @ y for diagonal records x = (d1, a) and y = (d2, c): diagonal d1 + d2.
+    """The entry of x @ y for diagonal entries x = (d1, a) and y = (d2, c): diagonal d1 + d2.
 
     (x @ y)[r, r - d] = a[r, r - d1] * c[r - d1, r - d] for d = d1 + d2: one term, on the rows r
     where all three entries exist, and zero on the rest of the diagonal.
@@ -489,10 +543,13 @@ def _diagonal_product(x: tuple, y: tuple, n: int) -> tuple:
     d = d1 + d2
     lo = max(0, d1, d)
     hi = max(lo, n + min(0, d1, d))  # lo == hi: the product is zero
-    out = np.zeros(max(0, n - abs(d)), dtype=complex)
-    out[lo - max(0, d) : hi - max(0, d)] = (
-        a[lo - max(0, d1) : hi - max(0, d1)] * c[lo - d1 - max(0, d2) : hi - d1 - max(0, d2)]
-    )
+    o, o1, o2 = max(0, d), max(0, d1), max(0, d2)
+    term = a[lo - o1 : hi - o1] * c[lo - d1 - o2 : hi - d1 - o2]
+    size = max(0, n - abs(d))
+    if term.size == size:  # the rows reached are the whole diagonal
+        return d, term
+    out = np.zeros(size, dtype=complex)
+    out[lo - o : hi - o] = term
     return d, out
 
 
@@ -527,21 +584,36 @@ def build_generator(name: str, n_max: int, algebra=None) -> SuperOperator:
     for target, source, shift, coeff in _STENCILS[name]:
         j = np.arange(max(0, -shift), n_max - max(0, shift))  # source modes whose target is kept
         values = np.full(j.shape, coeff(j.astype(float), 0.5, np.sqrt), dtype=complex)
-        quadrants[(target, source)] = (shift, values)
+        quadrants[(target, source)] = ((shift, values),)
     return SuperOperator._wrap(alg, n_max, {0: quadrants}, parity, name=name)
-
-
-def chi_ladder_matrix(sign, size: int) -> np.ndarray:
-    """a+- on the raw chi basis (chi_0 .. chi_{size-1}): a+ maps chi_m to chi_{m+1}, filling
-    the subdiagonal, and a- maps it to chi_{m-1}, filling the superdiagonal."""
-    shift = _basis.apply_ladder(sign, 1)[1] - 1  # +1 raising, -1 lowering; rejects a bad sign
-    modes = np.arange(max(0, -shift), size - max(0, shift))  # source modes whose target is kept
-    return np.diag(_basis.ladder_coefficient(sign, modes).astype(complex), -shift)
 
 
 def chi_slot_permutation(n_max: int) -> np.ndarray:
     """chi index for each slot: even slots hold chi_{2n}, odd slots chi_{2n+1}."""
     return np.concatenate([2 * np.arange(n_max), 2 * np.arange(n_max) + 1])
+
+
+def _ladder_square(m, top: int) -> tuple:
+    """(lower, main, upper): the entries (m - 2, m), (m, m) and (m + 2, m) of (a+ + a-)^2 on
+    chi_0 .. chi_top, for each chi index in the array m.
+
+    Each entry sums the two-step paths that stay in the basis, a product of two
+    ``basis.ladder_coefficient`` values per path: down twice, up twice, and on the main
+    diagonal down then up plus up then down, in the order of the matrix product's middle
+    index.  An entry whose paths all leave the basis is zero.
+    """
+    up = lambda k: _basis.ladder_coefficient("+", k)
+    down = lambda k: _basis.ladder_coefficient("-", k)
+    lower, main, upper = np.zeros(m.shape), np.zeros(m.shape), np.zeros(m.shape)
+    k = m >= 2
+    lower[k] = down(m[k] - 1) * down(m[k])
+    k = m >= 1
+    main[k] = up(m[k] - 1) * down(m[k])
+    k = m < top
+    main[k] += down(m[k] + 1) * up(m[k])
+    k = m + 2 <= top
+    upper[k] = up(m[k] + 1) * up(m[k])
+    return lower, main, upper
 
 
 def ptheta_operator(n_max: int, algebra=None) -> SuperOperator:
@@ -696,19 +768,22 @@ def _spectral_exp(op: SuperOperator) -> SuperOperator:
     f1, split = _first_differences(lam[0][:, None], lam[1][None, :])
     cross = {(0, 1): (f1, split), (1, 0): (f1.T, -split.T)}  # (F1, lam_s - lam_t) across the sectors
 
-    blocks = {0: {(s, s): (None, (vec[s] * np.exp(lam[s])) @ vec[s].conj().T) for s in (0, 1)}}
+    blocks = {0: {(s, s): ((None, (vec[s] * np.exp(lam[s])) @ vec[s].conj().T),) for s in (0, 1)}}
     tilde, weighted = {}, {}
     for m, quads in odd.items():
         blocks[m] = {}
-        for (s, t), (d, part) in quads.items():
-            if d is None:
-                g = vec[s].conj().T @ part @ vec[t]
-            else:
-                rows = np.arange(max(0, d), n + min(0, d))
-                g = (vec[s].conj().T[:, rows] * part) @ vec[t][rows - d, :]
+        for (s, t), record in quads.items():
+            g = None
+            for d, part in record:
+                if d is None:
+                    term = vec[s].conj().T @ part @ vec[t]
+                else:
+                    rows = np.arange(max(0, d), n + min(0, d))
+                    term = (vec[s].conj().T[:, rows] * part) @ vec[t][rows - d, :]
+                g = term if g is None else g + term
             tilde[(m, s)] = g
             weighted[(m, s)] = cross[(s, t)][0] * g
-            blocks[m][(s, t)] = (None, vec[s] @ weighted[(m, s)] @ vec[t].conj().T)
+            blocks[m][(s, t)] = ((None, vec[s] @ weighted[(m, s)] @ vec[t].conj().T),)
 
     for a in odd:
         for b in odd:
@@ -734,7 +809,7 @@ def _spectral_exp(op: SuperOperator) -> SuperOperator:
                         taylor = taylor * u + ga @ (dp[p].T * gb)
                     mid = np.where(close, taylor, mid)
                 mid[np.diag_indices(n)] = np.sum(ga * dp[0] * gb.T, axis=1)  # u = 0: the p = 0 term
-                term = (None, (-sign) * (vec[s] @ mid @ vec[s].conj().T))
+                term = ((None, (-sign) * (vec[s] @ mid @ vec[s].conj().T)),)
                 out[(s, s)] = _add(out[(s, s)], term, n) if (s, s) in out else term
     return SuperOperator._wrap(op.algebra, n, blocks, 0, name=f"exp({op.name})")
 
@@ -848,23 +923,29 @@ def vacuum_defects(ops: dict) -> dict:
 def hamiltonian_defects(n_max: int = 32, algebra=None, spec=None) -> dict:
     """Defects of the Hamiltonian element h = K+/2 + K-/2 + K0, checked three ways.
 
-    ``ladder_route``: h against (a+ + a-)^2 on the raw chi basis, reordered
-    into slots, on interior columns and divided by h's max-abs entry there
-    (``ladder_route_abs`` keeps the absolute figure); ``block_pattern``:
-    entries off the sector pattern;
-    ``quadrature`` and ``pointwise``: matrix elements and h chi_m against
-    -chi_m'' (m <= 6); ``vacuum``: <chi_0| h |chi_0> against 1/4, read from the
-    t = 0 quadrature matrix.
+    ``ladder_route``: h against (a+ + a-)^2 on the raw chi basis, whose
+    diagonals -2, 0 and +2 (``_ladder_square``) are reordered into the slot
+    diagonals -1, 0 and +1 of each sector, on interior columns and divided by
+    h's max-abs entry there (``ladder_route_abs`` keeps the absolute figure);
+    ``block_pattern``: entries off the sector pattern; ``quadrature`` and
+    ``pointwise``: matrix elements and h chi_m against -chi_m'' (m <= 6), both
+    reading the 9 x 9 corner of (a+ + a-)^2 on chi_0 .. chi_8; ``vacuum``:
+    <chi_0| h |chi_0> against 1/4, read from the t = 0 quadrature matrix.
     """
     alg = algebra or default_algebra()
     h = build_generator("h", n_max, alg)
 
-    size = 2 * n_max
-    ladder_sum = chi_ladder_matrix("+", size) + chi_ladder_matrix("-", size)
-    h_chi = ladder_sum @ ladder_sum
-    perm = chi_slot_permutation(n_max)
+    top = 2 * n_max - 1  # the slots hold chi_0 .. chi_top
+    ladder = {}
+    for p, m in enumerate(chi_slot_permutation(n_max).reshape(2, n_max)):
+        lower, main, upper = _ladder_square(m, top)
+        # chi_{m -+ 2} is mode n -+ 1 of the same sector: slot diagonals -1, 0 and +1
+        ladder[(p, p)] = ((-1, lower[1:]), (0, main), (1, upper[:-1]))
+    h_chi = SuperOperator._wrap(h.algebra, n_max, {0: ladder}, 0)
     cols = interior_columns(n_max, 2)
-    route = float(np.abs((h.body - h_chi[np.ix_(perm, perm)])[:, cols]).max())
+    route = (h - h_chi).max_abs(columns=cols)
+    lower, main, upper = _ladder_square(np.arange(9), top)
+    corner = np.diag(main) + np.diag(lower[2:], 2) + np.diag(upper[:-2], -2)  # on chi_0 .. chi_8
 
     quad = []
     for t in (0.0, 1.0):
@@ -874,7 +955,7 @@ def hamiltonian_defects(n_max: int = 32, algebra=None, spec=None) -> dict:
             [-_basis.eval_chi_derivatives(m, x, t)[2] for m in range(7)]
         )
         quad_elements = (vals.conj() * w) @ neg_d2.T
-        quad.append(np.abs(quad_elements - h_chi[:7, :7]).max())
+        quad.append(np.abs(quad_elements - corner[:7, :7]).max())
         if t == 0.0:
             vac_h = complex(quad_elements[0, 0])  # <chi_0| h |chi_0>
 
@@ -883,7 +964,7 @@ def hamiltonian_defects(n_max: int = 32, algebra=None, spec=None) -> dict:
     for t in (0.0, 0.7):
         vals = _basis.chi_matrix(range(9), grid, t)
         for m in range(7):
-            recon = h_chi[:9, m] @ vals
+            recon = corner[:, m] @ vals
             direct = -_basis.eval_chi_derivatives(m, grid, t)[2]
             point.append(np.abs(recon - direct).max())
 

@@ -12,6 +12,7 @@ from osp22.cli import _attach_signed_values, _collect_config, build_parser, main
 from osp22.coherent import CoherentParams
 from osp22.config import (
     DEFAULT_TOLERANCES,
+    MAX_N_MAX,
     MAX_NODES,
     MIN_NODES,
     TOP_QUADRATURE_MODE,
@@ -281,6 +282,8 @@ class TestValidatedDomain:
             (["verify", "grassmann", "--tol-grassmann=nan"], "tolerance 'grassmann' value nan must be finite"),
             (["verify", "grassmann", "--tol-grassmann=inf"], "tolerance 'grassmann' value inf must be finite"),
             (["verify", "grassmann", "--tol-grassmann=0"], "tolerance 'grassmann' value 0.0 must be finite"),
+            (["verify", "algebra", f"--nmax={MAX_N_MAX + 1}"], f"n_max must lie in [8, {MAX_N_MAX}]"),
+            (["verify", "algebra", "--nmax=7"], f"n_max must lie in [8, {MAX_N_MAX}]"),
         ],
     )
     def test_exits_2(self, tmp_path, capsys, argv, message):

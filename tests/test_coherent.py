@@ -267,7 +267,7 @@ class TestSpectralDisplacement:
             alpha | alpha_bar: [(0, 0), (1, 1)],
         }
         for quads in d.blocks.values():
-            for dd, part in quads.values():
+            for ((dd, part),) in quads.values():
                 assert dd is None and part.shape == (16, 16) and not part.flags.writeable
 
 

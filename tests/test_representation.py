@@ -22,7 +22,6 @@ from osp22.representation import (
     SuperOperator,
     _STENCILS,
     build_generator,
-    chi_ladder_matrix,
     chi_slot_permutation,
     generator_parity,
     hamiltonian_defects,
@@ -207,29 +206,30 @@ def _nonzero_quadrants(mat, n):
 
 
 def _scanned_offsets(mat, n):
-    """{(row sector, column sector): the offset row - column shared by all nonzeros of
-    that quadrant, or None}, over the nonzero quadrants of a (2n x 2n) block."""
+    """{(row sector, column sector): the sorted offsets row - column of that quadrant's
+    nonzeros, or (None,) past representation._MAX_DIAGONALS of them}, over the nonzero
+    quadrants of a (2n x 2n) block."""
     out = {}
     for i, j in _nonzero_quadrants(mat, n):
         rows, cols = np.nonzero(mat[i * n : (i + 1) * n, j * n : (j + 1) * n])
-        diffs = set((rows - cols).tolist())
-        out[(i, j)] = diffs.pop() if len(diffs) == 1 else None
+        diffs = tuple(sorted(set((rows - cols).tolist())))
+        out[(i, j)] = diffs if len(diffs) <= representation._MAX_DIAGONALS else (None,)
     return out
 
 
 def _offsets(quads):
-    """{(row sector, column sector): d} of one block's quadrant records (d, part)."""
-    return {ij: d for ij, (d, _) in quads.items()}
+    """{(row sector, column sector): (d, ...)} of one block's quadrant records."""
+    return {ij: tuple(d for d, _ in record) for ij, record in quads.items()}
 
 
 def _assert_offsets_hold(o):
-    """Every recorded offset holds all nonzeros of its quadrant on that diagonal,
+    """The recorded offsets of each diagonal record hold all nonzeros of its quadrant,
     against a fresh scan of the assembled block."""
     for m, quads in o.blocks.items():
         fresh = _scanned_offsets(o.block(m), o.n_max)
-        for ij, d in _offsets(quads).items():
-            if d is not None and ij in fresh:  # a quadrant that cancelled to zero fits any offset
-                assert fresh[ij] == d, (m, ij, d, fresh[ij])
+        for ij, ds in _offsets(quads).items():
+            if None not in ds and ij in fresh:  # a diagonal that cancelled to zero holds no nonzero
+                assert set(fresh[ij]) <= set(ds), (m, ij, ds, fresh[ij])
 
 
 def _dense_product(a, c):
@@ -280,15 +280,20 @@ def _dense_multiple(beta, a):
 
 
 def _assert_diagonal_layout(o):
-    """A held quadrant record (d, part) is 1-D exactly when d is an int, of length
-    max(0, N - |d|), and N x N when d is None; its storage is read-only."""
+    """A held quadrant record is a tuple of (d, part) entries: either the one entry
+    (None, N x N array), or one to representation._MAX_DIAGONALS entries with int d in
+    increasing order, each part 1-D of length max(0, N - |d|); all storage is read-only."""
     n = o.n_max
     for m, quads in o.blocks.items():
-        for ij, (d, part) in quads.items():
-            assert d is None or type(d) is int, (m, ij, d)
-            assert (part.ndim == 1) == isinstance(d, int), (m, ij, d, part.shape)
-            assert part.shape == ((n, n) if d is None else (max(0, n - abs(d)),))
-            assert not part.flags.writeable
+        for ij, record in quads.items():
+            offsets = [d for d, _ in record]
+            assert type(record) is tuple and 1 <= len(record) <= representation._MAX_DIAGONALS, (m, ij)
+            assert offsets == [None] or all(type(d) is int for d in offsets), (m, ij, offsets)
+            assert None in offsets or offsets == sorted(set(offsets)), (m, ij, offsets)
+            for d, part in record:
+                assert (part.ndim == 1) == isinstance(d, int), (m, ij, d, part.shape)
+                assert part.shape == ((n, n) if d is None else (max(0, n - abs(d)),))
+                assert not part.flags.writeable
 
 
 def _assert_diagnostics_match_blocks(o):
@@ -368,7 +373,7 @@ class TestQuadrantComposition:
         """Every held quadrant of the 8 generators and their 64 supercommutators has
         an offset, and each of their quadrant products is a diagonal product."""
         ops = generators(16)
-        shifts = {name: {(t, s): shift for t, s, shift, _ in _STENCILS[name]} for name in ops}
+        shifts = {name: {(t, s): (shift,) for t, s, shift, _ in _STENCILS[name]} for name in ops}
         for name, g in ops.items():
             assert set(g.blocks) == {0} and _offsets(g.blocks[0]) == shifts[name]
         diagonal_products = []
@@ -387,7 +392,8 @@ class TestQuadrantComposition:
                 assert len(diagonal_products) - before == pairs(a, c) + pairs(c, a)
                 assert bracket.blocks
                 for m, quads in bracket.blocks.items():
-                    assert None not in _offsets(quads).values(), (a.name, c.name, m, _offsets(quads))
+                    assert all(len(ds) == 1 and ds != (None,) for ds in _offsets(quads).values()), (
+                        a.name, c.name, m, _offsets(quads))
                 _assert_offsets_hold(bracket)
 
     @settings(max_examples=80, deadline=None)
@@ -439,7 +445,7 @@ class TestQuadrantComposition:
         for a in ops.values():
             for o in [a] + [a.supercommutator(c) for c in ops.values()]:
                 _assert_diagonal_layout(o)
-                assert all(part.ndim == 1 for quads in o.blocks.values() for _, part in quads.values()), o
+                assert all(d is not None for quads in o.blocks.values() for r in quads.values() for d, _ in r), o
 
     @settings(max_examples=40, deadline=None)
     @given(_operator_pairs())
@@ -454,6 +460,48 @@ class TestQuadrantComposition:
         assert set(got.blocks) == {m for m, w in want.items() if np.any(w)}
         for m, w in want.items():
             np.testing.assert_array_equal(got.block(m), w)
+
+    def test_combinations_keep_to_their_diagonals(self, monkeypatch):
+        """Sums, products, superadjoints, max_abs over columns, block_pattern_defect and apply
+        of X3, X4, h, p_theta and x_theta run without ``_expand``, and every result holds
+        diagonal records only.  Each equals the same operation on the assembled blocks: sums,
+        superadjoints and the diagnostics bit for bit, products and apply, which add over
+        several diagonals in another order than a BLAS product, to rounding."""
+        n = 12
+        ops = [op(name, n) for name in ("X3", "X4", "h", "p_theta")] + [xtheta_operator(n, 0.7, ALG)]
+        cols = interior_columns(n, 2)
+        vectors = [random_supervector(n, np.random.default_rng(47), ALG, parity=p) for p in ("even", "odd")]
+        expand = representation._expand
+
+        def refuse(record, size):
+            raise AssertionError("a quadrant record was expanded")
+
+        monkeypatch.setattr(representation, "_expand", refuse)
+        pairs = [(a, c) for a in ops for c in ops]
+        sums = [(a, c, a + c, a - c) for a, c in pairs if a.parity_bit == c.parity_bit]
+        products = [(a, c, a @ c) for a, c in pairs]
+        adjoints = [(a, a.superadjoint()) for a in ops]
+        norms = [(a, a.max_abs(columns=cols), a.block_pattern_defect()) for a in ops]
+        applied = [(a, v, a.apply(v).coeffs) for a in ops for v in vectors]
+        monkeypatch.setattr(representation, "_expand", expand)
+
+        results = [o for *_, total, diff in sums for o in (total, diff)] + [p for *_, p in products]
+        for o in results + [adj for _, adj in adjoints]:
+            _assert_diagonal_layout(o)
+            assert all(d is not None for quads in o.blocks.values() for r in quads.values() for d, _ in r)
+        for a, c, total, diff in sums:
+            np.testing.assert_array_equal(total.body, a.body + c.body)
+            np.testing.assert_array_equal(diff.body, a.body - c.body)
+        for a, c, product in products:
+            want = _dense_product(a, c).get(0, np.zeros((2 * n, 2 * n)))
+            np.testing.assert_allclose(product.body, want, rtol=0, atol=4e-16 * max(1.0, np.abs(want).max()))
+        for a, adj in adjoints:
+            np.testing.assert_array_equal(adj.body, _dense_superadjoint(a)[0])
+        for a, size, pattern in norms:
+            assert size == np.abs(a.body[:, cols]).max() and pattern == 0.0
+        for a, v, got in applied:
+            want = _apply_all_columns(a, v)
+            np.testing.assert_allclose(got, want, rtol=0, atol=4e-16 * np.abs(want).max())
 
     def test_patterned_product_is_one_term_per_quadrant(self):
         """Even times odd: each output quadrant is one N x N product, bit for bit."""
@@ -515,7 +563,7 @@ class TestQuadrantComposition:
             assert total.blocks[mask].keys() == operand.blocks[mask].keys()
             assert all(total.blocks[mask][ij] is record for ij, record in operand.blocks[mask].items())
         with pytest.raises(ValueError):
-            total.blocks[pair][(0, 0)][1][1] = 0.0
+            total.blocks[pair][(0, 0)][0][1][1] = 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(_operator_pairs())
@@ -637,12 +685,13 @@ class TestApplyColumns:
     @pytest.mark.parametrize("n", [2, 3, 8, 128])
     @pytest.mark.parametrize("alg", [ALG, ALG6], ids=["g4", "g6"])
     def test_diagonals_apply_without_expansion(self, alg, n, monkeypatch):
-        """``apply`` never expands a record: a diagonal acts by one slice product, also where it
-        lies partly or wholly outside the quadrant (K+- cubed at N = 2 sit on diagonals +-3), and
-        an N x N record, as in X3, X4, h and p_theta, by its matrix product.  Where each entry
-        of a diagonal is real or imaginary, as in every generator, both give the all-column
-        product bit for bit.  Entries with both parts nonzero, as in (0.7 - 0.4i) alpha V+,
-        may round differently in the BLAS product, so that operator agrees to rounding."""
+        """``apply`` never expands a record: each diagonal acts by one slice product, also where
+        it lies partly or wholly outside the quadrant (K+- cubed at N = 2 sit on diagonals +-3).
+        Where a quadrant holds one diagonal whose entries are each real or imaginary, as in
+        every basic generator, that gives the all-column product bit for bit.  Entries with
+        both parts nonzero, as in (0.7 - 0.4i) alpha V+, may round differently in the BLAS
+        product, and so may the sum over the diagonals of X3, X4, h, p_theta and x_theta,
+        so those operators agree to rounding."""
         rng = np.random.default_rng(43)
         al, alb = coefficient_algebra(alg).gen("alpha"), coefficient_algebra(alg).gen("alpha_bar")
         gen = {name: build_generator(name, n, alg) for name in ALL_NAMES}
@@ -661,7 +710,7 @@ class TestApplyColumns:
                 got = o.apply(v).coeffs
                 monkeypatch.setattr(representation, "_expand", expand)
                 want = _apply_all_columns(o, v)
-                if o is ops[-1]:
+                if o is ops[-1] or any(len(r) > 1 for quads in o.blocks.values() for r in quads.values()):
                     np.testing.assert_allclose(got, want, rtol=0, atol=4e-16 * np.abs(want).max())
                 else:
                     np.testing.assert_array_equal(got, want, err_msg=o.name)
@@ -833,6 +882,29 @@ class TestHamiltonian:
         other = {"quadrature": "pointwise", "pointwise": "quadrature"}[key]
         assert np.isnan(defects[key]) and defects[other] < 1e-8
 
+    @pytest.mark.parametrize("n", [8, 17, 64])
+    def test_diagonal_route_matches_the_dense_square(self, n):
+        """The three diagonals and the 9 x 9 corner against (a+ + a-)^2 formed densely on
+        chi_0 .. chi_{2n-1}, and ``ladder_route_abs`` against the dense slot comparison."""
+        size = 2 * n
+        m = np.arange(size - 1)
+        ladder = np.zeros((size, size))
+        ladder[m + 1, m] = basis.ladder_coefficient("+", m)
+        ladder[m, m + 1] = basis.ladder_coefficient("-", m + 1)
+        square = ladder @ ladder
+        lower, main, upper = representation._ladder_square(np.arange(size), size - 1)
+        np.testing.assert_array_equal(lower[2:], np.diagonal(square, 2))
+        np.testing.assert_array_equal(upper[:-2], np.diagonal(square, -2))
+        np.testing.assert_allclose(main, np.diagonal(square), rtol=4e-16)
+        assert np.count_nonzero(square) == 3 * size - 4
+        lower, main, upper = representation._ladder_square(np.arange(9), size - 1)
+        corner = np.diag(main) + np.diag(lower[2:], 2) + np.diag(upper[:-2], -2)
+        np.testing.assert_allclose(corner, square[:9, :9], rtol=0, atol=4e-16 * np.abs(square[:9, :9]).max())
+        perm = chi_slot_permutation(n)
+        cols = interior_columns(n, 2)
+        dense = np.abs((op("h", n).body - square[np.ix_(perm, perm)])[:, cols]).max()
+        assert abs(hamiltonian_defects(n, ALG)["ladder_route_abs"] - dense) <= 4e-16 * n
+
     def test_vacuum_expectation_frozen(self):
         assert hamiltonian_defects(16, ALG)["vacuum"] < 1e-10
 
@@ -932,11 +1004,14 @@ class TestSpectralExp:
 
 class TestChiBasisRoutes:
     def test_ladder_matrices(self):
-        ap = chi_ladder_matrix("+", 6)
-        am = chi_ladder_matrix("-", 6)
-        assert ap[1, 0] == 0.5
-        assert am[0, 1] == 0.5
-        assert np.abs(ap.T - am).max() == 0.0
+        """(a+ + a-)^2 on chi_0 .. chi_5 by its diagonals: a+ a+ chi_0 = (1/2)(1/2) sqrt 2 chi_2,
+        the square is symmetric, <chi_m| h |chi_m> = (2m + 1)/4 below the top mode, and the
+        paths that leave the basis are missing at both ends."""
+        lower, main, upper = representation._ladder_square(np.arange(6), 5)
+        assert upper[0] == 0.25 * np.sqrt(2.0) and main[0] == 0.25
+        assert np.array_equal(lower[2:], upper[:-2])  # entry (m, m + 2) is entry (m + 2, m)
+        assert not lower[:2].any() and not upper[-2:].any()
+        np.testing.assert_allclose(main, [0.25, 0.75, 1.25, 1.75, 2.25, 1.25], rtol=4e-16)
 
     def test_slot_permutation(self):
         perm = chi_slot_permutation(3)

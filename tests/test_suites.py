@@ -21,7 +21,7 @@ from osp22 import representation as _rep
 from osp22 import superspace as _ss
 from osp22.basis import QuadratureSpec
 from osp22.cli import main
-from osp22.config import DEFAULT_TOLERANCES, DISK_RADIUS, RunConfig
+from osp22.config import DEFAULT_TOLERANCES, DISK_RADIUS, MAX_N_MAX, RunConfig
 from osp22.grassmann import (
     EVEN,
     GENERATORS_EXTENDED,
@@ -248,11 +248,11 @@ def _disk_point(radius, phase):
 
 _PHASES = st.floats(-np.pi, np.pi)
 _RADII = st.one_of(st.just(DISK_RADIUS), st.floats(0.0, DISK_RADIUS))
-# the validated domain: n_max >= 8, nodes in [22, 320], |z| <= 0.9, any real t, any seed;
+# the validated domain: n_max in [8, MAX_N_MAX], nodes in [22, 320], |z| <= 0.9, any real t, any seed;
 # alpha stays in |alpha| <= 2 because the absolute coherent gates fail at large alpha
 SWEEP = st.builds(
     RunConfig,
-    n_max=st.sampled_from([8, 17, 32, 64, 128]),
+    n_max=st.sampled_from([8, 17, 32, 64, 128, MAX_N_MAX]),
     nodes=st.sampled_from([22, 200, 320]),
     z_samples=st.lists(st.builds(_disk_point, _RADII, _PHASES), min_size=1, max_size=3).map(tuple),
     t_samples=st.lists(
@@ -271,3 +271,11 @@ def test_every_check_passes_over_the_validated_domain(cfg, suites):
         cfg.validate(suite)
         failed = [(r["id"], r["defect"], r["tolerance"]) for r in suite_checks(suite, cfg) if not r["pass"]]
         assert not failed, (suite, cfg)
+
+
+def test_algebra_passes_at_the_ceiling():
+    """The largest truncation ``validate`` accepts, which the sweep's draws need not reach."""
+    cfg = replace(RunConfig(), n_max=MAX_N_MAX)
+    cfg.validate("algebra")
+    failed = [(r["id"], r["defect"]) for r in suite_checks("algebra", cfg) if not r["pass"]]
+    assert not failed
