@@ -931,7 +931,10 @@ def hamiltonian_defects(n_max: int = 32, algebra=None, spec=None) -> dict:
     ``pointwise``: matrix elements and h chi_m against -chi_m'' (m <= 6), both
     reading the 9 x 9 corner of (a+ + a-)^2 on chi_0 .. chi_8; ``vacuum``:
     <chi_0| h |chi_0> against 1/4, read from the t = 0 quadrature matrix.
+    The corner needs every path from chi_8, so n_max must be at least 5.
     """
+    if n_max < 5:
+        raise ValueError("the Hamiltonian routes need n_max >= 5")
     alg = algebra or default_algebra()
     h = build_generator("h", n_max, alg)
 

@@ -905,6 +905,13 @@ class TestHamiltonian:
         dense = np.abs((op("h", n).body - square[np.ix_(perm, perm)])[:, cols]).max()
         assert abs(hamiltonian_defects(n, ALG)["ladder_route_abs"] - dense) <= 4e-16 * n
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_needs_minimum_truncation(self, n):
+        """Below n_max 5 the 9 x 9 corner would miss paths from chi_8 and read as a defect."""
+        with pytest.raises(ValueError):
+            hamiltonian_defects(n, ALG)
+        assert hamiltonian_defects(5, ALG)["pointwise"] < 1e-8
+
     def test_vacuum_expectation_frozen(self):
         assert hamiltonian_defects(16, ALG)["vacuum"] < 1e-10
 
