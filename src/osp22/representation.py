@@ -491,8 +491,6 @@ def _add(x: tuple, y: tuple, n: int) -> tuple:
     Two diagonal records merge their offsets, a diagonal both hold adding as x's part plus
     y's; past ``_MAX_DIAGONALS`` diagonals, or with a dense record, the sum is N x N.
     """
-    if len(x) == len(y) == 1 and x[0][0] == y[0][0]:  # the same diagonal, or both N x N: no merge
-        return ((x[0][0], x[0][1] + y[0][1]),)
     if x[0][0] is not None and y[0][0] is not None:
         merged = dict(x)
         for d, part in y:
@@ -508,19 +506,20 @@ def _product(x: tuple, y: tuple, n: int) -> tuple:
     Two diagonal records convolve their offsets: each pair of entries, x's in order and for
     each y's in order, is one ``_diagonal_product`` on diagonal d1 + d2, and the products
     landing on one diagonal add in that order.  With a dense record, or when the convolution
-    lands on more than ``_MAX_DIAGONALS`` diagonals, the product is instead that of the N x N
-    expansions.
+    would land on more than ``_MAX_DIAGONALS`` diagonals, which is known from the offsets
+    before any entry is multiplied, the product is instead that of the N x N expansions.
     """
-    if x[0][0] is not None and y[0][0] is not None:
-        if len(x) == len(y) == 1:  # one diagonal each: one product, no merge
-            return (_diagonal_product(x[0], y[0], n),)
+    if (
+        x[0][0] is not None
+        and y[0][0] is not None
+        and (len(x) * len(y) <= _MAX_DIAGONALS or len({a[0] + c[0] for a in x for c in y}) <= _MAX_DIAGONALS)
+    ):
         out = {}
         for a in x:
             for c in y:
                 d, part = _diagonal_product(a, c, n)
                 out[d] = out[d] + part if d in out else part
-        if len(out) <= _MAX_DIAGONALS:
-            return tuple(sorted(out.items()))
+        return tuple(sorted(out.items()))
     return ((None, _expand(x, n) @ _expand(y, n)),)
 
 

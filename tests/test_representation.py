@@ -462,11 +462,12 @@ class TestQuadrantComposition:
             np.testing.assert_array_equal(got.block(m), w)
 
     def test_combinations_keep_to_their_diagonals(self, monkeypatch):
-        """Sums, products, superadjoints, max_abs over columns, block_pattern_defect and apply
-        of X3, X4, h, p_theta and x_theta run without ``_expand``, and every result holds
+        """Sums, products (and h cubed), superadjoints, max_abs over columns,
+        block_pattern_defect and apply of X3, X4, h, p_theta and x_theta run without ``_expand``, and every result holds
         diagonal records only.  Each equals the same operation on the assembled blocks: sums,
         superadjoints and the diagnostics bit for bit, products and apply, which add over
-        several diagonals in another order than a BLAS product, to rounding."""
+        several diagonals in another order than a BLAS product, to rounding.  Products and
+        apply also match the diagonals multiplied and added in record order bit for bit."""
         n = 12
         ops = [op(name, n) for name in ("X3", "X4", "h", "p_theta")] + [xtheta_operator(n, 0.7, ALG)]
         cols = interior_columns(n, 2)
@@ -480,6 +481,8 @@ class TestQuadrantComposition:
         pairs = [(a, c) for a in ops for c in ops]
         sums = [(a, c, a + c, a - c) for a, c in pairs if a.parity_bit == c.parity_bit]
         products = [(a, c, a @ c) for a, c in pairs]
+        h_squared = products[2 * len(ops) + 2][2]  # h @ h, 5 diagonals: h cubed holds 7
+        products.append((h_squared, ops[2], h_squared @ ops[2]))
         adjoints = [(a, a.superadjoint()) for a in ops]
         norms = [(a, a.max_abs(columns=cols), a.block_pattern_defect()) for a in ops]
         applied = [(a, v, a.apply(v).coeffs) for a in ops for v in vectors]
@@ -493,6 +496,7 @@ class TestQuadrantComposition:
             np.testing.assert_array_equal(total.body, a.body + c.body)
             np.testing.assert_array_equal(diff.body, a.body - c.body)
         for a, c, product in products:
+            np.testing.assert_array_equal(product.body, _body_product_by_diagonals(a, c))
             want = _dense_product(a, c).get(0, np.zeros((2 * n, 2 * n)))
             np.testing.assert_allclose(product.body, want, rtol=0, atol=4e-16 * max(1.0, np.abs(want).max()))
         for a, adj in adjoints:
@@ -500,6 +504,7 @@ class TestQuadrantComposition:
         for a, size, pattern in norms:
             assert size == np.abs(a.body[:, cols]).max() and pattern == 0.0
         for a, v, got in applied:
+            np.testing.assert_array_equal(got, _apply_by_diagonals(a, v))
             want = _apply_all_columns(a, v)
             np.testing.assert_allclose(got, want, rtol=0, atol=4e-16 * np.abs(want).max())
 
@@ -664,6 +669,46 @@ def _apply_all_columns(o, v):
     return out
 
 
+def _apply_by_diagonals(o, v):
+    """``apply`` of an operator holding diagonal records only, written out independently:
+    per block, each diagonal (d, part) of each quadrant (i, j), quadrants in sorted order and
+    diagonals in record order, adds part times rows r - d of sector j to rows r of sector i,
+    for the rows r that the diagonal reaches, picked by index arrays."""
+    plan = v.algebra.plan
+    n = o.n_max
+    coeffs = v.coeffs.reshape(2, n, -1)
+    out = np.zeros_like(coeffs)
+    for am, quads in o.blocks.items():
+        acc = np.zeros_like(coeffs)
+        for (i, j), record in sorted(quads.items()):
+            for d, part in record:
+                rows = np.arange(n)
+                rows = rows[(rows - d >= 0) & (rows - d < n)]
+                acc[i, rows] += part[:, None] * coeffs[j, rows - d]
+        graded = plan.grade(acc) if o.parity_bit ^ plan.parity[am] else acc
+        out += plan.left_mul(am, graded)
+    return out.reshape(v.coeffs.shape)
+
+
+def _body_product_by_diagonals(a, c):
+    """The body of a @ c for complex operators of diagonal records, written out
+    independently: each output quadrant (i, j) adds over k, then over the diagonals of
+    a[i, k] in record order and for each those of c[k, j], the entrywise products
+    a[r, r - d1] c[r - d1, r - d1 - d2] on the rows r where both entries exist."""
+    n = a.n_max
+    out = np.zeros((2, n, 2, n), dtype=complex)
+    rows = np.arange(n)
+    for (i, k), x in sorted(a.blocks.get(0, {}).items()):
+        for j in (0, 1):
+            for d1, p1 in x:
+                for d2, p2 in c.blocks.get(0, {}).get((k, j), ()):
+                    mid, col = rows - d1, rows - d1 - d2
+                    keep = (mid >= 0) & (mid < n) & (col >= 0) & (col < n)
+                    r = rows[keep]
+                    out[i, r, j, col[keep]] += p1[r - max(0, d1)] * p2[mid[keep] - max(0, d2)]
+    return out.reshape(2 * n, 2 * n)
+
+
 class TestApplyColumns:
     @pytest.mark.parametrize("alg", [ALG, ALG6], ids=["g4", "g6"])
     def test_matches_all_column_product(self, alg):
@@ -687,11 +732,12 @@ class TestApplyColumns:
     def test_diagonals_apply_without_expansion(self, alg, n, monkeypatch):
         """``apply`` never expands a record: each diagonal acts by one slice product, also where
         it lies partly or wholly outside the quadrant (K+- cubed at N = 2 sit on diagonals +-3).
-        Where a quadrant holds one diagonal whose entries are each real or imaginary, as in
-        every basic generator, that gives the all-column product bit for bit.  Entries with
-        both parts nonzero, as in (0.7 - 0.4i) alpha V+, may round differently in the BLAS
-        product, and so may the sum over the diagonals of X3, X4, h, p_theta and x_theta,
-        so those operators agree to rounding."""
+        Every operator matches the diagonal slices added in record order bit for bit.  Where a
+        quadrant holds one diagonal whose entries are each real or imaginary, as in every basic
+        generator, that is also the all-column product bit for bit.  Entries with both parts
+        nonzero, as in (0.7 - 0.4i) alpha V+, may round differently in the BLAS product, and so
+        may the sum over the diagonals of X3, X4, h, p_theta and x_theta, so those operators
+        agree with it to rounding."""
         rng = np.random.default_rng(43)
         al, alb = coefficient_algebra(alg).gen("alpha"), coefficient_algebra(alg).gen("alpha_bar")
         gen = {name: build_generator(name, n, alg) for name in ALL_NAMES}
@@ -709,6 +755,7 @@ class TestApplyColumns:
                 monkeypatch.setattr(representation, "_expand", refuse)
                 got = o.apply(v).coeffs
                 monkeypatch.setattr(representation, "_expand", expand)
+                np.testing.assert_array_equal(got, _apply_by_diagonals(o, v), err_msg=o.name)
                 want = _apply_all_columns(o, v)
                 if o is ops[-1] or any(len(r) > 1 for quads in o.blocks.values() for r in quads.values()):
                     np.testing.assert_allclose(got, want, rtol=0, atol=4e-16 * np.abs(want).max())
