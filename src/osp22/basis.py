@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 _ROOT4_2PI = (2.0 * np.pi) ** 0.25
-_I_POWERS = (1, -1j, -1, 1j)  # (-i)^m for m mod 4
+_I_POWERS = np.array((1, -1j, -1, 1j))  # (-i)^m for m mod 4
 
 
 def _mode_index(m) -> int:
@@ -150,11 +150,15 @@ def _packets(rows, x, t):
         H[k + 1] = (z * H[k] - root[k] * H[k - 1]) / root[k + 1]
     angle = np.arctan(t)
     env = np.exp(-x * x / (4.0 * one_it)) / (_ROOT4_2PI * np.sqrt(one_it))
-    out = np.empty((len(rows),) + z.shape, dtype=complex)
-    # row by row, so that a row's arithmetic does not depend on the other rows
-    for r, m in enumerate(rows):
-        out[r] = (_I_POWERS[m % 4] * np.exp(-1j * m * angle)) * env * H[m]
-    return out
+    # each element is ((-i)^m e^{-i m angle}) env He_m, whatever other rows are requested
+    if z.ndim == 0 or len(rows) <= 3:
+        # row by row for eval_chi and eval_chi_derivatives, where one broadcast costs more than
+        # three rows; at a single point this keeps numpy scalar arithmetic, which rounds a
+        # complex product without the fused multiply-add of the array loops
+        return np.array([(_I_POWERS[m % 4] * np.exp(-1j * m * angle)) * env * H[m] for m in rows])
+    rows = np.array(rows)
+    m = rows.reshape((-1,) + (1,) * z.ndim)
+    return (_I_POWERS[m % 4] * np.exp(-1j * m * angle)) * env * H[rows]
 
 
 def eval_chi(m, x, t):

@@ -17,18 +17,21 @@ parameter alpha = a * alpha_gen.  The three routes are
 * the half-integer-gamma coefficient formulas of the disk expansion.
 
 Also provided: the superisometric displacement exp(z K+ - conj(z) K- +
-alpha V+ - i conj(alpha) W-), exponentiated spectrally from one
-eigendecomposition of its anti-Hermitian body per sector
+alpha V+ - i conj(alpha) W-), exponentiated spectrally
 (``representation._spectral_exp``; ``representation.operator_exp`` is its
-test oracle); covariant (lowest-weight expectation) symbols of all eight
-generators with a single calibrated conjugation convention, where
-``berezin_symbols`` serves a set of operators from one series state; and the
-odd-sector straight-line trajectory data.
+test oracle) from the eigensystem of its anti-Hermitian body per sector, a
+z-free real eigendecomposition cached per truncation and rotated by a diagonal
+phase, so no eigendecomposition runs per z; covariant (lowest-weight
+expectation) symbols of all eight generators with a single calibrated
+conjugation convention, where ``berezin_symbols`` serves a set of operators
+from one series state; and the odd-sector straight-line trajectory data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -253,17 +256,14 @@ def series_state(
     """
     alg = coefficient_algebra(algebra or default_algebra())
     z = params.z
-    even = np.zeros(n_max, dtype=complex)
-    odd = np.zeros(n_max, dtype=complex)
     k = np.arange(1.0, n_max + 1.0)
-    roots_even, roots_odd = np.sqrt(k * np.stack([k - 0.5, k + 0.5]))
-    u = 1.0 + 0j
-    v = 1.0 / _SQRT2 + 0j
-    for n in range(n_max):
-        even[n] = u
-        odd[n] = v
-        u *= z * roots_even[n] / (n + 1.0)
-        v *= z * roots_odd[n] / (n + 1.0)
+    roots = np.sqrt(k * np.stack([k - 0.5, k + 0.5]))
+    # the factors z r / k, their parts formed as z.real r / k and z.imag r / k, multiplied up
+    # in one running product of Python complex numbers; the last product bounds the tail
+    re, im = (z.real * roots / k).tolist(), (z.imag * roots / k).tolist()
+    even = list(accumulate(map(complex, re[0], im[0]), mul, initial=1.0 + 0j))
+    odd = list(accumulate(map(complex, re[1], im[1]), mul, initial=1.0 / _SQRT2 + 0j))
+    u, v = even.pop(), odd.pop()
 
     q = abs(z) * np.sqrt((n_max + 1.5) / (n_max + 1.0))
     bound = np.inf if q >= 1.0 else max(abs(u), abs(v)) / (1.0 - q)
@@ -348,11 +348,13 @@ def crosscheck(
 def displacement_operator(params: CoherentParams, n_max: int, algebra=None):
     """exp(z K+ - conj(z) K- + alpha V+ - i conj(alpha) W-), superisometric.
 
-    The exponent is built from the generators and exponentiated spectrally: one
-    eigendecomposition of the anti-Hermitian body z K+ - conj(z) K- per sector,
-    with the alpha and conj(alpha) blocks and their product as the first and
-    second divided differences of exp on its eigenvalues.  Since alpha^2 = 0 the
-    Grassmann series stops at second order, so nothing is truncated but the modes.
+    The exponent is built from the generators and exponentiated spectrally from the
+    eigensystem of the anti-Hermitian body z K+ - conj(z) K- per sector, which
+    ``representation._body_eigensystem`` rotates out of a z-free eigendecomposition
+    cached per truncation; the alpha and conj(alpha) blocks and their product are
+    the first and second divided differences of exp on its eigenvalues.  Since
+    alpha^2 = 0 the Grassmann series stops at second order, so nothing is
+    truncated but the modes.
     """
     alg = algebra or default_algebra()
     z = params.z
@@ -364,7 +366,7 @@ def displacement_operator(params: CoherentParams, n_max: int, algebra=None):
         a = params.alpha(alg)
         gen = gen + a * _rep.build_generator("V+", n_max, alg)
         gen = gen + (-1j * a.conj()) * _rep.build_generator("W-", n_max, alg)
-    return _rep._spectral_exp(gen).renamed("D'")
+    return _rep._spectral_exp(gen, _rep._body_eigensystem(z, n_max)).renamed("D'")
 
 
 def disk_parameter(zeta: complex) -> complex:

@@ -68,11 +68,45 @@ class TestEvalChi:
         assert np.all(vals.real > 0)
 
     def test_matches_batch_evaluator(self):
+        """A row of the batch is bit for bit the one-mode evaluation, whatever rows come with it:
+        600 and more in order, an unordered list with a repeat, and an array t."""
         x = np.linspace(-3, 3, 11)
-        for t in (0.0, 0.8):
-            batch = b.chi_matrix(range(12), x, t)
-            for m in range(12):
-                assert np.array_equal(batch[m], b.eval_chi(m, x, t))
+        t_array = np.linspace(-2.0, 5.0, 11)
+        for rows, t in (
+            (range(12), 0.0),
+            (range(606), 0.0),
+            (range(606), 0.8),
+            ([9, 2, 605, 0, 2, 17, 1], 0.8),
+            ([9, 2, 605, 0, 2, 17, 1], t_array),
+            (range(40), t_array),
+        ):
+            batch = b.chi_matrix(rows, x, t)
+            for got, m in zip(batch, rows, strict=True):
+                assert np.array_equal(got, b.eval_chi(m, x, t))
+
+    @staticmethod
+    def _packets_row_by_row(rows, x, t):
+        """The kernel's values formed one row at a time, each phase from Python numbers."""
+        x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+        one_it = 1.0 + 1j * t
+        z = x / np.sqrt(1.0 + t * t)
+        H = [np.ones_like(z), z]
+        for k in range(1, max(rows)):
+            H.append((z * H[k] - np.sqrt(k) * H[k - 1]) / np.sqrt(k + 1))
+        env = np.exp(-x * x / (4.0 * one_it)) / ((2.0 * np.pi) ** 0.25 * np.sqrt(one_it))
+        return [((1, -1j, -1, 1j)[m % 4] * np.exp(-1j * m * np.arctan(t))) * env * H[m] for m in rows]
+
+    @pytest.mark.parametrize("x, t", [
+        (np.linspace(-6, 6, 41), 0.7),
+        (np.linspace(-3, 3, 5)[:, None], np.linspace(-2, 4, 3)),
+        (1.3, -0.4),  # a single point takes numpy's scalar arithmetic, whose rounding differs
+        (-4.2, np.float64(2.5)),
+    ])
+    def test_batch_matches_row_by_row(self, x, t):
+        rows = [7, 0, 3, 82, 1, 7, 40]
+        batch = b.chi_matrix(rows, x, t) if np.ndim(x) else b._packets(rows, x, t)
+        for got, want in zip(batch, self._packets_row_by_row(rows, x, t), strict=True):
+            assert np.array_equal(got, want)
 
     def test_t_array_matches_per_t_calls(self):
         x, t = np.meshgrid(np.linspace(-3, 3, 7), np.linspace(-2, 2, 5))

@@ -6,6 +6,7 @@ import pytest
 
 from osp22 import basis as b
 from osp22 import coherent as coh
+from osp22 import representation
 from osp22.config import DISK_RADIUS
 from osp22.grassmann import GENERATORS_EXTENDED, GrassmannAlgebra, default_algebra
 from osp22.representation import GENERATOR_NAMES, SuperOperator, build_generator, operator_exp
@@ -256,6 +257,36 @@ class TestSpectralDisplacement:
         got = coh.displacement_operator(p, n, alg)
         assert set(got.blocks) == set(want.blocks)
         assert (got - want).max_abs() <= 1e-12 * max(1.0, want.max_abs())
+
+    def test_one_eigendecomposition_per_truncation(self, monkeypatch):
+        """A displacement at a truncation already seen runs no eigh, whatever z and alpha."""
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kw: calls.append(args) or eigh(*args, **kw))
+        coh.displacement_operator(coh.CoherentParams(0.3, 0.7 - 0.4j), 37, ALG)
+        assert len(calls) <= 2  # none when another test filled the cache at this truncation
+        calls.clear()
+        for z, alpha in ((0.5j, 0.0), (_ring(2.4), 1.0), (-0.2 + 1e-3j, 0.7 - 0.4j)):
+            coh.displacement_operator(coh.CoherentParams(z, alpha), 37, ALG)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [8, 37, 64])
+    def test_z_free_eigensystem(self, n):
+        """The cached eigh(T_s) is read-only, mu comes in pairs +-mu, and the rotated pairs
+        diagonalize the sector bodies of z K+ - conj(z) K-."""
+        for s in (0, 1):
+            mu, q = representation._sector_eigh(n, s)
+            assert representation._sector_eigh(n, s)[0] is mu
+            assert not mu.flags.writeable and not q.flags.writeable
+            assert np.abs(mu + mu[::-1]).max() < 1e-13 * np.abs(mu).max()
+        for z in (1e-8, 0.3, -0.3, 0.2j, _ring(-1.9)):
+            body = _exponent(coh.CoherentParams(z), n, ALG).body
+            for s, (lam, vec) in enumerate(representation._body_eigensystem(z, n)):
+                a = body[s * n : (s + 1) * n, s * n : (s + 1) * n]
+                assert not lam.real.any()
+                assert np.abs(vec.conj().T @ vec - np.eye(n)).max() < 1e-13
+                # the phases e^{i k arg z} round like k eps, 1.8e-14 at N = 64 and z = -0.3
+                assert np.abs((vec * lam) @ vec.conj().T - a).max() < 1e-13 * max(1.0, np.abs(a).max())
 
     def test_holds_dense_quadrants_on_four_masks(self):
         d = coh.displacement_operator(coh.CoherentParams(0.4 - 0.2j, 0.7 - 0.4j), 16, ALG)

@@ -548,6 +548,26 @@ class TestQuadrantComposition:
         with pytest.raises(ValueError):
             (op("K0") @ op("K+")).body[0, 0] = 1.0
 
+    def test_every_operation_leaves_read_only_records(self):
+        """Each operation freezes the records it makes and shares only frozen ones, so every
+        record of a result, and of its operands afterwards, is read-only."""
+        al = SCALARS.gen("alpha")
+        k, v, h = op("K+"), op("V+"), op("h")
+        arr = np.zeros((2 * N, 2 * N), dtype=complex)
+        arr[0, 0] = arr[N + 3, 2] = 1.0
+        results = [
+            k + h, k - h, h + op("K0"), 0.5 * h, -v, al * v, (al * v) + (al * v), k @ v, h @ h,
+            v.superadjoint(), h.renamed("h2"), build_generator("X7", N, ALG),
+            SuperOperator.identity(N, ALG), SuperOperator(ALG, N, {0: arr}, 0),
+            displacement_operator(CoherentParams(0.3 - 0.2j, 0.7 - 0.4j), N, ALG),
+            xtheta_operator(N, 0.5, ALG),
+        ]
+        for o in results + [k, v, h, al * v]:
+            for quads in o.blocks.values():
+                for record in quads.values():
+                    for _, part in record:
+                        assert not part.flags.writeable, o
+
     def test_caller_array_is_copied(self):
         arr = np.zeros((8, 8), dtype=complex)
         arr[0, 0] = 1.0
@@ -1046,6 +1066,7 @@ class TestSpectralExp:
         al, alb, xi = (SCALARS6.gen(g) for g in ("alpha", "alpha_bar", "xi"))
         g6 = {name: build_generator(name, 8, ALG6) for name in ("K+", "K-", "K0", "V+", "W-", "W+")}
         body = 0.3 * g6["K+"] - 0.3 * g6["K-"]
+        eigen = representation._body_eigensystem(0.3, 8)
         for bad in (
             g6["V+"],  # odd exponent
             0.3 * g6["K+"] + 0.3 * g6["K-"],  # body not anti-Hermitian
@@ -1053,7 +1074,8 @@ class TestSpectralExp:
             body + al * g6["V+"] + alb * g6["W-"] + xi * g6["W+"],  # a third-order term
         ):
             with pytest.raises(ValueError):
-                representation._spectral_exp(bad)
+                representation._spectral_exp(bad, eigen)
+        representation._spectral_exp(body, eigen)
 
 
 class TestChiBasisRoutes:
