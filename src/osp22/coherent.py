@@ -11,9 +11,10 @@ parameter alpha = a * alpha_gen.  The three routes are
   normalizer N = 1 + i conj(alpha) alpha / (4 (1 - |z|^2)); every caller
   reads one evaluation (``fields``) and one quadrature pass (``moments``);
 * the raising series exp(z K+)(1 + alpha V+) applied to the vacuum, summed
-  with a certified geometric tail and renormalized through the super inner
-  product (exact, the factorization holds because [K+, V+] = 0 and
-  (alpha V+)^2 = 0);
+  with a certified geometric tail (exact, the factorization holds because
+  [K+, V+] = 0 and (alpha V+)^2 = 0) and normalized sector by sector: its
+  super norm s_e + nu has nu^2 = 0, so (Phi|Phi)^{-1/2} is the closed
+  expression (1 - nu / (2 s_e)) / sqrt(s_e) of the series' own sector sums;
 * the half-integer-gamma coefficient formulas of the disk expansion.
 
 Also provided: the superisometric displacement exp(z K+ - conj(z) K- +
@@ -234,13 +235,16 @@ def series_length_for(z: complex, tol: float = 1e-13) -> int:
     return max(n, 8)
 
 
-def _sector_vectors(alg, even, odd) -> tuple:
-    """The vectors sum_n even[n] Psi_n^0 and sum_n odd[n] Psi_n^1 of complex coefficients."""
-    n = len(even)
-    coeffs = np.zeros((2, 2 * n, alg.size), dtype=complex)
-    coeffs[0, :n, 0] = even
-    coeffs[1, n:, 0] = odd
-    return SuperVector.from_coeffs(alg, coeffs[0]), SuperVector.from_coeffs(alg, coeffs[1])
+def _outer(col, row) -> np.ndarray:
+    """Rows col[n] * row, real and imaginary parts formed as separate float products.
+
+    Each row rounds as ``GrassmannElement.__rmul__`` would form col[n] * row.
+    """
+    col = col[:, None]
+    out = np.empty((len(col), len(row)), dtype=complex)
+    out.real = col.real * row.real - col.imag * row.imag
+    out.imag = col.real * row.imag + col.imag * row.real
+    return out
 
 
 def series_state(
@@ -249,10 +253,15 @@ def series_state(
     """exp(z K+)(1 + alpha V+) vacuum, normalized to unit super inner product.
 
     Raises TruncationError when the geometric tail bound at n_max exceeds
-    tail_tol.  The normalization multiplies by (Phi|Phi)^{-1/2} in the
-    exterior algebra, so the result has super norm 1 exactly, and by the
-    closed-form phase so the state coincides with the closed-form evaluators
-    rather than just being proportional to them.
+    tail_tol.  The unnormalized state is Phi = E + alpha O with complex sector
+    columns e and o; with s_e = sum |e_n|^2 and s_o = sum |o_n|^2 its super norm
+    is s_e + nu, nu = -i s_o conj(alpha) alpha, and nu^2 = 0.  So
+    (Phi|Phi)^{-1/2} = (1 - nu / (2 s_e)) / sqrt(s_e) exactly, and with
+    c = closed_form_phase(z) / sqrt(s_e) the even rows are e times the row of
+    c (1 - nu / (2 s_e)) and the odd rows o times the row of c alpha (alpha nu
+    = 0).  The result has super norm 1 up to rounding, and the closed-form
+    phase makes it coincide with the closed-form evaluators rather than just
+    be proportional to them.
     """
     alg = coefficient_algebra(algebra or default_algebra())
     z = params.z
@@ -273,10 +282,13 @@ def series_state(
             bound=bound,
         )
 
-    even, odd = _sector_vectors(alg, even, odd)
-    vec = even + params.alpha(alg) * odd
-    gram = vec.super_inner(vec)
-    return (closed_form_phase(z) * gram.power(-0.5)) * vec
+    even, odd = np.array(even), np.array(odd)
+    s_e, s_o = float(np.vdot(even, even).real), float(np.vdot(odd, odd).real)
+    a = params.alpha(alg)
+    nu = (-1j * s_o) * (a.conj() * a)
+    c = closed_form_phase(z) / np.sqrt(s_e)
+    rows = _outer(even, (c * (1.0 - nu / (2.0 * s_e))).coeffs), _outer(odd, (c * a).coeffs)
+    return SuperVector.from_coeffs(alg, np.concatenate(rows))
 
 
 def crosscheck(
@@ -290,7 +302,10 @@ def crosscheck(
 
     Compares the closed-form evaluators, the normalized raising series
     contracted against the basis, and the gamma-coefficient reconstruction,
-    plus per-slot coefficient defects and equation residuals.
+    plus equation residuals, the super norm of the series state through
+    ``SuperVector.super_inner``, and per-slot coefficient defects against the
+    closed-form packaging: the phase gamma columns times the rows of N and
+    N alpha.
     """
     alg = coefficient_algebra(algebra or default_algebra())
     n = n_max or series_length_for(params.z, 1e-12)
@@ -321,11 +336,11 @@ def crosscheck(
 
     # slot-by-slot Grassmann defect against the closed-form packaging
     normalizer = cf.normalizer
-    even, odd = _sector_vectors(
-        alg, [phase * complex(g) for g in gamma_even], [_SQRT2 * phase * complex(g) for g in gamma_odd]
-    )
-    want = normalizer * even + (normalizer * params.alpha(alg)) * odd
-    coeff_defect = (sv - want).max_abs()
+    want = np.concatenate([
+        _outer(phase * gamma_even, normalizer.coeffs),
+        _outer(_SQRT2 * phase * gamma_odd, (normalizer * params.alpha(alg)).coeffs),
+    ])
+    coeff_defect = (sv - SuperVector.from_coeffs(alg, want)).max_abs()
 
     norm_defect = (sv.super_inner(sv) - 1.0).max_abs()
 
@@ -384,14 +399,15 @@ def disk_parameter(zeta: complex) -> complex:
 def berezin_symbol(
     op, params: CoherentParams, algebra=None, tail_tol: float = 1e-7
 ) -> GrassmannElement:
-    """Covariant symbol (Psi | op Psi) / (Psi | Psi) over the series state; see ``berezin_symbols``."""
+    """Covariant symbol (Psi | op Psi) over the unit series state; see ``berezin_symbols``."""
     return berezin_symbols([op], params, algebra, tail_tol)[0]
 
 
 def berezin_symbols(ops, params: CoherentParams, algebra=None, tail_tol: float = 1e-7) -> list:
-    """Covariant symbols (Psi | op Psi) / (Psi | Psi) of operators of one truncation, in order.
+    """Covariant symbols (Psi | op Psi) of operators of one truncation, in order.
 
-    One series state is built at that truncation and serves every operator;
+    One series state is built at that truncation and serves every operator.
+    It has unit super norm, so a symbol is read without dividing by (Psi | Psi);
     symbol errors scale with the square of the series tail, so tail_tol = 1e-7
     keeps symbols well below 1e-8 defect.
     """
@@ -401,8 +417,7 @@ def berezin_symbols(ops, params: CoherentParams, algebra=None, tail_tol: float =
     if len(sizes) != 1:
         raise ValueError(f"berezin_symbols needs operators of one truncation, got {sorted(sizes)}")
     state = series_state(params, sizes.pop(), alg, tail_tol=tail_tol)
-    inverse_norm = state.super_inner(state).power(-1.0)
-    return [state.super_inner(op.apply(state)) * inverse_norm for op in ops]
+    return [state.super_inner(op.apply(state)) for op in ops]
 
 
 def calibrate_convention(z: complex, algebra=None, tol: float = 1e-8) -> str:

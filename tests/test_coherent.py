@@ -1,5 +1,7 @@
 import math
 from dataclasses import replace
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from osp22 import basis as b
 from osp22 import coherent as coh
 from osp22 import representation
 from osp22.config import DISK_RADIUS
-from osp22.grassmann import GENERATORS_EXTENDED, GrassmannAlgebra, default_algebra
+from osp22.grassmann import GENERATORS_EXTENDED, GrassmannAlgebra, GrassmannElement, default_algebra
 from osp22.representation import GENERATOR_NAMES, SuperOperator, build_generator, operator_exp
 from osp22.superspace import SuperVector, coefficient_algebra, random_supervector
 
@@ -29,6 +31,29 @@ def _ring(phase):
 # small |z| puts every eigenvalue of the body within |z| * 134 of the others, where a plain
 # divided-difference quotient loses digits like eps / |z|
 ORACLE_Z = (0.0, 1e-8, 1e-5, 1e-3, 1e-2j, 0.1, 0.5 + 0.3j, _ring(0.7), _ring(2.4), _ring(-1.9))
+
+
+# the points at which the sector-form state is checked against the generic normalization
+SECTOR_Z = (0.0, 0.3 + 0.2j, 0.9j, -0.9, 0.6 - 0.7j)
+SECTOR_ALPHA = (0.0, 1.0, 0.7 - 0.4j, 10.0)
+SECTOR_POINTS = [(alg, z, a) for alg in (ALG, ALG6) for z in SECTOR_Z for a in SECTOR_ALPHA]
+
+
+def _generic_series_state(params, n, alg):
+    """exp(z K+)(1 + alpha V+) vacuum normalized through the generic super inner product.
+
+    The sector columns follow the recurrence of ``series_state`` bit for bit; the state
+    E + alpha O is formed by plan product and multiplied by phase (Phi|Phi)^{-1/2}.
+    """
+    alg = coefficient_algebra(alg)
+    z = params.z
+    k = np.arange(1.0, n + 1.0)
+    roots = np.sqrt(k * np.stack([k - 0.5, k + 0.5]))
+    re, im = (z.real * roots / k).tolist(), (z.imag * roots / k).tolist()
+    even = list(accumulate(map(complex, re[0], im[0]), mul, initial=1.0 + 0j))[:-1]
+    odd = list(accumulate(map(complex, re[1], im[1]), mul, initial=1.0 / np.sqrt(2.0) + 0j))[:-1]
+    vec = SuperVector(alg, even, [0.0] * n) + params.alpha(alg) * SuperVector(alg, [0.0] * n, odd)
+    return (coh.closed_form_phase(z) * vec.super_inner(vec).power(-0.5)) * vec
 
 
 def _exponent(params, n, alg):
@@ -168,6 +193,26 @@ class TestSeriesState:
     def test_truncation_error_raised(self):
         with pytest.raises(coh.TruncationError):
             coh.series_state(coh.CoherentParams(0.8), 16, ALG, tail_tol=1e-12)
+
+    @pytest.mark.parametrize("alg, z, alpha", SECTOR_POINTS)
+    def test_sector_form_matches_the_generic_normalization(self, alg, z, alpha):
+        """The state built from s_e and s_o equals phase (Phi|Phi)^{-1/2} Phi formed generically."""
+        p = coh.CoherentParams(z, alpha)
+        n = coh.series_length_for(z, 1e-12)
+        got = coh.series_state(p, n, alg)
+        want = _generic_series_state(p, n, alg)
+        assert (got - want).max_abs() < 4e-15 * max(1.0, abs(alpha) ** 2)
+
+    def test_no_binomial_power(self, monkeypatch):
+        """Series states, their symbols and the crosscheck take no power of a Grassmann element."""
+        def refuse(self, p):
+            raise AssertionError("GrassmannElement.power called")
+
+        monkeypatch.setattr(GrassmannElement, "power", refuse)
+        p = coh.CoherentParams(0.3 + 0.2j, 0.7 - 0.4j)
+        coh.series_state(p, 64, ALG)
+        coh.berezin_symbols([build_generator(name, 64, ALG) for name in ("I", "K0", "V+")], p, ALG)
+        coh.crosscheck(p, 0.5)
 
 
 class TestCrosscheck:
@@ -327,6 +372,13 @@ class TestSymbols:
     def test_identity_symbol(self):
         p = coh.CoherentParams(0.5, 1.0)
         assert (coh.berezin_symbol(SuperOperator.identity(64, ALG), p, ALG) - 1.0).max_abs() < 1e-14
+
+    @pytest.mark.parametrize("alg, z, alpha", SECTOR_POINTS)
+    def test_identity_symbol_of_the_unit_state(self, alg, z, alpha):
+        """The symbol of I is (Psi|Psi) of the unit series state, read without renormalizing."""
+        p = coh.CoherentParams(z, alpha)
+        got = coh.berezin_symbol(build_generator("I", coh.series_length_for(z, 1e-12), alg), p, alg)
+        assert (got - 1.0).max_abs() < 1e-14 * max(1.0, abs(alpha) ** 2)
 
     def test_K0_at_origin(self):
         p = coh.CoherentParams(0.0, 0.0)
