@@ -21,9 +21,9 @@ Also provided: the superisometric displacement exp(z K+ - conj(z) K- +
 alpha V+ - i conj(alpha) W-), exponentiated spectrally
 (``representation._spectral_exp``; ``representation.operator_exp`` is its
 test oracle) from the eigensystem of its anti-Hermitian body per sector, a
-z-free real eigendecomposition cached per truncation and rotated by a diagonal
-phase, so no eigendecomposition runs per z; covariant (lowest-weight
-expectation) symbols of all eight generators with a single calibrated
+z-free real eigendecomposition cached per truncation and turned by a diagonal
+phase, so no eigendecomposition runs per z and every change of basis is a real
+product; covariant (lowest-weight expectation) symbols of all eight generators with a single calibrated
 conjugation convention, where ``berezin_symbols`` serves a set of operators
 from one series state; and the odd-sector straight-line trajectory data.
 """
@@ -363,25 +363,21 @@ def crosscheck(
 def displacement_operator(params: CoherentParams, n_max: int, algebra=None):
     """exp(z K+ - conj(z) K- + alpha V+ - i conj(alpha) W-), superisometric.
 
-    The exponent is built from the generators and exponentiated spectrally from the
-    eigensystem of the anti-Hermitian body z K+ - conj(z) K- per sector, which
-    ``representation._body_eigensystem`` rotates out of a z-free eigendecomposition
-    cached per truncation; the alpha and conj(alpha) blocks and their product are
-    the first and second divided differences of exp on its eigenvalues.  Since
-    alpha^2 = 0 the Grassmann series stops at second order, so nothing is
-    truncated but the modes.
+    The exponent goes to ``representation._spectral_exp`` factored, as z and the terms
+    (alpha, V+) and (-i conj(alpha), W-), and is exponentiated on the eigenbases of the
+    sector bodies, which ``representation._body_eigensystem`` takes from a z-free real
+    eigendecomposition cached per truncation and a diagonal phase, so every change of basis
+    is a real product.  The alpha and conj(alpha) blocks and their product are the first and
+    second divided differences of exp on its eigenvalues, read through the cached z-free
+    images of V+ and W-; at alpha = 0 only the body is formed.  Since alpha^2 = 0 the
+    Grassmann series stops at second order, so nothing is truncated but the modes.
     """
     alg = algebra or default_algebra()
-    z = params.z
-    gen = (
-        z * _rep.build_generator("K+", n_max, alg)
-        - np.conjugate(z) * _rep.build_generator("K-", n_max, alg)
-    )
+    terms = []
     if params.alpha_coeff != 0:
         a = params.alpha(alg)
-        gen = gen + a * _rep.build_generator("V+", n_max, alg)
-        gen = gen + (-1j * a.conj()) * _rep.build_generator("W-", n_max, alg)
-    return _rep._spectral_exp(gen, _rep._body_eigensystem(z, n_max)).renamed("D'")
+        terms = [(a, "V+"), (-1j * a.conj(), "W-")]
+    return _rep._spectral_exp(params.z, terms, n_max, alg).renamed("D'")
 
 
 def disk_parameter(zeta: complex) -> complex:
@@ -473,14 +469,14 @@ def expected_symbol(
         A = a_elem
         Abar = a_elem.conj()
 
-    k_alpha = alg.one() + (1j / one_m) * (Abar * A)
     if name == "I":
         return alg.one()
-    if name == "K0":
-        return (0.25 * (1.0 + rho) / one_m) * k_alpha
-    if name == "K+":
-        return (zeta / (2.0 * one_m)) * k_alpha
-    if name == "K-":
+    if name in ("K0", "K+", "K-"):
+        k_alpha = alg.one() + (1j / one_m) * (Abar * A)
+        if name == "K0":
+            return (0.25 * (1.0 + rho) / one_m) * k_alpha
+        if name == "K+":
+            return (zeta / (2.0 * one_m)) * k_alpha
         return (np.conjugate(zeta) / (2.0 * one_m)) * k_alpha
     if name == "B":
         return -0.25 * (alg.one() + (1j / one_m) * (A * Abar))

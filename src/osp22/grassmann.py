@@ -151,9 +151,11 @@ class ProductPlan:
         self.conj_table = tuple(
             self.monomial([pair[k] for k in _bits(m)]) for m in range(size)
         )
+        # conjugation is an involution, so its permutation is its own inverse and ``conj``
+        # gathers through it: entry P(m) of the result is sign(m) conj(x[m])
         perm = np.array([m for m, _ in self.conj_table])
         self._conj_perm = perm
-        self._conj_sign = np.array([float(s) for _, s in self.conj_table])
+        self._conj_sign = np.array([float(s) for _, s in self.conj_table])[perm]
 
         # classes of terms per target: a term and its conjugate partner, or a
         # term alone, keyed by min(a, P(a)) and summed in (target, key) order
@@ -243,9 +245,7 @@ class ProductPlan:
 
     def conj(self, x) -> np.ndarray:
         """Conjugation of coefficient arrays: a signed permutation of np.conj(x)."""
-        out = np.empty(np.shape(x), dtype=complex)
-        out[..., self._conj_perm] = self._conj_sign * np.conj(x)
-        return out
+        return self._conj_sign * np.conj(x[..., self._conj_perm])
 
     def left_mul(self, mask: int, x) -> np.ndarray:
         """Product of the unit monomial ``mask`` with each coefficient row."""

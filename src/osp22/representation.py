@@ -33,17 +33,21 @@ products landing on one diagonal add in the order of the entries.  ``apply``
 multiplies each diagonal onto the rows it reaches.  A diagonal is expanded to
 N x N only by ``_expand``, which places the entries in a temporary array of
 zeros, and only where it meets an N x N record or dense arithmetic: ``_add``
-or ``@`` with a dense record or past ``_MAX_DIAGONALS``, ``block`` and the
-body in ``_spectral_exp``.  Each such number comes from the same matrix
-product as when every quadrant was stored dense.  Dense records come only from
-dense input to the constructor, from growth past ``_MAX_DIAGONALS`` and from
-the output of ``_spectral_exp``; no generator or fixed combination holds one.
+or ``@`` with a dense record or past ``_MAX_DIAGONALS``, and ``block``.  Each
+such number comes from the same matrix product as when every quadrant was
+stored dense.  Dense records come only from dense input to the constructor,
+from growth past ``_MAX_DIAGONALS`` and from the output of ``_spectral_exp``;
+no generator or fixed combination holds one.
 
-``_spectral_exp`` exponentiates the displacement exponent from the eigensystem
-of its body per sector, rotated by ``_body_eigensystem`` out of the real
-eigendecomposition that ``_sector_eigh`` caches per truncation because it does
-not depend on z; ``operator_exp``, scaling and squaring over these
-products, is its test oracle.
+``_spectral_exp`` exponentiates the displacement exponent, handed over
+factored as z and (coefficient, odd generator) terms, from the eigensystem of
+its body per sector.  ``_body_eigensystem`` writes that eigensystem as the
+real eigendecomposition that ``_sector_eigh`` caches per truncation, because
+it does not depend on z, and a diagonal phase.  Every change of basis is then
+a real product, the phase put back by one elementwise product, and the odd
+generators enter through their real z-free images in that basis, cached by
+``_generator_image``; ``operator_exp``, scaling and squaring over these
+operator products, is its test oracle.
 
 The records a result holds follow from its operands, not from its entries: a
 product adds the offsets, the superadjoint negates them, a multiple keeps them
@@ -583,12 +587,18 @@ def build_generator(name: str, n_max: int, algebra=None) -> SuperOperator:
         ops = {base: build_generator(base, n_max, alg) for base in _COMBOS[name]}
         return _combo(_COMBOS[name], ops).renamed(name)
     parity = generator_parity(name)
+    return SuperOperator._wrap(alg, n_max, {0: _stencil_quadrants(name, n_max)}, parity, name=name)
+
+
+def _stencil_quadrants(name: str, n_max: int) -> dict:
+    """{(target, source): ((shift, values),)}: the one-diagonal quadrant records of a basic
+    generator, each filled from its ``_STENCILS`` entry by one array evaluation."""
     quadrants = {}
     for target, source, shift, coeff in _STENCILS[name]:
         j = np.arange(max(0, -shift), n_max - max(0, shift))  # source modes whose target is kept
         values = np.full(j.shape, coeff(j.astype(float), 0.5, np.sqrt), dtype=complex)
         quadrants[(target, source)] = ((shift, values),)
-    return SuperOperator._wrap(alg, n_max, {0: quadrants}, parity, name=name)
+    return quadrants
 
 
 def chi_slot_permutation(n_max: int) -> np.ndarray:
@@ -676,25 +686,45 @@ _PHI_SERIES = 2.0
 _PHI_TERMS = 24  # Horner terms of that series; the first omitted one is below 1e-20 there
 
 
-def _first_differences(x, y) -> tuple:
-    """(f[x, y], x - y) of f = exp on broadcast arrays: e^y expm1(x - y) / (x - y), and e^y
-    where x == y, so no difference of two exponentials is ever formed."""
-    d = x - y
-    ratio = np.divide(np.expm1(d), d, out=np.ones(d.shape, dtype=complex), where=d != 0)
-    return ratio * np.exp(y), d
+def _expm1_imag(y: np.ndarray) -> np.ndarray:
+    """expm1(-i y) for real y: -2 sin(y/2)^2 - i sin y, the two parts ``np.expm1`` forms for an
+    imaginary argument.  expm1(i y) is its conjugate, so one sine pass serves both signs."""
+    half = np.sin(0.5 * y)
+    out = np.empty(np.shape(y), dtype=complex)
+    out.real = 0.0 - 2.0 * half * half
+    out.imag = np.sin(-y)
+    return out
 
 
-def _phi(d: np.ndarray, top: int) -> list:
-    """[phi_2(d), .., phi_top(d)], phi_n(d) = sum_m d^m / (m + n)!: f[w, .., w, w + d] = e^w phi_n(d)
-    for f = exp with w taken n times.
+def _first_differences(y: np.ndarray) -> np.ndarray:
+    """phi_1(-i y) = expm1(-i y) / (-i y) for real y, and 1 where y == 0.
 
-    Where |d| >= _PHI_SERIES they come from phi_1 = expm1(d) / d by phi_{n+1} = (phi_n - 1/n!) / d,
-    which divides the rounding error by |d| at each step.  Elsewhere phi_top is summed by
-    Horner's rule and phi_n = 1/n! + d phi_{n+1} runs downward, multiplying it by |d|.
+    Where lam_i - lam_k = -i y it is f[lam_i, lam_k] / e^lam_k for f = exp, so no difference of
+    two exponentials is ever formed.  i expm1(-i y) = sin y - 2i sin(y/2)^2 is divided by y one
+    real part at a time.
     """
-    small = np.abs(d) < _PHI_SERIES
+    em1 = _expm1_imag(y)
+    out = np.ones(np.shape(y), dtype=complex)
+    nonzero = y != 0
+    np.divide(-em1.imag, y, out=out.real, where=nonzero)
+    np.divide(em1.real, y, out=out.imag, where=nonzero)
+    return out
+
+
+def _phi(y: np.ndarray, phi1: np.ndarray, top: int) -> list:
+    """[phi_2(d), .., phi_top(d)] at d = -i y for real y, from phi1 = phi_1(d) as
+    ``_first_differences`` gives it; phi_n(d) = sum_m d^m / (m + n)!, so that
+    f[w, .., w, w + d] = e^w phi_n(d) for f = exp with w taken n times.  The coefficients are
+    real, so phi_n(i y) is the conjugate.
+
+    Where |d| >= _PHI_SERIES they come from phi_1 by phi_{n+1} = (phi_n - 1/n!) / d, which
+    divides the rounding error by |d| at each step.  Elsewhere phi_top is summed by Horner's
+    rule and phi_n = 1/n! + d phi_{n+1} runs downward, multiplying it by |d|.
+    """
+    d = -1j * y
+    small = np.abs(y) < _PHI_SERIES
     step = np.where(small, 1.0, d)  # the small entries are overwritten below
-    phi = np.expm1(d) / step
+    phi = phi1
     out, factorial = [], 1.0
     for n in range(1, top):
         phi = (phi - 1.0 / factorial) / step
@@ -703,8 +733,10 @@ def _phi(d: np.ndarray, top: int) -> list:
     if small.any():
         ds = d[small]
         series = np.ones_like(ds)
-        for m in range(_PHI_TERMS, 0, -1):
-            series = 1.0 + ds * series / (top + m)
+        for m in range(_PHI_TERMS, 0, -1):  # 1 + ds * series / (top + m), in place
+            series *= ds
+            series /= top + m
+            series += 1.0
         series = series / factorial
         for n in range(top, 1, -1):
             out[n - 2][small] = series
@@ -740,38 +772,86 @@ def _sector_eigh(n_max: int, sector: int) -> tuple:
     return mu, q
 
 
-def _body_eigensystem(z: complex, n_max: int) -> list:
-    """[(lam_s, V_s)] per sector s of the body z K+ - conj(z) K-: lam_s = -i |z| mu and
-    V_s = D Q with D = diag((i e^{i arg z})^k), for (mu, Q) = ``_sector_eigh(n_max, s)``.
+def _odd_stencil(name: str, n_max: int) -> tuple:
+    """(s, t, d, S) of an odd basic generator: its one quadrant (s, t), whose entries lie on
+    diagonal d, and S that quadrant as a real N x N array."""
+    if name not in _STENCILS or not generator_parity(name):
+        raise ValueError(f"{name!r} is not an odd basic generator")
+    (((target, source), record),) = _stencil_quadrants(name, n_max).items()
+    return target, source, record[0][0], _expand(record, n_max).real.copy()
+
+
+@lru_cache(maxsize=32)
+def _generator_image(n_max: int, name: str) -> tuple:
+    """(s, t, d, R) of an odd basic generator, as ``_odd_stencil`` but with R = Q_s^T S Q_t,
+    read-only, in the z-free eigenbases Q of ``_sector_eigh``.
+
+    With V_s = D Q_s and D = diag(w^k), V_s^H S V_t = w^-d R, since (D^H S D)[r, c] =
+    w^(c - r) S[r, c] = w^-d S[r, c].  So R serves every z and alpha.
+    """
+    target, source, shift, mat = _odd_stencil(name, n_max)
+    image = _sector_eigh(n_max, target)[1].T @ mat @ _sector_eigh(n_max, source)[1]
+    image.flags.writeable = False
+    return target, source, shift, image
+
+
+def _body_eigensystem(z: complex, n_max: int) -> tuple:
+    """(radius, phase, pairs) for the body z K+ - conj(z) K-: radius = |z|, phase[k] =
+    (i e^{i arg z})^k and pairs[s] = (mu_s, Q_s) = ``_sector_eigh(n_max, s)``, real and free
+    of z, so that sector s of the body is V_s diag(-i radius mu_s) V_s^H with V_s = D Q_s and
+    D = diag(phase).
 
     At z = 0 the body is zero and every basis diagonalizes it; the pairs are (0, I) there, so
     the exponential comes out exact rather than through Q Q^T = I to rounding.
     """
-    if z == 0:
-        return [(np.zeros(n_max, dtype=complex), np.eye(n_max, dtype=complex))] * 2
     k = np.arange(n_max)
     phase = np.array((1, 1j, -1, -1j))[k % 4] * np.exp(1j * np.angle(z) * k)  # i^k taken exactly
-    eigen = []
-    for s in (0, 1):
-        mu, q = _sector_eigh(n_max, s)
-        eigen.append(((-1j * abs(z)) * mu, phase[:, None] * q))
-    return eigen
+    if z == 0:
+        return 0.0, phase, ((np.zeros(n_max), np.eye(n_max)),) * 2
+    return abs(z), phase, (_sector_eigh(n_max, 0), _sector_eigh(n_max, 1))
 
 
-def _spectral_exp(op: SuperOperator, eigen) -> SuperOperator:
-    """exp(op) from the eigensystem of its body, for exponents A + sum_m e_m G_m.
+def _phased(stacked: np.ndarray, right: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """outer o ((A + i B) right^T) for stacked = [A; B], a real (2N x N) array: one real product."""
+    n = right.shape[0]
+    both = stacked @ right.T
+    out = np.empty((n, n), dtype=complex)
+    out.real = both[:n]
+    out.imag = both[n:]
+    out *= outer
+    return out
 
-    The body A (mask 0) must sit on the sector diagonal and be anti-Hermitian there, and
-    ``eigen`` must hold one pair (lam_s, V_s) per sector s with A_s = V_s diag(lam_s) V_s^H,
-    lam_s imaginary and V_s unitary; the displacement takes it from ``_body_eigensystem``, so
-    no eigendecomposition runs here.  Every other mask e_m is one odd generator, at most
-    two of them, whose block G_m is odd.
-    Because e_m^2 = 0 the series stops at second order (Higham, Functions of Matrices,
-    SIAM 2008, ch. 3 and 10; Najfeld and Havel, Adv. Appl. Math. 16 (1995) 321):
 
-    * mask 0: V_s e^lam_s V_s^H on each sector;
-    * mask m: the Frechet derivative of exp at A along G_m, quadrant (s, t) being
-      V_s (F1 o G~) V_t^H with G~ = V_s^H G_m V_t and F1[i, k] = f[lam_s,i, lam_t,k];
+def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """outer o (left x right^T) for real left and right and complex x: two real products, of
+    left by [Re x, Im x] and of its two halves, stacked, by right^T."""
+    n = x.shape[1]
+    half = left @ np.concatenate((x.real, x.imag), axis=1)
+    return _phased(np.concatenate((half[:, :n], half[:, n:])), right, outer)
+
+
+def _spectral_exp(z: complex, terms, n_max: int, algebra) -> SuperOperator:
+    """exp(z K+ - conj(z) K- + sum_m c_m G_m) from the eigensystem of its body, in the real
+    z-free eigenbases of ``_body_eigensystem``.
+
+    The exponent comes factored: the body by z, the rest as the (c_m, G_m) of ``terms``, each
+    c_m an element of the coefficient algebra of ``algebra`` and G_m the name of an odd basic
+    generator.  The masks of the c_m must each be one odd generator, at most two of them, so
+    the exponent is even and e_m^2 = 0 stops the series at second order (Higham, Functions of
+    Matrices, SIAM 2008, ch. 3 and 10; Najfeld and Havel, Adv. Appl. Math. 16 (1995) 321).
+    The body is -i |z| times a real symmetric matrix by construction, so nothing checks it.
+
+    Sector s of the body is V_s diag(lam_s) V_s^H with V_s = D Q_s, Q_s real, D = diag(phase)
+    and lam_s = -i |z| mu_s.  So V_s X V_t^H is D (Q_s X Q_t^T) D^H, two real products and one
+    elementwise product by phase (x) conj(phase) (``_sandwich``), and G~ = V_s^H G V_t of a
+    generator quadrant on diagonal d is c_m w^-d times its cached image Q_s^T S Q_t
+    (``_generator_image``):
+
+    * mask 0: V_s e^lam_s V_s^H = D Q_s diag(cos |z| mu_s - i sin |z| mu_s) Q_s^T D^H;
+    * mask m: the Frechet derivative of exp at the body along G_m, quadrant (s, t) being
+      V_s (F1 o G~) V_t^H with F1[i, k] = f[lam_s,i, lam_t,k].  With y = |z| (mu_0,i - mu_1,k),
+      lam_0,i - lam_1,k = -i y, so F1 = e^lam_1,k phi_1(-i y) across from sector 0 and its
+      transpose across from sector 1, from one sine pass over y (``_first_differences``);
     * mask a | b, for each ordered pair with (a | b, sign) = plan.join[a][b]: the
       second-order term, negated because mask b passes the odd block G_a as in ``@``,
       quadrant (s, s) being V_s M V_s^H with M[i, j] = sum_k f[lam_i, lam_k, lam_j]
@@ -780,75 +860,81 @@ def _spectral_exp(op: SuperOperator, eigen) -> SuperOperator:
       _CONFLUENT of it, it is the Taylor series sum_p (lam_i - lam_j)^p Ga~ (Dp^T o Gb~)
       with Dp[j, k] = f[lam_j taken p + 2 times, lam_k] = e^lam_j phi_{p+2}(lam_k - lam_j),
       one matrix product per power; on the diagonal only p = 0 remains, summed over k
-      entry by entry.
+      entry by entry.  lam_k - lam_j is +-i y, so Dp reads phi_{p+2}(-i y) of y once:
+      conjugated in sector 0, transposed in sector 1.
 
-    Every held quadrant of the result is an N x N record.
+    With no odd term the result is the body alone and no gap is formed.  Every held quadrant
+    of the result is an N x N record.
     """
-    if op.parity_bit:
-        raise ValueError("exponent must have even total parity")
-    plan = op.algebra.plan
-    n = op.n_max
-    body = op.blocks.get(0, {})
-    odd = {m: quads for m, quads in op.blocks.items() if m}
-    if (
-        any(i != j for i, j in body)
-        or len(odd) > 2
-        or any(m & (m - 1) or not plan.parity[m] for m in odd)
-        or any(i == k for quads in odd.values() for i, k in quads)
-    ):
-        raise ValueError("spectral exponent needs a sector-diagonal body and at most two odd generator masks")
-    lam, vec = zip(*eigen)
-    for s in (0, 1):
-        a = _expand(body[(s, s)], n) if (s, s) in body else np.zeros((n, n), dtype=complex)
-        if np.abs(a + a.conj().T).max() > 1e-14 * max(1.0, np.abs(a).max()):
-            raise ValueError("spectral exponent needs an anti-Hermitian body")
-    f1, split = _first_differences(lam[0][:, None], lam[1][None, :])
-    cross = {(0, 1): (f1, split), (1, 0): (f1.T, -split.T)}  # (F1, lam_s - lam_t) across the sectors
+    alg = coefficient_algebra(algebra)
+    plan = alg.plan
+    n = int(n_max)
+    if n < 2:
+        raise ValueError("truncation must be at least 2")
+    radius, phase, pairs = _body_eigensystem(z, n)
+    tilde = {}  # (mask, row sector s) -> G~ of the mask's quadrant (s, 1 - s)
+    for coeff, name in terms:
+        s, _, shift, image = _generator_image(n, name) if radius else _odd_stencil(name, n)
+        row = _scalar_row(alg, coeff)
+        for m in np.flatnonzero(row).tolist():
+            if m & (m - 1) or not plan.parity[m]:
+                raise ValueError("spectral exponent needs coefficients on single odd generator masks")
+            c = complex(row[m])
+            if shift:
+                c = c * (phase[-shift] if shift < 0 else phase[shift].conjugate())
+            g = c * image
+            tilde[(m, s)] = tilde[(m, s)] + g if (m, s) in tilde else g
+    masks = list(dict.fromkeys(m for m, _ in tilde))
+    if len(masks) > 2:
+        raise ValueError("spectral exponent needs at most two odd generator masks")
 
-    blocks = {0: {(s, s): ((None, (vec[s] * np.exp(lam[s])) @ vec[s].conj().T),) for s in (0, 1)}}
-    tilde, weighted = {}, {}
-    for m, quads in odd.items():
-        blocks[m] = {}
-        for (s, t), record in quads.items():
-            g = None
-            for d, part in record:
-                if d is None:
-                    term = vec[s].conj().T @ part @ vec[t]
-                else:
-                    rows = np.arange(max(0, d), n + min(0, d))
-                    term = (vec[s].conj().T[:, rows] * part) @ vec[t][rows - d, :]
-                g = term if g is None else g + term
-            tilde[(m, s)] = g
-            weighted[(m, s)] = cross[(s, t)][0] * g
-            blocks[m][(s, t)] = ((None, vec[s] @ weighted[(m, s)] @ vec[t].conj().T),)
+    outer = phase[:, None] * phase.conj()[None, :]
+    mus, qs = zip(*pairs)
+    angles = [radius * mu for mu in mus]
+    cos, sin = [np.cos(a) for a in angles], [np.sin(a) for a in angles]
+    body = [_phased(np.concatenate((q * c, q * -s)), q, outer) for q, c, s in zip(qs, cos, sin)]
+    blocks = {0: {(s, s): ((None, body[s]),) for s in (0, 1)}}
+    if not tilde:
+        return SuperOperator._wrap(alg, n, blocks, 0)
 
-    for a in odd:
-        for b in odd:
+    y = radius * (mus[0][:, None] - mus[1][None, :])  # lam_0,i - lam_1,k = -i y
+    phi1 = _first_differences(y)
+    exp_lam = [c - 1j * s for c, s in zip(cos, sin)]
+    f1 = phi1 * exp_lam[1][None, :]
+    cross = (f1, f1.T)  # F1 of quadrant (s, 1 - s)
+    weighted = {}
+    for (m, s), g in tilde.items():
+        weighted[(m, s)] = cross[s] * g
+        blocks.setdefault(m, {})[(s, 1 - s)] = ((None, _sandwich(qs[s], weighted[(m, s)], qs[1 - s], outer)),)
+
+    second = []  # (mask, sign, sector s, a, b) per second-order term
+    for a in masks:
+        for b in masks:
             step = plan.join[a][b]
-            if step is None:
-                continue
-            key, sign = step
-            out = blocks.setdefault(key, {})
-            for s in (0, 1):
-                t = 1 - s
-                if (a, s) not in tilde or (b, t) not in tilde:
-                    continue
-                ga, gb = tilde[(a, s)], tilde[(b, t)]
-                gap = lam[s][:, None] - lam[s][None, :]
-                close = np.abs(gap) < _CONFLUENT
-                mid = (weighted[(a, s)] @ gb - ga @ weighted[(b, t)]) / np.where(close, 1.0, gap)
-                u = np.where(close, gap, 0.0)
-                order = _taylor_order(float(np.abs(u).max()))
-                dp = [np.exp(lam[s])[:, None] * phi for phi in _phi(-cross[(s, t)][1], order + 2)]
-                if np.count_nonzero(close) > n:  # close pairs off the diagonal
-                    taylor = 0.0
-                    for p in range(order, -1, -1):
-                        taylor = taylor * u + ga @ (dp[p].T * gb)
-                    mid = np.where(close, taylor, mid)
-                mid[np.diag_indices(n)] = np.sum(ga * dp[0] * gb.T, axis=1)  # u = 0: the p = 0 term
-                term = ((None, (-sign) * (vec[s] @ mid @ vec[s].conj().T)),)
-                out[(s, s)] = _add(out[(s, s)], term, n) if (s, s) in out else term
-    return SuperOperator._wrap(op.algebra, n, blocks, 0, name=f"exp({op.name})")
+            if step is not None:
+                second += [(*step, s, a, b) for s in (0, 1) if (a, s) in tilde and (b, 1 - s) in tilde]
+    if not second:
+        return SuperOperator._wrap(alg, n, blocks, 0)
+    gaps = [radius * (mu[:, None] - mu[None, :]) for mu in mus]  # lam_s,i - lam_s,j = -i gap
+    close = [np.abs(gap) < _CONFLUENT for gap in gaps]
+    orders = [_taylor_order(float(np.abs(np.where(c, gap, 0.0)).max())) for gap, c in zip(gaps, close)]
+    phi = _phi(y, phi1, max(orders) + 2)
+    dps = ([exp_lam[0][:, None] * np.conj(p) for p in phi], [exp_lam[1][:, None] * p.T for p in phi])
+    for key, sign, s, a, b in second:
+        t = 1 - s
+        ga, gb, dp, near = tilde[(a, s)], tilde[(b, t)], dps[s], close[s]
+        mid = 1j * (weighted[(a, s)] @ gb - ga @ weighted[(b, t)]) / np.where(near, 1.0, gaps[s])
+        if np.count_nonzero(near) > n:  # close pairs off the diagonal
+            u = np.where(near, -1j * gaps[s], 0.0)
+            taylor = 0.0
+            for p in range(orders[s], -1, -1):
+                taylor = taylor * u + ga @ (dp[p].T * gb)
+            mid = np.where(near, taylor, mid)
+        mid[np.diag_indices(n)] = np.sum(ga * dp[0] * gb.T, axis=1)  # u = 0: the p = 0 term
+        term = ((None, _sandwich(qs[s], (-sign) * mid, qs[s], outer)),)
+        out = blocks.setdefault(key, {})
+        out[(s, s)] = _add(out[(s, s)], term, n) if (s, s) in out else term
+    return SuperOperator._wrap(alg, n, blocks, 0)
 
 
 # -- structure verification --------------------------------------------------------------

@@ -326,12 +326,51 @@ class TestSpectralDisplacement:
             assert np.abs(mu + mu[::-1]).max() < 1e-13 * np.abs(mu).max()
         for z in (1e-8, 0.3, -0.3, 0.2j, _ring(-1.9)):
             body = _exponent(coh.CoherentParams(z), n, ALG).body
-            for s, (lam, vec) in enumerate(representation._body_eigensystem(z, n)):
+            radius, phase, pairs = representation._body_eigensystem(z, n)
+            assert radius == abs(z)
+            for s, (mu, q) in enumerate(pairs):
+                lam, vec = -1j * radius * mu, phase[:, None] * q
                 a = body[s * n : (s + 1) * n, s * n : (s + 1) * n]
                 assert not lam.real.any()
                 assert np.abs(vec.conj().T @ vec - np.eye(n)).max() < 1e-13
                 # the phases e^{i k arg z} round like k eps, 1.8e-14 at N = 64 and z = -0.3
                 assert np.abs((vec * lam) @ vec.conj().T - a).max() < 1e-13 * max(1.0, np.abs(a).max())
+
+    @pytest.mark.parametrize("n", [8, 37, 64])
+    def test_cached_generator_images(self, n):
+        """The z-free images Q_s^T S Q_t of the odd generators are read-only, the same objects
+        whatever z and alpha, and equal w^d V_s^H S V_t of the complex eigenbases V_s = D Q_s,
+        D = diag(w^k), for the generator quadrant (s, t) on diagonal d."""
+        names = ("V+", "V-", "W+", "W-")
+        images = {name: representation._generator_image(n, name) for name in names}
+        for z, alpha in ((0.3, 0.7 - 0.4j), (0.5j, 1.0), (_ring(2.4), 0.0), (-0.2 + 1e-3j, 2.0)):
+            coh.displacement_operator(coh.CoherentParams(z, alpha), n, ALG)
+            radius, phase, pairs = representation._body_eigensystem(z, n)
+            for name in names:
+                image = representation._generator_image(n, name)
+                assert image is images[name]
+                s, t, d, r = image
+                assert not r.flags.writeable
+                (record,) = build_generator(name, n, ALG).blocks[0].values()
+                vs, vt = phase[:, None] * pairs[s][1], phase[:, None] * pairs[t][1]
+                want = phase[1] ** d * (vs.conj().T @ representation._expand(record, n) @ vt)
+                assert np.abs(r - want).max() < 1e-13
+
+    def test_no_generator_built(self, monkeypatch):
+        """A displacement at a truncation already seen builds no generator, whatever z and alpha."""
+        calls = []
+        build = representation.build_generator
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return build(*args, **kw)
+
+        monkeypatch.setattr(representation, "build_generator", counting)
+        coh.displacement_operator(coh.CoherentParams(0.3, 0.7 - 0.4j), 37, ALG)
+        calls.clear()
+        for z, alpha in ((0.5j, 0.0), (_ring(2.4), 1.0), (-0.2 + 1e-3j, 0.7 - 0.4j), (0.0, 0.7 - 0.4j)):
+            coh.displacement_operator(coh.CoherentParams(z, alpha), 37, ALG)
+        assert calls == []
 
     def test_holds_dense_quadrants_on_four_masks(self):
         d = coh.displacement_operator(coh.CoherentParams(0.4 - 0.2j, 0.7 - 0.4j), 16, ALG)

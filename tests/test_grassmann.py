@@ -107,6 +107,28 @@ class TestConjugation:
     def test_scalar_conjugation(self):
         assert ALG.scalar(2 - 3j).conj() == ALG.scalar(2 + 3j)
 
+    @pytest.mark.parametrize("lead", [(), (200,), (3, 16)], ids=["one", "rows", "stack"])
+    @pytest.mark.parametrize("g", [2, 4, 6])
+    def test_gather_equals_scatter(self, g, lead):
+        """``ProductPlan.conj`` reads through the conjugation permutation, its own inverse; it
+        writes what the scatter out[..., P] = sign * conj(x) writes, bit for bit, signed zeros
+        included."""
+        plan = GrassmannAlgebra(GENERATORS_EXTENDED[:g]).plan
+        rng = np.random.default_rng(g)
+        parts = rng.standard_normal((2, *lead, plan.size))
+        parts[rng.random(parts.shape) < 0.3] = 0.0
+        parts *= rng.choice([-1.0, 1.0], parts.shape)  # zeros of both signs
+        x = np.empty(parts.shape[1:], dtype=complex)
+        x.real, x.imag = parts
+        perm = np.array([m for m, _ in plan.conj_table])
+        sign = np.array([float(s) for _, s in plan.conj_table])
+        want = np.empty(x.shape, dtype=complex)
+        want[..., perm] = sign * np.conj(x)
+        got = plan.conj(x)
+        assert got.shape == x.shape and got.dtype == want.dtype
+        assert np.array_equal(np.ascontiguousarray(got).view(np.uint64), want.view(np.uint64))
+        assert np.signbit(want.view(float)[want.view(float) == 0]).any()
+
     @settings(max_examples=60, deadline=None)
     @given(elements(), elements())
     def test_product_homomorphism(self, a, b):

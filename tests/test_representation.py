@@ -1046,36 +1046,64 @@ class TestSpectralExp:
             head = sum(d**m / mpmath.factorial(m) for m in range(n))
             return complex((mpmath.exp(d) - head) / d**n)
 
-    @pytest.mark.parametrize("radius", [0.0, 1e-9, 1e-3, 0.5, 1.99, 2.01, 5.0, 40.0, 130.0])
+    _RADII = [0.0, 1e-9, 1e-3, 0.5, 1.99, 2.01, 5.0, 40.0, 130.0]
+
+    @pytest.mark.parametrize("radius", _RADII)
     def test_phi_on_both_sides_of_the_switch(self, radius):
         """The divided differences f[w, .., w, w + d] = e^w phi_n(d) of every order the
-        Taylor route uses, on imaginary d like the eigenvalue gaps."""
+        Taylor route uses, on imaginary d = -i y like the eigenvalue gaps."""
         assert representation._PHI_SERIES == 2.0  # the radii straddle it
-        d = 1j * radius * np.random.default_rng(17).choice([-1.0, 1.0], 6)
-        got = representation._phi(d, 11)
+        y = radius * np.random.default_rng(17).choice([-1.0, 1.0], 6)
+        got = representation._phi(y, representation._first_differences(y), 11)
         for n, phi in zip(range(2, 12), got):
-            want = np.array([self._phi_reference(n, x) for x in d])
+            want = np.array([self._phi_reference(n, -1j * x) for x in y])
             assert np.abs(phi - want).max() < 1e-15
 
+    @pytest.mark.parametrize("radius", _RADII)
+    def test_sine_form_expm1(self, radius):
+        """expm1(-i y) = -2 sin(y/2)^2 - i sin y against 40 digits, relative to its size."""
+        import mpmath
+
+        y = radius * np.random.default_rng(17).choice([-1.0, 1.0], 6)
+        got = representation._expm1_imag(y)
+        with mpmath.workdps(40):
+            want = np.array([complex(mpmath.expm1(mpmath.mpc(0, -x))) for x in y])
+        assert np.all(np.abs(got - want) <= 4e-16 * np.abs(want))
+
     def test_first_differences_are_exact_at_a_double_point(self):
-        lam = 1j * np.array([0.0, 0.3, -2.0])
-        f, d = representation._first_differences(lam, lam)
-        assert np.array_equal(f, np.exp(lam)) and not d.any()
+        """phi_1(-i y) is 1 exactly at y = 0 of either sign, so F1 = e^lam_k where lam_i = lam_k."""
+        y = np.array([0.0, -0.0, 0.3, -2.0])
+        f = representation._first_differences(y)
+        assert np.array_equal(f[:2].real, [1.0, 1.0]) and not f[:2].imag.any()
+        d = -1j * y[2:]
+        assert np.abs(f[2:] - np.expm1(d) / d).max() < 4e-16
+
+    @pytest.mark.parametrize("z", [0.0, 0.3 - 0.5j, -0.7j])
+    def test_shifted_generators_match_operator_exp(self, z):
+        """V- and W+ sit on diagonals -1 and +1, so their images are turned by w^-d."""
+        a = (0.7 - 0.4j) * SCALARS.gen("alpha")
+        terms = [(a, "V-"), (-1j * a.conj(), "W+")]
+        x = z * op("K+", 16) - np.conjugate(z) * op("K-", 16)
+        for coeff, name in terms:
+            x = x + coeff * op(name, 16)
+        want = operator_exp(x)
+        got = representation._spectral_exp(z, terms, 16, ALG)
+        assert set(got.blocks) == set(want.blocks)
+        assert (got - want).max_abs() <= 1e-12 * max(1.0, want.max_abs())
 
     def test_unsupported_exponents_rejected(self):
+        """The factored exponent takes odd generators on at most two masks, each one odd
+        generator.  A body that is not anti-Hermitian cannot be formed: it is -i |z| times a
+        real symmetric matrix, conjugated by a phase, whatever z is."""
         al, alb, xi = (SCALARS6.gen(g) for g in ("alpha", "alpha_bar", "xi"))
-        g6 = {name: build_generator(name, 8, ALG6) for name in ("K+", "K-", "K0", "V+", "W-", "W+")}
-        body = 0.3 * g6["K+"] - 0.3 * g6["K-"]
-        eigen = representation._body_eigensystem(0.3, 8)
         for bad in (
-            g6["V+"],  # odd exponent
-            0.3 * g6["K+"] + 0.3 * g6["K-"],  # body not anti-Hermitian
-            body + (al * alb) * g6["K0"],  # an even mask
-            body + al * g6["V+"] + alb * g6["W-"] + xi * g6["W+"],  # a third-order term
+            [(SCALARS6.one(), "V+")],  # odd exponent
+            [(al * alb, "K0")],  # an even mask
+            [(al, "V+"), (alb, "W-"), (xi, "W+")],  # a third-order term
         ):
             with pytest.raises(ValueError):
-                representation._spectral_exp(bad, eigen)
-        representation._spectral_exp(body, eigen)
+                representation._spectral_exp(0.3, bad, 8, ALG6)
+        representation._spectral_exp(0.3, [(al, "V+"), (alb, "W-")], 8, ALG6)
 
 
 class TestChiBasisRoutes:
