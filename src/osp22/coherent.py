@@ -20,12 +20,13 @@ parameter alpha = a * alpha_gen.  The three routes are
 Also provided: the superisometric displacement exp(z K+ - conj(z) K- +
 alpha V+ - i conj(alpha) W-), exponentiated spectrally
 (``representation._spectral_exp``; ``representation.operator_exp`` is its
-test oracle) from the eigensystem of its anti-Hermitian body per sector, a
-z-free real eigendecomposition cached per truncation and turned by a diagonal
-phase, so no eigendecomposition runs per z and every change of basis is a real
-product; covariant (lowest-weight expectation) symbols of all eight generators with a single calibrated
-conjugation convention, where ``berezin_symbols`` serves a set of operators
-from one series state; and the odd-sector straight-line trajectory data.
+test oracle) from the eigensystem of its anti-Hermitian body per sector, read
+from one z-free cache per truncation and turned by a diagonal phase, so no
+eigendecomposition runs per z and every change of basis is a real product;
+covariant (lowest-weight expectation) symbols of all eight generators with a
+single calibrated conjugation convention, where ``berezin_symbols`` serves a
+set of operators from one series state; and the odd-sector straight-line
+trajectory data.
 """
 
 from __future__ import annotations
@@ -361,23 +362,9 @@ def crosscheck(
 
 
 def displacement_operator(params: CoherentParams, n_max: int, algebra=None):
-    """exp(z K+ - conj(z) K- + alpha V+ - i conj(alpha) W-), superisometric.
-
-    The exponent goes to ``representation._spectral_exp`` factored, as z and the terms
-    (alpha, V+) and (-i conj(alpha), W-), and is exponentiated on the eigenbases of the
-    sector bodies, which ``representation._body_eigensystem`` takes from a z-free real
-    eigendecomposition cached per truncation and a diagonal phase, so every change of basis
-    is a real product.  The alpha and conj(alpha) blocks and their product are the first and
-    second divided differences of exp on its eigenvalues, read through the cached z-free
-    images of V+ and W-; at alpha = 0 only the body is formed.  Since alpha^2 = 0 the
-    Grassmann series stops at second order, so nothing is truncated but the modes.
-    """
-    alg = algebra or default_algebra()
-    terms = []
-    if params.alpha_coeff != 0:
-        a = params.alpha(alg)
-        terms = [(a, "V+"), (-1j * a.conj(), "W-")]
-    return _rep._spectral_exp(params.z, terms, n_max, alg).renamed("D'")
+    """exp(z K+ - conj(z) K- + alpha V+ - i conj(alpha) W-), superisometric, at truncation
+    n_max; nothing is truncated but the modes.  ``representation._spectral_exp`` forms it."""
+    return _rep._spectral_exp(params.z, params.alpha_coeff, n_max, algebra).renamed("D'")
 
 
 def disk_parameter(zeta: complex) -> complex:

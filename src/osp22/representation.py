@@ -39,15 +39,15 @@ stored dense.  Dense records come only from dense input to the constructor,
 from growth past ``_MAX_DIAGONALS`` and from the output of ``_spectral_exp``;
 no generator or fixed combination holds one.
 
-``_spectral_exp`` exponentiates the displacement exponent, handed over
-factored as z and (coefficient, odd generator) terms, from the eigensystem of
-its body per sector.  ``_body_eigensystem`` writes that eigensystem as the
-real eigendecomposition that ``_sector_eigh`` caches per truncation, because
-it does not depend on z, and a diagonal phase.  Every change of basis is then
-a real product, the phase put back by one elementwise product, and the odd
-generators enter through their real z-free images in that basis, cached by
-``_generator_image``; ``operator_exp``, scaling and squaring over these
-operator products, is its test oracle.
+``_spectral_exp(z, alpha, n_max, algebra)`` exponentiates the displacement
+exponent z K+ - conj(z) K- + alpha V+ - i conj(alpha) W- from the eigensystem
+of its body per sector.  All of it that does not depend on z sits in one
+read-only cache per truncation, ``_z_free_eigenbasis``: the real
+eigendecomposition of each sector and the real images, in those bases, of the
+one stencil S that V+ and W- share.  ``_body_eigensystem`` adds |z| and a
+diagonal phase.  Every change of basis is then a real product, the phase put
+back by one elementwise product; ``operator_exp``, scaling and squaring over
+these operator products, is its test oracle.
 
 The records a result holds follow from its operands, not from its entries: a
 product adds the offsets, the superadjoint negates them, a multiple keeps them
@@ -755,60 +755,52 @@ def _taylor_order(u_max: float) -> int:
     return p
 
 
-@lru_cache(maxsize=32)
-def _sector_eigh(n_max: int, sector: int) -> tuple:
-    """Read-only (mu, Q) = eigh(T) for the real symmetric tridiagonal T of a sector: zero
-    diagonal and the sector's K+ stencil on both off-diagonals.
+def _odd_stencil(n_max: int) -> np.ndarray:
+    """S = diag(sqrt(j + 1/2)) as a real N x N array: the one quadrant of V+, (1, 0), and of
+    W-, (0, 1), both on diagonal 0."""
+    return np.diag(_STENCILS["V+"][0][3](np.arange(n_max, dtype=float), 0.5, np.sqrt))
 
-    K- is the transpose of K+, so with D = diag((i e^{i arg z})^k) the sector body of the
-    displacement is z K+ - conj(z) K- = -i |z| D T D^H: its eigenvalues are -i |z| mu and its
-    eigenvectors D Q, for every z.  T is bipartite, so mu comes in pairs +-mu.
+
+@lru_cache(maxsize=16)
+def _z_free_eigenbasis(n_max: int) -> tuple:
+    """Read-only (pairs, images): all of the displacement that does not depend on z.
+
+    pairs[s] = (mu_s, Q_s) = eigh(T_s) for the real symmetric tridiagonal T_s of sector s:
+    zero diagonal and the sector's K+ stencil on both off-diagonals.  K- is the transpose of
+    K+, so with D = diag((i e^{i arg z})^k) the sector body of the displacement is
+    z K+ - conj(z) K- = -i |z| D T_s D^H: its eigenvalues are -i |z| mu_s and its eigenvectors
+    D Q_s, for every z.  T_s is bipartite, so mu_s comes in pairs +-mu.
+
+    images[s] = Q_s^T S Q_(1-s) is ``_odd_stencil``'s S across from sector s in those bases.
+    S lies on diagonal 0, so D^H S D = S and (D Q_s)^H S (D Q_(1-s)) = images[s] for every z.
     """
-    coeff = _STENCILS["K+"][sector][3]
-    off = coeff(np.arange(n_max - 1.0), 0.5, np.sqrt)
-    mu, q = np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
-    mu.flags.writeable = False
-    q.flags.writeable = False
-    return mu, q
-
-
-def _odd_stencil(name: str, n_max: int) -> tuple:
-    """(s, t, d, S) of an odd basic generator: its one quadrant (s, t), whose entries lie on
-    diagonal d, and S that quadrant as a real N x N array."""
-    if name not in _STENCILS or not generator_parity(name):
-        raise ValueError(f"{name!r} is not an odd basic generator")
-    (((target, source), record),) = _stencil_quadrants(name, n_max).items()
-    return target, source, record[0][0], _expand(record, n_max).real.copy()
-
-
-@lru_cache(maxsize=32)
-def _generator_image(n_max: int, name: str) -> tuple:
-    """(s, t, d, R) of an odd basic generator, as ``_odd_stencil`` but with R = Q_s^T S Q_t,
-    read-only, in the z-free eigenbases Q of ``_sector_eigh``.
-
-    With V_s = D Q_s and D = diag(w^k), V_s^H S V_t = w^-d R, since (D^H S D)[r, c] =
-    w^(c - r) S[r, c] = w^-d S[r, c].  So R serves every z and alpha.
-    """
-    target, source, shift, mat = _odd_stencil(name, n_max)
-    image = _sector_eigh(n_max, target)[1].T @ mat @ _sector_eigh(n_max, source)[1]
-    image.flags.writeable = False
-    return target, source, shift, image
+    pairs = []
+    for sector in (0, 1):
+        off = _STENCILS["K+"][sector][3](np.arange(n_max - 1.0), 0.5, np.sqrt)
+        pairs.append(tuple(np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))))
+    (_, q0), (_, q1) = pairs
+    stencil = _odd_stencil(n_max)
+    images = (q0.T @ stencil @ q1, q1.T @ stencil @ q0)
+    for array in (*pairs[0], *pairs[1], *images):
+        array.flags.writeable = False
+    return tuple(pairs), images
 
 
 def _body_eigensystem(z: complex, n_max: int) -> tuple:
-    """(radius, phase, pairs) for the body z K+ - conj(z) K-: radius = |z|, phase[k] =
-    (i e^{i arg z})^k and pairs[s] = (mu_s, Q_s) = ``_sector_eigh(n_max, s)``, real and free
-    of z, so that sector s of the body is V_s diag(-i radius mu_s) V_s^H with V_s = D Q_s and
-    D = diag(phase).
+    """(radius, phase, pairs, images) for the body z K+ - conj(z) K-: radius = |z|, phase[k] =
+    (i e^{i arg z})^k, and pairs and images those of ``_z_free_eigenbasis``, so that sector s
+    of the body is V_s diag(-i radius mu_s) V_s^H with V_s = D Q_s and D = diag(phase).
 
-    At z = 0 the body is zero and every basis diagonalizes it; the pairs are (0, I) there, so
-    the exponential comes out exact rather than through Q Q^T = I to rounding.
+    At z = 0 the body is zero and every basis diagonalizes it; the pairs are (0, I) and the
+    images S there, so the exponential comes out exact rather than through Q Q^T = I to
+    rounding.
     """
     k = np.arange(n_max)
     phase = np.array((1, 1j, -1, -1j))[k % 4] * np.exp(1j * np.angle(z) * k)  # i^k taken exactly
     if z == 0:
-        return 0.0, phase, ((np.zeros(n_max), np.eye(n_max)),) * 2
-    return abs(z), phase, (_sector_eigh(n_max, 0), _sector_eigh(n_max, 1))
+        stencil = _odd_stencil(n_max)
+        return 0.0, phase, ((np.zeros(n_max), np.eye(n_max)),) * 2, (stencil, stencil)
+    return abs(z), phase, *_z_free_eigenbasis(n_max)
 
 
 def _phased(stacked: np.ndarray, right: np.ndarray, outer: np.ndarray) -> np.ndarray:
@@ -830,100 +822,75 @@ def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray, outer: np.ndar
     return _phased(np.concatenate((half[:, :n], half[:, n:])), right, outer)
 
 
-def _spectral_exp(z: complex, terms, n_max: int, algebra) -> SuperOperator:
-    """exp(z K+ - conj(z) K- + sum_m c_m G_m) from the eigensystem of its body, in the real
-    z-free eigenbases of ``_body_eigensystem``.
+def _spectral_exp(z: complex, alpha: complex, n_max: int, algebra) -> SuperOperator:
+    """exp(z K+ - conj(z) K- + a V+ - i conj(a) W-), a = alpha times the generator "alpha" of
+    the coefficient algebra of ``algebra`` (default: ``default_algebra()``), from the
+    eigensystem of its body in the real z-free eigenbases of ``_body_eigensystem``.
 
-    The exponent comes factored: the body by z, the rest as the (c_m, G_m) of ``terms``, each
-    c_m an element of the coefficient algebra of ``algebra`` and G_m the name of an odd basic
-    generator.  The masks of the c_m must each be one odd generator, at most two of them, so
-    the exponent is even and e_m^2 = 0 stops the series at second order (Higham, Functions of
-    Matrices, SIAM 2008, ch. 3 and 10; Najfeld and Havel, Adv. Appl. Math. 16 (1995) 321).
-    The body is -i |z| times a real symmetric matrix by construction, so nothing checks it.
-
-    Sector s of the body is V_s diag(lam_s) V_s^H with V_s = D Q_s, Q_s real, D = diag(phase)
-    and lam_s = -i |z| mu_s.  So V_s X V_t^H is D (Q_s X Q_t^T) D^H, two real products and one
-    elementwise product by phase (x) conj(phase) (``_sandwich``), and G~ = V_s^H G V_t of a
-    generator quadrant on diagonal d is c_m w^-d times its cached image Q_s^T S Q_t
-    (``_generator_image``):
+    a^2 = 0, so the series stops at second order (Higham, Functions of Matrices, SIAM 2008,
+    ch. 3 and 10; Najfeld and Havel, Adv. Appl. Math. 16 (1995) 321).  Sector s of the body is
+    V_s diag(lam_s) V_s^H with V_s = D Q_s, Q_s real, D = diag(phase) and lam_s = -i |z| mu_s.
+    So V_s X V_t^H is D (Q_s X Q_t^T) D^H, two real products and one elementwise product by
+    phase (x) conj(phase) (``_sandwich``).  The odd part across from sector s, in those bases,
+    is G~_s = c_s images[s]: c_1 = alpha for V+ in quadrant (1, 0) and c_0 = -i conj(alpha) for
+    W- in quadrant (0, 1).
 
     * mask 0: V_s e^lam_s V_s^H = D Q_s diag(cos |z| mu_s - i sin |z| mu_s) Q_s^T D^H;
-    * mask m: the Frechet derivative of exp at the body along G_m, quadrant (s, t) being
-      V_s (F1 o G~) V_t^H with F1[i, k] = f[lam_s,i, lam_t,k].  With y = |z| (mu_0,i - mu_1,k),
-      lam_0,i - lam_1,k = -i y, so F1 = e^lam_1,k phi_1(-i y) across from sector 0 and its
-      transpose across from sector 1, from one sine pass over y (``_first_differences``);
-    * mask a | b, for each ordered pair with (a | b, sign) = plan.join[a][b]: the
-      second-order term, negated because mask b passes the odd block G_a as in ``@``,
-      quadrant (s, s) being V_s M V_s^H with M[i, j] = sum_k f[lam_i, lam_k, lam_j]
-      Ga~[i, k] Gb~[k, j] over the other sector's k.  Away from lam_i = lam_j that is
-      ((F1 o Ga~) Gb~ - Ga~ (F1 o Gb~)) / (lam_i - lam_j), two matrix products.  Within
-      _CONFLUENT of it, it is the Taylor series sum_p (lam_i - lam_j)^p Ga~ (Dp^T o Gb~)
-      with Dp[j, k] = f[lam_j taken p + 2 times, lam_k] = e^lam_j phi_{p+2}(lam_k - lam_j),
-      one matrix product per power; on the diagonal only p = 0 remains, summed over k
-      entry by entry.  lam_k - lam_j is +-i y, so Dp reads phi_{p+2}(-i y) of y once:
-      conjugated in sector 0, transposed in sector 1.
+    * the masks of a and conj(a): the Frechet derivative of exp at the body, quadrant (s, 1 - s)
+      being V_s (F1 o G~_s) V_(1-s)^H with F1[i, k] = f[lam_s,i, lam_(1-s),k].  With
+      y = |z| (mu_0,i - mu_1,k), lam_0,i - lam_1,k = -i y, so F1 = e^lam_1,k phi_1(-i y)
+      across from sector 0 and its transpose across from sector 1, from one sine pass over y
+      (``_first_differences``);
+    * mask a | conj(a), with (a | conj(a), sign) = plan.join[a][conj(a)]: the second-order
+      term, quadrant (s, s) being V_s M V_s^H with M[i, j] = sum_k f[lam_i, lam_k, lam_j]
+      G~_s[i, k] G~_(1-s)[k, j] over the other sector's k.  It takes -sign in sector 1, where
+      the a block is on the left and conj(a) passes its odd generator as in ``@``, and +sign
+      in sector 0, where the order of the masks is swapped as well.  Away from lam_i = lam_j M
+      is ((F1 o G~_s) G~_(1-s) - G~_s (F1 o G~_(1-s))) / (lam_i - lam_j), two matrix products.
+      Within _CONFLUENT of it, it is the Taylor series sum_p (lam_i - lam_j)^p
+      G~_s (Dp^T o G~_(1-s)) with Dp[j, k] = f[lam_j taken p + 2 times, lam_k] =
+      e^lam_j phi_{p+2}(lam_k - lam_j), one matrix product per power; on the diagonal only
+      p = 0 remains, summed over k entry by entry.  lam_k - lam_j is +-i y, so Dp reads
+      phi_{p+2}(-i y) of y once: conjugated in sector 0, transposed in sector 1.
 
-    With no odd term the result is the body alone and no gap is formed.  Every held quadrant
-    of the result is an N x N record.
+    At alpha = 0 the result is the body alone and no gap is formed.  Every held quadrant of
+    the result is an N x N record.
     """
-    alg = coefficient_algebra(algebra)
-    plan = alg.plan
+    alg = coefficient_algebra(algebra or default_algebra())
     n = int(n_max)
     if n < 2:
         raise ValueError("truncation must be at least 2")
-    radius, phase, pairs = _body_eigensystem(z, n)
-    tilde = {}  # (mask, row sector s) -> G~ of the mask's quadrant (s, 1 - s)
-    for coeff, name in terms:
-        s, _, shift, image = _generator_image(n, name) if radius else _odd_stencil(name, n)
-        row = _scalar_row(alg, coeff)
-        for m in np.flatnonzero(row).tolist():
-            if m & (m - 1) or not plan.parity[m]:
-                raise ValueError("spectral exponent needs coefficients on single odd generator masks")
-            c = complex(row[m])
-            if shift:
-                c = c * (phase[-shift] if shift < 0 else phase[shift].conjugate())
-            g = c * image
-            tilde[(m, s)] = tilde[(m, s)] + g if (m, s) in tilde else g
-    masks = list(dict.fromkeys(m for m, _ in tilde))
-    if len(masks) > 2:
-        raise ValueError("spectral exponent needs at most two odd generator masks")
-
+    radius, phase, pairs, images = _body_eigensystem(z, n)
     outer = phase[:, None] * phase.conj()[None, :]
     mus, qs = zip(*pairs)
     angles = [radius * mu for mu in mus]
     cos, sin = [np.cos(a) for a in angles], [np.sin(a) for a in angles]
     body = [_phased(np.concatenate((q * c, q * -s)), q, outer) for q, c, s in zip(qs, cos, sin)]
     blocks = {0: {(s, s): ((None, body[s]),) for s in (0, 1)}}
-    if not tilde:
+    if alpha == 0:
         return SuperOperator._wrap(alg, n, blocks, 0)
 
+    tilde = ((-1j * alpha.conjugate()) * images[0], alpha * images[1])
     y = radius * (mus[0][:, None] - mus[1][None, :])  # lam_0,i - lam_1,k = -i y
     phi1 = _first_differences(y)
     exp_lam = [c - 1j * s for c, s in zip(cos, sin)]
     f1 = phi1 * exp_lam[1][None, :]
-    cross = (f1, f1.T)  # F1 of quadrant (s, 1 - s)
-    weighted = {}
-    for (m, s), g in tilde.items():
-        weighted[(m, s)] = cross[s] * g
-        blocks.setdefault(m, {})[(s, 1 - s)] = ((None, _sandwich(qs[s], weighted[(m, s)], qs[1 - s], outer)),)
+    weighted = (f1 * tilde[0], f1.T * tilde[1])
+    index = alg.index["alpha"]
+    masks = (1 << alg.pair[index], 1 << index)  # masks[s]: the odd block across from sector s
+    for s in (1, 0):
+        blocks[masks[s]] = {(s, 1 - s): ((None, _sandwich(qs[s], weighted[s], qs[1 - s], outer)),)}
 
-    second = []  # (mask, sign, sector s, a, b) per second-order term
-    for a in masks:
-        for b in masks:
-            step = plan.join[a][b]
-            if step is not None:
-                second += [(*step, s, a, b) for s in (0, 1) if (a, s) in tilde and (b, 1 - s) in tilde]
-    if not second:
-        return SuperOperator._wrap(alg, n, blocks, 0)
+    key, sign = alg.plan.join[masks[1]][masks[0]]
     gaps = [radius * (mu[:, None] - mu[None, :]) for mu in mus]  # lam_s,i - lam_s,j = -i gap
     close = [np.abs(gap) < _CONFLUENT for gap in gaps]
     orders = [_taylor_order(float(np.abs(np.where(c, gap, 0.0)).max())) for gap, c in zip(gaps, close)]
     phi = _phi(y, phi1, max(orders) + 2)
     dps = ([exp_lam[0][:, None] * np.conj(p) for p in phi], [exp_lam[1][:, None] * p.T for p in phi])
-    for key, sign, s, a, b in second:
-        t = 1 - s
-        ga, gb, dp, near = tilde[(a, s)], tilde[(b, t)], dps[s], close[s]
-        mid = 1j * (weighted[(a, s)] @ gb - ga @ weighted[(b, t)]) / np.where(near, 1.0, gaps[s])
+    blocks[key] = {}
+    for s, turn in ((1, -sign), (0, sign)):
+        ga, gb, dp, near = tilde[s], tilde[1 - s], dps[s], close[s]
+        mid = 1j * (weighted[s] @ gb - ga @ weighted[1 - s]) / np.where(near, 1.0, gaps[s])
         if np.count_nonzero(near) > n:  # close pairs off the diagonal
             u = np.where(near, -1j * gaps[s], 0.0)
             taylor = 0.0
@@ -931,9 +898,7 @@ def _spectral_exp(z: complex, terms, n_max: int, algebra) -> SuperOperator:
                 taylor = taylor * u + ga @ (dp[p].T * gb)
             mid = np.where(near, taylor, mid)
         mid[np.diag_indices(n)] = np.sum(ga * dp[0] * gb.T, axis=1)  # u = 0: the p = 0 term
-        term = ((None, _sandwich(qs[s], (-sign) * mid, qs[s], outer)),)
-        out = blocks.setdefault(key, {})
-        out[(s, s)] = _add(out[(s, s)], term, n) if (s, s) in out else term
+        blocks[key][(s, s)] = ((None, _sandwich(qs[s], turn * mid, qs[s], outer)),)
     return SuperOperator._wrap(alg, n, blocks, 0)
 
 

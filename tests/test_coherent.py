@@ -317,17 +317,21 @@ class TestSpectralDisplacement:
 
     @pytest.mark.parametrize("n", [8, 37, 64])
     def test_z_free_eigensystem(self, n):
-        """The cached eigh(T_s) is read-only, mu comes in pairs +-mu, and the rotated pairs
-        diagonalize the sector bodies of z K+ - conj(z) K-."""
-        for s in (0, 1):
-            mu, q = representation._sector_eigh(n, s)
-            assert representation._sector_eigh(n, s)[0] is mu
-            assert not mu.flags.writeable and not q.flags.writeable
+        """One read-only cache per truncation holds the eigh(T_s) pairs and images, the same
+        objects whatever z and alpha; mu comes in pairs +-mu, and the rotated pairs diagonalize
+        the sector bodies of z K+ - conj(z) K-."""
+        cache = representation._z_free_eigenbasis(n)
+        pairs, images = cache
+        for array in (*pairs[0], *pairs[1], *images):
+            assert not array.flags.writeable
+        for mu, _ in pairs:
             assert np.abs(mu + mu[::-1]).max() < 1e-13 * np.abs(mu).max()
-        for z in (1e-8, 0.3, -0.3, 0.2j, _ring(-1.9)):
+        for z, alpha in ((1e-8, 0.0), (0.3, 0.7 - 0.4j), (-0.3, 1.0), (0.2j, 2.0), (_ring(-1.9), 0.0)):
+            coh.displacement_operator(coh.CoherentParams(z, alpha), n, ALG)
+            assert representation._z_free_eigenbasis(n) is cache
             body = _exponent(coh.CoherentParams(z), n, ALG).body
-            radius, phase, pairs = representation._body_eigensystem(z, n)
-            assert radius == abs(z)
+            radius, phase, got_pairs, got_images = representation._body_eigensystem(z, n)
+            assert radius == abs(z) and got_pairs is pairs and got_images is images
             for s, (mu, q) in enumerate(pairs):
                 lam, vec = -1j * radius * mu, phase[:, None] * q
                 a = body[s * n : (s + 1) * n, s * n : (s + 1) * n]
@@ -338,23 +342,24 @@ class TestSpectralDisplacement:
 
     @pytest.mark.parametrize("n", [8, 37, 64])
     def test_cached_generator_images(self, n):
-        """The z-free images Q_s^T S Q_t of the odd generators are read-only, the same objects
-        whatever z and alpha, and equal w^d V_s^H S V_t of the complex eigenbases V_s = D Q_s,
-        D = diag(w^k), for the generator quadrant (s, t) on diagonal d."""
-        names = ("V+", "V-", "W+", "W-")
-        images = {name: representation._generator_image(n, name) for name in names}
-        for z, alpha in ((0.3, 0.7 - 0.4j), (0.5j, 1.0), (_ring(2.4), 0.0), (-0.2 + 1e-3j, 2.0)):
-            coh.displacement_operator(coh.CoherentParams(z, alpha), n, ALG)
-            radius, phase, pairs = representation._body_eigensystem(z, n)
-            for name in names:
-                image = representation._generator_image(n, name)
-                assert image is images[name]
-                s, t, d, r = image
-                assert not r.flags.writeable
-                (record,) = build_generator(name, n, ALG).blocks[0].values()
-                vs, vt = phase[:, None] * pairs[s][1], phase[:, None] * pairs[t][1]
-                want = phase[1] ** d * (vs.conj().T @ representation._expand(record, n) @ vt)
-                assert np.abs(r - want).max() < 1e-13
+        """images[s] across from sector s equals V_s^H S V_(1-s) of the complex eigenbases
+        V_s = D Q_s, for S the quadrant of W- (s = 0) and of V+ (s = 1), whatever z; at z = 0
+        the pairs are (0, I) and the images S itself, exactly."""
+        stencils = [
+            representation._expand(build_generator(name, n, ALG).blocks[0][(s, 1 - s)], n)
+            for s, name in enumerate(("W-", "V+"))
+        ]
+        for z in (0.3, 0.5j, _ring(2.4), -0.2 + 1e-3j):
+            _, phase, pairs, images = representation._body_eigensystem(z, n)
+            v = [phase[:, None] * q for _, q in pairs]
+            for s in (0, 1):
+                want = v[s].conj().T @ stencils[s] @ v[1 - s]
+                assert np.abs(images[s] - want).max() < 1e-13
+        radius, _, pairs, images = representation._body_eigensystem(0.0, n)
+        assert radius == 0.0
+        for s in (0, 1):
+            assert not pairs[s][0].any() and np.array_equal(pairs[s][1], np.eye(n))
+            assert np.array_equal(images[s], stencils[s].real)
 
     def test_no_generator_built(self, monkeypatch):
         """A displacement at a truncation already seen builds no generator, whatever z and alpha."""

@@ -95,3 +95,13 @@ def test_matrix_is_the_stencil(name):
     got = build_generator(name, n).body
     assert np.array_equal(got != 0, want != 0)
     np.testing.assert_allclose(got, want, rtol=4e-16, atol=0)
+
+
+def test_displacement_generators_share_one_stencil():
+    """The displacement's odd generators V+ and W- are each one entry on diagonal 0, in
+    transposed quadrants, with one coefficient: the one z-free S that ``_z_free_eigenbasis``
+    reads from V+ serves both."""
+    ((tv, sv, dv, fv),) = _STENCILS["V+"]
+    ((tw, sw, dw, fw),) = _STENCILS["W-"]
+    assert (tv, sv) == (sw, tw) == (1, 0) and dv == dw == 0
+    assert _vanishes(fv(J, HALF, sympy.sqrt) - fw(J, HALF, sympy.sqrt))

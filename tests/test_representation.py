@@ -1031,7 +1031,7 @@ class TestOperatorExp:
 
 
 class TestSpectralExp:
-    """The divided differences behind ``coherent.displacement_operator`` and what it accepts."""
+    """The divided differences behind ``coherent.displacement_operator``."""
 
     @staticmethod
     def _phi_reference(n, d):
@@ -1077,33 +1077,6 @@ class TestSpectralExp:
         assert np.array_equal(f[:2].real, [1.0, 1.0]) and not f[:2].imag.any()
         d = -1j * y[2:]
         assert np.abs(f[2:] - np.expm1(d) / d).max() < 4e-16
-
-    @pytest.mark.parametrize("z", [0.0, 0.3 - 0.5j, -0.7j])
-    def test_shifted_generators_match_operator_exp(self, z):
-        """V- and W+ sit on diagonals -1 and +1, so their images are turned by w^-d."""
-        a = (0.7 - 0.4j) * SCALARS.gen("alpha")
-        terms = [(a, "V-"), (-1j * a.conj(), "W+")]
-        x = z * op("K+", 16) - np.conjugate(z) * op("K-", 16)
-        for coeff, name in terms:
-            x = x + coeff * op(name, 16)
-        want = operator_exp(x)
-        got = representation._spectral_exp(z, terms, 16, ALG)
-        assert set(got.blocks) == set(want.blocks)
-        assert (got - want).max_abs() <= 1e-12 * max(1.0, want.max_abs())
-
-    def test_unsupported_exponents_rejected(self):
-        """The factored exponent takes odd generators on at most two masks, each one odd
-        generator.  A body that is not anti-Hermitian cannot be formed: it is -i |z| times a
-        real symmetric matrix, conjugated by a phase, whatever z is."""
-        al, alb, xi = (SCALARS6.gen(g) for g in ("alpha", "alpha_bar", "xi"))
-        for bad in (
-            [(SCALARS6.one(), "V+")],  # odd exponent
-            [(al * alb, "K0")],  # an even mask
-            [(al, "V+"), (alb, "W-"), (xi, "W+")],  # a third-order term
-        ):
-            with pytest.raises(ValueError):
-                representation._spectral_exp(0.3, bad, 8, ALG6)
-        representation._spectral_exp(0.3, [(al, "V+"), (alb, "W-")], 8, ALG6)
 
 
 class TestChiBasisRoutes:
