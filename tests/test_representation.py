@@ -1078,6 +1078,23 @@ class TestSpectralExp:
         d = -1j * y[2:]
         assert np.abs(f[2:] - np.expm1(d) / d).max() < 4e-16
 
+    @pytest.mark.parametrize("z", [0.0, 0.3 - 0.5j, -0.7j])
+    def test_displacement_exponent_matches_operator_exp(self, z):
+        """Called directly, at a truncation the displacement tests do not use, the spectral
+        route equals operator_exp of z K+ - conj(z) K- + a V+ - i conj(a) W-."""
+        alpha = 0.7 - 0.4j
+        a = alpha * SCALARS.gen("alpha")
+        x = z * op("K+", 16) - np.conjugate(z) * op("K-", 16)
+        x = x + a * op("V+", 16) + (-1j * a.conj()) * op("W-", 16)
+        want = operator_exp(x)
+        got = representation._spectral_exp(z, alpha, 16, ALG)
+        assert set(got.blocks) == set(want.blocks)
+        assert (got - want).max_abs() <= 1e-12 * max(1.0, want.max_abs())
+
+    def test_truncation_below_two_rejected(self):
+        with pytest.raises(ValueError):
+            representation._spectral_exp(0.3, 0.7 - 0.4j, 1, ALG)
+
 
 class TestChiBasisRoutes:
     def test_ladder_matrices(self):
