@@ -63,6 +63,14 @@ def _mode_index(m) -> int:
     return m
 
 
+def _mode_array(m) -> np.ndarray:
+    """An array of modes as ints, each truncated as ``_mode_index`` truncates one."""
+    m = np.asarray(m).astype(int)
+    if (m < 0).any():
+        raise ValueError("mode index must be nonnegative")
+    return m
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Gauss-Hermite rule: node count and the scale of x = scale * u.
@@ -172,9 +180,22 @@ def eval_chi_derivatives(m, x, t):
 
     He'_n = n He_{n-1} gives d/dx chi_m = -x chi_m / (2 (1 + i t)) - i sqrt(m)
     chi_{m-1} / (1 + i t); cross-checked against finite differences in the tests.
+
+    ``m`` may be an array of modes, as in ``ladder_coefficient``: one kernel call over
+    modes 0..max(m) then serves them all, and each value has shape m.shape + the
+    broadcast shape of x and t.  Where x or t is an array, the entry for mode m equals
+    the call with that mode bit for bit.  An int mode at a 0-d point keeps the scalar
+    path and returns Python complexes; an array of modes there rounds as array
+    arithmetic, which may differ from it in the last bit.
     """
-    m = _mode_index(m)
-    v, v1, v2 = _packets([m, max(m - 1, 0), max(m - 2, 0)], x, t)
+    if np.ndim(m):
+        m = _mode_array(m)
+        kernel = _packets(range(m.max() + 1), x, t)
+        v, v1, v2 = (kernel[np.maximum(m - k, 0)] for k in range(3))
+        m = m.reshape(m.shape + (1,) * (v.ndim - m.ndim))
+    else:
+        m = _mode_index(m)
+        v, v1, v2 = _packets([m, max(m - 1, 0), max(m - 2, 0)], x, t)
     one_it = 1.0 + 1j * np.asarray(t, dtype=float)
     g1 = -np.asarray(x, dtype=float) / (2.0 * one_it)
     down = -1j / one_it
@@ -240,12 +261,7 @@ def ladder_coefficient(sign, m):
     ``m`` may be an array of modes, each truncated to an integer as a single mode
     is; the result is then the array of their coefficients.
     """
-    if np.ndim(m):
-        m = np.asarray(m).astype(int)
-        if (m < 0).any():
-            raise ValueError("mode index must be nonnegative")
-    else:
-        m = _mode_index(m)
+    m = _mode_array(m) if np.ndim(m) else _mode_index(m)
     return 0.5 * np.sqrt(m + 1) if _ladder_plus(sign) else 0.5 * np.sqrt(m)
 
 

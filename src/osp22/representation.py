@@ -199,16 +199,19 @@ class SuperOperator:
                 if rows.size:
                     offsets = np.unique(rows - cols).tolist()
                     if len(offsets) <= _MAX_DIAGONALS:
-                        quads[(i, j)] = tuple((d, part.diagonal(-d).copy()) for d in offsets)
+                        quads[(i, j)] = tuple((d, _frozen(part.diagonal(-d).copy())) for d in offsets)
                     else:
-                        quads[(i, j)] = ((None, part.copy()),)
+                        quads[(i, j)] = ((None, _frozen(part.copy())),)
             if quads:
                 quadrants[int(mask)] = quads
         self._store(coefficient_algebra(algebra), n, quadrants, parity, name)
 
     @classmethod
     def _wrap(cls, algebra, n_max: int, blocks: dict, parity, name: str = ""):
-        """Operator over quadrant records no caller holds writably: frozen in place, not copied."""
+        """Operator over quadrant records whose parts are read-only already, held as they are.
+
+        Each operation freezes the parts it creates, where it creates them, and shares the
+        read-only parts of its operands, so no wrap visits a part a second time."""
         op = cls.__new__(cls)
         op._store(algebra, n_max, blocks, parity, name)
         return op
@@ -218,10 +221,6 @@ class SuperOperator:
             parity = 1 if parity == ODD else 0
         if parity not in (0, 1):
             raise ValueError("parity must be 0/1 or 'even'/'odd'")
-        for quads in blocks.values():
-            for record in quads.values():
-                for _, part in record:
-                    part.setflags(write=False)  # about 60% of the cost of a ``flags.writeable`` store
         self.algebra = algebra
         self.n_max = int(n_max)
         self.blocks = blocks
@@ -263,7 +262,7 @@ class SuperOperator:
     @classmethod
     def identity(cls, n_max: int, algebra=None) -> "SuperOperator":
         alg = coefficient_algebra(algebra or default_algebra())
-        eye = {(s, s): ((0, np.ones(n_max, dtype=complex)),) for s in (0, 1)}
+        eye = {(s, s): ((0, _frozen(np.ones(n_max, dtype=complex))),) for s in (0, 1)}
         return cls._wrap(alg, n_max, {0: eye}, 0, name="I")
 
     @classmethod
@@ -365,7 +364,7 @@ class SuperOperator:
                             continue
                         term = _product(x, y, n)
                         if sign < 0:
-                            term = tuple([(d, -part) for d, part in term])
+                            term = tuple([(d, _frozen(-part)) for d, part in term])
                         out[(i, j)] = _add(out[(i, j)], term, n) if (i, j) in out else term
         return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.parity_bit ^ other.parity_bit)
 
@@ -427,7 +426,7 @@ class SuperOperator:
             for (j, i), record in quads.items():
                 weight = c * 1j**i * (-1j) ** j * ((-1.0) ** j if p_ma else 1.0)
                 adj[(i, j)] = tuple(
-                    (None, weight * part.conj().T) if d is None else (-d, weight * part.conj())
+                    (None, _frozen(weight * part.conj().T)) if d is None else (-d, _frozen(weight * part.conj()))
                     for d, part in reversed(record)
                 )
         return SuperOperator._wrap(
@@ -488,24 +487,31 @@ def _expand(record: tuple, n: int) -> np.ndarray:
     return mat
 
 
+def _frozen(part: np.ndarray) -> np.ndarray:
+    """``part``, made read-only in place: every part a record holds is."""
+    part.setflags(write=False)  # about 60% of the cost of a ``flags.writeable`` store
+    return part
+
+
 def _scaled(record: tuple, c) -> tuple:
     """The record of c * x for a quadrant record x and a complex number c."""
-    return tuple([(d, c * part) for d, part in record])
+    return tuple([(d, _frozen(c * part)) for d, part in record])
 
 
 def _add(x: tuple, y: tuple, n: int) -> tuple:
     """The record of x + y for quadrant records x and y.
 
     Two diagonal records merge their offsets, a diagonal both hold adding as x's part plus
-    y's; past ``_MAX_DIAGONALS`` diagonals, or with a dense record, the sum is N x N.
+    y's; past ``_MAX_DIAGONALS`` diagonals, or with a dense record, the sum is N x N.  A
+    diagonal only one of them holds is shared.
     """
     if x[0][0] is not None and y[0][0] is not None:
         merged = dict(x)
         for d, part in y:
-            merged[d] = merged[d] + part if d in merged else part
+            merged[d] = _frozen(merged[d] + part) if d in merged else part
         if len(merged) <= _MAX_DIAGONALS:
             return tuple(sorted(merged.items()))
-    return ((None, _expand(x, n) + _expand(y, n)),)
+    return ((None, _frozen(_expand(x, n) + _expand(y, n))),)
 
 
 def _product(x: tuple, y: tuple, n: int) -> tuple:
@@ -527,8 +533,8 @@ def _product(x: tuple, y: tuple, n: int) -> tuple:
             for c in y:
                 d, part = _diagonal_product(a, c, n)
                 out[d] = out[d] + part if d in out else part
-        return tuple(sorted(out.items()))
-    return ((None, _expand(x, n) @ _expand(y, n)),)
+        return tuple(sorted((d, _frozen(part)) for d, part in out.items()))
+    return ((None, _frozen(_expand(x, n) @ _expand(y, n))),)
 
 
 def _columns(part: np.ndarray, d, cols: np.ndarray) -> np.ndarray:
@@ -597,7 +603,7 @@ def _stencil_quadrants(name: str, n_max: int) -> dict:
     for target, source, shift, coeff in _STENCILS[name]:
         j = np.arange(max(0, -shift), n_max - max(0, shift))  # source modes whose target is kept
         values = np.full(j.shape, coeff(j.astype(float), 0.5, np.sqrt), dtype=complex)
-        quadrants[(target, source)] = ((shift, values),)
+        quadrants[(target, source)] = ((shift, _frozen(values)),)
     return quadrants
 
 
@@ -865,7 +871,7 @@ def _spectral_exp(z: complex, alpha: complex, n_max: int, algebra) -> SuperOpera
     mus, qs = zip(*pairs)
     angles = [radius * mu for mu in mus]
     cos, sin = [np.cos(a) for a in angles], [np.sin(a) for a in angles]
-    body = [_phased(np.concatenate((q * c, q * -s)), q, outer) for q, c, s in zip(qs, cos, sin)]
+    body = [_frozen(_phased(np.concatenate((q * c, q * -s)), q, outer)) for q, c, s in zip(qs, cos, sin)]
     blocks = {0: {(s, s): ((None, body[s]),) for s in (0, 1)}}
     if alpha == 0:
         return SuperOperator._wrap(alg, n, blocks, 0)
@@ -879,7 +885,7 @@ def _spectral_exp(z: complex, alpha: complex, n_max: int, algebra) -> SuperOpera
     index = alg.index["alpha"]
     masks = (1 << alg.pair[index], 1 << index)  # masks[s]: the odd block across from sector s
     for s in (1, 0):
-        blocks[masks[s]] = {(s, 1 - s): ((None, _sandwich(qs[s], weighted[s], qs[1 - s], outer)),)}
+        blocks[masks[s]] = {(s, 1 - s): ((None, _frozen(_sandwich(qs[s], weighted[s], qs[1 - s], outer))),)}
 
     key, sign = alg.plan.join[masks[1]][masks[0]]
     gaps = [radius * (mu[:, None] - mu[None, :]) for mu in mus]  # lam_s,i - lam_s,j = -i gap
@@ -898,7 +904,7 @@ def _spectral_exp(z: complex, alpha: complex, n_max: int, algebra) -> SuperOpera
                 taylor = taylor * u + ga @ (dp[p].T * gb)
             mid = np.where(near, taylor, mid)
         mid[np.diag_indices(n)] = np.sum(ga * dp[0] * gb.T, axis=1)  # u = 0: the p = 0 term
-        blocks[key][(s, s)] = ((None, _sandwich(qs[s], turn * mid, qs[s], outer)),)
+        blocks[key][(s, s)] = ((None, _frozen(_sandwich(qs[s], turn * mid, qs[s], outer))),)
     return SuperOperator._wrap(alg, n, blocks, 0)
 
 
@@ -1031,7 +1037,7 @@ def hamiltonian_defects(n_max: int = 32, algebra=None, spec=None) -> dict:
     for p, m in enumerate(chi_slot_permutation(n_max).reshape(2, n_max)):
         lower, main, upper = _ladder_square(m, top)
         # chi_{m -+ 2} is mode n -+ 1 of the same sector: slot diagonals -1, 0 and +1
-        ladder[(p, p)] = ((-1, lower[1:]), (0, main), (1, upper[:-1]))
+        ladder[(p, p)] = ((-1, _frozen(lower[1:])), (0, _frozen(main)), (1, _frozen(upper[:-1])))
     h_chi = SuperOperator._wrap(h.algebra, n_max, {0: ladder}, 0)
     cols = interior_columns(n_max, 2)
     route = (h - h_chi).max_abs(columns=cols)

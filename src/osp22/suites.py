@@ -154,7 +154,11 @@ def _check(cfg: RunConfig, cid: str, defects, **fmt) -> dict:
 # -- grassmann ------------------------------------------------------------------
 
 
-# rows per batched plan call: a g = 6 product's temporaries stay under about 1 MiB
+# rows per batched plan call in the grassmann suite, and rounds per block in the superspace
+# suite.  The terms of a 16-row g = 6 product take about 0.2 MiB.  A block of 16 superspace
+# rounds holds 16 pairs of 12-slot vectors, whose oracle multiplies in the 4-generator
+# integrand algebra, about 0.25 MiB of terms; one block of all 100 rounds raised the peak
+# RSS of a whole ``verify all`` pass by about 5 MiB.
 BATCH_ROWS = 16
 
 
@@ -180,7 +184,12 @@ def _homogeneous_pairs(rng, algebras, rounds: int) -> list:
         pa, pb = (EVEN if rng.integers(2) else ODD for _ in range(2))
         a, b = (random_coefficients(alg, rng, 1, p)[0] for p in (pa, pb))
         drawn[k % len(algebras)].append((a, b, pa == ODD, pb == ODD))
-    return [tuple(np.array(column) for column in zip(*rows)) for rows in drawn]
+    return [_columns(rows) for rows in drawn]
+
+
+def _columns(rounds) -> tuple:
+    """One array per field of the equal-length tuples ``rounds``, rounds along its first axis."""
+    return tuple(np.array(column) for column in zip(*rounds))
 
 
 def _in_blocks(*rows):
@@ -265,6 +274,7 @@ def suite_grassmann(cfg: RunConfig) -> list:
 
 
 def suite_basis(cfg: RunConfig) -> list:
+    """The ladder and sector-weight checks evaluate all modes of one t and grid in one call."""
     spec = _basis.QuadratureSpec(nodes=cfg.nodes)
     top = TOP_QUADRATURE_MODE  # the ladder raises mode top - 1 onto it
     checks = []
@@ -272,36 +282,35 @@ def suite_basis(cfg: RunConfig) -> list:
     defects = (np.abs(_basis.gram_matrix(range(top), t, spec) - np.eye(top)).max() for t in (0.0, 0.5, 2.0))
     checks.append(_check(cfg, "basis.orthonormality", defects))
 
-    # one grid and one bra block per t; kets stay pointwise, the independent route
+    # one grid and one bra block per t; the kets stay pointwise, the independent route, each
+    # evaluated for all modes at once and never read from the bras
     grids = {t: _basis.quad_grid(t, spec) for t in (0.0, 1.0)}
     bras = {t: _basis.chi_matrix(range(top + 1), x, t) for t, (x, _) in grids.items()}
+    modes = np.arange(top)
+
+    def overlaps(w, bra, ket):
+        """Quadrature <bra_m | ket_m> of each row pair."""
+        return np.sum(w * np.conjugate(bra) * ket, axis=-1)
 
     defects = []
     for t, (x, w) in grids.items():
-        for m in range(top):
-            for sign in ("+", "-"):
-                coeff, target = _basis.apply_ladder(sign, m)
-                av = _basis.ladder_pointwise(sign, m, x, t)
-                if target is None:
-                    defects.append(abs(complex(np.sum(w * np.conjugate(av) * av))) ** 0.5)
-                else:
-                    got = complex(np.sum(w * np.conjugate(bras[t][target]) * av))
-                    defects.append(abs(got - coeff))
-    checks.append(_check(cfg, "basis.ladder", defects))
+        up = _basis.ladder_pointwise("+", modes, x, t)
+        down = _basis.ladder_pointwise("-", modes, x, t)
+        defects.append(_abs(overlaps(w, bras[t][1:], up) - _basis.ladder_coefficient("+", modes)))
+        defects.append(_abs(overlaps(w, bras[t][: top - 1], down[1:]) - _basis.ladder_coefficient("-", modes[1:])))
+        # a- annihilates chi_0
+        defects.append([abs(complex(overlaps(w, down[0], down[0]))) ** 0.5])
+    checks.append(_check(cfg, "basis.ladder", np.concatenate(defects)))
 
     defects = []
     grid = np.linspace(-4.0, 4.0, 9)
+    weights = 0.5 * modes + 0.25
     for t, (x, w) in grids.items():
-        for m in range(top):
-            sym = _basis.symmetric_ladder_pointwise(m, x, t)
-            diag = complex(np.sum(w * np.conjugate(bras[t][m]) * sym))
-            defects.append(abs(diag - (0.5 * m + 0.25)))
-            point = np.abs(
-                _basis.symmetric_ladder_pointwise(m, grid, t)
-                - (0.5 * m + 0.25) * _basis.eval_chi(m, grid, t)
-            ).max()
-            defects.append(point)
-    checks.append(_check(cfg, "basis.sector_weights", defects))
+        sym = _basis.symmetric_ladder_pointwise(modes, x, t)
+        defects.append(_abs(overlaps(w, bras[t][:top], sym) - weights))
+        point = _basis.symmetric_ladder_pointwise(modes, grid, t)
+        defects.append(np.abs(point - weights[:, None] * _basis.chi_matrix(modes, grid, t)).max(axis=-1))
+    checks.append(_check(cfg, "basis.sector_weights", np.concatenate(defects)))
 
     xs, ts = np.meshgrid(np.linspace(-4.0, 4.0, 5), np.linspace(-2.0, 2.0, 5))
     defects = (
@@ -359,6 +368,7 @@ def suite_basis(cfg: RunConfig) -> list:
 
 
 def suite_superspace(cfg: RunConfig) -> list:
+    """The sampled checks evaluate the form on blocks of rounds, one call per block and side."""
     alg = _ss.coefficient_algebra(default_algebra())
     spec = _basis.QuadratureSpec(nodes=cfg.nodes)
     rng = np.random.default_rng(cfg.seed + 3)
@@ -377,23 +387,30 @@ def suite_superspace(cfg: RunConfig) -> list:
     ]
     checks.append(_check(cfg, "superspace.examples", defects))
 
-    defects = []
-    for _ in range(100):
-        v1 = _ss.random_supervector(6, rng, alg)
-        v2 = _ss.random_supervector(6, rng, alg)
-        defects.append((v1.super_inner(v2) - _ss.super_inner_integral(v1, v2, 0.0, spec)).max_abs())
-    checks.append(_check(cfg, "superspace.integral_oracle", defects))
+    # one draw of the stream 100 rounds of two random_supervector(6) calls take: with no parity
+    # and no support, each vector draws its 12 rows, even sector first, row after row
+    plan = alg.plan
+    draws = random_coefficients(alg, rng, 100 * 2 * 12).reshape(100, 2, 12, alg.size)
+    defects = [
+        _row_max_abs(_ss._form(alg, a, b) - _ss._integral_form(alg, a, b, 0.0, spec))
+        for a, b in _in_blocks(draws[:, 0], draws[:, 1])
+    ]
+    checks.append(_check(cfg, "superspace.integral_oracle", np.concatenate(defects)))
 
-    defects = []
+    # these rounds draw their parities between the vectors, so each round draws in turn
+    rounds = []
     for _ in range(50):
         p1, p2 = (EVEN if rng.integers(2) else ODD for _ in range(2))
         v1 = _ss.random_supervector(5, rng, alg, parity=p1)
         v2 = _ss.random_supervector(5, rng, alg, parity=p2)
-        sign = -1.0 if (p1 == ODD and p2 == ODD) else 1.0
-        defects.append((v1.super_inner(v2).conj() - sign * v2.super_inner(v1)).max_abs())
-    checks.append(_check(cfg, "superspace.conjugate_symmetry", defects))
-
+        rounds.append((v1.coeffs, v2.coeffs, p1 == ODD and p2 == ODD))
     defects = []
+    for a, b, both_odd in _in_blocks(*_columns(rounds)):
+        sign = np.where(both_odd, -1.0, 1.0)[:, None]
+        defects.append(_row_max_abs(plan.conj(_ss._form(alg, a, b)) - sign * _ss._form(alg, b, a)))
+    checks.append(_check(cfg, "superspace.conjugate_symmetry", np.concatenate(defects)))
+
+    rounds = []
     for _ in range(50):
         p1 = EVEN if rng.integers(2) else ODD
         pb = EVEN if rng.integers(2) else ODD
@@ -401,11 +418,14 @@ def suite_superspace(cfg: RunConfig) -> list:
         v2 = _ss.random_supervector(5, rng, alg)
         b1 = _ss.random_coefficient(alg, rng)
         b2 = _ss.random_coefficient(alg, rng, parity=pb)
-        sign = -1.0 if (p1 == ODD and pb == ODD) else 1.0
-        lhs = (b1 * v1).super_inner(b2 * v2)
-        rhs = sign * (b1.conj() * b2 * v1.super_inner(v2))
-        defects.append((lhs - rhs).max_abs())
-    checks.append(_check(cfg, "superspace.scalar_rule", defects))
+        rounds.append((v1.coeffs, v2.coeffs, b1.coeffs, b2.coeffs, p1 == ODD and pb == ODD))
+    defects = []
+    for a, b, b1, b2, both_odd in _in_blocks(*_columns(rounds)):
+        sign = np.where(both_odd, -1.0, 1.0)[:, None]
+        lhs = _ss._form(alg, plan.mul(b1[:, None], a), plan.mul(b2[:, None], b))
+        rhs = sign * plan.mul(plan.mul(plan.conj(b1), b2), _ss._form(alg, a, b))
+        defects.append(_row_max_abs(lhs - rhs))
+    checks.append(_check(cfg, "superspace.scalar_rule", np.concatenate(defects)))
 
     v_even = _ss.random_supervector(5, rng, alg)
     v_odd = _ss.random_supervector(5, rng, alg)

@@ -29,6 +29,11 @@ that needs theta: in the algebra with theta, theta_bar prepended, it pairs
 conj(Phi1) with Phi2 * i exp(-i theta_bar theta) through the quadrature Gram
 of the slot basis functions, Berezin-integrates the pair (theta, theta_bar)
 and so integrates x by quadrature.
+
+Both routes are array-level: ``_form`` and ``_integral_form`` take coefficient
+stacks (..., 2 n_max, 2^(g-2)) and broadcast over the leading axes, one batched
+plan call per step whatever the number of pairs.  The two methods wrap them
+for one pair of vectors; the suites call them on blocks of sampled pairs.
 """
 
 from __future__ import annotations
@@ -231,11 +236,7 @@ class SuperVector:
         odd-sector weight i and the grade involution.
         """
         self._check(other)
-        plan, n = self.algebra.plan, self.n_max
-        ket = other.coeffs.copy()
-        ket[n:] = 1j * plan.grade(ket[n:])
-        gram = plan.conj(self.coeffs).T @ ket
-        return GrassmannElement(self.algebra, plan.contract(gram))
+        return GrassmannElement(self.algebra, _form(self.algebra, self.coeffs, other.coeffs))
 
     def norm(self) -> float:
         """Body-level norm sqrt(sum |c_n|^2 + sum |d_n|^2); nilpotents do not enter."""
@@ -248,6 +249,17 @@ class SuperVector:
     def __repr__(self):
         nz = int(np.count_nonzero(self.coeffs.any(axis=1)))
         return f"SuperVector(n_max={self.n_max}, nonzero_slots={nz})"
+
+
+def _form(space, bra, ket) -> np.ndarray:
+    """``super_inner`` of coefficient stacks (..., 2 n_max, 2^g) of ``space`` over their leading
+    axes: conj(A)^T B' and one plan contraction, B' with its odd rows weighted i and graded."""
+    plan = space.plan
+    n = bra.shape[-2] // 2
+    ket = ket.copy()
+    ket[..., n:, :] = 1j * plan.grade(ket[..., n:, :])
+    gram = np.swapaxes(plan.conj(bra), -1, -2) @ ket
+    return plan.contract(gram)
 
 
 def super_inner_integral(v1: SuperVector, v2: SuperVector, t: float = 0.0, spec=None):
@@ -263,23 +275,28 @@ def super_inner_integral(v1: SuperVector, v2: SuperVector, t: float = 0.0, spec=
     (theta, theta_bar).
     """
     v1._check(v2)
-    space = v1.algebra
+    return GrassmannElement(v1.algebra, _integral_form(v1.algebra, v1.coeffs, v2.coeffs, t, spec))
+
+
+def _integral_form(space, bra, ket, t: float = 0.0, spec=None) -> np.ndarray:
+    """``super_inner_integral`` of coefficient stacks (..., 2 n_max, 2^g) of ``space`` over
+    their leading axes: each step is one batched call for every pair."""
     alg, embed, theta, weight = _integrand_algebra(space.generators)
     plan = alg.plan
-    n = v1.n_max
+    n = bra.shape[-2] // 2
 
-    def with_theta(vec):
+    def with_theta(coeffs):
         """Slot coefficients times their theta: c_n for Psi_n^0, d_n theta for Psi_n^1."""
-        rows = np.zeros((2 * n, alg.size), dtype=complex)
-        rows[:, embed] = vec.coeffs
-        rows[n:] = plan.mul(rows[n:], theta)
+        rows = np.zeros(coeffs.shape[:-1] + (alg.size,), dtype=complex)
+        rows[..., embed] = coeffs
+        rows[..., n:, :] = plan.mul(rows[..., n:, :], theta)
         return rows
 
-    bra = plan.conj(with_theta(v1))
-    ket = _slot_gram(n, t, spec) @ plan.mul(with_theta(v2), weight)
-    integral = alg.berezin_coeffs(plan.mul(bra, ket).sum(axis=0), STRUCTURAL)
+    bra = plan.conj(with_theta(bra))
+    ket = _slot_gram(n, t, spec) @ plan.mul(with_theta(ket), weight)
+    integral = alg.berezin_coeffs(plan.mul(bra, ket).sum(axis=-2), STRUCTURAL)
     # integrating out theta and theta_bar leaves only the masks 4 m, so reading them back is lossless
-    return GrassmannElement(space, integral[embed])
+    return integral[..., embed]
 
 
 @lru_cache(maxsize=None)

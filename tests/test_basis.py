@@ -118,6 +118,43 @@ class TestEvalChi:
                 for got, want in zip(derivs, b.eval_chi_derivatives(m, x[j], t[j, 0])):
                     assert np.array_equal(got[j], want)
 
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    @pytest.mark.parametrize("grid", ["quadrature", "nine_points"])
+    def test_array_of_modes_matches_per_mode_calls(self, t, grid):
+        """The grids of the basis suite's ladder and sector-weight checks: each mode's entry of
+        the one array call, and of the ladder routes on it, is the per-mode call bit for bit."""
+        x = b.quad_grid(t, b.QuadratureSpec())[0] if grid == "quadrature" else np.linspace(-4.0, 4.0, 9)
+        modes = np.arange(22)
+        derivs = b.eval_chi_derivatives(modes, x, t)
+        ladders = {s: b.ladder_pointwise(s, modes, x, t) for s in "+-"}
+        sym = b.symmetric_ladder_pointwise(modes, x, t)
+        for m in modes:
+            for got, want in zip(derivs, b.eval_chi_derivatives(int(m), x, t), strict=True):
+                assert np.array_equal(got[m], want)
+            for s in "+-":
+                assert np.array_equal(ladders[s][m], b.ladder_pointwise(s, int(m), x, t))
+            assert np.array_equal(sym[m], b.symmetric_ladder_pointwise(int(m), x, t))
+
+    def test_array_of_modes_in_any_order_and_shape(self):
+        x = np.linspace(-3.0, 3.0, 7)
+        modes = np.array([[5, 0], [1, 5]])
+        got = b.eval_chi_derivatives(modes, x, 0.3)
+        assert all(value.shape == (2, 2, 7) for value in got)
+        for (i, j), m in np.ndenumerate(modes):
+            for value, want in zip(got, b.eval_chi_derivatives(int(m), x, 0.3), strict=True):
+                assert np.array_equal(value[i, j], want)
+
+    def test_negative_mode_in_an_array_raises(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            b.eval_chi_derivatives(np.array([0, 3, -1]), np.linspace(-1.0, 1.0, 3), 0.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            b.eval_chi_derivatives(-1, 0.5, 0.0)
+
+    def test_single_point_with_an_int_mode_returns_python_complexes(self):
+        values = b.eval_chi_derivatives(3, 0.7, 0.3)
+        assert all(type(v) is complex for v in values)
+        assert type(b.ladder_pointwise("+", 3, 0.7, 0.3)) is complex
+
     def test_large_mode_is_finite(self):
         vals = b.eval_chi(321, np.linspace(-5, 5, 9), 0.3)
         assert np.all(np.isfinite(vals.view(float)))

@@ -568,6 +568,38 @@ class TestQuadrantComposition:
                     for _, part in record:
                         assert not part.flags.writeable, o
 
+    @staticmethod
+    def _parts(o):
+        return [part for quads in o.blocks.values() for record in quads.values() for _, part in record]
+
+    def test_writing_into_a_result_raises(self):
+        """Every part of the results of +, scalar *, @, superadjoint and renamed is read-only,
+        shared parts and new ones alike, and a write into one raises."""
+        k, h, v = op("K+"), op("h"), op("V+")
+        results = (k + h, h + h, 0.5 * h, SCALARS.gen("alpha") * v, k @ v, h @ h, v.superadjoint(), h.renamed("h2"))
+        for result in results:
+            for part in self._parts(result):
+                assert not part.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    part[0] = 1.0
+
+    def test_operations_freeze_only_the_parts_they_create(self):
+        """No wrap visits a part: operand parts left writable, which no public route makes,
+        stay writable through every operation, while the parts it creates are read-only."""
+        n = 6
+        diag = {(0, 0): ((0, np.arange(1.0, n + 1) + 0j),), (1, 1): ((1, np.ones(n - 1, dtype=complex)),)}
+        a = SuperOperator._wrap(SCALARS, n, {0: diag}, 0)
+        b = SuperOperator._wrap(SCALARS, n, {0: {(1, 0): ((None, np.eye(n, dtype=complex)),)}}, 1)
+        al = SCALARS.gen("alpha")
+        results = [
+            a.renamed("a2"), a + a.renamed("a3"), a + (al * al.conj()) * a, 0.5 * a, al * b, a @ b, b.superadjoint(),
+        ]
+        held = {id(part) for o in (a, b) for part in self._parts(o)}
+        for result in results:
+            for part in self._parts(result):
+                assert part.flags.writeable == (id(part) in held), result
+        assert all(part.flags.writeable for o in (a, b) for part in self._parts(o))
+
     def test_caller_array_is_copied(self):
         arr = np.zeros((8, 8), dtype=complex)
         arr[0, 0] = 1.0

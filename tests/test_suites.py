@@ -18,21 +18,24 @@ from hypothesis import strategies as st
 from osp22 import basis as _basis
 from osp22 import coherent as _coh
 from osp22 import representation as _rep
+from osp22 import suites as _suites
 from osp22 import superspace as _ss
 from osp22.basis import QuadratureSpec
 from osp22.cli import main
-from osp22.config import DEFAULT_TOLERANCES, DISK_RADIUS, MAX_N_MAX, RunConfig
+from osp22.config import DEFAULT_TOLERANCES, DISK_RADIUS, MAX_N_MAX, TOP_QUADRATURE_MODE, RunConfig
 from osp22.grassmann import (
     EVEN,
     GENERATORS_EXTENDED,
     ODD,
     GrassmannAlgebra,
     GrassmannElement,
+    ProductPlan,
     default_algebra,
     random_element,
 )
 from osp22.representation import hamiltonian_defects
 from osp22.suites import CHECKS, SUITE_NAMES, _check, suite_checks, symbols_check, trajectory_rows
+from osp22.superspace import random_coefficient, random_supervector
 
 # six distinct values, none equal to a default or to a literal gate, so a
 # record read through the wrong key shows
@@ -108,11 +111,27 @@ def _nan_at_row(row):
 
 # (suite, owner, library call, poisoned call, poison, the check it feeds): at least one
 # check per suite, each poisoned at a sample after its first.  The Berezin check integrates
-# its random samples in blocks of rows; call 7 is the first block's b, and row 1 is its second sample
+# its random samples in blocks of rows; call 7 is the first block's b, and row 1 is its second sample.
+# The ladder and sector-weight checks take all modes of one t at once; row 5 is mode 5.  Call 2 is
+# the lowering kets at t = 0, call 6 the 9-point symmetric kets at t = 0.  The superspace checks
+# evaluate blocks of rounds; round 20 is a row inside the second block
 POISONED = [
     ("grassmann", GrassmannAlgebra, "berezin_coeffs", 7, _nan_at_row(1), "grassmann.berezin"),
     ("basis", _basis, "schrodinger_residual", 3, lambda r: NAN, "basis.residual"),
-    ("superspace", _ss, "super_inner_integral", 3, lambda r: NAN * r, "superspace.integral_oracle"),
+    ("basis", _basis, "eval_chi_derivatives", 2, lambda r: tuple(_nan_at_row(5)(a) for a in r), "basis.ladder"),
+    (
+        "basis",
+        _basis,
+        "eval_chi_derivatives",
+        6,
+        lambda r: tuple(_nan_at_row(5)(a) for a in r),
+        "basis.sector_weights",
+    ),
+    # the oracle's one draw holds 24 rows a round: row 483 is row 3 of round 20's first vector
+    ("superspace", _suites, "random_coefficients", 1, _nan_at_row(483), "superspace.integral_oracle"),
+    # two vectors a round: call 41 is round 20's first, call 141 that of the scalar rule's
+    ("superspace", _ss, "random_supervector", 41, lambda v: NAN * v, "superspace.conjugate_symmetry"),
+    ("superspace", _ss, "random_supervector", 141, lambda v: NAN * v, "superspace.scalar_rule"),
     (
         "algebra",
         _rep,
@@ -227,6 +246,106 @@ def test_grassmann_blocks_match_the_element_loop(seed):
     records = {r["id"]: r["defect"] for r in suite_checks("grassmann", cfg)}
     for cid, defects in _grassmann_loop_defects(cfg).items():
         assert records[cid] == _check(cfg, cid, defects)["defect"], cid
+
+
+def _basis_loop_defects(cfg):
+    """The ladder and sector-weight defects taken one mode and one sign at a time: the reference
+    for the suite's calls over all modes, which must round the same way."""
+    spec = QuadratureSpec(nodes=cfg.nodes)
+    top = TOP_QUADRATURE_MODE
+    ladder, weights = [], []
+    for t in (0.0, 1.0):
+        x, w = _basis.quad_grid(t, spec)
+        bras = _basis.chi_matrix(range(top + 1), x, t)
+        grid = np.linspace(-4.0, 4.0, 9)
+        for m in range(top):
+            for sign in ("+", "-"):
+                coeff, target = _basis.apply_ladder(sign, m)
+                av = _basis.ladder_pointwise(sign, m, x, t)
+                if target is None:
+                    ladder.append(abs(complex(np.sum(w * np.conjugate(av) * av))) ** 0.5)
+                else:
+                    ladder.append(abs(complex(np.sum(w * np.conjugate(bras[target]) * av)) - coeff))
+            sym = _basis.symmetric_ladder_pointwise(m, x, t)
+            weights.append(abs(complex(np.sum(w * np.conjugate(bras[m]) * sym)) - (0.5 * m + 0.25)))
+            point = _basis.symmetric_ladder_pointwise(m, grid, t) - (0.5 * m + 0.25) * _basis.eval_chi(m, grid, t)
+            weights.append(np.abs(point).max())
+    return {"basis.ladder": ladder, "basis.sector_weights": weights}
+
+
+def _superspace_loop_defects(cfg):
+    """The sampled superspace defects drawn and evaluated one pair of vectors at a time: the
+    reference for the suite's blocks of rounds, which must draw the same stream and round the
+    same way."""
+    alg = _ss.coefficient_algebra(default_algebra())
+    spec = QuadratureSpec(nodes=cfg.nodes)
+    rng = np.random.default_rng(cfg.seed + 3)
+    out = {}
+
+    defects = []
+    for _ in range(100):
+        v1 = random_supervector(6, rng, alg)
+        v2 = random_supervector(6, rng, alg)
+        defects.append((v1.super_inner(v2) - _ss.super_inner_integral(v1, v2, 0.0, spec)).max_abs())
+    out["superspace.integral_oracle"] = defects
+
+    defects = []
+    for _ in range(50):
+        p1, p2 = (EVEN if rng.integers(2) else ODD for _ in range(2))
+        v1 = random_supervector(5, rng, alg, parity=p1)
+        v2 = random_supervector(5, rng, alg, parity=p2)
+        sign = -1.0 if (p1 == ODD and p2 == ODD) else 1.0
+        defects.append((v1.super_inner(v2).conj() - sign * v2.super_inner(v1)).max_abs())
+    out["superspace.conjugate_symmetry"] = defects
+
+    defects = []
+    for _ in range(50):
+        p1 = EVEN if rng.integers(2) else ODD
+        pb = EVEN if rng.integers(2) else ODD
+        v1 = random_supervector(5, rng, alg, parity=p1)
+        v2 = random_supervector(5, rng, alg)
+        b1 = random_coefficient(alg, rng)
+        b2 = random_coefficient(alg, rng, parity=pb)
+        sign = -1.0 if (p1 == ODD and pb == ODD) else 1.0
+        lhs = (b1 * v1).super_inner(b2 * v2)
+        rhs = sign * (b1.conj() * b2 * v1.super_inner(v2))
+        defects.append((lhs - rhs).max_abs())
+    out["superspace.scalar_rule"] = defects
+    return out
+
+
+@pytest.mark.parametrize("seed, nodes", [(RunConfig().seed, RunConfig().nodes), (7, 120)])
+@pytest.mark.parametrize("suite, loop", [("basis", _basis_loop_defects), ("superspace", _superspace_loop_defects)])
+def test_array_checks_match_the_loop(suite, loop, seed, nodes):
+    """Every check the suite evaluates over all modes, or over blocks of rounds, reads bit for
+    bit the defect of the one-at-a-time loop."""
+    cfg = replace(RunConfig(), seed=seed, nodes=nodes)
+    records = {r["id"]: r["defect"] for r in suite_checks(suite, cfg)}
+    for cid, defects in loop(cfg).items():
+        assert records[cid] == _check(cfg, cid, defects)["defect"], cid
+
+
+# calls per suite pass: a per-sample loop that comes back multiplies these
+CALL_CEILINGS = [
+    # was 603: 4 per integral-oracle pair and 4 per scalar-rule round, now 4 per block of rounds
+    ("superspace", ProductPlan, "mul", 47),
+    # was 538: the ladder and sector-weight checks made 210 of them, one per mode; now 10
+    ("basis", _basis, "_packets", 338),
+]
+
+
+@pytest.mark.parametrize("suite, owner, name, ceiling", CALL_CEILINGS, ids=[c[0] for c in CALL_CEILINGS])
+def test_suite_call_ceiling(suite, owner, name, ceiling, monkeypatch):
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    suite_checks(suite, RunConfig())
+    assert 0 < len(calls) <= ceiling
 
 
 @pytest.mark.parametrize("seed", [97, 1193])

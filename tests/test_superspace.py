@@ -17,6 +17,8 @@ from osp22.representation import GENERATOR_NAMES, SUPERADJOINTS, build_generator
 from osp22.superspace import (
     STRUCTURAL,
     DimensionMismatchError,
+    _form,
+    _integral_form,
     SuperVector,
     coefficient_algebra,
     random_coefficient,
@@ -327,6 +329,21 @@ class TestIntegralOracle:
             v2 = random_supervector(6, rng, ALG)
             d = (v1.super_inner(v2) - super_inner_integral(v1, v2, 0.0)).max_abs()
             assert d < 1e-10
+
+    @pytest.mark.parametrize("alg", [ALG, ALG6], ids=["g4", "g6"])
+    @pytest.mark.parametrize("t", [0.0, 1.5])
+    def test_array_forms_match_the_vector_forms(self, alg, t):
+        """On a (3, 4) stack of rounds, each pair's array-level fast form and oracle equal
+        ``super_inner`` and ``super_inner_integral`` of its vectors, bit for bit."""
+        rng = np.random.default_rng(41)
+        space = coefficient_algebra(alg)
+        pairs = [[random_supervector(6, rng, alg) for _ in range(2)] for _ in range(12)]
+        bra, ket = (np.array([p[k].coeffs for p in pairs]).reshape(3, 4, 12, space.size) for k in (0, 1))
+        fast = _form(space, bra, ket).reshape(12, -1)
+        oracle = _integral_form(space, bra, ket, t).reshape(12, -1)
+        for (v1, v2), got_fast, got_oracle in zip(pairs, fast, oracle, strict=True):
+            assert np.array_equal(got_fast, v1.super_inner(v2).coeffs)
+            assert np.array_equal(got_oracle, super_inner_integral(v1, v2, t).coeffs)
 
     def test_matches_at_later_time(self):
         rng = np.random.default_rng(6)
