@@ -426,7 +426,9 @@ class SuperOperator:
             for (j, i), record in quads.items():
                 weight = c * 1j**i * (-1j) ** j * ((-1.0) ** j if p_ma else 1.0)
                 adj[(i, j)] = tuple(
-                    (None, _frozen(weight * part.conj().T)) if d is None else (-d, _frozen(weight * part.conj()))
+                    (None, _frozen(weight * part.conj().T))
+                    if d is None
+                    else (-d, _frozen(weight * part.conj()))
                     for d, part in reversed(record)
                 )
         return SuperOperator._wrap(
