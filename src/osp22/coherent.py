@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -248,24 +249,20 @@ def _outer(col, row) -> np.ndarray:
     return out
 
 
-def series_state(
-    params: CoherentParams, n_max: int, algebra=None, tail_tol: float = 1e-12
-) -> SuperVector:
-    """exp(z K+)(1 + alpha V+) vacuum, normalized to unit super inner product.
+class _Chain(NamedTuple):
+    """The z-only part of ``series_state``: e, o, s_e, s_o and c = closed_form_phase(z) / sqrt(s_e)."""
 
-    Raises TruncationError when the geometric tail bound at n_max exceeds
-    tail_tol.  The unnormalized state is Phi = E + alpha O with complex sector
-    columns e and o; with s_e = sum |e_n|^2 and s_o = sum |o_n|^2 its super norm
-    is s_e + nu, nu = -i s_o conj(alpha) alpha, and nu^2 = 0.  So
-    (Phi|Phi)^{-1/2} = (1 - nu / (2 s_e)) / sqrt(s_e) exactly, and with
-    c = closed_form_phase(z) / sqrt(s_e) the even rows are e times the row of
-    c (1 - nu / (2 s_e)) and the odd rows o times the row of c alpha (alpha nu
-    = 0).  The result has super norm 1 up to rounding, and the closed-form
-    phase makes it coincide with the closed-form evaluators rather than just
-    be proportional to them.
-    """
-    alg = coefficient_algebra(algebra or default_algebra())
-    z = params.z
+    even: np.ndarray
+    odd: np.ndarray
+    s_e: float
+    s_o: float
+    c: complex
+
+
+def _series_chain(z: complex, n_max: int, tail_tol: float) -> _Chain:
+    """The running products of ``series_state`` at z; TruncationError when the geometric
+    tail bound exceeds tail_tol."""
+    z = complex(z)
     k = np.arange(1.0, n_max + 1.0)
     roots = np.sqrt(k * np.stack([k - 0.5, k + 0.5]))
     # the factors z r / k, their parts formed as z.real r / k and z.imag r / k, multiplied up
@@ -285,11 +282,56 @@ def series_state(
 
     even, odd = np.array(even), np.array(odd)
     s_e, s_o = float(np.vdot(even, even).real), float(np.vdot(odd, odd).real)
-    a = params.alpha(alg)
-    nu = (-1j * s_o) * (a.conj() * a)
-    c = closed_form_phase(z) / np.sqrt(s_e)
-    rows = _outer(even, (c * (1.0 - nu / (2.0 * s_e))).coeffs), _outer(odd, (c * a).coeffs)
+    return _Chain(even, odd, s_e, s_o, closed_form_phase(z) / np.sqrt(s_e))
+
+
+def _package(chain: _Chain, alpha_coeff: complex, algebra) -> SuperVector:
+    """The ``series_state`` of alpha = alpha_coeff alpha_gen from the chain of its z.
+
+    The rows c (1 - nu / (2 s_e)) and c alpha are formed with the float operations of their
+    Grassmann expressions, so the state matches them bit for bit, signed zeros included:
+    conj(alpha) alpha has the one term sign |a|^2, on mask alpha alpha_bar.
+    """
+    alg = coefficient_algebra(algebra or default_algebra())
+    ma, mb = (1 << alg.index[name] for name in ("alpha", "alpha_bar"))
+    mab, sign = alg.plan.join[mb][ma]
+    unit = np.zeros(alg.size, dtype=complex)
+    unit[ma] = 1.0
+    alpha = _outer(np.array([complex(alpha_coeff)]), unit)[0]
+    a = complex(alpha[ma])
+    nu = (-1j * chain.s_o) * complex(sign * (a.real * a.real - (-a.imag) * a.imag), 0.0)
+    shift = (1.0 / complex(2.0 * chain.s_e)) * nu
+    body = np.zeros(alg.size, dtype=complex)  # 1 - nu / (2 s_e)
+    body[0], body[mab] = 1.0, 0j - shift
+    c = np.array([chain.c])
+    rows = _outer(chain.even, _outer(c, body)[0]), _outer(chain.odd, _outer(c, alpha)[0])
     return SuperVector.from_coeffs(alg, np.concatenate(rows))
+
+
+def series_state(
+    params: CoherentParams, n_max: int, algebra=None, tail_tol: float = 1e-12
+) -> SuperVector:
+    """exp(z K+)(1 + alpha V+) vacuum, normalized to unit super inner product.
+
+    Raises TruncationError when the geometric tail bound at n_max exceeds
+    tail_tol.  The unnormalized state is Phi = E + alpha O with complex sector
+    columns e and o; with s_e = sum |e_n|^2 and s_o = sum |o_n|^2 its super norm
+    is s_e + nu, nu = -i s_o conj(alpha) alpha, and nu^2 = 0.  So
+    (Phi|Phi)^{-1/2} = (1 - nu / (2 s_e)) / sqrt(s_e) exactly, and with
+    c = closed_form_phase(z) / sqrt(s_e) the even rows are e times the row of
+    c (1 - nu / (2 s_e)) and the odd rows o times the row of c alpha (alpha nu
+    = 0).  The result has super norm 1 up to rounding, and the closed-form
+    phase makes it coincide with the closed-form evaluators rather than just
+    be proportional to them.
+
+    ``_series_chain`` forms e, o, s_e, s_o and c, which depend on z alone, and
+    ``_package`` the rows of one alpha; ``_crosschecks`` and ``_berezin_symbols``
+    share one chain among the alphas of a z.
+    """
+    return _package(_series_chain(params.z, n_max, tail_tol), params.alpha_coeff, algebra)
+
+
+_GRID = np.linspace(-6.0, 6.0, 41)  # the crosscheck's sample points in x
 
 
 def crosscheck(
@@ -306,59 +348,87 @@ def crosscheck(
     plus equation residuals, the super norm of the series state through
     ``SuperVector.super_inner``, and per-slot coefficient defects against the
     closed-form packaging: the phase gamma columns times the rows of N and
-    N alpha.
+    N alpha.  It is the one-alpha, one-t call of ``_crosschecks``, which
+    ``suite_coherent`` calls once per z for all its alphas and times.
+    """
+    return _crosschecks(params.z, [params.alpha_coeff], [t], n_max, algebra)[0][0]
+
+
+def _crosscheck_kernels(zs, ts) -> list:
+    """chi values on the crosscheck's grid at each t of ts, with the rows of every z of zs.
+
+    A shorter series reads a prefix of the rows, which equals the kernel of its own
+    length bit for bit: the recurrence and each row do not depend on the rows after it.
+    """
+    n = max(series_length_for(z, 1e-12) for z in zs)
+    return [_basis.chi_matrix(range(2 * n), _GRID, t) for t in ts]
+
+
+def _crosschecks(z: complex, alphas, ts, n_max: int | None = None, algebra=None, kernels=None) -> list:
+    """``crosscheck`` reports of one z: one list per t of ts, holding one report per alpha.
+
+    One series chain and one set of gamma coefficients serve them all.  The psi and phi
+    routes and the residual do not depend on alpha, so each is formed once per t: the
+    series psi reads the chain's even column times c, and the series phi its odd column
+    times c, the alpha slot of the state at alpha = 1.  The state, its coefficient defect
+    and its super norm do not depend on t, so each is formed once per alpha.  ``kernels``
+    holds one ``_crosscheck_kernels`` array per t; by default they are formed here.
     """
     alg = coefficient_algebra(algebra or default_algebra())
-    n = n_max or series_length_for(params.z, 1e-12)
-    cf = ClosedFormState(params, alg)
-    sv = series_state(params, n, alg, tail_tol=1e-9)
-    gamma_even, gamma_odd = expansion_coefficients(params.z, n)
-    grid = np.linspace(-6.0, 6.0, 41)
+    n = n_max or series_length_for(z, 1e-12)
+    chain = _series_chain(z, n, 1e-9)
+    gamma_even, gamma_odd = expansion_coefficients(z, n)
+    if kernels is None:
+        kernels = [_basis.chi_matrix(range(2 * n), _GRID, t) for t in ts]
+    cf = ClosedFormState(CoherentParams(z), alg)
+    phase = closed_form_phase(z)
 
-    vals = _basis.chi_matrix(range(2 * n), grid, t)
-    even_vals, odd_vals = vals[0::2], vals[1::2]
-    phase = closed_form_phase(params.z)
+    # slot-by-slot Grassmann defect against the closed-form packaging, and the super norm
+    cols = phase * gamma_even, _SQRT2 * phase * gamma_odd
+    states = []
+    for a in alphas:
+        params = CoherentParams(z, a)
+        sv = _package(chain, a, alg)
+        normalizer = ClosedFormState(params, alg).normalizer
+        want = np.concatenate([
+            _outer(cols[0], normalizer.coeffs),
+            _outer(cols[1], (normalizer * params.alpha(alg)).coeffs),
+        ])
+        states.append(((sv - SuperVector.from_coeffs(alg, want)).max_abs(), (sv.super_inner(sv) - 1.0).max_abs()))
 
-    body_even = sv.coeffs[:n, 0].copy()  # contiguous: a strided operand changes BLAS's sum order
-    psi_series = body_even @ even_vals
-    psi_gamma = phase * (gamma_even @ even_vals)
-    psi_closed, phi_closed = cf.fields(grid, t)[:2]
-    psi_diff = np.max(
-        np.abs([psi_series - psi_closed, psi_gamma - psi_closed, psi_series - psi_gamma])
-    )
+    # contiguous columns: a strided operand changes BLAS's sum order
+    c = np.array([chain.c])
+    body_even, alpha_slot = _outer(chain.even, c)[:, 0], _outer(chain.odd, c)[:, 0]
+    reports = []
+    for t, vals in zip(ts, kernels):
+        even_vals, odd_vals = vals[: 2 * n : 2], vals[1 : 2 * n : 2]
+        psi_closed, phi_closed = cf.fields(_GRID, t)[:2]
+        psi_series = body_even @ even_vals
+        psi_gamma = phase * (gamma_even @ even_vals)
+        psi_diff = np.max(
+            np.abs([psi_series - psi_closed, psi_gamma - psi_closed, psi_series - psi_gamma])
+        )
+        phi_gamma = phase * (gamma_odd @ odd_vals)
+        phi_series = (alpha_slot / _SQRT2) @ odd_vals
+        phi_diff = np.max(np.abs([phi_series - phi_closed, phi_gamma - phi_closed, phi_series - phi_gamma]))
 
-    phi_gamma = phase * (gamma_odd @ odd_vals)
-    # the alpha slot is alpha times an alpha-free series, read at alpha = 1 for every alpha:
-    # at alpha = 0 it is empty, and a tiny alpha would leave it subnormal
-    unit = sv if params.alpha_coeff == 1 else series_state(replace(params, alpha_coeff=1.0), n, alg, 1e-9)
-    alpha_slot = unit.coeffs[n:, 1 << alg.index["alpha"]]
-    phi_series = (alpha_slot / _SQRT2) @ odd_vals
-    phi_diff = np.max(np.abs([phi_series - phi_closed, phi_gamma - phi_closed, phi_series - phi_gamma]))
-
-    # slot-by-slot Grassmann defect against the closed-form packaging
-    normalizer = cf.normalizer
-    want = np.concatenate([
-        _outer(phase * gamma_even, normalizer.coeffs),
-        _outer(_SQRT2 * phase * gamma_odd, (normalizer * params.alpha(alg)).coeffs),
-    ])
-    coeff_defect = (sv - SuperVector.from_coeffs(alg, want)).max_abs()
-
-    norm_defect = (sv.super_inner(sv) - 1.0).max_abs()
-
-    # steps follow the packet, whose width Re sigma -> 0 as |z| -> 1; the constants
-    # keep the largest residual measured over |z| <= 0.9, t in [-5, 5] below 3e-8
-    hx, ht = 2e-3 * min(1.0, np.sqrt(cf.sigma.real)), 1e-4 * min(1.0, cf.sigma.real)
-    xs, ts = np.meshgrid((-1.5, 0.5, 2.0), (t, t + 0.5))
-    residual = np.max([_basis.schrodinger_residual(f, xs, ts, hx, ht) for f in (cf.psi, cf.phi)])
-
-    return {
-        "n_series": n,
-        "max_pairwise_psi": float(psi_diff),
-        "max_pairwise_phi": float(phi_diff),
-        "coefficient_defect": coeff_defect,
-        "norm_defect": norm_defect,
-        "max_residual": float(residual),
-    }
+        # steps follow the packet, whose width Re sigma -> 0 as |z| -> 1; the constants
+        # keep the largest residual measured over |z| <= 0.9, t in [-5, 5] below 3e-8
+        hx, ht = 2e-3 * min(1.0, np.sqrt(cf.sigma.real)), 1e-4 * min(1.0, cf.sigma.real)
+        xs, times = np.meshgrid((-1.5, 0.5, 2.0), (t, t + 0.5))
+        residual = np.max([_basis.schrodinger_residual(f, xs, times, hx, ht) for f in (cf.psi, cf.phi)])
+        reports.append([
+            {
+                "n_series": n,
+                "max_pairwise_psi": float(psi_diff),
+                "max_pairwise_phi": float(phi_diff),
+                "coefficient_defect": coeff_defect,
+                "norm_defect": norm_defect,
+                "max_residual": float(residual),
+            }
+            for coeff_defect, norm_defect in states
+        ])
+    return reports
 
 
 def displacement_operator(params: CoherentParams, n_max: int, algebra=None):
@@ -392,15 +462,23 @@ def berezin_symbols(ops, params: CoherentParams, algebra=None, tail_tol: float =
     One series state is built at that truncation and serves every operator.
     It has unit super norm, so a symbol is read without dividing by (Psi | Psi);
     symbol errors scale with the square of the series tail, so tail_tol = 1e-7
-    keeps symbols well below 1e-8 defect.
+    keeps symbols well below 1e-8 defect.  It is the one-alpha call of
+    ``_berezin_symbols``, whose alphas share one series chain.
     """
+    return _berezin_symbols(ops, params.z, [params.alpha_coeff], algebra, tail_tol)[0]
+
+
+def _berezin_symbols(ops, z: complex, alphas, algebra=None, tail_tol: float = 1e-7) -> list:
+    """``berezin_symbols`` at each alpha of alphas: one list of symbols per alpha, every state
+    packaged from one series chain at z."""
     alg = algebra or default_algebra()
     ops = list(ops)
     sizes = {op.n_max for op in ops}
     if len(sizes) != 1:
         raise ValueError(f"berezin_symbols needs operators of one truncation, got {sorted(sizes)}")
-    state = series_state(params, sizes.pop(), alg, tail_tol=tail_tol)
-    return [state.super_inner(op.apply(state)) for op in ops]
+    chain = _series_chain(z, sizes.pop(), tail_tol)
+    states = [_package(chain, a, alg) for a in alphas]
+    return [[state.super_inner(op.apply(state)) for op in ops] for state in states]
 
 
 def calibrate_convention(z: complex, algebra=None, tol: float = 1e-8) -> str:
@@ -495,19 +573,32 @@ def trajectory(
     Returns the symbols of p*theta and x*theta (Grassmann elements supported
     on conj(alpha)), the closed-form line parameters (x0, p0), and the
     ``ClosedFormState.moments`` entries: <x>, <p> and norms of psi_z and phi_z.
+    It is the one-t call of ``_trajectories``, which ``suites.trajectory_rows``
+    calls once for all its times.
+    """
+    return _trajectories(params, [t], algebra, n_max, spec)[0]
+
+
+def _trajectories(params: CoherentParams, ts, algebra=None, n_max: int | None = None, spec=None) -> list:
+    """``trajectory`` at each t of ts, in order.
+
+    One series state, one p*theta operator with its symbol and one closed-form state
+    serve every t; per t only the x*theta operator, its symbol and the moments are formed.
     """
     alg = algebra or default_algebra()
     n = n_max or max(64, series_length_for(params.z, 1e-7))
-    p_theta = _rep.ptheta_operator(n, alg)
-    x_theta = _rep.xtheta_operator(n, t, alg)
-    s_p, s_x = berezin_symbols([p_theta, x_theta], params, alg)
+    state = series_state(params, n, alg, tail_tol=1e-7)
+    s_p = state.super_inner(_rep.ptheta_operator(n, alg).apply(state))
     x0, p0 = trajectory_closed_form(params)
-
-    return {
-        "t": float(t),
-        "p_theta": s_p,
-        "x_theta": s_x,
-        "x0": x0,
-        "p0": p0,
-        **ClosedFormState(params, alg).moments(t, spec),
-    }
+    cf = ClosedFormState(params, alg)
+    return [
+        {
+            "t": float(t),
+            "p_theta": s_p,
+            "x_theta": state.super_inner(_rep.xtheta_operator(n, t, alg).apply(state)),
+            "x0": x0,
+            "p0": p0,
+            **cf.moments(t, spec),
+        }
+        for t in ts
+    ]

@@ -343,11 +343,10 @@ def suite_basis(cfg: RunConfig) -> list:
         t = float(rng.uniform(-2, 2))
         v, a1, a2 = _basis.eval_chi_derivatives(m, x, t)
         h = 1e-3
-        f = lambda xx: _basis.eval_chi(m, xx, t)
-        fd1 = (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)
-        fd2 = (-f(x - 2 * h) + 16 * f(x - h) - 30 * f(x) + 16 * f(x + h) - f(x + 2 * h)) / (
-            12 * h * h
-        )
+        # the stencil's five points, each evaluated once
+        fm2, fm1, f0, fp1, fp2 = (_basis.eval_chi(m, xx, t) for xx in (x - 2 * h, x - h, x, x + h, x + 2 * h))
+        fd1 = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
+        fd2 = (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * h * h)
         scale = max(abs(v), 1.0)
         defects += [abs(a1 - fd1) / max(abs(a1), scale), abs(a2 - fd2) / max(abs(a2), scale)]
     checks.append(_check(cfg, "basis.derivatives", defects))
@@ -523,12 +522,12 @@ def suite_coherent(cfg: RunConfig) -> list:
     spec = _basis.QuadratureSpec(nodes=cfg.nodes)
     checks = []
 
+    # one chi kernel per t serves every z, and one report per (z, t, alpha) in that order
     routes, norms, residuals = [], [], []
+    kernels = _coh._crosscheck_kernels(cfg.z_samples, cfg.t_samples)
     for z in cfg.z_samples:
-        for t in cfg.t_samples:
-            for a in (0.0, cfg.alpha_coeff):
-                p = _coh.CoherentParams(z, a)
-                r = _coh.crosscheck(p, t, spec=spec)
+        for reports in _coh._crosschecks(z, (0.0, cfg.alpha_coeff), cfg.t_samples, algebra=alg, kernels=kernels):
+            for r in reports:
                 routes += [r["max_pairwise_psi"], r["max_pairwise_phi"], r["coefficient_defect"]]
                 norms.append(r["norm_defect"])
                 residuals.append(r["max_residual"])
@@ -606,12 +605,13 @@ def symbol_rows(cfg: RunConfig) -> tuple:
         except ValueError:  # the two candidate symbols lie too close to tell apart
             pass
     rows = []
+    alphas = (0.0, cfg.alpha_coeff)
     for z in cfg.z_samples:
         n = max(64, _coh.series_length_for(z, 1e-7))
         ops = [_rep.build_generator(name, n, alg) for name in _rep.GENERATOR_NAMES]
-        for a in (0.0, cfg.alpha_coeff):
+        for a, symbols in zip(alphas, _coh._berezin_symbols(ops, z, alphas, alg)):
             p = _coh.CoherentParams(z, a)
-            for name, got in zip(_rep.GENERATOR_NAMES, _coh.berezin_symbols(ops, p, alg)):
+            for name, got in zip(_rep.GENERATOR_NAMES, symbols):
                 want = _coh.expected_symbol(name, p, alg, flag)
                 rows.append(
                     {
@@ -640,18 +640,16 @@ def trajectory_rows(params, ts, algebra, spec) -> dict:
     its largest residual.
     """
     x0, p0 = _coh.trajectory_closed_form(params)
-    rows = []
-    for t in ts:
-        r = _coh.trajectory(params, t, algebra, spec=spec)
-        rows.append(
-            {
-                "t": float(t),
-                "x_theta": r["x_theta"].coeff("alpha_bar"),
-                "p_theta": r["p_theta"].coeff("alpha_bar"),
-                "mean_x": float(np.max([abs(r["mean_x_psi"]), abs(r["mean_x_phi"])])),
-                "mean_p": float(np.max([abs(r["mean_p_psi"]), abs(r["mean_p_phi"])])),
-            }
-        )
+    rows = [
+        {
+            "t": r["t"],
+            "x_theta": r["x_theta"].coeff("alpha_bar"),
+            "p_theta": r["p_theta"].coeff("alpha_bar"),
+            "mean_x": float(np.max([abs(r["mean_x_psi"]), abs(r["mean_x_phi"])])),
+            "mean_p": float(np.max([abs(r["mean_p_psi"]), abs(r["mean_p_phi"])])),
+        }
+        for r in _coh._trajectories(params, ts, algebra, spec=spec)
+    ]
     sx = np.asarray([r["x_theta"] for r in rows])
     fit = np.polyfit(ts, sx, 1)
     residual = float(np.abs(np.polyval(fit, ts) - sx).max())

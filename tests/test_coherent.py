@@ -56,6 +56,21 @@ def _generic_series_state(params, n, alg):
     return (coh.closed_form_phase(z) * vec.super_inner(vec).power(-0.5)) * vec
 
 
+# coefficients with signed zero parts, a negative part, or subnormal size
+SIGNED_ALPHA = (complex(-0.0, 0.0), complex(0.0, -0.0), -1.0, -1j, -0.5 - 0.5j, 5e-324, 1e-310j)
+
+
+def _grassmann_series_state(params, n, alg):
+    """``series_state`` with its rows formed as Grassmann elements: c (1 - nu / (2 s_e)) and
+    c alpha, nu = -i s_o conj(alpha) alpha, over the chain's columns."""
+    alg = coefficient_algebra(alg)
+    chain = coh._series_chain(params.z, n, 1e-12)
+    a = params.alpha(alg)
+    nu = (-1j * chain.s_o) * (a.conj() * a)
+    rows = (chain.c * (1.0 - nu / (2.0 * chain.s_e))).coeffs, (chain.c * a).coeffs
+    return SuperVector.from_coeffs(alg, np.concatenate([coh._outer(chain.even, rows[0]), coh._outer(chain.odd, rows[1])]))
+
+
 def _exponent(params, n, alg):
     """z K+ - conj(z) K- + alpha V+ - i conj(alpha) W-, summed from the generators."""
     a = params.alpha(alg)
@@ -202,6 +217,16 @@ class TestSeriesState:
         got = coh.series_state(p, n, alg)
         want = _generic_series_state(p, n, alg)
         assert (got - want).max_abs() < 4e-15 * max(1.0, abs(alpha) ** 2)
+
+    @pytest.mark.parametrize("alg, z, alpha", SECTOR_POINTS + [(ALG, 0.3, a) for a in SIGNED_ALPHA])
+    def test_packaging_matches_the_grassmann_expressions(self, alg, z, alpha):
+        """The rows packaged from the chain equal the Grassmann expressions bit for bit, the
+        signs of their zeros included."""
+        p = coh.CoherentParams(z, alpha)
+        n = coh.series_length_for(z, 1e-12)
+        got = coh.series_state(p, n, alg).coeffs
+        want = _grassmann_series_state(p, n, alg).coeffs
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_no_binomial_power(self, monkeypatch):
         """Series states, their symbols and the crosscheck take no power of a Grassmann element."""
@@ -448,17 +473,25 @@ class TestSymbols:
                 assert (got - want).max_abs() < 1e-8
 
     def test_symbols_share_one_state(self, monkeypatch):
-        states = []
-        build = coh.series_state
-        monkeypatch.setattr(coh, "series_state", lambda *args, **kw: states.append(build(*args, **kw)) or states[-1])
+        """One series chain serves every operator, every alpha of ``_berezin_symbols`` and
+        every t of ``_trajectories``."""
+        chains = []
+        build = coh._series_chain
+        monkeypatch.setattr(coh, "_series_chain", lambda *args: chains.append(build(*args)) or chains[-1])
         p = coh.CoherentParams(0.3 - 0.35j, 0.5 + 0.5j)
         ops = [build_generator(name, 64, ALG) for name in GENERATOR_NAMES]
         got = coh.berezin_symbols(ops, p, ALG)
-        assert len(states) == 1
+        assert len(chains) == 1
         for o, symbol in zip(ops, got):
             np.testing.assert_array_equal(symbol.coeffs, coh.berezin_symbol(o, p, ALG).coeffs)
         coh.trajectory(p, 0.5, ALG)
-        assert len(states) == 1 + len(ops) + 1
+        assert len(chains) == 1 + len(ops) + 1
+        both = coh._berezin_symbols(ops, p.z, (0.0, p.alpha_coeff), ALG)
+        coh._trajectories(p, (0.0, 0.5, 1.0), ALG)
+        assert len(chains) == 1 + len(ops) + 3
+        for a, symbols in zip((0.0, p.alpha_coeff), both):
+            want = coh.berezin_symbols(ops, coh.CoherentParams(p.z, a), ALG)
+            assert all(np.array_equal(g.coeffs, w.coeffs) for g, w in zip(symbols, want))
 
     def test_symbols_need_one_truncation(self):
         p = coh.CoherentParams(0.3)
@@ -522,18 +555,20 @@ class TestTrajectory:
 
 
 def test_crosscheck_keeps_a_nan_route(poison_call):
-    """A NaN series state reaches the later route pairs, not only the first one."""
-    poison_call(coh, "series_state", 1, lambda sv: math.nan * sv)
+    """A NaN series chain reaches the later route pairs, not only the first one."""
+    poison_call(coh, "_series_chain", 1, lambda ch: ch._replace(even=math.nan * ch.even, odd=math.nan * ch.odd))
     r = coh.crosscheck(coh.CoherentParams(0.3, 1.0), 0.5)
     assert math.isnan(r["max_pairwise_psi"]) and math.isnan(r["max_pairwise_phi"])
 
 
 def test_crosscheck_compares_three_phi_routes_at_alpha_zero(poison_call):
-    """At alpha = 0 the phi series route still runs, on the alpha slot of the alpha = 1 state."""
+    """At alpha = 0 the phi series route still runs, on the chain's odd column times c, the
+    alpha slot of the alpha = 1 state."""
     p = coh.CoherentParams(0.3, 0.0)
     assert coh.crosscheck(p, 0.5)["max_pairwise_phi"] < 1e-8
-    poison_call(coh, "series_state", 2, lambda sv: 2.0 * sv)
-    assert coh.crosscheck(p, 0.5)["max_pairwise_phi"] > 1e-3
+    poison_call(coh, "_series_chain", 1, lambda ch: ch._replace(odd=2.0 * ch.odd))
+    r = coh.crosscheck(p, 0.5)
+    assert r["max_pairwise_phi"] > 1e-3 and r["max_pairwise_psi"] < 1e-8
 
 
 def test_crosscheck_keeps_a_nan_residual(poison_call):

@@ -34,7 +34,7 @@ from osp22.grassmann import (
     random_element,
 )
 from osp22.representation import hamiltonian_defects
-from osp22.suites import CHECKS, SUITE_NAMES, _check, suite_checks, symbols_check, trajectory_rows
+from osp22.suites import CHECKS, SUITE_NAMES, _check, suite_checks, symbol_rows, symbols_check, trajectory_rows
 from osp22.superspace import random_coefficient, random_supervector
 
 # six distinct values, none equal to a default or to a literal gate, so a
@@ -169,8 +169,10 @@ def test_symbols_check_keeps_a_nan_row():
 
 
 def test_trajectory_rows_keep_a_nan_mean(poison_call):
-    """mean_x and mean_p are the larger of two components; a NaN component is not dropped."""
-    poison_call(_coh, "trajectory", 2, lambda r: {**r, "mean_x_phi": complex(NAN), "mean_p_phi": complex(NAN)})
+    """mean_x and mean_p are the larger of two components; a NaN component is not dropped.
+    The moments of the second t are poisoned."""
+    poison = lambda r: {**r, "mean_x_phi": complex(NAN), "mean_p_phi": complex(NAN)}
+    poison_call(_coh.ClosedFormState, "moments", 2, poison)
     tr = trajectory_rows(_coh.CoherentParams(0.3, 1.0), (0.0, 1.0, 2.0), default_algebra(), QuadratureSpec())
     means = [(r["mean_x"], r["mean_p"]) for r in tr["rows"]]
     assert all(math.isnan(v) for v in means[1])
@@ -325,16 +327,111 @@ def test_array_checks_match_the_loop(suite, loop, seed, nodes):
         assert records[cid] == _check(cfg, cid, defects)["defect"], cid
 
 
-# calls per suite pass: a per-sample loop that comes back multiplies these
-CALL_CEILINGS = [
-    # was 603: 4 per integral-oracle pair and 4 per scalar-rule round, now 4 per block of rounds
-    ("superspace", ProductPlan, "mul", 47),
-    # was 538: the ladder and sector-weight checks made 210 of them, one per mode; now 10
-    ("basis", _basis, "_packets", 338),
+def _crosscheck_loop(cfg):
+    """One ``crosscheck`` per (z, t, alpha), each with its own series chain and chi kernel."""
+    spec = QuadratureSpec(nodes=cfg.nodes)
+    alphas = (0.0, cfg.alpha_coeff)
+    return [
+        _coh.crosscheck(_coh.CoherentParams(z, a), t, spec=spec) for z in cfg.z_samples for t in cfg.t_samples for a in alphas
+    ]
+
+
+def _trajectory_rows_loop(params, ts, algebra, spec):
+    """``trajectory_rows`` from one ``trajectory`` call per t, each with its own series state."""
+    x0, p0 = _coh.trajectory_closed_form(params)
+    rows = []
+    for t in ts:
+        r = _coh.trajectory(params, t, algebra, spec=spec)
+        rows.append(
+            {
+                "t": float(t),
+                "x_theta": r["x_theta"].coeff("alpha_bar"),
+                "p_theta": r["p_theta"].coeff("alpha_bar"),
+                "mean_x": float(np.max([abs(r["mean_x_psi"]), abs(r["mean_x_phi"])])),
+                "mean_p": float(np.max([abs(r["mean_p_psi"]), abs(r["mean_p_phi"])])),
+            }
+        )
+    sx = np.asarray([r["x_theta"] for r in rows])
+    fit = np.polyfit(ts, sx, 1)
+    residual = float(np.abs(np.polyval(fit, ts) - sx).max())
+    return {"x0": x0, "p0": p0, "rows": rows, "fit": fit, "fit_residual": residual}
+
+
+def _symbol_loop(cfg):
+    """((z, alpha, generator), symbol) from one ``berezin_symbols`` call per (z, alpha)."""
+    alg = default_algebra()
+    out = []
+    for z in cfg.z_samples:
+        n = max(64, _coh.series_length_for(z, 1e-7))
+        ops = [_rep.build_generator(name, n, alg) for name in _rep.GENERATOR_NAMES]
+        for a in (0.0, cfg.alpha_coeff):
+            symbols = _coh.berezin_symbols(ops, _coh.CoherentParams(z, a), alg)
+            out += [((z, a, name), got) for name, got in zip(_rep.GENERATOR_NAMES, symbols)]
+    return out
+
+
+COHERENT_CONFIGS = [
+    RunConfig(),
+    replace(RunConfig(), z_samples=(0.9 + 0j, -0.9j, 0j), t_samples=(-5.0, 50.0), alpha_coeff=0.7 - 0.4j, nodes=120),
 ]
 
 
-@pytest.mark.parametrize("suite, owner, name, ceiling", CALL_CEILINGS, ids=[c[0] for c in CALL_CEILINGS])
+@pytest.mark.parametrize("cfg", COHERENT_CONFIGS, ids=["default", "ring"])
+def test_coherent_sharing_matches_the_loop(cfg):
+    """The suite's shared chains, chi kernels, states and closed forms give, bit for bit, the
+    values of one public call per (z, t, alpha), per t and per alpha."""
+    cfg.validate("coherent")
+    alg = default_algebra()
+    spec = QuadratureSpec(nodes=cfg.nodes)
+    loop = _crosscheck_loop(cfg)
+    kernels = _coh._crosscheck_kernels(cfg.z_samples, cfg.t_samples)
+    shared = [
+        r
+        for z in cfg.z_samples
+        for reports in _coh._crosschecks(z, (0.0, cfg.alpha_coeff), cfg.t_samples, algebra=alg, kernels=kernels)
+        for r in reports
+    ]
+    assert shared == loop
+    records = {r["id"]: r["defect"] for r in suite_checks("coherent", cfg)}
+    defects = {
+        "coherent.three_routes": [r[k] for r in loop for k in ("max_pairwise_psi", "max_pairwise_phi", "coefficient_defect")],
+        "coherent.unit_super_norm": [r["norm_defect"] for r in loop],
+        "coherent.residual": [r["max_residual"] for r in loop],
+    }
+    for cid, values in defects.items():
+        assert records[cid] == _check(cfg, cid, values)["defect"], cid
+
+    for z in cfg.z_samples[:3]:
+        p = _coh.CoherentParams(z, cfg.alpha_coeff)
+        got, want = trajectory_rows(p, (0.0, 1.0, 2.0, 3.0), alg, spec), _trajectory_rows_loop(p, (0.0, 1.0, 2.0, 3.0), alg, spec)
+        assert got["rows"] == want["rows"] and got["fit_residual"] == want["fit_residual"]
+        assert np.array_equal(got["fit"], want["fit"])
+
+    _, rows = symbol_rows(cfg)
+    loop = _symbol_loop(cfg)
+    assert [(r["z"], r["alpha_coeff"], r["generator"]) for r in rows] == [key for key, _ in loop]
+    for r, (_, symbol) in zip(rows, loop):
+        assert np.array_equal(r["computed"].coeffs, symbol.coeffs)
+
+
+# calls per suite pass: a per-sample loop that comes back multiplies these
+CALL_CEILINGS = [
+    # was 603: 4 per integral-oracle pair and 4 per scalar-rule round, now 4 per block of rounds
+    pytest.param("superspace", ProductPlan, "mul", 47, id="superspace"),
+    # was 538: the ladder and sector-weight checks made 210 of them, one per mode; then 338, where
+    # the derivative check evaluated 9 stencil values a round; now each of its 5 points once
+    pytest.param("basis", _basis, "_packets", 218, id="basis"),
+    # was 16: one chi kernel per (z, t, alpha) crosscheck; now one per t
+    pytest.param("coherent", _basis, "_packets", 2, id="coherent-packets"),
+    # was 32: psi and phi per (z, t, alpha); now per (z, t)
+    pytest.param("coherent", _basis, "schrodinger_residual", 16, id="coherent-residual"),
+    # was 48 series states: now one chain per z for the crosschecks (4), the calibration (1),
+    # the symbols (4), the trajectories (3) and the displacement references (3)
+    pytest.param("coherent", _coh, "_series_chain", 15, id="coherent-chains"),
+]
+
+
+@pytest.mark.parametrize("suite, owner, name, ceiling", CALL_CEILINGS)
 def test_suite_call_ceiling(suite, owner, name, ceiling, monkeypatch):
     original = getattr(owner, name)
     calls = []
