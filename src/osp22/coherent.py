@@ -15,7 +15,13 @@ parameter alpha = a * alpha_gen.  The three routes are
   [K+, V+] = 0 and (alpha V+)^2 = 0) and normalized sector by sector: its
   super norm s_e + nu has nu^2 = 0, so (Phi|Phi)^{-1/2} is the closed
   expression (1 - nu / (2 s_e)) / sqrt(s_e) of the series' own sector sums;
+  the sums and columns depend on z alone, so every alpha of a z shares them;
 * the half-integer-gamma coefficient formulas of the disk expansion.
+
+``crosscheck``, ``berezin_symbols`` and ``trajectory`` are the one-alpha or
+one-t calls of private routines over several: the coherent suite checks all
+alphas and times of a z with one series chain, one set of gamma coefficients,
+one chi kernel per t shared by every z, and its alpha-free parts once.
 
 Also provided: the superisometric displacement exp(z K+ - conj(z) K- +
 alpha V+ - i conj(alpha) W-), exponentiated spectrally

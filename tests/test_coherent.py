@@ -68,7 +68,8 @@ def _grassmann_series_state(params, n, alg):
     a = params.alpha(alg)
     nu = (-1j * chain.s_o) * (a.conj() * a)
     rows = (chain.c * (1.0 - nu / (2.0 * chain.s_e))).coeffs, (chain.c * a).coeffs
-    return SuperVector.from_coeffs(alg, np.concatenate([coh._outer(chain.even, rows[0]), coh._outer(chain.odd, rows[1])]))
+    coeffs = np.concatenate([coh._outer(chain.even, rows[0]), coh._outer(chain.odd, rows[1])])
+    return SuperVector.from_coeffs(alg, coeffs)
 
 
 def _exponent(params, n, alg):

@@ -332,7 +332,10 @@ def _crosscheck_loop(cfg):
     spec = QuadratureSpec(nodes=cfg.nodes)
     alphas = (0.0, cfg.alpha_coeff)
     return [
-        _coh.crosscheck(_coh.CoherentParams(z, a), t, spec=spec) for z in cfg.z_samples for t in cfg.t_samples for a in alphas
+        _coh.crosscheck(_coh.CoherentParams(z, a), t, spec=spec)
+        for z in cfg.z_samples
+        for t in cfg.t_samples
+        for a in alphas
     ]
 
 
@@ -394,16 +397,19 @@ def test_coherent_sharing_matches_the_loop(cfg):
     assert shared == loop
     records = {r["id"]: r["defect"] for r in suite_checks("coherent", cfg)}
     defects = {
-        "coherent.three_routes": [r[k] for r in loop for k in ("max_pairwise_psi", "max_pairwise_phi", "coefficient_defect")],
+        "coherent.three_routes": [
+            r[k] for r in loop for k in ("max_pairwise_psi", "max_pairwise_phi", "coefficient_defect")
+        ],
         "coherent.unit_super_norm": [r["norm_defect"] for r in loop],
         "coherent.residual": [r["max_residual"] for r in loop],
     }
     for cid, values in defects.items():
         assert records[cid] == _check(cfg, cid, values)["defect"], cid
 
+    ts = (0.0, 1.0, 2.0, 3.0)  # the times of suite_coherent's trajectory checks
     for z in cfg.z_samples[:3]:
         p = _coh.CoherentParams(z, cfg.alpha_coeff)
-        got, want = trajectory_rows(p, (0.0, 1.0, 2.0, 3.0), alg, spec), _trajectory_rows_loop(p, (0.0, 1.0, 2.0, 3.0), alg, spec)
+        got, want = trajectory_rows(p, ts, alg, spec), _trajectory_rows_loop(p, ts, alg, spec)
         assert got["rows"] == want["rows"] and got["fit_residual"] == want["fit_residual"]
         assert np.array_equal(got["fit"], want["fit"])
 
