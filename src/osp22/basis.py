@@ -248,15 +248,13 @@ def project_onto_modes(f, modes, t: float = 0.0, spec: QuadratureSpec | None = N
 
 
 def _ladder_plus(sign) -> bool:
-    if sign in (1, +1, "+", "plus"):
-        return True
-    if sign in (-1, "-", "minus"):
-        return False
-    raise ValueError(f"ladder sign must be +1 or -1, got {sign!r}")
+    if sign not in ("+", "-"):
+        raise ValueError(f"ladder sign must be '+' or '-', got {sign!r}")
+    return sign == "+"
 
 
 def ladder_coefficient(sign, m):
-    """Frozen ladder coefficient: (1/2) sqrt(m+1) raising, (1/2) sqrt(m) lowering.
+    """Frozen ladder coefficient: (1/2) sqrt(m+1) raising (sign "+"), (1/2) sqrt(m) lowering ("-").
 
     ``m`` may be an array of modes, each truncated to an integer as a single mode
     is; the result is then the array of their coefficients.

@@ -340,13 +340,7 @@ def series_state(
 _GRID = np.linspace(-6.0, 6.0, 41)  # the crosscheck's sample points in x
 
 
-def crosscheck(
-    params: CoherentParams,
-    t: float,
-    n_max: int | None = None,
-    algebra=None,
-    spec=None,
-) -> dict:
+def crosscheck(params: CoherentParams, t: float, algebra=None, spec=None) -> dict:
     """Three-route agreement report for one (z, alpha, t).
 
     Compares the closed-form evaluators, the normalized raising series
@@ -354,10 +348,17 @@ def crosscheck(
     plus equation residuals, the super norm of the series state through
     ``SuperVector.super_inner``, and per-slot coefficient defects against the
     closed-form packaging: the phase gamma columns times the rows of N and
-    N alpha.  It is the one-alpha, one-t call of ``_crosschecks``, which
-    ``suite_coherent`` calls once per z for all its alphas and times.
+    N alpha.  The series is ``series_length_for(z, 1e-12)`` modes long.  It is
+    the one-alpha, one-t call of ``_crosschecks``, which ``suite_coherent``
+    calls once per z for all its alphas and times.
+
+    ``spec`` is accepted and ignored: the routes sample the fixed grid ``_GRID``
+    and the residual a fixed stencil, so no quadrature runs.  It stays because
+    the benchmark's ``coherent_sweep`` workload (``perfbench/workloads.py``)
+    passes it.
     """
-    return _crosschecks(params.z, [params.alpha_coeff], [t], n_max, algebra)[0][0]
+    kernels = _crosscheck_kernels([params.z], [t])
+    return _crosschecks(params.z, [params.alpha_coeff], [t], algebra, kernels)[0][0]
 
 
 def _crosscheck_kernels(zs, ts) -> list:
@@ -370,7 +371,7 @@ def _crosscheck_kernels(zs, ts) -> list:
     return [_basis.chi_matrix(range(2 * n), _GRID, t) for t in ts]
 
 
-def _crosschecks(z: complex, alphas, ts, n_max: int | None = None, algebra=None, kernels=None) -> list:
+def _crosschecks(z: complex, alphas, ts, algebra, kernels) -> list:
     """``crosscheck`` reports of one z: one list per t of ts, holding one report per alpha.
 
     One series chain and one set of gamma coefficients serve them all.  The psi and phi
@@ -378,14 +379,12 @@ def _crosschecks(z: complex, alphas, ts, n_max: int | None = None, algebra=None,
     series psi reads the chain's even column times c, and the series phi its odd column
     times c, the alpha slot of the state at alpha = 1.  The state, its coefficient defect
     and its super norm do not depend on t, so each is formed once per alpha.  ``kernels``
-    holds one ``_crosscheck_kernels`` array per t; by default they are formed here.
+    holds one ``_crosscheck_kernels`` array per t, with the rows of z among its zs.
     """
     alg = coefficient_algebra(algebra or default_algebra())
-    n = n_max or series_length_for(z, 1e-12)
+    n = series_length_for(z, 1e-12)
     chain = _series_chain(z, n, 1e-9)
     gamma_even, gamma_odd = expansion_coefficients(z, n)
-    if kernels is None:
-        kernels = [_basis.chi_matrix(range(2 * n), _GRID, t) for t in ts]
     cf = ClosedFormState(CoherentParams(z), alg)
     phase = closed_form_phase(z)
 
@@ -440,7 +439,7 @@ def _crosschecks(z: complex, alphas, ts, n_max: int | None = None, algebra=None,
 def displacement_operator(params: CoherentParams, n_max: int, algebra=None):
     """exp(z K+ - conj(z) K- + alpha V+ - i conj(alpha) W-), superisometric, at truncation
     n_max; nothing is truncated but the modes.  ``representation._spectral_exp`` forms it."""
-    return _rep._spectral_exp(params.z, params.alpha_coeff, n_max, algebra).renamed("D'")
+    return _rep._spectral_exp(params.z, params.alpha_coeff, n_max, algebra)
 
 
 def disk_parameter(zeta: complex) -> complex:
@@ -455,26 +454,24 @@ def disk_parameter(zeta: complex) -> complex:
     return complex(np.tanh(r) * zeta / r)
 
 
-def berezin_symbol(
-    op, params: CoherentParams, algebra=None, tail_tol: float = 1e-7
-) -> GrassmannElement:
+def berezin_symbol(op, params: CoherentParams, algebra=None) -> GrassmannElement:
     """Covariant symbol (Psi | op Psi) over the unit series state; see ``berezin_symbols``."""
-    return berezin_symbols([op], params, algebra, tail_tol)[0]
+    return berezin_symbols([op], params, algebra)[0]
 
 
-def berezin_symbols(ops, params: CoherentParams, algebra=None, tail_tol: float = 1e-7) -> list:
+def berezin_symbols(ops, params: CoherentParams, algebra=None) -> list:
     """Covariant symbols (Psi | op Psi) of operators of one truncation, in order.
 
     One series state is built at that truncation and serves every operator.
     It has unit super norm, so a symbol is read without dividing by (Psi | Psi);
-    symbol errors scale with the square of the series tail, so tail_tol = 1e-7
-    keeps symbols well below 1e-8 defect.  It is the one-alpha call of
+    symbol errors scale with the square of the series tail, so a tail bound of
+    1e-7 keeps symbols well below 1e-8 defect.  It is the one-alpha call of
     ``_berezin_symbols``, whose alphas share one series chain.
     """
-    return _berezin_symbols(ops, params.z, [params.alpha_coeff], algebra, tail_tol)[0]
+    return _berezin_symbols(ops, params.z, [params.alpha_coeff], algebra)[0]
 
 
-def _berezin_symbols(ops, z: complex, alphas, algebra=None, tail_tol: float = 1e-7) -> list:
+def _berezin_symbols(ops, z: complex, alphas, algebra=None) -> list:
     """``berezin_symbols`` at each alpha of alphas: one list of symbols per alpha, every state
     packaged from one series chain at z."""
     alg = algebra or default_algebra()
@@ -482,18 +479,19 @@ def _berezin_symbols(ops, z: complex, alphas, algebra=None, tail_tol: float = 1e
     sizes = {op.n_max for op in ops}
     if len(sizes) != 1:
         raise ValueError(f"berezin_symbols needs operators of one truncation, got {sorted(sizes)}")
-    chain = _series_chain(z, sizes.pop(), tail_tol)
+    chain = _series_chain(z, sizes.pop(), 1e-7)
     states = [_package(chain, a, alg) for a in alphas]
     return [[state.super_inner(op.apply(state)) for op in ops] for state in states]
 
 
-def calibrate_convention(z: complex, algebra=None, tol: float = 1e-8) -> str:
+def calibrate_convention(z: complex, algebra=None) -> str:
     """Resolve the bra-labeling ambiguity of the symbols on K+.
 
     Returns "identity" when the computed symbol body follows z, "conjugate"
-    when it follows conj(z).  Raises ValueError unless these two candidates lie
-    more than 2 tol apart; with this representation the answer is "conjugate".
+    when it follows conj(z), each to tol = 1e-8.  Raises ValueError unless these
+    two candidates lie more than 2 tol apart; here the answer is "conjugate".
     """
+    tol = 1e-8
     z = complex(z)
     if not 0.0 < abs(z) <= DISK_RADIUS:
         raise ValueError(f"calibration needs 0 < |z| <= {DISK_RADIUS}")
@@ -571,9 +569,7 @@ def trajectory_closed_form(params: CoherentParams) -> tuple[complex, complex]:
     return complex(x0), complex(p0)
 
 
-def trajectory(
-    params: CoherentParams, t: float, algebra=None, n_max: int | None = None, spec=None
-) -> dict:
+def trajectory(params: CoherentParams, t: float, algebra=None, spec=None) -> dict:
     """Odd-sector expectations at time t plus the even-sector quadrature means.
 
     Returns the symbols of p*theta and x*theta (Grassmann elements supported
@@ -582,17 +578,17 @@ def trajectory(
     It is the one-t call of ``_trajectories``, which ``suites.trajectory_rows``
     calls once for all its times.
     """
-    return _trajectories(params, [t], algebra, n_max, spec)[0]
+    return _trajectories(params, [t], algebra, spec)[0]
 
 
-def _trajectories(params: CoherentParams, ts, algebra=None, n_max: int | None = None, spec=None) -> list:
+def _trajectories(params: CoherentParams, ts, algebra=None, spec=None) -> list:
     """``trajectory`` at each t of ts, in order.
 
     One series state, one p*theta operator with its symbol and one closed-form state
     serve every t; per t only the x*theta operator, its symbol and the moments are formed.
     """
     alg = algebra or default_algebra()
-    n = n_max or max(64, series_length_for(params.z, 1e-7))
+    n = max(64, series_length_for(params.z, 1e-7))
     state = series_state(params, n, alg, tail_tol=1e-7)
     s_p = state.super_inner(_rep.ptheta_operator(n, alg).apply(state))
     x0, p0 = trajectory_closed_form(params)

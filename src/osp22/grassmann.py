@@ -561,7 +561,7 @@ def default_algebra() -> GrassmannAlgebra:
     return _DEFAULT
 
 
-def random_coefficients(algebra, rng, count: int = 1, parity=None, scale: float = 1.0) -> np.ndarray:
+def random_coefficients(algebra, rng, count: int = 1, parity=None) -> np.ndarray:
     """(count, 2^g) iid complex-normal coefficients from one draw.
 
     Only masks of the given parity are filled.  The stream is the one a loop
@@ -571,12 +571,12 @@ def random_coefficients(algebra, rng, count: int = 1, parity=None, scale: float 
     odd = algebra.plan.parity_sign < 0
     masks = np.arange(algebra.size) if parity is None else np.flatnonzero(odd if parity == ODD else ~odd)
     draws = rng.standard_normal(2 * count * masks.size).reshape(count, masks.size, 2)
-    vals = (scale * draws) / np.sqrt(2.0)
+    vals = draws / np.sqrt(2.0)
     out = np.zeros((count, algebra.size), dtype=complex)
     out[:, masks] = vals.view(complex)[..., 0]
     return out
 
 
-def random_element(algebra, rng, parity=None, scale: float = 1.0) -> GrassmannElement:
+def random_element(algebra, rng, parity=None) -> GrassmannElement:
     """Random element with iid complex-normal coefficients, optionally homogeneous."""
-    return GrassmannElement(algebra, random_coefficients(algebra, rng, 1, parity, scale)[0])
+    return GrassmannElement(algebra, random_coefficients(algebra, rng, 1, parity)[0])

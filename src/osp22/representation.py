@@ -74,7 +74,7 @@ order-preserving conjugation this makes SUPERADJOINTS exact matrix identities.
 Truncation: raising entries that would leave the basis are dropped, so
 identity checks exclude the top two slots per sector ("interior modes").
 
-Operators are immutable, names included: ``renamed`` returns a new operator.
+Operators are immutable.
 
 ``structure_defects``, ``vacuum_defects`` and ``hamiltonian_defects`` return
 named defects only, the structure defects and the Hamiltonian ladder route
@@ -179,12 +179,14 @@ class SuperOperator:
     ``coefficient_algebra`` of the algebra the operator was built with.
     """
 
-    __slots__ = ("algebra", "n_max", "blocks", "parity_bit", "_name")
+    __slots__ = ("algebra", "n_max", "blocks", "parity_bit")
 
-    def __init__(self, algebra, n_max: int, blocks: dict, parity, name: str = ""):
+    def __init__(self, algebra, n_max: int, blocks: dict, parity: int):
         """Copies the nonzero quadrants of each (2N x 2N) block, one whose nonzeros lie on
         at most ``_MAX_DIAGONALS`` diagonals as those diagonals: later writes to the
-        caller's arrays cannot reach the operator."""
+        caller's arrays cannot reach the operator.  ``parity`` is 0 (even) or 1 (odd)."""
+        if parity not in (0, 1):
+            raise ValueError(f"parity must be 0 or 1, got {parity!r}")
         n = int(n_max)
         quadrants = {}
         for mask, mat in blocks.items():
@@ -204,38 +206,20 @@ class SuperOperator:
                         quads[(i, j)] = ((None, _frozen(part.copy())),)
             if quads:
                 quadrants[int(mask)] = quads
-        self._store(coefficient_algebra(algebra), n, quadrants, parity, name)
+        self.algebra, self.n_max = coefficient_algebra(algebra), n
+        self.blocks, self.parity_bit = quadrants, int(parity)
 
     @classmethod
-    def _wrap(cls, algebra, n_max: int, blocks: dict, parity, name: str = ""):
+    def _wrap(cls, algebra, n_max: int, blocks: dict, parity_bit: int):
         """Operator over quadrant records whose parts are read-only already, held as they are.
 
         Each operation freezes the parts it creates, where it creates them, and shares the
         read-only parts of its operands, so no wrap visits a part a second time."""
         op = cls.__new__(cls)
-        op._store(algebra, n_max, blocks, parity, name)
+        op.algebra, op.n_max, op.blocks, op.parity_bit = algebra, int(n_max), blocks, parity_bit
         return op
 
-    def _store(self, algebra, n_max, blocks, parity, name):
-        if parity in (EVEN, ODD):
-            parity = 1 if parity == ODD else 0
-        if parity not in (0, 1):
-            raise ValueError("parity must be 0/1 or 'even'/'odd'")
-        self.algebra = algebra
-        self.n_max = int(n_max)
-        self.blocks = blocks
-        self.parity_bit = parity
-        self._name = name
-
     # -- basic views -------------------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        return self._name
-
-    def renamed(self, name: str) -> "SuperOperator":
-        """The same operator under another name, sharing its read-only quadrants."""
-        return SuperOperator._wrap(self.algebra, self.n_max, self.blocks, self.parity_bit, name)
 
     @property
     def size(self) -> int:
@@ -263,12 +247,12 @@ class SuperOperator:
     def identity(cls, n_max: int, algebra=None) -> "SuperOperator":
         alg = coefficient_algebra(algebra or default_algebra())
         eye = {(s, s): ((0, _frozen(np.ones(n_max, dtype=complex))),) for s in (0, 1)}
-        return cls._wrap(alg, n_max, {0: eye}, 0, name="I")
+        return cls._wrap(alg, n_max, {0: eye}, 0)
 
     @classmethod
-    def zero(cls, n_max: int, algebra=None, parity=0) -> "SuperOperator":
-        alg = coefficient_algebra(algebra or default_algebra())
-        return cls._wrap(alg, n_max, {}, parity, name="0")
+    def zero(cls, n_max: int, algebra=None) -> "SuperOperator":
+        """The even operator with no block."""
+        return cls._wrap(coefficient_algebra(algebra or default_algebra()), n_max, {}, 0)
 
     def _check(self, other):
         if not isinstance(other, SuperOperator):
@@ -431,9 +415,7 @@ class SuperOperator:
                     else (-d, _frozen(weight * part.conj()))
                     for d, part in reversed(record)
                 )
-        return SuperOperator._wrap(
-            self.algebra, self.n_max, blocks, self.parity_bit, name=f"({self.name})+"
-        )
+        return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.parity_bit)
 
     # -- diagnostics -------------------------------------------------------------------
 
@@ -464,11 +446,7 @@ class SuperOperator:
         return float(np.maximum.reduce(parts, initial=0.0))
 
     def __repr__(self):
-        label = self.name or "?"
-        return (
-            f"SuperOperator({label}, n_max={self.n_max}, parity={self.parity}, "
-            f"monomials={len(self.blocks)})"
-        )
+        return f"SuperOperator(n_max={self.n_max}, parity={self.parity}, monomials={len(self.blocks)})"
 
 
 # A diagonal record holds at most this many diagonals; a sum or product that would hold more
@@ -593,9 +571,9 @@ def build_generator(name: str, n_max: int, algebra=None) -> SuperOperator:
         raise ValueError("truncation must be at least 2")
     if name in _COMBOS:
         ops = {base: build_generator(base, n_max, alg) for base in _COMBOS[name]}
-        return _combo(_COMBOS[name], ops).renamed(name)
-    parity = generator_parity(name)
-    return SuperOperator._wrap(alg, n_max, {0: _stencil_quadrants(name, n_max)}, parity, name=name)
+        return _combo(_COMBOS[name], ops)
+    parity = generator_parity(name)  # ValueError for an unknown name, before any stencil is read
+    return SuperOperator._wrap(alg, n_max, {0: _stencil_quadrants(name, n_max)}, parity)
 
 
 def _stencil_quadrants(name: str, n_max: int) -> dict:
@@ -645,10 +623,9 @@ def ptheta_operator(n_max: int, algebra=None) -> SuperOperator:
 def xtheta_operator(n_max: int, t: float, algebra=None) -> SuperOperator:
     """x * theta = 2 t (p theta) + i sqrt(2) (V+ - V-); odd operator."""
     alg = algebra or default_algebra()
-    op = (2.0 * t) * ptheta_operator(n_max, alg) + (1j * np.sqrt(2.0)) * (
+    return (2.0 * t) * ptheta_operator(n_max, alg) + (1j * np.sqrt(2.0)) * (
         build_generator("V+", n_max, alg) - build_generator("V-", n_max, alg)
     )
-    return op.renamed("x_theta")
 
 
 # The Taylor core of ``operator_exp`` stops at the first term whose largest entry is at most
@@ -682,7 +659,7 @@ def operator_exp(op: SuperOperator) -> SuperOperator:
         raise RuntimeError("exponential series did not converge")
     for _ in range(s):
         acc = acc @ acc
-    return acc.renamed(f"exp({op.name})")
+    return acc
 
 
 # Switches between a quotient and a series, each set from an error curve against 50-digit
@@ -942,12 +919,12 @@ SUPERADJOINTS = {
 }
 
 
-def structure_defects(ops: dict, n_triples: int = 20, seed: int = 7) -> dict:
+def structure_defects(ops: dict, seed: int = 7) -> dict:
     """{"table"|"unlisted": {relation: defect}, "jacobi": defect}, each with an ``_abs`` twin.
 
     ``ops`` maps GENERATOR_NAMES to operators at one n_max >= 8.  Pairs are
-    measured on interior columns, Jacobi sums of random triples one mode
-    deeper.  Products grow with n_max, so each defect is divided by its
+    measured on interior columns, Jacobi sums of 20 triples drawn from ``seed``
+    one mode deeper.  Products grow with n_max, so each defect is divided by its
     operands' max-abs entries on the same columns (|A||C| or |A||C||E|); the
     ``_abs`` twins keep the absolute figures.
     """
@@ -978,7 +955,7 @@ def structure_defects(ops: dict, n_triples: int = 20, seed: int = 7) -> dict:
 
     rng = np.random.default_rng(seed)
     jacobi, jacobi_abs = [], []
-    for _ in range(n_triples):
+    for _ in range(20):
         a, c, e = (ops[GENERATOR_NAMES[k]] for k in rng.integers(0, 8, size=3))
         sign = -1.0 if (a.parity_bit and c.parity_bit) else 1.0
         jac = (
@@ -1046,13 +1023,12 @@ def hamiltonian_defects(n_max: int = 32, algebra=None, spec=None) -> dict:
     lower, main, upper = _ladder_square(np.arange(9), top)
     corner = np.diag(main) + np.diag(lower[2:], 2) + np.diag(upper[:-2], -2)  # on chi_0 .. chi_8
 
+    modes = np.arange(7)
     quad = []
     for t in (0.0, 1.0):
         x, w = _basis.quad_grid(t, spec)
         vals = _basis.chi_matrix(range(7), x, t)
-        neg_d2 = np.array(
-            [-_basis.eval_chi_derivatives(m, x, t)[2] for m in range(7)]
-        )
+        neg_d2 = -_basis.eval_chi_derivatives(modes, x, t)[2]
         quad_elements = (vals.conj() * w) @ neg_d2.T
         quad.append(np.abs(quad_elements - corner[:7, :7]).max())
         if t == 0.0:
@@ -1062,10 +1038,10 @@ def hamiltonian_defects(n_max: int = 32, algebra=None, spec=None) -> dict:
     point = []
     for t in (0.0, 0.7):
         vals = _basis.chi_matrix(range(9), grid, t)
+        neg_d2 = -_basis.eval_chi_derivatives(modes, grid, t)[2]
         for m in range(7):
             recon = corner[:, m] @ vals
-            direct = -_basis.eval_chi_derivatives(m, grid, t)[2]
-            point.append(np.abs(recon - direct).max())
+            point.append(np.abs(recon - neg_d2[m]).max())
 
     return {
         "ladder_route": route / h.max_abs(columns=cols),

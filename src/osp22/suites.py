@@ -461,7 +461,7 @@ def suite_algebra(cfg: RunConfig) -> list:
     ops = {name: _rep.build_generator(name, n_max, alg) for name in _rep.GENERATOR_NAMES}
     checks = []
 
-    structure = _rep.structure_defects(ops, n_triples=20, seed=cfg.seed)
+    structure = _rep.structure_defects(ops, seed=cfg.seed)
     checks.append(_check(cfg, "algebra.commutator_table", structure["table"].values()))
     checks.append(_check(cfg, "algebra.unlisted_pairs", structure["unlisted"].values()))
     checks.append(_check(cfg, "algebra.jacobi", [structure["jacobi"]]))

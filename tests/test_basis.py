@@ -271,8 +271,9 @@ class TestLadder:
             assert got.tolist() == [b.ladder_coefficient(sign, int(m)) for m in modes]
         with pytest.raises(ValueError):
             b.ladder_coefficient("+", np.array([0, 3, -1]))
-        with pytest.raises(ValueError):
-            b.ladder_coefficient("up", modes)
+        for sign in ("up", "plus", 1, -1):  # the sign is "+" or "-"
+            with pytest.raises(ValueError):
+                b.ladder_coefficient(sign, modes)
 
     def test_symmetric_ladder_diagonal(self):
         grid = np.linspace(-4, 4, 9)

@@ -245,7 +245,8 @@ class TestCrosscheck:
     @pytest.mark.parametrize("z", [0.5, 0.5j, -0.3 + 0.4j])
     def test_three_routes(self, z):
         p = coh.CoherentParams(z, 1.0)
-        r = coh.crosscheck(p, 0.0, n_max=96)
+        r = coh.crosscheck(p, 0.0)
+        assert r["n_series"] == coh.series_length_for(z, 1e-12)
         assert r["max_pairwise_psi"] < 1e-8
         assert r["max_pairwise_phi"] < 1e-8
         assert r["coefficient_defect"] < 1e-8
@@ -260,7 +261,8 @@ class TestCrosscheck:
             assert coh.crosscheck(p, t)["max_residual"] < 1e-6
 
     def test_z_zero_recovers_ground(self):
-        r = coh.crosscheck(coh.CoherentParams(0.0), 0.0, n_max=8)
+        r = coh.crosscheck(coh.CoherentParams(0.0), 0.0)
+        assert r["n_series"] == coh.series_length_for(0.0, 1e-12) == 4
         assert r["max_pairwise_psi"] < 1e-14
 
     @pytest.mark.parametrize("alpha", [5e-324, 1e-310j, -3e-300 + 1e-300j, 2.0])

@@ -386,8 +386,8 @@ def test_random_element_draws_like_a_per_mask_loop(alg, parity):
         if (parity == EVEN and len(word) % 2) or (parity == ODD and not len(word) % 2):
             continue
         re, im = rng.standard_normal(2)
-        terms[word] = 0.5 * complex(re, im) / np.sqrt(2.0)
+        terms[word] = complex(re, im) / np.sqrt(2.0)
     got_rng = np.random.default_rng(41)
-    got = random_element(alg, got_rng, parity=parity, scale=0.5)
+    got = random_element(alg, got_rng, parity=parity)
     assert got == alg.element(terms)
     assert got_rng.standard_normal() == rng.standard_normal()

@@ -434,6 +434,8 @@ CALL_CEILINGS = [
     # was 48 series states: now one chain per z for the crosschecks (4), the calibration (1),
     # the symbols (4), the trajectories (3) and the displacement references (3)
     pytest.param("coherent", _coh, "_series_chain", 15, id="coherent-chains"),
+    # was 32: hamiltonian_defects took -chi_m'' one mode at a time; now one call per t and route
+    pytest.param("algebra", _basis, "_packets", 8, id="algebra-packets"),
 ]
 
 
