@@ -79,7 +79,7 @@ def _row_bincount(bins, weights, size: int) -> np.ndarray:
     whose row r bins are offset by r * size; each bin sums in the order a per-row call would."""
     lead = weights.shape[:-1]
     rows = weights.size // bins.size
-    if rows > 1:
+    if rows != 1:
         bins = (bins + size * np.arange(rows)[:, None]).ravel()
     return np.bincount(bins, weights.reshape(-1), size * rows).reshape(lead + (size,))
 
@@ -88,7 +88,8 @@ class ProductPlan:
     """Exact sign tables of one generator set with its conjugation pairing.
 
     ``left``, ``right`` and ``sign`` list every disjoint mask pair (a, b) in
-    summation order; ``join[a][b]`` is ``(a|b, sign)`` for a
+    summation order, and ``sector_mul`` reads the pairs whose a and b have
+    given parities; ``join[a][b]`` is ``(a|b, sign)`` for a
     disjoint pair and None otherwise; ``parity[m]`` is the degree of mask m
     modulo 2; and ``conj_table[m]`` is ``(mask, sign)`` of the conjugate of
     monomial m.  Obtain plans through ``GrassmannAlgebra.plan``.
@@ -113,9 +114,9 @@ class ProductPlan:
         "conj_table",
         "_conj_perm",
         "_conj_sign",
-        "_n_classes",
-        "_paired",
-        "_bins",
+        "_fills",
+        "_full",
+        "_sectors",
         "_targets",
         "_left_mul",
         "_integrals",
@@ -143,6 +144,8 @@ class ProductPlan:
         self.size = size
         self.parity = tuple(int(d) & 1 for d in degree)
         self.parity_sign = 1.0 - 2.0 * (degree & 1)
+        # the masks random_coefficients fills per parity, rows in _FILL_ROW order
+        self._fills = np.array([masks >= 0, degree % 2 == 0, degree % 2 == 1])
         join = [[None] * size for _ in range(size)]
         for x, y, t, s in zip(a.tolist(), b.tolist(), target.tolist(), sign.tolist()):
             join[x][y] = (t, s)
@@ -169,19 +172,25 @@ class ProductPlan:
             elif x < px:
                 classes.append((t, x, i, j))
         classes.sort()
-        paired = [k for k, c in enumerate(classes) if c[3] >= 0]
-        # term order: each class's first term in class order, then the
-        # partner terms of the paired classes
-        order = np.array([c[2] for c in classes] + [classes[k][3] for k in paired])
-        self.left = a[order]
-        self.right = b[order]
-        self.sign = sign[order].astype(float)
-        self._n_classes = len(classes)
-        self._paired = np.array(paired, dtype=np.int64)
-        # interleaved (real, imag) bins so one bincount accumulates both parts
-        class_target = np.array([c[0] for c in classes])
-        self._bins = (2 * class_target[:, None] + np.arange(2)).ravel()
+        class_target, _, first, partner = np.array(classes).T
+
+        def table(keep):
+            """(left, right, sign, class count, paired classes, bins) of the classes ``keep``:
+            each class's first term in class order, then the partner terms of the paired
+            classes; interleaved (real, imag) bins so one bincount accumulates both parts."""
+            paired = np.flatnonzero(partner[keep] >= 0)
+            order = np.concatenate([first[keep], partner[keep][paired]])
+            bins = (2 * class_target[keep][:, None] + np.arange(2)).ravel()
+            return a[order], b[order], sign[order].astype(float), int(keep.sum()), paired, bins
+
+        self._full = table(first >= 0)
+        self.left, self.right, self.sign = self._full[:3]
         self._targets = self.left | self.right
+        # conjugation preserves degree, so a class's terms share the parities of their factors
+        odd = degree & 1
+        self._sectors = {
+            (pa, pb): table((odd[a[first]] == pa) & (odd[b[first]] == pb)) for pa in (0, 1) for pb in (0, 1)
+        }
 
         self._left_mul = {}
         for x in range(size):
@@ -205,13 +214,25 @@ class ProductPlan:
             sign *= s
         return mask, sign
 
-    def _accumulate(self, terms) -> np.ndarray:
-        """Sum terms (..., P, 2) of (real, imag), in plan term order, into their targets."""
-        c = self._n_classes
+    def _accumulate(self, terms, table) -> np.ndarray:
+        """Sum terms (..., P, 2) of (real, imag), in the order of ``table``, into their targets."""
+        c, paired, bins = table[3:]
         w = terms[..., :c, :]
-        w[..., self._paired, :] += terms[..., c:, :]
-        flat = _row_bincount(self._bins, w.reshape(w.shape[:-2] + (-1,)), 2 * self.size)
+        w[..., paired, :] += terms[..., c:, :]
+        flat = _row_bincount(bins, w.reshape(w.shape[:-2] + (2 * c,)), 2 * self.size)
         return flat.view(complex)
+
+    def _product(self, table, x, y) -> np.ndarray:
+        """Product of coefficient arrays over the pairs of ``table``; see ``mul``."""
+        left, right, sign = table[:3]
+        a = x[..., left]
+        b = y[..., right]
+        shape = a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
+        terms = np.empty(shape + (2,))
+        # sign * (p - q) rounds exactly as (sign * p) - (sign * q)
+        terms[..., 0] = sign * (a.real * b.real - a.imag * b.imag)
+        terms[..., 1] = sign * (a.real * b.imag + a.imag * b.real)
+        return self._accumulate(terms, table)
 
     def mul(self, x, y) -> np.ndarray:
         """Exterior product of coefficient arrays (..., 2^g), broadcasting.
@@ -220,14 +241,14 @@ class ProductPlan:
         multiply may fuse a multiply-add, which rounds differently from
         Python's complex product.
         """
-        a = x[..., self.left]
-        b = y[..., self.right]
-        shape = a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
-        terms = np.empty(shape + (2,))
-        # sign * (p - q) rounds exactly as (sign * p) - (sign * q)
-        terms[..., 0] = self.sign * (a.real * b.real - a.imag * b.imag)
-        terms[..., 1] = self.sign * (a.real * b.imag + a.imag * b.real)
-        return self._accumulate(terms)
+        return self._product(self._full, x, y)
+
+    def sector_mul(self, x, y, pa: int, pb: int) -> np.ndarray:
+        """``mul`` of x of parity pa by y of parity pb (0 even, 1 odd), over the pairs whose
+        masks have those parities.  Every pair left out has an exact zero factor, and a bincount
+        sum starts at +0.0 and never becomes -0.0, so adding those +-0 terms changes no bit:
+        for finite homogeneous x and y this equals ``mul`` bit for bit."""
+        return self._product(self._sectors[pa, pb], x, y)
 
     def sign_free_mul(self, x, y) -> np.ndarray:
         """sum over pairs of |x[..., a]| |y[..., b]| into mask a|b, broadcasting: a real bound on
@@ -241,7 +262,7 @@ class ProductPlan:
         With gram[a, b] = sum_n x_n[a] y_n[b] this is sum_n x_n * y_n.
         """
         w = self.sign * gram[..., self.left, self.right]
-        return self._accumulate(np.stack([w.real, w.imag], axis=-1))
+        return self._accumulate(np.stack([w.real, w.imag], axis=-1), self._full)
 
     def conj(self, x) -> np.ndarray:
         """Conjugation of coefficient arrays: a signed permutation of np.conj(x)."""
@@ -253,6 +274,12 @@ class ProductPlan:
         out = np.zeros(np.shape(x), dtype=complex)
         out[..., dst] = sign * x[..., src]
         return out
+
+    def parity_content(self, x) -> tuple:
+        """(has even, has odd) per coefficient row of ``x`` (..., 2^g): whether a mask of that
+        parity holds a nonzero coefficient."""
+        nz = x != 0
+        return np.any(nz & self._fills[1], axis=-1), np.any(nz & self._fills[2], axis=-1)
 
     def grade(self, x) -> np.ndarray:
         """Grade involution: odd monomials change sign."""
@@ -460,10 +487,7 @@ class GrassmannElement:
 
     @property
     def parity(self) -> str:
-        nz = self._data != 0
-        odd = self.algebra.plan.parity_sign < 0
-        has_odd = bool(np.any(nz & odd))
-        has_even = bool(np.any(nz & ~odd))
+        has_even, has_odd = self.algebra.plan.parity_content(self._data)
         if has_odd and has_even:
             return MIXED
         return ODD if has_odd else EVEN
@@ -561,19 +585,26 @@ def default_algebra() -> GrassmannAlgebra:
     return _DEFAULT
 
 
+_FILL_ROW = {None: 0, EVEN: 1, ODD: 2}
+
+
 def random_coefficients(algebra, rng, count: int = 1, parity=None) -> np.ndarray:
     """(count, 2^g) iid complex-normal coefficients from one draw.
 
-    Only masks of the given parity are filled.  The stream is the one a loop
-    drawing ``standard_normal(2)`` per mask, in ascending mask order and row
-    after row, would consume.
+    ``parity`` is None, EVEN or ODD for every row, or a sequence of them with
+    one entry per row; a row fills only the masks of its parity.  The stream
+    is the one a loop drawing ``standard_normal(2)`` per mask, in ascending
+    mask order and row after row, would consume, so one call over several
+    rows draws as consecutive calls over each.
     """
-    odd = algebra.plan.parity_sign < 0
-    masks = np.arange(algebra.size) if parity is None else np.flatnonzero(odd if parity == ODD else ~odd)
-    draws = rng.standard_normal(2 * count * masks.size).reshape(count, masks.size, 2)
-    vals = draws / np.sqrt(2.0)
+    if parity is None or isinstance(parity, str):
+        parity = [parity] * count
+    elif len(parity) != count:
+        raise ValueError(f"expected {count} parities, one per row, got {len(parity)}")
+    fill = algebra.plan._fills[[_FILL_ROW[p] for p in parity]]
+    draws = rng.standard_normal(2 * int(np.count_nonzero(fill)))
     out = np.zeros((count, algebra.size), dtype=complex)
-    out[:, masks] = vals.view(complex)[..., 0]
+    out[fill] = (draws / np.sqrt(2.0)).view(complex)
     return out
 
 

@@ -33,7 +33,6 @@ from .grassmann import (
     GENERATORS_EXTENDED,
     ODD,
     GrassmannAlgebra,
-    GrassmannElement,
     _abs,
     default_algebra,
     random_coefficients,
@@ -177,12 +176,13 @@ def _alternating_draws(rng, algebras, rounds: int, count: int) -> list:
 
 def _homogeneous_pairs(rng, algebras, rounds: int) -> list:
     """Per algebra, arrays (a, b, a odd, b odd) over ``rounds`` rounds cycling through
-    ``algebras``; each round draws two parities, then an element of each parity."""
+    ``algebras``; each round draws two parities, then an element of each parity in one call,
+    the stream of one random_element call per element."""
     drawn = [[] for _ in algebras]
     for k in range(rounds):
         alg = algebras[k % len(algebras)]
         pa, pb = (EVEN if rng.integers(2) else ODD for _ in range(2))
-        a, b = (random_coefficients(alg, rng, 1, p)[0] for p in (pa, pb))
+        a, b = random_coefficients(alg, rng, 2, [pa, pb])
         drawn[k % len(algebras)].append((a, b, pa == ODD, pb == ODD))
     return [_columns(rows) for rows in drawn]
 
@@ -217,12 +217,16 @@ def suite_grassmann(cfg: RunConfig) -> list:
             defects.append(_row_max_abs(mul(mul(a, b), c) - mul(a, mul(b, c))) / scale)
     checks.append(_check(cfg, "grassmann.associativity", np.concatenate(defects)))
 
+    # grouped by (parity a, parity b), each group multiplies through its sector's pairs, which
+    # is ``mul`` bit for bit on homogeneous rows; the record is a maximum, so the order is free
     defects = []
-    for alg, pairs in zip(algebras, _homogeneous_pairs(rng, algebras, 250)):
-        for a, b, odd_a, odd_b in _in_blocks(*pairs):
-            sign = np.where(odd_a & odd_b, -1.0, 1.0)[:, None]
-            diff = alg.plan.mul(a, b) - sign * alg.plan.mul(b, a)
-            defects.append(_row_max_abs(diff) / (_row_max_abs(a) * _row_max_abs(b)))
+    for alg, (a, b, odd_a, odd_b) in zip(algebras, _homogeneous_pairs(rng, algebras, 250)):
+        for pa, pb in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            sign = -1.0 if pa and pb else 1.0
+            group = (odd_a == pa) & (odd_b == pb)
+            for x, y in _in_blocks(a[group], b[group]):
+                diff = alg.plan.sector_mul(x, y, pa, pb) - sign * alg.plan.sector_mul(y, x, pb, pa)
+                defects.append(_row_max_abs(diff) / (_row_max_abs(x) * _row_max_abs(y)))
     checks.append(_check(cfg, "grassmann.supercommutativity", np.concatenate(defects)))
 
     defects = []
@@ -262,11 +266,12 @@ def suite_grassmann(cfg: RunConfig) -> list:
     defects = []
     (pairs,) = _homogeneous_pairs(rng, (alg,), 100)
     for a, b, odd_a, odd_b in _in_blocks(*pairs):
-        for row, want in zip(alg.plan.mul(a, b), np.where(odd_a == odd_b, EVEN, ODD)):
-            prod = GrassmannElement(alg, row)
-            if prod.max_abs() > 0:
-                defects.append(float(prod.parity != want))
-    checks.append(_check(cfg, "grassmann.parity", defects))
+        prod = alg.plan.mul(a, b)
+        has_even, has_odd = alg.plan.parity_content(prod)
+        # a nonzero product fails when it holds a monomial of the wrong parity
+        wrong = np.where(odd_a == odd_b, has_odd, has_even)
+        defects.append(wrong[_row_max_abs(prod) > 0].astype(float))
+    checks.append(_check(cfg, "grassmann.parity", np.concatenate(defects)))
     return checks
 
 
@@ -396,13 +401,13 @@ def suite_superspace(cfg: RunConfig) -> list:
     ]
     checks.append(_check(cfg, "superspace.integral_oracle", np.concatenate(defects)))
 
-    # these rounds draw their parities between the vectors, so each round draws in turn
+    # these rounds draw their parities between the vectors, so each round draws in turn: one
+    # call for its 20 rows, the stream of two random_supervector(5) calls
     rounds = []
     for _ in range(50):
         p1, p2 = (EVEN if rng.integers(2) else ODD for _ in range(2))
-        v1 = _ss.random_supervector(5, rng, alg, parity=p1)
-        v2 = _ss.random_supervector(5, rng, alg, parity=p2)
-        rounds.append((v1.coeffs, v2.coeffs, p1 == ODD and p2 == ODD))
+        rows = random_coefficients(alg, rng, 20, _ss._row_parities(5, p1) + _ss._row_parities(5, p2))
+        rounds.append((rows[:10], rows[10:], p1 == ODD and p2 == ODD))
     defects = []
     for a, b, both_odd in _in_blocks(*_columns(rounds)):
         sign = np.where(both_odd, -1.0, 1.0)[:, None]
@@ -413,11 +418,10 @@ def suite_superspace(cfg: RunConfig) -> list:
     for _ in range(50):
         p1 = EVEN if rng.integers(2) else ODD
         pb = EVEN if rng.integers(2) else ODD
-        v1 = _ss.random_supervector(5, rng, alg, parity=p1)
-        v2 = _ss.random_supervector(5, rng, alg)
-        b1 = _ss.random_coefficient(alg, rng)
-        b2 = _ss.random_coefficient(alg, rng, parity=pb)
-        rounds.append((v1.coeffs, v2.coeffs, b1.coeffs, b2.coeffs, p1 == ODD and pb == ODD))
+        # v1, v2, b1 and b2 in one call, as their random_supervector and random_coefficient calls
+        parities = _ss._row_parities(5, p1) + _ss._row_parities(5, None) + [None, pb]
+        rows = random_coefficients(alg, rng, 22, parities)
+        rounds.append((rows[:10], rows[10:20], rows[20], rows[21], p1 == ODD and pb == ODD))
     defects = []
     for a, b, b1, b2, both_odd in _in_blocks(*_columns(rounds)):
         sign = np.where(both_odd, -1.0, 1.0)[:, None]

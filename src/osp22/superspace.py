@@ -212,10 +212,7 @@ class SuperVector:
     @property
     def total_parity(self) -> str:
         """Envelope parity: coefficient parity plus slot parity, or "mixed"."""
-        nz = self.coeffs != 0
-        odd = self.algebra.plan.parity_sign < 0
-        has_odd = np.any(nz & odd, axis=1)
-        has_even = np.any(nz & ~odd, axis=1)
+        has_even, has_odd = self.algebra.plan.parity_content(self.coeffs)
         if np.any(has_odd & has_even):
             return MIXED
         n = self.n_max
@@ -341,6 +338,14 @@ def random_coefficient(algebra, rng, parity=None) -> GrassmannElement:
     return random_element(coefficient_algebra(algebra), rng, parity)
 
 
+def _row_parities(top: int, parity) -> list:
+    """``random_coefficients`` parities of the drawn rows of a vector with ``top`` slots per
+    sector, even sector first: with ``parity`` set, an odd slot flips its coefficient's parity."""
+    if parity is None:
+        return [None] * (2 * top)
+    return [parity] * top + [_flip(parity)] * top
+
+
 def random_supervector(
     n_max: int, rng, algebra=None, parity=None, support: int | None = None
 ) -> SuperVector:
@@ -348,14 +353,12 @@ def random_supervector(
 
     With ``parity`` set, coefficients are chosen so the total envelope parity
     is homogeneous.  ``support`` limits the nonzero slots to n < support.
-    Each sector is one draw, slot after slot, in ascending monomial order.
+    Both sectors are one draw, even sector first, slot after slot, each slot
+    in ascending monomial order.
     """
     top = n_max if support is None else min(support, n_max)
-    vec = SuperVector.zero(n_max, algebra)
-    for sector in (0, 1):
-        want = None
-        if parity is not None:
-            want = parity if sector == 0 else _flip(parity)
-        rows = slice(sector * n_max, sector * n_max + top)
-        vec.coeffs[rows] = random_coefficients(vec.algebra, rng, top, want)
-    return vec
+    space = coefficient_algebra(algebra or default_algebra())
+    coeffs = np.zeros((2, n_max, space.size), dtype=complex)
+    rows = random_coefficients(space, rng, 2 * top, _row_parities(top, parity))
+    coeffs[:, :top] = rows.reshape(2, top, space.size)
+    return SuperVector.from_coeffs(space, coeffs.reshape(2 * n_max, space.size))

@@ -391,3 +391,63 @@ def test_random_element_draws_like_a_per_mask_loop(alg, parity):
     got = random_element(alg, got_rng, parity=parity)
     assert got == alg.element(terms)
     assert got_rng.standard_normal() == rng.standard_normal()
+
+    # one call with a parity per row draws as consecutive single-parity calls
+    rows = [parity, ODD, None, EVEN, parity]
+    one_rng, loop_rng = np.random.default_rng(43), np.random.default_rng(43)
+    got = random_coefficients(alg, one_rng, len(rows), rows)
+    want = np.array([random_coefficients(alg, loop_rng, 1, p)[0] for p in rows])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert one_rng.standard_normal() == loop_rng.standard_normal()
+
+
+def test_random_coefficients_wants_one_parity_per_row():
+    with pytest.raises(ValueError, match="one per row"):
+        random_coefficients(ALG, np.random.default_rng(0), 3, [EVEN, ODD])
+
+
+@pytest.mark.parametrize("alg", [ALG, _ALG6], ids=["g4", "g6"])
+def test_empty_batches_give_empty_results(alg):
+    plan = alg.plan
+    for lead in ((0,), (3, 0)):
+        empty = np.zeros(lead + (alg.size,), dtype=complex)
+        for got in (plan.mul(empty, empty), plan.sector_mul(empty, empty, 1, 0), plan.sign_free_mul(empty, empty)):
+            assert got.shape == empty.shape
+        assert plan.contract(np.zeros(lead + (alg.size, alg.size), dtype=complex)).shape == empty.shape
+
+
+@pytest.mark.parametrize("alg, counts", [(ALG, [21, 20, 20, 20]), (_ALG6, [183, 182, 182, 182])], ids=["g4", "g6"])
+def test_sector_tables_split_the_term_table(alg, counts):
+    """The (parity a, parity b) tables hold every term of the full table once."""
+    plan = alg.plan
+    tables = [plan._sectors[key] for key in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    assert [t[0].size for t in tables] == counts and sum(counts) == plan.left.size
+    terms = lambda left, right, sign: sorted(zip(left.tolist(), right.tolist(), sign.tolist()))
+    assert sorted(sum((terms(*t[:3]) for t in tables), [])) == terms(plan.left, plan.right, plan.sign)
+
+
+def _homogeneous_rows(alg, rng, p):
+    """12 rows of parity p (0 even, 1 odd) with signed zeros: -0.0 parts in the masks of the
+    other parity and in some of their own, and two all-zero rows, +0 and -0."""
+    x = random_coefficients(alg, rng, 12, (EVEN, ODD)[p])
+    other = np.flatnonzero(alg.plan.parity_sign == (1.0 if p else -1.0))
+    own = np.flatnonzero(alg.plan.parity_sign == (-1.0 if p else 1.0))
+    x.real[np.ix_([2, 3, 4], other)] = -0.0
+    x.imag[np.ix_([4, 5], other)] = -0.0
+    x.real[np.ix_([6, 7], own[::3])] = -0.0
+    x.imag[np.ix_([7, 8], own[1::2])] = 0.0
+    x[10] = 0.0
+    x[11] = complex(-0.0, -0.0)
+    return x
+
+
+@pytest.mark.parametrize("alg", [ALG, _ALG6], ids=["g4", "g6"])
+@pytest.mark.parametrize("pa, pb", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_sector_product_is_mul_bit_for_bit(alg, pa, pb):
+    """Every product of a parity-pa row by a parity-pb row has the bits of ``mul``."""
+    rng = np.random.default_rng(17)
+    x, y = _homogeneous_rows(alg, rng, pa)[:, None], _homogeneous_rows(alg, rng, pb)[None]
+    got, want = alg.plan.sector_mul(x, y, pa, pb), alg.plan.mul(x, y)
+    assert got.shape == (12, 12, alg.size)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.signbit(want.real).any()

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from osp22 import basis as _basis
 from osp22 import coherent as _coh
+from osp22 import grassmann as _grassmann
 from osp22 import representation as _rep
 from osp22 import suites as _suites
 from osp22 import superspace as _ss
@@ -129,9 +130,10 @@ POISONED = [
     ),
     # the oracle's one draw holds 24 rows a round: row 483 is row 3 of round 20's first vector
     ("superspace", _suites, "random_coefficients", 1, _nan_at_row(483), "superspace.integral_oracle"),
-    # two vectors a round: call 41 is round 20's first, call 141 that of the scalar rule's
-    ("superspace", _ss, "random_supervector", 41, lambda v: NAN * v, "superspace.conjugate_symmetry"),
-    ("superspace", _ss, "random_supervector", 141, lambda v: NAN * v, "superspace.scalar_rule"),
+    # one draw a round after the oracle's: call 22 is round 20's, call 72 that of the scalar
+    # rule's, and row 0 is slot 0 of its first vector
+    ("superspace", _suites, "random_coefficients", 22, _nan_at_row(0), "superspace.conjugate_symmetry"),
+    ("superspace", _suites, "random_coefficients", 72, _nan_at_row(0), "superspace.scalar_rule"),
     (
         "algebra",
         _rep,
@@ -436,21 +438,42 @@ CALL_CEILINGS = [
     pytest.param("coherent", _coh, "_series_chain", 15, id="coherent-chains"),
     # was 32: hamiltonian_defects took -chi_m'' one mode at a time; now one call per t and route
     pytest.param("algebra", _basis, "_packets", 8, id="algebra-packets"),
+    # was 700: one per homogeneous element; now one per pair, both elements in one call.  The
+    # suites and superspace import the function by name, so each module's name is counted
+    pytest.param("grassmann", (_grassmann, _suites, _ss), "random_coefficients", 350, id="grassmann-draws"),
+    # was 517: one per sector of each vector and one per scalar; now one per sampling round and
+    # one per vector outside the rounds
+    pytest.param("superspace", (_grassmann, _suites, _ss), "random_coefficients", 109, id="superspace-draws"),
 ]
 
 
 @pytest.mark.parametrize("suite, owner, name, ceiling", CALL_CEILINGS)
 def test_suite_call_ceiling(suite, owner, name, ceiling, monkeypatch):
-    original = getattr(owner, name)
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
+    def counted(original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(owner, name, counted)
+        return wrapper
+
+    for module in owner if isinstance(owner, tuple) else (owner,):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
     suite_checks(suite, RunConfig())
     assert 0 < len(calls) <= ceiling
+
+
+def test_supercommutativity_fails_on_a_flipped_sector_sign(monkeypatch):
+    """The check reads the sector products: one sign flipped in the odd-by-even table of the
+    6-generator plan fails it, and no other check."""
+    plan = GrassmannAlgebra(GENERATORS_EXTENDED).plan
+    left, right, sign, *rest = plan._sectors[1, 0]
+    sign = sign.copy()
+    sign[0] = -sign[0]
+    monkeypatch.setitem(plan._sectors, (1, 0), (left, right, sign, *rest))
+    failed = [r["id"] for r in suite_checks("grassmann", RunConfig()) if not r["pass"]]
+    assert failed == ["grassmann.supercommutativity"]
 
 
 @pytest.mark.parametrize("seed", [97, 1193])
