@@ -295,7 +295,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (_coh.CalibrationError, _coh.TruncationError) as exc:
+    except (_coh.CalibrationError, _coh.TruncationError, ValueError) as exc:
+        # a ValueError that is no ConfigError was raised inside a check, after validation
         print(f"check failure: {exc}", file=sys.stderr)
         return 1
 

@@ -420,10 +420,14 @@ class SuperOperator:
     # -- diagnostics -------------------------------------------------------------------
 
     def max_abs(self, columns=None) -> float:
+        """Largest entry modulus, over the slot ``columns`` alone when given, as
+        ``block(m)[:, columns]`` reads them.  The columns become one boolean mask per
+        sector, and each held part reads the stretch of its sector's mask it spans."""
         n = self.n_max
         if columns is not None:
-            columns = np.arange(2 * n)[columns]  # slot indices, as ``block(m)[:, columns]`` reads them
-            columns = [columns[columns // n == j] - j * n for j in (0, 1)]
+            mask = np.zeros(2 * n, dtype=bool)
+            mask[columns] = True
+            columns = mask.reshape(2, n)
         parts = [
             np.abs(part if columns is None else _columns(part, d, columns[j])).max(initial=0.0)
             for quads in self.blocks.values()
@@ -517,13 +521,13 @@ def _product(x: tuple, y: tuple, n: int) -> tuple:
     return ((None, _frozen(_expand(x, n) @ _expand(y, n))),)
 
 
-def _columns(part: np.ndarray, d, cols: np.ndarray) -> np.ndarray:
-    """The entries of a held quadrant in the given columns: a 1-D quadrant's entry in
-    column r - d sits at r - max(0, d), so only the columns its diagonal reaches count."""
+def _columns(part: np.ndarray, d, mask: np.ndarray) -> np.ndarray:
+    """The entries of a held quadrant in the columns a boolean ``mask`` of length N marks:
+    diagonal d holds one entry per column from max(0, -d) on, so it reads that slice."""
     if d is None:
-        return part[:, cols]
-    k = cols - max(0, -d)
-    return part[k[(k >= 0) & (k < part.size)]]
+        return part[:, mask]
+    lo = max(0, -d)
+    return part[mask[lo : lo + part.size]]
 
 
 def _diagonal_product(x: tuple, y: tuple, n: int) -> tuple:
@@ -926,45 +930,65 @@ def structure_defects(ops: dict, seed: int = 7) -> dict:
     measured on interior columns, Jacobi sums of 20 triples drawn from ``seed``
     one mode deeper.  Products grow with n_max, so each defect is divided by its
     operands' max-abs entries on the same columns (|A||C| or |A||C||E|); the
-    ``_abs`` twins keep the absolute figures.
+    ``_abs`` twins keep the absolute figures.  The pairs and the inner brackets of
+    each triple are read from the 64 generator brackets of ``_generator_table``;
+    this is the one-call form of ``_structure_defects``, which ``suite_algebra``
+    hands the table it shares with its other checks.
     """
+    return _structure_defects(ops, _generator_table(ops)[1], seed)
+
+
+def _generator_table(ops: dict) -> tuple:
+    """(products, brackets): a @ c and [a, c] for every ordered pair of GENERATOR_NAMES, keyed
+    (a, c).  Each bracket is products[a, c] - sign * products[c, a], the arithmetic of
+    ``SuperOperator.supercommutator``, so it equals that call record for record."""
+    products = {(a, c): ops[a] @ ops[c] for a in GENERATOR_NAMES for c in GENERATOR_NAMES}
+    brackets = {}
+    for a, c in products:
+        sign = -1.0 if (ops[a].parity_bit and ops[c].parity_bit) else 1.0
+        brackets[a, c] = products[a, c] - sign * products[c, a]
+    return products, brackets
+
+
+def _structure_defects(ops: dict, table: dict, seed: int) -> dict:
+    """``structure_defects`` of ``ops``, with ``table`` the brackets of ``_generator_table``."""
     n_max = ops["K0"].n_max
     if n_max < 8:
         raise ValueError("structure verification needs n_max >= 8")
     cols_pair = interior_columns(n_max, 2)
     cols_triple = interior_columns(n_max, 3)
     size = {name: op.max_abs(columns=cols_pair) for name, op in ops.items()}
+    deep = {name: op.max_abs(columns=cols_triple) for name, op in ops.items()}
 
     table_abs, unlisted_abs, scale = {}, {}, {}
     listed = set()
     for a, c, combo in COMMUTATOR_TABLE:
         listed.add((a, c))
         listed.add((c, a))
-        got = ops[a].supercommutator(ops[c])
         rhs = " + ".join(f"{v:g}*{k}" for k, v in combo.items())
         key = f"[{a},{c}] = {rhs}"
-        table_abs[key] = (got - _combo(combo, ops)).max_abs(columns=cols_pair)
+        table_abs[key] = (table[a, c] - _combo(combo, ops)).max_abs(columns=cols_pair)
         scale[key] = size[a] * size[c]
 
     for i, a in enumerate(GENERATOR_NAMES):
         for c in GENERATOR_NAMES[i:]:
             if (a, c) not in listed:
                 key = f"[{a},{c}] = 0"
-                unlisted_abs[key] = ops[a].supercommutator(ops[c]).max_abs(columns=cols_pair)
+                unlisted_abs[key] = table[a, c].max_abs(columns=cols_pair)
                 scale[key] = size[a] * size[c]
 
     rng = np.random.default_rng(seed)
     jacobi, jacobi_abs = [], []
     for _ in range(20):
-        a, c, e = (ops[GENERATOR_NAMES[k]] for k in rng.integers(0, 8, size=3))
-        sign = -1.0 if (a.parity_bit and c.parity_bit) else 1.0
+        a, c, e = (GENERATOR_NAMES[k] for k in rng.integers(0, 8, size=3))
+        sign = -1.0 if (ops[a].parity_bit and ops[c].parity_bit) else 1.0
         jac = (
-            a.supercommutator(c.supercommutator(e))
-            - a.supercommutator(c).supercommutator(e)
-            - sign * c.supercommutator(a.supercommutator(e))
+            ops[a].supercommutator(table[c, e])
+            - table[a, c].supercommutator(ops[e])
+            - sign * ops[c].supercommutator(table[a, e])
         )
         jacobi_abs.append(jac.max_abs(columns=cols_triple))
-        jacobi.append(jacobi_abs[-1] / np.prod([op.max_abs(columns=cols_triple) for op in (a, c, e)]))
+        jacobi.append(jacobi_abs[-1] / np.prod([deep[a], deep[c], deep[e]]))
     return {
         "table": {key: v / scale[key] for key, v in table_abs.items()},
         "unlisted": {key: v / scale[key] for key, v in unlisted_abs.items()},

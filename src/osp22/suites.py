@@ -268,9 +268,11 @@ def suite_grassmann(cfg: RunConfig) -> list:
     for a, b, odd_a, odd_b in _in_blocks(*pairs):
         prod = alg.plan.mul(a, b)
         has_even, has_odd = alg.plan.parity_content(prod)
-        # a nonzero product fails when it holds a monomial of the wrong parity
+        # a nonzero product fails when it holds a monomial of the wrong parity, and one that
+        # holds a NaN reads NaN; only a zero product is skipped
         wrong = np.where(odd_a == odd_b, has_odd, has_even)
-        defects.append(wrong[_row_max_abs(prod) > 0].astype(float))
+        size = _row_max_abs(prod)
+        defects.append(np.where(np.isnan(size), size, wrong)[size != 0])
     checks.append(_check(cfg, "grassmann.parity", np.concatenate(defects)))
     return checks
 
@@ -463,9 +465,12 @@ def suite_algebra(cfg: RunConfig) -> list:
     alg = default_algebra()
     n_max = cfg.n_max
     ops = {name: _rep.build_generator(name, n_max, alg) for name in _rep.GENERATOR_NAMES}
+    # a @ c and [a, c] for every ordered generator pair, formed once: the structure checks,
+    # the adjoint rules and the parity bookkeeping all read them here
+    products, brackets = _rep._generator_table(ops)
     checks = []
 
-    structure = _rep.structure_defects(ops, seed=cfg.seed)
+    structure = _rep._structure_defects(ops, brackets, cfg.seed)
     checks.append(_check(cfg, "algebra.commutator_table", structure["table"].values()))
     checks.append(_check(cfg, "algebra.unlisted_pairs", structure["unlisted"].values()))
     checks.append(_check(cfg, "algebra.jacobi", [structure["jacobi"]]))
@@ -481,18 +486,20 @@ def suite_algebra(cfg: RunConfig) -> list:
     checks.append(_check(cfg, "algebra.superadjoint_table", defects))
 
     rng = np.random.default_rng(cfg.seed + 4)
-    products, commutators = [], []
+    adjoint_products, commutators = [], []
     for _ in range(20):
-        a, c = (ops[_rep.GENERATOR_NAMES[k]] for k in rng.integers(0, 8, size=2))
+        a_name, c_name = (_rep.GENERATOR_NAMES[k] for k in rng.integers(0, 8, size=2))
+        a, c = ops[a_name], ops[c_name]
         sign = -1.0 if (a.parity_bit and c.parity_bit) else 1.0
-        products.append(((a @ c).superadjoint() - sign * (c.superadjoint() @ a.superadjoint())).max_abs())
+        rule = products[a_name, c_name].superadjoint() - sign * (c.superadjoint() @ a.superadjoint())
+        adjoint_products.append(rule.max_abs())
         commutators.append(
             (
-                a.supercommutator(c).superadjoint()
+                brackets[a_name, c_name].superadjoint()
                 + a.superadjoint().supercommutator(c.superadjoint())
             ).max_abs()
         )
-    checks.append(_check(cfg, "algebra.adjoint_product", products))
+    checks.append(_check(cfg, "algebra.adjoint_product", adjoint_products))
     checks.append(_check(cfg, "algebra.adjoint_commutator", commutators))
 
     defects = []
@@ -503,11 +510,9 @@ def suite_algebra(cfg: RunConfig) -> list:
     checks.append(_check(cfg, "algebra.hermitian_base", defects))
 
     defects = []
-    for a_name in _rep.GENERATOR_NAMES:
-        for c_name in _rep.GENERATOR_NAMES:
-            comm = ops[a_name].supercommutator(ops[c_name])
-            expect = ops[a_name].parity_bit ^ ops[c_name].parity_bit
-            defects += [float(comm.parity_bit != expect), comm.block_pattern_defect()]
+    for (a_name, c_name), comm in brackets.items():
+        expect = ops[a_name].parity_bit ^ ops[c_name].parity_bit
+        defects += [float(comm.parity_bit != expect), comm.block_pattern_defect()]
     checks.append(_check(cfg, "algebra.parity_bookkeeping", defects))
 
     ham = _rep.hamiltonian_defects(n_max, alg, _basis.QuadratureSpec(nodes=cfg.nodes))

@@ -256,6 +256,14 @@ class TestVerifyCommand:
         )
         assert code == 1
 
+    def test_a_value_error_inside_a_check_exits_1(self, tmp_path, capsys):
+        """At t = 5e11 the residual's finite-difference step no longer moves t, so
+        ``schrodinger_residual`` raises ValueError inside the coherent suite: a check
+        failure, reported without a traceback.  A ConfigError, also a ValueError, still
+        exits 2 (``TestValidatedDomain``)."""
+        assert main(["verify", "coherent", "--z", "0.9", "--t", "5e11", "--out", str(tmp_path)]) == 1
+        assert "check failure: finite-difference step underflow" in capsys.readouterr().err
+
 
 class TestValidatedDomain:
     """Inputs outside the validated domain exit 2 before any check runs."""

@@ -21,6 +21,7 @@ from osp22.representation import (
     SUPERADJOINTS,
     SuperOperator,
     _STENCILS,
+    _generator_table,
     build_generator,
     chi_slot_permutation,
     generator_parity,
@@ -808,6 +809,21 @@ class TestApplyColumns:
             (SCALARS6.gen("xi") * build_generator("V+", N, ALG6)).apply(vac)
 
 
+def assert_same_records(got, want):
+    """``got`` and ``want`` hold the same records bit for bit: parity, masks, quadrants and
+    offsets agree, and each part equals its twin with the same sign on every zero."""
+    assert got.parity_bit == want.parity_bit
+    assert got.blocks.keys() == want.blocks.keys()
+    for m, quads in want.blocks.items():
+        assert got.blocks[m].keys() == quads.keys()
+        for ij, record in quads.items():
+            assert [d for d, _ in got.blocks[m][ij]] == [d for d, _ in record]
+            for (_, x), (_, y) in zip(got.blocks[m][ij], record):
+                np.testing.assert_array_equal(x, y)
+                np.testing.assert_array_equal(np.signbit(x.real), np.signbit(y.real))
+                np.testing.assert_array_equal(np.signbit(x.imag), np.signbit(y.imag))
+
+
 class TestSupercommutator:
     def test_lowering_raising(self):
         got = op("K-").supercommutator(op("K+"))
@@ -871,10 +887,23 @@ class TestSupercommutator:
         assert defects["table_abs"][key] > 0.0
         assert defects["table"][key] == defects["table_abs"][key] / scale
 
+    @pytest.mark.parametrize("n", [8, 128])
+    def test_table_entries_are_the_calls(self, n):
+        """Each entry of the shared generator table holds the records of its own ``a @ c`` or
+        ``a.supercommutator(c)`` call: the same offsets and equal parts, signed zeros included."""
+        ops = generators(n)
+        products, brackets = _generator_table(ops)
+        pairs = [(a, c) for a in GENERATOR_NAMES for c in GENERATOR_NAMES]
+        assert list(products) == list(brackets) == pairs
+        for a, c in pairs:
+            assert_same_records(products[a, c], ops[a] @ ops[c])
+            assert_same_records(brackets[a, c], ops[a].supercommutator(ops[c]))
+
     def test_a_nan_jacobi_sum_reads_nan(self, poison_call):
         """A NaN in the second Jacobi triple reaches both Jacobi figures; the pairs stay finite."""
-        # the listed and unlisted pairs take 36 supercommutators, each triple 6 more
-        poison_call(SuperOperator, "supercommutator", 36 + 6 + 2, lambda r: np.nan * r)
+        # the pairs and the inner brackets read the generator table, which makes no
+        # supercommutator call; each triple makes 3, its outer brackets
+        poison_call(SuperOperator, "supercommutator", 3 + 2, lambda r: np.nan * r)
         defects = structure_defects(generators(16), seed=3)
         assert np.isnan(defects["jacobi"]) and np.isnan(defects["jacobi_abs"])
         assert all(np.isfinite(v) for part in ("table", "unlisted") for v in defects[part].values())

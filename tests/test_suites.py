@@ -118,6 +118,8 @@ def _nan_at_row(row):
 # evaluate blocks of rounds; round 20 is a row inside the second block
 POISONED = [
     ("grassmann", GrassmannAlgebra, "berezin_coeffs", 7, _nan_at_row(1), "grassmann.berezin"),
+    # call 2 draws the parity check's pairs: a NaN in the second pair's a makes its product NaN
+    ("grassmann", _suites, "_homogeneous_pairs", 2, lambda r: [(_nan_at_row(1)(r[0][0]), *r[0][1:])], "grassmann.parity"),
     ("basis", _basis, "schrodinger_residual", 3, lambda r: NAN, "basis.residual"),
     ("basis", _basis, "eval_chi_derivatives", 2, lambda r: tuple(_nan_at_row(5)(a) for a in r), "basis.ladder"),
     (
@@ -137,7 +139,7 @@ POISONED = [
     (
         "algebra",
         _rep,
-        "structure_defects",
+        "_structure_defects",
         1,
         lambda r: {**r, "table": _nan_at(3)(r["table"])},
         "algebra.commutator_table",
@@ -236,8 +238,9 @@ def _grassmann_loop_defects(cfg):
     for _ in range(100):
         pa, pb = (EVEN if rng.integers(2) else ODD for _ in range(2))
         prod = random_element(algebras[0], rng, parity=pa) * random_element(algebras[0], rng, parity=pb)
-        if prod.max_abs() > 0:
-            defects.append(float(prod.parity != (EVEN if pa == pb else ODD)))
+        size = prod.max_abs()
+        if size != 0:
+            defects.append(size if math.isnan(size) else float(prod.parity != (EVEN if pa == pb else ODD)))
     out["grassmann.parity"] = defects
     return out
 
@@ -326,6 +329,76 @@ def test_array_checks_match_the_loop(suite, loop, seed, nodes):
     cfg = replace(RunConfig(), seed=seed, nodes=nodes)
     records = {r["id"]: r["defect"] for r in suite_checks(suite, cfg)}
     for cid, defects in loop(cfg).items():
+        assert records[cid] == _check(cfg, cid, defects)["defect"], cid
+
+
+def _dense_max_abs(op, cols):
+    """``op.max_abs(columns=cols)`` read from the assembled blocks."""
+    return max((float(np.abs(op.block(m)[:, cols]).max()) for m in op.blocks), default=0.0)
+
+
+def _algebra_loop_defects(cfg):
+    """The algebra suite's pair, Jacobi, adjoint-rule and parity defects with every
+    supercommutator and product formed by its own call, and every column maximum read from
+    the assembled blocks: the reference for the suite's one table of generator products."""
+    names = _rep.GENERATOR_NAMES
+    ops = {name: _rep.build_generator(name, cfg.n_max, default_algebra()) for name in names}
+    pair, triple = _rep.interior_columns(cfg.n_max, 2), _rep.interior_columns(cfg.n_max, 3)
+    scale = lambda a, c: _dense_max_abs(ops[a], pair) * _dense_max_abs(ops[c], pair)
+    out = {"algebra.commutator_table": [], "algebra.unlisted_pairs": []}
+
+    listed = set()
+    for a, c, combo in _rep.COMMUTATOR_TABLE:
+        listed |= {(a, c), (c, a)}
+        got = ops[a].supercommutator(ops[c]) - _rep._combo(combo, ops)
+        out["algebra.commutator_table"].append(_dense_max_abs(got, pair) / scale(a, c))
+    for i, a in enumerate(names):
+        for c in names[i:]:
+            if (a, c) not in listed:
+                got = ops[a].supercommutator(ops[c])
+                out["algebra.unlisted_pairs"].append(_dense_max_abs(got, pair) / scale(a, c))
+
+    rng = np.random.default_rng(cfg.seed)
+    out["algebra.jacobi"] = []
+    for _ in range(20):
+        a, c, e = (ops[names[k]] for k in rng.integers(0, 8, size=3))
+        sign = -1.0 if (a.parity_bit and c.parity_bit) else 1.0
+        jac = (
+            a.supercommutator(c.supercommutator(e))
+            - a.supercommutator(c).supercommutator(e)
+            - sign * c.supercommutator(a.supercommutator(e))
+        )
+        size = np.prod([_dense_max_abs(x, triple) for x in (a, c, e)])
+        out["algebra.jacobi"].append(_dense_max_abs(jac, triple) / size)
+
+    rng = np.random.default_rng(cfg.seed + 4)
+    products, commutators = [], []
+    for _ in range(20):
+        a, c = (ops[names[k]] for k in rng.integers(0, 8, size=2))
+        sign = -1.0 if (a.parity_bit and c.parity_bit) else 1.0
+        products.append(((a @ c).superadjoint() - sign * (c.superadjoint() @ a.superadjoint())).max_abs())
+        commutators.append(
+            (a.supercommutator(c).superadjoint() + a.superadjoint().supercommutator(c.superadjoint())).max_abs()
+        )
+    out["algebra.adjoint_product"], out["algebra.adjoint_commutator"] = products, commutators
+
+    out["algebra.parity_bookkeeping"] = []
+    for a in names:
+        for c in names:
+            comm = ops[a].supercommutator(ops[c])
+            expect = ops[a].parity_bit ^ ops[c].parity_bit
+            out["algebra.parity_bookkeeping"] += [float(comm.parity_bit != expect), comm.block_pattern_defect()]
+    return out
+
+
+@pytest.mark.parametrize("seed", [RunConfig().seed, 1, 101])
+@pytest.mark.parametrize("n_max", [8, 17, 128])
+def test_algebra_table_matches_the_pair_loop(n_max, seed):
+    """Every algebra check that reads the shared table of generator products reads bit for bit
+    the defect of the loop that forms each product and supercommutator where it is used."""
+    cfg = replace(RunConfig(), n_max=n_max, seed=seed)
+    records = {r["id"]: r["defect"] for r in suite_checks("algebra", cfg)}
+    for cid, defects in _algebra_loop_defects(cfg).items():
         assert records[cid] == _check(cfg, cid, defects)["defect"], cid
 
 
@@ -438,6 +511,11 @@ CALL_CEILINGS = [
     pytest.param("coherent", _coh, "_series_chain", 15, id="coherent-chains"),
     # was 32: hamiltonian_defects took -chi_m'' one mode at a time; now one call per t and route
     pytest.param("algebra", _basis, "_packets", 8, id="algebra-packets"),
+    # was 560 and 260: the pairs, the Jacobi triples' inner brackets, the adjoint rules and the
+    # parity bookkeeping each formed their own; now the 64 generator products are formed once
+    # and every generator bracket is read from them
+    pytest.param("algebra", _rep.SuperOperator, "__matmul__", 244, id="algebra-products"),
+    pytest.param("algebra", _rep.SuperOperator, "supercommutator", 80, id="algebra-brackets"),
     # was 700: one per homogeneous element; now one per pair, both elements in one call.  The
     # suites and superspace import the function by name, so each module's name is counted
     pytest.param("grassmann", (_grassmann, _suites, _ss), "random_coefficients", 350, id="grassmann-draws"),
