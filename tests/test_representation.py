@@ -809,15 +809,14 @@ class TestApplyColumns:
             (SCALARS6.gen("xi") * build_generator("V+", N, ALG6)).apply(vac)
 
 
-def assert_same_records(got, want):
+def _assert_same_records(got, want):
     """``got`` and ``want`` hold the same records bit for bit: parity, masks, quadrants and
     offsets agree, and each part equals its twin with the same sign on every zero."""
     assert got.parity_bit == want.parity_bit
     assert got.blocks.keys() == want.blocks.keys()
     for m, quads in want.blocks.items():
-        assert got.blocks[m].keys() == quads.keys()
+        assert _offsets(got.blocks[m]) == _offsets(quads)
         for ij, record in quads.items():
-            assert [d for d, _ in got.blocks[m][ij]] == [d for d, _ in record]
             for (_, x), (_, y) in zip(got.blocks[m][ij], record):
                 np.testing.assert_array_equal(x, y)
                 np.testing.assert_array_equal(np.signbit(x.real), np.signbit(y.real))
@@ -896,8 +895,8 @@ class TestSupercommutator:
         pairs = [(a, c) for a in GENERATOR_NAMES for c in GENERATOR_NAMES]
         assert list(products) == list(brackets) == pairs
         for a, c in pairs:
-            assert_same_records(products[a, c], ops[a] @ ops[c])
-            assert_same_records(brackets[a, c], ops[a].supercommutator(ops[c]))
+            _assert_same_records(products[a, c], ops[a] @ ops[c])
+            _assert_same_records(brackets[a, c], ops[a].supercommutator(ops[c]))
 
     def test_a_nan_jacobi_sum_reads_nan(self, poison_call):
         """A NaN in the second Jacobi triple reaches both Jacobi figures; the pairs stay finite."""
