@@ -37,9 +37,13 @@ mixed = 3.5 * (theta_bar * theta) + (2 + 1j) * theta
 print("int (3.5 tb t + (2+i) t)                  =", mixed.berezin(("theta", "theta_bar")))
 print()
 
-print("== parity grading ==")
-for name, e in [("theta*theta_bar", theta * theta_bar), ("alpha", alpha), ("1 + theta", 1 + theta)]:
-    print(f"parity({name}) = {e.parity}")
+print("== parity grading (0 even, 1 odd) ==")
+for name, e in [("theta*theta_bar", theta * theta_bar), ("alpha", alpha)]:
+    print(f"parity({name}) = {e.parity_bit}")
+try:
+    (1 + theta).parity_bit
+except ValueError as err:
+    print(f"parity(1 + theta): mixed, {err}")
 print()
 
 print("== randomized axioms ==")

@@ -3,9 +3,6 @@ superspace, the atypical osp(2/2) representation, and its supercoherent
 states, each backed by independent numerical cross-checks."""
 
 from .grassmann import (
-    EVEN,
-    MIXED,
-    ODD,
     AlgebraMismatchError,
     GrassmannAlgebra,
     GrassmannElement,

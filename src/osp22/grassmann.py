@@ -34,9 +34,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "EVEN",
-    "ODD",
-    "MIXED",
     "GENERATORS_DEFAULT",
     "GENERATORS_EXTENDED",
     "AlgebraMismatchError",
@@ -47,10 +44,6 @@ __all__ = [
     "random_coefficients",
     "random_element",
 ]
-
-EVEN = "even"
-ODD = "odd"
-MIXED = "mixed"
 
 GENERATORS_DEFAULT = ("theta", "theta_bar", "alpha", "alpha_bar")
 GENERATORS_EXTENDED = GENERATORS_DEFAULT + ("xi", "xi_bar")
@@ -486,18 +479,12 @@ class GrassmannElement:
         return self._new(self.algebra.berezin_coeffs(self._data, over))
 
     @property
-    def parity(self) -> str:
-        has_even, has_odd = self.algebra.plan.parity_content(self._data)
-        if has_odd and has_even:
-            return MIXED
-        return ODD if has_odd else EVEN
-
-    @property
     def parity_bit(self) -> int:
-        p = self.parity
-        if p == MIXED:
+        """0 for an even element, zero included, 1 for an odd one; ValueError if mixed."""
+        has_even, has_odd = self.algebra.plan.parity_content(self._data)
+        if has_even and has_odd:
             raise ValueError("element is not homogeneous")
-        return 1 if p == ODD else 0
+        return int(has_odd)
 
     @property
     def body(self) -> complex:
@@ -516,7 +503,7 @@ class GrassmannElement:
         The nilpotent part feeds a binomial series that terminates because the
         soul of an even element has degree >= 2.
         """
-        if self.parity != EVEN:
+        if self.parity_bit:
             raise ValueError("power requires an even element")
         b = self.body
         if b == 0:
@@ -585,19 +572,20 @@ def default_algebra() -> GrassmannAlgebra:
     return _DEFAULT
 
 
-_FILL_ROW = {None: 0, EVEN: 1, ODD: 2}
+_FILL_ROW = {None: 0, 0: 1, 1: 2}
 
 
 def random_coefficients(algebra, rng, count: int = 1, parity=None) -> np.ndarray:
     """(count, 2^g) iid complex-normal coefficients from one draw.
 
-    ``parity`` is None, EVEN or ODD for every row, or a sequence of them with
-    one entry per row; a row fills only the masks of its parity.  The stream
-    is the one a loop drawing ``standard_normal(2)`` per mask, in ascending
-    mask order and row after row, would consume, so one call over several
-    rows draws as consecutive calls over each.
+    ``parity`` is None, 0 (even) or 1 (odd) for every row, or a list or tuple
+    of them with one entry per row; a row fills only the masks of its parity,
+    and any other value raises KeyError.  The stream is the one a loop
+    drawing ``standard_normal(2)`` per mask, in ascending mask order and row
+    after row, would consume, so one call over several rows draws as
+    consecutive calls over each.
     """
-    if parity is None or isinstance(parity, str):
+    if not isinstance(parity, (list, tuple)):
         parity = [parity] * count
     elif len(parity) != count:
         raise ValueError(f"expected {count} parities, one per row, got {len(parity)}")
@@ -609,5 +597,5 @@ def random_coefficients(algebra, rng, count: int = 1, parity=None) -> np.ndarray
 
 
 def random_element(algebra, rng, parity=None) -> GrassmannElement:
-    """Random element with iid complex-normal coefficients, optionally homogeneous."""
+    """Random element with iid complex-normal coefficients, homogeneous with ``parity`` 0 or 1."""
     return GrassmannElement(algebra, random_coefficients(algebra, rng, 1, parity)[0])

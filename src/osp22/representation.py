@@ -91,8 +91,6 @@ import numpy as np
 
 from . import basis as _basis
 from .grassmann import (
-    EVEN,
-    ODD,
     _SCALAR_TYPES,
     AlgebraMismatchError,
     GrassmannElement,
@@ -224,10 +222,6 @@ class SuperOperator:
     @property
     def size(self) -> int:
         return 2 * self.n_max
-
-    @property
-    def parity(self) -> str:
-        return ODD if self.parity_bit else EVEN
 
     def block(self, mask: int = 0) -> np.ndarray:
         """The (2N x 2N) block of a monomial, assembled from its quadrants; read-only."""
@@ -450,7 +444,7 @@ class SuperOperator:
         return float(np.maximum.reduce(parts, initial=0.0))
 
     def __repr__(self):
-        return f"SuperOperator(n_max={self.n_max}, parity={self.parity}, monomials={len(self.blocks)})"
+        return f"SuperOperator(n_max={self.n_max}, parity={self.parity_bit}, monomials={len(self.blocks)})"
 
 
 # A diagonal record holds at most this many diagonals; a sum or product that would hold more

@@ -29,9 +29,7 @@ from . import representation as _rep
 from . import superspace as _ss
 from .config import TOP_QUADRATURE_MODE, RunConfig
 from .grassmann import (
-    EVEN,
     GENERATORS_EXTENDED,
-    ODD,
     GrassmannAlgebra,
     _abs,
     default_algebra,
@@ -174,16 +172,21 @@ def _alternating_draws(rng, algebras, rounds: int, count: int) -> list:
     ]
 
 
+def _parity_draw(rng) -> int:
+    """One sampled parity, 0 (even) or 1 (odd): a draw of 1 is even."""
+    return 1 - int(rng.integers(2))
+
+
 def _homogeneous_pairs(rng, algebras, rounds: int) -> list:
-    """Per algebra, arrays (a, b, a odd, b odd) over ``rounds`` rounds cycling through
+    """Per algebra, arrays (a, b, parity a, parity b) over ``rounds`` rounds cycling through
     ``algebras``; each round draws two parities, then an element of each parity in one call,
     the stream of one random_element call per element."""
     drawn = [[] for _ in algebras]
     for k in range(rounds):
         alg = algebras[k % len(algebras)]
-        pa, pb = (EVEN if rng.integers(2) else ODD for _ in range(2))
+        pa, pb = (_parity_draw(rng) for _ in range(2))
         a, b = random_coefficients(alg, rng, 2, [pa, pb])
-        drawn[k % len(algebras)].append((a, b, pa == ODD, pb == ODD))
+        drawn[k % len(algebras)].append((a, b, pa, pb))
     return [_columns(rows) for rows in drawn]
 
 
@@ -407,9 +410,9 @@ def suite_superspace(cfg: RunConfig) -> list:
     # call for its 20 rows, the stream of two random_supervector(5) calls
     rounds = []
     for _ in range(50):
-        p1, p2 = (EVEN if rng.integers(2) else ODD for _ in range(2))
+        p1, p2 = (_parity_draw(rng) for _ in range(2))
         rows = random_coefficients(alg, rng, 20, _ss._row_parities(5, p1) + _ss._row_parities(5, p2))
-        rounds.append((rows[:10], rows[10:], p1 == ODD and p2 == ODD))
+        rounds.append((rows[:10], rows[10:], p1 & p2))
     defects = []
     for a, b, both_odd in _in_blocks(*_columns(rounds)):
         sign = np.where(both_odd, -1.0, 1.0)[:, None]
@@ -418,12 +421,12 @@ def suite_superspace(cfg: RunConfig) -> list:
 
     rounds = []
     for _ in range(50):
-        p1 = EVEN if rng.integers(2) else ODD
-        pb = EVEN if rng.integers(2) else ODD
-        # v1, v2, b1 and b2 in one call, as their random_supervector and random_coefficient calls
+        p1 = _parity_draw(rng)
+        pb = _parity_draw(rng)
+        # v1, v2, b1 and b2 in one call, as their random_supervector and random_element calls
         parities = _ss._row_parities(5, p1) + _ss._row_parities(5, None) + [None, pb]
         rows = random_coefficients(alg, rng, 22, parities)
-        rounds.append((rows[:10], rows[10:20], rows[20], rows[21], p1 == ODD and pb == ODD))
+        rounds.append((rows[:10], rows[10:20], rows[20], rows[21], p1 & pb))
     defects = []
     for a, b, b1, b2, both_odd in _in_blocks(*_columns(rounds)):
         sign = np.where(both_odd, -1.0, 1.0)[:, None]
@@ -444,13 +447,13 @@ def suite_superspace(cfg: RunConfig) -> list:
         for name, (coeff, adjoint) in _rep.SUPERADJOINTS.items()
     ]
     defects = []
-    for p1 in (EVEN, ODD):
+    for p1 in (0, 1):
         v1 = _ss.random_supervector(n, rng, alg, parity=p1, support=6)
         v2 = _ss.random_supervector(n, rng, alg, support=6)
         defects += [_ss.superadjoint_defect(gen, claimed, v1, v2).max_abs() for gen, claimed in claims]
     checks.append(_check(cfg, "superspace.superadjoint", defects))
 
-    v1 = _ss.random_supervector(n, rng, alg, parity=EVEN, support=6)
+    v1 = _ss.random_supervector(n, rng, alg, parity=0, support=6)
     v2 = _ss.random_supervector(n, rng, alg, support=6)
     kp = _rep.build_generator("K+", n, alg)
     bad = _ss.superadjoint_defect(kp, kp, v1, v2).max_abs()
@@ -479,26 +482,23 @@ def suite_algebra(cfg: RunConfig) -> list:
     checks.append(_check(cfg, "algebra.vacuum", vacuum["lowest_weight"].values()))
     checks.append(_check(cfg, "algebra.atypicality", [vacuum["v_plus_norm"]]))
 
+    # the superadjoint of each generator, formed once for the table and the adjoint rules
+    adjoints = {name: op.superadjoint() for name, op in ops.items()}
     defects = []
     for name, (coeff, adjoint) in _rep.SUPERADJOINTS.items():
-        defects.append((ops[name].superadjoint() - coeff * ops[adjoint]).max_abs())
-        defects.append((ops[name].superadjoint().superadjoint() - ops[name]).max_abs())
+        defects.append((adjoints[name] - coeff * ops[adjoint]).max_abs())
+        defects.append((adjoints[name].superadjoint() - ops[name]).max_abs())
     checks.append(_check(cfg, "algebra.superadjoint_table", defects))
 
     rng = np.random.default_rng(cfg.seed + 4)
     adjoint_products, commutators = [], []
     for _ in range(20):
         a_name, c_name = (_rep.GENERATOR_NAMES[k] for k in rng.integers(0, 8, size=2))
-        a, c = ops[a_name], ops[c_name]
+        a, c = adjoints[a_name], adjoints[c_name]
         sign = -1.0 if (a.parity_bit and c.parity_bit) else 1.0
-        rule = products[a_name, c_name].superadjoint() - sign * (c.superadjoint() @ a.superadjoint())
+        rule = products[a_name, c_name].superadjoint() - sign * (c @ a)
         adjoint_products.append(rule.max_abs())
-        commutators.append(
-            (
-                brackets[a_name, c_name].superadjoint()
-                + a.superadjoint().supercommutator(c.superadjoint())
-            ).max_abs()
-        )
+        commutators.append((brackets[a_name, c_name].superadjoint() + a.supercommutator(c)).max_abs())
     checks.append(_check(cfg, "algebra.adjoint_product", adjoint_products))
     checks.append(_check(cfg, "algebra.adjoint_commutator", commutators))
 

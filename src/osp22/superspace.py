@@ -44,23 +44,18 @@ import numpy as np
 
 from . import basis as _basis
 from .grassmann import (
-    EVEN,
-    MIXED,
-    ODD,
     _SCALAR_TYPES,
     AlgebraMismatchError,
     GrassmannAlgebra,
     GrassmannElement,
     default_algebra,
     random_coefficients,
-    random_element,
 )
 
 __all__ = [
     "DimensionMismatchError",
     "SuperVector",
     "coefficient_algebra",
-    "random_coefficient",
     "super_inner_integral",
     "superadjoint_defect",
     "random_supervector",
@@ -91,10 +86,6 @@ def _scalar_row(space, scalar: GrassmannElement) -> np.ndarray:
     if not space.compatible(scalar.algebra):
         raise AlgebraMismatchError("scalar outside the coefficient algebra, or carrying theta")
     return scalar.coeffs
-
-
-def _flip(p: str) -> str:
-    return ODD if p == EVEN else EVEN
 
 
 class SuperVector:
@@ -210,18 +201,17 @@ class SuperVector:
     # -- grading ----------------------------------------------------------------
 
     @property
-    def total_parity(self) -> str:
-        """Envelope parity: coefficient parity plus slot parity, or "mixed"."""
+    def parity_bit(self) -> int:
+        """Envelope parity, coefficient parity plus slot parity: 0 (even, the zero vector
+        included) or 1 (odd); ValueError if mixed."""
         has_even, has_odd = self.algebra.plan.parity_content(self.coeffs)
-        if np.any(has_odd & has_even):
-            return MIXED
         n = self.n_max
         # an odd slot flips the envelope parity of its coefficient
-        env_odd = bool(has_odd[:n].any() or has_even[n:].any())
-        env_even = bool(has_even[:n].any() or has_odd[n:].any())
+        env_odd = has_odd[:n].any() or has_even[n:].any()
+        env_even = has_even[:n].any() or has_odd[n:].any()
         if env_odd and env_even:
-            return MIXED
-        return ODD if env_odd else EVEN
+            raise ValueError("vector is not homogeneous")
+        return int(env_odd)
 
     # -- super-Hermitian form ----------------------------------------------------
 
@@ -324,18 +314,10 @@ def _slot_gram(n_max: int, t: float, spec) -> np.ndarray:
 
 def superadjoint_defect(op, claimed_adjoint, v1: SuperVector, v2: SuperVector):
     """(A+_claimed v1 | v2) - (-1)^{p(v1) p(A)} (v1 | A v2); zero certifies the claim."""
-    p1 = v1.total_parity
-    if p1 == MIXED:
-        raise ValueError("first vector must be homogeneous")
-    sign = -1.0 if (p1 == ODD and op.parity_bit) else 1.0
+    sign = -1.0 if (v1.parity_bit and op.parity_bit) else 1.0
     lhs = claimed_adjoint.apply(v1).super_inner(v2)
     rhs = v1.super_inner(op.apply(v2))
     return lhs - sign * rhs
-
-
-def random_coefficient(algebra, rng, parity=None) -> GrassmannElement:
-    """Random superspace scalar: iid complex normals on the coefficient algebra's monomials."""
-    return random_element(coefficient_algebra(algebra), rng, parity)
 
 
 def _row_parities(top: int, parity) -> list:
@@ -343,7 +325,9 @@ def _row_parities(top: int, parity) -> list:
     sector, even sector first: with ``parity`` set, an odd slot flips its coefficient's parity."""
     if parity is None:
         return [None] * (2 * top)
-    return [parity] * top + [_flip(parity)] * top
+    # ``not`` flips 0 and 1 and takes any value, so a parity other than 0 or 1 reaches
+    # random_coefficients in the even sector and raises its KeyError there
+    return [parity] * top + [int(not parity)] * top
 
 
 def random_supervector(
@@ -351,8 +335,8 @@ def random_supervector(
 ) -> SuperVector:
     """Random vector with Grassmann coefficients free of theta, theta_bar.
 
-    With ``parity`` set, coefficients are chosen so the total envelope parity
-    is homogeneous.  ``support`` limits the nonzero slots to n < support.
+    With ``parity`` 0 or 1, coefficients are chosen so the total envelope
+    parity is that value.  ``support`` limits the nonzero slots to n < support.
     Both sectors are one draw, even sector first, slot after slot, each slot
     in ascending monomial order.
     """

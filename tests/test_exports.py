@@ -95,6 +95,28 @@ def test_unused_import_scan_catches_a_stale_import():
     assert _unused_imports(source, reexported={"os"}) == []
 
 
+PARITY_STRINGS = {"even", "odd", "mixed"}
+
+
+def _parity_strings(source: str) -> list:
+    """String constants of ``source`` that spell a parity; the int 0/1 is the only spelling."""
+    return sorted(
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and node.value in PARITY_STRINGS
+    )
+
+
+@pytest.mark.parametrize("path", [p for p in SCANNED if p.startswith("src/")] + ["src/osp22/__init__.py"])
+def test_no_parity_strings(path):
+    assert not _parity_strings((ROOT / path).read_text(encoding="utf-8"))
+
+
+def test_parity_string_scan_catches_a_string_parity():
+    source = 'ODD = "odd"\ndef f(p="even"):\n    """An even element."""\n    return p == "mixed" or 1\n'
+    assert _parity_strings(source) == ["even", "mixed", "odd"]
+
+
 def _traced_targets() -> tuple:
     """``TARGETS`` of the benchmark's layer trace, read from its source without importing it."""
     tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))

@@ -456,7 +456,7 @@ class TestQuadrantComposition:
         n = 12
         ops = [op(name, n) for name in ("X3", "X4", "h", "p_theta")] + [xtheta_operator(n, 0.7, ALG)]
         cols = interior_columns(n, 2)
-        vectors = [random_supervector(n, np.random.default_rng(47), ALG, parity=p) for p in ("even", "odd")]
+        vectors = [random_supervector(n, np.random.default_rng(47), ALG, parity=p) for p in (0, 1)]
         expand = representation._expand
 
         def refuse(record, size):
@@ -760,7 +760,7 @@ class TestApplyColumns:
             (al * alb) * k_plus + build_generator("B", N, alg),
         ]
         for o in ops:
-            for parity in (None, "even", "odd"):
+            for parity in (None, 0, 1):
                 v = random_supervector(N, rng, alg, parity=parity, support=7)
                 got = o.apply(v).coeffs
                 np.testing.assert_array_equal(got, _apply_all_columns(o, v))
@@ -788,12 +788,12 @@ class TestApplyColumns:
             raise AssertionError("apply expanded a quadrant record")
 
         for k, o in enumerate(ops):
-            for parity in (None, "even", "odd"):
+            for parity in (None, 0, 1):
                 v = random_supervector(n, rng, alg, parity=parity)
                 monkeypatch.setattr(representation, "_expand", refuse)
                 got = o.apply(v).coeffs
                 monkeypatch.setattr(representation, "_expand", expand)
-                label = f"ops[{k}], {parity} vector"
+                label = f"ops[{k}], vector parity {parity}"
                 np.testing.assert_array_equal(got, _apply_by_diagonals(o, v), err_msg=label)
                 want = _apply_all_columns(o, v)
                 if o is ops[-1] or any(len(r) > 1 for quads in o.blocks.values() for r in quads.values()):

@@ -25,9 +25,7 @@ from osp22.basis import QuadratureSpec
 from osp22.cli import main
 from osp22.config import DEFAULT_TOLERANCES, DISK_RADIUS, MAX_N_MAX, TOP_QUADRATURE_MODE, RunConfig
 from osp22.grassmann import (
-    EVEN,
     GENERATORS_EXTENDED,
-    ODD,
     GrassmannAlgebra,
     GrassmannElement,
     ProductPlan,
@@ -36,7 +34,7 @@ from osp22.grassmann import (
 )
 from osp22.representation import hamiltonian_defects
 from osp22.suites import CHECKS, SUITE_NAMES, _check, suite_checks, symbol_rows, symbols_check, trajectory_rows
-from osp22.superspace import random_coefficient, random_supervector
+from osp22.superspace import random_supervector
 
 # six distinct values, none equal to a default or to a literal gate, so a
 # record read through the wrong key shows
@@ -201,10 +199,10 @@ def _grassmann_loop_defects(cfg):
     defects = []
     for k in range(250):
         alg = algebras[k % 2]
-        pa, pb = (EVEN if rng.integers(2) else ODD for _ in range(2))
+        pa, pb = (1 - int(rng.integers(2)) for _ in range(2))
         a = random_element(alg, rng, parity=pa)
         b = random_element(alg, rng, parity=pb)
-        sign = -1.0 if (pa == ODD and pb == ODD) else 1.0
+        sign = -1.0 if (pa and pb) else 1.0
         defects.append((a * b - sign * (b * a)).max_abs() / (a.max_abs() * b.max_abs()))
     out["grassmann.supercommutativity"] = defects
 
@@ -236,11 +234,15 @@ def _grassmann_loop_defects(cfg):
 
     defects = []
     for _ in range(100):
-        pa, pb = (EVEN if rng.integers(2) else ODD for _ in range(2))
+        pa, pb = (1 - int(rng.integers(2)) for _ in range(2))
         prod = random_element(algebras[0], rng, parity=pa) * random_element(algebras[0], rng, parity=pb)
         size = prod.max_abs()
         if size != 0:
-            defects.append(size if math.isnan(size) else float(prod.parity != (EVEN if pa == pb else ODD)))
+            try:
+                wrong = prod.parity_bit != pa ^ pb
+            except ValueError:  # a mixed product
+                wrong = True
+            defects.append(size if math.isnan(size) else float(wrong))
     out["grassmann.parity"] = defects
     return out
 
@@ -298,22 +300,22 @@ def _superspace_loop_defects(cfg):
 
     defects = []
     for _ in range(50):
-        p1, p2 = (EVEN if rng.integers(2) else ODD for _ in range(2))
+        p1, p2 = (1 - int(rng.integers(2)) for _ in range(2))
         v1 = random_supervector(5, rng, alg, parity=p1)
         v2 = random_supervector(5, rng, alg, parity=p2)
-        sign = -1.0 if (p1 == ODD and p2 == ODD) else 1.0
+        sign = -1.0 if (p1 and p2) else 1.0
         defects.append((v1.super_inner(v2).conj() - sign * v2.super_inner(v1)).max_abs())
     out["superspace.conjugate_symmetry"] = defects
 
     defects = []
     for _ in range(50):
-        p1 = EVEN if rng.integers(2) else ODD
-        pb = EVEN if rng.integers(2) else ODD
+        p1 = 1 - int(rng.integers(2))
+        pb = 1 - int(rng.integers(2))
         v1 = random_supervector(5, rng, alg, parity=p1)
         v2 = random_supervector(5, rng, alg)
-        b1 = random_coefficient(alg, rng)
-        b2 = random_coefficient(alg, rng, parity=pb)
-        sign = -1.0 if (p1 == ODD and pb == ODD) else 1.0
+        b1 = random_element(alg, rng)
+        b2 = random_element(alg, rng, parity=pb)
+        sign = -1.0 if (p1 and pb) else 1.0
         lhs = (b1 * v1).super_inner(b2 * v2)
         rhs = sign * (b1.conj() * b2 * v1.super_inner(v2))
         defects.append((lhs - rhs).max_abs())
@@ -516,6 +518,10 @@ CALL_CEILINGS = [
     # and every generator bracket is read from them
     pytest.param("algebra", _rep.SuperOperator, "__matmul__", 244, id="algebra-products"),
     pytest.param("algebra", _rep.SuperOperator, "supercommutator", 80, id="algebra-brackets"),
+    # was 152: the superadjoint table and each adjoint round formed their own generator
+    # adjoints; now the 8 are formed once, and the involutions, the 20 products, the 20
+    # brackets and the 8 Hermitian-base generators take one each
+    pytest.param("algebra", _rep.SuperOperator, "superadjoint", 64, id="algebra-superadjoints"),
     # was 700: one per homogeneous element; now one per pair, both elements in one call.  The
     # suites and superspace import the function by name, so each module's name is counted
     pytest.param("grassmann", (_grassmann, _suites, _ss), "random_coefficients", 350, id="grassmann-draws"),

@@ -3,15 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osp22 import EVEN, ODD
 from osp22 import coherent as coh
 from osp22.basis import gram_matrix
 from osp22.grassmann import (
     GENERATORS_EXTENDED,
     AlgebraMismatchError,
     GrassmannAlgebra,
+    GrassmannElement,
     default_algebra,
     random_coefficients,
+    random_element,
 )
 from osp22.representation import GENERATOR_NAMES, SUPERADJOINTS, build_generator
 from osp22.superspace import (
@@ -21,7 +22,6 @@ from osp22.superspace import (
     _integral_form,
     SuperVector,
     coefficient_algebra,
-    random_coefficient,
     random_supervector,
     super_inner_integral,
     superadjoint_defect,
@@ -101,8 +101,7 @@ def _loop_draw(alg, rng, parity=None):
         names = {alg.generators[k] for k in range(alg.n_generators) if mask >> k & 1}
         if names & {"theta", "theta_bar"}:
             continue
-        odd = len(names) % 2
-        if (parity == EVEN and odd) or (parity == ODD and not odd):
+        if parity is not None and len(names) % 2 != parity:
             continue
         re, im = rng.standard_normal(2)
         data[tuple(sorted(names, key=alg.index.get))] = complex(re, im) / np.sqrt(2.0)
@@ -113,21 +112,21 @@ class TestRandomDraws:
     """The batched draws consume the seeded stream exactly as a per-mask loop."""
 
     @pytest.mark.parametrize("generators", [None, GENERATORS_EXTENDED])
-    @pytest.mark.parametrize("parity", [None, EVEN, ODD])
+    @pytest.mark.parametrize("parity", [None, 0, 1], ids=["None", "even", "odd"])
     def test_coefficient_matches_loop(self, generators, parity):
         alg = ALG if generators is None else GrassmannAlgebra(generators)
-        got = random_coefficient(alg, np.random.default_rng(31), parity=parity)
+        got = random_element(coefficient_algebra(alg), np.random.default_rng(31), parity=parity)
         want = _loop_draw(alg, np.random.default_rng(31), parity=parity)
         assert got == want
 
-    @pytest.mark.parametrize("parity", [None, EVEN, ODD])
+    @pytest.mark.parametrize("parity", [None, 0, 1], ids=["None", "even", "odd"])
     @pytest.mark.parametrize("support", [None, 3])
     def test_supervector_matches_loop(self, parity, support):
         n = 5
         top = n if support is None else support
         got = random_supervector(n, np.random.default_rng(32), ALG, parity=parity, support=support)
         rng = np.random.default_rng(32)
-        flip = {None: None, EVEN: ODD, ODD: EVEN}[parity]
+        flip = None if parity is None else 1 - parity
         even = [_loop_draw(ALG, rng, parity) if k < top else SCALARS.zero() for k in range(n)]
         odd = [_loop_draw(ALG, rng, flip) if k < top else SCALARS.zero() for k in range(n)]
         want = np.array([c.coeffs for c in even + odd])
@@ -136,6 +135,50 @@ class TestRandomDraws:
         rng_got = np.random.default_rng(32)
         random_supervector(n, rng_got, ALG, parity=parity, support=support)
         assert rng_got.standard_normal() == rng.standard_normal()
+
+
+# each draw returns the elements or vectors it drew with the given parity
+PARITY_DRAWS = [
+    pytest.param(
+        lambda rng, p: [GrassmannElement(ALG, row) for row in random_coefficients(ALG, rng, 3, p)],
+        id="coefficients",
+    ),
+    pytest.param(
+        lambda rng, p: [GrassmannElement(ALG, random_coefficients(ALG, rng, 3, [None, p, 1])[1])],
+        id="coefficients-per-row",
+    ),
+    pytest.param(lambda rng, p: [random_element(ALG, rng, p)], id="element"),
+    pytest.param(lambda rng, p: [random_supervector(4, rng, ALG, parity=p)], id="supervector"),
+]
+
+
+@pytest.mark.parametrize("draw", PARITY_DRAWS)
+def test_parity_is_none_0_or_1(draw):
+    """A parity is None, 0 (even) or 1 (odd); any other value, the strings included, is a KeyError."""
+    draw(np.random.default_rng(5), None)
+    for parity in (0, 1):
+        assert {x.parity_bit for x in draw(np.random.default_rng(5), parity)} == {parity}
+    for parity in ("even", "odd", 2, -1):
+        with pytest.raises(KeyError):
+            draw(np.random.default_rng(5), parity)
+
+
+@pytest.mark.parametrize(
+    "mixed",
+    [
+        pytest.param(lambda: (1 + SCALARS.gen("alpha")).parity_bit, id="element"),
+        pytest.param(lambda: (vac() + odd0()).parity_bit, id="vector-sectors"),
+        pytest.param(lambda: SuperVector(ALG, [1 + SCALARS.gen("alpha")], [0.0]).parity_bit, id="vector-slot"),
+        pytest.param(lambda: (1 + SCALARS.gen("alpha")).power(0.5), id="power"),
+        pytest.param(
+            lambda: superadjoint_defect(build_generator("K+", 4, ALG), build_generator("K-", 4, ALG), vac() + odd0(), vac()),
+            id="superadjoint_defect",
+        ),
+    ],
+)
+def test_a_mixed_value_has_no_parity(mixed):
+    with pytest.raises(ValueError, match="not homogeneous"):
+        mixed()
 
 
 def _bits(x):
@@ -208,7 +251,7 @@ class TestCoefficientAlgebra:
         v = random_supervector(6, rng, alg)
         space = v.algebra
         assert space is coefficient_algebra(alg) and space.size == alg.size // 4
-        b = random_coefficient(alg, rng)
+        b = random_element(space, rng)
         p = coh.CoherentParams(0.3 - 0.2j, 0.6 + 0.1j)
         cf = coh.closed_form(p, alg)
         ops = [build_generator(name, 64, alg) for name in GENERATOR_NAMES]
@@ -261,23 +304,23 @@ class TestInnerProduct:
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(3)
         for _ in range(40):
-            p1 = EVEN if rng.integers(2) else ODD
-            p2 = EVEN if rng.integers(2) else ODD
+            p1 = 1 - int(rng.integers(2))
+            p2 = 1 - int(rng.integers(2))
             v1 = random_supervector(5, rng, ALG, parity=p1)
             v2 = random_supervector(5, rng, ALG, parity=p2)
-            sign = -1.0 if (p1 == ODD and p2 == ODD) else 1.0
+            sign = -1.0 if (p1 and p2) else 1.0
             assert (v1.super_inner(v2).conj() - sign * v2.super_inner(v1)).max_abs() < 1e-12
 
     def test_scalar_extraction_rule(self):
         rng = np.random.default_rng(4)
         for _ in range(40):
-            p1 = EVEN if rng.integers(2) else ODD
-            pb = EVEN if rng.integers(2) else ODD
+            p1 = 1 - int(rng.integers(2))
+            pb = 1 - int(rng.integers(2))
             v1 = random_supervector(5, rng, ALG, parity=p1)
             v2 = random_supervector(5, rng, ALG)
-            b1 = random_coefficient(ALG, rng)
-            b2 = random_coefficient(ALG, rng, parity=pb)
-            sign = -1.0 if (p1 == ODD and pb == ODD) else 1.0
+            b1 = random_element(SCALARS, rng)
+            b2 = random_element(SCALARS, rng, parity=pb)
+            sign = -1.0 if (p1 and pb) else 1.0
             lhs = (b1 * v1).super_inner(b2 * v2)
             rhs = sign * (b1.conj() * b2 * v1.super_inner(v2))
             assert (lhs - rhs).max_abs() < 1e-12
@@ -301,14 +344,15 @@ class TestNorm:
 
 class TestParity:
     def test_basis_parities(self):
-        assert vac().total_parity == EVEN
-        assert odd0().total_parity == ODD
+        assert vac().parity_bit == 0
+        assert odd0().parity_bit == 1
 
     def test_odd_coefficient_flips(self):
-        assert (SCALARS.gen("alpha") * odd0()).total_parity == EVEN
+        assert (SCALARS.gen("alpha") * odd0()).parity_bit == 0
 
     def test_mixed_flagged(self):
-        assert (vac() + odd0()).total_parity == "mixed"
+        with pytest.raises(ValueError, match="not homogeneous"):
+            (vac() + odd0()).parity_bit
 
 
 class TestIntegralOracle:
@@ -389,7 +433,7 @@ class TestSuperadjointDefect:
         coeff, adjoint = SUPERADJOINTS[name]
         op = build_generator(name, 6, ALG)
         claimed = coeff * build_generator(adjoint, 6, ALG)
-        for p in (EVEN, ODD):
+        for p in (0, 1):
             v1 = random_supervector(6, rng, ALG, parity=p, support=4)
             v2 = random_supervector(6, rng, ALG, support=4)
             assert superadjoint_defect(op, claimed, v1, v2).max_abs() < 1e-12
@@ -399,7 +443,7 @@ class TestSuperadjointDefect:
     def test_negative_control(self):
         rng = np.random.default_rng(9)
         kp = build_generator("K+", 6, ALG)
-        v1 = random_supervector(6, rng, ALG, parity=EVEN, support=4)
+        v1 = random_supervector(6, rng, ALG, parity=0, support=4)
         v2 = random_supervector(6, rng, ALG, support=4)
         assert superadjoint_defect(kp, kp, v1, v2).max_abs() > 1e-3
 
