@@ -149,24 +149,29 @@ def _packets(rows, x, t):
     t = np.asarray(t, dtype=float)
     one_it = 1.0 + 1j * t
     z = x / np.sqrt(1.0 + t * t)
-    H = np.empty((max(rows) + 1,) + z.shape)
-    H[0] = 1.0
-    if len(H) > 1:
-        H[1] = z
-    root = np.sqrt(np.arange(len(H)))
-    for k in range(1, len(H) - 1):
-        H[k + 1] = (z * H[k] - root[k] * H[k - 1]) / root[k + 1]
+    size = max(rows) + 1
+    root = np.sqrt(np.arange(size)).tolist()
+    # the rows as a list: Python floats at a single point, which round as numpy float64
+    # scalars do, and otherwise arrays, each formed in place
+    scalar = z.ndim == 0
+    z = float(z) if scalar else z
+    H = ([1.0, z] if scalar else [np.ones_like(z), z])[:size]
+    for k in range(1, size - 1):
+        h = z * H[k]
+        h -= root[k] * H[k - 1]
+        h /= root[k + 1]
+        H.append(h)
     angle = np.arctan(t)
     env = np.exp(-x * x / (4.0 * one_it)) / (_ROOT4_2PI * np.sqrt(one_it))
     # each element is ((-i)^m e^{-i m angle}) env He_m, whatever other rows are requested
-    if z.ndim == 0 or len(rows) <= 3:
+    if scalar or len(rows) <= 3:
         # row by row for eval_chi and eval_chi_derivatives, where one broadcast costs more than
         # three rows; at a single point this keeps numpy scalar arithmetic, which rounds a
         # complex product without the fused multiply-add of the array loops
         return np.array([(_I_POWERS[m % 4] * np.exp(-1j * m * angle)) * env * H[m] for m in rows])
     rows = np.array(rows)
     m = rows.reshape((-1,) + (1,) * z.ndim)
-    return (_I_POWERS[m % 4] * np.exp(-1j * m * angle)) * env * H[rows]
+    return (_I_POWERS[m % 4] * np.exp(-1j * m * angle)) * env * np.array(H)[rows]
 
 
 def eval_chi(m, x, t):

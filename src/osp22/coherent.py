@@ -38,8 +38,6 @@ trajectory data.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate
-from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -212,26 +210,29 @@ def quad_scale(z: complex, t: float) -> float:
 def expansion_coefficients(z: complex, n_max: int):
     """Disk-series coefficients of the even and odd wave functions.
 
-    The half-integer gamma ratios are generated by the recurrence
-    Gamma(x + 1) = x Gamma(x) seeded at Gamma(1/2); the odd list carries its
-    overall factor 1/2.
+    The powers z^n and the half-integer gamma ratios Gamma(n + 1/2) / (n! Gamma(1/2)) and
+    Gamma(n + 3/2) / (n! Gamma(3/2)), from the recurrence Gamma(x + 1) = x Gamma(x), are
+    running products along arrays; the odd row carries its overall factor 1/2.  Each
+    coefficient is pref z^n sqrt(ratio), formed with the float products of Python's
+    float * complex, which multiplies by (x, 0.0): the signed zeros come out as a scalar
+    loop would leave them.
     """
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError("|z| must be strictly less than 1")
     pref = (1.0 - abs(z) ** 2) ** 0.25
-    even = np.empty(n_max, dtype=complex)
-    odd = np.empty(n_max, dtype=complex)
-    ratio_e = 1.0  # Gamma(n + 1/2) / (n! Gamma(1/2))
-    ratio_o = 1.0  # Gamma(n + 3/2) / (n! Gamma(3/2))
-    zp = 1.0 + 0j
-    for n in range(n_max):
-        even[n] = pref * zp * np.sqrt(ratio_e)
-        odd[n] = 0.5 * pref * zp * np.sqrt(ratio_o)
-        zp *= z
-        ratio_e *= (n + 0.5) / (n + 1.0)
-        ratio_o *= (n + 1.5) / (n + 1.0)
-    return even, odd
+    zp = np.full(n_max, z)
+    zp[:1] = 1.0
+    np.multiply.accumulate(zp, out=zp)
+    n = np.arange(n_max - 1.0)
+    roots = np.ones((2, n_max))
+    roots[:, 1:] = (n + np.array([[0.5], [1.5]])) / (n + 1.0)
+    roots = np.sqrt(np.multiply.accumulate(roots, axis=1))
+    p = np.array([[pref], [0.5 * pref]])
+    re, im = p * zp.real - 0.0 * zp.imag, p * zp.imag + 0.0 * zp.real
+    out = np.empty((2, n_max), dtype=complex)
+    out.real, out.imag = re * roots - im * 0.0, re * 0.0 + im * roots
+    return out[0], out[1]
 
 
 def series_length_for(z: complex, tol: float = 1e-13) -> int:
@@ -243,15 +244,16 @@ def series_length_for(z: complex, tol: float = 1e-13) -> int:
     return max(n, 8)
 
 
-def _outer(col, row) -> np.ndarray:
-    """Rows col[n] * row, real and imaginary parts formed as separate float products.
+def _cmul(a, b) -> np.ndarray:
+    """a * b, broadcast, with the real and imaginary parts formed as separate float products.
 
-    Each row rounds as ``GrassmannElement.__rmul__`` would form col[n] * row.
+    Each entry rounds as a scalar complex product, and as ``GrassmannElement.__rmul__``
+    forms a scalar times a row: a plain complex multiply of arrays may fuse a multiply-add.
     """
-    col = col[:, None]
-    out = np.empty((len(col), len(row)), dtype=complex)
-    out.real = col.real * row.real - col.imag * row.imag
-    out.imag = col.real * row.imag + col.imag * row.real
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
     return out
 
 
@@ -271,12 +273,14 @@ def _series_chain(z: complex, n_max: int, tail_tol: float) -> _Chain:
     z = complex(z)
     k = np.arange(1.0, n_max + 1.0)
     roots = np.sqrt(k * np.stack([k - 0.5, k + 0.5]))
-    # the factors z r / k, their parts formed as z.real r / k and z.imag r / k, multiplied up
-    # in one running product of Python complex numbers; the last product bounds the tail
-    re, im = (z.real * roots / k).tolist(), (z.imag * roots / k).tolist()
-    even = list(accumulate(map(complex, re[0], im[0]), mul, initial=1.0 + 0j))
-    odd = list(accumulate(map(complex, re[1], im[1]), mul, initial=1.0 / _SQRT2 + 0j))
-    u, v = even.pop(), odd.pop()
+    # one row per sector: 1 or 1/sqrt(2), then the factors z r / k with parts z.real r / k and
+    # z.imag r / k, multiplied up along the row in order; each product rounds as the running
+    # product of Python complex numbers does, and the last column bounds the tail
+    f = np.empty((2, len(k) + 1), dtype=complex)
+    f[:, 0] = 1.0, 1.0 / _SQRT2
+    f.real[:, 1:], f.imag[:, 1:] = z.real * roots / k, z.imag * roots / k
+    np.multiply.accumulate(f, axis=1, out=f)
+    u, v = f[:, -1]
 
     q = abs(z) * np.sqrt((n_max + 1.5) / (n_max + 1.0))
     bound = np.inf if q >= 1.0 else max(abs(u), abs(v)) / (1.0 - q)
@@ -286,7 +290,7 @@ def _series_chain(z: complex, n_max: int, tail_tol: float) -> _Chain:
             bound=bound,
         )
 
-    even, odd = np.array(even), np.array(odd)
+    even, odd = f[0, :-1], f[1, :-1]  # contiguous rows, as ``_crosschecks`` needs
     s_e, s_o = float(np.vdot(even, even).real), float(np.vdot(odd, odd).real)
     return _Chain(even, odd, s_e, s_o, closed_form_phase(z) / np.sqrt(s_e))
 
@@ -303,15 +307,15 @@ def _package(chain: _Chain, alpha_coeff: complex, algebra) -> SuperVector:
     mab, sign = alg.plan.join[mb][ma]
     unit = np.zeros(alg.size, dtype=complex)
     unit[ma] = 1.0
-    alpha = _outer(np.array([complex(alpha_coeff)]), unit)[0]
+    alpha = _cmul(complex(alpha_coeff), unit)
     a = complex(alpha[ma])
     nu = (-1j * chain.s_o) * complex(sign * (a.real * a.real - (-a.imag) * a.imag), 0.0)
     shift = (1.0 / complex(2.0 * chain.s_e)) * nu
     body = np.zeros(alg.size, dtype=complex)  # 1 - nu / (2 s_e)
     body[0], body[mab] = 1.0, 0j - shift
-    c = np.array([chain.c])
-    rows = _outer(chain.even, _outer(c, body)[0]), _outer(chain.odd, _outer(c, alpha)[0])
-    return SuperVector.from_coeffs(alg, np.concatenate(rows))
+    rows = _cmul(chain.c, np.stack([body, alpha]))  # c (1 - nu / (2 s_e)) and c alpha
+    coeffs = _cmul(np.stack([chain.even, chain.odd])[:, :, None], rows[:, None, :])
+    return SuperVector.from_coeffs(alg, coeffs.reshape(-1, alg.size))
 
 
 def series_state(
@@ -389,21 +393,18 @@ def _crosschecks(z: complex, alphas, ts, algebra, kernels) -> list:
     phase = closed_form_phase(z)
 
     # slot-by-slot Grassmann defect against the closed-form packaging, and the super norm
-    cols = phase * gamma_even, _SQRT2 * phase * gamma_odd
+    cols = np.stack([phase * gamma_even, _SQRT2 * phase * gamma_odd])
     states = []
     for a in alphas:
         params = CoherentParams(z, a)
         sv = _package(chain, a, alg)
         normalizer = ClosedFormState(params, alg).normalizer
-        want = np.concatenate([
-            _outer(cols[0], normalizer.coeffs),
-            _outer(cols[1], (normalizer * params.alpha(alg)).coeffs),
-        ])
+        rows = np.stack([normalizer.coeffs, (normalizer * params.alpha(alg)).coeffs])
+        want = _cmul(cols[:, :, None], rows[:, None, :]).reshape(-1, alg.size)
         states.append(((sv - SuperVector.from_coeffs(alg, want)).max_abs(), (sv.super_inner(sv) - 1.0).max_abs()))
 
     # contiguous columns: a strided operand changes BLAS's sum order
-    c = np.array([chain.c])
-    body_even, alpha_slot = _outer(chain.even, c)[:, 0], _outer(chain.odd, c)[:, 0]
+    body_even, alpha_slot = _cmul(np.stack([chain.even, chain.odd]), chain.c)
     reports = []
     for t, vals in zip(ts, kernels):
         even_vals, odd_vals = vals[: 2 * n : 2], vals[1 : 2 * n : 2]

@@ -373,7 +373,8 @@ class SuperOperator:
                         hi = max(lo, n + min(0, d))  # lo == hi: the diagonal lies outside the quadrant
                         acc[i, lo:hi] += part[:, None] * coeffs[j, lo - d : hi - d]
             graded = plan.grade(acc) if self.parity_bit ^ plan.parity[am] else acc
-            out += plan.left_mul(am, graded)
+            # the unit monomial's product is the identity gather with sign +1
+            out += plan.left_mul(am, graded) if am else graded
         return SuperVector.from_coeffs(v.algebra, out.reshape(v.coeffs.shape))
 
     def supercommutator(self, other) -> "SuperOperator":

@@ -39,36 +39,78 @@ SECTOR_ALPHA = (0.0, 1.0, 0.7 - 0.4j, 10.0)
 SECTOR_POINTS = [(alg, z, a) for alg in (ALG, ALG6) for z in SECTOR_Z for a in SECTOR_ALPHA]
 
 
-def _generic_series_state(params, n, alg):
-    """exp(z K+)(1 + alpha V+) vacuum normalized through the generic super inner product.
-
-    The sector columns follow the recurrence of ``series_state`` bit for bit; the state
-    E + alpha O is formed by plan product and multiplied by phase (Phi|Phi)^{-1/2}.
-    """
-    alg = coefficient_algebra(alg)
-    z = params.z
+def _loop_chain(z, n):
+    """The z-only part of ``series_state`` from running products of Python complex numbers:
+    each sector column multiplies up the factors z r / k, formed as z.real r / k and
+    z.imag r / k, one at a time; s_e, s_o and c follow from the n-long columns."""
+    z = complex(z)
     k = np.arange(1.0, n + 1.0)
     roots = np.sqrt(k * np.stack([k - 0.5, k + 0.5]))
     re, im = (z.real * roots / k).tolist(), (z.imag * roots / k).tolist()
     even = list(accumulate(map(complex, re[0], im[0]), mul, initial=1.0 + 0j))[:-1]
     odd = list(accumulate(map(complex, re[1], im[1]), mul, initial=1.0 / np.sqrt(2.0) + 0j))[:-1]
-    vec = SuperVector(alg, even, [0.0] * n) + params.alpha(alg) * SuperVector(alg, [0.0] * n, odd)
-    return (coh.closed_form_phase(z) * vec.super_inner(vec).power(-0.5)) * vec
+    even, odd = np.array(even, dtype=complex), np.array(odd, dtype=complex)
+    s_e, s_o = float(np.vdot(even, even).real), float(np.vdot(odd, odd).real)
+    return coh._Chain(even, odd, s_e, s_o, coh.closed_form_phase(z) / np.sqrt(s_e))
+
+
+def _loop_gamma(z, n):
+    """``expansion_coefficients`` as a loop over Python scalars: z^n and the gamma ratios as
+    running products, each coefficient pref z^n sqrt(ratio)."""
+    z = complex(z)
+    pref = (1.0 - abs(z) ** 2) ** 0.25
+    even, odd = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+    ratio_e = ratio_o = 1.0
+    zp = 1.0 + 0j
+    for k in range(n):
+        even[k] = pref * zp * np.sqrt(ratio_e)
+        odd[k] = 0.5 * pref * zp * np.sqrt(ratio_o)
+        zp *= z
+        ratio_e *= (k + 0.5) / (k + 1.0)
+        ratio_o *= (k + 1.5) / (k + 1.0)
+    return even, odd
+
+
+def _bits(x):
+    """The bits of complex values, so that two arrays compare equal only with the same signed zeros."""
+    return np.atleast_1d(np.asarray(x, dtype=complex)).view(np.uint64)
+
+
+def _generic_series_state(params, n, alg):
+    """exp(z K+)(1 + alpha V+) vacuum normalized through the generic super inner product.
+
+    The sector columns are those of ``_loop_chain``; the state E + alpha O is formed by plan
+    product and multiplied by phase (Phi|Phi)^{-1/2}.
+    """
+    alg = coefficient_algebra(alg)
+    chain = _loop_chain(params.z, n)
+    vec = SuperVector(alg, chain.even, [0.0] * n) + params.alpha(alg) * SuperVector(alg, [0.0] * n, chain.odd)
+    return (coh.closed_form_phase(params.z) * vec.super_inner(vec).power(-0.5)) * vec
 
 
 # coefficients with signed zero parts, a negative part, or subnormal size
 SIGNED_ALPHA = (complex(-0.0, 0.0), complex(0.0, -0.0), -1.0, -1j, -0.5 - 0.5j, 5e-324, 1e-310j)
 
+# disk points of the bit-for-bit checks against the loops: zero, both axes with parts of
+# either sign of zero, generic points out to |z| = 0.9, and one whose products underflow
+BIT_Z = (
+    0.0, complex(-0.0, -0.0), complex(0.0, -0.0), 0.5, complex(-0.3, 0.0), complex(-0.9, -0.0),
+    0.9j, complex(-0.0, 0.6), complex(0.0, -0.4), complex(-0.0, -0.7), 0.6 + 0.3j, -0.5 - 0.5j,
+    _ring(2.4), _ring(-1.9), complex(1e-170, -1e-170),
+)
+BIT_N = (1, 2, 4, 64, 303, 700)
 
-def _grassmann_series_state(params, n, alg):
+
+def _grassmann_series_state(params, n, alg, chain=None):
     """``series_state`` with its rows formed as Grassmann elements: c (1 - nu / (2 s_e)) and
-    c alpha, nu = -i s_o conj(alpha) alpha, over the chain's columns."""
+    c alpha, nu = -i s_o conj(alpha) alpha, over the columns of ``chain``, by default the
+    chain that ``series_state`` forms."""
     alg = coefficient_algebra(alg)
-    chain = coh._series_chain(params.z, n, 1e-12)
+    chain = chain or coh._series_chain(params.z, n, 1e-12)
     a = params.alpha(alg)
     nu = (-1j * chain.s_o) * (a.conj() * a)
     rows = (chain.c * (1.0 - nu / (2.0 * chain.s_e))).coeffs, (chain.c * a).coeffs
-    coeffs = np.concatenate([coh._outer(chain.even, rows[0]), coh._outer(chain.odd, rows[1])])
+    coeffs = np.concatenate([coh._cmul(chain.even[:, None], rows[0]), coh._cmul(chain.odd[:, None], rows[1])])
     return SuperVector.from_coeffs(alg, coeffs)
 
 
@@ -188,6 +230,18 @@ class TestExpansionCoefficients:
         ge, _ = coh.expansion_coefficients(z, coh.series_length_for(z, 1e-14))
         assert abs(np.sum(np.abs(ge) ** 2) - 1.0) < 1e-13
 
+    @pytest.mark.parametrize("z", BIT_Z)
+    def test_matches_the_scalar_loop_bit_for_bit(self, z):
+        """The array passes round as the loop over Python scalars, signed zeros included."""
+        for n in (0,) + BIT_N:
+            got, want = coh.expansion_coefficients(z, n), _loop_gamma(z, n)
+            for g, w in zip(got, want, strict=True):
+                assert g.shape == (n,) and np.array_equal(_bits(g), _bits(w)), n
+
+    def test_negative_length_raises(self):
+        with pytest.raises(ValueError, match="negative dimensions"):
+            coh.expansion_coefficients(0.3, -1)
+
 
 class TestSeriesState:
     def test_z_zero_is_vacuum(self):
@@ -209,6 +263,35 @@ class TestSeriesState:
     def test_truncation_error_raised(self):
         with pytest.raises(coh.TruncationError):
             coh.series_state(coh.CoherentParams(0.8), 16, ALG, tail_tol=1e-12)
+
+    def test_negative_length_raises(self):
+        """n_max = -1 divides by zero in the tail bound; a shorter one fails the bound."""
+        with pytest.raises(ZeroDivisionError):
+            coh.series_state(coh.CoherentParams(0.3), -1, ALG)
+        with pytest.raises(coh.TruncationError):
+            coh.series_state(coh.CoherentParams(0.3), -5, ALG)
+
+    @pytest.mark.parametrize("z", BIT_Z)
+    def test_chain_matches_the_python_products(self, z):
+        """The accumulated rows, their sums and c equal the Python running products bit for
+        bit, and each row is a contiguous complex128 array."""
+        for n in BIT_N:
+            got, want = coh._series_chain(z, n, np.inf), _loop_chain(z, n)
+            for g, w in zip(got, want, strict=True):
+                assert np.array_equal(_bits(g), _bits(w)), n
+            for col in (got.even, got.odd):
+                assert col.dtype == np.complex128 and col.flags.c_contiguous and col.shape == (n,)
+
+    @pytest.mark.parametrize("z", BIT_Z)
+    def test_state_matches_the_loop_reference(self, z):
+        """``series_state`` equals the Grassmann rows over the Python products bit for bit."""
+        for n in (1, 64, 700):
+            chain = _loop_chain(z, n)
+            for a in SIGNED_ALPHA + SECTOR_ALPHA:
+                p = coh.CoherentParams(z, a)
+                got = coh.series_state(p, n, ALG, tail_tol=np.inf).coeffs
+                want = _grassmann_series_state(p, n, ALG, chain).coeffs
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, a)
 
     @pytest.mark.parametrize("alg, z, alpha", SECTOR_POINTS)
     def test_sector_form_matches_the_generic_normalization(self, alg, z, alpha):

@@ -801,6 +801,16 @@ class TestApplyColumns:
                 else:
                     np.testing.assert_array_equal(got, want, err_msg=label)
 
+    @pytest.mark.parametrize("alg", [ALG, ALG6], ids=["g4", "g6"])
+    def test_unit_block_is_the_identity_gather(self, alg):
+        """``apply`` adds the mask-0 block as it is: for the algebra and for its coefficient
+        algebra, the unit monomial's left product gathers every column to itself with sign +1."""
+        for space in (alg, coefficient_algebra(alg)):
+            src, dst, sign = space.plan._left_mul[0]
+            index = np.arange(space.size)
+            assert np.array_equal(src, index) and np.array_equal(dst, index)
+            assert sign.dtype == float and np.array_equal(sign, np.ones(space.size))
+
     def test_incompatible_vector_rejected(self):
         vac = SuperVector.basis_state(0, 0, N, ALG)
         with pytest.raises(AlgebraMismatchError):
