@@ -14,7 +14,9 @@ from osp22 import basis as b
 print("== values ==")
 print("chi_0(0, 0)      =", b.eval_chi(0, 0.0, 0.0), " (equals (2 pi)^(-1/4))")
 print("chi_1(0, t)      =", b.eval_chi(1, 0.0, 1.7), " (odd function)")
-print("He_3(2)          =", b.hermite_he(3, 2.0))
+# chi_m(x, 0) = (-i)^m (2 pi)^(-1/4) exp(-x^2/4) He_m(x)/sqrt(m!): the normalized Hermite row
+row = -1j * b.eval_chi(3, 2.0, 0.0) * (2.0 * np.pi) ** 0.25 * np.exp(1.0)
+print("He_3(2)/sqrt(3!) =", row.real, f" (read off chi_3(2, 0); 2/sqrt(6) = {2.0 / np.sqrt(6.0)})")
 print()
 
 print("== orthonormality is time independent ==")

@@ -16,7 +16,6 @@ from .basis import (
     chi_evaluator,
     eval_chi,
     eval_chi_derivatives,
-    hermite_he,
     hermite_he_scale,
     ladder_coefficient,
     quad_inner,

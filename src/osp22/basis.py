@@ -7,9 +7,9 @@ complex width evolves through 1 + i t:
                   * exp(-i m arctan t - x^2 / (4 + 4 i t)) * He_m(x / sqrt(1 + t^2))
 
 with He_m(z) = 2^{-m/2} H_m(z / sqrt(2)).  The basis is orthonormal at every t.
-One private kernel, the normalized recurrence He_k / sqrt(k!), feeds
+One private kernel, on the rows He_k / sqrt(k!) of ``_hermite_rows``, feeds
 ``eval_chi``, ``eval_chi_derivatives`` and ``chi_matrix`` over broadcastable
-x and t; ``hermite_he`` is the unnormalized oracle.  ``schrodinger_residual``
+x and t; the ``basis.hermite`` check reads those rows.  ``schrodinger_residual``
 calls its state once on all stencils, so a state must broadcast over x and t.
 Ladder coefficients are frozen as a+ chi_m = (1/2) sqrt(m+1) chi_{m+1} and
 a- chi_m = (1/2) sqrt(m) chi_{m-1}; the test suite re-derives them from the
@@ -34,7 +34,6 @@ from .config import MAX_NODES
 __all__ = [
     "QuadratureSpec",
     "SYMMETRY_OPERATORS",
-    "hermite_he",
     "hermite_he_scale",
     "eval_chi",
     "eval_chi_derivatives",
@@ -110,57 +109,50 @@ def quad_grid(t: float = 0.0, spec: QuadratureSpec | None = None):
     return x, w
 
 
-def hermite_he(n: int, z):
-    """Probabilists' Hermite polynomial He_n by the three-term recurrence."""
-    return _hermite_recurrence(n, np.asarray(z, dtype=float), 1)
-
-
 def hermite_he_scale(n: int, z):
-    """The recurrence of ``hermite_he`` run on |z| with every term added.
+    """The recurrence He_{k+1} = z He_k - k He_{k-1} run on |z| with every term added.
 
     He_{k+1} = |z| He_k + k He_{k-1} bounds the magnitudes the signed recurrence
-    meets, so the rounding error of ``hermite_he`` is a small multiple of machine
-    epsilon times this scale (Gautschi, SIAM Review 9 (1967) 24); max(1, |He_n|)
-    is no such bound where the terms cancel.
+    meets, so the rounding error of ``_hermite_rows`` times sqrt(n!) is a small
+    multiple of machine epsilon times this scale (Gautschi, SIAM Review 9 (1967) 24);
+    max(1, |He_n|) is no such bound where the terms cancel.
     """
-    return _hermite_recurrence(n, np.abs(np.asarray(z, dtype=float)), -1)
-
-
-def _hermite_recurrence(n, z_arr, sign):
     n = int(n)
     if n < 0:
         raise ValueError("Hermite degree must be nonnegative")
-    h0 = np.ones_like(z_arr)
-    if n == 0:
-        return float(h0) if z_arr.ndim == 0 else h0
-    h1 = z_arr.copy()
-    for k in range(1, n):
-        h0, h1 = h1, z_arr * h1 - (sign * k) * h0
-    return float(h1) if z_arr.ndim == 0 else h1
+    z = np.abs(np.asarray(z, dtype=float))
+    h0, h1 = 0.0, np.ones_like(z)
+    for k in range(n):
+        h0, h1 = h1, z * h1 + k * h0
+    return float(h1) if z.ndim == 0 else h1
 
 
-def _packets(rows, x, t):
-    """chi_m(x, t) for each m in rows, stacked along a new leading axis.
-
-    One normalized recurrence He_k(z)/sqrt(k!) up to max(rows), bounded where
-    the bare polynomials overflow; x and t broadcast against each other.
-    """
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    one_it = 1.0 + 1j * t
-    z = x / np.sqrt(1.0 + t * t)
-    size = max(rows) + 1
+def _hermite_rows(z, size: int) -> list:
+    """He_k(z) / sqrt(k!) for k < size, by the normalized recurrence, bounded where He_k overflows:
+    Python floats at a 0-d z, which round as numpy float64 scalars do, else arrays formed in place."""
     root = np.sqrt(np.arange(size)).tolist()
-    # the rows as a list: Python floats at a single point, which round as numpy float64
-    # scalars do, and otherwise arrays, each formed in place
-    scalar = z.ndim == 0
-    z = float(z) if scalar else z
+    scalar = np.ndim(z) == 0
+    z = float(z) if scalar else np.asarray(z, dtype=float)
     H = ([1.0, z] if scalar else [np.ones_like(z), z])[:size]
     for k in range(1, size - 1):
         h = z * H[k]
         h -= root[k] * H[k - 1]
         h /= root[k + 1]
         H.append(h)
+    return H
+
+
+def _packets(rows, x, t):
+    """chi_m(x, t) for each m in rows, stacked along a new leading axis.
+
+    One run of ``_hermite_rows`` up to max(rows); x and t broadcast against each other.
+    """
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    one_it = 1.0 + 1j * t
+    z = x / np.sqrt(1.0 + t * t)
+    scalar = z.ndim == 0
+    H = _hermite_rows(z, max(rows) + 1)
     angle = np.arctan(t)
     env = np.exp(-x * x / (4.0 * one_it)) / (_ROOT4_2PI * np.sqrt(one_it))
     # each element is ((-i)^m e^{-i m angle}) env He_m, whatever other rows are requested

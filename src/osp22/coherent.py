@@ -220,6 +220,8 @@ def expansion_coefficients(z: complex, n_max: int):
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError("|z| must be strictly less than 1")
+    if n_max < 0:
+        raise ValueError(f"series length must be nonnegative, got {n_max}")
     pref = (1.0 - abs(z) ** 2) ** 0.25
     zp = np.full(n_max, z)
     zp[:1] = 1.0
@@ -268,8 +270,10 @@ class _Chain(NamedTuple):
 
 
 def _series_chain(z: complex, n_max: int, tail_tol: float) -> _Chain:
-    """The running products of ``series_state`` at z; TruncationError when the geometric
-    tail bound exceeds tail_tol."""
+    """The running products of ``series_state`` at z; ValueError for n_max < 1 and
+    TruncationError when the geometric tail bound exceeds tail_tol."""
+    if n_max < 1:
+        raise ValueError(f"series length must be at least 1, got {n_max}")
     z = complex(z)
     k = np.arange(1.0, n_max + 1.0)
     roots = np.sqrt(k * np.stack([k - 0.5, k + 0.5]))
@@ -323,9 +327,10 @@ def series_state(
 ) -> SuperVector:
     """exp(z K+)(1 + alpha V+) vacuum, normalized to unit super inner product.
 
-    Raises TruncationError when the geometric tail bound at n_max exceeds
-    tail_tol.  The unnormalized state is Phi = E + alpha O with complex sector
-    columns e and o; with s_e = sum |e_n|^2 and s_o = sum |o_n|^2 its super norm
+    Raises ValueError for n_max < 1 and TruncationError when the geometric
+    tail bound at n_max exceeds tail_tol.  The unnormalized state is
+    Phi = E + alpha O with complex sector columns e and o; with
+    s_e = sum |e_n|^2 and s_o = sum |o_n|^2 its super norm
     is s_e + nu, nu = -i s_o conj(alpha) alpha, and nu^2 = 0.  So
     (Phi|Phi)^{-1/2} = (1 - nu / (2 s_e)) / sqrt(s_e) exactly, and with
     c = closed_form_phase(z) / sqrt(s_e) the even rows are e times the row of

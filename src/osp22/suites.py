@@ -19,9 +19,11 @@ and ``trajectory`` commands only format the rows of ``symbol_rows`` and
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermeval
 
 from . import basis as _basis
 from . import coherent as _coh
@@ -61,7 +63,7 @@ CHECKS = {
     "basis.residual": ("residual", "equation residual < tol on the 5x5 grid for m <= 20"),
     "basis.hermite": (
         1e-12,
-        "recurrence values against scipy eval_hermitenorm, relative to the sign-free recurrence",
+        "the chi recurrence He_n/sqrt(n!) against numpy hermeval, relative to the sign-free recurrence",
     ),
     "basis.derivatives": (1e-7, "analytic x-derivatives against 4th-order finite differences"),
     "basis.symmetry_span": (1e-8, "dilation operator leaks nothing outside modes {1,3,5}"),
@@ -329,20 +331,19 @@ def suite_basis(cfg: RunConfig) -> list:
     )
     checks.append(_check(cfg, "basis.residual", defects))
 
-    from scipy.special import eval_hermitenorm
+    def hermite(n, z, want):
+        """|row n of the recurrence at z - want / sqrt(n!)|, relative to the sign-free
+        recurrence over sqrt(n!), which is 0 only where He_n(0) = 0 exactly for odd n."""
+        norm = math.sqrt(math.factorial(n))
+        diff = abs(_basis._hermite_rows(z, n + 1)[n] - want / norm)
+        return diff * norm / _basis.hermite_he_scale(n, z) if diff else 0.0
 
     rng = np.random.default_rng(cfg.seed + 1)
-    defects = [
-        abs(_basis.hermite_he(2, 0.0) + 1.0),
-        abs(_basis.hermite_he(3, 2.0) - 2.0),
-        abs(_basis.hermite_he(0, 5.0) - 1.0),
-    ]
+    defects = [hermite(2, 0.0, -1.0), hermite(3, 2.0, 2.0), hermite(0, 5.0, 1.0)]
     for _ in range(50):
         n = int(rng.integers(0, 26))
         z = float(rng.uniform(-5, 5))
-        # relative to the sign-free recurrence, which is 0 only where He_n(0) = 0 exactly for odd n
-        diff = abs(_basis.hermite_he(n, z) - float(eval_hermitenorm(n, z)))
-        defects.append(diff / _basis.hermite_he_scale(n, z) if diff else 0.0)
+        defects.append(hermite(n, z, float(hermeval(z, [0.0] * n + [1.0]))))
     checks.append(_check(cfg, "basis.hermite", defects))
 
     defects = []

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -13,43 +15,80 @@ def _bits(x):
     return np.atleast_1d(np.asarray(x, dtype=complex)).view(np.uint64)
 
 
+def _row(n, z):
+    """Row n of the recurrence every chi runs, He_n(z) / sqrt(n!)."""
+    return b._hermite_rows(z, n + 1)[n]
+
+
+def _loop_rows(z, size):
+    """The normalized recurrence as a loop over a list, the reference for ``_hermite_rows``."""
+    root = np.sqrt(np.arange(size)).tolist()
+    scalar = z.ndim == 0
+    z = float(z) if scalar else z
+    H = ([1.0, z] if scalar else [np.ones_like(z), z])[:size]
+    for k in range(1, size - 1):
+        h = z * H[k]
+        h -= root[k] * H[k - 1]
+        h /= root[k + 1]
+        H.append(h)
+    return H
+
+
 class TestHermite:
     def test_frozen_values(self):
-        assert b.hermite_he(2, 0.0) == -1.0
-        assert b.hermite_he(3, 2.0) == 2.0  # z^3 - 3z at z=2
-        assert b.hermite_he(0, 123.0) == 1.0
+        assert _row(0, 123.0) == 1.0
+        assert _row(1, -3.5) == -3.5
+        assert _row(2, 0.0) == -1.0 / np.sqrt(2.0)
+        # z^3 - 3z = 2 at z = 2, to the rounding the sign-free scale allows
+        assert abs(_row(3, 2.0) * np.sqrt(6.0) - 2.0) <= 4 * np.finfo(float).eps * b.hermite_he_scale(3, 2.0)
 
     def test_against_scipy(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             n = int(rng.integers(0, 26))
             z = float(rng.uniform(-5, 5))
-            ref = float(eval_hermitenorm(n, z))
-            assert abs(b.hermite_he(n, z) - ref) <= 1e-12 * max(1.0, abs(ref))
+            ref = float(eval_hermitenorm(n, z)) / math.sqrt(math.factorial(n))
+            assert abs(_row(n, z) - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_vectorized(self):
         z = np.linspace(-2, 2, 7)
-        assert np.allclose(b.hermite_he(2, z), z * z - 1.0)
+        assert np.allclose(_row(2, z), (z * z - 1.0) / np.sqrt(2.0))
 
     def test_whole_draw_domain_against_scipy(self):
         """basis.hermite's gate over every degree it draws and a 2001-point grid of its x range.
 
-        Each difference is divided by the sign-free recurrence, which bounds the
-        rounding the three-term recurrence amplifies; it is 0 only at x = 0 for odd
-        n, where both routes give exactly 0.
+        Each difference is divided by the sign-free recurrence over sqrt(n!), which
+        bounds the rounding the three-term recurrence amplifies; it is 0 only at
+        x = 0 for odd n, where both routes give exactly 0.
         """
         x = np.linspace(-5.0, 5.0, 2001)
-        for n in range(26):
-            diff = np.abs(b.hermite_he(n, x) - eval_hermitenorm(n, x))
-            scale = b.hermite_he_scale(n, x)
-            assert np.all(scale >= np.abs(b.hermite_he(n, x)))
+        for n, row in enumerate(b._hermite_rows(x, 26)):
+            norm = math.sqrt(math.factorial(n))
+            diff = np.abs(row - eval_hermitenorm(n, x) / norm)
+            scale = b.hermite_he_scale(n, x) / norm
+            assert np.all(scale >= np.abs(row))
             assert np.all(diff[scale == 0.0] == 0.0)
             assert np.max(diff / np.where(scale == 0.0, 1.0, scale)) <= 1e-12
 
+    @pytest.mark.parametrize("z", [
+        1.3, -0.0, 7.5, np.float64(-4.2), np.array(0.4),
+        np.linspace(-6.0, 6.0, 41), np.linspace(-3.0, 3.0, 10).reshape(2, 5),
+    ], ids=["float", "minus_zero", "far", "float64", "0d_array", "grid", "2d"])
+    @pytest.mark.parametrize("size", [1, 2, 3, 26, 82])
+    def test_rows_match_the_loop_bit_for_bit(self, z, size):
+        """Python floats at a 0-d z, float arrays elsewhere, each row with the loop's bits."""
+        got, want = b._hermite_rows(z, size), _loop_rows(np.asarray(z, dtype=float), size)
+        assert len(got) == len(want) == size
+        for g, w in zip(got, want, strict=True):
+            assert type(g) is float if np.ndim(z) == 0 else g.shape == np.shape(z)
+            assert np.array_equal(np.asarray(g).view(np.uint64), np.asarray(w).view(np.uint64))
+
     def test_scale_is_the_sign_free_recurrence(self):
         assert b.hermite_he_scale(0, -3.0) == 1.0
+        assert b.hermite_he_scale(1, -3.0) == 3.0
         assert b.hermite_he_scale(2, -2.0) == 5.0  # |z|^2 + 1
         assert b.hermite_he_scale(3, -2.0) == 14.0  # |z|^3 + 3|z|
+        assert np.array_equal(b.hermite_he_scale(3, np.array([-2.0, 0.0])), [14.0, 0.0])
         with pytest.raises(ValueError):
             b.hermite_he_scale(-1, 0.5)
 

@@ -239,8 +239,10 @@ class TestExpansionCoefficients:
                 assert g.shape == (n,) and np.array_equal(_bits(g), _bits(w)), n
 
     def test_negative_length_raises(self):
-        with pytest.raises(ValueError, match="negative dimensions"):
-            coh.expansion_coefficients(0.3, -1)
+        """A negative length is refused by name; length 0 gives empty rows, as the bit test shows."""
+        for n in (-1, -5):
+            with pytest.raises(ValueError, match="series length must be nonnegative"):
+                coh.expansion_coefficients(0.3, n)
 
 
 class TestSeriesState:
@@ -265,11 +267,13 @@ class TestSeriesState:
             coh.series_state(coh.CoherentParams(0.8), 16, ALG, tail_tol=1e-12)
 
     def test_negative_length_raises(self):
-        """n_max = -1 divides by zero in the tail bound; a shorter one fails the bound."""
-        with pytest.raises(ZeroDivisionError):
-            coh.series_state(coh.CoherentParams(0.3), -1, ALG)
-        with pytest.raises(coh.TruncationError):
-            coh.series_state(coh.CoherentParams(0.3), -5, ALG)
+        """A series needs one term: a shorter one is refused by name before any tail bound,
+        whatever tail_tol allows, at z = 0 too."""
+        for n in (-5, -1, 0):
+            with pytest.raises(ValueError, match="series length must be at least 1"):
+                coh.series_state(coh.CoherentParams(0.3), n, ALG)
+            with pytest.raises(ValueError, match="series length must be at least 1"):
+                coh.series_state(coh.CoherentParams(0.0), n, ALG, tail_tol=np.inf)
 
     @pytest.mark.parametrize("z", BIT_Z)
     def test_chain_matches_the_python_products(self, z):

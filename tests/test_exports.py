@@ -1,6 +1,6 @@
 """Every exported name resolves, every name the benchmark trace wraps exists,
-no module imports a name it never uses, and importing the package loads no
-scipy.
+no module imports a name it never uses, and neither importing the package nor
+running ``verify all`` loads scipy.
 
 A stale ``__all__`` entry only breaks ``import *``; a stale import breaks
 nothing; a renamed traced method breaks only traced benchmark runs, which
@@ -143,10 +143,16 @@ def test_traced_names_resolve():
     assert not missing
 
 
-def test_import_loads_no_scipy():
-    """scipy is an oracle of the tests and of ``suite_basis`` only; the library runs on numpy."""
+def test_import_loads_no_scipy(tmp_path):
+    """scipy is an oracle of the tests alone: importing the package and running every suite
+    through ``verify all`` load numpy and no scipy module."""
     src = str(Path(osp22.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = "import osp22, osp22.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    scipy = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+    code = (
+        f"import osp22, osp22.cli, sys; print({scipy}); "
+        f"code = osp22.cli.main(['verify', 'all', '--out', {str(tmp_path)!r}]); print(code, {scipy})"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[0] == "[]"
+    assert out.stdout.splitlines()[-1] == "0 []"

@@ -568,6 +568,17 @@ def test_hermite_passes_where_cancellation_is_worst(seed):
     assert record["pass"] and record["defect"] < 1e-15
 
 
+def test_hermite_watches_the_chi_recurrence(monkeypatch):
+    """Rows k >= 1 of the recurrence every chi runs, each scaled by 1 + 1e-9, fail basis.hermite:
+    the check reads the rows ``_packets`` reads, not a copy of them."""
+    rows, chi = _basis._hermite_rows, _basis.eval_chi(1, 0.5, 0.0)
+    perturbed = lambda z, size: [h if k == 0 else h * (1.0 + 1e-9) for k, h in enumerate(rows(z, size))]
+    monkeypatch.setattr(_basis, "_hermite_rows", perturbed)
+    assert _basis.eval_chi(1, 0.5, 0.0) != chi
+    record = next(r for r in suite_checks("basis", RunConfig()) if r["id"] == "basis.hermite")
+    assert not record["pass"] and record["defect"] > 1e-10
+
+
 def _disk_point(radius, phase):
     """radius * e^{i phase}, moved inward an ulp at a time until it lies in the closed disk, so
     a ring point drawn at DISK_RADIUS is one that ``validate`` accepts."""
