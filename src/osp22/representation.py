@@ -24,9 +24,10 @@ diagonal, at most ``_MAX_DIAGONALS`` of them, sorted by increasing d; d is the
 int row - column and part is that diagonal alone, its max(0, N - |d|) entries
 (r, r - d) in increasing row r.  A one-diagonal quadrant is the one-entry case.
 A dense record is the one entry (None, part) with part the N x N array.  Every
-quadrant sum goes through one rule, ``_add``: two diagonal records merge their
-offsets, adding the 1-D arrays of a diagonal both hold, and any other pair, or
-a merge past ``_MAX_DIAGONALS`` diagonals, is expanded to N x N and added.  A
+quadrant sum or difference goes through one rule, ``_add``: two diagonal records
+merge their offsets, adding or subtracting the 1-D arrays of a diagonal both hold,
+and any other pair, or a merge past ``_MAX_DIAGONALS`` diagonals, is expanded to
+N x N and combined; each graded bracket folds its +-1 into it (``_graded_difference``).  A
 product of two diagonal records convolves their offsets: each pair of entries
 is one elementwise product on diagonal d1 + d2 (``_diagonal_product``), and
 products landing on one diagonal add in the order of the entries.  ``apply``
@@ -258,26 +259,31 @@ class SuperOperator:
 
     # -- linear structure ----------------------------------------------------------
 
-    def __add__(self, other):
+    def _sum(self, other, subtract: bool):
+        """self - other when ``subtract``, else self + other: the one body of + and -."""
         self._check(other)
         if not self.blocks:
-            return other
+            return -other if subtract else other
         if not other.blocks:
             return self
         if other.parity_bit != self.parity_bit:
             raise ValueError("cannot add operators of different parity")
         blocks = dict(self.blocks)  # read-only, so quadrants one operand holds are shared
         for m, qc in other.blocks.items():
-            qa = blocks.get(m, {})
-            sums = {ij: _add(qa[ij], qc[ij], self.n_max) for ij in qa.keys() & qc.keys()}
-            blocks[m] = {**qa, **qc, **sums}
+            blocks[m] = out = dict(blocks.get(m, {}))
+            for ij, r in qc.items():
+                out[ij] = _add(out[ij], r, self.n_max, subtract) if ij in out else _negated(r) if subtract else r
         return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.parity_bit)
 
+    def __add__(self, other):
+        return self._sum(other, False)
+
     def __sub__(self, other):
-        return self + (-1.0) * other
+        return self._sum(other, True)
 
     def __neg__(self):
-        return (-1.0) * self
+        blocks = {m: {ij: _negated(r) for ij, r in quads.items()} for m, quads in self.blocks.items()}
+        return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.parity_bit)
 
     def __rmul__(self, beta):
         """Left multiplication by a complex number or a homogeneous element of the operator's algebra."""
@@ -342,7 +348,7 @@ class SuperOperator:
                             continue
                         term = _product(x, y, n)
                         if sign < 0:
-                            term = tuple([(d, _frozen(-part)) for d, part in term])
+                            term = _negated(term)
                         out[(i, j)] = _add(out[(i, j)], term, n) if (i, j) in out else term
         return SuperOperator._wrap(self.algebra, self.n_max, blocks, self.parity_bit ^ other.parity_bit)
 
@@ -378,10 +384,9 @@ class SuperOperator:
         return SuperVector.from_coeffs(v.algebra, out.reshape(v.coeffs.shape))
 
     def supercommutator(self, other) -> "SuperOperator":
-        """[A, C] = AC - (-1)^{p(A) p(C)} CA."""
+        """[A, C] = AC - (-1)^{p(A) p(C)} CA: AC + CA for two odd operators, else AC - CA."""
         self._check(other)
-        sign = -1.0 if (self.parity_bit and other.parity_bit) else 1.0
-        return (self @ other) - sign * (other @ self)
+        return _graded_difference(self @ other, other @ self, self.parity_bit & other.parity_bit)
 
     # -- superadjoint ------------------------------------------------------------------
 
@@ -477,20 +482,31 @@ def _scaled(record: tuple, c) -> tuple:
     return tuple([(d, _frozen(c * part)) for d, part in record])
 
 
-def _add(x: tuple, y: tuple, n: int) -> tuple:
-    """The record of x + y for quadrant records x and y.
+def _negated(record: tuple) -> tuple:
+    """The record of -x for a quadrant record x: each part negated, with no complex multiply."""
+    return tuple([(d, _frozen(-part)) for d, part in record])
 
-    Two diagonal records merge their offsets, a diagonal both hold adding as x's part plus
-    y's; past ``_MAX_DIAGONALS`` diagonals, or with a dense record, the sum is N x N.  A
-    diagonal only one of them holds is shared.
+
+def _add(x: tuple, y: tuple, n: int, subtract: bool = False) -> tuple:
+    """The record of x + y, or of x - y when ``subtract``, for quadrant records x and y.
+
+    Two diagonal records merge their offsets, a diagonal both hold combining in one ufunc;
+    past ``_MAX_DIAGONALS`` diagonals, or with a dense record, the N x N expansions combine.
+    A diagonal only x holds is shared, one only y holds shared in a sum, negated otherwise.
     """
+    combine = np.subtract if subtract else np.add
     if x[0][0] is not None and y[0][0] is not None:
         merged = dict(x)
         for d, part in y:
-            merged[d] = _frozen(merged[d] + part) if d in merged else part
+            merged[d] = _frozen(combine(merged[d], part)) if d in merged else _frozen(-part) if subtract else part
         if len(merged) <= _MAX_DIAGONALS:
             return tuple(sorted(merged.items()))
-    return ((None, _frozen(_expand(x, n) + _expand(y, n))),)
+    return ((None, _frozen(combine(_expand(x, n), _expand(y, n)))),)
+
+
+def _graded_difference(x: SuperOperator, y: SuperOperator, odd: int) -> SuperOperator:
+    """x - (-1)^odd y, x + y for ``odd`` 1 and x - y for 0: every graded bracket's one merge."""
+    return x._sum(y, not odd)
 
 
 def _product(x: tuple, y: tuple, n: int) -> tuple:
@@ -935,13 +951,13 @@ def structure_defects(ops: dict, seed: int = 7) -> dict:
 
 def _generator_table(ops: dict) -> tuple:
     """(products, brackets): a @ c and [a, c] for every ordered pair of GENERATOR_NAMES, keyed
-    (a, c).  Each bracket is products[a, c] - sign * products[c, a], the arithmetic of
-    ``SuperOperator.supercommutator``, so it equals that call record for record."""
+    (a, c).  Each bracket is ``_graded_difference`` of products[a, c] and products[c, a], as
+    in ``SuperOperator.supercommutator``, so it equals that call record for record."""
     products = {(a, c): ops[a] @ ops[c] for a in GENERATOR_NAMES for c in GENERATOR_NAMES}
-    brackets = {}
-    for a, c in products:
-        sign = -1.0 if (ops[a].parity_bit and ops[c].parity_bit) else 1.0
-        brackets[a, c] = products[a, c] - sign * products[c, a]
+    brackets = {
+        (a, c): _graded_difference(products[a, c], products[c, a], ops[a].parity_bit & ops[c].parity_bit)
+        for a, c in products
+    }
     return products, brackets
 
 
@@ -976,11 +992,10 @@ def _structure_defects(ops: dict, table: dict, seed: int) -> dict:
     jacobi, jacobi_abs = [], []
     for _ in range(20):
         a, c, e = (GENERATOR_NAMES[k] for k in rng.integers(0, 8, size=3))
-        sign = -1.0 if (ops[a].parity_bit and ops[c].parity_bit) else 1.0
-        jac = (
-            ops[a].supercommutator(table[c, e])
-            - table[a, c].supercommutator(ops[e])
-            - sign * ops[c].supercommutator(table[a, e])
+        jac = _graded_difference(
+            ops[a].supercommutator(table[c, e]) - table[a, c].supercommutator(ops[e]),
+            ops[c].supercommutator(table[a, e]),
+            ops[a].parity_bit & ops[c].parity_bit,
         )
         jacobi_abs.append(jac.max_abs(columns=cols_triple))
         jacobi.append(jacobi_abs[-1] / np.prod([deep[a], deep[c], deep[e]]))

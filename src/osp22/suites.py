@@ -496,8 +496,7 @@ def suite_algebra(cfg: RunConfig) -> list:
     for _ in range(20):
         a_name, c_name = (_rep.GENERATOR_NAMES[k] for k in rng.integers(0, 8, size=2))
         a, c = adjoints[a_name], adjoints[c_name]
-        sign = -1.0 if (a.parity_bit and c.parity_bit) else 1.0
-        rule = products[a_name, c_name].superadjoint() - sign * (c @ a)
+        rule = _rep._graded_difference(products[a_name, c_name].superadjoint(), c @ a, a.parity_bit & c.parity_bit)
         adjoint_products.append(rule.max_abs())
         commutators.append((brackets[a_name, c_name].superadjoint() + a.supercommutator(c)).max_abs())
     checks.append(_check(cfg, "algebra.adjoint_product", adjoint_products))
@@ -506,8 +505,7 @@ def suite_algebra(cfg: RunConfig) -> list:
     defects = []
     for name in _rep.HERMITIAN_BASE:
         x = _rep.build_generator(name, n_max, alg)
-        sign = -1.0 if x.parity_bit else 1.0
-        defects.append((x.superadjoint() - sign * x).max_abs())
+        defects.append(_rep._graded_difference(x.superadjoint(), x, x.parity_bit).max_abs())
     checks.append(_check(cfg, "algebra.hermitian_base", defects))
 
     defects = []

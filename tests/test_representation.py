@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -692,6 +693,98 @@ class TestQuadrantComposition:
     def test_incompatible_scalar_rejected(self):
         with pytest.raises(AlgebraMismatchError):
             ALG6.gen("alpha") * op("K+")
+
+
+def _operator_on(spec, n, rng):
+    """An even operator from {mask: {(row sector, column sector): offsets, or None}}: each listed
+    diagonal of a quadrant filled with nonzero draws, or with None the whole quadrant."""
+    draw = lambda shape: rng.choice([-1.0, 1.0], shape) * rng.uniform(0.5, 2.0, shape) + 1j * rng.integers(-1, 2, shape)
+    blocks = {}
+    for m, quads in spec.items():
+        mat = np.zeros((2 * n, 2 * n), dtype=complex)
+        for (i, j), offsets in quads.items():
+            quad = mat[i * n : (i + 1) * n, j * n : (j + 1) * n]
+            if offsets is None:
+                quad[:] = draw((n, n))
+            for d in offsets or ():
+                rows = np.arange(max(0, d), n + min(0, d))
+                quad[rows, rows - d] = draw(rows.shape)
+        blocks[m] = mat
+    return SuperOperator(ALG, n, blocks, 0)
+
+
+def _assert_equal_but_zero_signs(got, want):
+    """``got`` and ``want`` hold the same masks, quadrants and offsets and equal parts, and a
+    real or imaginary part differs in its sign bit only where it is zero."""
+    assert got.parity_bit == want.parity_bit
+    assert got.blocks.keys() == want.blocks.keys()
+    for m, quads in want.blocks.items():
+        assert _offsets(got.blocks[m]) == _offsets(quads), m
+        for ij, record in quads.items():
+            for (_, x), (_, y) in zip(got.blocks[m][ij], record):
+                np.testing.assert_array_equal(x, y)
+                for u, v in ((x.real, y.real), (x.imag, y.imag)):
+                    assert np.all((np.signbit(u) == np.signbit(v)) | (u == 0)), (m, ij)
+
+
+# (left, right) operand specs of ``_operator_on``; mask 0b11 is alpha * alpha_bar
+SIGNED_SUM_CASES = {
+    # (0, 0) shares diagonals 0 and 2, and each side holds one the other lacks; quadrant
+    # (1, 1) and the whole 0b11 block only the right operand holds
+    "shared-and-one-sided-diagonals": (
+        {0: {(0, 0): (-1, 0, 2)}},
+        {0: {(0, 0): (0, 2, 3), (1, 1): (1,)}, 0b11: {(0, 0): (-2,)}},
+    ),
+    "diagonal-and-dense-records": ({0: {(0, 0): (0, 1), (1, 1): None}}, {0: {(0, 0): None, (1, 1): (-1,)}}),
+    # 9 diagonals in all, one past representation._MAX_DIAGONALS, diagonal 0 shared
+    "merge-past-max-diagonals": ({0: {(0, 0): (-4, -3, -2, -1, 0)}}, {0: {(0, 0): (0, 1, 2, 3, 4)}}),
+    "empty-left": ({}, {0: {(0, 0): (0, 1)}, 0b11: {(1, 1): None}}),
+    "empty-right": ({0: {(0, 0): (0, 1), (1, 1): None}}, {}),
+}
+
+
+class TestSignedSums:
+    @pytest.mark.parametrize("case", SIGNED_SUM_CASES)
+    def test_sum_and_difference_match_the_blocks_and_the_scaled_sum(self, case):
+        """X + Y and X - Y equal the sum and difference of the assembled blocks, and X - Y holds
+        the records of X + (-1.0) * Y, the difference formed through a scaled copy of Y, up to
+        the sign of a zero."""
+        x, y = (_operator_on(spec, N, np.random.default_rng(seed)) for spec, seed in zip(SIGNED_SUM_CASES[case], (3, 4)))
+        for got, sign in ((x + y, 1.0), (x - y, -1.0)):
+            _assert_diagonal_layout(got)
+            assert set(got.blocks) == set(x.blocks) | set(y.blocks)
+            for m in got.blocks:
+                np.testing.assert_array_equal(got.block(m), x.block(m) + sign * y.block(m))
+        _assert_equal_but_zero_signs(x - y, x + (-1.0) * y)
+        _assert_equal_but_zero_signs(-y, (-1.0) * y)
+        if case == "merge-past-max-diagonals":
+            assert _offsets((x - y).blocks[0]) == {(0, 0): (None,)}
+
+    def test_operators_of_different_parity_raise(self):
+        for x, y in ((op("K0"), op("V+")), (op("W-"), op("B"))):
+            with pytest.raises(ValueError):
+                x + y
+            with pytest.raises(ValueError):
+                x - y
+
+    def test_an_infinite_part_keeps_a_finite_imaginary_part(self):
+        """-Y, zero - Y and X - Y negate a part that holds +-inf to -+inf with no warning and a
+        finite imaginary part, on a shared diagonal, a diagonal and a dense record only Y holds;
+        scaling by -1 + 0j would make that imaginary part 0 * inf = nan."""
+        n = 6
+        mat = np.zeros((2 * n, 2 * n), dtype=complex)
+        mat[0, 0] = mat[2, 2 + n] = np.inf  # diagonal 0 of (0, 0) and of (0, 1)
+        mat[n:, n:] = 1.0  # (1, 1) is dense: 11 diagonals
+        mat[n + 3, n + 1] = -np.inf
+        y = SuperOperator(ALG, n, {0: mat}, 0)
+        assert _offsets(y.blocks[0]) == {(0, 0): (0,), (0, 1): (0,), (1, 1): (None,)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = {"-Y": -y, "zero - Y": SuperOperator.zero(n, ALG) - y, "X - Y": SuperOperator.identity(n, ALG) - y}
+        for label, got in results.items():
+            body = got.body
+            assert np.all(np.isfinite(body.imag)), label
+            assert body[0, 0].real == body[2, 2 + n].real == -np.inf and body[n + 3, n + 1].real == np.inf, label
 
 
 def _apply_all_columns(o, v):

@@ -522,6 +522,10 @@ CALL_CEILINGS = [
     # adjoints; now the 8 are formed once, and the involutions, the 20 products, the 20
     # brackets and the 8 Hermitian-base generators take one each
     pytest.param("algebra", _rep.SuperOperator, "superadjoint", 64, id="algebra-superadjoints"),
+    # was 486: each difference scaled its right operand by -1 first, and each bracket, Jacobi
+    # sum and adjoint rule by +-1 before that; now every sign folds into one merge, and only
+    # the combinations' and the superadjoint table's coefficients scale
+    pytest.param("algebra", _rep.SuperOperator, "__rmul__", 46, id="algebra-scalings"),
     # was 700: one per homogeneous element; now one per pair, both elements in one call.  The
     # suites and superspace import the function by name, so each module's name is counted
     pytest.param("grassmann", (_grassmann, _suites, _ss), "random_coefficients", 350, id="grassmann-draws"),
