@@ -769,22 +769,23 @@ class TestSignedSums:
 
     def test_an_infinite_part_keeps_a_finite_imaginary_part(self):
         """-Y, zero - Y and X - Y negate a part that holds +-inf to -+inf with no warning and a
-        finite imaginary part, on a shared diagonal, a diagonal and a dense record only Y holds;
-        scaling by -1 + 0j would make that imaginary part 0 * inf = nan."""
+        finite imaginary part: on a diagonal X shares, one X lacks, a quadrant only Y holds and
+        a dense record; scaling by -1 + 0j would make that imaginary part 0 * inf = nan."""
         n = 6
         mat = np.zeros((2 * n, 2 * n), dtype=complex)
-        mat[0, 0] = mat[2, 2 + n] = np.inf  # diagonal 0 of (0, 0) and of (0, 1)
+        mat[0, 0] = mat[1, 0] = mat[2, 2 + n] = np.inf  # diagonals 0 and 1 of (0, 0), 0 of (0, 1)
         mat[n:, n:] = 1.0  # (1, 1) is dense: 11 diagonals
         mat[n + 3, n + 1] = -np.inf
         y = SuperOperator(ALG, n, {0: mat}, 0)
-        assert _offsets(y.blocks[0]) == {(0, 0): (0,), (0, 1): (0,), (1, 1): (None,)}
+        assert _offsets(y.blocks[0]) == {(0, 0): (0, 1), (0, 1): (0,), (1, 1): (None,)}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             results = {"-Y": -y, "zero - Y": SuperOperator.zero(n, ALG) - y, "X - Y": SuperOperator.identity(n, ALG) - y}
         for label, got in results.items():
             body = got.body
             assert np.all(np.isfinite(body.imag)), label
-            assert body[0, 0].real == body[2, 2 + n].real == -np.inf and body[n + 3, n + 1].real == np.inf, label
+            assert body[0, 0].real == body[1, 0].real == body[2, 2 + n].real == -np.inf, label
+            assert body[n + 3, n + 1].real == np.inf, label
 
 
 def _apply_all_columns(o, v):
