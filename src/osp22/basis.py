@@ -145,14 +145,16 @@ def _hermite_rows(z, size: int) -> list:
 def _packets(rows, x, t):
     """chi_m(x, t) for each m in rows, stacked along a new leading axis.
 
-    One run of ``_hermite_rows`` up to max(rows); x and t broadcast against each other.
+    ``rows`` is a sequence or an array of ints, and no rows give an empty stack.  One run of
+    ``_hermite_rows`` up to max(rows); x and t broadcast against each other.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     one_it = 1.0 + 1j * t
     z = x / np.sqrt(1.0 + t * t)
+    if not len(rows):
+        return np.empty((0,) + z.shape, dtype=complex)
     scalar = z.ndim == 0
-    H = _hermite_rows(z, max(rows) + 1)
     angle = np.arctan(t)
     env = np.exp(-x * x / (4.0 * one_it)) / (_ROOT4_2PI * np.sqrt(one_it))
     # each element is ((-i)^m e^{-i m angle}) env He_m, whatever other rows are requested
@@ -160,8 +162,10 @@ def _packets(rows, x, t):
         # row by row for eval_chi and eval_chi_derivatives, where one broadcast costs more than
         # three rows; at a single point this keeps numpy scalar arithmetic, which rounds a
         # complex product without the fused multiply-add of the array loops
+        H = _hermite_rows(z, max(rows) + 1)
         return np.array([(_I_POWERS[m % 4] * np.exp(-1j * m * angle)) * env * H[m] for m in rows])
     rows = np.array(rows)
+    H = _hermite_rows(z, rows.max() + 1)
     m = rows.reshape((-1,) + (1,) * z.ndim)
     return (_I_POWERS[m % 4] * np.exp(-1j * m * angle)) * env * np.array(H)[rows]
 
@@ -187,7 +191,7 @@ def eval_chi_derivatives(m, x, t):
     """
     if np.ndim(m):
         m = _mode_array(m)
-        kernel = _packets(range(m.max() + 1), x, t)
+        kernel = _packets(range(m.max(initial=-1) + 1), x, t)
         v, v1, v2 = (kernel[np.maximum(m - k, 0)] for k in range(3))
         m = m.reshape(m.shape + (1,) * (v.ndim - m.ndim))
     else:
@@ -212,9 +216,8 @@ def chi_evaluator(m, t):
 
 
 def chi_matrix(modes, x, t):
-    """Array of chi_m(x, t) values, one row per requested mode."""
-    modes = [_mode_index(m) for m in modes]
-    return _packets(modes, np.atleast_1d(x), t)
+    """Array of chi_m(x, t) values, one row per requested mode, the modes read by ``_mode_array``."""
+    return _packets(_mode_array(modes), np.atleast_1d(x), t)
 
 
 def quad_inner(f, g, t: float = 0.0, spec: QuadratureSpec | None = None) -> complex:

@@ -38,6 +38,7 @@ trajectory data.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partialmethod
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +46,7 @@ import numpy as np
 from . import basis as _basis
 from . import representation as _rep
 from .config import DISK_RADIUS
-from .grassmann import GrassmannElement, default_algebra
+from .grassmann import GrassmannElement, _cmul, default_algebra
 from .superspace import SuperVector, coefficient_algebra
 
 __all__ = [
@@ -71,6 +72,7 @@ __all__ = [
 ]
 
 _SQRT2 = np.sqrt(2.0)
+_HALVES = np.array([[-0.5], [0.5]])  # k - 0.5 and k + 0.5 as one broadcast sum, bit for bit
 
 
 def closed_form_phase(z: complex) -> complex:
@@ -151,17 +153,8 @@ class ClosedFormState:
         vals = (psi, phi, dpsi, dphi)
         return vals if x.ndim else tuple(map(complex, vals))
 
-    def psi(self, x, t: float):
-        return self.fields(x, t)[0]
-
-    def phi(self, x, t: float):
-        return self.fields(x, t)[1]
-
-    def dpsi(self, x, t: float):
-        return self.fields(x, t)[2]
-
-    def dphi(self, x, t: float):
-        return self.fields(x, t)[3]
+    # psi(x, t), phi(x, t), dpsi(x, t) and dphi(x, t): one component of ``fields`` each
+    psi, phi, dpsi, dphi = (partialmethod(lambda self, k, x, t: self.fields(x, t)[k], k) for k in range(4))
 
     def moments(self, t: float = 0.0, spec=None) -> dict:
         """Real norms and means <x>, <p> of psi_z and phi_z at t, from one ``fields`` pass.
@@ -190,7 +183,10 @@ class ClosedFormState:
         Equals 1 exactly up to quadrature round-off: the nilpotent parts of
         N^2 and of the odd-sector norm cancel.
         """
-        m = self.moments(t, spec)
+        return self._norm_sq(self.moments(t, spec))
+
+    def _norm_sq(self, m: dict) -> GrassmannElement:
+        """``norm_sq`` from the norms of ``moments`` already formed at its (t, spec)."""
         a = self.params.alpha(self.algebra)
         n2 = self.normalizer.power(2.0)
         return n2 * (self.algebra.scalar(m["norm_psi"]) - 2j * m["norm_phi"] * (a.conj() * a))
@@ -230,10 +226,7 @@ def expansion_coefficients(z: complex, n_max: int):
     roots = np.ones((2, n_max))
     roots[:, 1:] = (n + np.array([[0.5], [1.5]])) / (n + 1.0)
     roots = np.sqrt(np.multiply.accumulate(roots, axis=1))
-    p = np.array([[pref], [0.5 * pref]])
-    re, im = p * zp.real - 0.0 * zp.imag, p * zp.imag + 0.0 * zp.real
-    out = np.empty((2, n_max), dtype=complex)
-    out.real, out.imag = re * roots - im * 0.0, re * 0.0 + im * roots
+    out = _cmul(_cmul(np.array([[pref], [0.5 * pref]]), zp), roots)  # real factors as (x, 0.0)
     return out[0], out[1]
 
 
@@ -246,24 +239,10 @@ def series_length_for(z: complex, tol: float = 1e-13) -> int:
     return max(n, 8)
 
 
-def _cmul(a, b) -> np.ndarray:
-    """a * b, broadcast, with the real and imaginary parts formed as separate float products.
-
-    Each entry rounds as a scalar complex product, and as ``GrassmannElement.__rmul__``
-    forms a scalar times a row: a plain complex multiply of arrays may fuse a multiply-add.
-    """
-    a, b = np.asarray(a), np.asarray(b)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 class _Chain(NamedTuple):
-    """The z-only part of ``series_state``: e, o, s_e, s_o and c = closed_form_phase(z) / sqrt(s_e)."""
+    """The z-only part of ``series_state``: sectors (e; o), s_e, s_o, c = closed_form_phase(z) / sqrt(s_e)."""
 
-    even: np.ndarray
-    odd: np.ndarray
+    sectors: np.ndarray
     s_e: float
     s_o: float
     c: complex
@@ -276,7 +255,7 @@ def _series_chain(z: complex, n_max: int, tail_tol: float) -> _Chain:
         raise ValueError(f"series length must be at least 1, got {n_max}")
     z = complex(z)
     k = np.arange(1.0, n_max + 1.0)
-    roots = np.sqrt(k * np.stack([k - 0.5, k + 0.5]))
+    roots = np.sqrt(k * (k + _HALVES))
     # one row per sector: 1 or 1/sqrt(2), then the factors z r / k with parts z.real r / k and
     # z.imag r / k, multiplied up along the row in order; each product rounds as the running
     # product of Python complex numbers does, and the last column bounds the tail
@@ -294,9 +273,9 @@ def _series_chain(z: complex, n_max: int, tail_tol: float) -> _Chain:
             bound=bound,
         )
 
-    even, odd = f[0, :-1], f[1, :-1]  # contiguous rows, as ``_crosschecks`` needs
+    even, odd = sectors = f[:, :-1]  # contiguous rows, as ``_crosschecks`` needs
     s_e, s_o = float(np.vdot(even, even).real), float(np.vdot(odd, odd).real)
-    return _Chain(even, odd, s_e, s_o, closed_form_phase(z) / np.sqrt(s_e))
+    return _Chain(sectors, s_e, s_o, closed_form_phase(z) / np.sqrt(s_e))
 
 
 def _package(chain: _Chain, alpha_coeff: complex, algebra) -> SuperVector:
@@ -304,21 +283,21 @@ def _package(chain: _Chain, alpha_coeff: complex, algebra) -> SuperVector:
 
     The rows c (1 - nu / (2 s_e)) and c alpha are formed with the float operations of their
     Grassmann expressions, so the state matches them bit for bit, signed zeros included:
-    conj(alpha) alpha has the one term sign |a|^2, on mask alpha alpha_bar.
+    conj(alpha) alpha has the one term sign |a|^2, on mask alpha alpha_bar.  Each entry of the
+    rows, and of alpha_coeff times the unit row of alpha, is a Python complex product, as ``_cmul``.
     """
     alg = coefficient_algebra(algebra or default_algebra())
     ma, mb = (1 << alg.index[name] for name in ("alpha", "alpha_bar"))
     mab, sign = alg.plan.join[mb][ma]
-    unit = np.zeros(alg.size, dtype=complex)
-    unit[ma] = 1.0
-    alpha = _cmul(complex(alpha_coeff), unit)
-    a = complex(alpha[ma])
+    c, alpha = complex(chain.c), complex(alpha_coeff)
+    a, zero = alpha * (1 + 0j), alpha * 0j
     nu = (-1j * chain.s_o) * complex(sign * (a.real * a.real - (-a.imag) * a.imag), 0.0)
     shift = (1.0 / complex(2.0 * chain.s_e)) * nu
-    body = np.zeros(alg.size, dtype=complex)  # 1 - nu / (2 s_e)
-    body[0], body[mab] = 1.0, 0j - shift
-    rows = _cmul(chain.c, np.stack([body, alpha]))  # c (1 - nu / (2 s_e)) and c alpha
-    coeffs = _cmul(np.stack([chain.even, chain.odd])[:, :, None], rows[:, None, :])
+    rows = np.empty((2, alg.size), dtype=complex)  # c (1 - nu / (2 s_e)) and c alpha
+    rows[0], rows[1] = c * 0j, c * zero
+    rows[0, 0], rows[0, mab], rows[1, ma] = c * (1 + 0j), c * (0j - shift), c * a
+    # modes on the last axis make each product one long inner loop; the transpose puts slots first
+    coeffs = _cmul(chain.sectors[:, None, :], rows[:, :, None]).transpose(0, 2, 1)
     return SuperVector.from_coeffs(alg, coeffs.reshape(-1, alg.size))
 
 
@@ -409,7 +388,7 @@ def _crosschecks(z: complex, alphas, ts, algebra, kernels) -> list:
         states.append(((sv - SuperVector.from_coeffs(alg, want)).max_abs(), (sv.super_inner(sv) - 1.0).max_abs()))
 
     # contiguous columns: a strided operand changes BLAS's sum order
-    body_even, alpha_slot = _cmul(np.stack([chain.even, chain.odd]), chain.c)
+    body_even, alpha_slot = _cmul(chain.sectors, chain.c)
     reports = []
     for t, vals in zip(ts, kernels):
         even_vals, odd_vals = vals[: 2 * n : 2], vals[1 : 2 * n : 2]

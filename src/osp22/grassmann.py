@@ -67,6 +67,19 @@ def _abs(x: np.ndarray) -> np.ndarray:
     return np.hypot(x.real, x.imag)
 
 
+def _cmul(a, b) -> np.ndarray:
+    """a * b, broadcast, with the real and imaginary parts formed as separate float products,
+    the difference and the sum in place: each entry rounds as Python's complex product, and a
+    real array multiplies as (x, 0.0).  A plain complex multiply of arrays may fuse a multiply-add."""
+    a, b = np.asarray(a), np.asarray(b)
+    re, im = a.real * b.real, a.real * b.imag
+    re -= a.imag * b.imag
+    im += a.imag * b.real
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def _row_bincount(bins, weights, size: int) -> np.ndarray:
     """Per-row ``np.bincount(bins, row, size)`` of ``weights`` (..., len(bins)), as one bincount
     whose row r bins are offset by r * size; each bin sums in the order a per-row call would."""
@@ -136,7 +149,8 @@ class ProductPlan:
 
         self.size = size
         self.parity = tuple(int(d) & 1 for d in degree)
-        self.parity_sign = 1.0 - 2.0 * (degree & 1)
+        # complex signs, which multiply a complex array as the float ones would after their cast
+        self.parity_sign = (1.0 - 2.0 * (degree & 1)).astype(complex)
         # the masks random_coefficients fills per parity, rows in _FILL_ROW order
         self._fills = np.array([masks >= 0, degree % 2 == 0, degree % 2 == 1])
         join = [[None] * size for _ in range(size)]
@@ -151,7 +165,7 @@ class ProductPlan:
         # gathers through it: entry P(m) of the result is sign(m) conj(x[m])
         perm = np.array([m for m, _ in self.conj_table])
         self._conj_perm = perm
-        self._conj_sign = np.array([float(s) for _, s in self.conj_table])[perm]
+        self._conj_sign = np.array([complex(s) for _, s in self.conj_table])[perm]
 
         # classes of terms per target: a term and its conjugate partner, or a
         # term alone, keyed by min(a, P(a)) and summed in (target, key) order
@@ -170,11 +184,14 @@ class ProductPlan:
         def table(keep):
             """(left, right, sign, class count, paired classes, bins) of the classes ``keep``:
             each class's first term in class order, then the partner terms of the paired
-            classes; interleaved (real, imag) bins so one bincount accumulates both parts."""
+            classes, whose ascending index is a slice, which numpy reads as a view, where it is
+            one run; interleaved (real, imag) bins so one bincount accumulates both parts."""
             paired = np.flatnonzero(partner[keep] >= 0)
             order = np.concatenate([first[keep], partner[keep][paired]])
             bins = (2 * class_target[keep][:, None] + np.arange(2)).ravel()
-            return a[order], b[order], sign[order].astype(float), int(keep.sum()), paired, bins
+            lo = int(paired[0]) if paired.size else 0
+            run = slice(lo, lo + paired.size) if np.array_equal(paired, lo + np.arange(paired.size)) else paired
+            return a[order], b[order], sign[order].astype(float), int(keep.sum()), run, bins
 
         self._full = table(first >= 0)
         self.left, self.right, self.sign = self._full[:3]
@@ -252,21 +269,21 @@ class ProductPlan:
     def contract(self, gram) -> np.ndarray:
         """sum over pairs of sign * gram[..., a, b] into mask a|b.
 
-        With gram[a, b] = sum_n x_n[a] y_n[b] this is sum_n x_n * y_n.
+        With gram[a, b] = sum_n x_n[a] y_n[b] this is sum_n x_n * y_n.  The signed entries are
+        C-ordered, as a stacked gram's gather is not, so their float view is the (real, imag) terms.
         """
-        w = self.sign * gram[..., self.left, self.right]
-        return self._accumulate(np.stack([w.real, w.imag], axis=-1), self._full)
+        w = np.multiply(self.sign, gram[..., self.left, self.right], order="C")
+        return self._accumulate(w.view(float).reshape(w.shape + (2,)), self._full)
 
     def conj(self, x) -> np.ndarray:
         """Conjugation of coefficient arrays: a signed permutation of np.conj(x)."""
         return self._conj_sign * np.conj(x[..., self._conj_perm])
 
-    def left_mul(self, mask: int, x) -> np.ndarray:
-        """Product of the unit monomial ``mask`` with each coefficient row."""
+    def add_left_mul(self, mask: int, x, out) -> None:
+        """out += the product of the unit monomial ``mask`` with each coefficient row of x, in place:
+        only the columns the product reaches gain their term, the rest would gain +0.0."""
         src, dst, sign = self._left_mul[mask]
-        out = np.zeros(np.shape(x), dtype=complex)
-        out[..., dst] = sign * x[..., src]
-        return out
+        out[..., dst] += sign * x[..., src]
 
     def parity_content(self, x) -> tuple:
         """(has even, has odd) per coefficient row of ``x`` (..., 2^g): whether a mask of that
@@ -452,13 +469,7 @@ class GrassmannElement:
 
     def __rmul__(self, other):
         if isinstance(other, _SCALAR_TYPES):
-            # separate float products, rounding as Python's complex product
-            c = complex(other)
-            x = self._data
-            out = np.empty_like(x)
-            out.real = c.real * x.real - c.imag * x.imag
-            out.imag = c.real * x.imag + c.imag * x.real
-            return self._new(out)
+            return self._new(_cmul(complex(other), self._data))
         return NotImplemented
 
     def __truediv__(self, other):

@@ -358,7 +358,9 @@ class SuperOperator:
         Each diagonal (d, part) of quadrant (i, j) acts on the rows it
         reaches, lo <= r < hi with lo, hi = max(0, d), N + min(0, d): row r of
         sector i gains part[r - lo] times row r - d of sector j, one slice
-        product for all rows.  An N x N record is one matrix product.
+        product for all rows.  An N x N record is one matrix product.  Each block sums its
+        quadrants, in (i, j) order, into its own slice of one array of zeros, so every sum
+        starts at +0.0, as does the output, which gains each graded block in block order.
         """
         if v.n_max != self.n_max:
             raise DimensionMismatchError("vector truncation differs from operator")
@@ -367,11 +369,11 @@ class SuperOperator:
         plan = v.algebra.plan
         n = self.n_max
         coeffs = v.coeffs.reshape(2, n, -1)  # sector, mode, monomial column
-        out = np.zeros_like(coeffs)
-        for am, quads in self.blocks.items():
-            acc = np.zeros_like(coeffs)
-            for (i, j), record in sorted(quads.items()):
-                for d, part in record:
+        sums = np.zeros((len(self.blocks) + 1,) + coeffs.shape, dtype=complex)
+        out = sums[0]
+        for acc, (am, quads) in zip(sums[1:], self.blocks.items()):
+            for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                for d, part in quads.get((i, j), ()):
                     if d is None:
                         acc[i] += part @ coeffs[j]
                     else:
@@ -379,8 +381,10 @@ class SuperOperator:
                         hi = max(lo, n + min(0, d))  # lo == hi: the diagonal lies outside the quadrant
                         acc[i, lo:hi] += part[:, None] * coeffs[j, lo - d : hi - d]
             graded = plan.grade(acc) if self.parity_bit ^ plan.parity[am] else acc
-            # the unit monomial's product is the identity gather with sign +1
-            out += plan.left_mul(am, graded) if am else graded
+            if am:
+                plan.add_left_mul(am, graded, out)
+            else:  # the unit monomial's product is the identity gather with sign +1
+                out += graded
         return SuperVector.from_coeffs(v.algebra, out.reshape(v.coeffs.shape))
 
     def supercommutator(self, other) -> "SuperOperator":

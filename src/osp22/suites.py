@@ -550,7 +550,7 @@ def suite_coherent(cfg: RunConfig) -> list:
             m = cf.moments(t, spec)  # of psi_z and phi_z, which alpha leaves alone
             psi_norms.append(abs(m["norm_psi"] - 1.0))
             phi_norms.append(abs(m["norm_phi"] - 0.25 / (1.0 - abs(z) ** 2)))
-            super_norms.append((cf.norm_sq(t, spec) - 1.0).max_abs())
+            super_norms.append((cf._norm_sq(m) - 1.0).max_abs())
     checks.append(_check(cfg, "coherent.unit_l2_norm", psi_norms))
     checks.append(_check(cfg, "coherent.phi_norm", phi_norms))
     checks.append(_check(cfg, "coherent.closed_norm_identity", super_norms))

@@ -240,11 +240,11 @@ class SuperVector:
 
 def _form(space, bra, ket) -> np.ndarray:
     """``super_inner`` of coefficient stacks (..., 2 n_max, 2^g) of ``space`` over their leading
-    axes: conj(A)^T B' and one plan contraction, B' with its odd rows weighted i and graded."""
+    axes: conj(A)^T B' and one plan contraction, B' with its odd rows weighted i and graded,
+    joined to the even rows of B in one step."""
     plan = space.plan
     n = bra.shape[-2] // 2
-    ket = ket.copy()
-    ket[..., n:, :] = 1j * plan.grade(ket[..., n:, :])
+    ket = np.concatenate([ket[..., :n, :], 1j * plan.grade(ket[..., n:, :])], axis=-2)
     gram = np.swapaxes(plan.conj(bra), -1, -2) @ ket
     return plan.contract(gram)
 

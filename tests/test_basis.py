@@ -113,7 +113,8 @@ class TestEvalChi:
 
     def test_matches_batch_evaluator(self):
         """A row of the batch is bit for bit the one-mode evaluation, whatever rows come with it:
-        600 and more in order, an unordered list with a repeat, and an array t."""
+        600 and more in order, an unordered list with a repeat, and an array t; and three rows
+        or fewer, which ``_mode_array`` hands to the row-by-row branch as an int array."""
         x = np.linspace(-3, 3, 11)
         t_array = np.linspace(-2.0, 5.0, 11)
         for rows, t in (
@@ -123,6 +124,9 @@ class TestEvalChi:
             ([9, 2, 605, 0, 2, 17, 1], 0.8),
             ([9, 2, 605, 0, 2, 17, 1], t_array),
             (range(40), t_array),
+            ([5, 0, 2], 0.8),
+            ([7], 0.0),
+            (range(3), t_array),
         ):
             batch = b.chi_matrix(rows, x, t)
             for got, m in zip(batch, rows, strict=True):
@@ -280,6 +284,34 @@ class TestQuadrature:
             b.QuadratureSpec(nodes=1)
         with pytest.raises(ValueError):
             b.QuadratureSpec(nodes=1000)
+
+
+class TestEmptyModeLists:
+    """No modes give empty arrays of the shapes that any number of modes would give."""
+
+    def test_chi_matrix(self):
+        x = np.linspace(-1.0, 1.0, 7)
+        for modes in ([], (), range(0), np.array([], dtype=int)):
+            got = b.chi_matrix(modes, x, 0.3)
+            assert got.shape == (0, 7) and got.dtype == complex
+        assert b.chi_matrix([], 0.5, 0.0).shape == (0, 1)
+
+    def test_gram_matrix(self):
+        assert b.gram_matrix([]).shape == (0, 0)
+        assert b.gram_matrix([], 1.5, b.QuadratureSpec(nodes=30)).shape == (0, 0)
+
+    def test_project_onto_modes(self):
+        got = b.project_onto_modes(lambda x: np.exp(-x * x), [], 0.5)
+        assert got.shape == (0,) and got.dtype == complex
+
+    @pytest.mark.parametrize("x, t, shape", [(np.linspace(0.0, 1.0, 5), 0.2, (5,)),
+                                             (0.5, np.array([0.0, 1.0, 2.0]), (3,)),
+                                             (np.zeros((2, 1)), np.zeros(4), (2, 4))])
+    def test_eval_chi_derivatives(self, x, t, shape):
+        values = b.eval_chi_derivatives(np.array([], dtype=int), x, t)
+        assert len(values) == 3
+        for v in values:
+            assert v.shape == (0,) + shape and v.dtype == complex
 
 
 class TestLadder:

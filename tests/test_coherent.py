@@ -51,7 +51,7 @@ def _loop_chain(z, n):
     odd = list(accumulate(map(complex, re[1], im[1]), mul, initial=1.0 / np.sqrt(2.0) + 0j))[:-1]
     even, odd = np.array(even, dtype=complex), np.array(odd, dtype=complex)
     s_e, s_o = float(np.vdot(even, even).real), float(np.vdot(odd, odd).real)
-    return coh._Chain(even, odd, s_e, s_o, coh.closed_form_phase(z) / np.sqrt(s_e))
+    return coh._Chain(np.stack([even, odd]), s_e, s_o, coh.closed_form_phase(z) / np.sqrt(s_e))
 
 
 def _loop_gamma(z, n):
@@ -84,7 +84,8 @@ def _generic_series_state(params, n, alg):
     """
     alg = coefficient_algebra(alg)
     chain = _loop_chain(params.z, n)
-    vec = SuperVector(alg, chain.even, [0.0] * n) + params.alpha(alg) * SuperVector(alg, [0.0] * n, chain.odd)
+    even, odd = chain.sectors
+    vec = SuperVector(alg, even, [0.0] * n) + params.alpha(alg) * SuperVector(alg, [0.0] * n, odd)
     return (coh.closed_form_phase(params.z) * vec.super_inner(vec).power(-0.5)) * vec
 
 
@@ -110,7 +111,8 @@ def _grassmann_series_state(params, n, alg, chain=None):
     a = params.alpha(alg)
     nu = (-1j * chain.s_o) * (a.conj() * a)
     rows = (chain.c * (1.0 - nu / (2.0 * chain.s_e))).coeffs, (chain.c * a).coeffs
-    coeffs = np.concatenate([coh._cmul(chain.even[:, None], rows[0]), coh._cmul(chain.odd[:, None], rows[1])])
+    even, odd = chain.sectors
+    coeffs = np.concatenate([coh._cmul(even[:, None], rows[0]), coh._cmul(odd[:, None], rows[1])])
     return SuperVector.from_coeffs(alg, coeffs)
 
 
@@ -283,7 +285,7 @@ class TestSeriesState:
             got, want = coh._series_chain(z, n, np.inf), _loop_chain(z, n)
             for g, w in zip(got, want, strict=True):
                 assert np.array_equal(_bits(g), _bits(w)), n
-            for col in (got.even, got.odd):
+            for col in got.sectors:
                 assert col.dtype == np.complex128 and col.flags.c_contiguous and col.shape == (n,)
 
     @pytest.mark.parametrize("z", BIT_Z)
@@ -646,7 +648,7 @@ class TestTrajectory:
 
 def test_crosscheck_keeps_a_nan_route(poison_call):
     """A NaN series chain reaches the later route pairs, not only the first one."""
-    poison_call(coh, "_series_chain", 1, lambda ch: ch._replace(even=math.nan * ch.even, odd=math.nan * ch.odd))
+    poison_call(coh, "_series_chain", 1, lambda ch: ch._replace(sectors=math.nan * ch.sectors))
     r = coh.crosscheck(coh.CoherentParams(0.3, 1.0), 0.5)
     assert math.isnan(r["max_pairwise_psi"]) and math.isnan(r["max_pairwise_phi"])
 
@@ -656,7 +658,7 @@ def test_crosscheck_compares_three_phi_routes_at_alpha_zero(poison_call):
     alpha slot of the alpha = 1 state."""
     p = coh.CoherentParams(0.3, 0.0)
     assert coh.crosscheck(p, 0.5)["max_pairwise_phi"] < 1e-8
-    poison_call(coh, "_series_chain", 1, lambda ch: ch._replace(odd=2.0 * ch.odd))
+    poison_call(coh, "_series_chain", 1, lambda ch: ch._replace(sectors=ch.sectors * [[1.0], [2.0]]))
     r = coh.crosscheck(p, 0.5)
     assert r["max_pairwise_phi"] > 1e-3 and r["max_pairwise_psi"] < 1e-8
 

@@ -7,6 +7,7 @@ from osp22.grassmann import (
     AlgebraMismatchError,
     GENERATORS_EXTENDED,
     GrassmannAlgebra,
+    _cmul,
     default_algebra,
     random_coefficients,
     random_element,
@@ -448,3 +449,86 @@ def test_sector_product_is_mul_bit_for_bit(alg, pa, pb):
     assert got.shape == (12, 12, alg.size)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.signbit(want.real).any()
+
+
+# the algebras of the small-array kernels: the superspace scalars of the default algebra
+# (g = 2), the default algebra (g = 4) and the extended one (g = 6)
+KERNEL_ALGEBRAS = [GrassmannAlgebra(("alpha", "alpha_bar")), ALG, _ALG6]
+KERNEL_IDS = ["g2", "g4", "g6"]
+SIGNED_PARTS = (0.0, -0.0, 1.5, -2.25, 3e-310, -7e150)
+
+
+def _u64(x):
+    return np.asarray(x, dtype=complex).view(np.uint64)
+
+
+def _signed_zero_draw(rng, shape):
+    """Complex entries of ``shape`` whose parts mix random values with +-0.0 and extreme sizes."""
+    parts = rng.standard_normal(shape + (2,))
+    picks = rng.integers(0, 2 * len(SIGNED_PARTS), size=parts.shape)
+    special = picks < len(SIGNED_PARTS)
+    parts[special] = np.array(SIGNED_PARTS)[picks[special]]
+    return parts.view(complex)[..., 0]
+
+
+def _contract_by_stack(plan, gram):
+    """``ProductPlan.contract`` as it stacked the parts of the signed gather into a new array."""
+    w = plan.sign * gram[..., plan.left, plan.right]
+    return plan._accumulate(np.stack([w.real, w.imag], axis=-1), plan._full)
+
+
+class TestSmallArrayKernels:
+    @pytest.mark.parametrize("alg", KERNEL_ALGEBRAS, ids=KERNEL_IDS)
+    def test_contract_matches_the_stacked_parts(self, alg):
+        """One gram, a stacked block, whose gather is not C-ordered, and a strided slice, with
+        signed zeros: the float view of the signed gather sums to the bits of the stacked copy."""
+        plan, size = alg.plan, alg.size
+        rng = np.random.default_rng(5)
+        wide = _signed_zero_draw(rng, (3, size, 2 * size))
+        grams = {
+            "one": wide[0, :, :size].copy(),
+            "stacked": _signed_zero_draw(rng, (2, 3, size, size)),
+            "strided": wide[:, :, ::2],
+            "transposed": wide[1, :, :size].T,
+        }
+        assert not grams["stacked"][..., plan.left, plan.right].flags.c_contiguous
+        for label, gram in grams.items():
+            got, want = plan.contract(gram), _contract_by_stack(plan, gram)
+            assert got.shape == gram.shape[:-1], label
+            assert np.array_equal(_u64(got), _u64(want)), label
+
+    @pytest.mark.parametrize("alg", KERNEL_ALGEBRAS, ids=KERNEL_IDS)
+    def test_paired_classes_read_the_same_as_an_index(self, alg):
+        """Each term table's partner classes, a slice where they run consecutively, select the
+        classes an index array would, and ``_accumulate`` sums them to the same bits."""
+        plan = alg.plan
+        rng = np.random.default_rng(9)
+        for table in (plan._full, *plan._sectors.values()):
+            left, c, paired = table[0], table[3], table[4]
+            index = np.arange(c)[paired]
+            assert index.size == left.size - c and np.all(np.diff(index) > 0)
+            assert isinstance(paired, slice) == (index.size == 0 or np.ptp(index) == index.size - 1)
+            terms = _signed_zero_draw(rng, (4, left.size)).view(float).reshape(4, left.size, 2)
+            as_index = table[:4] + (index,) + table[5:]
+            got, want = plan._accumulate(terms.copy(), table), plan._accumulate(terms.copy(), as_index)
+            assert np.array_equal(_u64(got), _u64(want))
+        if alg is KERNEL_ALGEBRAS[0]:
+            assert plan._full[4] == slice(6, 7)
+
+    def test_cmul_matches_python_complex_products(self):
+        """A scalar times a row, and a (2, N, 1) block times a (2, 1, 4) block, entry by entry
+        as Python complex products, signed zeros included, and a real array as (x, 0.0)."""
+        rng = np.random.default_rng(3)
+        scalars = [complex(re, im) for re in SIGNED_PARTS[:4] for im in SIGNED_PARTS[:4]]
+        row = _signed_zero_draw(rng, (12,))
+        for c in scalars:
+            want = [c * v for v in row.tolist()]
+            assert np.array_equal(_u64(_cmul(c, row)), _u64(want)), c
+        a, b = _signed_zero_draw(rng, (2, 37, 1)), _signed_zero_draw(rng, (2, 1, 4))
+        pa, pb = a.tolist(), b.tolist()
+        want = [[[pa[i][n][0] * pb[i][0][k] for k in range(4)] for n in range(37)] for i in range(2)]
+        got = _cmul(a, b)
+        assert got.shape == (2, 37, 4) and np.array_equal(_u64(got), _u64(want))
+        real, c = rng.standard_normal(12), complex(-2.25, -0.0)
+        want = [complex(x, 0.0) * c for x in real.tolist()]
+        assert np.array_equal(_u64(_cmul(real, c)), _u64(want))

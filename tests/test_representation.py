@@ -788,6 +788,15 @@ class TestSignedSums:
             assert body[n + 3, n + 1].real == np.inf, label
 
 
+def _left_mul(plan, mask, x):
+    """The product of the unit monomial ``mask`` with each coefficient row of x, as a new
+    array: the signed source columns scattered into zeros."""
+    src, dst, sign = plan._left_mul[mask]
+    out = np.zeros(np.shape(x), dtype=complex)
+    out[..., dst] = sign * x[..., src]
+    return out
+
+
 def _apply_all_columns(o, v):
     """The all-column product, one assembled (2N x 2N) block @ coeffs per block over
     every monomial column of the vector's algebra."""
@@ -797,7 +806,7 @@ def _apply_all_columns(o, v):
         part = o.block(am) @ v.coeffs
         if o.parity_bit ^ plan.parity[am]:
             part = plan.grade(part)
-        out += plan.left_mul(am, part)
+        out += _left_mul(plan, am, part)
     return out
 
 
@@ -818,7 +827,30 @@ def _apply_by_diagonals(o, v):
                 rows = rows[(rows - d >= 0) & (rows - d < n)]
                 acc[i, rows] += part[:, None] * coeffs[j, rows - d]
         graded = plan.grade(acc) if o.parity_bit ^ plan.parity[am] else acc
-        out += plan.left_mul(am, graded)
+        out += _left_mul(plan, am, graded)
+    return out.reshape(v.coeffs.shape)
+
+
+def _apply_by_block_loop(o, v):
+    """``apply`` as it ran block by block: a new array of zeros per block, its quadrants in
+    sorted order, float grade signs cast to complex by numpy, and each block's left product
+    scattered into zeros and added to the output."""
+    plan = v.algebra.plan
+    n = o.n_max
+    coeffs = v.coeffs.reshape(2, n, -1)
+    out = np.zeros_like(coeffs)
+    for am, quads in o.blocks.items():
+        acc = np.zeros_like(coeffs)
+        for (i, j), record in sorted(quads.items()):
+            for d, part in record:
+                if d is None:
+                    acc[i] += part @ coeffs[j]
+                else:
+                    lo = max(0, d)
+                    hi = max(lo, n + min(0, d))
+                    acc[i, lo:hi] += part[:, None] * coeffs[j, lo - d : hi - d]
+        graded = plan.parity_sign.real * acc if o.parity_bit ^ plan.parity[am] else acc
+        out += _left_mul(plan, am, graded) if am else graded
     return out.reshape(v.coeffs.shape)
 
 
@@ -894,6 +926,31 @@ class TestApplyColumns:
                     np.testing.assert_allclose(got, want, rtol=0, atol=4e-16 * np.abs(want).max())
                 else:
                     np.testing.assert_array_equal(got, want, err_msg=label)
+
+    @pytest.mark.parametrize("alg", [ALG, ALG6], ids=["g4", "g6"])
+    def test_matches_the_block_loop_bit_for_bit(self, alg):
+        """Every generator and combination, the dense records of a displacement, whose blocks
+        hold quadrants out of (i, j) order, and banded blocks, whose rows sum three diagonals of
+        each quadrant of their sector, give the bits of the block-by-block loop, signed zeros
+        included, on vectors of each parity."""
+        rng = np.random.default_rng(47)
+        al = coefficient_algebra(alg).gen("alpha")
+        ops = {name: build_generator(name, N, alg) for name in ALL_NAMES}
+        ops["alpha V+ + K0"] = al * ops["V+"] + ops["K0"]
+        band = np.zeros((2, N, 2, N), dtype=complex)
+        for d in (-1, 0, 2):
+            rows = np.arange(max(0, d), N + min(0, d))
+            band[:, rows, :, rows - d] = rng.standard_normal((rows.size, 2, 2)) + 1j
+        ops["banded"] = SuperOperator(alg, N, {0: band.reshape(2 * N, 2 * N), 1: 2.0 * band.reshape(2 * N, 2 * N)}, 0)
+        assert all(len(r) == 3 for q in ops["banded"].blocks.values() for r in q.values())
+        ops["displacement"] = displacement_operator(CoherentParams(0.5 + 0.3j, 0.7 - 0.4j), N, alg)
+        assert list(ops["displacement"].blocks[3]) == [(1, 1), (0, 0)]
+        for label, o in ops.items():
+            for parity in (None, 0, 1):
+                v = random_supervector(N, rng, alg, parity=parity)
+                v.coeffs.real[rng.random(v.coeffs.shape) < 0.2] = -0.0
+                got, want = o.apply(v).coeffs, _apply_by_block_loop(o, v)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (label, parity)
 
     @pytest.mark.parametrize("alg", [ALG, ALG6], ids=["g4", "g6"])
     def test_unit_block_is_the_identity_gather(self, alg):

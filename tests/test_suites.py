@@ -511,6 +511,9 @@ CALL_CEILINGS = [
     # was 48 series states: now one chain per z for the crosschecks (4), the calibration (1),
     # the symbols (4), the trajectories (3) and the displacement references (3)
     pytest.param("coherent", _coh, "_series_chain", 15, id="coherent-chains"),
+    # was 28: the closed-norm identity formed its own moments at each (z, t) the norm checks had
+    # just formed; now it reads theirs, and the trajectories form the other 12
+    pytest.param("coherent", _coh.ClosedFormState, "moments", 20, id="coherent-moments"),
     # was 32: hamiltonian_defects took -chi_m'' one mode at a time; now one call per t and route
     pytest.param("algebra", _basis, "_packets", 8, id="algebra-packets"),
     # was 560 and 260: the pairs, the Jacobi triples' inner brackets, the adjoint rules and the

@@ -237,7 +237,10 @@ class TestCoefficientAlgebra:
         same(full.conj(fx), sub.conj(x))
         same(full.grade(fx), sub.grade(x))
         for m in range(space.size):
-            same(full.left_mul(int(embed[m]), fx), sub.left_mul(m, x))
+            full_out, sub_out = np.zeros_like(fx), np.zeros_like(x)
+            full.add_left_mul(int(embed[m]), fx, full_out)
+            sub.add_left_mul(m, x, sub_out)
+            same(full_out, sub_out)
         gram = x.conj().T @ y
         full_gram = np.zeros((full.size, full.size), dtype=complex)
         full_gram[np.ix_(embed, embed)] = gram
@@ -324,6 +327,39 @@ class TestInnerProduct:
             lhs = (b1 * v1).super_inner(b2 * v2)
             rhs = sign * (b1.conj() * b2 * v1.super_inner(v2))
             assert (lhs - rhs).max_abs() < 1e-12
+
+
+def _form_by_assignment(space, bra, ket):
+    """``_form`` as it graded a copy of the ket in place, with float signs cast to complex by
+    numpy, and contracted the stacked (real, imag) parts of the signed gather."""
+    plan = space.plan
+    n = bra.shape[-2] // 2
+    ket = ket.copy()
+    ket[..., n:, :] = 1j * (plan.parity_sign.real * ket[..., n:, :])
+    conj_bra = plan._conj_sign.real * np.conj(bra[..., plan._conj_perm])
+    w = plan.sign * (np.swapaxes(conj_bra, -1, -2) @ ket)[..., plan.left, plan.right]
+    return plan._accumulate(np.stack([w.real, w.imag], axis=-1), plan._full)
+
+
+class TestFormBits:
+    @pytest.mark.parametrize("alg", [ALG, ALG6], ids=["g4", "g6"])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["one", "stacked", "stacked2"])
+    def test_form_matches_the_copy_and_assign_reference(self, alg, lead):
+        """Stacked blocks of pairs, with signed zeros in both vectors, have the bits of the
+        reference, and one pair those of ``super_inner``."""
+        space = coefficient_algebra(alg)
+        rng = np.random.default_rng(23)
+        shape = lead + (2 * 6, space.size)
+        bra, ket = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+        for x in (bra, ket):
+            x.real[rng.random(shape) < 0.2] = -0.0
+            x.imag[rng.random(shape) < 0.2] = -0.0
+        got, want = _form(space, bra, ket), _form_by_assignment(space, bra, ket)
+        assert got.shape == lead + (space.size,)
+        assert np.array_equal(_bits(got), _bits(want))
+        if not lead:
+            pair = SuperVector.from_coeffs(space, bra).super_inner(SuperVector.from_coeffs(space, ket))
+            assert np.array_equal(_bits(pair.coeffs), _bits(want))
 
 
 class TestNorm:
