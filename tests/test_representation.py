@@ -941,7 +941,8 @@ class TestApplyColumns:
         for d in (-1, 0, 2):
             rows = np.arange(max(0, d), N + min(0, d))
             band[:, rows, :, rows - d] = rng.standard_normal((rows.size, 2, 2)) + 1j
-        ops["banded"] = SuperOperator(alg, N, {0: band.reshape(2 * N, 2 * N), 1: 2.0 * band.reshape(2 * N, 2 * N)}, 0)
+        band = band.reshape(2 * N, 2 * N)
+        ops["banded"] = SuperOperator(alg, N, {0: band, 1: 2.0 * band}, 0)
         assert all(len(r) == 3 for q in ops["banded"].blocks.values() for r in q.values())
         ops["displacement"] = displacement_operator(CoherentParams(0.5 + 0.3j, 0.7 - 0.4j), N, alg)
         assert list(ops["displacement"].blocks[3]) == [(1, 1), (0, 0)]
